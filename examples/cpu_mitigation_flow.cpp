@@ -2,18 +2,18 @@
 //
 //   cpu_mitigation_flow [--scenario <name>] [--json <path>] [--records]
 //                       [--tier exact|abstract|auto] [--engine
-//                       serial|threaded|bitsliced|auto] [--workers <W>]
+//                       serial|threaded|bitsliced|auto] [--threads <T>]
 //                       [--per-bit <N>] [--seed <S>]
 //
 // Runs every scenario of cpu::scenarios::all() (or just --scenario) through
 // the full flow — FMEA analysis, profile-guided zone-failure fault list,
 // injection campaign — and prints the HW-vs-SW comparison table: analytic
 // SFF/DC/SIL next to the measured SFF/DDF of each mitigation, all against
-// the unprotected baseline.  --workers >= 2 shards the campaign over worker
-// processes (this binary re-exec'd with --serve-worker); --records dumps
-// every injection record for cross-engine debugging.
+// the unprotected baseline.  --threads T runs each campaign over T threads
+// (0 = all cores); --records dumps every injection record for cross-engine
+// debugging.  A malformed numeric value exits 2 with a one-line diagnostic.
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -23,7 +23,7 @@
 #include "cpu/scenarios.hpp"
 #include "fault/fault.hpp"
 #include "fmea/iec61508.hpp"
-#include "serve/worker.hpp"
+#include "tools/cli_common.hpp"
 
 using namespace socfmea;
 namespace sc = cpu::scenarios;
@@ -43,11 +43,17 @@ struct Args {
                " [--records]\n"
                "                           [--tier exact|abstract|auto]"
                " [--engine serial|threaded|bitsliced|auto]\n"
-               "                           [--workers <W>] [--per-bit <N>]"
+               "                           [--threads <T>] [--per-bit <N>]"
                " [--seed <S>]\n"
                "scenarios:";
   for (const auto& s : sc::all()) std::cerr << " " << s.name;
   std::cerr << "\n";
+  std::exit(2);
+}
+
+/// A numeric flag with a malformed value: one diagnostic line, exit 2.
+[[noreturn]] void badValue(const std::string& flag, const char* expected) {
+  std::cerr << "cpu_mitigation_flow: " << flag << " needs " << expected << "\n";
   std::exit(2);
 }
 
@@ -70,25 +76,23 @@ Args parseArgs(int argc, char** argv) {
       if (!m) usage("unknown tier mode (exact|abstract|auto)");
       a.run.tier = *m;
     } else if (arg == "--engine") {
-      const std::string e = value(i);
-      if (e == "serial") {
-        a.run.campaign.engine = faultsim::EngineKind::Serial;
-      } else if (e == "threaded") {
-        a.run.campaign.engine = faultsim::EngineKind::Threaded;
-      } else if (e == "bitsliced") {
-        a.run.campaign.engine = faultsim::EngineKind::Bitsliced;
-      } else if (e == "auto") {
-        a.run.campaign.engine = faultsim::EngineKind::Auto;
-      } else {
-        usage("unknown engine (serial|threaded|bitsliced|auto)");
+      const auto k = faultsim::engineKindFromName(value(i));
+      if (!k) usage("unknown engine (serial|threaded|bitsliced|auto)");
+      a.run.campaign.engine = *k;
+    } else if (arg == "--threads") {
+      if (!cli::parseUnsigned(value(i).c_str(), a.run.campaign.threads)) {
+        badValue(arg, "an unsigned thread count");
       }
-    } else if (arg == "--workers") {
-      a.run.workers =
-          static_cast<unsigned>(std::strtoul(value(i).c_str(), nullptr, 0));
     } else if (arg == "--per-bit") {
-      a.run.perBit = std::strtoull(value(i).c_str(), nullptr, 0);
+      std::uint64_t n = 0;
+      if (!cli::parseUnsigned(value(i).c_str(), n) || n == 0) {
+        badValue(arg, "a positive count");
+      }
+      a.run.perBit = static_cast<std::size_t>(n);
     } else if (arg == "--seed") {
-      a.run.seed = std::strtoull(value(i).c_str(), nullptr, 0);
+      if (!cli::parseUnsigned(value(i).c_str(), a.run.seed)) {
+        badValue(arg, "an unsigned value");
+      }
     } else if (arg == "--help" || arg == "-h") {
       usage();
     } else {
@@ -118,9 +122,6 @@ void printRow(const sc::Scenario& s, const sc::ScenarioResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return serve::workerMain();
-  }
   const Args a = parseArgs(argc, argv);
 
   std::vector<const sc::Scenario*> selected;
@@ -176,7 +177,7 @@ int main(int argc, char** argv) {
     doc["tier"] = std::string(inject::tierModeName(a.run.tier));
     doc["per_bit"] = static_cast<std::uint64_t>(a.run.perBit);
     doc["seed"] = a.run.seed;
-    doc["workers"] = static_cast<std::uint64_t>(a.run.workers);
+    doc["threads"] = static_cast<std::uint64_t>(a.run.campaign.threads);
     doc["scenarios"] = jScenarios;
     std::ofstream out(a.jsonPath);
     if (!out) {

@@ -9,8 +9,6 @@
 //   5. collect coverage, classify outcomes, and cross-check the FMEA.
 #include <iostream>
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 
@@ -21,22 +19,13 @@
 #include "inject/delta.hpp"
 #include "inject/tiered.hpp"
 #include "memsys/workloads.hpp"
-#include "netlist/compiled.hpp"
 #include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
-#include "serve/coordinator.hpp"
-#include "serve/job.hpp"
-#include "serve/worker.hpp"
 #include "tools/cli_common.hpp"
 
 using namespace socfmea;
 
 int main(int argc, char** argv) {
-  // Worker re-exec entry for --workers N (must run before flag parsing).
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return serve::workerMain();
-  }
-
   // --json <path>: dump the campaign (fault-list shaping, outcome metrics,
   // coverage completeness, FMEA cross-check) as one JSON document.
   cli::CommonFlags flags;
@@ -56,9 +45,9 @@ int main(int argc, char** argv) {
     }
   }
   const char* jsonPath = flags.jsonPath;
-  const unsigned workers = flags.workers;
   inject::CampaignOptions copt;
   copt.engine = flags.engine;
+  copt.threads = flags.threads;
   inject::TierOptions topt;
   topt.mode = flags.tier;
   const bool tiered = topt.mode != inject::TierMode::Exact;
@@ -112,15 +101,12 @@ int main(int argc, char** argv) {
   std::cout << "randomised campaign list: " << faults.size() << " faults\n\n";
 
   // 4. The campaign: store hit when --cache-dir already holds this exact
-  //    walkthrough, sharded over worker processes with --workers N, the
-  //    plain in-process run otherwise.  All three paths yield bit-identical
-  //    records (the distributed merge goes through the delta engine).
+  //    walkthrough, the in-process run (over --threads N) otherwise.  Both
+  //    paths yield bit-identical records.
   inject::InjectionManager manager(dut.nl, env);
   inject::CoverageCollector coverage(manager.environment());
   inject::CampaignResult result;
-  serve::DistributedStats dstats;
   obs::Json tiersJson = obs::Json::object();
-  bool distributed = false;
   bool storeHit = false;
   const std::uint64_t campKey =
       netlist::hashMix(netlist::hashNetlist(dut.nl),
@@ -140,8 +126,8 @@ int main(int argc, char** argv) {
   }
   if (!storeHit && tiered) {
     // Tiered walkthrough: abstract sweep + escalation, merged per source
-    // fault.  The store / distributed paths stay exact-only here — the
-    // incremental flow (core/incremental.hpp) is the cached tiered entry.
+    // fault.  The store path stays exact-only here — the incremental flow
+    // (core/incremental.hpp) is the cached tiered entry.
     const inject::TieredResult tr = inject::runTieredCampaign(
         manager, workload, faults, topt, &coverage, copt);
     result = tr.merged;
@@ -153,20 +139,6 @@ int main(int argc, char** argv) {
               << tr.tiers.escalatedFaults
               << " escalated to exact, measured agreement "
               << tr.tiers.agreement() << "\n";
-  } else if (!storeHit && workers > 1) {
-    netlist::CompiledDesignPtr cd = flow.zones().compiledShared();
-    if (!cd) cd = netlist::compile(dut.nl);
-    const obs::Json job = serve::makeCampaignJob(
-        dut.nl, flow.zones(), flow.config().alarmNames, /*envSeed=*/42,
-        /*detectionWindow=*/24, copt, serve::protectionIpDesignSpec("v2"),
-        serve::protectionIpWorkloadSpec(wopt.cycles));
-    serve::DistributedOptions dopt;
-    dopt.workers = workers;
-    result = serve::runShardedCampaign(manager, workload, faults, *cd, job,
-                                       dopt, /*revalidateFraction=*/0.02,
-                                       /*revalidateSeed=*/0x5EEDCAFE,
-                                       &coverage, copt, nullptr, &dstats);
-    distributed = true;
   } else if (!storeHit) {
     result = manager.run(workload, faults, &coverage, copt);
   }
@@ -178,12 +150,6 @@ int main(int argc, char** argv) {
   if (storeHit) {
     std::cout << "campaign served from " << store->dir().string()
               << " (full store hit)\n";
-  }
-  if (distributed) {
-    std::cout << "distributed: " << dstats.workersSpawned << " workers, "
-              << dstats.chunksTotal << " chunks (" << dstats.chunksRequeued
-              << " requeued, " << dstats.workersLost << " workers lost, "
-              << dstats.faultsFallback << " faults run locally)\n";
   }
   inject::printCampaign(std::cout, result);
   std::cout << "\n";

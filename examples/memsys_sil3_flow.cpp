@@ -29,8 +29,6 @@
 #include "memsys/workloads.hpp"
 #include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
-#include "serve/job.hpp"
-#include "serve/worker.hpp"
 #include "tools/cli_common.hpp"
 
 using namespace socfmea;
@@ -57,10 +55,10 @@ int usage(const char* argv0) {
 /// baseline with one architectural edit applied, reusing whatever the
 /// artifact store already holds from previous iterations.
 int runIncremental(const char* jsonPath, const char* cacheDir,
-                   const std::string& edit, double maxResim, unsigned workers,
+                   const std::string& edit, double maxResim, unsigned threads,
                    faultsim::EngineKind engine, inject::TierMode tier) {
   memsys::GateLevelOptions gopt = memsys::GateLevelOptions::v1();
-  if (!serve::applyProtectionEdit(edit, gopt)) {
+  if (!memsys::applyProtectionEdit(edit, gopt)) {
     std::cerr << "unknown --edit measure: " << edit << "\n";
     return 2;
   }
@@ -86,13 +84,6 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
   // quota with a deterministic per-kind sample (same keys on every variant).
   iopt.memFaultsPerKind = 48;
   iopt.tier.mode = tier;
-  if (workers > 1) {
-    iopt.workers = workers;
-    iopt.designSpec = serve::protectionIpDesignSpec(edit);
-    iopt.workloadSpec = serve::protectionIpWorkloadSpec(
-        wopt.cycles, wopt.seed, wopt.resetCycles, wopt.exerciseBist,
-        wopt.exerciseMpu, wopt.plantEccErrors, wopt.pacing);
-  }
 
   core::IncrementalFlow inc(dut.nl, core::makeFrmemFlowConfig(dut), iopt);
   std::cout << "==== incremental flow: v1 + edit '" << edit << "' ====\n";
@@ -101,6 +92,7 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
   memsys::ProtectionIpWorkload workload(dut, wopt);
   inject::CampaignOptions copt;
   copt.engine = engine;
+  copt.threads = threads;
   const core::IncrementalCampaign camp =
       inc.runZoneFailureCampaign(workload, /*perBit=*/1, /*seed=*/7,
                                  /*detectionWindow=*/24, copt);
@@ -115,12 +107,9 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
             << camp.delta.revalidated << " revalidated"
             << (camp.fullHit
                     ? " [full store hit]"
-                    : (camp.deltaRun
-                           ? " [delta run]"
-                           : (camp.distributedRun
-                                  ? " [distributed]"
-                                  : (camp.tieredRun ? " [tiered]"
-                                                    : " [cold]"))))
+                    : (camp.deltaRun ? " [delta run]"
+                                     : (camp.tieredRun ? " [tiered]"
+                                                       : " [cold]")))
             << "\n";
   if (camp.tieredRun) {
     const auto ti = [&](const char* k) -> long long {
@@ -137,13 +126,6 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
               << (agree != nullptr && agree->isNumber() ? agree->asDouble()
                                                         : 1.0)
               << "\n";
-  }
-  if (camp.distributedRun) {
-    std::cout << "distributed: " << camp.serveStats.workersSpawned
-              << " workers, " << camp.serveStats.chunksTotal << " chunks ("
-              << camp.serveStats.chunksRequeued << " requeued, "
-              << camp.serveStats.workersLost << " workers lost, "
-              << camp.serveStats.faultsFallback << " faults run locally)\n";
   }
 
   if (jsonPath != nullptr) {
@@ -172,12 +154,6 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-exec entry for --workers N: the coordinator spawns
-  // /proc/self/exe with this flag, so it must short-circuit everything.
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return serve::workerMain();
-  }
-
   // --json <path>: also emit the whole flow as one machine-readable report
   // (the document CI's metrics-gate diffs against the checked-in golden).
   cli::CommonFlags flags;
@@ -208,7 +184,7 @@ int main(int argc, char** argv) {
   // bare invocation below stays byte-identical for the CI metrics gate.
   if (flags.anyIterationFlag() || edit != nullptr || maxResim >= 0.0) {
     return runIncremental(flags.jsonPath, flags.cacheDir,
-                          edit ? edit : "none", maxResim, flags.workers,
+                          edit ? edit : "none", maxResim, flags.threads,
                           flags.engine, flags.tier);
   }
 

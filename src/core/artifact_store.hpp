@@ -43,13 +43,15 @@ class ArtifactStore {
   /// the caller recomputes and overwrites).
   [[nodiscard]] std::optional<obs::Json> load(std::string_view stage,
                                               std::uint64_t key);
-  /// Persists a stage artifact (atomic rename over any previous file).
+  /// Persists a stage artifact (atomic rename over any previous file, so
+  /// processes sharing one store directory never read a torn artifact).
   void save(std::string_view stage, std::uint64_t key, const obs::Json& a);
 
   /// Mutable named slot (latest-run head state).  Heads deliberately bypass
   /// the in-memory LRU: another process sharing the store directory (a
-  /// campaign server's workers, parallel CI jobs) may advance the slot
-  /// between calls, and a daemon must observe that, not a stale cache.
+  /// parallel CI job, a flow CLI next to arch_search) may advance the slot
+  /// between calls, and a long-running search must observe that, not a
+  /// stale cache.
   ///
   /// `branch` selects an independent sub-slot of `name` ("" = the base
   /// slot).  Search workloads evaluate many candidate designs against one

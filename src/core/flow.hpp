@@ -74,9 +74,6 @@ class FmeaFlow {
   [[nodiscard]] const fmea::FitModel& fitModel() const noexcept {
     return cfg_.fit;
   }
-  /// The full flow configuration (the distributed campaign layer forwards
-  /// its alarm names to worker processes).
-  [[nodiscard]] const FlowConfig& config() const noexcept { return cfg_; }
 
   /// Structural hash of the design (content address of the compile stage).
   [[nodiscard]] std::uint64_t designHash() const noexcept {

@@ -10,7 +10,6 @@
 #include "netlist/hash.hpp"
 #include "netlist/text_format.hpp"
 #include "obs/telemetry.hpp"
-#include "serve/job.hpp"
 
 namespace socfmea::core {
 
@@ -290,27 +289,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
               }
             }
           }
-          if (!out.deltaRun && opt_.workers > 1 && opt_.designSpec.isObject() &&
-              opt_.workloadSpec.isObject()) {
-            // Sharded cold run: worker processes rebuild the design from the
-            // job spec and stream verdicts back; the merge goes through the
-            // same delta/revalidation path as a head diff, so the artifact
-            // saved below is bit-identical to the in-process run's.
-            try {
-              const obs::Json job = serve::makeCampaignJob(
-                  nl, db, flow_->config().alarmNames, seed, detectionWindow,
-                  copt, opt_.designSpec, opt_.workloadSpec);
-              serve::DistributedOptions dopt = opt_.distributed;
-              dopt.workers = opt_.workers;
-              out.result = serve::runShardedCampaign(
-                  mgr, wl, faults, *cd, job, dopt, opt_.revalidateFraction,
-                  opt_.revalidateSeed, &cov, copt, &out.delta, &out.serveStats);
-              out.distributedRun = true;
-            } catch (const std::exception&) {
-              out.distributedRun = false;  // plumbing failure: cold below
-            }
-          }
-          if (!out.deltaRun && !out.distributedRun) {
+          if (!out.deltaRun) {
             out.result = mgr.run(wl, faults, &cov, copt);
             out.delta.total = faults.size();
             out.delta.simulated = faults.size();
@@ -395,10 +374,10 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   obs::Json cj = obs::Json::object();
   cj["full_hit"] = out.fullHit;
   cj["delta_run"] = out.deltaRun;
-  cj["distributed_run"] = out.distributedRun;
+  // Campaigns run in-process only; perfbench/reference pins this key.
+  cj["distributed_run"] = false;
   cj["tiered_run"] = out.tieredRun;
   if (out.tieredRun) cj["tiers"] = out.tiers;
-  if (out.distributedRun) cj["distributed"] = out.serveStats.toJson();
   cj["delta"] = out.delta.toJson();
   cj["coverage_completeness"] = cov.completeness();
   cj["campaign"] = out.result.toJson(&db);

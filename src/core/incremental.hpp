@@ -15,7 +15,6 @@
 #include "core/flow.hpp"
 #include "inject/delta.hpp"
 #include "inject/tiered.hpp"
-#include "serve/coordinator.hpp"
 #include "sim/workload.hpp"
 
 namespace socfmea::core {
@@ -49,19 +48,6 @@ struct IncrementalOptions {
   /// architectural iterations.
   std::size_t memFaultsPerKind = 0;
   std::uint64_t memFaultSeed = 0x4D454Du;
-  /// Multi-process campaign execution (serve/coordinator.hpp): when
-  /// workers > 1 AND the job specs below are set, a campaign-stage miss
-  /// without a usable head delta is sharded over worker processes instead
-  /// of run cold in-process.  The merged result flows through the same
-  /// delta/revalidation machinery, so it stays bit-identical to the serial
-  /// oracle (and lands in the store under the same key).
-  unsigned workers = 1;
-  /// Worker-process tuning (workers above overrides distributed.workers).
-  serve::DistributedOptions distributed;
-  /// serve/job.hpp design + workload specs describing this flow's design
-  /// and stimulus; both must be objects for distribution to engage.
-  obs::Json designSpec;
-  obs::Json workloadSpec;
   /// Tiered campaign execution (inject/tiered.hpp).  With any mode other
   /// than Exact the campaign stage is replaced by two content-addressed
   /// stages — "abstract_sweep" (the SET→multi-SEU plan) and "escalation"
@@ -77,9 +63,7 @@ struct IncrementalCampaign {
   inject::DeltaStats delta;
   bool fullHit = false;    ///< whole campaign loaded from the store
   bool deltaRun = false;   ///< head diff + cone reuse path taken
-  bool distributedRun = false;  ///< sharded over worker processes
-  bool tieredRun = false;       ///< abstract sweep + escalation path taken
-  serve::DistributedStats serveStats;
+  bool tieredRun = false;  ///< abstract sweep + escalation path taken
   std::size_t faultCount = 0;
   /// The `campaign.tiers.*` accuracy-envelope block (tiered runs only):
   /// per-tier counts, escalation rate, measured agreement, SFF/DDF

@@ -50,13 +50,6 @@ struct RunOptions {
   std::size_t perBit = 2;           ///< zoneFailureFaults density
   std::uint64_t detectionWindow = 24;
   inject::TierMode tier = inject::TierMode::Exact;
-  /// >= 2 runs the campaign through the sharded multi-process coordinator
-  /// (serve::runShardedCampaign) instead of in-process.
-  unsigned workers = 0;
-  /// Worker argv for the sharded path; empty = {"/proc/self/exe",
-  /// "--serve-worker"} (the caller must handle that flag).  Test binaries
-  /// point this at the standalone campaign_worker.
-  std::vector<std::string> workerCmd;
   inject::CampaignOptions campaign;  ///< engine / threads / laneWords knobs
 };
 
@@ -87,7 +80,7 @@ struct ScenarioResult {
 [[nodiscard]] std::vector<std::uint8_t> kernelProgram();
 
 /// Full flow for one scenario: build design, FMEA analysis, profile-guided
-/// zone-failure fault list, tiered (or sharded, opt.workers >= 2) campaign.
+/// zone-failure fault list, tiered campaign.
 [[nodiscard]] ScenarioResult runScenario(const Scenario& s,
                                          const RunOptions& opt = {});
 

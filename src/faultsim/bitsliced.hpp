@@ -30,9 +30,9 @@
 // the engine replays them on the golden machine and mirrors the memory
 // deltas into lane-owned clones.
 //
-// Activity is bounded two ways: only cells with at least one touched
-// (divergent or forced) input net re-evaluate, and whole levels outside the
-// union forward cone of the group's live lanes are skipped.  A lane retires
+// Activity is bounded by the active lists: only cells with at least one
+// touched (divergent or forced) input net re-evaluate, so a level no live
+// lane has disturbed costs one emptiness check.  A lane retires
 // as soon as its verdict is final — detected (fault-sim mode), classified
 // (campaign mode with early abort), or washed out (transient spent and all
 // divergence zero) — and is refilled from the pending transient queue so
@@ -58,8 +58,6 @@ struct BitslicedStats {
   std::uint64_t laneCycles = 0;         ///< live-lane cycles (occupancy)
   std::uint64_t lanesRetiredEarly = 0;  ///< verdict final before workload end
   std::uint64_t lanesRefilled = 0;      ///< retired lanes re-armed with a fault
-  std::uint64_t levelsEvaluated = 0;    ///< level visits inside the live cone
-  std::uint64_t levelsSkipped = 0;      ///< level visits the cone bound skipped
   std::uint64_t checkpointHits = 0;
   std::uint64_t checkpointCyclesSkipped = 0;
   std::uint64_t convergedEarly = 0;  ///< lanes retired by washout
@@ -71,11 +69,6 @@ struct BitslicedStats {
     const double cap = static_cast<double>(wordCycles) *
                        static_cast<double>(laneWords) * 64.0;
     return cap > 0 ? static_cast<double>(laneCycles) / cap : 0.0;
-  }
-  [[nodiscard]] double coneSkipRatio() const noexcept {
-    const double total =
-        static_cast<double>(levelsEvaluated + levelsSkipped);
-    return total > 0 ? static_cast<double>(levelsSkipped) / total : 0.0;
   }
 };
 

@@ -1,8 +1,7 @@
 // Lane-level machinery of the bit-sliced fault-parallel engine: the SIMD
 // bit-word type (64 lanes per 64-bit limb, widened by adding limbs so the
 // compiler can vectorize the bitwise kernels with AVX2 / NEON), run-time
-// lane-width resolution, the fault-to-seed-net mapping that feeds the
-// cone-bounding closure, and the shared scheduler that deals faults out to
+// lane-width resolution, and the shared scheduler that deals faults out to
 // word groups and refills retired lanes.
 #pragma once
 
@@ -14,8 +13,6 @@
 #include <vector>
 
 #include "fault/fault_list.hpp"
-#include "netlist/compiled.hpp"
-#include "netlist/traversal.hpp"
 
 namespace socfmea::faultsim {
 
@@ -128,31 +125,6 @@ inline constexpr unsigned kMaxLaneWords = 4;
 /// Human-readable SIMD target the auto width maps to ("avx2", "neon",
 /// "portable") — telemetry / bench reporting only.
 [[nodiscard]] const char* simdTargetName() noexcept;
-
-/// Nets where a fault's divergence can first appear, used to seed the
-/// forward-reach cone of a word group: the forced net(s) for stuck-at / SET
-/// / bridges, the flip-flop's Q net for SEU and delay faults, the rdata
-/// nets for memory faults.
-[[nodiscard]] std::vector<netlist::NetId> faultSeedNets(
-    const netlist::CompiledDesign& cd, const fault::Fault& f);
-
-/// Union forward cone of a word group's live lanes, with a per-level
-/// occupancy mask so the lockstep sweep can skip levels no live lane can
-/// ever disturb.  Reachability is union-distributive, so refilled lanes
-/// extend() the closure in place; shrinking (lane retirement) requires a
-/// rebuild from the surviving seeds.
-struct ConeUnion {
-  netlist::ForwardReach reach;
-  std::vector<char> levelLive;  ///< indexed by compiled level
-
-  void rebuild(const netlist::CompiledDesign& cd,
-               const std::vector<netlist::NetId>& seeds);
-  void extend(const netlist::CompiledDesign& cd,
-              const std::vector<netlist::NetId>& seeds);
-
- private:
-  void markLevels(const netlist::CompiledDesign& cd);
-};
 
 /// Deals fault indices out to word groups.  The queue is ordered permanents
 /// first, then transients by ascending activation cycle (stable on the

@@ -26,6 +26,14 @@ std::string_view engineKindName(EngineKind k) noexcept {
   return "?";
 }
 
+std::optional<EngineKind> engineKindFromName(std::string_view n) noexcept {
+  for (const EngineKind k : {EngineKind::Auto, EngineKind::Serial,
+                             EngineKind::Threaded, EngineKind::Bitsliced}) {
+    if (engineKindName(k) == n) return k;
+  }
+  return std::nullopt;
+}
+
 GoldenTrace recordGolden(const netlist::Netlist& nl, sim::Workload& wl,
                          const FaultSimOptions& opt) {
   const fault::EngineContext ctx(nl);

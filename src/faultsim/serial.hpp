@@ -7,6 +7,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -39,6 +40,9 @@ enum class EngineKind : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view engineKindName(EngineKind k) noexcept;
+/// Inverse of engineKindName; nullopt on an unknown name.
+[[nodiscard]] std::optional<EngineKind> engineKindFromName(
+    std::string_view n) noexcept;
 
 struct FaultSimResult {
   std::size_t total = 0;

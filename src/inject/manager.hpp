@@ -70,9 +70,11 @@ struct CampaignResult {
   std::uint64_t checkpointHits = 0;
   std::uint64_t checkpointCyclesSkipped = 0;
   /// Transient faults dropped before the workload's end because the faulty
-  /// machine's state reconverged with the golden checkpoint (fault washed
-  /// out, e.g. corrected by ECC) — the rest of the run is provably
-  /// identical, so the verdict is final.  Parallel engine only.
+  /// machine's state reconverged with the golden run (fault washed out,
+  /// e.g. corrected by ECC) — the rest of the run is provably identical, so
+  /// the verdict is final.  Filled by the checkpointed thread-pool engine
+  /// and the bit-sliced engine (lane washout); always 0 under the serial
+  /// oracle.
   std::uint64_t convergedEarly = 0;
 
   /// Single-pass aggregation of every outcome count and latency statistic.
@@ -145,10 +147,12 @@ struct CampaignOptions {
   /// lanes); 0 picks the widest the build's SIMD target supports
   /// (SOCFMEA_NO_SIMD=1 forces 1 at run time).  Other engines ignore it.
   unsigned laneWords = 0;
-  /// Campaign parallelism: 1 = the legacy serial engine (the reference
-  /// oracle, no checkpointing), 0 = hardware concurrency, N = N workers.
-  /// Records and every IEC metric are bit-identical regardless of the
-  /// value; only cyclesSimulated / checkpoint stats differ.
+  /// Campaign parallelism: 0 = hardware concurrency, N = N threads.  Under
+  /// Auto it also picks the engine (1 = the serial oracle, anything else
+  /// the checkpointed thread pool); Threaded and Bitsliced spread their work
+  /// over this many threads, and Serial ignores it.  Records and every IEC
+  /// metric are bit-identical regardless of the value; only cyclesSimulated
+  /// / checkpoint stats differ.
   unsigned threads = 1;
   /// Golden-checkpoint spacing for the parallel engine; 0 picks
   /// max(1, workloadCycles / 16).  Ignored when threads = 1.

@@ -9,6 +9,8 @@
 // paper's tool reads from a synthesis flow.
 #pragma once
 
+#include <string_view>
+
 #include "netlist/builder.hpp"
 
 namespace socfmea::memsys {
@@ -64,5 +66,11 @@ struct GateLevelDesign {
 
 /// Builds the protection IP.  The netlist passes check().
 [[nodiscard]] GateLevelDesign buildProtectionIp(const GateLevelOptions& opt);
+
+/// Applies one Section-6 architectural measure, by name, to `o` ("none",
+/// "wbuf-parity", "post-coder", "redundant-checker", "addr-in-code", "v2");
+/// false on an unknown name.
+[[nodiscard]] bool applyProtectionEdit(std::string_view edit,
+                                       GateLevelOptions& o);
 
 }  // namespace socfmea::memsys

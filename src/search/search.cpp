@@ -9,7 +9,6 @@
 #include "memsys/workloads.hpp"
 #include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
-#include "serve/job.hpp"
 
 namespace socfmea::search {
 
@@ -183,17 +182,11 @@ const ArchitectureSearch::Eval& ArchitectureSearch::evaluate(
   wopt.cycles = opt_.workloadCycles;
   iopt.workloadTag = hashMix(hashString("protection-ip-workload"),
                              hashMix(wopt.cycles, wopt.seed));
-  if (opt_.workers > 1) {
-    iopt.workers = opt_.workers;
-    iopt.designSpec = serve::protectionIpDesignSpec("none", sorted);
-    iopt.workloadSpec = serve::protectionIpWorkloadSpec(
-        wopt.cycles, wopt.seed, wopt.resetCycles, wopt.exerciseBist,
-        wopt.exerciseMpu, wopt.plantEccErrors, wopt.pacing);
-  }
 
   memsys::ProtectionIpWorkload wl(built.design, wopt);
   inject::CampaignOptions copt;
   copt.engine = opt_.engine;
+  copt.threads = opt_.threads;
   auto run = core::IncrementalFlow::evaluateCandidate(
       built.design.nl, built.cfg, iopt, wl, opt_.perBit, opt_.campaignSeed,
       opt_.detectionWindow, copt);
@@ -282,7 +275,7 @@ std::vector<TransformSpec> ArchitectureSearch::propose(
 }
 
 bool ArchitectureSearch::verifyBitIdentity(const Eval& best) {
-  // Cold flat re-run: no store, no delta, no workers — the reference path.
+  // Cold flat re-run: no store, no delta, one thread — the reference path.
   BuiltCandidate built = buildCandidate(best.score.specs, best.score.id);
   core::IncrementalOptions iopt;
   iopt.store = nullptr;

@@ -38,8 +38,9 @@ struct SearchOptions {
   std::size_t maxRounds = 16;
   /// Proposals taken from the criticality ranking per beam state per round.
   std::size_t candidatesPerRound = 6;
-  /// Fan candidate campaigns out over worker processes (serve layer).
-  unsigned workers = 1;
+  /// In-process campaign threads per candidate evaluation
+  /// (inject::CampaignOptions::threads).
+  unsigned threads = 1;
   inject::TierOptions tier;
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
   /// Campaign shape — kept identical to examples/memsys_sil3_flow so the

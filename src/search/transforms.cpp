@@ -23,40 +23,12 @@ std::string_view transformKindName(TransformKind k) noexcept {
   return "?";
 }
 
-std::optional<TransformKind> transformKindFromName(
-    std::string_view name) noexcept {
-  for (const TransformKind k :
-       {TransformKind::ParityPredict, TransformKind::DuplicateCompare,
-        TransformKind::MemSignature, TransformKind::StartupTests,
-        TransformKind::ScrubRate}) {
-    if (transformKindName(k) == name) return k;
-  }
-  return std::nullopt;
-}
-
 obs::Json TransformSpec::toJson() const {
   obs::Json j = obs::Json::object();
   j["kind"] = std::string(transformKindName(kind));
   j["target"] = target;
   if (param != 0) j["param"] = static_cast<long long>(param);
   return j;
-}
-
-std::optional<TransformSpec> TransformSpec::fromJson(const obs::Json& j) {
-  if (!j.isObject()) return std::nullopt;
-  const obs::Json* kind = j.find("kind");
-  if (kind == nullptr || !kind->isString()) return std::nullopt;
-  const auto k = transformKindFromName(kind->asString());
-  if (!k) return std::nullopt;
-  TransformSpec spec;
-  spec.kind = *k;
-  if (const obs::Json* t = j.find("target"); t != nullptr && t->isString()) {
-    spec.target = t->asString();
-  }
-  if (const obs::Json* p = j.find("param"); p != nullptr && p->isNumber()) {
-    spec.param = static_cast<std::uint32_t>(p->asDouble());
-  }
-  return spec;
 }
 
 std::string TransformSpec::id() const {

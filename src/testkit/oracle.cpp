@@ -158,19 +158,6 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
     }
   }
 
-  // Caller-supplied combo (e.g. the distributed multi-process engine,
-  // wired in by tools/fuzz_diff).
-  if (opt.extraCombo && !plan.faults.empty()) {
-    try {
-      const FaultSimResult r = opt.extraCombo(nl, plan);
-      ++report.combosRun;
-      compareVerdicts(ref, r, identity, opt.extraComboName, report);
-    } catch (const std::exception& e) {
-      report.mismatches.push_back(
-          {opt.extraComboName, std::string("combo threw: ") + e.what(), {}});
-    }
-  }
-
   // Text round-trip: parse(write(nl)) must write back identically and must
   // reproduce the reference verdicts under the rebound plan.
   if (opt.roundTrip) {

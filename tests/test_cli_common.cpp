@@ -1,6 +1,7 @@
 // Unit tests for the shared CLI surface (tools/cli_common) — the one
-// spelling of the --json/--cache-dir/--workers/--engine/--tier parsing that
-// memsys_sil3_flow, injection_campaign, fuzz_diff and arch_search share.
+// spelling of the --json/--cache-dir/--threads/--engine/--tier parsing that
+// memsys_sil3_flow, injection_campaign and arch_search share, plus the
+// strict value parsers every campaign tool uses for its own flags.
 // The helpers are pure (no printing, no exit()), so the tests drive them
 // with synthetic argv arrays.
 #include <gtest/gtest.h>
@@ -38,14 +39,15 @@ ParseRun parseAll(std::vector<const char*> argv) {
 
 TEST(CliCommon, ParsesEverydaySharedFlagSet) {
   const ParseRun run = parseAll({"--json", "out.json", "--cache-dir", "/tmp/s",
-                                 "--workers", "4", "--engine", "bitsliced",
+                                 "--threads", "4", "--engine", "bitsliced",
                                  "--tier", "auto"});
   for (const cli::FlagStatus st : run.statuses) {
     EXPECT_EQ(st, cli::FlagStatus::Consumed);
   }
   EXPECT_STREQ(run.flags.jsonPath, "out.json");
   EXPECT_STREQ(run.flags.cacheDir, "/tmp/s");
-  EXPECT_EQ(run.flags.workers, 4u);
+  EXPECT_EQ(run.flags.threads, 4u);
+  EXPECT_TRUE(run.flags.threadsSet);
   EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Bitsliced);
   EXPECT_TRUE(run.flags.engineSet);
   EXPECT_EQ(run.flags.tier, socfmea::inject::TierMode::Auto);
@@ -57,6 +59,7 @@ TEST(CliCommon, JsonAloneIsNotAnIterationFlag) {
   const ParseRun run = parseAll({"--json", "out.json"});
   EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Consumed);
   EXPECT_FALSE(run.flags.anyIterationFlag());
+  EXPECT_EQ(run.flags.threads, 1u);  // one campaign thread unless asked
 }
 
 TEST(CliCommon, UnknownFlagIsLeftToTheCaller) {
@@ -67,16 +70,16 @@ TEST(CliCommon, UnknownFlagIsLeftToTheCaller) {
 
 TEST(CliCommon, MissingValueIsAnError) {
   for (const char* flag :
-       {"--json", "--cache-dir", "--workers", "--engine", "--tier"}) {
+       {"--json", "--cache-dir", "--threads", "--engine", "--tier"}) {
     const ParseRun run = parseAll({flag});
     EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Error) << flag;
     EXPECT_NE(run.error.find("needs a value"), std::string::npos) << flag;
   }
 }
 
-TEST(CliCommon, BadWorkerCountIsAnError) {
+TEST(CliCommon, BadThreadCountIsAnError) {
   for (const char* bad : {"-1", "x", "4x", "", "4294967296"}) {
-    const ParseRun run = parseAll({"--workers", bad});
+    const ParseRun run = parseAll({"--threads", bad});
     EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Error) << bad;
   }
 }
@@ -90,7 +93,7 @@ TEST(CliCommon, UnknownEngineAndTierAreErrors) {
 
 TEST(CliCommon, UsageTextCoversEverySharedFlag) {
   for (const char* flag :
-       {"--json", "--cache-dir", "--workers", "--engine", "--tier"}) {
+       {"--json", "--cache-dir", "--threads", "--engine", "--tier"}) {
     EXPECT_NE(cli::commonUsageSynopsis().find(flag), std::string::npos)
         << flag;
     EXPECT_NE(cli::commonUsageDetails().find(flag), std::string::npos) << flag;
@@ -110,6 +113,20 @@ TEST(CliCommon, ParseUnsignedIsStrictWholeString) {
     EXPECT_EQ(w, 7u) << bad;  // failed parses leave the output untouched
   }
   EXPECT_FALSE(cli::parseUnsigned(nullptr, v));
+
+  // The 64-bit overload (seeds, case counts) shares the body and the rules.
+  std::uint64_t big = 99;
+  EXPECT_TRUE(cli::parseUnsigned("4294967296", big));
+  EXPECT_EQ(big, 4294967296u);
+  EXPECT_TRUE(cli::parseUnsigned("18446744073709551615", big));
+  EXPECT_EQ(big, 18446744073709551615u);
+  for (const char* bad : {"", "-1", "abc", "12abc", " 1", "0x10",
+                          "18446744073709551616"}) {
+    std::uint64_t w = 7;
+    EXPECT_FALSE(cli::parseUnsigned(bad, w)) << bad;
+    EXPECT_EQ(w, 7u) << bad;
+  }
+  EXPECT_FALSE(cli::parseUnsigned(nullptr, big));
 }
 
 TEST(CliCommon, ParseFractionRejectsNegativeAndTrailingJunk) {

@@ -4,7 +4,8 @@
 //     enumeration are pure functions of the design, and the text format is
 //     a write/parse fixed point (the precondition for content addressing);
 //   * the artifact store — round trips, head slots, LRU fallback to disk,
-//     and corrupt files degrading to a recomputable miss;
+//     corrupt files degrading to a recomputable miss, the side-effect-free
+//     --cache-dir probe, and race-free saves from concurrent processes;
 //   * the oracle — every Section-6 v1 -> v2 architectural edit, run as a
 //     delta on a store warmed with the v1 baseline, must produce campaign
 //     records and an SFF bit-identical to a cold run of the edited design;
@@ -13,6 +14,10 @@
 //     verdicts inside it equals a full cold run of the mutated design.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -241,6 +246,60 @@ TEST(ArtifactStoreTest, LruEvictionFallsBackToDisk) {
   const auto again = store.load("s", 0);
   ASSERT_TRUE(again.has_value());
   EXPECT_GE(store.stats().memoryHits, 1u);
+}
+
+TEST(ArtifactStoreTest, ValidateDirDiagnosesWithoutSideEffects) {
+  const fs::path ok = freshDir("validate");
+  EXPECT_FALSE(core::ArtifactStore::validateDir(ok).has_value());
+  EXPECT_TRUE(fs::is_empty(ok)) << "the probe must clean up after itself";
+
+  const auto missingParent =
+      core::ArtifactStore::validateDir("/no-such-parent-anywhere/store");
+  ASSERT_TRUE(missingParent.has_value());
+  EXPECT_NE(missingParent->find("parent"), std::string::npos);
+  EXPECT_FALSE(fs::exists("/no-such-parent-anywhere"));
+
+  const fs::path file = ok / "occupied";
+  std::ofstream(file) << "not a directory";
+  EXPECT_TRUE(core::ArtifactStore::validateDir(file).has_value())
+      << "a regular file cannot serve as a store";
+  EXPECT_TRUE(core::ArtifactStore::validateDir(file / "child").has_value())
+      << "a regular file cannot be a store parent";
+}
+
+TEST(ArtifactStoreTest, TwoProcessesSavingTheSameKeyRaceFree) {
+  // CI jobs and the flow / arch_search CLIs may share one store directory,
+  // so saves must be atomic across processes: parent and child hammer the
+  // same stage/key concurrently, and the tmp-file + rename discipline must
+  // leave a complete, parseable artifact however the renames interleave.
+  const fs::path dir = freshDir("race");
+  Json artifact = Json::object();
+  artifact["payload"] = "identical-in-both-processes";
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    core::ArtifactStore child(dir);
+    for (int i = 0; i < 50; ++i) child.save("race-stage", 0xC0FFEE, artifact);
+    std::_Exit(0);
+  }
+  {
+    core::ArtifactStore parent(dir);
+    for (int i = 0; i < 50; ++i) parent.save("race-stage", 0xC0FFEE, artifact);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  core::ArtifactStore fresh(dir);  // fresh LRU: forces the disk read
+  const auto loaded = fresh.load("race-stage", 0xC0FFEE);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->dump(0), artifact.dump(0));
+  for (const auto& e : fs::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().extension(), ".json")
+        << "no tmp files may survive: " << e.path();
+  }
 }
 
 // ---------------------------------------------------------------------------

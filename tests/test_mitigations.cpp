@@ -3,7 +3,7 @@
 // gate-level scenario designs against the ISS (differential oracle), the
 // lockstep comparator's skew window, and the scenario registry end to end
 // through core::FmeaFlow — including cross-engine verdict identity
-// (serial vs bit-sliced vs the sharded multi-process coordinator).
+// (serial vs bit-sliced at one and two threads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -539,13 +539,11 @@ TEST(ScenarioSuiteTest, CrossEngineVerdictIdentity) {
     sliced.campaign.engine = socfmea::faultsim::EngineKind::Bitsliced;
     const auto bs = sc::runScenario(*s, sliced);
 
-    sc::RunOptions sharded = serial;
-    sharded.campaign.engine = socfmea::faultsim::EngineKind::Auto;
-    sharded.workers = 2;
-    sharded.workerCmd = {SOCFMEA_WORKER_BIN};
-    const auto sh = sc::runScenario(*s, sharded);
+    sc::RunOptions slicedThreads = sliced;
+    slicedThreads.campaign.threads = 2;
+    const auto bs2 = sc::runScenario(*s, slicedThreads);
 
-    for (const auto* other : {&bs, &sh}) {
+    for (const auto* other : {&bs, &bs2}) {
       ASSERT_EQ(other->campaign.merged.records.size(),
                 ref.campaign.merged.records.size());
       for (std::size_t i = 0; i < ref.campaign.merged.records.size(); ++i) {

@@ -5,7 +5,7 @@
 // the SFF-vs-gate-cost frontier until the SIL3 margin holds.
 //
 //   arch_search --cache-dir /tmp/store --json search.json
-//   arch_search --budget 200000 --target-sff 0.9938 --workers 4
+//   arch_search --budget 200000 --target-sff 0.9938 --threads 4
 //
 // Exit codes: 0 target reached (and, unless --no-verify, the winner's cold
 // flat re-run was bit-identical), 1 search fell short, 2 usage error.
@@ -17,7 +17,6 @@
 
 #include "obs/telemetry.hpp"
 #include "search/search.hpp"
-#include "serve/worker.hpp"
 #include "tools/cli_common.hpp"
 
 using namespace socfmea;
@@ -46,12 +45,6 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-exec entry for --workers N: the coordinator spawns
-  // /proc/self/exe with this flag, so it must short-circuit everything.
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return serve::workerMain();
-  }
-
   cli::CommonFlags flags;
   unsigned budget = 0;
   double targetSff = 0.9938;
@@ -122,7 +115,7 @@ int main(int argc, char** argv) {
   sopt.beamWidth = beam;
   sopt.maxRounds = rounds;
   sopt.candidatesPerRound = candidates;
-  sopt.workers = flags.workers;
+  sopt.threads = flags.threads;
   sopt.tier.mode = flags.tier;
   sopt.engine = flags.engine;
   sopt.verifyFinal = verify;

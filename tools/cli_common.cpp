@@ -3,8 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-
-#include "serve/job.hpp"
+#include <limits>
 
 namespace socfmea::cli {
 
@@ -37,19 +36,20 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
     out.cacheDir = v;
     return FlagStatus::Consumed;
   }
-  if (std::strcmp(arg, "--workers") == 0) {
+  if (std::strcmp(arg, "--threads") == 0) {
     const char* v = flagValue(argc, argv, i, error);
     if (v == nullptr) return FlagStatus::Error;
-    if (!parseUnsigned(v, out.workers)) {
-      error = std::string("--workers: '") + v + "' is not a worker count";
+    if (!parseUnsigned(v, out.threads)) {
+      error = std::string("--threads: '") + v + "' is not a thread count";
       return FlagStatus::Error;
     }
+    out.threadsSet = true;
     return FlagStatus::Consumed;
   }
   if (std::strcmp(arg, "--engine") == 0) {
     const char* v = flagValue(argc, argv, i, error);
     if (v == nullptr) return FlagStatus::Error;
-    const auto k = serve::engineKindFromName(v);
+    const auto k = faultsim::engineKindFromName(v);
     if (!k) {
       error = std::string("--engine: unknown engine '") + v +
               "' (serial | threaded | bitsliced | auto)";
@@ -77,7 +77,7 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
 
 const std::string& commonUsageSynopsis() {
   static const std::string s =
-      "[--json <path>] [--cache-dir <dir>] [--workers N]"
+      "[--json <path>] [--cache-dir <dir>] [--threads N]"
       " [--engine <kind>] [--tier <mode>]";
   return s;
 }
@@ -86,7 +86,7 @@ const std::string& commonUsageDetails() {
   static const std::string s =
       "  --json       machine-readable report path\n"
       "  --cache-dir  artifact store for the flow graph / delta campaign\n"
-      "  --workers    shard campaigns over N worker processes\n"
+      "  --threads    campaign threads (default 1, 0 = all cores)\n"
       "  --engine     campaign engine: serial | threaded | bitsliced | auto\n"
       "  --tier       campaign tier: abstract | exact | auto (abstract ="
       " SET->multi-SEU sweep\n"
@@ -106,14 +106,21 @@ std::optional<std::unique_ptr<core::ArtifactStore>> openStore(
   return std::make_unique<core::ArtifactStore>(flags.cacheDir);
 }
 
-bool parseUnsigned(const char* s, unsigned& out) {
-  // Strict whole-string: strtoul's leading-whitespace / sign laxity is
+bool parseUnsigned(const char* s, std::uint64_t& out) {
+  // Strict whole-string: strtoull's leading-whitespace / sign laxity is
   // rejected up front.
   if (s == nullptr || s[0] < '0' || s[0] > '9') return false;
   char* end = nullptr;
   errno = 0;
-  const unsigned long v = std::strtoul(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE || v > 0xFFFFFFFFul) {
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  out = v;
+  return true;
+}
+
+bool parseUnsigned(const char* s, unsigned& out) {
+  std::uint64_t v = 0;
+  if (!parseUnsigned(s, v) || v > std::numeric_limits<unsigned>::max()) {
     return false;
   }
   out = static_cast<unsigned>(v);

@@ -1,13 +1,15 @@
 // Shared CLI surface of the campaign tools.  memsys_sil3_flow,
-// injection_campaign, fuzz_diff and arch_search all grew the same iteration
-// flags (--json / --cache-dir / --workers / --engine / --tier) with the
-// same exit-2 usage convention; this is the one spelling of that parsing.
+// injection_campaign and arch_search share the same iteration flags
+// (--json / --cache-dir / --threads / --engine / --tier) with the same
+// exit-2 usage convention; this is the one spelling of that parsing.  The
+// strict value parsers serve every tool's own numeric flags too.
 //
 // The functions are pure (no printing, no exit()) so the unit tests can
 // drive them with synthetic argv arrays: a parse error comes back as a
 // message for the caller to print before returning 2.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,16 +24,20 @@ namespace socfmea::cli {
 struct CommonFlags {
   const char* jsonPath = nullptr;  ///< --json <path>
   const char* cacheDir = nullptr;  ///< --cache-dir <dir>
-  unsigned workers = 0;            ///< --workers N (0 = flag absent)
+  /// --threads N: in-process campaign parallelism, copied into
+  /// inject::CampaignOptions::threads (1 = one thread, 0 = hardware
+  /// concurrency).
+  unsigned threads = 1;
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
   inject::TierMode tier = inject::TierMode::Exact;
+  bool threadsSet = false;
   bool engineSet = false;
   bool tierSet = false;
 
   /// Any shared flag besides --json was given (the tools use this to switch
   /// into their incremental / store-backed mode).
   [[nodiscard]] bool anyIterationFlag() const noexcept {
-    return cacheDir != nullptr || workers > 0 || engineSet || tierSet;
+    return cacheDir != nullptr || threadsSet || engineSet || tierSet;
   }
 };
 
@@ -60,8 +66,10 @@ enum class FlagStatus {
     const CommonFlags& flags, std::string& error);
 
 /// Strict unsigned / non-negative-fraction value parsers (whole-string,
-/// base 10) shared by the tools' own flags (--max-resim, --threads, ...).
+/// base 10) shared by the tools' own flags (--max-resim, --seed, ...).  A
+/// failed parse leaves `out` untouched.
 [[nodiscard]] bool parseUnsigned(const char* s, unsigned& out);
+[[nodiscard]] bool parseUnsigned(const char* s, std::uint64_t& out);
 [[nodiscard]] bool parseFraction(const char* s, double& out);
 
 }  // namespace socfmea::cli

@@ -1,7 +1,7 @@
 // fuzz_diff: the differential fuzzing driver.
 //
 //   fuzz_diff --seed <S> --runs <N> [--shrink] [--out <dir>] [--threads <T>]
-//             [--workers <W>] [--sabotage <engine>/<mode>] [--quiet]
+//             [--sabotage <engine>/<mode>] [--quiet]
 //     Generates N random (design, stimulus, fault-plan) cases from the
 //     campaign seed S and runs each through the differential oracle: the
 //     serial, threaded and bit-sliced fault-sim engines under both
@@ -15,11 +15,6 @@
 //     --sabotage injects a deliberate verdict-flipping bug into one engine
 //     (e.g. --sabotage threaded/full-settle) to exercise the oracle and
 //     shrinker pipeline end to end.
-//
-//     --workers W adds the distributed multi-process engine to the oracle's
-//     combo set: every case is also sharded over W worker processes (this
-//     binary re-exec'd with --serve-worker) and the merged verdicts must
-//     match the serial reference fault-for-fault.
 //
 //   fuzz_diff --replay <design.nl> <plan.plan> [--threads <T>]
 //     Re-runs the oracle on a saved repro pair.
@@ -36,12 +31,13 @@
 //     Writes the curated CPU corpus anchors (scenario design + targeted
 //     SEU plan pairs) used by tests/corpus/.
 //
-//   Exit codes: 0 all cases agree, 1 oracle failure, 2 usage/IO error.
+//   Exit codes: 0 all cases agree, 1 oracle failure, 2 usage/IO error
+//   (including a malformed numeric value: --seed, --runs, --cpu and
+//   --threads take strict base-10 unsigned integers).
 //
 //   SOCFMEA_TEST_SEED overrides --seed (the same campaign-seed override the
 //   gtest suites honour).
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -50,9 +46,6 @@
 #include "cpu/scenarios.hpp"
 #include "cpu/tinycpu.hpp"
 #include "fault/fault.hpp"
-#include "serve/coordinator.hpp"
-#include "serve/job.hpp"
-#include "serve/worker.hpp"
 #include "testkit/cpu_program.hpp"
 #include "tools/cli_common.hpp"
 #include "testkit/netlist_gen.hpp"
@@ -72,7 +65,6 @@ struct Args {
   bool shrink = false;
   bool quiet = false;
   unsigned threads = 0;
-  unsigned workers = 0;
   std::string outDir = ".";
   std::string replayNl;
   std::string replayPlan;
@@ -84,12 +76,17 @@ struct Args {
   if (msg) std::cerr << "fuzz_diff: " << msg << "\n";
   std::cerr
       << "usage: fuzz_diff --seed <S> --runs <N> [--shrink] [--out <dir>]\n"
-         "                 [--threads <T>] [--workers <W>]\n"
-         "                 [--sabotage <engine>/<mode>] [--quiet]\n"
+         "                 [--threads <T>] [--sabotage <engine>/<mode>]"
+         " [--quiet]\n"
          "       fuzz_diff --replay <design.nl> <plan.plan> [--threads <T>]\n"
-         "                 [--workers <W>]\n"
          "       fuzz_diff --cpu <N> [--seed <S>] [oracle flags as above]\n"
          "       fuzz_diff --pin-corpus <dir>\n";
+  std::exit(2);
+}
+
+/// A numeric flag with a malformed value: one diagnostic line, exit 2.
+[[noreturn]] void badValue(const std::string& flag, const char* expected) {
+  std::cerr << "fuzz_diff: " << flag << " needs " << expected << "\n";
   std::exit(2);
 }
 
@@ -127,18 +124,16 @@ Args parseArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed") {
-      a.seed = std::strtoull(value(i).c_str(), nullptr, 0);
+      if (!cli::parseUnsigned(value(i).c_str(), a.seed)) {
+        badValue(arg, "an unsigned value");
+      }
     } else if (arg == "--runs") {
-      a.runs = std::strtoull(value(i).c_str(), nullptr, 0);
+      if (!cli::parseUnsigned(value(i).c_str(), a.runs)) {
+        badValue(arg, "an unsigned case count");
+      }
     } else if (arg == "--threads") {
       if (!cli::parseUnsigned(value(i).c_str(), a.threads)) {
-        usage("--threads needs an unsigned count");
-      }
-    } else if (arg == "--workers") {
-      // Shared-surface flag (tools/cli_common.hpp): same strict parse the
-      // campaign CLIs use.
-      if (!cli::parseUnsigned(value(i).c_str(), a.workers)) {
-        usage("--workers needs an unsigned count");
+        badValue(arg, "an unsigned thread count");
       }
     } else if (arg == "--out") {
       a.outDir = value(i);
@@ -153,7 +148,9 @@ Args parseArgs(int argc, char** argv) {
       if (i + 1 >= argc) usage("--replay needs <design.nl> <plan.plan>");
       a.replayPlan = argv[++i];
     } else if (arg == "--cpu") {
-      a.cpuRuns = std::strtoull(value(i).c_str(), nullptr, 0);
+      if (!cli::parseUnsigned(value(i).c_str(), a.cpuRuns)) {
+        badValue(arg, "an unsigned case count");
+      }
     } else if (arg == "--pin-corpus") {
       a.pinDir = value(i);
     } else if (arg == "--help" || arg == "-h") {
@@ -167,38 +164,10 @@ Args parseArgs(int argc, char** argv) {
   return a;
 }
 
-/// Adds the distributed multi-process engine as the oracle's extra combo:
-/// the plan's stimulus is carried to the workers as a vector-workload spec
-/// and the merged shard verdicts come back as one FaultSimResult.
-void wireDistributedCombo(unsigned workers, testkit::OracleOptions& opt) {
-  if (workers < 2) return;
-  opt.extraComboName = "distributed/" + std::to_string(workers) + "-workers";
-  opt.extraCombo = [workers](const netlist::Netlist& nl,
-                             const testkit::TestPlan& plan) {
-    const obs::Json wl =
-        serve::vectorWorkloadSpec(nl, plan.name, plan.inputs, plan.stimulus);
-    const obs::Json job =
-        serve::makeFaultSimJob(nl, wl, sim::EvalMode::EventDriven,
-                               /*earlyAbort=*/true);
-    serve::DistributedOptions dopt;
-    dopt.workers = workers;
-    const auto outcomes =
-        serve::runShardedFaultSim(nl, job, plan.faults, dopt);
-    faultsim::FaultSimResult r;
-    r.total = outcomes.size();
-    r.outcomes = outcomes;
-    for (const auto o : outcomes) {
-      if (o == faultsim::FaultOutcome::Detected) ++r.detected;
-    }
-    return r;
-  };
-}
-
 int replay(const Args& a) {
   testkit::OracleOptions opt;
   opt.threads = a.threads;
   opt.sabotage = a.sabotage;
-  wireDistributedCombo(a.workers, opt);
   try {
     const auto repro = testkit::loadRepro(a.replayNl, a.replayPlan);
     const auto report = testkit::runOracle(repro.design, repro.plan, opt);
@@ -214,7 +183,6 @@ int fuzz(const Args& a) {
   testkit::OracleOptions opt;
   opt.threads = a.threads;
   opt.sabotage = a.sabotage;
-  wireDistributedCombo(a.workers, opt);
   std::uint64_t failures = 0;
   for (std::uint64_t run = 0; run < a.runs; ++run) {
     const std::uint64_t caseSeed = testkit::derivedSeed(a.seed, run);
@@ -286,7 +254,6 @@ int cpuFuzz(const Args& a) {
   testkit::OracleOptions opt;
   opt.threads = a.threads;
   opt.sabotage = a.sabotage;
-  wireDistributedCombo(a.workers, opt);
   const auto& registry = cpu::scenarios::all();
   std::uint64_t failures = 0;
   for (std::uint64_t run = 0; run < a.cpuRuns; ++run) {
@@ -415,11 +382,6 @@ int pinCorpus(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-exec entry for --workers W (the coordinator spawns
-  // /proc/self/exe with this flag; it must bypass normal flag parsing).
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return socfmea::serve::workerMain();
-  }
   const Args a = parseArgs(argc, argv);
   try {
     if (!a.pinDir.empty()) return pinCorpus(a);
