@@ -116,9 +116,9 @@ void printTable() {
   portable.laneWords = 1;  // the 64-lane portable width
   const Measurement sliced1 = timedRun(mgr, s, portable);
 
-  inject::CampaignOptions threaded = widest;
-  threaded.threads = 4;
-  const Measurement sliced4 = timedRun(mgr, s, threaded);
+  inject::CampaignOptions fourThreads = widest;
+  fourThreads.threads = 4;
+  const Measurement sliced4 = timedRun(mgr, s, fourThreads);
 
   const bool identical = recordsIdentical(serial.result, sliced.result) &&
                          recordsIdentical(serial.result, sliced1.result) &&

@@ -5,10 +5,10 @@
 // campaign — and this bench prints the HW-vs-SW DC/SFF comparison and
 // writes BENCH_cpu_mitigations.json for the CI gate.
 //
-// Cross-engine verdict identity (serial vs threaded vs bit-sliced) is
-// asserted here before any number is reported; the hard gates are
-// test_mitigations' CrossEngineVerdictIdentity (which adds the sharded
-// multi-process path) and the differential oracle behind fuzz_diff --cpu.
+// Cross-engine verdict identity (serial vs bit-sliced) is asserted here
+// before any number is reported; the hard gates are test_mitigations'
+// CrossEngineVerdictIdentity (bit-sliced at two threads) and the
+// differential oracle behind fuzz_diff --cpu.
 #include "bench_util.hpp"
 #include "cpu/scenarios.hpp"
 #include "fmea/iec61508.hpp"
@@ -18,8 +18,8 @@ namespace sc = cpu::scenarios;
 
 namespace {
 
-/// Serial / threaded / bit-sliced record-for-record identity on the two
-/// alarm-bearing scenario classes.  Cheap (per-bit 1) — the point is the
+/// Serial / bit-sliced record-for-record identity on the two alarm-bearing
+/// scenario classes.  Cheap (per-bit 1) — the point is the
 /// verdict stream, not the statistics.
 bool crossEngineIdentical() {
   for (const char* name : {"lockstep", "dwc"}) {
@@ -29,19 +29,16 @@ bool crossEngineIdentical() {
     opt.perBit = 1;
     opt.campaign.engine = faultsim::EngineKind::Serial;
     const sc::ScenarioResult ref = sc::runScenario(*s, opt);
-    for (const faultsim::EngineKind k :
-         {faultsim::EngineKind::Threaded, faultsim::EngineKind::Bitsliced}) {
-      opt.campaign.engine = k;
-      const sc::ScenarioResult other = sc::runScenario(*s, opt);
-      if (other.campaign.merged.records.size() !=
-          ref.campaign.merged.records.size()) {
+    opt.campaign.engine = faultsim::EngineKind::Bitsliced;
+    const sc::ScenarioResult other = sc::runScenario(*s, opt);
+    if (other.campaign.merged.records.size() !=
+        ref.campaign.merged.records.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < ref.campaign.merged.records.size(); ++i) {
+      if (other.campaign.merged.records[i].outcome !=
+          ref.campaign.merged.records[i].outcome) {
         return false;
-      }
-      for (std::size_t i = 0; i < ref.campaign.merged.records.size(); ++i) {
-        if (other.campaign.merged.records[i].outcome !=
-            ref.campaign.merged.records[i].outcome) {
-          return false;
-        }
       }
     }
   }
@@ -56,7 +53,7 @@ void printTable() {
   const bool identical = crossEngineIdentical();
   std::cout << (identical
                     ? "cross-engine verdicts identical "
-                      "(serial = threaded = bit-sliced), reporting\n\n"
+                      "(serial = bit-sliced), reporting\n\n"
                     : "CROSS-ENGINE VERDICT MISMATCH — numbers below are "
                       "suspect\n\n");
 

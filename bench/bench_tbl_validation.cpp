@@ -117,10 +117,8 @@ void BM_BitslicedFaultSim(benchmark::State& state) {
   inject::RandomWorkload wl(d.n, 128, 9, {{d.rst, false}});
   auto faults = fault::allStuckAtFaults(d.n);
   fault::collapseStuckAt(d.n, faults);
-  faultsim::FaultSimOptions opt;
-  opt.engine = faultsim::EngineKind::Bitsliced;
   for (auto _ : state) {
-    const auto res = faultsim::runBitslicedFaultSim(d.n, wl, faults, opt);
+    const auto res = faultsim::runBitslicedFaultSim(d.n, wl, faults);
     benchmark::DoNotOptimize(res.coverage());
     state.counters["faults/s"] = benchmark::Counter(
         static_cast<double>(faults.size()), benchmark::Counter::kIsRate);

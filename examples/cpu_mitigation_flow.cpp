@@ -2,7 +2,7 @@
 //
 //   cpu_mitigation_flow [--scenario <name>] [--json <path>] [--records]
 //                       [--tier exact|abstract|auto] [--engine
-//                       serial|threaded|bitsliced|auto] [--threads <T>]
+//                       serial|bitsliced|auto] [--threads <T>]
 //                       [--per-bit <N>] [--seed <S>]
 //
 // Runs every scenario of cpu::scenarios::all() (or just --scenario) through
@@ -10,8 +10,9 @@
 // injection campaign — and prints the HW-vs-SW comparison table: analytic
 // SFF/DC/SIL next to the measured SFF/DDF of each mitigation, all against
 // the unprotected baseline.  --threads T runs each campaign over T threads
-// (0 = all cores); --records dumps every injection record for cross-engine
-// debugging.  A malformed numeric value exits 2 with a one-line diagnostic.
+// (0 = all cores; under --engine auto, T != 1 runs the bit-sliced engine);
+// --records dumps every injection record for cross-engine debugging.  A
+// malformed numeric value exits 2 with a one-line diagnostic.
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -42,7 +43,7 @@ struct Args {
   std::cerr << "usage: cpu_mitigation_flow [--scenario <name>] [--json <path>]"
                " [--records]\n"
                "                           [--tier exact|abstract|auto]"
-               " [--engine serial|threaded|bitsliced|auto]\n"
+               " [--engine serial|bitsliced|auto]\n"
                "                           [--threads <T>] [--per-bit <N>]"
                " [--seed <S>]\n"
                "scenarios:";
@@ -77,7 +78,7 @@ Args parseArgs(int argc, char** argv) {
       a.run.tier = *m;
     } else if (arg == "--engine") {
       const auto k = faultsim::engineKindFromName(value(i));
-      if (!k) usage("unknown engine (serial|threaded|bitsliced|auto)");
+      if (!k) usage("unknown engine (serial|bitsliced|auto)");
       a.run.campaign.engine = *k;
     } else if (arg == "--threads") {
       if (!cli::parseUnsigned(value(i).c_str(), a.run.campaign.threads)) {

@@ -36,8 +36,8 @@ GATE="$BUILD/tools/report_gate"
 # The golden is a subset spec: drop the machine/timing-dependent telemetry
 # section (which also carries the faultsim.bitsliced.* engine counters) and
 # the campaign "execution" sections (cycles simulated, checkpoint and
-# retirement counters — legitimately different between the serial, threaded
-# and bit-sliced engines), keep every deterministic metric (zone table,
+# retirement counters — legitimately different between the serial and
+# bit-sliced engines), keep every deterministic metric (zone table,
 # lambda/DC/SFF, verdicts, campaign outcome tallies).
 mkdir -p reports
 "$GATE" strip "$BUILD/memsys_sil3.json" \

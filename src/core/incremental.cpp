@@ -20,11 +20,10 @@ using netlist::hashString;
 namespace {
 
 std::uint64_t campaignOptionsHash(const inject::CampaignOptions& copt) {
-  // engine / laneWords / threads / evalMode / checkpointInterval are
-  // excluded on purpose: the engines are record-identical across them
-  // (CI-tested), so they must not split the cache.
+  // engine / laneWords / threads / evalMode are excluded on purpose: the
+  // engines are record-identical across them (CI-tested), so they must not
+  // split the cache.
   std::uint64_t h = hashMix(0xCA4Bu, copt.earlyAbort ? 1 : 0);
-  h = hashMix(h, copt.drainCycles);
   if (copt.preexisting) {
     const fault::Fault& f = *copt.preexisting;
     h = hashMix(h, static_cast<std::uint64_t>(f.kind));

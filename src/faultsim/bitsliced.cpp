@@ -31,6 +31,15 @@ using sim::Logic;
 
 constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
 
+/// Golden checkpoints per workload: snapshots every max(1, cycles / 16).
+constexpr std::uint64_t kCheckpointsPerRun = 16;
+
+/// First cycle a fault can perturb a machine: transients act at their
+/// scheduled cycle, permanent faults from reset.
+[[nodiscard]] std::uint64_t firstActiveCycle(const Fault& f) {
+  return f.transient() ? f.cycle : 0;
+}
+
 /// How a lane's verdict becomes final before the workload ends.
 enum class RetireMode : std::uint8_t {
   WashoutOnly,  ///< only spent transients with zero divergence retire
@@ -43,6 +52,8 @@ enum class RetireMode : std::uint8_t {
 struct RunShared {
   netlist::CompiledDesignPtr cdp;
   const fault::FaultList* faults = nullptr;
+  /// Campaign-wide latent fault carried by every lane (null = none).
+  const Fault* latent = nullptr;
   StimulusTrace stim;
   std::vector<sim::Simulator::Snapshot> snaps;  ///< snaps[i] @ cycle i*interval
   std::uint64_t interval = 1;
@@ -69,8 +80,8 @@ struct RunShared {
 
 /// Records the golden machine's periodic full-state checkpoints with one
 /// fault-free replay of the recorded stimulus.  snaps[i] is the state at the
-/// top of cycle i*interval (before that cycle's inputs are driven) — the
-/// same instant the threaded campaign engine's golden recorder snapshots.
+/// top of cycle i*interval (before that cycle's inputs are driven) — where a
+/// word group forked from it resumes.
 std::vector<sim::Simulator::Snapshot> recordCheckpoints(const RunShared& rs) {
   sim::Simulator sim(rs.cdp);
   sim.setEvalMode(rs.evalMode);
@@ -162,6 +173,14 @@ class WordEngine {
   }
 
  private:
+  struct BridgeLane {
+    unsigned lane;
+    NetId a;
+    NetId b;
+    bool wiredAnd;
+    bool latent;  ///< installed from the campaign's latent fault
+  };
+
   // ---- divergence bookkeeping ----------------------------------------------
 
   [[nodiscard]] Word laneWordOf(NetId n, std::span<const Logic> g) const {
@@ -404,11 +423,17 @@ class WordEngine {
     addMemList(m);
   }
 
+  /// Arms a lane with fault `fi`, on top of the latent fault when there is
+  /// one (installed first, like the serial machine step).
   void installLane(unsigned lane, std::size_t fi) {
-    const Fault& f = (*rs_.faults)[fi];
     laneFault_[lane] = fi;
     live_.setBit(lane);
     obs_[lane] = LaneObservation{};
+    if (rs_.latent != nullptr) installFault(lane, *rs_.latent);
+    installFault(lane, (*rs_.faults)[fi]);
+  }
+
+  void installFault(unsigned lane, const Fault& f) {
     switch (f.kind) {
       case FaultKind::StuckAt0:
         addForce(f.net, lane, false);
@@ -418,8 +443,9 @@ class WordEngine {
         break;
       case FaultKind::BridgeAnd:
       case FaultKind::BridgeOr:
-        bridgeLanes_.push_back(
-            {lane, f.net, f.net2, f.kind == FaultKind::BridgeAnd});
+        bridgeLanes_.push_back({lane, f.net, f.net2,
+                                f.kind == FaultKind::BridgeAnd,
+                                &f == rs_.latent});
         ensureTouched(f.net);
         ensureTouched(f.net2);
         break;
@@ -473,32 +499,36 @@ class WordEngine {
   }
 
   /// SEU flips and memory soft errors act before the cycle's inputs, exactly
-  /// where FaultHarness::beforeCycle runs in the serial loop.
+  /// where FaultHarness::beforeCycle runs in the serial loop — the latent
+  /// fault's first.
   void activateTransients(std::uint64_t c) {
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      if (!live_.bit(lane)) continue;
-      const Fault& f = (*rs_.faults)[laneFault_[lane]];
-      if (f.cycle != c) continue;
-      if (f.kind == FaultKind::SeuFlip) {
-        const std::uint32_t i = ffIndexOfCell_[f.cell];
-        const Word mask = Word::laneMask(lane);
+    forEachLane(live_, [&](unsigned lane) {
+      if (rs_.latent != nullptr) activateTransient(lane, *rs_.latent, c);
+      activateTransient(lane, (*rs_.faults)[laneFault_[lane]], c);
+    });
+  }
+
+  void activateTransient(unsigned lane, const Fault& f, std::uint64_t c) {
+    if (f.cycle != c) return;
+    if (f.kind == FaultKind::SeuFlip) {
+      const std::uint32_t i = ffIndexOfCell_[f.cell];
+      const Word mask = Word::laneMask(lane);
+      ffDiv_[i] ^= mask;
+      addFfList(i);
+      const NetId q = cd_.cellOutput(f.cell);
+      setDiv(q, div_[q] ^ mask);
+    } else if (f.kind == FaultKind::MultiSeu) {
+      const Word mask = Word::laneMask(lane);
+      for (const netlist::CellId cell : f.cells) {
+        const std::uint32_t i = ffIndexOfCell_[cell];
         ffDiv_[i] ^= mask;
         addFfList(i);
-        const NetId q = cd_.cellOutput(f.cell);
+        const NetId q = cd_.cellOutput(cell);
         setDiv(q, div_[q] ^ mask);
-      } else if (f.kind == FaultKind::MultiSeu) {
-        const Word mask = Word::laneMask(lane);
-        for (const netlist::CellId cell : f.cells) {
-          const std::uint32_t i = ffIndexOfCell_[cell];
-          ffDiv_[i] ^= mask;
-          addFfList(i);
-          const NetId q = cd_.cellOutput(cell);
-          setDiv(q, div_[q] ^ mask);
-        }
-      } else if (f.kind == FaultKind::MemSoftError) {
-        ensureOwned(f.mem, lane);
-        clones_[f.mem][lane]->flipBit(f.addr, f.bit);
       }
+    } else if (f.kind == FaultKind::MemSoftError) {
+      ensureOwned(f.mem, lane);
+      clones_[f.mem][lane]->flipBit(f.addr, f.bit);
     }
   }
 
@@ -529,12 +559,7 @@ class WordEngine {
   void seedPhase(std::span<const Logic> g) {
     // Bridges re-resolve per cycle: drop last cycle's resolved forces and
     // re-derive the nets' natural values (the serial engine's first settle).
-    for (const BridgeLane& b : bridgeLanes_) {
-      clearForce(b.a, b.lane);
-      clearForce(b.b, b.lane);
-      reseedFromSource(b.a);
-      reseedFromSource(b.b);
-    }
+    for (const BridgeLane& b : bridgeLanes_) releaseBridge(b);
     // Forced nets track the golden value cycle by cycle: the forced-lane
     // divergence is (forced value XOR golden), recomputed against this
     // cycle's settled golden machine.
@@ -551,16 +576,61 @@ class WordEngine {
     }
   }
 
-  void resolveBridges(std::span<const Logic> g) {
+  /// Drops a bridge's resolved forces and re-derives its nets' natural
+  /// values; a net the lane holds an explicit force on keeps it.
+  void releaseBridge(const BridgeLane& b) {
+    for (const NetId net : {b.a, b.b}) {
+      if (userForced(b.lane, net)) continue;
+      clearForce(net, b.lane);
+      reseedFromSource(net);
+    }
+  }
+
+  /// True when the lane holds a stuck-at or an active SET force on `n`.
+  /// Such an explicit force wins over a bridge's resolved value, as in the
+  /// scalar engine (only a lane carrying two faults can hit this).
+  [[nodiscard]] bool userForced(unsigned lane, NetId n) const {
+    const auto stuckOn = [n](const Fault& f) {
+      return (f.kind == FaultKind::StuckAt0 ||
+              f.kind == FaultKind::StuckAt1) &&
+             f.net == n;
+    };
+    if (rs_.latent != nullptr && stuckOn(*rs_.latent)) return true;
+    if (stuckOn((*rs_.faults)[laneFault_[lane]])) return true;
+    return std::find(pulseActive_.begin(), pulseActive_.end(),
+                     std::pair{lane, n}) != pulseActive_.end();
+  }
+
+  /// True when the latent fault is a bridge on `n`.
+  [[nodiscard]] bool onLatentBridge(NetId n) const {
+    const Fault* l = rs_.latent;
+    return l != nullptr &&
+           (l->kind == FaultKind::BridgeAnd ||
+            l->kind == FaultKind::BridgeOr) &&
+           (l->net == n || l->net2 == n);
+  }
+
+  /// Resolves the bridges of `lanes` like the scalar engine's second
+  /// settle: every bridge reads the same settled values, then forces both
+  /// of its nets — except a net under an explicit force, or a net the
+  /// latent bridge (installed first, so it wins) shares with the lane's own.
+  void resolveBridges(std::span<const Logic> g, const Word& lanes) {
     if (bridgeLanes_.empty()) return;
-    bool changed = false;
+    bridgeValue_.clear();
     for (const BridgeLane& b : bridgeLanes_) {
-      if (!live_.bit(b.lane)) continue;
       const bool va = (g[b.a] == Logic::L1) != div_[b.a].bit(b.lane);
       const bool vb = (g[b.b] == Logic::L1) != div_[b.b].bit(b.lane);
-      const bool r = b.wiredAnd ? (va && vb) : (va || vb);
-      for (const auto& [net, gv] : {std::pair{b.a, g[b.a] == Logic::L1},
-                                    std::pair{b.b, g[b.b] == Logic::L1}}) {
+      bridgeValue_.push_back(b.wiredAnd ? (va && vb) : (va || vb));
+    }
+    bool changed = false;
+    for (std::size_t i = 0; i < bridgeLanes_.size(); ++i) {
+      const BridgeLane& b = bridgeLanes_[i];
+      if (!lanes.bit(b.lane) || !live_.bit(b.lane)) continue;
+      const bool r = bridgeValue_[i] != 0;
+      for (const NetId net : {b.a, b.b}) {
+        if (userForced(b.lane, net) || (!b.latent && onLatentBridge(net))) {
+          continue;
+        }
         forceMask_[net].setBit(b.lane);
         if (r) {
           forceVal_[net].setBit(b.lane);
@@ -571,7 +641,7 @@ class WordEngine {
           forcedLookup_[net] = 1;
           forcedList_.push_back(net);
         }
-        const bool newDiv = r != gv;
+        const bool newDiv = r != (g[net] == Logic::L1);
         if (div_[net].bit(b.lane) != newDiv) {
           Word w = div_[net];
           if (newDiv) {
@@ -588,27 +658,58 @@ class WordEngine {
     if (changed) evSweep(g);
   }
 
+  /// SET pulses: the latent fault's in every live lane first, settled, then
+  /// each lane's own — the serial machine step's order, in which a pulse
+  /// reads the values the previous one settled.
   void applyPulses(std::uint64_t c, std::span<const Logic> g) {
-    bool any = false;
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      if (!live_.bit(lane)) continue;
-      const Fault& f = (*rs_.faults)[laneFault_[lane]];
-      if (f.kind != FaultKind::SetPulse || f.cycle != c) continue;
-      // Invert the lane's own settled value, like FaultHarness::applyPulse.
-      const bool settled = (g[f.net] == Logic::L1) != div_[f.net].bit(lane);
-      addForce(f.net, lane, !settled);
-      Word w = div_[f.net];
-      if (!settled != (g[f.net] == Logic::L1)) {
-        w.setBit(lane);
-      } else {
-        w.clearBit(lane);
-      }
-      setDiv(f.net, w);
-      evSeed(f.net);
-      pulseActive_.push_back({lane, f.net});
-      any = true;
+    const Fault* latent = rs_.latent;
+    if (latent != nullptr && latent->kind == FaultKind::SetPulse &&
+        latent->cycle == c) {
+      forEachLane(live_,
+                  [&](unsigned lane) { pulseLane(lane, latent->net, g); });
+      settlePulses(live_, g);
     }
-    if (any) evSweep(g);
+    Word pulsed = Word::zero();
+    forEachLane(live_, [&](unsigned lane) {
+      const Fault& f = (*rs_.faults)[laneFault_[lane]];
+      if (f.kind != FaultKind::SetPulse || f.cycle != c) return;
+      pulseLane(lane, f.net, g);
+      pulsed.setBit(lane);
+    });
+    if (pulsed.any()) settlePulses(pulsed, g);
+  }
+
+  /// Settles freshly pulsed lanes the way the scalar engine re-runs
+  /// evalComb after a pulse: propagate the pulse, and in a pulsed lane that
+  /// also carries a bridge, re-derive the natural values and re-resolve.
+  void settlePulses(const Word& pulsed, std::span<const Logic> g) {
+    evSweep(g);
+    Word rebridge = Word::zero();
+    for (const BridgeLane& b : bridgeLanes_) {
+      if (pulsed.bit(b.lane)) rebridge.setBit(b.lane);
+    }
+    if (rebridge.none()) return;
+    for (const BridgeLane& b : bridgeLanes_) {
+      if (rebridge.bit(b.lane)) releaseBridge(b);
+    }
+    sweepPass1(g);
+    resolveBridges(g, rebridge);
+  }
+
+  /// Inverts the lane's own settled value of `net` until releasePulses(),
+  /// like FaultHarness::applyPulse.
+  void pulseLane(unsigned lane, NetId net, std::span<const Logic> g) {
+    const bool settled = (g[net] == Logic::L1) != div_[net].bit(lane);
+    addForce(net, lane, !settled);
+    Word w = div_[net];
+    if (!settled != (g[net] == Logic::L1)) {
+      w.setBit(lane);
+    } else {
+      w.clearBit(lane);
+    }
+    setDiv(net, w);
+    evSeed(net);
+    pulseActive_.push_back({lane, net});
   }
 
   void releasePulses() {
@@ -890,11 +991,14 @@ class WordEngine {
     (void)afterCycle;
   }
 
-  /// A spent transient lane whose divergence is zero everywhere and whose
-  /// owned memories equal the golden arrays replays the golden run from
-  /// here on — its verdict is final (the threaded engine's convergence
-  /// drop, word-wide).
+  /// A lane whose faults are all transient and spent, whose divergence is
+  /// zero everywhere and whose owned memories equal the golden arrays
+  /// replays the golden run from here on — its verdict is final.
   void washoutCheck(std::uint64_t c) {
+    const Fault* latent = rs_.latent;
+    if (latent != nullptr && !(latent->transient() && c > latent->cycle)) {
+      return;
+    }
     Word candidates = Word::zero();
     for (unsigned lane = 0; lane < kLanes; ++lane) {
       if (!live_.bit(lane)) continue;
@@ -971,6 +1075,12 @@ class WordEngine {
 
   void refill(std::uint64_t c) {
     if (refillExhausted_) return;
+    // A refilled lane joins at cycle c + 1 from the golden state, so it can
+    // only carry the latent fault while that has not acted yet.
+    if (rs_.latent != nullptr && c + 1 > firstActiveCycle(*rs_.latent)) {
+      refillExhausted_ = true;
+      return;
+    }
     while (live_.popcount() < kLanes) {
       const std::optional<std::size_t> fi = rs_.sched->takeRefill(c + 1);
       if (!fi.has_value()) {
@@ -1062,10 +1172,11 @@ class WordEngine {
     ++stats_.wordGroups;
     if (forcedLookup_.empty()) forcedLookup_.assign(cd_.netCount(), 0);
 
-    std::uint64_t minCycle = ~std::uint64_t{0};
+    std::uint64_t minCycle = rs_.latent != nullptr
+                                 ? firstActiveCycle(*rs_.latent)
+                                 : ~std::uint64_t{0};
     for (const std::size_t fi : group) {
-      const Fault& f = (*rs_.faults)[fi];
-      minCycle = std::min(minCycle, f.transient() ? f.cycle : 0);
+      minCycle = std::min(minCycle, firstActiveCycle((*rs_.faults)[fi]));
     }
     const std::size_t ci = checkpointIndexFor(rs_, minCycle);
     const std::uint64_t c0 = static_cast<std::uint64_t>(ci) * rs_.interval;
@@ -1094,7 +1205,7 @@ class WordEngine {
 
       seedPhase(g);
       sweepPass1(g);
-      resolveBridges(g);
+      resolveBridges(g, live_);
       applyPulses(c, g);
       observe(c, g);
       clockEdge(g);
@@ -1176,12 +1287,6 @@ class WordEngine {
                 [&](unsigned lane) { retireLane(lane, c, true, false); });
   }
 
-  struct BridgeLane {
-    unsigned lane;
-    NetId a;
-    NetId b;
-    bool wiredAnd;
-  };
   struct FfScratch {
     std::uint32_t index;
     Word next;
@@ -1243,6 +1348,7 @@ class WordEngine {
   std::vector<LaneObservation> obs_;
   std::vector<BridgeLane> bridgeLanes_;
   std::vector<std::pair<unsigned, NetId>> pulseActive_;
+  std::vector<char> bridgeValue_;  ///< resolve scratch, by bridgeLanes_ index
   std::vector<Word> groupHit_;
   std::vector<Word> pointHit_;
   bool refillExhausted_ = false;
@@ -1265,17 +1371,17 @@ void runWithWidth(RunShared& rs, unsigned threads) {
 /// deals faults to word groups and dispatches on the resolved lane width.
 BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
                           const fault::FaultList& faults,
-                          const LaneWatch& watch, const FaultSimOptions& opt,
-                          RetireMode retire, BitslicedStats* statsOut) {
+                          const LaneWatch& watch, const Fault* latent,
+                          const FaultSimOptions& opt, RetireMode retire,
+                          BitslicedStats* statsOut) {
   const obs::ScopedTimer timer("faultsim.bitsliced");
   RunShared rs;
   rs.cdp = ctx.compiledPtr();
   rs.faults = &faults;
+  rs.latent = latent;
   rs.stim = recordStimulus(ctx, wl);
   rs.cycles = rs.stim.cycles();
-  rs.interval = opt.checkpointInterval != 0
-                    ? opt.checkpointInterval
-                    : std::max<std::uint64_t>(1, rs.cycles / 16);
+  rs.interval = std::max<std::uint64_t>(1, rs.cycles / kCheckpointsPerRun);
   rs.watch = &watch;
   rs.wl = &wl;
   rs.evalMode = opt.evalMode;
@@ -1356,7 +1462,7 @@ FaultSimResult runBitslicedFaultSim(const fault::EngineContext& ctx,
   const RetireMode retire =
       opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly;
   const BitslicedCampaign campaign =
-      runCore(ctx, wl, faults, watch, opt, retire, stats);
+      runCore(ctx, wl, faults, watch, nullptr, opt, retire, stats);
 
   FaultSimResult res;
   res.total = faults.size();
@@ -1379,11 +1485,13 @@ BitslicedCampaign runBitslicedWatch(const fault::EngineContext& ctx,
                                     sim::Workload& wl,
                                     const fault::FaultList& faults,
                                     const LaneWatch& watch,
+                                    const std::optional<fault::Fault>& latent,
                                     const FaultSimOptions& opt,
                                     BitslicedStats* stats) {
   const RetireMode retire =
       opt.earlyAbort ? RetireMode::Classify : RetireMode::WashoutOnly;
-  return runCore(ctx, wl, faults, watch, opt, retire, stats);
+  return runCore(ctx, wl, faults, watch, latent ? &*latent : nullptr, opt,
+                 retire, stats);
 }
 
 }  // namespace socfmea::faultsim

@@ -25,10 +25,24 @@
 // engine *verifies* the golden machine is X-free at every group start and
 // throws std::invalid_argument otherwise.
 //
-// A further contract inherited from the threaded engine: workload
-// backdoor() actions must only mutate memories (the in-tree workloads do);
-// the engine replays them on the golden machine and mirrors the memory
-// deltas into lane-owned clones.
+// Workload backdoor() actions must only mutate memories, and only by bit
+// flips (the in-tree workloads do); the engine replays them on the golden
+// machine and mirrors the memory deltas into lane-owned clones.
+//
+// Checkpoint forking.  One fault-free replay of the recorded stimulus takes
+// a full-state golden snapshot every max(1, cycles/16) cycles.  A word
+// group restores the snapshot at or below the first cycle any of its faults
+// (or the campaign's latent fault) can act — permanent faults act from
+// reset, so their groups replay from cycle 0 — and skips the fault-free
+// prefix.
+//
+// Latent faults.  Campaign mode takes an optional latent fault that every
+// lane carries under its own fault and the golden machine never sees: it is
+// installed in each lane first, and its SEU / soft-error flip and SET pulse
+// fire in each lane ahead of the lane's own (the serial machine step's
+// order).  A retired lane is refilled only while the latent fault has not
+// acted yet, and washes out only once both of its faults are transient and
+// spent.
 //
 // Activity is bounded by the active lists: only cells with at least one
 // touched (divergent or forced) input net re-evaluate, so a level no live
@@ -36,11 +50,18 @@
 // as soon as its verdict is final — detected (fault-sim mode), classified
 // (campaign mode with early abort), or washed out (transient spent and all
 // divergence zero) — and is refilled from the pending transient queue so
-// words stay dense.  Verdicts and observation records are bit-identical to
-// the serial oracle for any lane width, thread count or refill order.
+// words stay dense.
+//
+// Threads.  Word groups fan out over a core::ThreadPool; every worker owns
+// its engine (golden Simulator, divergence words, lane clones) and pulls
+// groups from the shared LaneScheduler.  Results land in a pre-sized vector
+// by fault index and stats are merged once per worker under a mutex, so
+// verdicts and observation records are bit-identical to the serial oracle
+// for any lane width, thread count or refill order.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "fault/engine_context.hpp"
@@ -125,15 +146,18 @@ struct BitslicedCampaign {
   std::uint64_t convergedEarly = 0;
 };
 
-/// Campaign mode: runs every fault against the watch spec.  With earlyAbort
-/// a lane retires once its classification is final (alarm fired, or the
-/// detection window closed after the first functional deviation) — the
-/// serial campaign's break condition; without it only washed-out transients
-/// retire, so accumulated deviation sets stay identical to a full serial
-/// replay.  opt.observedOutputs is ignored (the watch spec decides).
+/// Campaign mode: runs every fault against the watch spec, each lane on top
+/// of `latent` when it is set (inject::CampaignOptions::preexisting).  With
+/// earlyAbort a lane retires once its classification is final (alarm fired,
+/// or the detection window closed after the first functional deviation) —
+/// the serial campaign's break condition; without it only washed-out
+/// transients retire, so accumulated deviation sets stay identical to a
+/// full serial replay.  opt.observedOutputs is ignored (the watch spec
+/// decides).
 [[nodiscard]] BitslicedCampaign runBitslicedWatch(
     const fault::EngineContext& ctx, sim::Workload& wl,
     const fault::FaultList& faults, const LaneWatch& watch,
+    const std::optional<fault::Fault>& latent,
     const FaultSimOptions& opt = {}, BitslicedStats* stats = nullptr);
 
 }  // namespace socfmea::faultsim

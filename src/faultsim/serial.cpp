@@ -20,27 +20,21 @@ std::string_view engineKindName(EngineKind k) noexcept {
   switch (k) {
     case EngineKind::Auto: return "auto";
     case EngineKind::Serial: return "serial";
-    case EngineKind::Threaded: return "threaded";
     case EngineKind::Bitsliced: return "bitsliced";
   }
   return "?";
 }
 
 std::optional<EngineKind> engineKindFromName(std::string_view n) noexcept {
-  for (const EngineKind k : {EngineKind::Auto, EngineKind::Serial,
-                             EngineKind::Threaded, EngineKind::Bitsliced}) {
+  for (const EngineKind k :
+       {EngineKind::Auto, EngineKind::Serial, EngineKind::Bitsliced}) {
     if (engineKindName(k) == n) return k;
   }
   return std::nullopt;
 }
 
-GoldenTrace recordGolden(const netlist::Netlist& nl, sim::Workload& wl,
-                         const FaultSimOptions& opt) {
-  const fault::EngineContext ctx(nl);
-  return recordGolden(ctx, wl, opt);
-}
-
 GoldenTrace recordGolden(const fault::EngineContext& ctx, sim::Workload& wl,
+                         const StimulusTrace& stim,
                          const FaultSimOptions& opt) {
   const netlist::Netlist& nl = ctx.design();
   GoldenTrace g;
@@ -52,9 +46,11 @@ GoldenTrace recordGolden(const fault::EngineContext& ctx, sim::Workload& wl,
   sim.setEvalMode(opt.evalMode);
   wl.restart();
   sim.reset();
-  g.values.reserve(wl.cycles());
-  for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
-    wl.drive(sim, c);
+  g.values.reserve(stim.cycles());
+  for (std::uint64_t c = 0; c < stim.cycles(); ++c) {
+    for (std::size_t i = 0; i < stim.inputs.size(); ++i) {
+      sim.setInput(stim.inputs[i], sim::fromBool(stim.values[c][i]));
+    }
     wl.backdoor(sim, c);
     sim.evalComb();
     std::vector<sim::Logic> row;
@@ -78,8 +74,8 @@ FaultSimResult runSerialFaultSim(const fault::EngineContext& ctx,
                                  const fault::FaultList& faults,
                                  const FaultSimOptions& opt) {
   obs::ScopedTimer timer("faultsim.serial");
-  const netlist::Netlist& nl = ctx.design();
-  const GoldenTrace golden = recordGolden(ctx, wl, opt);
+  const StimulusTrace stim = recordStimulus(ctx, wl);
+  const GoldenTrace golden = recordGolden(ctx, wl, stim, opt);
 
   FaultSimResult res;
   res.total = faults.size();
@@ -88,38 +84,15 @@ FaultSimResult runSerialFaultSim(const fault::EngineContext& ctx,
   sim::Simulator sim(ctx.compiledPtr());
   sim.setEvalMode(opt.evalMode);
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    fault::FaultHarness harness(faults[fi]);
-    wl.restart();
-    sim.reset();
-    // Reset behavioural memories to a clean state for each machine.
-    for (netlist::MemoryId m = 0; m < nl.memoryCount(); ++m) {
-      sim.memory(m).clearFaults();
-      sim.memory(m).fillAll(0);
-    }
-    harness.install(sim);
-
     bool detected = false;
-    for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
-      harness.beforeCycle(sim, c);
-      wl.drive(sim, c);
-      wl.backdoor(sim, c);
-      sim.evalComb();
-      if (harness.wantsPulse(c)) {
-        harness.applyPulse(sim);
-        sim.evalComb();
-      }
-      ++res.simulatedCycles;
-      for (std::size_t o = 0; o < golden.nets.size(); ++o) {
-        if (sim.value(golden.nets[o]) != golden.values[c][o]) {
-          detected = true;
-          break;
-        }
-      }
-      sim.clockEdge();
-      harness.afterEdge(sim);
-      if (detected && opt.earlyAbort) break;
-    }
-    harness.remove(sim);
+    res.simulatedCycles += runMachine(
+        sim, wl, stim, nullptr, faults[fi],
+        [&](const sim::Simulator& s, std::uint64_t c) {
+          for (std::size_t o = 0; o < golden.nets.size() && !detected; ++o) {
+            detected = s.value(golden.nets[o]) != golden.values[c][o];
+          }
+          return detected && opt.earlyAbort;
+        });
     if (detected) {
       res.outcomes[fi] = FaultOutcome::Detected;
       ++res.detected;

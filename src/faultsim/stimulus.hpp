@@ -1,9 +1,10 @@
 // Recorded primary-input stimulus: one fault-free run captures what the
-// workload drives per cycle, and every campaign engine replays the recording
-// (plus the workload's deterministic backdoor actions) instead of calling
-// drive() per faulty machine — drive() may mutate workload state, replay may
-// not.  Shared by the threaded and bit-sliced engines and the injection
-// manager.
+// workload drives per cycle, and both engines replay the recording (plus the
+// workload's deterministic backdoor actions) instead of calling drive() per
+// faulty machine — drive() may mutate workload state, replay may not.  The
+// serial oracle's machine step (faultsim::runMachine) replays it for the
+// golden and every faulty machine; the bit-sliced engine replays it on its
+// lockstep golden machine.
 #pragma once
 
 #include <cstdint>

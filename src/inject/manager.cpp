@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
-#include <stdexcept>
 
-#include "core/thread_pool.hpp"
 #include "fault/engine_context.hpp"
 #include "faultsim/bitsliced.hpp"
 #include "faultsim/stimulus.hpp"
@@ -216,7 +214,7 @@ obs::Json CampaignResult::toJson(const zones::ZoneDatabase* db) const {
 namespace {
 
 /// IEC classification of one observation; shared verbatim by the serial
-/// oracle and the parallel engine so their records cannot diverge.
+/// oracle and the bit-sliced engine so their records cannot diverge.
 Outcome classifyObservation(const InjectionObservation& obs,
                             std::uint64_t detectionWindow) {
   if (!obs.obs) {
@@ -229,35 +227,17 @@ Outcome classifyObservation(const InjectionObservation& obs,
   return timely ? Outcome::DangerousDetected : Outcome::DangerousUndetected;
 }
 
-/// First cycle at which the injected fault (plus any latent fault) can
-/// perturb the machine: transients act at their scheduled cycle, permanent
-/// faults are active from reset — they must replay the whole workload.
-std::uint64_t firstActiveCycle(const fault::Fault& f,
-                               const std::optional<fault::Fault>& latent) {
-  std::uint64_t first = f.transient() ? f.cycle : 0;
-  if (latent.has_value()) {
-    first = std::min(first, latent->transient() ? latent->cycle : 0);
-  }
-  return first;
-}
-
 }  // namespace
 
 CampaignResult InjectionManager::run(sim::Workload& wl,
                                      const fault::FaultList& faults,
                                      CoverageCollector* coverage,
                                      const CampaignOptions& opt) {
-  switch (opt.engine) {
-    case faultsim::EngineKind::Serial:
-      break;  // the serial loop below, regardless of opt.threads
-    case faultsim::EngineKind::Threaded:
-      return runParallel(wl, faults, coverage, opt);
-    case faultsim::EngineKind::Bitsliced:
-      return runBitsliced(wl, faults, coverage, opt);
-    case faultsim::EngineKind::Auto:
-      if (opt.threads != 1) return runParallel(wl, faults, coverage, opt);
-      break;
-  }
+  const bool serial =
+      opt.engine == faultsim::EngineKind::Serial ||
+      (opt.engine == faultsim::EngineKind::Auto && opt.threads == 1);
+  if (!serial) return runBitsliced(wl, faults, coverage, opt);
+
   obs::Registry& reg = obs::Registry::global();
   obs::ScopedTimer campaignTimer("inject.campaign.serial");
   // Record the stimulus once; golden and every faulty machine replay it
@@ -269,13 +249,14 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
   }();
   const GoldenReference golden = [&] {
     const obs::ScopedTimer t("inject.record_golden");
-    return recordGoldenReference(cd_, env_, wl, stim.inputs, stim.values,
-                                 nullptr, opt.evalMode);
+    return recordGoldenReference(cd_, env_, wl, stim, opt.evalMode);
   }();
 
   CampaignResult result;
   result.records.reserve(faults.size());
   LockstepMonitors monitors(env_, golden);
+  const fault::Fault* latent =
+      opt.preexisting.has_value() ? &*opt.preexisting : nullptr;
 
   sim::Simulator sim(cd_);
   sim.setEvalMode(opt.evalMode);
@@ -283,51 +264,17 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
     InjectionRecord rec;
     rec.fault = f;
     rec.zone = targetZoneOf(*env_.zones, f);
-
-    fault::FaultHarness harness(f);
-    std::optional<fault::FaultHarness> latent;
-    if (opt.preexisting.has_value()) latent.emplace(*opt.preexisting);
-    wl.restart();
-    sim.reset();
-    for (netlist::MemoryId m = 0; m < nl_->memoryCount(); ++m) {
-      sim.memory(m).clearFaults();
-      sim.memory(m).fillAll(0);
-    }
-    if (latent) latent->install(sim);
-    harness.install(sim);
     monitors.begin(rec.obs);
-
-    const std::uint64_t total = stim.cycles() + opt.drainCycles;
-    for (std::uint64_t c = 0; c < total; ++c) {
-      if (latent) latent->beforeCycle(sim, c);
-      harness.beforeCycle(sim, c);
-      if (c < stim.cycles()) {
-        for (std::size_t i = 0; i < stim.inputs.size(); ++i) {
-          sim.setInput(stim.inputs[i], sim::fromBool(stim.values[c][i]));
-        }
-        wl.backdoor(sim, c);
-      }
-      sim.evalComb();
-      if (harness.wantsPulse(c)) {
-        harness.applyPulse(sim);
-        sim.evalComb();
-      }
-      monitors.observe(sim, c);
-      ++result.cyclesSimulated;
-      sim.clockEdge();
-      harness.afterEdge(sim);
-
-      if (opt.earlyAbort && rec.obs.obs) {
-        // Classification is final once the alarm fired or the window closed.
-        if (rec.obs.diag ||
-            c > rec.obs.firstObsCycle + env_.detectionWindow) {
-          break;
-        }
-      }
-    }
-    harness.remove(sim);
-    if (latent) latent->remove(sim);
-
+    result.cyclesSimulated += faultsim::runMachine(
+        sim, wl, stim, latent, f,
+        [&](const sim::Simulator& s, std::uint64_t c) {
+          monitors.observe(s, c);
+          // Classification is final once the alarm fired or the window
+          // closed.
+          return opt.earlyAbort && rec.obs.obs &&
+                 (rec.obs.diag ||
+                  c > rec.obs.firstObsCycle + env_.detectionWindow);
+        });
     rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
     if (coverage != nullptr) coverage->account(rec.obs);
     result.records.push_back(std::move(rec));
@@ -341,182 +288,10 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
   return result;
 }
 
-CampaignResult InjectionManager::runParallel(sim::Workload& wl,
-                                             const fault::FaultList& faults,
-                                             CoverageCollector* coverage,
-                                             const CampaignOptions& opt) {
-  obs::Registry& reg = obs::Registry::global();
-  obs::ScopedTimer campaignTimer("inject.campaign.parallel");
-  const fault::EngineContext ctx(*nl_, cd_);
-  const faultsim::StimulusTrace stim = [&] {
-    const obs::ScopedTimer t("inject.record_stimulus");
-    return faultsim::recordStimulus(ctx, wl);
-  }();
-  GoldenCheckpoints ckpts;
-  ckpts.interval = opt.checkpointInterval;
-  const GoldenReference golden = [&] {
-    const obs::ScopedTimer t("inject.record_golden");
-    return recordGoldenReference(cd_, env_, wl, stim.inputs, stim.values,
-                                 &ckpts, opt.evalMode);
-  }();
-  // Workers replay the recorded stimulus and only re-execute backdoor()
-  // (thread-safe by the Workload contract) — restart once so any plan the
-  // workload precomputes is armed.
-  wl.restart();
-
-  CampaignResult result;
-  result.records.resize(faults.size());
-
-  // Per-worker machinery: each worker owns its Simulator, monitors and
-  // coverage counters; nothing below is shared mutable state.
-  struct Worker {
-    sim::Simulator sim;
-    LockstepMonitors monitors;
-    CoverageCollector coverage;
-    std::uint64_t cycles = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t skipped = 0;
-    std::uint64_t converged = 0;
-
-    Worker(const netlist::CompiledDesignPtr& cd, sim::EvalMode mode,
-           const InjectionEnvironment& env, const GoldenReference& golden)
-        : sim(cd), monitors(env, golden), coverage(env) {
-      sim.setEvalMode(mode);
-    }
-  };
-
-  core::ThreadPool pool(opt.threads);
-  std::vector<Worker> workers;
-  workers.reserve(pool.size());
-  for (unsigned w = 0; w < pool.size(); ++w) {
-    workers.emplace_back(cd_, opt.evalMode, env_, golden);
-  }
-
-  pool.parallelFor(faults.size(), 1, [&](unsigned w, std::size_t fi) {
-    Worker& wk = workers[w];
-    const fault::Fault& f = faults[fi];
-    InjectionRecord& rec = result.records[fi];
-    rec.fault = f;
-    rec.zone = targetZoneOf(*env_.zones, f);
-
-    fault::FaultHarness harness(f);
-    std::optional<fault::FaultHarness> latent;
-    if (opt.preexisting.has_value()) latent.emplace(*opt.preexisting);
-
-    // Fork from the golden checkpoint nearest below the first cycle the
-    // fault can act; permanent faults (active from reset) land on
-    // checkpoint 0 — the safe full-replay fallback.
-    const std::size_t ci =
-        ckpts.indexFor(firstActiveCycle(f, opt.preexisting));
-    const std::uint64_t c0 = ckpts.cycleOf(ci);
-    wk.sim.restore(ckpts.snaps[ci]);
-    if (c0 > 0) {
-      ++wk.hits;
-      wk.skipped += c0;
-    }
-
-    if (latent) latent->install(wk.sim);
-    harness.install(wk.sim);
-    wk.monitors.begin(rec.obs);
-
-    // Convergence fault-dropping is only sound once every fault in play is
-    // transient AND spent: a permanent fault (or an un-fired transient) can
-    // still perturb the future even from golden-equal state.
-    const bool canConverge =
-        f.transient() &&
-        (!opt.preexisting.has_value() || opt.preexisting->transient());
-    const std::uint64_t spentAfter = std::max<std::uint64_t>(
-        f.cycle, opt.preexisting.has_value() ? opt.preexisting->cycle : 0);
-
-    const std::uint64_t total = stim.cycles() + opt.drainCycles;
-    for (std::uint64_t c = c0; c < total; ++c) {
-      if (canConverge && c > spentAfter && c % ckpts.interval == 0) {
-        const auto si = static_cast<std::size_t>(c / ckpts.interval);
-        if (si < ckpts.snaps.size() &&
-            wk.sim.stateEquals(ckpts.snaps[si])) {
-          // The fault effect washed out: from here the faulty machine
-          // replays the golden run exactly, so no observation, alarm or
-          // zone deviation can appear and the verdict is already final.
-          ++wk.converged;
-          break;
-        }
-      }
-      if (latent) latent->beforeCycle(wk.sim, c);
-      harness.beforeCycle(wk.sim, c);
-      if (c < stim.cycles()) {
-        for (std::size_t i = 0; i < stim.inputs.size(); ++i) {
-          wk.sim.setInput(stim.inputs[i], sim::fromBool(stim.values[c][i]));
-        }
-        wl.backdoor(wk.sim, c);
-      }
-      wk.sim.evalComb();
-      if (harness.wantsPulse(c)) {
-        harness.applyPulse(wk.sim);
-        wk.sim.evalComb();
-      }
-      wk.monitors.observe(wk.sim, c);
-      ++wk.cycles;
-      wk.sim.clockEdge();
-      harness.afterEdge(wk.sim);
-
-      if (opt.earlyAbort && rec.obs.obs) {
-        if (rec.obs.diag ||
-            c > rec.obs.firstObsCycle + env_.detectionWindow) {
-          break;
-        }
-      }
-    }
-    harness.remove(wk.sim);
-    if (latent) latent->remove(wk.sim);
-
-    rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
-    wk.coverage.account(rec.obs);
-  });
-
-  std::uint64_t busiest = 0;
-  sim::Simulator::PerfCounters perf;
-  for (const Worker& wk : workers) {
-    result.cyclesSimulated += wk.cycles;
-    result.checkpointHits += wk.hits;
-    result.checkpointCyclesSkipped += wk.skipped;
-    result.convergedEarly += wk.converged;
-    busiest = std::max(busiest, wk.cycles);
-    perf.combEvals += wk.sim.perf().combEvals;
-    perf.cellEvals += wk.sim.perf().cellEvals;
-    perf.fullSettles += wk.sim.perf().fullSettles;
-    perf.eventSettles += wk.sim.perf().eventSettles;
-    if (coverage != nullptr) coverage->merge(wk.coverage);
-  }
-  reg.add("inject.campaigns");
-  reg.add("inject.faults_simulated", faults.size());
-  reg.add("inject.cycles_simulated", result.cyclesSimulated);
-  reg.add("inject.comb_evals", perf.combEvals);
-  reg.add("inject.cell_evals", perf.cellEvals);
-  exportEvalTelemetry(perf);
-  reg.add("inject.checkpoint_hits", result.checkpointHits);
-  reg.add("inject.checkpoint_cycles_skipped", result.checkpointCyclesSkipped);
-  reg.add("inject.converged_early", result.convergedEarly);
-  reg.set("inject.parallel.workers", static_cast<double>(pool.size()));
-  // Utilization: mean worker load over the busiest worker's load — 1.0 when
-  // the fault list spread evenly, small when one worker carried the tail.
-  if (busiest > 0) {
-    const double mean = static_cast<double>(result.cyclesSimulated) /
-                        static_cast<double>(workers.size());
-    reg.set("inject.parallel.worker_utilization",
-            mean / static_cast<double>(busiest));
-  }
-  return result;
-}
-
 CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
                                               const fault::FaultList& faults,
                                               CoverageCollector* coverage,
                                               const CampaignOptions& opt) {
-  if (opt.preexisting.has_value()) {
-    throw std::invalid_argument(
-        "InjectionManager: the bit-sliced engine does not support latent "
-        "(preexisting) faults; use the serial or threaded engine");
-  }
   obs::Registry& reg = obs::Registry::global();
   const obs::ScopedTimer campaignTimer("inject.campaign.bitsliced");
   const fault::EngineContext ctx(*nl_, cd_);
@@ -535,12 +310,10 @@ CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
   fopt.earlyAbort = opt.earlyAbort;
   fopt.laneWords = opt.laneWords;
   fopt.threads = opt.threads;
-  fopt.checkpointInterval = opt.checkpointInterval;
   fopt.evalMode = opt.evalMode;
 
-  faultsim::BitslicedStats stats;
-  const faultsim::BitslicedCampaign campaign =
-      faultsim::runBitslicedWatch(ctx, wl, faults, watch, fopt, &stats);
+  const faultsim::BitslicedCampaign campaign = faultsim::runBitslicedWatch(
+      ctx, wl, faults, watch, opt.preexisting, fopt);
 
   CampaignResult result;
   result.records.reserve(faults.size());

@@ -8,7 +8,7 @@
 #include <iosfwd>
 #include <optional>
 
-#include "fault/harness.hpp"
+#include "fault/fault.hpp"
 #include "faultsim/serial.hpp"
 #include "inject/coverage.hpp"
 #include "inject/monitors.hpp"
@@ -64,17 +64,15 @@ struct OutcomeTally {
 struct CampaignResult {
   std::vector<InjectionRecord> records;
   std::uint64_t cyclesSimulated = 0;
-  /// Faults forked from a golden checkpoint later than cycle 0, and the
-  /// fault-free prefix cycles that forking skipped.  Zero under the serial
-  /// reference engine (threads = 1), which never checkpoints.
+  /// Faults whose word group forked from a golden checkpoint later than
+  /// cycle 0, and the fault-free prefix cycles that forking skipped.  Zero
+  /// under the serial oracle, which never checkpoints.
   std::uint64_t checkpointHits = 0;
   std::uint64_t checkpointCyclesSkipped = 0;
   /// Transient faults dropped before the workload's end because the faulty
-  /// machine's state reconverged with the golden run (fault washed out,
-  /// e.g. corrected by ECC) — the rest of the run is provably identical, so
-  /// the verdict is final.  Filled by the checkpointed thread-pool engine
-  /// and the bit-sliced engine (lane washout); always 0 under the serial
-  /// oracle.
+  /// lane's divergence washed out (e.g. corrected by ECC) — the rest of the
+  /// run is provably identical to the golden run, so the verdict is final.
+  /// Filled by the bit-sliced engine; always 0 under the serial oracle.
   std::uint64_t convergedEarly = 0;
 
   /// Single-pass aggregation of every outcome count and latency statistic.
@@ -107,7 +105,7 @@ struct CampaignResult {
 
   /// Structured export in two sections:
   ///   "metrics"   — outcome tally and every measured IEC figure; identical
-  ///                 between the serial oracle and the parallel engine for
+  ///                 between the serial oracle and the bit-sliced engine for
   ///                 the same fault list (that identity is CI-tested);
   ///   "execution" — cycles simulated, checkpoint and convergence counters,
   ///                 which legitimately depend on the engine and thread
@@ -123,40 +121,38 @@ struct CampaignResult {
 struct CampaignOptions {
   /// Stop a faulty machine once its classification can no longer change.
   bool earlyAbort = true;
-  /// Run-on cycles after the workload (lets late alarms fire).
-  std::uint64_t drainCycles = 0;
   /// Dual-point analysis: a *latent* fault installed in every faulty
   /// machine before the campaign fault (but absent from the golden
   /// reference).  Measures how the architecture degrades when a first fault
   /// has already defeated part of the diagnostics — the reason the norm
-  /// demands latent-fault tests at HFT 0.
+  /// demands latent-fault tests at HFT 0.  Both engines support it: its
+  /// flips and SET pulse fire in every machine ahead of the campaign
+  /// fault's, in install order.
   std::optional<fault::Fault> preexisting;
-  /// Campaign engine.  Auto keeps the historical behaviour (threads
-  /// decides between the serial oracle and the checkpoint-forking worker
-  /// pool); Bitsliced packs 64*laneWords faulty machines per SIMD word
-  /// group (faultsim/bitsliced.hpp) and composes with threads (one word
-  /// group per pool task).  Records and every IEC metric are bit-identical
-  /// across engines; only the "execution" counters differ.  The bit-sliced
-  /// engine rejects `preexisting` (latent faults) with
-  /// std::invalid_argument.  `engine` and `laneWords` are deliberately
-  /// excluded from the incremental flow's campaign-options hash
-  /// (core/incremental.cpp) — switching engines must not invalidate cached
-  /// campaign records, precisely because the records are identical.
+  /// Campaign engine.  Auto runs the serial oracle at threads == 1 and the
+  /// bit-sliced engine otherwise (InjectionManager::run decides); Bitsliced
+  /// packs 64*laneWords faulty machines per SIMD word group
+  /// (faultsim/bitsliced.hpp) and composes with threads (one word group per
+  /// pool task).  The bit-sliced engine needs a two-state design: it throws
+  /// std::invalid_argument when X survives reset.  Records and every IEC
+  /// metric are bit-identical across engines; only the "execution" counters
+  /// differ.  `engine` and `laneWords` are deliberately excluded from the
+  /// incremental flow's campaign-options hash (core/incremental.cpp) —
+  /// switching engines must not invalidate cached campaign records,
+  /// precisely because the records are identical.
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
   /// Bit-sliced lane width in 64-bit words per net (1/2/4 = 64/128/256
   /// lanes); 0 picks the widest the build's SIMD target supports
-  /// (SOCFMEA_NO_SIMD=1 forces 1 at run time).  Other engines ignore it.
+  /// (SOCFMEA_NO_SIMD=1 forces 1 at run time).  The serial engine ignores
+  /// it.
   unsigned laneWords = 0;
   /// Campaign parallelism: 0 = hardware concurrency, N = N threads.  Under
   /// Auto it also picks the engine (1 = the serial oracle, anything else
-  /// the checkpointed thread pool); Threaded and Bitsliced spread their work
-  /// over this many threads, and Serial ignores it.  Records and every IEC
-  /// metric are bit-identical regardless of the value; only cyclesSimulated
-  /// / checkpoint stats differ.
+  /// the bit-sliced engine); Bitsliced spreads its word groups over this
+  /// many threads, and Serial ignores it.  Records and every IEC metric are
+  /// bit-identical regardless of the value; only cyclesSimulated /
+  /// checkpoint stats differ.
   unsigned threads = 1;
-  /// Golden-checkpoint spacing for the parallel engine; 0 picks
-  /// max(1, workloadCycles / 16).  Ignored when threads = 1.
-  std::uint64_t checkpointInterval = 0;
   /// Combinational evaluation strategy for every machine in the campaign
   /// (golden recorder and faulty replicas alike).  EventDriven re-settles
   /// only the disturbed cone per cycle; FullSettle is the whole-graph
@@ -183,13 +179,11 @@ class InjectionManager {
   }
 
   /// Runs the campaign; `coverage`, when non-null, accumulates the
-  /// completeness counters.  With opt.threads != 1 the campaign fans out
-  /// over a thread pool: every worker owns its own Simulator, FaultHarness
-  /// and LockstepMonitors, faulty machines fork from the golden checkpoint
-  /// nearest below their fault's first active cycle, records land in a
-  /// pre-sized vector by fault index, and per-worker coverage collectors
-  /// are merged at the end — so the result is bit-identical to the serial
-  /// engine regardless of thread count.
+  /// completeness counters.  This is the one place EngineKind::Auto is
+  /// resolved: the serial oracle at opt.threads == 1 (one faulty machine at
+  /// a time through faultsim::runMachine, classified by the lockstep
+  /// monitors), the bit-sliced engine otherwise.  Records are in fault-list
+  /// order and bit-identical across engines and thread counts.
   [[nodiscard]] CampaignResult run(sim::Workload& wl,
                                    const fault::FaultList& faults,
                                    CoverageCollector* coverage = nullptr,
@@ -204,16 +198,10 @@ class InjectionManager {
       std::uint64_t seed) const;
 
  private:
-  [[nodiscard]] CampaignResult runParallel(sim::Workload& wl,
-                                           const fault::FaultList& faults,
-                                           CoverageCollector* coverage,
-                                           const CampaignOptions& opt);
-
   /// Bit-sliced fault-parallel campaign: builds a LaneWatch from the
   /// environment (target-zone net groups, observation nets, alarm nets),
   /// runs faultsim::runBitslicedWatch and maps the lane observations back
-  /// to InjectionRecords.  drainCycles is ignored: monitors never observe
-  /// past the recorded stimulus, so drain cycles cannot change any record.
+  /// to InjectionRecords.
   [[nodiscard]] CampaignResult runBitsliced(sim::Workload& wl,
                                             const fault::FaultList& faults,
                                             CoverageCollector* coverage,

@@ -1,6 +1,5 @@
 #include "inject/monitors.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace socfmea::inject {
@@ -26,8 +25,12 @@ LockstepMonitors::LockstepMonitors(const InjectionEnvironment& env,
                                    const GoldenReference& golden)
     : env_(&env), golden_(&golden) {}
 
-void LockstepMonitors::observe(const sim::Simulator& faulty,
-                               std::uint64_t cycle) {
+// The serial campaign calls this once per machine-cycle.  Pinning it to a
+// cache line keeps its loops' fetch alignment independent of how much code
+// the linker places before this file: shifted by unrelated edits elsewhere,
+// it measured 8-14 % slower end to end on the perfbench workloads.
+[[gnu::aligned(64)]] void LockstepMonitors::observe(
+    const sim::Simulator& faulty, std::uint64_t cycle) {
   if (cycle >= golden_->cycles || out_ == nullptr) return;
   const auto& db = *env_->zones;
 
@@ -80,22 +83,13 @@ void LockstepMonitors::observe(const sim::Simulator& faulty,
   }
 }
 
-GoldenReference recordGoldenReference(
-    const netlist::Netlist& nl, const InjectionEnvironment& env,
-    sim::Workload& wl, const std::vector<netlist::NetId>& stimInputs,
-    const std::vector<std::vector<bool>>& stimValues,
-    GoldenCheckpoints* checkpoints) {
-  return recordGoldenReference(netlist::compile(nl), env, wl, stimInputs,
-                               stimValues, checkpoints);
-}
-
-GoldenReference recordGoldenReference(
-    netlist::CompiledDesignPtr cd, const InjectionEnvironment& env,
-    sim::Workload& wl, const std::vector<netlist::NetId>& stimInputs,
-    const std::vector<std::vector<bool>>& stimValues,
-    GoldenCheckpoints* checkpoints, sim::EvalMode evalMode) {
+GoldenReference recordGoldenReference(netlist::CompiledDesignPtr cd,
+                                      const InjectionEnvironment& env,
+                                      sim::Workload& wl,
+                                      const faultsim::StimulusTrace& stim,
+                                      sim::EvalMode evalMode) {
   GoldenReference g;
-  g.cycles = stimValues.size();
+  g.cycles = stim.cycles();
   g.zoneSnaps.assign(env.targetZones.size(), {});
   for (auto& v : g.zoneSnaps) v.reserve(g.cycles);
   g.obsSnaps.reserve(g.cycles);
@@ -105,21 +99,10 @@ GoldenReference recordGoldenReference(
   sim.setEvalMode(evalMode);
   wl.restart();
   sim.reset();
-  if (checkpoints != nullptr) {
-    if (checkpoints->interval == 0) {
-      checkpoints->interval = std::max<std::uint64_t>(1, g.cycles / 16);
-    }
-    checkpoints->snaps.clear();
-  }
   const auto& db = *env.zones;
   for (std::uint64_t c = 0; c < g.cycles; ++c) {
-    if (checkpoints != nullptr && c % checkpoints->interval == 0) {
-      // State at the *top* of cycle c: after c clock edges, before this
-      // cycle's inputs — exactly where a forked faulty machine resumes.
-      checkpoints->snaps.push_back(sim.snapshot());
-    }
-    for (std::size_t i = 0; i < stimInputs.size(); ++i) {
-      sim.setInput(stimInputs[i], sim::fromBool(stimValues[c][i]));
+    for (std::size_t i = 0; i < stim.inputs.size(); ++i) {
+      sim.setInput(stim.inputs[i], sim::fromBool(stim.values[c][i]));
     }
     wl.backdoor(sim, c);
     sim.evalComb();
@@ -130,9 +113,6 @@ GoldenReference recordGoldenReference(
     g.obsSnaps.push_back(packNets(sim, env.obsNets));
     g.alarmSnaps.push_back(packNets(sim, env.alarmNets));
     sim.clockEdge();
-  }
-  if (checkpoints != nullptr && checkpoints->snaps.empty()) {
-    checkpoints->snaps.push_back(sim.snapshot());  // zero-cycle stimulus
   }
   return g;
 }

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "faultsim/stimulus.hpp"
 #include "inject/env_builder.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
@@ -34,25 +35,6 @@ struct GoldenReference {
   std::vector<std::vector<PackedSnapshot>> zoneSnaps;
   std::vector<PackedSnapshot> obsSnaps;    ///< [cycle]
   std::vector<PackedSnapshot> alarmSnaps;  ///< [cycle]
-};
-
-/// Periodic full-state checkpoints of the golden machine.  A faulty machine
-/// whose fault cannot act before cycle c can be forked from snaps[indexFor(c)]
-/// instead of re-simulating the fault-free prefix from cycle 0.
-struct GoldenCheckpoints {
-  std::uint64_t interval = 0;                   ///< cycles between snapshots
-  std::vector<sim::Simulator::Snapshot> snaps;  ///< snaps[i] taken at cycle i*interval
-
-  /// Index of the nearest checkpoint at or before `cycle`.
-  [[nodiscard]] std::size_t indexFor(std::uint64_t cycle) const noexcept {
-    if (snaps.empty() || interval == 0) return 0;
-    const std::uint64_t i = cycle / interval;
-    return static_cast<std::size_t>(
-        i < snaps.size() ? i : snaps.size() - 1);
-  }
-  [[nodiscard]] std::uint64_t cycleOf(std::size_t index) const noexcept {
-    return static_cast<std::uint64_t>(index) * interval;
-  }
 };
 
 /// What one injection produced, as seen by the monitors.
@@ -90,25 +72,15 @@ class LockstepMonitors {
   std::vector<bool> obsHit_;
 };
 
-/// Records the golden reference with one fault-free replay of the stimulus.
-/// The workload's deterministic backdoor actions are re-executed per cycle.
-/// When `checkpoints` is non-null, full-state snapshots are taken every
-/// `checkpoints->interval` cycles during the same run (interval 0 picks
-/// max(1, cycles/16)).
-[[nodiscard]] GoldenReference recordGoldenReference(
-    const netlist::Netlist& nl, const InjectionEnvironment& env,
-    sim::Workload& wl, const std::vector<netlist::NetId>& stimInputs,
-    const std::vector<std::vector<bool>>& stimValues,
-    GoldenCheckpoints* checkpoints = nullptr);
-
-/// Compiled-design form: the golden Simulator shares the campaign's
-/// compiled design and runs under `evalMode` (values are bit-identical in
-/// either mode; the mode only decides how much work each settle does).
+/// Records the golden reference with one fault-free replay of the recorded
+/// stimulus, the one every faulty machine replays; the workload's
+/// deterministic backdoor actions are re-executed per cycle.  The golden
+/// Simulator shares the campaign's compiled design and runs under
+/// `evalMode` (values are bit-identical in either mode; the mode only
+/// decides how much work each settle does).
 [[nodiscard]] GoldenReference recordGoldenReference(
     netlist::CompiledDesignPtr cd, const InjectionEnvironment& env,
-    sim::Workload& wl, const std::vector<netlist::NetId>& stimInputs,
-    const std::vector<std::vector<bool>>& stimValues,
-    GoldenCheckpoints* checkpoints = nullptr,
+    sim::Workload& wl, const faultsim::StimulusTrace& stim,
     sim::EvalMode evalMode = sim::EvalMode::EventDriven);
 
 }  // namespace socfmea::inject

@@ -5,7 +5,6 @@
 
 #include "fault/engine_context.hpp"
 #include "faultsim/bitsliced.hpp"
-#include "faultsim/threaded.hpp"
 #include "inject/workload.hpp"
 #include "netlist/text_format.hpp"
 
@@ -99,19 +98,9 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
 
   const auto runSerial = [&](sim::EvalMode mode) {
     faultsim::FaultSimOptions o;
-    o.threads = 1;
     o.evalMode = mode;
     auto r = faultsim::runSerialFaultSim(ctx, wl, plan.faults, o);
     applySabotage(opt.sabotage, Sabotage::Engine::Serial, mode, r);
-    ++report.combosRun;
-    return r;
-  };
-  const auto runThreaded = [&](sim::EvalMode mode) {
-    faultsim::FaultSimOptions o;
-    o.threads = opt.threads == 1 ? 2 : opt.threads;  // stay off the serial path
-    o.evalMode = mode;
-    auto r = faultsim::runFaultSim(ctx, wl, plan.faults, o);
-    applySabotage(opt.sabotage, Sabotage::Engine::Threaded, mode, r);
     ++report.combosRun;
     return r;
   };
@@ -121,18 +110,15 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
 
   compareVerdicts(ref, runSerial(sim::EvalMode::FullSettle), identity,
                   "serial/full-settle", report);
-  compareVerdicts(ref, runThreaded(sim::EvalMode::EventDriven), identity,
-                  "threaded/event-driven", report);
-  compareVerdicts(ref, runThreaded(sim::EvalMode::FullSettle), identity,
-                  "threaded/full-settle", report);
 
   // Golden traces of both eval modes must be cycle-for-cycle identical.
   {
+    const faultsim::StimulusTrace stim = faultsim::recordStimulus(ctx, wl);
     faultsim::FaultSimOptions ed, fs;
     ed.evalMode = sim::EvalMode::EventDriven;
     fs.evalMode = sim::EvalMode::FullSettle;
-    const auto gEd = faultsim::recordGolden(ctx, wl, ed);
-    const auto gFs = faultsim::recordGolden(ctx, wl, fs);
+    const auto gEd = faultsim::recordGolden(ctx, wl, stim, ed);
+    const auto gFs = faultsim::recordGolden(ctx, wl, stim, fs);
     if (gEd.values != gFs.values) {
       report.mismatches.push_back(
           {"golden-trace",
@@ -142,12 +128,12 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
   }
 
   // Bit-sliced fault-parallel engine: full fault model, full plan list.
-  if (opt.runBitsliced && !plan.faults.empty()) {
+  if (!plan.faults.empty()) {
     for (const auto mode :
          {sim::EvalMode::EventDriven, sim::EvalMode::FullSettle}) {
       faultsim::FaultSimOptions o;
-      o.engine = faultsim::EngineKind::Bitsliced;
       o.evalMode = mode;
+      o.threads = mode == sim::EvalMode::EventDriven ? opt.threads : 1;
       auto r = faultsim::runBitslicedFaultSim(ctx, wl, plan.faults, o);
       applySabotage(opt.sabotage, Sabotage::Engine::Bitsliced, mode, r);
       ++report.combosRun;
@@ -172,11 +158,9 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
         const TestPlan rebound = rebindPlan(nl, reparsed, plan);
         inject::VectorWorkload wl2(rebound.name, rebound.inputs,
                                    rebound.stimulus);
-        faultsim::FaultSimOptions o;
-        o.threads = 1;
         const fault::EngineContext ctx2(reparsed);
         const auto r =
-            faultsim::runSerialFaultSim(ctx2, wl2, rebound.faults, o);
+            faultsim::runSerialFaultSim(ctx2, wl2, rebound.faults);
         compareVerdicts(ref, r, identity, "round-trip", report);
       }
     } catch (const std::exception& e) {

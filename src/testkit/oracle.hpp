@@ -2,17 +2,17 @@
 // engine x evaluation-mode combination and asserts bit-identical verdicts.
 //
 //   serial    x {event-driven, full-settle}   the reference engine
-//   threaded  x {event-driven, full-settle}   checkpoint-forking worker pool
 //   bitsliced x {event-driven, full-settle}   SIMD word-lane divergence engine
 //
 // The serial/event-driven run is the reference; every other combo must match
 // it fault-for-fault on outcomes and on the detected tally.  The bit-sliced
 // engine covers the FULL fault model (stuck-at, transients, bridges, delay,
-// memory faults), so it runs the whole plan fault list like the other
-// engines.  Two extra properties ride along: the golden traces of both eval
-// modes must be identical, and the design must survive a text round-trip —
-// parse(write(nl)) re-simulated under the rebound plan must reproduce the
-// reference verdicts.
+// memory faults), so it runs the whole plan fault list like the serial
+// engine; its event-driven arm runs at OracleOptions::threads, so the fuzz
+// keeps driving a multi-threaded engine.  Two extra properties ride along:
+// the golden traces of both eval modes must be identical, and the design
+// must survive a text round-trip — parse(write(nl)) re-simulated under the
+// rebound plan must reproduce the reference verdicts.
 #pragma once
 
 #include <string>
@@ -33,7 +33,7 @@ namespace socfmea::testkit {
 /// Because only real detections flip, a failing case needs a live cone from
 /// a fault site to an observed output, so the shrinker must preserve one.
 struct Sabotage {
-  enum class Engine : std::uint8_t { None, Serial, Threaded, Bitsliced };
+  enum class Engine : std::uint8_t { None, Serial, Bitsliced };
   Engine engine = Engine::None;
   sim::EvalMode mode = sim::EvalMode::FullSettle;
   std::uint64_t stride = 1;  ///< downgrade every stride-th detection
@@ -43,10 +43,9 @@ struct Sabotage {
 };
 
 struct OracleOptions {
-  /// Worker count for the threaded engine (0 = hardware concurrency).
+  /// Worker count of the bit-sliced event-driven arm (0 = hardware
+  /// concurrency); the full-settle arm runs on one thread.
   unsigned threads = 0;
-  /// Run the bit-sliced fault-parallel engine on the full plan fault list.
-  bool runBitsliced = true;
   /// Check parse(write(nl)) by re-running the reference engine on the
   /// reparsed design with the plan rebound by name.
   bool roundTrip = true;
@@ -55,7 +54,7 @@ struct OracleOptions {
 
 /// One disagreement between a combo and the reference.
 struct OracleMismatch {
-  std::string combo;   ///< e.g. "threaded/full-settle", "round-trip"
+  std::string combo;   ///< e.g. "bitsliced/full-settle", "round-trip"
   std::string detail;  ///< human-readable description
   /// Indices into the plan's fault list whose verdicts disagreed (empty for
   /// non-verdict mismatches such as golden-trace or text differences).
@@ -64,7 +63,7 @@ struct OracleMismatch {
 
 struct OracleReport {
   bool pass = false;
-  std::size_t combosRun = 0;  ///< engine/mode combos executed (up to 6)
+  std::size_t combosRun = 0;  ///< engine/mode combos executed (up to 4)
   faultsim::FaultSimResult reference;  ///< serial / event-driven
   std::vector<OracleMismatch> mismatches;
 

@@ -1,16 +1,21 @@
 // Tests for the bit-sliced fault-parallel engine (faultsim/bitsliced.*,
-// faultsim/lanes.*): BitWord pack/unpack algebra, the lane scheduler's
-// permanents-first ordering and refill contract, cone-bounded level
-// skipping, per-fault-kind divergence agreement with the serial oracle on a
+// faultsim/lanes.*) and the primitives it stands on: BitWord pack/unpack
+// algebra, the lane scheduler's permanents-first ordering and refill
+// contract, the thread pool that fans word groups out, the Simulator
+// snapshots its golden checkpoints are made of, active-list-bounded
+// activity, per-fault-kind divergence agreement with the serial oracle on a
 // design with flip-flops and a behavioural memory, lane retirement / refill
-// invariants, campaign-record equality on the memsys protection IP, and a
+// invariants, campaign-record equality on the memsys protection IP (with
+// and without a latent fault), EngineKind::Auto resolution, and a
 // 200-design random-property sweep over the full fault model.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
 
+#include "core/thread_pool.hpp"
 #include "fault/collapse.hpp"
 #include "fault/fault_list.hpp"
 #include "faultsim/bitsliced.hpp"
@@ -21,6 +26,7 @@
 #include "memsys/gatelevel.hpp"
 #include "memsys/workloads.hpp"
 #include "netlist/builder.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
 #include "testkit/netlist_gen.hpp"
 #include "testkit/plan.hpp"
@@ -35,6 +41,7 @@ namespace fs = socfmea::faultsim;
 namespace ij = socfmea::inject;
 namespace sm = socfmea::sim;
 namespace ms = socfmea::memsys;
+namespace co = socfmea::core;
 
 namespace {
 
@@ -157,6 +164,50 @@ TEST(LaneSchedulerTest, PermanentsFirstThenTransientsByCycle) {
   EXPECT_EQ(*r2, 4u);  // the skipped-over entry stayed queued
   EXPECT_FALSE(sched.takeRefill(0).has_value());
   EXPECT_TRUE(sched.takeGroup(3).empty());
+}
+
+// ---------------------------------------------------------------------------
+// thread pool (one word group per task)
+// ---------------------------------------------------------------------------
+
+TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
+  co::ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
+  std::vector<std::atomic<int>> seen(1000);
+  pool.parallelFor(seen.size(), 7, [&](unsigned worker, std::size_t i) {
+    ASSERT_LT(worker, pool.size());
+    seen[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+}
+
+TEST(ThreadPoolTest, ReusableAcrossCalls) {
+  co::ThreadPool pool(3);
+  for (int round = 0; round < 5; ++round) {
+    std::atomic<std::size_t> sum{0};
+    pool.parallelFor(100, 1, [&](unsigned, std::size_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), 4950u);
+  }
+}
+
+TEST(ThreadPoolTest, PropagatesException) {
+  co::ThreadPool pool(2);
+  EXPECT_THROW(pool.parallelFor(10, 1,
+                                [&](unsigned, std::size_t i) {
+                                  if (i == 3) throw std::runtime_error("boom");
+                                }),
+               std::runtime_error);
+  // The pool survives the throw.
+  std::atomic<int> n{0};
+  pool.parallelFor(8, 1, [&](unsigned, std::size_t) { ++n; });
+  EXPECT_EQ(n.load(), 8);
+}
+
+TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
+  EXPECT_GE(co::resolveThreadCount(0), 1u);
+  EXPECT_EQ(co::resolveThreadCount(5), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -553,7 +604,91 @@ void expectRecordsEqual(const ij::CampaignResult& a,
   }
 }
 
+std::vector<sm::Logic> allNetValues(const sm::Simulator& sim) {
+  std::vector<sm::Logic> v;
+  v.reserve(sim.design().netCount());
+  for (nl::NetId n = 0; n < sim.design().netCount(); ++n) {
+    v.push_back(sim.value(n));
+  }
+  return v;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Simulator snapshot / restore (the golden checkpoints word groups fork from)
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotTest, RoundTripReplaysIdentically) {
+  const auto design = smallMemsys();
+  ms::ProtectionIpWorkload wl(design, smallWorkload(80));
+  sm::Simulator sim(design.nl);
+  wl.restart();
+  sim.reset();
+  const auto runCycle = [&](std::uint64_t c) {
+    wl.drive(sim, c);
+    wl.backdoor(sim, c);
+    sim.evalComb();
+    sim.clockEdge();
+  };
+  for (std::uint64_t c = 0; c < 40; ++c) runCycle(c);
+
+  const auto snap = sim.snapshot();
+  EXPECT_EQ(snap.cycle, 40u);
+
+  std::vector<std::vector<sm::Logic>> first;
+  for (std::uint64_t c = 40; c < 80; ++c) {
+    runCycle(c);
+    first.push_back(allNetValues(sim));
+  }
+  const std::uint64_t mem0 = sim.memory(0).peek(3);
+
+  sim.restore(snap);
+  EXPECT_EQ(sim.cycle(), 40u);
+  std::vector<std::vector<sm::Logic>> second;
+  for (std::uint64_t c = 40; c < 80; ++c) {
+    runCycle(c);
+    second.push_back(allNetValues(sim));
+  }
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(sim.memory(0).peek(3), mem0);
+}
+
+TEST(SnapshotTest, CapturesInstalledFaultHooks) {
+  nl::Netlist n{"tiny"};
+  nl::NetId a;
+  {
+    nl::Builder b(n);
+    a = b.input("a");
+    b.output("o", b.bnot(a));
+  }
+  sm::Simulator sim(n);
+  sim.setInput(a, sm::Logic::L0);
+  ASSERT_EQ(sim.value(a), sm::Logic::L0);
+  sim.forceNet(a, sm::Logic::L1);
+  EXPECT_EQ(sim.value(a), sm::Logic::L1);
+  const auto snap = sim.snapshot();
+  sim.releaseAllNets();
+  EXPECT_EQ(sim.value(a), sm::Logic::L0);
+  sim.restore(snap);
+  EXPECT_EQ(sim.value(a), sm::Logic::L1);
+}
+
+TEST(SnapshotTest, RejectsForeignDesign) {
+  const auto design = smallMemsys();
+  sm::Simulator sim(design.nl);
+  const auto snap = sim.snapshot();
+
+  nl::Netlist other;
+  nl::Builder b(other);
+  b.output("o", b.bnot(b.input("a")));
+  sm::Simulator otherSim(other);
+  EXPECT_THROW(otherSim.restore(snap), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// campaign records vs the serial oracle
+// ---------------------------------------------------------------------------
 
 TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
   SCOPED_TRACE(tk::seedMessage(kWorkloadSeed));
@@ -591,15 +726,112 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
   }
 }
 
-TEST(BitslicedCampaignTest, RejectsLatentFaults) {
+// Latent (dual-point) faults: every lane carries the campaign's latent
+// fault under its own.  One latent fault per way the engine overlays it — a
+// permanent force on an alarm net, a transient flip, a SET pulse (alongside
+// campaign SETs in the same cycle) and a memory overlay — must give records
+// identical to the serial oracle at one and at four threads.  64-lane words
+// and more faults than one word holds make groups refill mid-run, and late
+// SEUs fill a last group that forks from a late golden checkpoint.
+TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
+  SCOPED_TRACE(tk::seedMessage(kWorkloadSeed));
   MemsysBed bed;
-  ms::ProtectionIpWorkload wl(bed.design, smallWorkload(60));
-  const auto faults = bed.sampleFaults(wl, 4);
+  ms::ProtectionIpWorkload wl(bed.design, smallWorkload(200));
+  ft::FaultList faults = bed.sampleFaults(wl, 96);
+  const nl::NetId obsNet = bed.env.obsNets.front();
+  const nl::NetId otherObsNet = bed.env.obsNets.back();
+  for (const nl::NetId net : {obsNet, otherObsNet}) {
+    ft::Fault set;
+    set.kind = ft::FaultKind::SetPulse;
+    set.net = net;
+    set.cycle = 120;
+    faults.push_back(set);
+  }
+  const auto& ffs = bed.design.nl.flipFlops();
+  for (std::size_t i = 0; i < 48; ++i) {
+    ft::Fault late;
+    late.kind = ft::FaultKind::SeuFlip;
+    late.cell = ffs[(i * 7) % ffs.size()];
+    late.net = bed.design.nl.cell(late.cell).output;
+    late.cycle = 150 + i;
+    faults.push_back(late);
+  }
+  ASSERT_GT(faults.size(), 128u);
+
+  std::vector<ft::Fault> latents;
+  ft::Fault stuckAlarm;
+  stuckAlarm.kind = ft::FaultKind::StuckAt0;
+  stuckAlarm.net = bed.env.alarmNets.front();
+  latents.push_back(stuckAlarm);
+  ft::Fault seu;
+  seu.kind = ft::FaultKind::SeuFlip;
+  seu.cell = bed.design.nl.flipFlops()[bed.design.nl.flipFlops().size() / 2];
+  seu.net = bed.design.nl.cell(seu.cell).output;
+  seu.cycle = 90;
+  latents.push_back(seu);
+  ft::Fault set;
+  set.kind = ft::FaultKind::SetPulse;
+  set.net = obsNet;
+  set.cycle = 120;
+  latents.push_back(set);
+  ft::Fault memStuck;
+  memStuck.kind = ft::FaultKind::MemStuckBit;
+  memStuck.mem = 0;
+  memStuck.addr = 5;
+  memStuck.bit = 1;
+  memStuck.stuckValue = true;
+  latents.push_back(memStuck);
+
   ij::InjectionManager mgr(bed.design.nl, bed.env);
-  ij::CampaignOptions opt;
-  opt.engine = fs::EngineKind::Bitsliced;
-  opt.preexisting = faults.front();
-  EXPECT_THROW((void)mgr.run(wl, faults, nullptr, opt), std::invalid_argument);
+  for (const ft::Fault& latent : latents) {
+    SCOPED_TRACE("latent " + latent.describe(bed.design.nl));
+    ij::CampaignOptions serialOpt;
+    serialOpt.engine = fs::EngineKind::Serial;
+    serialOpt.preexisting = latent;
+    const auto serial = mgr.run(wl, faults, nullptr, serialOpt);
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ij::CampaignOptions opt = serialOpt;
+      opt.engine = fs::EngineKind::Bitsliced;
+      opt.threads = threads;
+      opt.laneWords = 1;
+      const auto sliced = mgr.run(wl, faults, nullptr, opt);
+      expectRecordsEqual(serial, sliced);
+    }
+  }
+}
+
+// EngineKind::Auto is resolved in InjectionManager::run alone: the serial
+// oracle at one thread, the bit-sliced engine at any other thread count.
+TEST(BitslicedCampaignTest, AutoRunsSerialAtOneThreadBitslicedOtherwise) {
+  MemsysBed bed;
+  ms::ProtectionIpWorkload wl(bed.design, smallWorkload(80));
+  const auto faults = bed.sampleFaults(wl, 8);
+  ASSERT_FALSE(faults.empty());
+  ij::InjectionManager mgr(bed.design.nl, bed.env);
+  const auto& reg = socfmea::obs::Registry::global();
+  const auto slicedMachines = [&] {
+    return reg.counter("faultsim.bitsliced.machines");
+  };
+  const auto serialCampaigns = [&] {
+    return reg.timer("inject.campaign.serial").count;
+  };
+
+  ij::CampaignOptions opt;  // engine Auto
+  opt.threads = 2;
+  std::uint64_t machines = slicedMachines();
+  std::uint64_t campaigns = serialCampaigns();
+  const auto two = mgr.run(wl, faults, nullptr, opt);
+  EXPECT_EQ(slicedMachines() - machines, faults.size());
+  EXPECT_EQ(serialCampaigns(), campaigns);
+
+  opt.threads = 1;
+  machines = slicedMachines();
+  campaigns = serialCampaigns();
+  const auto one = mgr.run(wl, faults, nullptr, opt);
+  EXPECT_EQ(slicedMachines(), machines);
+  EXPECT_EQ(serialCampaigns() - campaigns, 1u);
+  expectRecordsEqual(one, two);
 }
 
 // ---------------------------------------------------------------------------
@@ -630,4 +862,44 @@ TEST(BitslicedPropertyTest, TwoHundredRandomDesignsBitIdenticalToSerial) {
   }
   // The sweep must have exercised a real fault population.
   EXPECT_GT(faultsChecked, 500u);
+}
+
+// Latent faults over the full fault model: every pair of fault kinds can
+// share a lane, so this sweeps two-fault interactions the memsys campaign
+// never draws — bridges next to stuck-at, SET and other bridges included.
+TEST(BitslicedPropertyTest, LatentFaultsOnRandomDesignsMatchSerial) {
+  const std::uint64_t base = tk::testSeed(0x1A7E);
+  std::size_t recordsChecked = 0;
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    const std::uint64_t seed = tk::derivedSeed(base, i);
+    SCOPED_TRACE(tk::seedMessage(seed));
+    sm::Rng rng(seed);
+    const tk::GeneratorOptions g = tk::randomOptions(rng);
+    const nl::Netlist n = tk::generateNetlist(g, rng);
+    const zn::ZoneDatabase db = zn::extractZones(n);
+    if (db.size() == 0) continue;
+    const zn::EffectsModel fx(db, {});
+    const auto env = ij::EnvironmentBuilder(db, fx)
+                         .withSeed(seed)
+                         .withDetectionWindow(4)
+                         .build();
+    const tk::TestPlan plan =
+        tk::generatePlan(n, tk::randomPlanOptions(rng), rng);
+    if (plan.faults.empty()) continue;
+    ij::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
+    ij::InjectionManager mgr(n, env);
+    for (int k = 0; k < 3; ++k) {
+      ij::CampaignOptions serialOpt;
+      serialOpt.engine = fs::EngineKind::Serial;
+      serialOpt.preexisting = plan.faults[rng.below(plan.faults.size())];
+      SCOPED_TRACE("latent " + serialOpt.preexisting->describe(n));
+      const auto serial = mgr.run(wl, plan.faults, nullptr, serialOpt);
+      ij::CampaignOptions opt = serialOpt;
+      opt.engine = fs::EngineKind::Bitsliced;
+      opt.laneWords = 1;
+      expectRecordsEqual(serial, mgr.run(wl, plan.faults, nullptr, opt));
+      recordsChecked += serial.records.size();
+    }
+  }
+  EXPECT_GT(recordsChecked, 1000u);
 }

@@ -87,6 +87,11 @@ TEST(CliCommon, BadThreadCountIsAnError) {
 TEST(CliCommon, UnknownEngineAndTierAreErrors) {
   EXPECT_EQ(parseAll({"--engine", "warp"}).statuses.front(),
             cli::FlagStatus::Error);
+  // `threaded` names no engine: it is rejected like any other unknown name.
+  const ParseRun threaded = parseAll({"--engine", "threaded"});
+  EXPECT_EQ(threaded.statuses.front(), cli::FlagStatus::Error);
+  EXPECT_NE(threaded.error.find("unknown engine 'threaded'"),
+            std::string::npos);
   EXPECT_EQ(parseAll({"--tier", "turbo"}).statuses.front(),
             cli::FlagStatus::Error);
 }

@@ -189,23 +189,6 @@ TEST(SerialFaultSimTest, EarlyAbortReducesCycles) {
   EXPECT_LT(r1.simulatedCycles, r2.simulatedCycles);
 }
 
-// ---------------------------------------------------------------------------
-// bit-sliced engine dispatch
-// ---------------------------------------------------------------------------
-
-TEST(EngineDispatchTest, BitslicedEngineSelectedThroughRunFaultSim) {
-  DataPath d;
-  ij::RandomWorkload wl(d.n, 100, 7, {{d.rst, false}});
-  ft::FaultList faults = ft::allStuckAtFaults(d.n);
-  ft::collapseStuckAt(d.n, faults);
-  const auto serial = fs::runSerialFaultSim(d.n, wl, faults);
-  fs::FaultSimOptions opt;
-  opt.engine = fs::EngineKind::Bitsliced;
-  const auto sliced = fs::runBitslicedFaultSim(d.n, wl, faults, opt);
-  ASSERT_EQ(serial.outcomes.size(), sliced.outcomes.size());
-  EXPECT_EQ(serial.detected, sliced.detected);
-}
-
 // The headline property: bit-sliced and serial engines agree on every fault.
 class EngineAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 

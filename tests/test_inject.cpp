@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "inject/analyzer.hpp"
 #include "inject/manager.hpp"
@@ -515,6 +516,69 @@ TEST(ManagerTest, LatentFaultInPayloadStillDetected) {
   opt.preexisting = latent;
   const auto res = mgr.run(wl, {seu}, nullptr, opt);
   EXPECT_EQ(res.records[0].outcome, ij::Outcome::DangerousDetected);
+}
+
+TEST(ManagerTest, LatentSetPulseFiresInEveryEngine) {
+  // A latent SET is pulsed like a campaign SET: the pulse on a payload
+  // output net reaches the dout observation point even though the campaign
+  // fault (a spare-register SEU) is masked.
+  Testbed tb;
+  ft::Fault latent;
+  latent.kind = ft::FaultKind::SetPulse;
+  latent.net = tb.dregQ[1];
+  latent.cycle = 30;
+
+  ft::Fault seu;
+  seu.kind = ft::FaultKind::SeuFlip;
+  seu.cell = tb.spareFf;
+  seu.cycle = 20;
+
+  auto wl = tb.workload(64);
+  ij::InjectionManager mgr(tb.n, tb.env());
+  for (const auto engine : {socfmea::faultsim::EngineKind::Serial,
+                            socfmea::faultsim::EngineKind::Bitsliced}) {
+    SCOPED_TRACE(std::string(socfmea::faultsim::engineKindName(engine)));
+    ij::CampaignOptions opt;
+    opt.engine = engine;
+    opt.preexisting = latent;
+    const auto res = mgr.run(wl, {seu}, nullptr, opt);
+    ASSERT_EQ(res.records.size(), 1u);
+    EXPECT_TRUE(res.records[0].obs.obs);
+    EXPECT_EQ(res.records[0].obs.firstObsCycle, 30u);
+    EXPECT_NE(res.records[0].outcome, ij::Outcome::NoEffect);
+    EXPECT_NE(res.records[0].outcome, ij::Outcome::SafeMasked);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// single-pass outcome tally (CampaignResult::tally)
+// ---------------------------------------------------------------------------
+
+TEST(TallyTest, MatchesPerOutcomeCounts) {
+  Testbed tb;
+  auto wl = tb.workload(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  ij::InjectionManager mgr(tb.n, tb.env());
+  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
+
+  const auto t = res.tally();
+  std::size_t sum = 0;
+  for (const auto o :
+       {ij::Outcome::NoEffect, ij::Outcome::SafeMasked,
+        ij::Outcome::SafeDetected, ij::Outcome::DangerousDetected,
+        ij::Outcome::DangerousUndetected}) {
+    EXPECT_EQ(t.count(o), res.count(o));
+    sum += t.count(o);
+  }
+  EXPECT_EQ(sum, res.records.size());
+  EXPECT_EQ(t.total, res.records.size());
+  EXPECT_DOUBLE_EQ(ij::CampaignResult::measuredSff(t), res.measuredSff());
+  EXPECT_DOUBLE_EQ(ij::CampaignResult::measuredDdf(t), res.measuredDdf());
+  EXPECT_DOUBLE_EQ(ij::CampaignResult::measuredSafeFraction(t),
+                   res.measuredSafeFraction());
+  EXPECT_DOUBLE_EQ(ij::CampaignResult::meanDetectionLatency(t),
+                   res.meanDetectionLatency());
+  EXPECT_EQ(t.latencyMax, res.maxDetectionLatency());
 }
 
 TEST(AnalyzerTest, EffectsTablePrinterShowsClassification) {

@@ -189,21 +189,21 @@ TEST(TestkitOracle, EnginesAgreeOnRandomCases) {
     const FuzzCase c = makeCase(base, i);
     const auto report = tk::runOracle(c.nl, c.plan);
     EXPECT_TRUE(report.pass) << report.summary();
-    // serial + threaded + bitsliced x both eval modes (bitsliced combos
-    // only run when the plan carries at least one fault).
-    EXPECT_GE(report.combosRun, 4u);
+    // serial x both eval modes, plus bitsliced x both eval modes when the
+    // plan carries at least one fault.
+    EXPECT_EQ(report.combosRun, c.plan.faults.empty() ? 2u : 4u);
   }
 }
 
 TEST(TestkitOracle, SabotagedEngineIsCaught) {
   const FuzzCase c = makeDetectingCase(tk::testSeed(0x5AB0));
   tk::OracleOptions opt;
-  opt.sabotage.engine = tk::Sabotage::Engine::Threaded;
+  opt.sabotage.engine = tk::Sabotage::Engine::Bitsliced;
   opt.sabotage.mode = socfmea::sim::EvalMode::FullSettle;
   const auto report = tk::runOracle(c.nl, c.plan, opt);
   ASSERT_FALSE(report.pass) << report.summary();
   ASSERT_FALSE(report.mismatches.empty());
-  EXPECT_EQ(report.mismatches[0].combo, "threaded/full-settle");
+  EXPECT_EQ(report.mismatches[0].combo, "bitsliced/full-settle");
   EXPECT_FALSE(report.suspectFaults().empty());
   EXPECT_NE(report.summary().find("FAIL"), std::string::npos);
 }
@@ -215,7 +215,7 @@ TEST(TestkitOracle, SabotagedEngineIsCaught) {
 TEST(TestkitShrink, SabotageShrinksToMinimalReplayableRepro) {
   const FuzzCase c = makeDetectingCase(tk::testSeed(0x51AB));
   tk::ShrinkOptions sopt;
-  sopt.oracle.sabotage.engine = tk::Sabotage::Engine::Threaded;
+  sopt.oracle.sabotage.engine = tk::Sabotage::Engine::Bitsliced;
   sopt.oracle.sabotage.mode = socfmea::sim::EvalMode::FullSettle;
 
   const auto shrunk = tk::shrinkFailure(c.nl, c.plan, sopt);

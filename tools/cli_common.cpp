@@ -52,7 +52,7 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
     const auto k = faultsim::engineKindFromName(v);
     if (!k) {
       error = std::string("--engine: unknown engine '") + v +
-              "' (serial | threaded | bitsliced | auto)";
+              "' (serial | bitsliced | auto)";
       return FlagStatus::Error;
     }
     out.engine = *k;
@@ -86,8 +86,11 @@ const std::string& commonUsageDetails() {
   static const std::string s =
       "  --json       machine-readable report path\n"
       "  --cache-dir  artifact store for the flow graph / delta campaign\n"
-      "  --threads    campaign threads (default 1, 0 = all cores)\n"
-      "  --engine     campaign engine: serial | threaded | bitsliced | auto\n"
+      "  --threads    campaign threads (default 1, 0 = all cores); under\n"
+      "               --engine auto, N != 1 runs the bit-sliced engine\n"
+      "  --engine     campaign engine: serial | bitsliced | auto (auto ="
+      " serial at\n"
+      "               one thread, bit-sliced otherwise)\n"
       "  --tier       campaign tier: abstract | exact | auto (abstract ="
       " SET->multi-SEU sweep\n"
       "               with exact-resim escalation)\n";

@@ -4,8 +4,9 @@
 //             [--sabotage <engine>/<mode>] [--quiet]
 //     Generates N random (design, stimulus, fault-plan) cases from the
 //     campaign seed S and runs each through the differential oracle: the
-//     serial, threaded and bit-sliced fault-sim engines under both
-//     event-driven and full-settle evaluation must agree fault-for-fault,
+//     serial and bit-sliced fault-sim engines under both event-driven and
+//     full-settle evaluation must agree fault-for-fault (the bit-sliced
+//     event-driven arm runs over --threads T, default all cores),
 //     the golden traces of both modes must match, and the design must
 //     survive a .snl round-trip.  On a failure the case number and seed are
 //     printed (re-run any single case with the same --seed and --runs to
@@ -13,7 +14,7 @@
 //     minimal repro is written to <dir>/repro-<case>.nl / .plan.
 //
 //     --sabotage injects a deliberate verdict-flipping bug into one engine
-//     (e.g. --sabotage threaded/full-settle) to exercise the oracle and
+//     (e.g. --sabotage bitsliced/full-settle) to exercise the oracle and
 //     shrinker pipeline end to end.
 //
 //   fuzz_diff --replay <design.nl> <plan.plan> [--threads <T>]
@@ -98,12 +99,10 @@ testkit::Sabotage parseSabotage(const std::string& spec) {
   testkit::Sabotage s;
   if (engine == "serial") {
     s.engine = testkit::Sabotage::Engine::Serial;
-  } else if (engine == "threaded") {
-    s.engine = testkit::Sabotage::Engine::Threaded;
   } else if (engine == "bitsliced") {
     s.engine = testkit::Sabotage::Engine::Bitsliced;
   } else {
-    usage("unknown sabotage engine (serial|threaded|bitsliced)");
+    usage("unknown sabotage engine (serial|bitsliced)");
   }
   if (mode == "event-driven") {
     s.mode = sim::EvalMode::EventDriven;
