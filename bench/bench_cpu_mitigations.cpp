@@ -57,7 +57,7 @@ void printTable() {
                     : "CROSS-ENGINE VERDICT MISMATCH — numbers below are "
                       "suspect\n\n");
 
-  const sc::RunOptions opt;  // per-bit 2, seed 8, exact tier
+  const sc::RunOptions opt;  // per-bit 2, seed 8
   // mDC is the measured diagnostic coverage over dangerous activations
   // (CampaignResult::measuredDdf) — the injected counterpart of aDC.
   std::cout << "  scenario          aSFF   aDC  SIL    mSFF   mDC "

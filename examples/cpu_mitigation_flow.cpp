@@ -1,8 +1,7 @@
 // cpu_mitigation_flow: the software-mitigation scenario suite end to end.
 //
 //   cpu_mitigation_flow [--scenario <name>] [--json <path>] [--records]
-//                       [--tier exact|abstract|auto] [--engine
-//                       serial|bitsliced|auto] [--threads <T>]
+//                       [--engine serial|bitsliced|auto] [--threads <T>]
 //                       [--per-bit <N>] [--seed <S>]
 //
 // Runs every scenario of cpu::scenarios::all() (or just --scenario) through
@@ -42,10 +41,9 @@ struct Args {
   if (msg) std::cerr << "cpu_mitigation_flow: " << msg << "\n";
   std::cerr << "usage: cpu_mitigation_flow [--scenario <name>] [--json <path>]"
                " [--records]\n"
-               "                           [--tier exact|abstract|auto]"
-               " [--engine serial|bitsliced|auto]\n"
-               "                           [--threads <T>] [--per-bit <N>]"
-               " [--seed <S>]\n"
+               "                           [--engine serial|bitsliced|auto]"
+               " [--threads <T>]\n"
+               "                           [--per-bit <N>] [--seed <S>]\n"
                "scenarios:";
   for (const auto& s : sc::all()) std::cerr << " " << s.name;
   std::cerr << "\n";
@@ -72,10 +70,6 @@ Args parseArgs(int argc, char** argv) {
       a.jsonPath = value(i);
     } else if (arg == "--records") {
       a.records = true;
-    } else if (arg == "--tier") {
-      const auto m = inject::tierModeFromName(value(i));
-      if (!m) usage("unknown tier mode (exact|abstract|auto)");
-      a.run.tier = *m;
     } else if (arg == "--engine") {
       const auto k = faultsim::engineKindFromName(value(i));
       if (!k) usage("unknown engine (serial|bitsliced|auto)");
@@ -134,9 +128,8 @@ int main(int argc, char** argv) {
     selected.push_back(s);
   }
 
-  std::cout << "==== software-mitigation scenario suite (tier "
-            << inject::tierModeName(a.run.tier) << ", per-bit " << a.run.perBit
-            << ", seed " << a.run.seed << ") ====\n"
+  std::cout << "==== software-mitigation scenario suite (per-bit "
+            << a.run.perBit << ", seed " << a.run.seed << ") ====\n"
             << "  scenario          aSFF   aDC  SIL    mSFF  mDDF faults"
                "  vs-base\n";
 
@@ -175,7 +168,6 @@ int main(int argc, char** argv) {
   if (!a.jsonPath.empty()) {
     auto doc = obs::Json::object();
     doc["schema"] = std::string("socfmea.example.cpu_mitigation_flow/1");
-    doc["tier"] = std::string(inject::tierModeName(a.run.tier));
     doc["per_bit"] = static_cast<std::uint64_t>(a.run.perBit);
     doc["seed"] = a.run.seed;
     doc["threads"] = static_cast<std::uint64_t>(a.run.campaign.threads);

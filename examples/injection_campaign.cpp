@@ -17,7 +17,6 @@
 #include "fault/fault_list.hpp"
 #include "inject/analyzer.hpp"
 #include "inject/delta.hpp"
-#include "inject/tiered.hpp"
 #include "memsys/workloads.hpp"
 #include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
@@ -48,9 +47,6 @@ int main(int argc, char** argv) {
   inject::CampaignOptions copt;
   copt.engine = flags.engine;
   copt.threads = flags.threads;
-  inject::TierOptions topt;
-  topt.mode = flags.tier;
-  const bool tiered = topt.mode != inject::TierMode::Exact;
   std::string storeError;
   auto storeOpt = cli::openStore(flags, storeError);
   if (!storeOpt) {
@@ -106,12 +102,11 @@ int main(int argc, char** argv) {
   inject::InjectionManager manager(dut.nl, env);
   inject::CoverageCollector coverage(manager.environment());
   inject::CampaignResult result;
-  obs::Json tiersJson = obs::Json::object();
   bool storeHit = false;
   const std::uint64_t campKey =
       netlist::hashMix(netlist::hashNetlist(dut.nl),
                        netlist::hashMix(faults.size(), wopt.cycles));
-  if (store && !tiered) {
+  if (store) {
     if (const auto art = store->load("walkthrough-campaign", campKey)) {
       const auto cache = inject::CachedCampaign::fromJson(*art);
       if (auto records = inject::bindCampaignRecords(
@@ -124,28 +119,13 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!storeHit && tiered) {
-    // Tiered walkthrough: abstract sweep + escalation, merged per source
-    // fault.  The store path stays exact-only here — the incremental flow
-    // (core/incremental.hpp) is the cached tiered entry.
-    const inject::TieredResult tr = inject::runTieredCampaign(
-        manager, workload, faults, topt, &coverage, copt);
-    result = tr.merged;
-    tiersJson = tr.tiersJson();
-    std::cout << "tiered (" << inject::tierModeName(topt.mode)
-              << "): " << tr.tiers.abstractClasses << " abstract classes for "
-              << tr.tiers.sourceFaults << " faults, "
-              << tr.tiers.noEffectShortcuts << " no-effect shortcuts, "
-              << tr.tiers.escalatedFaults
-              << " escalated to exact, measured agreement "
-              << tr.tiers.agreement() << "\n";
-  } else if (!storeHit) {
+  if (!storeHit) {
     result = manager.run(workload, faults, &coverage, copt);
-  }
-  if (store && !storeHit && !tiered) {
-    store->save("walkthrough-campaign", campKey,
-                inject::campaignRecordsToJson(dut.nl, flow.zones(),
-                                              flow.effects(), result));
+    if (store) {
+      store->save("walkthrough-campaign", campKey,
+                  inject::campaignRecordsToJson(dut.nl, flow.zones(),
+                                                flow.effects(), result));
+    }
   }
   if (storeHit) {
     std::cout << "campaign served from " << store->dir().string()
@@ -175,9 +155,7 @@ int main(int argc, char** argv) {
     fl["profile_dropped"] = obs::Json(dropped);
     fl["campaign_faults"] = obs::Json(faults.size());
     report["fault_list"] = std::move(fl);
-    obs::Json campaignJson = result.toJson();
-    if (tiered) campaignJson["tiers"] = tiersJson;
-    report["campaign"] = std::move(campaignJson);
+    report["campaign"] = result.toJson();
     report["coverage"] = coverage.toJson();
     obs::Json v = obs::Json::object();
     v["max_delta_s"] = obs::Json(validation.maxDeltaS);

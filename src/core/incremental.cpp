@@ -1,6 +1,5 @@
 #include "core/incremental.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "fault/fault_list.hpp"
@@ -37,20 +36,6 @@ std::uint64_t campaignOptionsHash(const inject::CampaignOptions& copt) {
     h = hashMix(h, f.stuckValue ? 1 : 0);
     h = hashMix(h, f.cycle);
   }
-  return h;
-}
-
-std::uint64_t tierOptionsHash(const inject::TierOptions& t) {
-  // Every knob that can change a merged tiered verdict participates: the
-  // mode (Abstract vs Auto resolve differently on dedup-free lists), the
-  // escalation margin, the audit sample (it decides which sources carry
-  // exact records) and the frontier cap (it reshapes the plan itself).
-  std::uint64_t h = hashMix(0x71E4u, static_cast<std::uint64_t>(t.mode));
-  h = hashMix(h, t.boundaryMargin);
-  h = hashMix(h, static_cast<std::uint64_t>(
-                     std::clamp(t.auditFraction, 0.0, 1.0) * 1000000.0));
-  h = hashMix(h, t.auditSeed);
-  h = hashMix(h, t.maxFrontier);
   return h;
 }
 
@@ -162,168 +147,97 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   inject::CoverageCollector cov(mgr.environment());
 
   bool cached = false;
-  if (opt_.tier.mode != inject::TierMode::Exact) {
-    // Tiered path: two content-addressed stages replace the flat campaign
-    // stage.  "abstract_sweep" pins the SET→multi-SEU plan (cheap to
-    // recompute; its artifact documents the dedup the tier achieved);
-    // "escalation" holds the merged per-source records plus the measured
-    // accuracy envelope and reloads whole from the store, exactly like the
-    // exact campaign artifact.
-    out.tieredRun = true;
-    const std::uint64_t tierKey =
-        hashMix(campaignKey, tierOptionsHash(opt_.tier));
-    flow_->graph().stage(
-        "abstract_sweep",
-        hashMix(campaignKey, hashMix(0xAB57u, opt_.tier.maxFrontier)), [&] {
-          fault::AbstractionOptions ao;
-          ao.observedNets = env.obsNets;
-          ao.observedNets.insert(ao.observedNets.end(), env.alarmNets.begin(),
-                                 env.alarmNets.end());
-          ao.maxFrontier = opt_.tier.maxFrontier;
-          return fault::abstractTransients(*cd, faults, ao).toJson();
-        });
-    const auto runTiered = [&] {
-      inject::TieredResult tr =
-          inject::runTieredCampaign(mgr, wl, faults, opt_.tier, &cov, copt);
-      out.tiers = tr.tiersJson();  // before the move: the intervals tally it
-      out.result = std::move(tr.merged);
-      out.delta.total = faults.size();
-      out.delta.simulated = tr.abstracted
-                                ? tr.tiers.abstractClasses +
-                                      tr.tiers.escalatedFaults
-                                : faults.size();
-    };
-    const obs::Json art = flow_->graph().stage(
-        "escalation", tierKey,
-        [&] {
-          runTiered();
-          obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
-          a["stimulus"] = stimJson;
-          a["opts_key"] = hashHex(optsKey);
-          a["tiers"] = out.tiers;
-          return a;
-        },
-        &cached);
-    if (cached) {
-      const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
-      const obs::Json* tiers = art.find("tiers");
-      auto records = inject::bindCampaignRecords(cache, nl, faults, db, effects);
-      if (records && tiers != nullptr && tiers->isObject()) {
-        out.result = inject::CampaignResult{};
-        out.result.records = std::move(*records);
-        for (const inject::InjectionRecord& rec : out.result.records) {
-          cov.account(rec.obs);
-        }
-        out.tiers = *tiers;
-        out.fullHit = true;
-        out.delta.total = faults.size();
-        out.delta.reused = faults.size();
-      } else {
-        // Key collision with a foreign artifact: recompute and overwrite.
-        runTiered();
-        obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
-        a["stimulus"] = stimJson;
-        a["opts_key"] = hashHex(optsKey);
-        a["tiers"] = out.tiers;
-        if (opt_.store != nullptr) {
-          opt_.store->save("escalation", tierKey, a);
-        }
-      }
-    }
-  } else {
-    const obs::Json art = flow_->graph().stage(
-        "campaign", campaignKey,
-        [&] {
-          // Miss: delta-merge against the previous head when possible,
-          // otherwise run cold.
-          if (opt_.store != nullptr && opt_.incremental) {
-            // Branch fallback chain: this branch's own head, then the
-            // parent branch (the search's accepted architecture), then the
-            // base slot — the closest warm baseline wins.
-            auto head = opt_.store->loadHead(opt_.headSlot, opt_.headBranch);
-            if (!head && !opt_.headParent.empty()) {
-              head = opt_.store->loadHead(opt_.headSlot, opt_.headParent);
-            }
-            if (!head && !opt_.headBranch.empty()) {
-              head = opt_.store->loadHead(opt_.headSlot);
-            }
-            const obs::Json* text =
-                head ? head->find("design_text") : nullptr;
-            const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
-            const auto prevKey =
-                head ? parseHex(head->find("campaign_key")) : std::nullopt;
-            if (text != nullptr && text->isString() && headOpts != nullptr &&
-                headOpts->isString() && headOpts->asString() == hashHex(optsKey) &&
-                prevKey) {
-              if (auto prevArt = opt_.store->load("campaign", *prevKey)) {
-                try {
-                  const netlist::Netlist prev =
-                      netlist::readNetlistString(text->asString());
-                  const netlist::NetlistDiff d = netlist::diff(prev, nl);
-                  // Inputs whose recorded stimulus stream changed seed the
-                  // cone exactly like edited cells.
-                  std::vector<netlist::NetId> extraSeeds;
-                  const obs::Json* prevStim = prevArt->find("stimulus");
-                  for (const auto& [name, hash] : stimJson.items()) {
-                    const obs::Json* old =
-                        prevStim != nullptr ? prevStim->find(name) : nullptr;
-                    if (old == nullptr || !old->isString() ||
-                        old->asString() != hash.asString()) {
-                      if (const auto id = nl.findNet(name)) {
-                        extraSeeds.push_back(*id);
-                      }
+  const obs::Json art = flow_->graph().stage(
+      "campaign", campaignKey,
+      [&] {
+        // Miss: delta-merge against the previous head when possible,
+        // otherwise run cold.
+        if (opt_.store != nullptr && opt_.incremental) {
+          // Branch fallback chain: this branch's own head, then the
+          // parent branch (the search's accepted architecture), then the
+          // base slot — the closest warm baseline wins.
+          auto head = opt_.store->loadHead(opt_.headSlot, opt_.headBranch);
+          if (!head && !opt_.headParent.empty()) {
+            head = opt_.store->loadHead(opt_.headSlot, opt_.headParent);
+          }
+          if (!head && !opt_.headBranch.empty()) {
+            head = opt_.store->loadHead(opt_.headSlot);
+          }
+          const obs::Json* text = head ? head->find("design_text") : nullptr;
+          const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
+          const auto prevKey =
+              head ? parseHex(head->find("campaign_key")) : std::nullopt;
+          if (text != nullptr && text->isString() && headOpts != nullptr &&
+              headOpts->isString() &&
+              headOpts->asString() == hashHex(optsKey) && prevKey) {
+            if (auto prevArt = opt_.store->load("campaign", *prevKey)) {
+              try {
+                const netlist::Netlist prev =
+                    netlist::readNetlistString(text->asString());
+                const netlist::NetlistDiff d = netlist::diff(prev, nl);
+                // Inputs whose recorded stimulus stream changed seed the
+                // cone exactly like edited cells.
+                std::vector<netlist::NetId> extraSeeds;
+                const obs::Json* prevStim = prevArt->find("stimulus");
+                for (const auto& [name, hash] : stimJson.items()) {
+                  const obs::Json* old =
+                      prevStim != nullptr ? prevStim->find(name) : nullptr;
+                  if (old == nullptr || !old->isString() ||
+                      old->asString() != hash.asString()) {
+                    if (const auto id = nl.findNet(name)) {
+                      extraSeeds.push_back(*id);
                     }
                   }
-                  const netlist::AffectedCone cone =
-                      netlist::affectedCone(*cd, d, extraSeeds);
-                  const inject::CachedCampaign cache =
-                      inject::CachedCampaign::fromJson(*prevArt);
-                  out.result = inject::runCampaignDelta(
-                      mgr, wl, faults, cache, cone, *cd, &cov, copt,
-                      opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
-                  out.deltaRun = true;
-                } catch (const std::exception&) {
-                  out.deltaRun = false;  // unreadable head: cold below
                 }
+                const netlist::AffectedCone cone =
+                    netlist::affectedCone(*cd, d, extraSeeds);
+                const inject::CachedCampaign cache =
+                    inject::CachedCampaign::fromJson(*prevArt);
+                out.result = inject::runCampaignDelta(
+                    mgr, wl, faults, cache, cone, *cd, &cov, copt,
+                    opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
+                out.deltaRun = true;
+              } catch (const std::exception&) {
+                out.deltaRun = false;  // unreadable head: cold below
               }
             }
           }
-          if (!out.deltaRun) {
-            out.result = mgr.run(wl, faults, &cov, copt);
-            out.delta.total = faults.size();
-            out.delta.simulated = faults.size();
-          }
-          obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
-          a["stimulus"] = stimJson;
-          a["opts_key"] = hashHex(optsKey);
-          return a;
-        },
-        &cached);
-
-    if (cached) {
-      // Whole-campaign hit: every verdict comes from the store.
-      const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
-      if (auto records =
-              inject::bindCampaignRecords(cache, nl, faults, db, effects)) {
-        out.result = inject::CampaignResult{};
-        out.result.records = std::move(*records);
-        for (const inject::InjectionRecord& rec : out.result.records) {
-          cov.account(rec.obs);
         }
-        out.fullHit = true;
-        out.delta.total = faults.size();
-        out.delta.reused = faults.size();
-      } else {
-        // Key collision with a foreign artifact: recompute and overwrite.
-        out.result = mgr.run(wl, faults, &cov, copt);
-        out.delta.total = faults.size();
-        out.delta.simulated = faults.size();
+        if (!out.deltaRun) {
+          out.result = mgr.run(wl, faults, &cov, copt);
+          out.delta.total = faults.size();
+          out.delta.simulated = faults.size();
+        }
         obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
         a["stimulus"] = stimJson;
         a["opts_key"] = hashHex(optsKey);
-        if (opt_.store != nullptr) {
-          opt_.store->save("campaign", campaignKey, a);
-        }
+        return a;
+      },
+      &cached);
+
+  if (cached) {
+    // Whole-campaign hit: every verdict comes from the store.
+    const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
+    if (auto records =
+            inject::bindCampaignRecords(cache, nl, faults, db, effects)) {
+      out.result = inject::CampaignResult{};
+      out.result.records = std::move(*records);
+      for (const inject::InjectionRecord& rec : out.result.records) {
+        cov.account(rec.obs);
+      }
+      out.fullHit = true;
+      out.delta.total = faults.size();
+      out.delta.reused = faults.size();
+    } else {
+      // Key collision with a foreign artifact: recompute and overwrite.
+      out.result = mgr.run(wl, faults, &cov, copt);
+      out.delta.total = faults.size();
+      out.delta.simulated = faults.size();
+      obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
+      a["stimulus"] = stimJson;
+      a["opts_key"] = hashHex(optsKey);
+      if (opt_.store != nullptr) {
+        opt_.store->save("campaign", campaignKey, a);
       }
     }
   }
@@ -358,25 +272,14 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
           out.delta.total == 0 ? 0.0
                                : static_cast<double>(out.delta.simulated) /
                                      static_cast<double>(out.delta.total));
-  if (out.tieredRun) {
-    const auto tcount = [&](const char* k) -> double {
-      const obs::Json* v = out.tiers.find(k);
-      return v != nullptr && v->isNumber() ? v->asDouble() : 0.0;
-    };
-    reg.add("flow.tiers.runs", 1);
-    reg.set("flow.tiers.abstract_classes", tcount("abstract_classes"));
-    reg.set("flow.tiers.escalated_faults", tcount("escalated_faults"));
-    reg.set("flow.tiers.escalation_rate", tcount("escalation_rate"));
-    reg.set("flow.tiers.agreement", tcount("agreement"));
-  }
 
   obs::Json cj = obs::Json::object();
   cj["full_hit"] = out.fullHit;
   cj["delta_run"] = out.deltaRun;
-  // Campaigns run in-process only; perfbench/reference pins this key.
+  // Campaigns run in-process on one exact path; perfbench/reference pins
+  // both keys.
   cj["distributed_run"] = false;
-  cj["tiered_run"] = out.tieredRun;
-  if (out.tieredRun) cj["tiers"] = out.tiers;
+  cj["tiered_run"] = false;
   cj["delta"] = out.delta.toJson();
   cj["coverage_completeness"] = cov.completeness();
   cj["campaign"] = out.result.toJson(&db);

@@ -14,7 +14,6 @@
 
 #include "core/flow.hpp"
 #include "inject/delta.hpp"
-#include "inject/tiered.hpp"
 #include "sim/workload.hpp"
 
 namespace socfmea::core {
@@ -48,27 +47,15 @@ struct IncrementalOptions {
   /// architectural iterations.
   std::size_t memFaultsPerKind = 0;
   std::uint64_t memFaultSeed = 0x4D454Du;
-  /// Tiered campaign execution (inject/tiered.hpp).  With any mode other
-  /// than Exact the campaign stage is replaced by two content-addressed
-  /// stages — "abstract_sweep" (the SET→multi-SEU plan) and "escalation"
-  /// (the merged tiered records + measured accuracy envelope) — so a
-  /// re-run with an unchanged design/stimulus/fault list reloads the whole
-  /// tiered verdict set from the store, exactly like the exact path.
-  inject::TierOptions tier;
 };
 
 /// Outcome of one incremental campaign run.
 struct IncrementalCampaign {
   inject::CampaignResult result;
   inject::DeltaStats delta;
-  bool fullHit = false;    ///< whole campaign loaded from the store
-  bool deltaRun = false;   ///< head diff + cone reuse path taken
-  bool tieredRun = false;  ///< abstract sweep + escalation path taken
+  bool fullHit = false;   ///< whole campaign loaded from the store
+  bool deltaRun = false;  ///< head diff + cone reuse path taken
   std::size_t faultCount = 0;
-  /// The `campaign.tiers.*` accuracy-envelope block (tiered runs only):
-  /// per-tier counts, escalation rate, measured agreement, SFF/DDF
-  /// intervals.  Reloaded from the stored escalation artifact on a hit.
-  obs::Json tiers = obs::Json::object();
 };
 
 class IncrementalFlow {

@@ -149,10 +149,7 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   const auto faults = mgr.zoneFailureFaults(profile, opt.perBit, opt.seed);
   r.faults = faults.size();
 
-  inject::TierOptions topt;
-  topt.mode = opt.tier;
-  r.campaign =
-      inject::runTieredCampaign(mgr, wl, faults, topt, nullptr, opt.campaign);
+  r.campaign.merged = mgr.run(wl, faults, nullptr, opt.campaign);
 
   r.tally = r.campaign.merged.tally();
   r.measuredSff = inject::CampaignResult::measuredSff(r.tally);
@@ -182,7 +179,6 @@ obs::Json ScenarioResult::toJson() const {
   m["faults"] = static_cast<std::uint64_t>(faults);
   m["tally"] = tally.toJson();
   j["measured"] = m;
-  if (campaign.abstracted) j["tiers"] = campaign.tiersJson();
   return j;
 }
 

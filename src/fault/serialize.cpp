@@ -100,8 +100,8 @@ std::string faultKey(const netlist::Netlist& nl, const Fault& f) {
       break;
     case FaultKind::MultiSeu: {
       // Name-based so the key survives cell renumbering, exactly like the
-      // single-cell kinds above; '+'-joined in the (sorted) cell order the
-      // abstraction pass emits.
+      // single-cell kinds above; '+'-joined in the fault's (sorted) cell
+      // order.
       std::string joined;
       for (const netlist::CellId c : f.cells) {
         if (!joined.empty()) joined += '+';

@@ -21,12 +21,6 @@ class CoverageCollector {
   /// Accounts one injection's observation.
   void account(const InjectionObservation& obs);
 
-  /// Accumulates another collector's counters (built over the same
-  /// environment).  Every figure is a sum, so merging per-thread collectors
-  /// after a parallel campaign yields exactly the counters a serial
-  /// campaign would have produced.  Throws on an environment mismatch.
-  void merge(const CoverageCollector& other);
-
   // --- coverage items --------------------------------------------------------
 
   /// SENS items: each target zone must be perturbed by at least one

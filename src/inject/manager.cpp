@@ -233,11 +233,42 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
                                      const fault::FaultList& faults,
                                      CoverageCollector* coverage,
                                      const CampaignOptions& opt) {
+  // Fold repeated faults (zoneFailureFaults samples injection cycles with
+  // replacement, so a site with few live cycles can draw one twice).  This
+  // is exact: every serial machine and every bit-sliced lane starts from
+  // reset on the same recorded stimulus, so equal faults give equal records.
+  std::map<fault::Fault, std::size_t> firstIndex;
+  fault::FaultList distinct;
+  std::vector<std::size_t> slot;
+  slot.reserve(faults.size());
+  for (const fault::Fault& f : faults) {
+    const auto [it, fresh] = firstIndex.try_emplace(f, distinct.size());
+    if (fresh) distinct.push_back(f);
+    slot.push_back(it->second);
+  }
+
   const bool serial =
       opt.engine == faultsim::EngineKind::Serial ||
       (opt.engine == faultsim::EngineKind::Auto && opt.threads == 1);
-  if (!serial) return runBitsliced(wl, faults, coverage, opt);
+  CampaignResult result = serial ? runSerial(wl, distinct, opt)
+                                 : runBitsliced(wl, distinct, opt);
+  if (distinct.size() < faults.size()) {
+    std::vector<InjectionRecord> records;
+    records.reserve(faults.size());
+    for (const std::size_t d : slot) records.push_back(result.records[d]);
+    result.records = std::move(records);
+  }
+  if (coverage != nullptr) {
+    for (const InjectionRecord& rec : result.records) {
+      coverage->account(rec.obs);
+    }
+  }
+  return result;
+}
 
+CampaignResult InjectionManager::runSerial(sim::Workload& wl,
+                                           const fault::FaultList& faults,
+                                           const CampaignOptions& opt) {
   obs::Registry& reg = obs::Registry::global();
   obs::ScopedTimer campaignTimer("inject.campaign.serial");
   // Record the stimulus once; golden and every faulty machine replay it
@@ -276,7 +307,6 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
                   c > rec.obs.firstObsCycle + env_.detectionWindow);
         });
     rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
-    if (coverage != nullptr) coverage->account(rec.obs);
     result.records.push_back(std::move(rec));
   }
   reg.add("inject.campaigns");
@@ -290,7 +320,6 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
 
 CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
                                               const fault::FaultList& faults,
-                                              CoverageCollector* coverage,
                                               const CampaignOptions& opt) {
   obs::Registry& reg = obs::Registry::global();
   const obs::ScopedTimer campaignTimer("inject.campaign.bitsliced");
@@ -337,7 +366,6 @@ CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
     rec.obs.diag = lo.diag;
     rec.obs.diagCycle = lo.diagCycle;
     rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
-    if (coverage != nullptr) coverage->account(rec.obs);
     result.records.push_back(std::move(rec));
   }
   result.cyclesSimulated = campaign.cyclesSimulated;

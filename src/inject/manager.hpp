@@ -172,16 +172,13 @@ class InjectionManager {
     return env_;
   }
   [[nodiscard]] const netlist::Netlist& design() const noexcept { return *nl_; }
-  /// The compiled form every campaign machine shares (the tiered campaign's
-  /// abstraction pass walks its CSR fanout).
-  [[nodiscard]] const netlist::CompiledDesign& compiled() const noexcept {
-    return *cd_;
-  }
 
   /// Runs the campaign; `coverage`, when non-null, accumulates the
-  /// completeness counters.  This is the one place EngineKind::Auto is
-  /// resolved: the serial oracle at opt.threads == 1 (one faulty machine at
-  /// a time through faultsim::runMachine, classified by the lockstep
+  /// completeness counters once per list position.  Repeated faults are
+  /// folded: each distinct fault is simulated once and its record copied to
+  /// every position that holds it.  This is the one place EngineKind::Auto
+  /// is resolved: the serial oracle at opt.threads == 1 (one faulty machine
+  /// at a time through faultsim::runMachine, classified by the lockstep
   /// monitors), the bit-sliced engine otherwise.  Records are in fault-list
   /// order and bit-identical across engines and thread counts.
   [[nodiscard]] CampaignResult run(sim::Workload& wl,
@@ -198,13 +195,17 @@ class InjectionManager {
       std::uint64_t seed) const;
 
  private:
-  /// Bit-sliced fault-parallel campaign: builds a LaneWatch from the
-  /// environment (target-zone net groups, observation nets, alarm nets),
-  /// runs faultsim::runBitslicedWatch and maps the lane observations back
-  /// to InjectionRecords.
+  /// The serial oracle over a list of distinct faults.
+  [[nodiscard]] CampaignResult runSerial(sim::Workload& wl,
+                                         const fault::FaultList& faults,
+                                         const CampaignOptions& opt);
+
+  /// Bit-sliced fault-parallel campaign over a list of distinct faults:
+  /// builds a LaneWatch from the environment (target-zone net groups,
+  /// observation nets, alarm nets), runs faultsim::runBitslicedWatch and
+  /// maps the lane observations back to InjectionRecords.
   [[nodiscard]] CampaignResult runBitsliced(sim::Workload& wl,
                                             const fault::FaultList& faults,
-                                            CoverageCollector* coverage,
                                             const CampaignOptions& opt);
 
   /// Exports compiled-design shape and evaluation-economy telemetry into

@@ -240,34 +240,6 @@ void extendForwardReach(const CompiledDesign& cd, ForwardReach& reach,
               /*throughMemories=*/true, nullptr);
 }
 
-CombFrontier combFrontier(const CompiledDesign& cd,
-                          const std::vector<NetId>& seeds) {
-  CombFrontier fr;
-  fr.reach = emptyReach(cd);
-  std::vector<CellId> reached;
-  walkForward(cd, fr.reach, seeds, /*throughRegisters=*/false,
-              /*throughMemories=*/false, &reached);
-  std::sort(reached.begin(), reached.end());
-  for (const CellId c : reached) {
-    const CellType t = cd.cellType(c);
-    if (t == CellType::Dff) {
-      fr.ffs.push_back(c);
-    } else if (t == CellType::Output) {
-      fr.outputs.push_back(c);
-    }
-  }
-  for (NetId n = 0; n < cd.netCount(); ++n) {
-    if (fr.reach.net[n] == 0) continue;
-    for (const MemoryId m : cd.memWriteSinks(n)) {
-      (void)m;
-      fr.reachesMemory = true;
-      break;
-    }
-    if (fr.reachesMemory) break;
-  }
-  return fr;
-}
-
 std::vector<NetId> combFanoutNets(const Netlist& nl, NetId src) {
   std::vector<bool> netSeen(nl.netCount(), false);
   std::vector<NetId> stack{src};

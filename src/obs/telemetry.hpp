@@ -6,11 +6,11 @@
 // the metric sections that CI diffs against the golden report, because
 // timings are machine-dependent.
 //
-// Concurrency model, mirroring inject::CoverageCollector::merge: a worker
-// either updates a shared Registry directly (every mutator is thread-safe)
-// or owns a private Registry that the coordinator merge()s at the end —
-// every figure is a sum (or last-write gauge), so merged per-worker
-// registries equal what a serial run would have produced.
+// Concurrency model: a worker either updates a shared Registry directly
+// (every mutator is thread-safe) or owns a private Registry that the
+// coordinator merge()s at the end — every figure is a sum (or last-write
+// gauge), so merged per-worker registries equal what a serial run would have
+// produced.
 #pragma once
 
 #include <chrono>

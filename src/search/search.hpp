@@ -41,7 +41,6 @@ struct SearchOptions {
   /// In-process campaign threads per candidate evaluation
   /// (inject::CampaignOptions::threads).
   unsigned threads = 1;
-  inject::TierOptions tier;
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
   /// Campaign shape — kept identical to examples/memsys_sil3_flow so the
   /// store can be shared between the CLI flows and the search.

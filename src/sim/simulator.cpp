@@ -164,7 +164,11 @@ void Simulator::settleFull() {
   }
 }
 
-void Simulator::settleEvent() {
+// The event-driven sweep is the serial campaign's hot loop.  Pinning it to a
+// cache line keeps its fetch alignment independent of how much code the
+// linker places before this file: shifted by deletions elsewhere, it measured
+// about 10 % slower end to end on the perfbench memsys workloads.
+[[gnu::aligned(64)]] void Simulator::settleEvent() {
   ++perf_.combEvals;
   ++perf_.eventSettles;
   // Seed: refresh each dirty net from its source.  Nets driven by a gate

@@ -1,5 +1,5 @@
 // Unit tests for the shared CLI surface (tools/cli_common) — the one
-// spelling of the --json/--cache-dir/--threads/--engine/--tier parsing that
+// spelling of the --json/--cache-dir/--threads/--engine parsing that
 // memsys_sil3_flow, injection_campaign and arch_search share, plus the
 // strict value parsers every campaign tool uses for its own flags.
 // The helpers are pure (no printing, no exit()), so the tests drive them
@@ -39,8 +39,7 @@ ParseRun parseAll(std::vector<const char*> argv) {
 
 TEST(CliCommon, ParsesEverydaySharedFlagSet) {
   const ParseRun run = parseAll({"--json", "out.json", "--cache-dir", "/tmp/s",
-                                 "--threads", "4", "--engine", "bitsliced",
-                                 "--tier", "auto"});
+                                 "--threads", "4", "--engine", "bitsliced"});
   for (const cli::FlagStatus st : run.statuses) {
     EXPECT_EQ(st, cli::FlagStatus::Consumed);
   }
@@ -50,8 +49,6 @@ TEST(CliCommon, ParsesEverydaySharedFlagSet) {
   EXPECT_TRUE(run.flags.threadsSet);
   EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Bitsliced);
   EXPECT_TRUE(run.flags.engineSet);
-  EXPECT_EQ(run.flags.tier, socfmea::inject::TierMode::Auto);
-  EXPECT_TRUE(run.flags.tierSet);
   EXPECT_TRUE(run.flags.anyIterationFlag());
 }
 
@@ -66,11 +63,13 @@ TEST(CliCommon, UnknownFlagIsLeftToTheCaller) {
   const ParseRun run = parseAll({"--edit", "0.1"});
   EXPECT_EQ(run.statuses.front(), cli::FlagStatus::NotMine);
   EXPECT_EQ(run.flags.jsonPath, nullptr);
+  // --tier is not a shared flag: the caller rejects it (exit 2).
+  EXPECT_EQ(parseAll({"--tier", "abstract"}).statuses.front(),
+            cli::FlagStatus::NotMine);
 }
 
 TEST(CliCommon, MissingValueIsAnError) {
-  for (const char* flag :
-       {"--json", "--cache-dir", "--threads", "--engine", "--tier"}) {
+  for (const char* flag : {"--json", "--cache-dir", "--threads", "--engine"}) {
     const ParseRun run = parseAll({flag});
     EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Error) << flag;
     EXPECT_NE(run.error.find("needs a value"), std::string::npos) << flag;
@@ -84,7 +83,7 @@ TEST(CliCommon, BadThreadCountIsAnError) {
   }
 }
 
-TEST(CliCommon, UnknownEngineAndTierAreErrors) {
+TEST(CliCommon, UnknownEngineIsAnError) {
   EXPECT_EQ(parseAll({"--engine", "warp"}).statuses.front(),
             cli::FlagStatus::Error);
   // `threaded` names no engine: it is rejected like any other unknown name.
@@ -92,13 +91,10 @@ TEST(CliCommon, UnknownEngineAndTierAreErrors) {
   EXPECT_EQ(threaded.statuses.front(), cli::FlagStatus::Error);
   EXPECT_NE(threaded.error.find("unknown engine 'threaded'"),
             std::string::npos);
-  EXPECT_EQ(parseAll({"--tier", "turbo"}).statuses.front(),
-            cli::FlagStatus::Error);
 }
 
 TEST(CliCommon, UsageTextCoversEverySharedFlag) {
-  for (const char* flag :
-       {"--json", "--cache-dir", "--threads", "--engine", "--tier"}) {
+  for (const char* flag : {"--json", "--cache-dir", "--threads", "--engine"}) {
     EXPECT_NE(cli::commonUsageSynopsis().find(flag), std::string::npos)
         << flag;
     EXPECT_NE(cli::commonUsageDetails().find(flag), std::string::npos) << flag;
@@ -140,7 +136,7 @@ TEST(CliCommon, ParseFractionRejectsNegativeAndTrailingJunk) {
   EXPECT_DOUBLE_EQ(f, 0.25);
   EXPECT_TRUE(cli::parseFraction("2", f));
   EXPECT_DOUBLE_EQ(f, 2.0);
-  for (const char* bad : {"", "-0.1", "0.1x", "nope"}) {
+  for (const char* bad : {"", "-0.1", "0.1x", "nope", "nan", "inf", "1e999"}) {
     EXPECT_FALSE(cli::parseFraction(bad, f)) << bad;
   }
   EXPECT_FALSE(cli::parseFraction(nullptr, f));

@@ -1,8 +1,7 @@
 // Criticality attribution + transform-library suites:
 //   * Count-weighting invariant: per-site and per-zone dangerous-undetected
 //     contributions sum to the campaign tally's DU total — under the serial
-//     reference engine, the bit-sliced engine (identical attribution) and
-//     the tiered abstract->exact path (same invariant on merged records);
+//     reference engine and the bit-sliced engine (identical attribution);
 //   * a testkit fuzz hook: the invariant holds on seeded random designs;
 //   * transform soundness: every netlist transform is a pure addition
 //     (netlist::diff reports added items only), policy transforms edit
@@ -15,7 +14,6 @@
 
 #include "inject/manager.hpp"
 #include "inject/profile.hpp"
-#include "inject/tiered.hpp"
 #include "inject/workload.hpp"
 #include "memsys/gatelevel.hpp"
 #include "netlist/diff.hpp"
@@ -100,7 +98,7 @@ void expectCountInvariant(const sr::CriticalityMap& crit,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// count-weighting invariant: serial / bitsliced / tiered
+// count-weighting invariant: serial / bitsliced
 // ---------------------------------------------------------------------------
 
 TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
@@ -132,15 +130,6 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
     EXPECT_EQ(critSerial.sites()[i].dangerousUndetected,
               critSliced.sites()[i].dangerousUndetected);
   }
-
-  // Tiered abstract->exact path: merged records keep the invariant.
-  ij::TierOptions topt;
-  topt.mode = ij::TierMode::Abstract;
-  const ij::TieredResult tiered =
-      ij::runTieredCampaign(mgr, wl, faults, topt);
-  const auto critTiered =
-      sr::CriticalityMap::fromCampaign(tb.n, tb.db, tiered.merged);
-  expectCountInvariant(critTiered, tiered.merged);
 }
 
 TEST(Criticality, UncheckedRegisterRanksAboveParityProtectedOne) {

@@ -12,6 +12,7 @@
 #include "inject/manager.hpp"
 #include "inject/workload.hpp"
 #include "netlist/builder.hpp"
+#include "obs/telemetry.hpp"
 #include "zones/extract.hpp"
 
 namespace nl = socfmea::netlist;
@@ -547,6 +548,64 @@ TEST(ManagerTest, LatentSetPulseFiresInEveryEngine) {
     EXPECT_EQ(res.records[0].obs.firstObsCycle, 30u);
     EXPECT_NE(res.records[0].outcome, ij::Outcome::NoEffect);
     EXPECT_NE(res.records[0].outcome, ij::Outcome::SafeMasked);
+  }
+}
+
+TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
+  // A list may hold one fault twice (zoneFailureFaults samples cycles with
+  // replacement).  Each distinct fault is simulated once, yet every list
+  // position keeps its own record and its own coverage count.
+  Testbed tb;
+  ft::Fault a;
+  a.kind = ft::FaultKind::SeuFlip;
+  a.cell = *tb.n.findCell("dreg_1");
+  a.cycle = 20;
+  ft::Fault b = a;
+  b.cell = tb.pregFf;
+  ft::Fault c = a;
+  c.cell = tb.spareFf;
+  c.cycle = 33;
+  const ft::FaultList faults{a, b, a, c, b};
+
+  auto wl = tb.workload(64);
+  ij::InjectionManager mgr(tb.n, tb.env());
+  socfmea::obs::Registry& reg = socfmea::obs::Registry::global();
+  using socfmea::faultsim::EngineKind;
+  struct Config {
+    EngineKind engine;
+    unsigned threads;
+  };
+  for (const Config cfg : {Config{EngineKind::Serial, 1},
+                           Config{EngineKind::Bitsliced, 1},
+                           Config{EngineKind::Bitsliced, 2}}) {
+    SCOPED_TRACE(std::string(socfmea::faultsim::engineKindName(cfg.engine)) +
+                 " x" + std::to_string(cfg.threads));
+    ij::CampaignOptions opt;
+    opt.engine = cfg.engine;
+    opt.threads = cfg.threads;
+    ij::CoverageCollector cov(mgr.environment());
+    const std::uint64_t before = reg.counter("inject.faults_simulated");
+    const auto res = mgr.run(wl, faults, &cov, opt);
+    EXPECT_EQ(reg.counter("inject.faults_simulated") - before, 3u);
+    EXPECT_EQ(cov.injections(), 5u);
+    ASSERT_EQ(res.records.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      SCOPED_TRACE(i);
+      const ij::InjectionRecord& got = res.records[i];
+      const ij::InjectionRecord want =
+          mgr.run(wl, {faults[i]}, nullptr, opt).records.at(0);
+      EXPECT_TRUE(got.fault == want.fault);
+      EXPECT_EQ(got.zone, want.zone);
+      EXPECT_EQ(got.outcome, want.outcome);
+      EXPECT_EQ(got.obs.sens, want.obs.sens);
+      EXPECT_EQ(got.obs.sensCycle, want.obs.sensCycle);
+      EXPECT_EQ(got.obs.zonesDeviated, want.obs.zonesDeviated);
+      EXPECT_EQ(got.obs.obs, want.obs.obs);
+      EXPECT_EQ(got.obs.firstObsCycle, want.obs.firstObsCycle);
+      EXPECT_EQ(got.obs.obsDeviated, want.obs.obsDeviated);
+      EXPECT_EQ(got.obs.diag, want.obs.diag);
+      EXPECT_EQ(got.obs.diagCycle, want.obs.diagCycle);
+    }
   }
 }
 

@@ -135,8 +135,8 @@ TEST(RegistryTest, CountersGaugesTimers) {
 }
 
 TEST(RegistryTest, MergeMatchesSerialAccumulation) {
-  // The CoverageCollector::merge contract: merged per-worker registries
-  // equal what one serial registry would have recorded.
+  // The merge contract: merged per-worker registries equal what one serial
+  // registry would have recorded.
   Registry serial;
   std::vector<Registry> workers(4);
   for (int w = 0; w < 4; ++w) {

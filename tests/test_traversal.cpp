@@ -1,16 +1,13 @@
 // Property tests for the consolidated forward-cone walker
-// (netlist/traversal): the incremental flow's affected cone, the bit-sliced
-// engine's cone union and the SET→multi-SEU abstraction all share ONE
-// walkForward implementation, so the tests here cross-check that shared
-// walker against the independent Netlist-form traversal on random designs —
-// identical reach sets, union-distributivity of extendForwardReach and the
-// documented comb-bounded semantics of combFrontier.
+// (netlist/traversal): the incremental flow's affected cone and the compiled
+// forwardReach share ONE walkForward implementation, so the tests here
+// cross-check that shared walker against the independent Netlist-form
+// traversal on random designs — identical reach sets and the
+// union-distributivity of extendForwardReach.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
-#include "netlist/builder.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/traversal.hpp"
 #include "sim/rng.hpp"
@@ -99,71 +96,3 @@ TEST(TraversalPropertyTest, ExtendSeedBySeedEqualsOneShot) {
   }
 }
 
-// combFrontier is the comb-bounded slice of the same walker: its FF / output
-// lists must be exactly the Dff / Output cells of the Netlist-form walk with
-// registers NOT crossed, its closure a subset of the full closure, and
-// reachesMemory must agree with a direct scan of the reached nets' memory
-// write sinks.
-TEST(TraversalPropertyTest, CombFrontierMatchesRegisterBoundedWalk) {
-  sm::Rng rng(0xF0CA1);
-  for (int iter = 0; iter < 25; ++iter) {
-    tk::GeneratorOptions gopt = tk::randomOptions(rng);
-    const nl::Netlist n = tk::generateNetlist(gopt, rng);
-    const nl::CompiledDesignPtr cd = nl::compile(n);
-    for (const nl::NetId seed : sampleSeeds(n)) {
-      const nl::CombFrontier fr = nl::combFrontier(*cd, {seed});
-
-      std::set<nl::CellId> wantFfs;
-      std::set<nl::CellId> wantOuts;
-      for (const nl::CellId c :
-           nl::forwardReach(n, {seed}, /*throughRegisters=*/false)) {
-        if (n.cell(c).type == nl::CellType::Dff) wantFfs.insert(c);
-        if (n.cell(c).type == nl::CellType::Output) wantOuts.insert(c);
-      }
-      EXPECT_EQ(asSet(fr.ffs), wantFfs);
-      EXPECT_EQ(asSet(fr.outputs), wantOuts);
-      EXPECT_TRUE(std::is_sorted(fr.ffs.begin(), fr.ffs.end()));
-      EXPECT_TRUE(std::is_sorted(fr.outputs.begin(), fr.outputs.end()));
-
-      bool wantMem = false;
-      for (nl::NetId net = 0; net < fr.reach.net.size(); ++net) {
-        if (fr.reach.net[net] != 0 && !cd->memWriteSinks(net).empty()) {
-          wantMem = true;
-        }
-      }
-      EXPECT_EQ(fr.reachesMemory, wantMem);
-
-      const nl::ForwardReach full = nl::forwardReach(*cd, {seed});
-      for (nl::NetId net = 0; net < fr.reach.net.size(); ++net) {
-        if (fr.reach.net[net] != 0) {
-          EXPECT_NE(full.net[net], 0);
-        }
-      }
-    }
-  }
-}
-
-// Deterministic fixture: in -> g1 -> ffA; ffA.q -> g2 -> out.  The comb cone
-// of g1 stops at the flip-flop; the cone of g2 sees only the output port.
-TEST(TraversalTest, CombFrontierStopsAtRegisters) {
-  nl::Netlist n("frontier");
-  nl::Builder b(n);
-  const nl::NetId in = b.input("in");
-  const nl::NetId g1 = b.band(in, in);
-  const nl::NetId q = b.dff("ffA", g1);
-  const nl::NetId g2 = b.bnot(q);
-  b.output("out", g2);
-  n.check();
-  const nl::CompiledDesignPtr cd = nl::compile(n);
-
-  const nl::CombFrontier f1 = nl::combFrontier(*cd, {g1});
-  ASSERT_EQ(f1.ffs.size(), 1u);
-  EXPECT_EQ(f1.ffs[0], *n.findCell("ffA"));
-  EXPECT_TRUE(f1.outputs.empty());
-  EXPECT_FALSE(f1.reachesMemory);
-
-  const nl::CombFrontier f2 = nl::combFrontier(*cd, {g2});
-  EXPECT_TRUE(f2.ffs.empty());
-  ASSERT_EQ(f2.outputs.size(), 1u);
-  EXPECT_EQ(f2.outputs[0], *n.findCell("out"));
-}

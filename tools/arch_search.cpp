@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
   sopt.maxRounds = rounds;
   sopt.candidatesPerRound = candidates;
   sopt.threads = flags.threads;
-  sopt.tier.mode = flags.tier;
   sopt.engine = flags.engine;
   sopt.verifyFinal = verify;
   sopt.log = [](const std::string& line) { std::cout << line << "\n"; };

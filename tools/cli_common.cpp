@@ -1,6 +1,7 @@
 #include "tools/cli_common.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -59,26 +60,12 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
     out.engineSet = true;
     return FlagStatus::Consumed;
   }
-  if (std::strcmp(arg, "--tier") == 0) {
-    const char* v = flagValue(argc, argv, i, error);
-    if (v == nullptr) return FlagStatus::Error;
-    const auto m = inject::tierModeFromName(v);
-    if (!m) {
-      error = std::string("--tier: unknown tier '") + v +
-              "' (abstract | exact | auto)";
-      return FlagStatus::Error;
-    }
-    out.tier = *m;
-    out.tierSet = true;
-    return FlagStatus::Consumed;
-  }
   return FlagStatus::NotMine;
 }
 
 const std::string& commonUsageSynopsis() {
   static const std::string s =
-      "[--json <path>] [--cache-dir <dir>] [--threads N]"
-      " [--engine <kind>] [--tier <mode>]";
+      "[--json <path>] [--cache-dir <dir>] [--threads N] [--engine <kind>]";
   return s;
 }
 
@@ -90,10 +77,7 @@ const std::string& commonUsageDetails() {
       "               --engine auto, N != 1 runs the bit-sliced engine\n"
       "  --engine     campaign engine: serial | bitsliced | auto (auto ="
       " serial at\n"
-      "               one thread, bit-sliced otherwise)\n"
-      "  --tier       campaign tier: abstract | exact | auto (abstract ="
-      " SET->multi-SEU sweep\n"
-      "               with exact-resim escalation)\n";
+      "               one thread, bit-sliced otherwise)\n";
   return s;
 }
 
@@ -134,7 +118,7 @@ bool parseFraction(const char* s, double& out) {
   if (s == nullptr || *s == '\0') return false;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || v < 0.0) return false;
+  if (end == s || *end != '\0' || !std::isfinite(v) || v < 0.0) return false;
   out = v;
   return true;
 }

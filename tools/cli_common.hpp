@@ -1,6 +1,6 @@
 // Shared CLI surface of the campaign tools.  memsys_sil3_flow,
 // injection_campaign and arch_search share the same iteration flags
-// (--json / --cache-dir / --threads / --engine / --tier) with the same
+// (--json / --cache-dir / --threads / --engine) with the same
 // exit-2 usage convention; this is the one spelling of that parsing.  The
 // strict value parsers serve every tool's own numeric flags too.
 //
@@ -16,7 +16,6 @@
 
 #include "core/artifact_store.hpp"
 #include "faultsim/serial.hpp"
-#include "inject/tiered.hpp"
 
 namespace socfmea::cli {
 
@@ -29,15 +28,13 @@ struct CommonFlags {
   /// concurrency).
   unsigned threads = 1;
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
-  inject::TierMode tier = inject::TierMode::Exact;
   bool threadsSet = false;
   bool engineSet = false;
-  bool tierSet = false;
 
   /// Any shared flag besides --json was given (the tools use this to switch
   /// into their incremental / store-backed mode).
   [[nodiscard]] bool anyIterationFlag() const noexcept {
-    return cacheDir != nullptr || threadsSet || engineSet || tierSet;
+    return cacheDir != nullptr || threadsSet || engineSet;
   }
 };
 
@@ -67,7 +64,8 @@ enum class FlagStatus {
 
 /// Strict unsigned / non-negative-fraction value parsers (whole-string,
 /// base 10) shared by the tools' own flags (--max-resim, --seed, ...).  A
-/// failed parse leaves `out` untouched.
+/// fraction must be finite: nan, inf and overflowing literals are rejected.
+/// A failed parse leaves `out` untouched.
 [[nodiscard]] bool parseUnsigned(const char* s, unsigned& out);
 [[nodiscard]] bool parseUnsigned(const char* s, std::uint64_t& out);
 [[nodiscard]] bool parseFraction(const char* s, double& out);
