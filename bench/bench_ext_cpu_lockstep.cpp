@@ -38,7 +38,7 @@ void printTable() {
     const auto profile =
         inject::OperationalProfile::record(flow.zones(), wl);
     // The injection manager's campaign — the same path the scenario suite
-    // (bench_cpu_mitigations) uses.
+    // (cpu::scenarios, run by examples/cpu_mitigation_flow) uses.
     const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 9));
     const auto silHft1 =
         fmea::silFromSff(flow.sff(), a.hft, fmea::ElementType::TypeB);

@@ -6,16 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/frmem_config.hpp"
 #include "memsys/workloads.hpp"
-#include "obs/json.hpp"
 
 namespace benchutil {
 
@@ -47,60 +43,6 @@ inline void banner(const char* experiment, const char* paperArtefact) {
             << "experiment " << experiment << " — " << paperArtefact << "\n"
             << "================================================================\n";
 }
-
-/// Flat JSON object written next to the bench binary (e.g.
-/// BENCH_campaign.json) so CI can diff headline numbers across runs
-/// without scraping stdout.  Backed by the shared obs::Json document
-/// model: proper string escaping, exact integers, shortest-round-trip
-/// doubles, insertion-ordered keys.
-class JsonDump {
- public:
-  explicit JsonDump(std::string path)
-      : path_(std::move(path)), doc_(socfmea::obs::Json::object()) {}
-
-  JsonDump& field(const std::string& key, double v) {
-    doc_[key] = socfmea::obs::Json(v);
-    return *this;
-  }
-  JsonDump& field(const std::string& key, std::uint64_t v) {
-    doc_[key] = socfmea::obs::Json(v);
-    return *this;
-  }
-  JsonDump& field(const std::string& key, bool v) {
-    doc_[key] = socfmea::obs::Json(v);
-    return *this;
-  }
-  JsonDump& field(const std::string& key, const std::string& v) {
-    doc_[key] = socfmea::obs::Json(v);
-    return *this;
-  }
-  // Without this overload a string literal would bind to the bool one.
-  JsonDump& field(const std::string& key, const char* v) {
-    doc_[key] = socfmea::obs::Json(v);
-    return *this;
-  }
-  // Structured sub-documents (arrays of per-scenario objects etc.).
-  JsonDump& field(const std::string& key, socfmea::obs::Json v) {
-    doc_[key] = std::move(v);
-    return *this;
-  }
-
-  /// Writes the accumulated fields; returns false (and warns) on IO error.
-  bool write() const {
-    std::ofstream out(path_);
-    out << doc_.dump(2) << "\n";
-    if (!out) {
-      std::cerr << "warning: could not write " << path_ << "\n";
-      return false;
-    }
-    std::cout << "wrote " << path_ << "\n";
-    return true;
-  }
-
- private:
-  std::string path_;
-  socfmea::obs::Json doc_;
-};
 
 /// Emits the table then runs the registered google-benchmark timings.
 inline int runBench(int argc, char** argv, void (*printTable)()) {

@@ -19,9 +19,9 @@ using netlist::hashString;
 namespace {
 
 std::uint64_t campaignOptionsHash(const inject::CampaignOptions& copt) {
-  // engine / laneWords / threads / evalMode are excluded on purpose: the
-  // engines are record-identical across them (CI-tested), so they must not
-  // split the cache.
+  // engine / laneWords / threads are excluded on purpose: the engines are
+  // record-identical across them (CI-tested), so they must not split the
+  // cache.
   std::uint64_t h = hashMix(0xCA4Bu, copt.earlyAbort ? 1 : 0);
   if (copt.preexisting) {
     const fault::Fault& f = *copt.preexisting;

@@ -280,7 +280,7 @@ CampaignResult InjectionManager::runSerial(sim::Workload& wl,
   }();
   const GoldenReference golden = [&] {
     const obs::ScopedTimer t("inject.record_golden");
-    return recordGoldenReference(cd_, env_, wl, stim, opt.evalMode);
+    return recordGoldenReference(cd_, env_, wl, stim);
   }();
 
   CampaignResult result;
@@ -290,7 +290,6 @@ CampaignResult InjectionManager::runSerial(sim::Workload& wl,
       opt.preexisting.has_value() ? &*opt.preexisting : nullptr;
 
   sim::Simulator sim(cd_);
-  sim.setEvalMode(opt.evalMode);
   for (const fault::Fault& f : faults) {
     InjectionRecord rec;
     rec.fault = f;
@@ -339,7 +338,6 @@ CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
   fopt.earlyAbort = opt.earlyAbort;
   fopt.laneWords = opt.laneWords;
   fopt.threads = opt.threads;
-  fopt.evalMode = opt.evalMode;
 
   const faultsim::BitslicedCampaign campaign = faultsim::runBitslicedWatch(
       ctx, wl, faults, watch, opt.preexisting, fopt);

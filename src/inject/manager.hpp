@@ -153,11 +153,6 @@ struct CampaignOptions {
   /// bit-identical regardless of the value; only cyclesSimulated /
   /// checkpoint stats differ.
   unsigned threads = 1;
-  /// Combinational evaluation strategy for every machine in the campaign
-  /// (golden recorder and faulty replicas alike).  EventDriven re-settles
-  /// only the disturbed cone per cycle; FullSettle is the whole-graph
-  /// reference oracle.  Records are bit-identical in either mode.
-  sim::EvalMode evalMode = sim::EvalMode::EventDriven;
 };
 
 class InjectionManager {

@@ -86,8 +86,7 @@ LockstepMonitors::LockstepMonitors(const InjectionEnvironment& env,
 GoldenReference recordGoldenReference(netlist::CompiledDesignPtr cd,
                                       const InjectionEnvironment& env,
                                       sim::Workload& wl,
-                                      const faultsim::StimulusTrace& stim,
-                                      sim::EvalMode evalMode) {
+                                      const faultsim::StimulusTrace& stim) {
   GoldenReference g;
   g.cycles = stim.cycles();
   g.zoneSnaps.assign(env.targetZones.size(), {});
@@ -96,7 +95,6 @@ GoldenReference recordGoldenReference(netlist::CompiledDesignPtr cd,
   g.alarmSnaps.reserve(g.cycles);
 
   sim::Simulator sim(std::move(cd));
-  sim.setEvalMode(evalMode);
   wl.restart();
   sim.reset();
   const auto& db = *env.zones;

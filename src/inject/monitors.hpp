@@ -75,12 +75,9 @@ class LockstepMonitors {
 /// Records the golden reference with one fault-free replay of the recorded
 /// stimulus, the one every faulty machine replays; the workload's
 /// deterministic backdoor actions are re-executed per cycle.  The golden
-/// Simulator shares the campaign's compiled design and runs under
-/// `evalMode` (values are bit-identical in either mode; the mode only
-/// decides how much work each settle does).
+/// Simulator shares the campaign's compiled design.
 [[nodiscard]] GoldenReference recordGoldenReference(
     netlist::CompiledDesignPtr cd, const InjectionEnvironment& env,
-    sim::Workload& wl, const faultsim::StimulusTrace& stim,
-    sim::EvalMode evalMode = sim::EvalMode::EventDriven);
+    sim::Workload& wl, const faultsim::StimulusTrace& stim);
 
 }  // namespace socfmea::inject

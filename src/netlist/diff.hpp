@@ -53,9 +53,6 @@ struct NetlistDiff {
            changedCells.empty() && addedMems.empty() && removedMems.empty() &&
            changedMems.empty();
   }
-  [[nodiscard]] std::size_t touchedCells() const noexcept {
-    return addedCells.size() + removedCells.size() + changedCells.size();
-  }
 };
 
 /// Structural diff from design `a` (old) to design `b` (new).

@@ -37,6 +37,8 @@ int usage(const char* argv0) {
                "  --seed       proposal tie-breaking seed\n"
                "  --rounds     beam-search round cap (default 16)\n"
                "  --beam       beam width (default 3)\n"
+               "  --candidates proposals per beam state per round"
+               " (default 6)\n"
                "  --no-verify  skip the final cold flat bit-identity"
                " re-run\n";
   return 2;
@@ -150,6 +152,7 @@ int main(int argc, char** argv) {
     obs::Json report = obs::Json::object();
     report["schema"] = obs::Json("socfmea.arch_search/1");
     report["target_sff"] = obs::Json(targetSff);
+    report["budget"] = obs::Json(budget);
     report["search"] = res.toJson();
     report["telemetry"] = obs::Registry::global().toJson();
     std::ofstream out(flags.jsonPath);

@@ -8,7 +8,8 @@
 //     ulp-level allowance for compiler differences, nowhere near the size
 //     of a real metrics regression).  Keys only present in the actual
 //     report are ignored, so adding new telemetry never breaks the gate.
-//     Exit 0 when everything matches, 1 with one line per mismatch.
+//     Exit 0 when everything matches, 1 with one line per mismatch, 2 on a
+//     usage error (an rtol that is not a finite number in [0, 1) is one).
 //
 //   report_gate strip <in.json> <out.json> [key...]
 //     Deep-copies the document dropping every object member whose name is
@@ -135,6 +136,19 @@ Json strip(const Json& j, const std::vector<std::string>& drop) {
   return j;
 }
 
+/// Strict whole-string rtol, as cli::parseFraction reads fractions (this
+/// tool links only the obs layer).  An rtol of 1 or more would accept any
+/// two numbers of the same sign, so it is rejected too.
+bool parseRtol(const char* s, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v < 0.0 || v >= 1.0) {
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 int usage() {
   std::cerr << "usage: report_gate check <golden.json> <actual.json> [rtol]\n"
                "       report_gate strip <in.json> <out.json> [key...]\n";
@@ -149,7 +163,12 @@ int main(int argc, char** argv) {
 
   if (mode == "check") {
     if (argc != 4 && argc != 5) return usage();
-    const double rtol = argc == 5 ? std::atof(argv[4]) : 1e-9;
+    double rtol = 1e-9;
+    if (argc == 5 && !parseRtol(argv[4], rtol)) {
+      std::cerr << "report_gate: rtol needs a finite number in [0, 1), got '"
+                << argv[4] << "'\n";
+      return 2;
+    }
     const Json golden = loadFile(argv[2]);
     const Json actual = loadFile(argv[3]);
     const std::size_t bad = check(golden, actual, "", rtol);
