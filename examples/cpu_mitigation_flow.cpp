@@ -9,9 +9,12 @@
 // injection campaign — and prints the HW-vs-SW comparison table: analytic
 // SFF/DC/SIL next to the measured SFF/DDF of each mitigation, all against
 // the unprotected baseline.  --threads T runs each campaign over T threads
-// (0 = all cores; under --engine auto, T != 1 runs the bit-sliced engine);
-// --records dumps every injection record for cross-engine debugging.  A
-// malformed numeric value exits 2 with a one-line diagnostic.
+// (0 = all cores).  Unlike the other campaign CLIs, --engine auto at one
+// thread still runs the serial oracle here: a temporary exception in
+// cpu::scenarios::runScenario that waits on a benchmark-harness fix; any
+// other thread count runs the bit-sliced engine.  --records dumps every
+// injection record for cross-engine debugging.  A malformed numeric value
+// exits 2 with a one-line diagnostic.
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>

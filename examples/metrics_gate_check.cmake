@@ -3,12 +3,20 @@
 # memsys_sil3.golden.json).  The golden is a subset spec — strings exact,
 # numbers at rtol 1e-9 — regenerate it with scripts/update_golden.sh after
 # an intentional metrics change.
-execute_process(COMMAND ${FLOW} --json ${WORK}/memsys_sil3.json
+#
+# Optional: ARGS, extra flow arguments in one space-separated string (e.g.
+# "--engine serial"), and NAME, the base name of the files this run writes
+# under WORK (default memsys_sil3), so variants can run in parallel.
+if(NOT DEFINED NAME)
+  set(NAME memsys_sil3)
+endif()
+separate_arguments(extra_args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${FLOW} ${extra_args} --json ${WORK}/${NAME}.json
                 RESULT_VARIABLE rc1 OUTPUT_QUIET)
 if(NOT rc1 EQUAL 0)
-  message(FATAL_ERROR "memsys_sil3_flow failed (rc ${rc1})")
+  message(FATAL_ERROR "memsys_sil3_flow ${ARGS} failed (rc ${rc1})")
 endif()
-execute_process(COMMAND ${GATE} check ${GOLDEN} ${WORK}/memsys_sil3.json
+execute_process(COMMAND ${GATE} check ${GOLDEN} ${WORK}/${NAME}.json
                 RESULT_VARIABLE rc2)
 if(NOT rc2 EQUAL 0)
   message(FATAL_ERROR
@@ -24,9 +32,9 @@ string(REPLACE "SIL3" "SIL2" perturbed_text "${golden_text}")
 if(perturbed_text STREQUAL golden_text)
   message(FATAL_ERROR "metrics gate self-test: golden lacks a SIL3 verdict")
 endif()
-file(WRITE ${WORK}/memsys_sil3.perturbed.json "${perturbed_text}")
-execute_process(COMMAND ${GATE} check ${WORK}/memsys_sil3.perturbed.json
-                ${WORK}/memsys_sil3.json
+file(WRITE ${WORK}/${NAME}.perturbed.json "${perturbed_text}")
+execute_process(COMMAND ${GATE} check ${WORK}/${NAME}.perturbed.json
+                ${WORK}/${NAME}.json
                 RESULT_VARIABLE rc3 OUTPUT_QUIET ERROR_QUIET)
 if(rc3 EQUAL 0)
   message(FATAL_ERROR "metrics gate self-test: perturbed golden not rejected")

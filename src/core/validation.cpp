@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "faultsim/bitsliced.hpp"
 #include "inject/env_builder.hpp"
 
 namespace socfmea::core {
@@ -67,7 +68,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     const fault::FaultList faults =
         mgr.zoneFailureFaults(profile, opt.zoneFailuresPerBit, opt.seed);
     inject::CoverageCollector cov(mgr.environment());
-    rep.zoneCampaign = mgr.run(workload, faults, &cov);
+    rep.zoneCampaign = mgr.run(workload, faults, &cov, opt.campaign);
     rep.zoneValidation =
         analyzer.validate(flow.sheet(), rep.zoneCampaign, opt.tolerance);
     rep.campaignCompleteness = cov.completeness();
@@ -110,7 +111,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     }
     const fault::FaultList randomized = inject::randomizeFaultList(
         db, profile, local, local.size(), opt.seed + 1);
-    rep.localCampaign = mgr.run(workload, randomized);
+    rep.localCampaign = mgr.run(workload, randomized, nullptr, opt.campaign);
     rep.localMeasuredSff = rep.localCampaign.measuredSff();
 
     // Fault simulator: permanent-fault coverage of the *diagnostic* (alarm
@@ -124,7 +125,12 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     }
     faultsim::FaultSimOptions fsOpt;
     fsOpt.observedOutputs = alarmOutputs(nl, effects);
-    const auto fs = faultsim::runSerialFaultSim(nl, workload, stuckOnly, fsOpt);
+    fsOpt.laneWords = opt.campaign.laneWords;
+    fsOpt.threads = opt.campaign.threads;
+    const auto fs =
+        mgr.resolveEngine(opt.campaign.engine) == faultsim::EngineKind::Serial
+            ? faultsim::runSerialFaultSim(nl, workload, stuckOnly, fsOpt)
+            : faultsim::runBitslicedFaultSim(nl, workload, stuckOnly, fsOpt);
     rep.faultSimCoverage = fs.coverage();
     rep.sheetPermanentDdf = permanentDdf(flow.sheet(), criticalScope);
 
@@ -163,7 +169,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
         wide.push_back(f);
       }
     }
-    inject::CampaignOptions copt;
+    inject::CampaignOptions copt = opt.campaign;
     copt.earlyAbort = false;  // observe the full multiple-failure picture
     rep.wideCampaign = mgr.run(workload, wide, nullptr, copt);
     for (const inject::InjectionRecord& r : rep.wideCampaign.records) {

@@ -35,6 +35,10 @@ struct ValidationOptions {
   /// Tolerance for measured-vs-estimated comparisons (percentage points).
   double tolerance = 0.20;
   std::uint64_t detectionWindow = 24;
+  /// Engine / threads / laneWords knobs of the campaigns of steps (a), (c)
+  /// and (d) and of step (c)'s fault simulation.  Step (d) always runs
+  /// without early abort.
+  inject::CampaignOptions campaign;
 };
 
 struct ValidationFlowReport {

@@ -149,7 +149,16 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   const auto faults = mgr.zoneFailureFaults(profile, opt.perBit, opt.seed);
   r.faults = faults.size();
 
-  r.campaign.merged = mgr.run(wl, faults, nullptr, opt.campaign);
+  // Temporary exception to the Auto rule: at one thread the scenarios keep
+  // the serial oracle.  Bit-sliced, the whole suite's benchmark set-up can
+  // end before the perfbench harness takes its first 50 ms host-speed
+  // sample, and HostSampler::window then reads a zero kernel time.
+  // ROADMAP.md lists that harness fix and, after it, deleting this block.
+  inject::CampaignOptions copt = opt.campaign;
+  if (copt.engine == faultsim::EngineKind::Auto && copt.threads == 1) {
+    copt.engine = faultsim::EngineKind::Serial;
+  }
+  r.campaign.merged = mgr.run(wl, faults, nullptr, copt);
 
   r.tally = r.campaign.merged.tally();
   r.measuredSff = inject::CampaignResult::measuredSff(r.tally);

@@ -1096,36 +1096,6 @@ class WordEngine {
 
   // ---- group lifecycle -----------------------------------------------------
 
-  void verifyTwoState() const {
-    const auto bad = [](Logic v) {
-      return v != Logic::L0 && v != Logic::L1;
-    };
-    for (const Logic v : golden_.netValues()) {
-      if (bad(v)) {
-        throw std::invalid_argument(
-            "bit-sliced engine: golden machine is not two-state (an X/Z "
-            "net value survived reset)");
-      }
-    }
-    for (std::size_t i = 0; i < cd_.ffs().size(); ++i) {
-      const CellId cell = cd_.ffs()[i];
-      if (bad(golden_.ffStates()[cell]) || bad(golden_.ffPrevDs()[cell])) {
-        throw std::invalid_argument(
-            "bit-sliced engine: golden machine is not two-state (an X/Z "
-            "flip-flop state survived reset)");
-      }
-    }
-    for (MemoryId m = 0; m < nl_.memoryCount(); ++m) {
-      for (const Logic v : golden_.memReadReg(m)) {
-        if (bad(v)) {
-          throw std::invalid_argument(
-              "bit-sliced engine: golden machine is not two-state (an X/Z "
-              "memory read register survived reset)");
-        }
-      }
-    }
-  }
-
   void resetGroupState() {
     while (!touchedList_.empty()) {
       const NetId n = touchedList_.back();
@@ -1181,7 +1151,11 @@ class WordEngine {
     const std::size_t ci = checkpointIndexFor(rs_, minCycle);
     const std::uint64_t c0 = static_cast<std::uint64_t>(ci) * rs_.interval;
     golden_.restore(rs_.snaps[ci]);
-    verifyTwoState();
+    if (!isTwoState(golden_)) {
+      throw std::invalid_argument(
+          "bit-sliced engine: golden machine is not two-state (an X/Z net "
+          "value, flip-flop state or memory read register survived reset)");
+    }
     if (c0 > 0) {
       stats_.checkpointHits += group.size();
       stats_.checkpointCyclesSkipped += c0 * group.size();
@@ -1436,6 +1410,28 @@ BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
 }
 
 }  // namespace
+
+bool isTwoState(const sim::Simulator& golden) {
+  const auto definite = [](Logic v) {
+    return v == Logic::L0 || v == Logic::L1;
+  };
+  const CompiledDesign& cd = golden.compiled();
+  for (const Logic v : golden.netValues()) {
+    if (!definite(v)) return false;
+  }
+  for (const CellId cell : cd.ffs()) {
+    if (!definite(golden.ffStates()[cell]) ||
+        !definite(golden.ffPrevDs()[cell])) {
+      return false;
+    }
+  }
+  for (MemoryId m = 0; m < cd.design().memoryCount(); ++m) {
+    for (const Logic v : golden.memReadReg(m)) {
+      if (!definite(v)) return false;
+    }
+  }
+  return true;
+}
 
 FaultSimResult runBitslicedFaultSim(const netlist::Netlist& nl,
                                     sim::Workload& wl,

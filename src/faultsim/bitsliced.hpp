@@ -93,6 +93,14 @@ struct BitslicedStats {
   }
 };
 
+/// The engine's two-state precondition: every net value, flip-flop state
+/// and memory read register of `golden` is definite (0/1).  The engine
+/// checks it on its golden machine at every word group's start and throws
+/// std::invalid_argument when it fails; on a Simulator fresh from reset it
+/// decides whether the design can run bit-sliced at all
+/// (inject::InjectionManager::resolveEngine).
+[[nodiscard]] bool isTwoState(const sim::Simulator& golden);
+
 /// Fault-sim mode: same contract as runSerialFaultSim — a fault is Detected
 /// when any observed output diverges from the golden trace — with verdicts
 /// bit-identical to the serial oracle.  Composes with opt.threads (one word

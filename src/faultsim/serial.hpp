@@ -30,7 +30,8 @@ enum class FaultOutcome : std::uint8_t {
 /// engines produce bit-identical verdicts and tallies (CI-tested); they
 /// differ only in throughput and in which execution counters they fill.
 enum class EngineKind : std::uint8_t {
-  /// The serial oracle at threads == 1, the bit-sliced engine otherwise.
+  /// The bit-sliced engine at every thread count; the serial oracle when
+  /// X survives reset (inject::InjectionManager::resolveEngine).
   Auto,
   /// One faulty machine at a time — the reference oracle.
   Serial,

@@ -247,11 +247,10 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
     slot.push_back(it->second);
   }
 
-  const bool serial =
-      opt.engine == faultsim::EngineKind::Serial ||
-      (opt.engine == faultsim::EngineKind::Auto && opt.threads == 1);
-  CampaignResult result = serial ? runSerial(wl, distinct, opt)
-                                 : runBitsliced(wl, distinct, opt);
+  CampaignResult result =
+      resolveEngine(opt.engine) == faultsim::EngineKind::Serial
+          ? runSerial(wl, distinct, opt)
+          : runBitsliced(wl, distinct, opt);
   if (distinct.size() < faults.size()) {
     std::vector<InjectionRecord> records;
     records.reserve(faults.size());
@@ -378,6 +377,16 @@ CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
   reg.add("inject.checkpoint_cycles_skipped", result.checkpointCyclesSkipped);
   reg.add("inject.converged_early", result.convergedEarly);
   return result;
+}
+
+faultsim::EngineKind InjectionManager::resolveEngine(
+    faultsim::EngineKind requested) const {
+  if (requested != faultsim::EngineKind::Auto) return requested;
+  if (faultsim::isTwoState(sim::Simulator(cd_))) {
+    return faultsim::EngineKind::Bitsliced;
+  }
+  obs::Registry::global().add("inject.auto_serial_fallbacks");
+  return faultsim::EngineKind::Serial;
 }
 
 fault::FaultList InjectionManager::zoneFailureFaults(

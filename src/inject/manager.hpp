@@ -129,11 +129,12 @@ struct CampaignOptions {
   /// flips and SET pulse fire in every machine ahead of the campaign
   /// fault's, in install order.
   std::optional<fault::Fault> preexisting;
-  /// Campaign engine.  Auto runs the serial oracle at threads == 1 and the
-  /// bit-sliced engine otherwise (InjectionManager::run decides); Bitsliced
-  /// packs 64*laneWords faulty machines per SIMD word group
-  /// (faultsim/bitsliced.hpp) and composes with threads (one word group per
-  /// pool task).  The bit-sliced engine needs a two-state design: it throws
+  /// Campaign engine.  Auto runs the bit-sliced engine at every thread
+  /// count, unless X survives reset, when it falls back to the serial
+  /// oracle (InjectionManager::resolveEngine decides); Serial is the
+  /// reference oracle; Bitsliced packs 64*laneWords faulty machines per
+  /// SIMD word group (faultsim/bitsliced.hpp) and composes with threads
+  /// (one word group per pool task).  An explicit Bitsliced throws
   /// std::invalid_argument when X survives reset.  Records and every IEC
   /// metric are bit-identical across engines; only the "execution" counters
   /// differ.  `engine` and `laneWords` are deliberately excluded from the
@@ -146,10 +147,9 @@ struct CampaignOptions {
   /// (SOCFMEA_NO_SIMD=1 forces 1 at run time).  The serial engine ignores
   /// it.
   unsigned laneWords = 0;
-  /// Campaign parallelism: 0 = hardware concurrency, N = N threads.  Under
-  /// Auto it also picks the engine (1 = the serial oracle, anything else
-  /// the bit-sliced engine); Bitsliced spreads its word groups over this
-  /// many threads, and Serial ignores it.  Records and every IEC metric are
+  /// Campaign parallelism: 0 = hardware concurrency, N = N threads.  The
+  /// bit-sliced engine spreads its word groups over this many threads; the
+  /// serial oracle ignores it.  Records and every IEC metric are
   /// bit-identical regardless of the value; only cyclesSimulated /
   /// checkpoint stats differ.
   unsigned threads = 1;
@@ -171,15 +171,24 @@ class InjectionManager {
   /// Runs the campaign; `coverage`, when non-null, accumulates the
   /// completeness counters once per list position.  Repeated faults are
   /// folded: each distinct fault is simulated once and its record copied to
-  /// every position that holds it.  This is the one place EngineKind::Auto
-  /// is resolved: the serial oracle at opt.threads == 1 (one faulty machine
-  /// at a time through faultsim::runMachine, classified by the lockstep
-  /// monitors), the bit-sliced engine otherwise.  Records are in fault-list
-  /// order and bit-identical across engines and thread counts.
+  /// every position that holds it.  The engine is resolveEngine(opt.engine):
+  /// the bit-sliced engine, or the serial oracle (one faulty machine at a
+  /// time through faultsim::runMachine, classified by the lockstep
+  /// monitors).  Records are in fault-list order and bit-identical across
+  /// engines and thread counts.
   [[nodiscard]] CampaignResult run(sim::Workload& wl,
                                    const fault::FaultList& faults,
                                    CoverageCollector* coverage = nullptr,
                                    const CampaignOptions& opt = {});
+
+  /// The one place EngineKind::Auto is resolved, for the campaigns above
+  /// and for fault simulation on the same design (validation step (c)).
+  /// Serial and Bitsliced stand as requested.  Auto is the bit-sliced
+  /// engine when the design's golden machine is two-state after reset
+  /// (faultsim::isTwoState), and otherwise the serial oracle, counted in
+  /// the inject.auto_serial_fallbacks telemetry counter.
+  [[nodiscard]] faultsim::EngineKind resolveEngine(
+      faultsim::EngineKind requested) const;
 
   /// The paper's validation step (a): "exhaustive fault injection of
   /// sensible zone failures" — for every target zone, SEU faults on each of

@@ -274,7 +274,7 @@ std::vector<TransformSpec> ArchitectureSearch::propose(
 }
 
 bool ArchitectureSearch::verifyBitIdentity(const Eval& best) {
-  // Cold flat re-run: no store, no delta, one thread — the reference path.
+  // Cold flat re-run: no store, no delta, one thread.
   BuiltCandidate built = buildCandidate(best.score.specs, best.score.id);
   core::IncrementalOptions iopt;
   iopt.store = nullptr;

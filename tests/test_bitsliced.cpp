@@ -6,8 +6,9 @@
 // activity, per-fault-kind divergence agreement with the serial oracle on a
 // design with flip-flops and a behavioural memory, lane retirement / refill
 // invariants, campaign-record equality on the memsys protection IP (with
-// and without a latent fault), EngineKind::Auto resolution, and a
-// 200-design random-property sweep over the full fault model.
+// and without a latent fault), EngineKind::Auto resolution (with its serial
+// fallback when X survives reset), and a 200-design random-property sweep
+// over the full fault model.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -699,7 +700,8 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
 
   ij::InjectionManager mgr(bed.design.nl, bed.env);
 
-  ij::CampaignOptions serialOpt;  // threads = 1: the reference oracle
+  ij::CampaignOptions serialOpt;
+  serialOpt.engine = fs::EngineKind::Serial;  // the reference oracle
   ij::CoverageCollector serialCov(mgr.environment());
   const auto serial = mgr.run(wl, faults, &serialCov, serialOpt);
 
@@ -801,14 +803,18 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
   }
 }
 
-// EngineKind::Auto is resolved in InjectionManager::run alone: the serial
-// oracle at one thread, the bit-sliced engine at any other thread count.
-TEST(BitslicedCampaignTest, AutoRunsSerialAtOneThreadBitslicedOtherwise) {
+// EngineKind::Auto resolves to the bit-sliced engine at every thread count,
+// and the records equal the serial oracle's.
+TEST(BitslicedCampaignTest, AutoRunsBitslicedAtEveryThreadCount) {
   MemsysBed bed;
   ms::ProtectionIpWorkload wl(bed.design, smallWorkload(80));
   const auto faults = bed.sampleFaults(wl, 8);
   ASSERT_FALSE(faults.empty());
   ij::InjectionManager mgr(bed.design.nl, bed.env);
+  ij::CampaignOptions serialOpt;
+  serialOpt.engine = fs::EngineKind::Serial;
+  const auto serial = mgr.run(wl, faults, nullptr, serialOpt);
+
   const auto& reg = socfmea::obs::Registry::global();
   const auto slicedMachines = [&] {
     return reg.counter("faultsim.bitsliced.machines");
@@ -816,22 +822,62 @@ TEST(BitslicedCampaignTest, AutoRunsSerialAtOneThreadBitslicedOtherwise) {
   const auto serialCampaigns = [&] {
     return reg.timer("inject.campaign.serial").count;
   };
+  for (const unsigned threads : {1u, 2u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ij::CampaignOptions opt;  // engine Auto
+    opt.threads = threads;
+    const std::uint64_t machines = slicedMachines();
+    const std::uint64_t campaigns = serialCampaigns();
+    const auto res = mgr.run(wl, faults, nullptr, opt);
+    EXPECT_EQ(slicedMachines() - machines, faults.size());
+    EXPECT_EQ(serialCampaigns(), campaigns);
+    expectRecordsEqual(serial, res);
+  }
+}
 
-  ij::CampaignOptions opt;  // engine Auto
-  opt.threads = 2;
-  std::uint64_t machines = slicedMachines();
-  std::uint64_t campaigns = serialCampaigns();
-  const auto two = mgr.run(wl, faults, nullptr, opt);
-  EXPECT_EQ(slicedMachines() - machines, faults.size());
-  EXPECT_EQ(serialCampaigns(), campaigns);
+// X after reset: one flip-flop has no reset and samples an undriven net, so
+// the golden machine is not two-state.  Auto falls back to the serial
+// oracle, counted once per campaign; an explicit Bitsliced still throws.
+TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
+  nl::Netlist n{"xreset"};
+  nl::NetId rst;
+  {
+    nl::Builder bl(n);
+    rst = bl.input("rst");
+    const nl::Bus a = bl.inputBus("a", 4);
+    const auto q = bl.registerBus("r", a, nl::kNoNet, rst, 0);
+    const nl::NetId undriven = n.addNet("undriven");
+    const nl::NetId u = n.addNet("u_q");
+    n.addDff("u", undriven, u, nl::kNoNet, nl::kNoNet, false);
+    bl.outputBus("q", q);
+    bl.output("par", bl.bxor(bl.reduceXor(q), u));
+  }
+  EXPECT_FALSE(fs::isTwoState(sm::Simulator(n)));
+  const zn::ZoneDatabase db = zn::extractZones(n);
+  const zn::EffectsModel fx(db, {});
+  const auto env = ij::EnvironmentBuilder(db, fx)
+                       .withSeed(kEnvSeed)
+                       .withDetectionWindow(4)
+                       .build();
+  ij::RandomWorkload wl(n, 40, tk::testSeed(31), {{rst, false}});
+  const ft::FaultList faults = ft::allStuckAtFaults(n);
+  ASSERT_FALSE(faults.empty());
+  ij::InjectionManager mgr(n, env);
 
-  opt.threads = 1;
-  machines = slicedMachines();
-  campaigns = serialCampaigns();
-  const auto one = mgr.run(wl, faults, nullptr, opt);
-  EXPECT_EQ(slicedMachines(), machines);
-  EXPECT_EQ(serialCampaigns() - campaigns, 1u);
-  expectRecordsEqual(one, two);
+  ij::CampaignOptions serialOpt;
+  serialOpt.engine = fs::EngineKind::Serial;
+  const auto serial = mgr.run(wl, faults, nullptr, serialOpt);
+
+  const auto& reg = socfmea::obs::Registry::global();
+  const std::uint64_t fallbacks = reg.counter("inject.auto_serial_fallbacks");
+  const auto autoRun = mgr.run(wl, faults);  // engine Auto
+  EXPECT_EQ(reg.counter("inject.auto_serial_fallbacks") - fallbacks, 1u);
+  expectRecordsEqual(serial, autoRun);
+
+  ij::CampaignOptions slicedOpt;
+  slicedOpt.engine = fs::EngineKind::Bitsliced;
+  EXPECT_THROW((void)mgr.run(wl, faults, nullptr, slicedOpt),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

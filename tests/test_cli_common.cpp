@@ -46,17 +46,15 @@ TEST(CliCommon, ParsesEverydaySharedFlagSet) {
   EXPECT_STREQ(run.flags.jsonPath, "out.json");
   EXPECT_STREQ(run.flags.cacheDir, "/tmp/s");
   EXPECT_EQ(run.flags.threads, 4u);
-  EXPECT_TRUE(run.flags.threadsSet);
   EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Bitsliced);
-  EXPECT_TRUE(run.flags.engineSet);
-  EXPECT_TRUE(run.flags.anyIterationFlag());
 }
 
-TEST(CliCommon, JsonAloneIsNotAnIterationFlag) {
+TEST(CliCommon, JsonAloneKeepsTheDefaults) {
   const ParseRun run = parseAll({"--json", "out.json"});
   EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Consumed);
-  EXPECT_FALSE(run.flags.anyIterationFlag());
+  EXPECT_EQ(run.flags.cacheDir, nullptr);
   EXPECT_EQ(run.flags.threads, 1u);  // one campaign thread unless asked
+  EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Auto);
 }
 
 TEST(CliCommon, UnknownFlagIsLeftToTheCaller) {

@@ -44,7 +44,6 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
       error = std::string("--threads: '") + v + "' is not a thread count";
       return FlagStatus::Error;
     }
-    out.threadsSet = true;
     return FlagStatus::Consumed;
   }
   if (std::strcmp(arg, "--engine") == 0) {
@@ -57,7 +56,6 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
       return FlagStatus::Error;
     }
     out.engine = *k;
-    out.engineSet = true;
     return FlagStatus::Consumed;
   }
   return FlagStatus::NotMine;
@@ -73,11 +71,10 @@ const std::string& commonUsageDetails() {
   static const std::string s =
       "  --json       machine-readable report path\n"
       "  --cache-dir  artifact store for the flow graph / delta campaign\n"
-      "  --threads    campaign threads (default 1, 0 = all cores); under\n"
-      "               --engine auto, N != 1 runs the bit-sliced engine\n"
-      "  --engine     campaign engine: serial | bitsliced | auto (auto ="
-      " serial at\n"
-      "               one thread, bit-sliced otherwise)\n";
+      "  --threads    campaign threads (default 1, 0 = all cores)\n"
+      "  --engine     campaign engine: serial | bitsliced | auto (default;"
+      " bit-sliced,\n"
+      "               or the serial oracle when X survives reset)\n";
   return s;
 }
 

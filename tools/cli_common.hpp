@@ -28,14 +28,6 @@ struct CommonFlags {
   /// concurrency).
   unsigned threads = 1;
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
-  bool threadsSet = false;
-  bool engineSet = false;
-
-  /// Any shared flag besides --json was given (the tools use this to switch
-  /// into their incremental / store-backed mode).
-  [[nodiscard]] bool anyIterationFlag() const noexcept {
-    return cacheDir != nullptr || threadsSet || engineSet;
-  }
 };
 
 enum class FlagStatus {

@@ -1,7 +1,8 @@
 # Search smoke: run arch_search with --json, then check the report's
-# fixed-value keys that the search-gate CI job reads, so a renamed key fails
-# here on every PR and not only in that job.  Exit 0 from arch_search
-# already requires the target reached AND the cold-flat verify to pass.
+# fixed-value keys that the CI search gate reads, so a renamed key fails
+# here, in a second, and not only after the full search.  Exit 0 from
+# arch_search already requires the target reached AND the cold-flat verify
+# to pass.
 execute_process(COMMAND ${SEARCH} --cache-dir ${WORK}/search-smoke-store
                         --rounds 1 --beam 1 --candidates 2 --target-sff 0.96
                         --json ${WORK}/search_smoke.json
