@@ -9,12 +9,12 @@
 // injection campaign — and prints the HW-vs-SW comparison table: analytic
 // SFF/DC/SIL next to the measured SFF/DDF of each mitigation, all against
 // the unprotected baseline.  --threads T runs each campaign over T threads
-// (0 = all cores).  Unlike the other campaign CLIs, --engine auto at one
-// thread still runs the serial oracle here: a temporary exception in
-// cpu::scenarios::runScenario that waits on a benchmark-harness fix; any
-// other thread count runs the bit-sliced engine.  --records dumps every
-// injection record for cross-engine debugging.  A malformed numeric value
-// exits 2 with a one-line diagnostic.
+// (0 = all cores, at most 1024).  Unlike the other campaign CLIs, --engine
+// auto at one thread still runs the serial oracle here: a temporary
+// exception in cpu::scenarios::runScenario that waits on a benchmark-harness
+// fix; any other thread count runs the bit-sliced engine.  --records dumps
+// every injection record for cross-engine debugging.  A malformed numeric
+// value exits 2 with a one-line diagnostic.
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -47,6 +47,7 @@ struct Args {
                "                           [--engine serial|bitsliced|auto]"
                " [--threads <T>]\n"
                "                           [--per-bit <N>] [--seed <S>]\n"
+               "  --threads T: 0 (all cores) to 1024, default 1\n"
                "scenarios:";
   for (const auto& s : sc::all()) std::cerr << " " << s.name;
   std::cerr << "\n";
@@ -78,8 +79,8 @@ Args parseArgs(int argc, char** argv) {
       if (!k) usage("unknown engine (serial|bitsliced|auto)");
       a.run.campaign.engine = *k;
     } else if (arg == "--threads") {
-      if (!cli::parseUnsigned(value(i).c_str(), a.run.campaign.threads)) {
-        badValue(arg, "an unsigned thread count");
+      if (!cli::parseThreadCount(value(i).c_str(), a.run.campaign.threads)) {
+        badValue(arg, "a thread count from 0 to 1024");
       }
     } else if (arg == "--per-bit") {
       std::uint64_t n = 0;

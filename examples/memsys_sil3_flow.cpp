@@ -136,7 +136,8 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
 
 int main(int argc, char** argv) {
   // --json <path>: also emit the whole flow as one machine-readable report
-  // (the document CI's metrics-gate diffs against the checked-in golden).
+  // (the document the metrics_gate ctest diffs against the checked-in
+  // golden).
   cli::CommonFlags flags;
   const char* edit = nullptr;
   double maxResim = -1.0;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Regenerates reports/memsys_sil3.golden.json — the safety report CI's
-# metrics-gate diffs every build against.  Run this (and commit the result)
+# Regenerates reports/memsys_sil3.golden.json — the safety report the
+# metrics_gate ctest diffs every build against.  Run this (and commit the result)
 # only after an INTENTIONAL metrics change; the whole point of the gate is
 # that λ/DC/SFF and the SIL verdict never drift silently.
 #
@@ -35,10 +35,10 @@ GATE="$BUILD/tools/report_gate"
 
 # The golden is a subset spec: drop the machine/timing-dependent telemetry
 # section (which also carries the faultsim.bitsliced.* engine counters) and
-# the campaign "execution" sections (cycles simulated, checkpoint and
-# retirement counters — legitimately different between the serial and
-# bit-sliced engines), keep every deterministic metric (zone table,
-# lambda/DC/SFF, verdicts, campaign outcome tallies).
+# the campaign "execution" sections (cycles simulated and washout drops —
+# legitimately different between the serial and bit-sliced engines), keep
+# every deterministic metric (zone table, lambda/DC/SFF, verdicts, campaign
+# outcome tallies).
 mkdir -p reports
 "$GATE" strip "$BUILD/memsys_sil3.json" \
     reports/memsys_sil3.golden.json telemetry execution \

@@ -31,9 +31,6 @@ using sim::Logic;
 
 constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
 
-/// Golden checkpoints per workload: snapshots every max(1, cycles / 16).
-constexpr std::uint64_t kCheckpointsPerRun = 16;
-
 /// First cycle a fault can perturb a machine: transients act at their
 /// scheduled cycle, permanent faults from reset.
 [[nodiscard]] std::uint64_t firstActiveCycle(const Fault& f) {
@@ -55,8 +52,6 @@ struct RunShared {
   /// Campaign-wide latent fault carried by every lane (null = none).
   const Fault* latent = nullptr;
   StimulusTrace stim;
-  std::vector<sim::Simulator::Snapshot> snaps;  ///< snaps[i] @ cycle i*interval
-  std::uint64_t interval = 1;
   std::uint64_t cycles = 0;
   const LaneWatch* watch = nullptr;
   sim::Workload* wl = nullptr;
@@ -69,36 +64,6 @@ struct RunShared {
   std::mutex* statsMu = nullptr;
   BitslicedStats* stats = nullptr;
 };
-
-[[nodiscard]] std::size_t checkpointIndexFor(const RunShared& rs,
-                                             std::uint64_t cycle) {
-  if (rs.snaps.empty() || rs.interval == 0) return 0;
-  const std::uint64_t i = cycle / rs.interval;
-  return static_cast<std::size_t>(
-      i < rs.snaps.size() ? i : rs.snaps.size() - 1);
-}
-
-/// Records the golden machine's periodic full-state checkpoints with one
-/// fault-free replay of the recorded stimulus.  snaps[i] is the state at the
-/// top of cycle i*interval (before that cycle's inputs are driven) — where a
-/// word group forked from it resumes.
-std::vector<sim::Simulator::Snapshot> recordCheckpoints(const RunShared& rs) {
-  sim::Simulator sim(rs.cdp);
-  sim.setEvalMode(rs.evalMode);
-  sim.reset();
-  std::vector<sim::Simulator::Snapshot> snaps;
-  for (std::uint64_t c = 0; c < rs.cycles; ++c) {
-    if (c % rs.interval == 0) snaps.push_back(sim.snapshot());
-    for (std::size_t i = 0; i < rs.stim.inputs.size(); ++i) {
-      sim.setInput(rs.stim.inputs[i], sim::fromBool(rs.stim.values[c][i]));
-    }
-    rs.wl->backdoor(sim, c);
-    sim.evalComb();
-    sim.clockEdge();
-  }
-  if (snaps.empty()) snaps.push_back(sim.snapshot());
-  return snaps;
-}
 
 /// One word group: NB*64 lanes evaluated in lockstep against a private
 /// golden Simulator, storing per-net divergence words.  An engine instance
@@ -167,8 +132,6 @@ class WordEngine {
     rs_.stats->laneCycles += stats_.laneCycles;
     rs_.stats->lanesRetiredEarly += stats_.lanesRetiredEarly;
     rs_.stats->lanesRefilled += stats_.lanesRefilled;
-    rs_.stats->checkpointHits += stats_.checkpointHits;
-    rs_.stats->checkpointCyclesSkipped += stats_.checkpointCyclesSkipped;
     rs_.stats->convergedEarly += stats_.convergedEarly;
   }
 
@@ -954,8 +917,7 @@ class WordEngine {
 
   // ---- retirement / washout / refill ---------------------------------------
 
-  void retireLane(unsigned lane, std::uint64_t afterCycle, bool early,
-                  bool washed) {
+  void retireLane(unsigned lane, bool early, bool washed) {
     const std::size_t fi = laneFault_[lane];
     (*rs_.results)[fi] = obs_[lane];
     const Word keep = ~Word::laneMask(lane);
@@ -988,7 +950,6 @@ class WordEngine {
     laneFault_[lane] = kNoFault;
     if (early) ++stats_.lanesRetiredEarly;
     if (washed) ++stats_.convergedEarly;
-    (void)afterCycle;
   }
 
   /// A lane whose faults are all transient and spent, whose divergence is
@@ -1028,7 +989,7 @@ class WordEngine {
           return;  // stored contents still deviate; keep simulating
         }
       }
-      retireLane(lane, c, true, true);
+      retireLane(lane, true, true);
     });
   }
 
@@ -1142,23 +1103,11 @@ class WordEngine {
     ++stats_.wordGroups;
     if (forcedLookup_.empty()) forcedLookup_.assign(cd_.netCount(), 0);
 
-    std::uint64_t minCycle = rs_.latent != nullptr
-                                 ? firstActiveCycle(*rs_.latent)
-                                 : ~std::uint64_t{0};
-    for (const std::size_t fi : group) {
-      minCycle = std::min(minCycle, firstActiveCycle((*rs_.faults)[fi]));
-    }
-    const std::size_t ci = checkpointIndexFor(rs_, minCycle);
-    const std::uint64_t c0 = static_cast<std::uint64_t>(ci) * rs_.interval;
-    golden_.restore(rs_.snaps[ci]);
+    resetMachine(golden_);
     if (!isTwoState(golden_)) {
       throw std::invalid_argument(
           "bit-sliced engine: golden machine is not two-state (an X/Z net "
           "value, flip-flop state or memory read register survived reset)");
-    }
-    if (c0 > 0) {
-      stats_.checkpointHits += group.size();
-      stats_.checkpointCyclesSkipped += c0 * group.size();
     }
 
     groupHit_.assign(rs_.watch->groups.size(), Word::zero());
@@ -1167,7 +1116,7 @@ class WordEngine {
       installLane(static_cast<unsigned>(i), group[i]);
     }
 
-    for (std::uint64_t c = c0; c < rs_.cycles; ++c) {
+    for (std::uint64_t c = 0; c < rs_.cycles; ++c) {
       activateTransients(c);
       for (std::size_t i = 0; i < rs_.stim.inputs.size(); ++i) {
         golden_.setInput(rs_.stim.inputs[i],
@@ -1258,7 +1207,7 @@ class WordEngine {
       }
     });
     forEachLane(toRetire,
-                [&](unsigned lane) { retireLane(lane, c, true, false); });
+                [&](unsigned lane) { retireLane(lane, true, false); });
   }
 
   struct FfScratch {
@@ -1341,13 +1290,12 @@ void runWithWidth(RunShared& rs, unsigned threads) {
   rs.stats->workers = pool.size();
 }
 
-/// Shared driver of both entry points: records stimulus and checkpoints,
-/// deals faults to word groups and dispatches on the resolved lane width.
+/// Shared driver of both entry points: records stimulus, deals faults to
+/// word groups and dispatches on the resolved lane width.
 BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
                           const fault::FaultList& faults,
                           const LaneWatch& watch, const Fault* latent,
-                          const FaultSimOptions& opt, RetireMode retire,
-                          BitslicedStats* statsOut) {
+                          const FaultSimOptions& opt, RetireMode retire) {
   const obs::ScopedTimer timer("faultsim.bitsliced");
   RunShared rs;
   rs.cdp = ctx.compiledPtr();
@@ -1355,13 +1303,11 @@ BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
   rs.latent = latent;
   rs.stim = recordStimulus(ctx, wl);
   rs.cycles = rs.stim.cycles();
-  rs.interval = std::max<std::uint64_t>(1, rs.cycles / kCheckpointsPerRun);
   rs.watch = &watch;
   rs.wl = &wl;
   rs.evalMode = opt.evalMode;
   rs.retire = retire;
-  rs.washEvery = std::max<std::uint64_t>(1, rs.interval / 4);
-  rs.snaps = recordCheckpoints(rs);
+  rs.washEvery = std::max<std::uint64_t>(1, rs.cycles / 64);
   // Workers re-execute only backdoor() (thread-safe by the Workload
   // contract); restart once so any precomputed plan is armed.
   wl.restart();
@@ -1381,7 +1327,6 @@ BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
     case 2: runWithWidth<2>(rs, opt.threads); break;
     default: runWithWidth<1>(rs, opt.threads); break;
   }
-  stats.workers = rs.stats->workers;
 
   obs::Registry& reg = obs::Registry::global();
   reg.add("faultsim.bitsliced.machines", faults.size());
@@ -1390,23 +1335,13 @@ BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
   reg.add("faultsim.bitsliced.lane_cycles", stats.laneCycles);
   reg.add("faultsim.bitsliced.lanes_retired_early", stats.lanesRetiredEarly);
   reg.add("faultsim.bitsliced.lanes_refilled", stats.lanesRefilled);
-  reg.add("faultsim.bitsliced.checkpoint_hits", stats.checkpointHits);
-  reg.add("faultsim.bitsliced.checkpoint_cycles_skipped",
-          stats.checkpointCyclesSkipped);
   reg.add("faultsim.bitsliced.converged_early", stats.convergedEarly);
   reg.set("faultsim.bitsliced.lane_occupancy", stats.laneOccupancy());
   reg.set("faultsim.bitsliced.simd_width",
           static_cast<double>(stats.laneWords) * 64.0);
   reg.set("faultsim.bitsliced.workers", static_cast<double>(stats.workers));
 
-  if (statsOut != nullptr) *statsOut = stats;
-  BitslicedCampaign out;
-  out.observations = std::move(results);
-  out.cyclesSimulated = stats.laneCycles;
-  out.checkpointHits = stats.checkpointHits;
-  out.checkpointCyclesSkipped = stats.checkpointCyclesSkipped;
-  out.convergedEarly = stats.convergedEarly;
-  return out;
+  return BitslicedCampaign{std::move(results), stats};
 }
 
 }  // namespace
@@ -1458,7 +1393,8 @@ FaultSimResult runBitslicedFaultSim(const fault::EngineContext& ctx,
   const RetireMode retire =
       opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly;
   const BitslicedCampaign campaign =
-      runCore(ctx, wl, faults, watch, nullptr, opt, retire, stats);
+      runCore(ctx, wl, faults, watch, nullptr, opt, retire);
+  if (stats != nullptr) *stats = campaign.stats;
 
   FaultSimResult res;
   res.total = faults.size();
@@ -1469,10 +1405,7 @@ FaultSimResult runBitslicedFaultSim(const fault::EngineContext& ctx,
       ++res.detected;
     }
   }
-  res.simulatedCycles = campaign.cyclesSimulated;
-  res.checkpointHits = campaign.checkpointHits;
-  res.checkpointCyclesSkipped = campaign.checkpointCyclesSkipped;
-  res.convergedEarly = campaign.convergedEarly;
+  res.simulatedCycles = campaign.stats.laneCycles;
   obs::Registry::global().add("faultsim.detected", res.detected);
   return res;
 }
@@ -1482,12 +1415,11 @@ BitslicedCampaign runBitslicedWatch(const fault::EngineContext& ctx,
                                     const fault::FaultList& faults,
                                     const LaneWatch& watch,
                                     const std::optional<fault::Fault>& latent,
-                                    const FaultSimOptions& opt,
-                                    BitslicedStats* stats) {
+                                    const FaultSimOptions& opt) {
   const RetireMode retire =
       opt.earlyAbort ? RetireMode::Classify : RetireMode::WashoutOnly;
   return runCore(ctx, wl, faults, watch, latent ? &*latent : nullptr, opt,
-                 retire, stats);
+                 retire);
 }
 
 }  // namespace socfmea::faultsim

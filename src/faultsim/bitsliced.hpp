@@ -4,7 +4,7 @@
 // kernels.
 //
 // Representation.  Each word group runs ONE scalar golden Simulator in
-// lockstep and stores, per net, only the *divergence* word
+// lockstep from reset and stores, per net, only the *divergence* word
 //
 //   div[net] lane bit = faulty lane value XOR golden value
 //
@@ -29,12 +29,11 @@
 // flips (the in-tree workloads do); the engine replays them on the golden
 // machine and mirrors the memory deltas into lane-owned clones.
 //
-// Checkpoint forking.  One fault-free replay of the recorded stimulus takes
-// a full-state golden snapshot every max(1, cycles/16) cycles.  A word
-// group restores the snapshot at or below the first cycle any of its faults
-// (or the campaign's latent fault) can act — permanent faults act from
-// reset, so their groups replay from cycle 0 — and skips the fault-free
-// prefix.
+// Group start.  Every word group starts at cycle 0: the worker resets its
+// golden machine the way the serial oracle resets a faulty one
+// (resetMachine) and replays the recorded stimulus from there, so each group
+// carries one golden timeline from reset to the workload's end (or until its
+// last lane retires).
 //
 // Latent faults.  Campaign mode takes an optional latent fault that every
 // lane carries under its own fault and the golden machine never sees: it is
@@ -79,10 +78,8 @@ struct BitslicedStats {
   std::uint64_t laneCycles = 0;         ///< live-lane cycles (occupancy)
   std::uint64_t lanesRetiredEarly = 0;  ///< verdict final before workload end
   std::uint64_t lanesRefilled = 0;      ///< retired lanes re-armed with a fault
-  std::uint64_t checkpointHits = 0;
-  std::uint64_t checkpointCyclesSkipped = 0;
-  std::uint64_t convergedEarly = 0;  ///< lanes retired by washout
-  unsigned laneWords = 1;            ///< limbs per word (64 lanes each)
+  std::uint64_t convergedEarly = 0;     ///< lanes retired by washout
+  unsigned laneWords = 1;               ///< limbs per word (64 lanes each)
   unsigned workers = 1;
 
   /// Mean live lanes per occupied word-cycle, over the word capacity.
@@ -148,10 +145,7 @@ struct LaneObservation {
 
 struct BitslicedCampaign {
   std::vector<LaneObservation> observations;  ///< parallel to the fault list
-  std::uint64_t cyclesSimulated = 0;  ///< word-cycles (engine-specific stat)
-  std::uint64_t checkpointHits = 0;
-  std::uint64_t checkpointCyclesSkipped = 0;
-  std::uint64_t convergedEarly = 0;
+  BitslicedStats stats;                       ///< the run's execution counters
 };
 
 /// Campaign mode: runs every fault against the watch spec, each lane on top
@@ -166,6 +160,6 @@ struct BitslicedCampaign {
     const fault::EngineContext& ctx, sim::Workload& wl,
     const fault::FaultList& faults, const LaneWatch& watch,
     const std::optional<fault::Fault>& latent,
-    const FaultSimOptions& opt = {}, BitslicedStats* stats = nullptr);
+    const FaultSimOptions& opt = {});
 
 }  // namespace socfmea::faultsim

@@ -128,9 +128,11 @@ inline constexpr unsigned kMaxLaneWords = 4;
 
 /// Deals fault indices out to word groups.  The queue is ordered permanents
 /// first, then transients by ascending activation cycle (stable on the
-/// original index), so a group's first fault has the group's minimum
-/// activation cycle — the golden checkpoint every lane of the group can
-/// fork from.  Thread-safe: one scheduler is shared by all workers.
+/// original index).  Every group starts from reset, so the order serves
+/// refill only: fresh groups take what a running group can no longer accept
+/// (permanents, then the earliest transients), and later transients stay
+/// queued for takeRefill.  Thread-safe: one scheduler is shared by all
+/// workers.
 class LaneScheduler {
  public:
   explicit LaneScheduler(const fault::FaultList& faults);

@@ -50,14 +50,6 @@ struct FaultSimResult {
   std::size_t detected = 0;
   std::vector<FaultOutcome> outcomes;  ///< parallel to the input fault list
   std::uint64_t simulatedCycles = 0;   ///< total cycles across all machines
-  /// Machines forked from a golden checkpoint later than cycle 0 and the
-  /// fault-free prefix cycles that skipping saved (bit-sliced engine only;
-  /// the serial oracle never checkpoints).
-  std::uint64_t checkpointHits = 0;
-  std::uint64_t checkpointCyclesSkipped = 0;
-  /// Transient faults dropped early because the faulty machine's state
-  /// reconverged with the golden run (bit-sliced engine only).
-  std::uint64_t convergedEarly = 0;
 
   [[nodiscard]] double coverage() const noexcept {
     return total == 0 ? 1.0
@@ -81,8 +73,8 @@ struct FaultSimOptions {
   /// bit-identical regardless of the value.
   unsigned threads = 1;
   /// Combinational evaluation strategy for every machine in the campaign.
-  /// Both settle to bit-identical values; FullSettle is the ablation
-  /// baseline for benchmarks.
+  /// Both settle to bit-identical values; FullSettle is the equivalence
+  /// oracle the tests and the testkit fuzz oracle run against EventDriven.
   sim::EvalMode evalMode = sim::EvalMode::EventDriven;
 };
 
@@ -93,11 +85,24 @@ struct GoldenTrace {
   std::vector<std::vector<sim::Logic>> values; ///< [cycle][output]
 };
 
+/// Puts `sim` in the state every machine of a campaign starts from: reset()
+/// plus fault-free memories filled with 0.  Both engines start each run
+/// here: runMachine each faulty machine, the bit-sliced engine the golden
+/// machine of each word group.  It leaves the workload alone; re-arming it
+/// (restart()) is the caller's business.
+inline void resetMachine(sim::Simulator& sim) {
+  sim.reset();
+  for (netlist::MemoryId m = 0; m < sim.design().memoryCount(); ++m) {
+    sim.memory(m).clearFaults();
+    sim.memory(m).fillAll(0);
+  }
+}
+
 /// The serial oracle's per-fault step, shared by runSerialFaultSim and the
-/// injection manager's serial campaign.  Resets `sim` and clears its
-/// memories, installs `latent` (when non-null) and then `f`, and replays
-/// the recorded stimulus plus the workload's backdoor actions cycle by
-/// cycle: SEU / soft-error flips before the inputs, the settle, SET pulses
+/// injection manager's serial campaign.  Restarts `wl`, resets `sim` with
+/// resetMachine, installs `latent` (when non-null) and then `f`, and
+/// replays the recorded stimulus plus the workload's backdoor actions cycle
+/// by cycle: SEU / soft-error flips before the inputs, the settle, SET pulses
 /// in install order (each settled before the next one reads its net),
 /// `observe(sim, cycle)`, then the clock edge.  `observe` returns true to
 /// stop the machine after that cycle's edge.  Removes both faults again and
@@ -111,11 +116,7 @@ std::uint64_t runMachine(sim::Simulator& sim, sim::Workload& wl,
   if (latent != nullptr) latentHarness.emplace(*latent);
   fault::FaultHarness harness(f);
   wl.restart();
-  sim.reset();
-  for (netlist::MemoryId m = 0; m < sim.design().memoryCount(); ++m) {
-    sim.memory(m).clearFaults();
-    sim.memory(m).fillAll(0);
-  }
+  resetMachine(sim);
   if (latentHarness) latentHarness->install(sim);
   harness.install(sim);
 

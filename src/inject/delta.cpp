@@ -269,8 +269,6 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
 
   CampaignResult merged;
   merged.cyclesSimulated = sim.cyclesSimulated;
-  merged.checkpointHits = sim.checkpointHits;
-  merged.checkpointCyclesSkipped = sim.checkpointCyclesSkipped;
   merged.convergedEarly = sim.convergedEarly;
 
   if (mismatch) {
@@ -287,8 +285,6 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
     }
     CampaignResult fresh = mgr.run(wl, rest, coverage, opt);
     merged.cyclesSimulated += fresh.cyclesSimulated;
-    merged.checkpointHits += fresh.checkpointHits;
-    merged.checkpointCyclesSkipped += fresh.checkpointCyclesSkipped;
     merged.convergedEarly += fresh.convergedEarly;
     for (std::size_t k = 0; k < restIdx.size(); ++k) {
       slots[restIdx[k]].bound = fresh.records[k];

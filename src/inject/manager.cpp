@@ -158,8 +158,6 @@ obs::Json CampaignResult::toJson(const zones::ZoneDatabase* db) const {
 
   obs::Json exec = obs::Json::object();
   exec["cycles_simulated"] = obs::Json(cyclesSimulated);
-  exec["checkpoint_hits"] = obs::Json(checkpointHits);
-  exec["checkpoint_cycles_skipped"] = obs::Json(checkpointCyclesSkipped);
   exec["converged_early"] = obs::Json(convergedEarly);
   j["execution"] = std::move(exec);
 
@@ -365,16 +363,12 @@ CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
     rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
     result.records.push_back(std::move(rec));
   }
-  result.cyclesSimulated = campaign.cyclesSimulated;
-  result.checkpointHits = campaign.checkpointHits;
-  result.checkpointCyclesSkipped = campaign.checkpointCyclesSkipped;
-  result.convergedEarly = campaign.convergedEarly;
+  result.cyclesSimulated = campaign.stats.laneCycles;
+  result.convergedEarly = campaign.stats.convergedEarly;
 
   reg.add("inject.campaigns");
   reg.add("inject.faults_simulated", faults.size());
   reg.add("inject.cycles_simulated", result.cyclesSimulated);
-  reg.add("inject.checkpoint_hits", result.checkpointHits);
-  reg.add("inject.checkpoint_cycles_skipped", result.checkpointCyclesSkipped);
   reg.add("inject.converged_early", result.convergedEarly);
   return result;
 }
@@ -454,11 +448,6 @@ void printCampaign(std::ostream& out, const CampaignResult& r) {
   out << "  detection latency: mean "
       << CampaignResult::meanDetectionLatency(t) << " cycles, max "
       << t.latencyMax << " cycles\n";
-  if (r.checkpointHits > 0) {
-    out << "  checkpointing: " << r.checkpointHits << "/" << r.records.size()
-        << " machines forked from a golden checkpoint, "
-        << r.checkpointCyclesSkipped << " fault-free prefix cycles skipped\n";
-  }
   if (r.convergedEarly > 0) {
     out << "  convergence: " << r.convergedEarly << "/" << r.records.size()
         << " machines dropped early after reconverging with the golden run\n";

@@ -63,12 +63,9 @@ struct OutcomeTally {
 
 struct CampaignResult {
   std::vector<InjectionRecord> records;
+  /// Machine-cycles simulated: the serial oracle's cycles summed over its
+  /// machines, the bit-sliced engine's live-lane cycles.
   std::uint64_t cyclesSimulated = 0;
-  /// Faults whose word group forked from a golden checkpoint later than
-  /// cycle 0, and the fault-free prefix cycles that forking skipped.  Zero
-  /// under the serial oracle, which never checkpoints.
-  std::uint64_t checkpointHits = 0;
-  std::uint64_t checkpointCyclesSkipped = 0;
   /// Transient faults dropped before the workload's end because the faulty
   /// lane's divergence washed out (e.g. corrected by ECC) — the rest of the
   /// run is provably identical to the golden run, so the verdict is final.
@@ -107,9 +104,9 @@ struct CampaignResult {
   ///   "metrics"   — outcome tally and every measured IEC figure; identical
   ///                 between the serial oracle and the bit-sliced engine for
   ///                 the same fault list (that identity is CI-tested);
-  ///   "execution" — cycles simulated, checkpoint and convergence counters,
-  ///                 which legitimately depend on the engine and thread
-  ///                 count and are therefore excluded from golden diffs.
+  ///   "execution" — cycles simulated and the convergence counter, which
+  ///                 legitimately depend on the engine and are therefore
+  ///                 excluded from golden diffs.
   /// With a zone database a third section appears:
   ///   "criticality" — per-zone outcome counts and each zone's share of the
   ///                 campaign's dangerous-undetected total, descending (the
@@ -150,8 +147,8 @@ struct CampaignOptions {
   /// Campaign parallelism: 0 = hardware concurrency, N = N threads.  The
   /// bit-sliced engine spreads its word groups over this many threads; the
   /// serial oracle ignores it.  Records and every IEC metric are
-  /// bit-identical regardless of the value; only cyclesSimulated /
-  /// checkpoint stats differ.
+  /// bit-identical regardless of the value; only the "execution" counters
+  /// move, because workers race for word groups and refills.
   unsigned threads = 1;
 };
 

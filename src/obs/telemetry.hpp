@@ -1,10 +1,10 @@
 // Process-wide campaign telemetry: named counters, gauges and accumulated
 // wall/CPU timers, collected by the hot layers (injection manager, faultsim
 // engines, simulator aggregates) and exported as JSON next to the safety
-// metrics.  Telemetry answers "where did the cycles go" (per-phase timings,
-// checkpoint hit rates, worker utilization); it is deliberately kept out of
-// the metric sections that CI diffs against the golden report, because
-// timings are machine-dependent.
+// metrics.  Telemetry answers "where did the cycles go" (scope timers,
+// engine counters such as lane occupancy and washout drops, worker counts);
+// it is deliberately kept out of the metric sections that CI diffs against
+// the golden report, because timings are machine-dependent.
 //
 // Concurrency model: a worker either updates a shared Registry directly
 // (every mutator is thread-safe) or owns a private Registry that the

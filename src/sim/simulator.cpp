@@ -386,27 +386,6 @@ Simulator::Snapshot Simulator::snapshot() const {
   return s;
 }
 
-void Simulator::restore(const Snapshot& s) {
-  if (s.netVal.size() != netVal_.size() ||
-      s.ffState.size() != ffState_.size() ||
-      s.mems.size() != mems_.size()) {
-    throw std::invalid_argument("snapshot restore on a different design");
-  }
-  cycle_ = s.cycle;
-  netVal_ = s.netVal;
-  ffState_ = s.ffState;
-  ffPrevD_ = s.ffPrevD;
-  inputVal_ = s.inputVal;
-  mems_ = s.mems;
-  memRdataReg_ = s.memRdataReg;
-  forces_ = s.forces;
-  bridges_ = s.bridges;
-  stale_ = s.stale;
-  anyStale_ = s.anyStale;
-  dirty_ = true;      // re-settle on the next observation
-  fullDirty_ = true;  // restored values predate the dirty-mark bookkeeping
-}
-
 bool Simulator::stateEquals(const Snapshot& s) const {
   if (s.netVal.size() != netVal_.size() ||
       s.ffState.size() != ffState_.size() || s.mems.size() != mems_.size()) {

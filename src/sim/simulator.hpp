@@ -9,9 +9,9 @@
 // evalComb() is event-driven by default: a per-level dirty worklist seeded
 // from changed inputs, forced/released nets, flipped flip-flops and changed
 // memory read registers re-evaluates only the disturbed cone, falling back
-// to a whole-graph settle on reset()/restore() and while bridging faults are
-// installed.  The legacy whole-graph pass is kept selectable (EvalMode::
-// FullSettle) as the equivalence oracle; both produce bit-identical values.
+// to a whole-graph settle on reset() and while bridging faults are installed.
+// The legacy whole-graph pass is kept selectable (EvalMode::FullSettle) as
+// the equivalence oracle; both produce bit-identical values.
 #pragma once
 
 #include <functional>
@@ -60,9 +60,9 @@ class Simulator {
   [[nodiscard]] EvalMode evalMode() const noexcept { return mode_; }
 
   /// Lifetime activity counters (telemetry, not machine state): they are
-  /// excluded from snapshots, never restored, and stateEquals() ignores
-  /// them.  The campaign layers aggregate them into obs::Registry after a
-  /// run to report where the evaluation work went.
+  /// excluded from snapshots and stateEquals() ignores them.  The campaign
+  /// layers aggregate them into obs::Registry after a run to report where
+  /// the evaluation work went.
   struct PerfCounters {
     std::uint64_t cycles = 0;     ///< clockEdge() calls
     std::uint64_t combEvals = 0;  ///< combinational settle passes
@@ -166,33 +166,27 @@ class Simulator {
   void addObserver(Observer obs) { observers_.push_back(std::move(obs)); }
   void clearObservers() { observers_.clear(); }
 
-  // ---- snapshot / restore --------------------------------------------------
+  // ---- snapshot / compare --------------------------------------------------
 
   /// Full machine state at an instant: cycle counter, net values, flip-flop
   /// state, input drivers, memory contents (explicit clone) and installed
   /// fault hooks (forces, bridges, stale sampling).  Observers are NOT part
-  /// of the snapshot — restore() keeps the current observer list.
+  /// of the snapshot.
   ///
-  /// The campaign engines use this to fork a faulty machine from a periodic
-  /// golden checkpoint at the nearest cycle <= the fault's injection cycle,
-  /// skipping re-simulation of the fault-free prefix.
+  /// The eval-mode equivalence tests compare an EventDriven and a
+  /// FullSettle machine through it every cycle; no campaign engine uses it.
   struct Snapshot;
 
   /// Captures the current state (call on settled or unsettled state alike;
   /// the combinational network is settled first so the snapshot is
   /// self-consistent).
   [[nodiscard]] Snapshot snapshot() const;
-  /// Restores a snapshot taken from a Simulator over the same netlist.
-  /// Throws std::invalid_argument on a design mismatch.
-  void restore(const Snapshot& s);
 
   /// True when the complete machine state (cycle, flip-flops, nets, inputs,
   /// memories, fault hooks) equals the snapshot — from that point on, the
   /// two machines evolve identically under identical stimulus.  Memories
   /// with fault overlays and installed bridges conservatively compare
-  /// unequal.  The campaign engines use this to drop a faulty machine early
-  /// once its state has reconverged with the golden run ("fault washed
-  /// out"), which is sound because no future deviation is then possible.
+  /// unequal.  The eval-mode equivalence tests assert it every cycle.
   [[nodiscard]] bool stateEquals(const Snapshot& s) const;
 
  private:
@@ -239,7 +233,7 @@ class Simulator {
   std::vector<Observer> observers_;
 
   // Event-driven worklist state.  fullDirty_ requests a whole-graph settle
-  // (reset/restore, bridge install/clear); dirtyNets_ seeds the per-level
+  // (reset, bridge install/clear); dirtyNets_ seeds the per-level
   // buckets of disturbed combinational cells otherwise.
   bool fullDirty_ = true;
   std::vector<netlist::NetId> dirtyNets_;

@@ -1,8 +1,7 @@
 // Tests for the bit-sliced fault-parallel engine (faultsim/bitsliced.*,
 // faultsim/lanes.*) and the primitives it stands on: BitWord pack/unpack
 // algebra, the lane scheduler's permanents-first ordering and refill
-// contract, the thread pool that fans word groups out, the Simulator
-// snapshots its golden checkpoints are made of, active-list-bounded
+// contract, the thread pool that fans word groups out, active-list-bounded
 // activity, per-fault-kind divergence agreement with the serial oracle on a
 // design with flip-flops and a behavioural memory, lane retirement / refill
 // invariants, campaign-record equality on the memsys protection IP (with
@@ -605,87 +604,7 @@ void expectRecordsEqual(const ij::CampaignResult& a,
   }
 }
 
-std::vector<sm::Logic> allNetValues(const sm::Simulator& sim) {
-  std::vector<sm::Logic> v;
-  v.reserve(sim.design().netCount());
-  for (nl::NetId n = 0; n < sim.design().netCount(); ++n) {
-    v.push_back(sim.value(n));
-  }
-  return v;
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Simulator snapshot / restore (the golden checkpoints word groups fork from)
-// ---------------------------------------------------------------------------
-
-TEST(SnapshotTest, RoundTripReplaysIdentically) {
-  const auto design = smallMemsys();
-  ms::ProtectionIpWorkload wl(design, smallWorkload(80));
-  sm::Simulator sim(design.nl);
-  wl.restart();
-  sim.reset();
-  const auto runCycle = [&](std::uint64_t c) {
-    wl.drive(sim, c);
-    wl.backdoor(sim, c);
-    sim.evalComb();
-    sim.clockEdge();
-  };
-  for (std::uint64_t c = 0; c < 40; ++c) runCycle(c);
-
-  const auto snap = sim.snapshot();
-  EXPECT_EQ(snap.cycle, 40u);
-
-  std::vector<std::vector<sm::Logic>> first;
-  for (std::uint64_t c = 40; c < 80; ++c) {
-    runCycle(c);
-    first.push_back(allNetValues(sim));
-  }
-  const std::uint64_t mem0 = sim.memory(0).peek(3);
-
-  sim.restore(snap);
-  EXPECT_EQ(sim.cycle(), 40u);
-  std::vector<std::vector<sm::Logic>> second;
-  for (std::uint64_t c = 40; c < 80; ++c) {
-    runCycle(c);
-    second.push_back(allNetValues(sim));
-  }
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(sim.memory(0).peek(3), mem0);
-}
-
-TEST(SnapshotTest, CapturesInstalledFaultHooks) {
-  nl::Netlist n{"tiny"};
-  nl::NetId a;
-  {
-    nl::Builder b(n);
-    a = b.input("a");
-    b.output("o", b.bnot(a));
-  }
-  sm::Simulator sim(n);
-  sim.setInput(a, sm::Logic::L0);
-  ASSERT_EQ(sim.value(a), sm::Logic::L0);
-  sim.forceNet(a, sm::Logic::L1);
-  EXPECT_EQ(sim.value(a), sm::Logic::L1);
-  const auto snap = sim.snapshot();
-  sim.releaseAllNets();
-  EXPECT_EQ(sim.value(a), sm::Logic::L0);
-  sim.restore(snap);
-  EXPECT_EQ(sim.value(a), sm::Logic::L1);
-}
-
-TEST(SnapshotTest, RejectsForeignDesign) {
-  const auto design = smallMemsys();
-  sm::Simulator sim(design.nl);
-  const auto snap = sim.snapshot();
-
-  nl::Netlist other;
-  nl::Builder b(other);
-  b.output("o", b.bnot(b.input("a")));
-  sm::Simulator otherSim(other);
-  EXPECT_THROW(otherSim.restore(snap), std::invalid_argument);
-}
 
 // ---------------------------------------------------------------------------
 // campaign records vs the serial oracle
@@ -734,7 +653,8 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
 // campaign SETs in the same cycle) and a memory overlay — must give records
 // identical to the serial oracle at one and at four threads.  64-lane words
 // and more faults than one word holds make groups refill mid-run, and late
-// SEUs fill a last group that forks from a late golden checkpoint.
+// SEUs fill a last group whose golden machine must restart from a clean
+// reset after the groups before it.
 TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
   SCOPED_TRACE(tk::seedMessage(kWorkloadSeed));
   MemsysBed bed;

@@ -75,10 +75,29 @@ TEST(CliCommon, MissingValueIsAnError) {
 }
 
 TEST(CliCommon, BadThreadCountIsAnError) {
-  for (const char* bad : {"-1", "x", "4x", "", "4294967296"}) {
+  for (const char* bad :
+       {"-1", "x", "4x", "", "1025", "4294967295", "4294967296"}) {
     const ParseRun run = parseAll({"--threads", bad});
     EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Error) << bad;
   }
+}
+
+// The bound is checked at the parser only: nothing here starts a thread.
+TEST(CliCommon, ParseThreadCountStopsAtTheBound) {
+  unsigned v = 99;
+  EXPECT_TRUE(cli::parseThreadCount("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(cli::parseThreadCount("1024", v));
+  EXPECT_EQ(v, cli::kMaxThreads);
+  for (const char* bad : {"1025", "4294967295", "4294967296", "-1", " 4"}) {
+    unsigned w = 7;
+    EXPECT_FALSE(cli::parseThreadCount(bad, w)) << bad;
+    EXPECT_EQ(w, 7u) << bad;  // failed parses leave the output untouched
+  }
+  // The usage text states the same bound.
+  EXPECT_NE(cli::commonUsageDetails().find(
+                "at most " + std::to_string(cli::kMaxThreads) + ")"),
+            std::string::npos);
 }
 
 TEST(CliCommon, UnknownEngineIsAnError) {

@@ -40,8 +40,10 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
   if (std::strcmp(arg, "--threads") == 0) {
     const char* v = flagValue(argc, argv, i, error);
     if (v == nullptr) return FlagStatus::Error;
-    if (!parseUnsigned(v, out.threads)) {
-      error = std::string("--threads: '") + v + "' is not a thread count";
+    if (!parseThreadCount(v, out.threads)) {
+      error = std::string("--threads: '") + v +
+              "' is not a thread count from 0 to " +
+              std::to_string(kMaxThreads);
       return FlagStatus::Error;
     }
     return FlagStatus::Consumed;
@@ -71,7 +73,8 @@ const std::string& commonUsageDetails() {
   static const std::string s =
       "  --json       machine-readable report path\n"
       "  --cache-dir  artifact store for the flow graph / delta campaign\n"
-      "  --threads    campaign threads (default 1, 0 = all cores)\n"
+      "  --threads    campaign threads (default 1, 0 = all cores, at most"
+      " 1024)\n"
       "  --engine     campaign engine: serial | bitsliced | auto (default;"
       " bit-sliced,\n"
       "               or the serial oracle when X survives reset)\n";
@@ -108,6 +111,13 @@ bool parseUnsigned(const char* s, unsigned& out) {
     return false;
   }
   out = static_cast<unsigned>(v);
+  return true;
+}
+
+bool parseThreadCount(const char* s, unsigned& out) {
+  unsigned v = 0;
+  if (!parseUnsigned(s, v) || v > kMaxThreads) return false;
+  out = v;
   return true;
 }
 

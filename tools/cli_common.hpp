@@ -54,6 +54,16 @@ enum class FlagStatus {
 [[nodiscard]] std::optional<std::unique_ptr<core::ArtifactStore>> openStore(
     const CommonFlags& flags, std::string& error);
 
+/// Largest --threads value any tool accepts: far above any host's core
+/// count, and small enough that core::ThreadPool never asks the OS for an
+/// absurd number of threads.
+inline constexpr unsigned kMaxThreads = 1024;
+
+/// The one --threads value parser (the shared flags, cpu_mitigation_flow,
+/// fuzz_diff): a strict base-10 count in [0, kMaxThreads], 0 = all cores.
+/// A failed parse leaves `out` untouched.
+[[nodiscard]] bool parseThreadCount(const char* s, unsigned& out);
+
 /// Strict unsigned / non-negative-fraction value parsers (whole-string,
 /// base 10) shared by the tools' own flags (--max-resim, --seed, ...).  A
 /// fraction must be finite: nan, inf and overflowing literals are rejected.

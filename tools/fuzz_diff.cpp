@@ -34,7 +34,8 @@
 //
 //   Exit codes: 0 all cases agree, 1 oracle failure, 2 usage/IO error
 //   (including a malformed numeric value: --seed, --runs, --cpu and
-//   --threads take strict base-10 unsigned integers).
+//   --threads take strict base-10 unsigned integers, --threads at most
+//   1024).
 //
 //   SOCFMEA_TEST_SEED overrides --seed (the same campaign-seed override the
 //   gtest suites honour).
@@ -81,7 +82,8 @@ struct Args {
          " [--quiet]\n"
          "       fuzz_diff --replay <design.nl> <plan.plan> [--threads <T>]\n"
          "       fuzz_diff --cpu <N> [--seed <S>] [oracle flags as above]\n"
-         "       fuzz_diff --pin-corpus <dir>\n";
+         "       fuzz_diff --pin-corpus <dir>\n"
+         "  --threads T: 0 (all cores, the default) to 1024\n";
   std::exit(2);
 }
 
@@ -131,8 +133,8 @@ Args parseArgs(int argc, char** argv) {
         badValue(arg, "an unsigned case count");
       }
     } else if (arg == "--threads") {
-      if (!cli::parseUnsigned(value(i).c_str(), a.threads)) {
-        badValue(arg, "an unsigned thread count");
+      if (!cli::parseThreadCount(value(i).c_str(), a.threads)) {
+        badValue(arg, "a thread count from 0 to 1024");
       }
     } else if (arg == "--out") {
       a.outDir = value(i);
