@@ -37,13 +37,6 @@ constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
   return f.transient() ? f.cycle : 0;
 }
 
-/// How a lane's verdict becomes final before the workload ends.
-enum class RetireMode : std::uint8_t {
-  WashoutOnly,  ///< only spent transients with zero divergence retire
-  DetectOnly,   ///< fault-sim early abort: retire at the first point deviation
-  Classify,     ///< campaign early abort: alarm fired or the window closed
-};
-
 /// Everything the word-group workers share read-only (plus the scheduler and
 /// the result vector, which are sharded by fault index / internally locked).
 struct RunShared {
@@ -53,14 +46,14 @@ struct RunShared {
   const Fault* latent = nullptr;
   StimulusTrace stim;
   std::uint64_t cycles = 0;
-  const LaneWatch* watch = nullptr;
+  const Watch* watch = nullptr;
   sim::Workload* wl = nullptr;
   sim::EvalMode evalMode = sim::EvalMode::EventDriven;
   RetireMode retire = RetireMode::WashoutOnly;
   std::uint64_t washEvery = 4;
 
   LaneScheduler* sched = nullptr;
-  std::vector<LaneObservation>* results = nullptr;  ///< by fault index
+  std::vector<Observation>* results = nullptr;  ///< by fault index
   std::mutex* statsMu = nullptr;
   BitslicedStats* stats = nullptr;
 };
@@ -391,7 +384,7 @@ class WordEngine {
   void installLane(unsigned lane, std::size_t fi) {
     laneFault_[lane] = fi;
     live_.setBit(lane);
-    obs_[lane] = LaneObservation{};
+    obs_[lane] = Observation{};
     if (rs_.latent != nullptr) installFault(lane, *rs_.latent);
     installFault(lane, (*rs_.faults)[fi]);
   }
@@ -699,8 +692,8 @@ class WordEngine {
   }
 
   void observe(std::uint64_t c, std::span<const Logic> g) {
-    const LaneWatch& w = *rs_.watch;
-    // SENS groups, ascending index — the serial monitors' zone order.
+    const Watch& w = *rs_.watch;
+    // SENS groups, ascending index — the serial oracle's order.
     for (std::size_t t = 0; t < w.groups.size(); ++t) {
       Word dev = Word::zero();
       for (const NetId n : w.groups[t]) {
@@ -710,7 +703,7 @@ class WordEngine {
       if (fresh.none()) continue;
       groupHit_[t] |= fresh;
       forEachLane(fresh, [&](unsigned lane) {
-        LaneObservation& o = obs_[lane];
+        Observation& o = obs_[lane];
         o.groupsDeviated.push_back(static_cast<std::uint32_t>(t));
         if (!o.sens) {
           o.sens = true;
@@ -726,7 +719,7 @@ class WordEngine {
       if (fresh.none()) continue;
       pointHit_[i] |= fresh;
       forEachLane(fresh, [&](unsigned lane) {
-        LaneObservation& o = obs_[lane];
+        Observation& o = obs_[lane];
         o.pointsDeviated.push_back(static_cast<std::uint32_t>(i));
         if (!o.obs) {
           o.obs = true;
@@ -1197,12 +1190,8 @@ class WordEngine {
     if (rs_.retire == RetireMode::WashoutOnly) return;
     Word toRetire = Word::zero();
     forEachLane(live_, [&](unsigned lane) {
-      const LaneObservation& o = obs_[lane];
-      if (!o.obs) return;
-      if (rs_.retire == RetireMode::DetectOnly) {
-        toRetire.setBit(lane);
-      } else if (o.diag ||
-                 c > o.firstObsCycle + rs_.watch->detectionWindow) {
+      if (verdictFinal(obs_[lane], c, rs_.retire,
+                       rs_.watch->detectionWindow)) {
         toRetire.setBit(lane);
       }
     });
@@ -1268,7 +1257,7 @@ class WordEngine {
   Word live_ = Word::zero();
   Word diagDone_ = Word::zero();
   std::vector<std::size_t> laneFault_;
-  std::vector<LaneObservation> obs_;
+  std::vector<Observation> obs_;
   std::vector<BridgeLane> bridgeLanes_;
   std::vector<std::pair<unsigned, NetId>> pulseActive_;
   std::vector<char> bridgeValue_;  ///< resolve scratch, by bridgeLanes_ index
@@ -1290,17 +1279,20 @@ void runWithWidth(RunShared& rs, unsigned threads) {
   rs.stats->workers = pool.size();
 }
 
-/// Shared driver of both entry points: records stimulus, deals faults to
-/// word groups and dispatches on the resolved lane width.
-BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
-                          const fault::FaultList& faults,
-                          const LaneWatch& watch, const Fault* latent,
-                          const FaultSimOptions& opt, RetireMode retire) {
+}  // namespace
+
+BitslicedCampaign runBitslicedWatch(const fault::EngineContext& ctx,
+                                    sim::Workload& wl,
+                                    const fault::FaultList& faults,
+                                    const Watch& watch,
+                                    const std::optional<fault::Fault>& latent,
+                                    RetireMode retire,
+                                    const FaultSimOptions& opt) {
   const obs::ScopedTimer timer("faultsim.bitsliced");
   RunShared rs;
   rs.cdp = ctx.compiledPtr();
   rs.faults = &faults;
-  rs.latent = latent;
+  rs.latent = latent ? &*latent : nullptr;
   rs.stim = recordStimulus(ctx, wl);
   rs.cycles = rs.stim.cycles();
   rs.watch = &watch;
@@ -1314,7 +1306,7 @@ BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
 
   LaneScheduler sched(faults);
   rs.sched = &sched;
-  std::vector<LaneObservation> results(faults.size());
+  std::vector<Observation> results(faults.size());
   rs.results = &results;
   std::mutex statsMu;
   rs.statsMu = &statsMu;
@@ -1343,8 +1335,6 @@ BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
 
   return BitslicedCampaign{std::move(results), stats};
 }
-
-}  // namespace
 
 bool isTwoState(const sim::Simulator& golden) {
   const auto definite = [](Logic v) {
@@ -1382,44 +1372,11 @@ FaultSimResult runBitslicedFaultSim(const fault::EngineContext& ctx,
                                     const fault::FaultList& faults,
                                     const FaultSimOptions& opt,
                                     BitslicedStats* stats) {
-  const netlist::Netlist& nl = ctx.design();
-  LaneWatch watch;
-  const std::vector<CellId>& outputs =
-      opt.observedOutputs.empty() ? nl.primaryOutputs() : opt.observedOutputs;
-  watch.points.reserve(outputs.size());
-  for (const CellId po : outputs) {
-    watch.points.push_back(nl.cell(po).inputs[0]);
-  }
-  const RetireMode retire =
-      opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly;
-  const BitslicedCampaign campaign =
-      runCore(ctx, wl, faults, watch, nullptr, opt, retire);
-  if (stats != nullptr) *stats = campaign.stats;
-
-  FaultSimResult res;
-  res.total = faults.size();
-  res.outcomes.assign(faults.size(), FaultOutcome::Undetected);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (campaign.observations[i].obs) {
-      res.outcomes[i] = FaultOutcome::Detected;
-      ++res.detected;
-    }
-  }
-  res.simulatedCycles = campaign.stats.laneCycles;
-  obs::Registry::global().add("faultsim.detected", res.detected);
-  return res;
-}
-
-BitslicedCampaign runBitslicedWatch(const fault::EngineContext& ctx,
-                                    sim::Workload& wl,
-                                    const fault::FaultList& faults,
-                                    const LaneWatch& watch,
-                                    const std::optional<fault::Fault>& latent,
-                                    const FaultSimOptions& opt) {
-  const RetireMode retire =
-      opt.earlyAbort ? RetireMode::Classify : RetireMode::WashoutOnly;
-  return runCore(ctx, wl, faults, watch, latent ? &*latent : nullptr, opt,
-                 retire);
+  const BitslicedCampaign run = runBitslicedWatch(
+      ctx, wl, faults, outputWatch(ctx.design(), opt), std::nullopt,
+      opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly, opt);
+  if (stats != nullptr) *stats = run.stats;
+  return faultSimResult(run.observations, run.stats.laneCycles);
 }
 
 }  // namespace socfmea::faultsim

@@ -1,7 +1,9 @@
 // Bit-sliced fault-parallel simulation: up to 256 faulty machines packed
 // into the bit-lanes of a SIMD word, evaluated in lockstep over the
 // compiled design's level-bucketed order with word-wide two-state boolean
-// kernels.
+// kernels.  It watches each lane through the serial oracle's Watch and
+// reports the same Observation per fault (faultsim/serial.hpp); fault
+// simulation is the outputs-only watch.
 //
 // Representation.  Each word group runs ONE scalar golden Simulator in
 // lockstep from reset and stores, per net, only the *divergence* word
@@ -46,10 +48,9 @@
 // Activity is bounded by the active lists: only cells with at least one
 // touched (divergent or forced) input net re-evaluate, so a level no live
 // lane has disturbed costs one emptiness check.  A lane retires
-// as soon as its verdict is final — detected (fault-sim mode), classified
-// (campaign mode with early abort), or washed out (transient spent and all
-// divergence zero) — and is refilled from the pending transient queue so
-// words stay dense.
+// as soon as its verdict is final — by the caller's RetireMode (detected,
+// or classified) or washed out (transient spent and all divergence zero) —
+// and is refilled from the pending transient queue so words stay dense.
 //
 // Threads.  Word groups fan out over a core::ThreadPool; every worker owns
 // its engine (golden Simulator, divergence words, lane clones) and pulls
@@ -99,7 +100,7 @@ struct BitslicedStats {
 [[nodiscard]] bool isTwoState(const sim::Simulator& golden);
 
 /// Fault-sim mode: same contract as runSerialFaultSim — a fault is Detected
-/// when any observed output diverges from the golden trace — with verdicts
+/// when any observed output diverges from the golden run — with verdicts
 /// bit-identical to the serial oracle.  Composes with opt.threads (one word
 /// group per pool task).  Throws std::invalid_argument when the golden
 /// machine is not two-state (X-free) after reset.
@@ -113,53 +114,21 @@ struct BitslicedStats {
     const fault::FaultList& faults, const FaultSimOptions& opt = {},
     BitslicedStats* stats = nullptr);
 
-/// Campaign-mode watch specification: net groups (the campaign's sensible
-/// zones), individual observation points and asserted-high alarm nets, all
-/// compared against the lockstep golden machine every cycle.
-struct LaneWatch {
-  /// Net groups; a group "deviates" for a lane the first cycle any of its
-  /// nets diverges (the zone monitors' packed-snapshot compare).
-  std::vector<std::vector<netlist::NetId>> groups;
-  /// Individual observation nets; each point records its own first-deviation
-  /// independently.
-  std::vector<netlist::NetId> points;
-  /// Alarm nets: "deviates" = lane reads 1 where golden reads 0.
-  std::vector<netlist::NetId> asserted;
-  std::uint64_t detectionWindow = 16;
-};
-
-/// Per-fault observation, mirroring inject::InjectionObservation but with
-/// indices instead of zone/obs ids (the campaign adapter maps them back).
-/// groupsDeviated / pointsDeviated are ordered by (first deviation cycle,
-/// index) — exactly the order the serial monitors append in.
-struct LaneObservation {
-  bool sens = false;
-  std::uint64_t sensCycle = 0;
-  std::vector<std::uint32_t> groupsDeviated;
-  bool obs = false;
-  std::uint64_t firstObsCycle = 0;
-  std::vector<std::uint32_t> pointsDeviated;
-  bool diag = false;
-  std::uint64_t diagCycle = 0;
-};
-
 struct BitslicedCampaign {
-  std::vector<LaneObservation> observations;  ///< parallel to the fault list
-  BitslicedStats stats;                       ///< the run's execution counters
+  std::vector<Observation> observations;  ///< parallel to the fault list
+  BitslicedStats stats;                   ///< the run's execution counters
 };
 
-/// Campaign mode: runs every fault against the watch spec, each lane on top
-/// of `latent` when it is set (inject::CampaignOptions::preexisting).  With
-/// earlyAbort a lane retires once its classification is final (alarm fired,
-/// or the detection window closed after the first functional deviation) —
-/// the serial campaign's break condition; without it only washed-out
-/// transients retire, so accumulated deviation sets stay identical to a
-/// full serial replay.  opt.observedOutputs is ignored (the watch spec
-/// decides).
+/// Runs every fault against `watch`, each lane on top of `latent` when it
+/// is set (inject::CampaignOptions::preexisting), comparing with the
+/// lockstep golden machine every cycle.  A lane retires once verdictFinal
+/// holds under `retire`, or once it washed out; the observations equal
+/// runSerialWatch's for the same arguments.  opt.observedOutputs and
+/// opt.earlyAbort are ignored (the watch and `retire` decide).
 [[nodiscard]] BitslicedCampaign runBitslicedWatch(
     const fault::EngineContext& ctx, sim::Workload& wl,
-    const fault::FaultList& faults, const LaneWatch& watch,
-    const std::optional<fault::Fault>& latent,
+    const fault::FaultList& faults, const Watch& watch,
+    const std::optional<fault::Fault>& latent, RetireMode retire,
     const FaultSimOptions& opt = {});
 
 }  // namespace socfmea::faultsim

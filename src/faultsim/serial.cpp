@@ -1,20 +1,13 @@
 #include "faultsim/serial.hpp"
 
+#include <algorithm>
 #include <ostream>
+#include <span>
+#include <stdexcept>
 
 #include "obs/telemetry.hpp"
 
 namespace socfmea::faultsim {
-
-namespace {
-
-std::vector<netlist::CellId> resolveOutputs(const netlist::Netlist& nl,
-                                            const FaultSimOptions& opt) {
-  if (!opt.observedOutputs.empty()) return opt.observedOutputs;
-  return nl.primaryOutputs();
-}
-
-}  // namespace
 
 std::string_view engineKindName(EngineKind k) noexcept {
   switch (k) {
@@ -33,17 +26,43 @@ std::optional<EngineKind> engineKindFromName(std::string_view n) noexcept {
   return std::nullopt;
 }
 
-GoldenTrace recordGolden(const fault::EngineContext& ctx, sim::Workload& wl,
-                         const StimulusTrace& stim,
-                         const FaultSimOptions& opt) {
-  const netlist::Netlist& nl = ctx.design();
-  GoldenTrace g;
-  g.outputs = resolveOutputs(nl, opt);
-  for (netlist::CellId po : g.outputs) {
-    g.nets.push_back(nl.cell(po).inputs[0]);
+Watch outputWatch(const netlist::Netlist& nl, const FaultSimOptions& opt) {
+  const std::vector<netlist::CellId>& outputs =
+      opt.observedOutputs.empty() ? nl.primaryOutputs() : opt.observedOutputs;
+  Watch watch;
+  watch.points.reserve(outputs.size());
+  for (const netlist::CellId po : outputs) {
+    watch.points.push_back(nl.cell(po).inputs[0]);
   }
+  return watch;
+}
+
+FaultSimResult faultSimResult(const std::vector<Observation>& observations,
+                              std::uint64_t simulatedCycles) {
+  FaultSimResult res;
+  res.total = observations.size();
+  res.outcomes.reserve(observations.size());
+  for (const Observation& o : observations) {
+    res.outcomes.push_back(o.obs ? FaultOutcome::Detected
+                                 : FaultOutcome::Undetected);
+    if (o.obs) ++res.detected;
+  }
+  res.simulatedCycles = simulatedCycles;
+  obs::Registry::global().add("faultsim.detected", res.detected);
+  return res;
+}
+
+GoldenTrace recordGolden(const fault::EngineContext& ctx, sim::Workload& wl,
+                         const StimulusTrace& stim, const Watch& watch,
+                         sim::EvalMode evalMode) {
+  GoldenTrace g;
+  for (const std::vector<netlist::NetId>& group : watch.groups) {
+    g.nets.insert(g.nets.end(), group.begin(), group.end());
+  }
+  g.nets.insert(g.nets.end(), watch.points.begin(), watch.points.end());
+  g.nets.insert(g.nets.end(), watch.asserted.begin(), watch.asserted.end());
   sim::Simulator sim(ctx.compiledPtr());
-  sim.setEvalMode(opt.evalMode);
+  sim.setEvalMode(evalMode);
   wl.restart();
   sim.reset();
   g.values.reserve(stim.cycles());
@@ -62,6 +81,89 @@ GoldenTrace recordGolden(const fault::EngineContext& ctx, sim::Workload& wl,
   return g;
 }
 
+SerialCampaign runSerialWatch(const fault::EngineContext& ctx,
+                              sim::Workload& wl, const StimulusTrace& stim,
+                              const GoldenTrace& golden,
+                              const fault::FaultList& faults,
+                              const Watch& watch,
+                              const std::optional<fault::Fault>& latent,
+                              RetireMode retire, const FaultSimOptions& opt) {
+  // Golden row column of each group's first net, of the first point and of
+  // the first asserted net.
+  std::vector<std::size_t> groupColumn;
+  groupColumn.reserve(watch.groups.size());
+  std::size_t pointColumn = 0;
+  for (const std::vector<netlist::NetId>& group : watch.groups) {
+    groupColumn.push_back(pointColumn);
+    pointColumn += group.size();
+  }
+  const std::size_t assertedColumn = pointColumn + watch.points.size();
+  if (golden.nets.size() != assertedColumn + watch.asserted.size() ||
+      golden.values.size() != stim.cycles()) {
+    throw std::invalid_argument(
+        "runSerialWatch: the golden trace was not recorded for this watch "
+        "and stimulus");
+  }
+
+  SerialCampaign run;
+  run.observations.resize(faults.size());
+  std::vector<char> groupHit(watch.groups.size());
+  std::vector<char> pointHit(watch.points.size());
+  sim::Simulator sim(ctx.compiledPtr());
+  sim.setEvalMode(opt.evalMode);
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    Observation& o = run.observations[fi];
+    std::fill(groupHit.begin(), groupHit.end(), 0);
+    std::fill(pointHit.begin(), pointHit.end(), 0);
+    run.cycles += runMachine(
+        sim, wl, stim, latent ? &*latent : nullptr, faults[fi],
+        [&](const sim::Simulator& s, std::uint64_t c) {
+          const std::span<const sim::Logic> now = s.netValues();
+          const std::vector<sim::Logic>& gold = golden.values[c];
+          // SENS groups, ascending index.
+          for (std::size_t t = 0; t < watch.groups.size(); ++t) {
+            if (groupHit[t] != 0) continue;
+            const std::vector<netlist::NetId>& nets = watch.groups[t];
+            const sim::Logic* g = gold.data() + groupColumn[t];
+            for (std::size_t j = 0; j < nets.size(); ++j) {
+              if (now[nets[j]] == g[j]) continue;
+              groupHit[t] = 1;
+              o.groupsDeviated.push_back(static_cast<std::uint32_t>(t));
+              if (!o.sens) {
+                o.sens = true;
+                o.sensCycle = c;
+              }
+              break;
+            }
+          }
+          // OBSE points, ascending index.
+          for (std::size_t i = 0; i < watch.points.size(); ++i) {
+            if (pointHit[i] != 0 ||
+                now[watch.points[i]] == gold[pointColumn + i]) {
+              continue;
+            }
+            pointHit[i] = 1;
+            o.pointsDeviated.push_back(static_cast<std::uint32_t>(i));
+            if (!o.obs) {
+              o.obs = true;
+              o.firstObsCycle = c;
+            }
+          }
+          // DIAG: an alarm reads 1 where golden does not.
+          for (std::size_t a = 0; a < watch.asserted.size() && !o.diag; ++a) {
+            if (now[watch.asserted[a]] == sim::Logic::L1 &&
+                gold[assertedColumn + a] != sim::Logic::L1) {
+              o.diag = true;
+              o.diagCycle = c;
+            }
+          }
+          return verdictFinal(o, c, retire, watch.detectionWindow);
+        });
+  }
+  run.perf = sim.perf();
+  return run;
+}
+
 FaultSimResult runSerialFaultSim(const netlist::Netlist& nl, sim::Workload& wl,
                                  const fault::FaultList& faults,
                                  const FaultSimOptions& opt) {
@@ -74,35 +176,17 @@ FaultSimResult runSerialFaultSim(const fault::EngineContext& ctx,
                                  const fault::FaultList& faults,
                                  const FaultSimOptions& opt) {
   obs::ScopedTimer timer("faultsim.serial");
+  const Watch watch = outputWatch(ctx.design(), opt);
   const StimulusTrace stim = recordStimulus(ctx, wl);
-  const GoldenTrace golden = recordGolden(ctx, wl, stim, opt);
-
-  FaultSimResult res;
-  res.total = faults.size();
-  res.outcomes.assign(faults.size(), FaultOutcome::Undetected);
-
-  sim::Simulator sim(ctx.compiledPtr());
-  sim.setEvalMode(opt.evalMode);
-  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    bool detected = false;
-    res.simulatedCycles += runMachine(
-        sim, wl, stim, nullptr, faults[fi],
-        [&](const sim::Simulator& s, std::uint64_t c) {
-          for (std::size_t o = 0; o < golden.nets.size() && !detected; ++o) {
-            detected = s.value(golden.nets[o]) != golden.values[c][o];
-          }
-          return detected && opt.earlyAbort;
-        });
-    if (detected) {
-      res.outcomes[fi] = FaultOutcome::Detected;
-      ++res.detected;
-    }
-  }
+  const GoldenTrace golden = recordGolden(ctx, wl, stim, watch, opt.evalMode);
+  const SerialCampaign run = runSerialWatch(
+      ctx, wl, stim, golden, faults, watch, std::nullopt,
+      opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly, opt);
+  FaultSimResult res = faultSimResult(run.observations, run.cycles);
 
   auto& reg = obs::Registry::global();
   reg.add("faultsim.serial.machines", res.total);
   reg.add("faultsim.serial.cycles", res.simulatedCycles);
-  reg.add("faultsim.detected", res.detected);
   return res;
 }
 

@@ -1,12 +1,16 @@
 // Serial fault simulation: one faulty machine at a time, compared against a
-// pre-recorded golden trace of the primary outputs, with early abort on
-// first detection.  Stands in for the commercial fault simulator of the
-// paper's validation step (c): "the fault simulator can be used to precisely
-// measure the fault coverage vs permanent faults respect the workload and
-// the implemented diagnostic."  Its per-machine step (runMachine) is also
-// the injection manager's serial campaign loop: the one reference oracle.
+// pre-recorded golden trace, with early abort once the verdict is final.
+// Stands in for the commercial fault simulator of the paper's validation
+// step (c): "the fault simulator can be used to precisely measure the fault
+// coverage vs permanent faults respect the workload and the implemented
+// diagnostic."  Both engines watch a machine through the same Watch and
+// report the same Observation per fault; the serial form (runSerialWatch) is
+// the one reference oracle, for fault simulation (the primary outputs) and
+// for the injection manager's campaigns (sensible zones, observation points
+// and alarms: the SENS, OBSE and DIAG monitors of the paper's Figure 4).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string_view>
@@ -78,11 +82,82 @@ struct FaultSimOptions {
   sim::EvalMode evalMode = sim::EvalMode::EventDriven;
 };
 
-/// Golden per-cycle values of the observed outputs.
+/// How a machine's verdict becomes final before the workload ends: the stop
+/// rule both engines take.
+enum class RetireMode : std::uint8_t {
+  /// Nothing is final before the workload ends, so every deviation is
+  /// recorded.  The bit-sliced engine still retires a spent transient whose
+  /// divergence washed out: the rest of its run equals the golden run.
+  WashoutOnly,
+  DetectOnly,  ///< fault-sim early abort: final at the first point deviation
+  Classify,    ///< campaign early abort: alarm fired or the window closed
+};
+
+/// What both engines compare against the golden machine every cycle, after
+/// the settle and before the clock edge.  X compares as its own value: X
+/// equals X and differs from 0 and from 1.
+struct Watch {
+  /// Net groups (the campaign's sensible zones); a group deviates the first
+  /// cycle any of its nets differs from golden.
+  std::vector<std::vector<netlist::NetId>> groups;
+  /// Individual observation nets; each point records its own first
+  /// deviation.
+  std::vector<netlist::NetId> points;
+  /// Alarm nets: one fires when it reads 1 where golden does not.
+  std::vector<netlist::NetId> asserted;
+  std::uint64_t detectionWindow = 16;
+};
+
+/// What one faulty machine showed under a Watch, with indices into its
+/// groups and points (the injection manager maps them to zone and
+/// observation-point ids).  groupsDeviated / pointsDeviated are ordered by
+/// (first deviation cycle, index).
+struct Observation {
+  bool sens = false;  ///< a group deviated
+  std::uint64_t sensCycle = 0;
+  std::vector<std::uint32_t> groupsDeviated;
+  bool obs = false;  ///< a point deviated
+  std::uint64_t firstObsCycle = 0;
+  std::vector<std::uint32_t> pointsDeviated;
+  bool diag = false;  ///< an alarm fired
+  std::uint64_t diagCycle = 0;
+
+  [[nodiscard]] bool operator==(const Observation&) const = default;
+};
+
+/// True once `o` can no longer change under `retire` after `cycle`'s
+/// compare, so its machine may stop.
+[[nodiscard]] constexpr bool verdictFinal(const Observation& o,
+                                          std::uint64_t cycle,
+                                          RetireMode retire,
+                                          std::uint64_t detectionWindow) {
+  switch (retire) {
+    case RetireMode::WashoutOnly: return false;
+    case RetireMode::DetectOnly: return o.obs;
+    case RetireMode::Classify:
+      return o.obs && (o.diag || cycle > o.firstObsCycle + detectionWindow);
+  }
+  return false;
+}
+
+/// The fault-simulation watch: the source nets of opt.observedOutputs (every
+/// primary output when empty) as points.  Both engines' fault simulation
+/// runs it; a fault is Detected when a point deviates.
+[[nodiscard]] Watch outputWatch(const netlist::Netlist& nl,
+                                const FaultSimOptions& opt);
+
+/// Turns fault-sim observations into verdicts (Detected = a point deviated)
+/// and adds the detections to the faultsim.detected counter.
+[[nodiscard]] FaultSimResult faultSimResult(
+    const std::vector<Observation>& observations,
+    std::uint64_t simulatedCycles);
+
+/// Golden per-cycle values of a watch's nets.
 struct GoldenTrace {
-  std::vector<netlist::CellId> outputs;
-  std::vector<netlist::NetId> nets;            ///< source nets of the outputs
-  std::vector<std::vector<sim::Logic>> values; ///< [cycle][output]
+  /// The watch's groups (flattened, in order), then its points, then its
+  /// asserted nets.
+  std::vector<netlist::NetId> nets;
+  std::vector<std::vector<sim::Logic>> values;  ///< [cycle][net]
 };
 
 /// Puts `sim` in the state every machine of a campaign starts from: reset()
@@ -98,16 +173,15 @@ inline void resetMachine(sim::Simulator& sim) {
   }
 }
 
-/// The serial oracle's per-fault step, shared by runSerialFaultSim and the
-/// injection manager's serial campaign.  Restarts `wl`, resets `sim` with
-/// resetMachine, installs `latent` (when non-null) and then `f`, and
-/// replays the recorded stimulus plus the workload's backdoor actions cycle
-/// by cycle: SEU / soft-error flips before the inputs, the settle, SET pulses
-/// in install order (each settled before the next one reads its net),
-/// `observe(sim, cycle)`, then the clock edge.  `observe` returns true to
-/// stop the machine after that cycle's edge.  Removes both faults again and
-/// returns the cycles simulated.  A template so the per-cycle observer
-/// inlines into the campaign's hot loop.
+/// The serial oracle's per-fault step (runSerialWatch).  Restarts `wl`,
+/// resets `sim` with resetMachine, installs `latent` (when non-null) and
+/// then `f`, and replays the recorded stimulus plus the workload's backdoor
+/// actions cycle by cycle: SEU / soft-error flips before the inputs, the
+/// settle, SET pulses in install order (each settled before the next one
+/// reads its net), `observe(sim, cycle)`, then the clock edge.  `observe`
+/// returns true to stop the machine after that cycle's edge.  Removes both
+/// faults again and returns the cycles simulated.  A template so the
+/// per-cycle observer inlines into the campaign's hot loop.
 template <typename Observe>
 std::uint64_t runMachine(sim::Simulator& sim, sim::Workload& wl,
                          const StimulusTrace& stim, const fault::Fault* latent,
@@ -149,19 +223,39 @@ std::uint64_t runMachine(sim::Simulator& sim, sim::Workload& wl,
   return c;
 }
 
-/// Records the golden trace by one fault-free replay of `stim`, the
-/// stimulus every faulty machine replays.  The recording Simulator shares
-/// the context's compiled design.
-[[nodiscard]] GoldenTrace recordGolden(const fault::EngineContext& ctx,
-                                       sim::Workload& wl,
-                                       const StimulusTrace& stim,
-                                       const FaultSimOptions& opt = {});
+/// Records the golden trace of `watch`'s nets by one fault-free replay of
+/// `stim`, the stimulus every faulty machine replays; the workload's
+/// deterministic backdoor actions are re-executed per cycle.  The recording
+/// Simulator shares the context's compiled design.
+[[nodiscard]] GoldenTrace recordGolden(
+    const fault::EngineContext& ctx, sim::Workload& wl,
+    const StimulusTrace& stim, const Watch& watch,
+    sim::EvalMode evalMode = sim::EvalMode::EventDriven);
 
-/// Runs the whole fault list serially: records the stimulus once, then runs
-/// every fault through runMachine against the golden trace.  The Netlist
-/// form compiles the design once internally; campaign layers holding an
-/// EngineContext use the overload below to share the compiled form across
-/// engines.
+struct SerialCampaign {
+  std::vector<Observation> observations;  ///< parallel to the fault list
+  std::uint64_t cycles = 0;               ///< machine-cycles simulated
+  sim::Simulator::PerfCounters perf;      ///< of the faulty machines
+};
+
+/// The serial oracle over a watch: runs every fault through runMachine, on
+/// top of `latent` when it is set (inject::CampaignOptions::preexisting),
+/// and compares each cycle against `golden`, recorded by recordGolden for
+/// the same `stim` and `watch`.  A machine stops once verdictFinal holds
+/// under `retire`.  Only opt.evalMode is read.  Throws std::invalid_argument
+/// when `golden` does not match the watch or the stimulus.
+[[nodiscard]] SerialCampaign runSerialWatch(
+    const fault::EngineContext& ctx, sim::Workload& wl,
+    const StimulusTrace& stim, const GoldenTrace& golden,
+    const fault::FaultList& faults, const Watch& watch,
+    const std::optional<fault::Fault>& latent, RetireMode retire,
+    const FaultSimOptions& opt = {});
+
+/// Runs the whole fault list serially over outputWatch: records the
+/// stimulus and the golden trace once, then runs runSerialWatch (DetectOnly
+/// under opt.earlyAbort, else WashoutOnly).  The Netlist form compiles the
+/// design once internally; campaign layers holding an EngineContext use the
+/// overload below to share the compiled form across engines.
 [[nodiscard]] FaultSimResult runSerialFaultSim(const netlist::Netlist& nl,
                                                sim::Workload& wl,
                                                const fault::FaultList& faults,

@@ -6,13 +6,28 @@
 // at 100% we can consider complete the fault injection experiment."
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <vector>
 
-#include "inject/monitors.hpp"
+#include "inject/env_builder.hpp"
 #include "obs/json.hpp"
 
 namespace socfmea::inject {
+
+/// What one injection produced, as seen by the monitors.
+struct InjectionObservation {
+  bool sens = false;              ///< the target zone deviated
+  std::uint64_t sensCycle = 0;
+  std::vector<zones::ZoneId> zonesDeviated;  ///< all deviating target zones
+  bool obs = false;               ///< a functional observation point deviated
+  std::uint64_t firstObsCycle = 0;
+  std::vector<zones::ObsId> obsDeviated;     ///< which points deviated (union)
+  bool diag = false;              ///< an alarm rose that the golden run lacked
+  std::uint64_t diagCycle = 0;
+
+  [[nodiscard]] bool operator==(const InjectionObservation&) const = default;
+};
 
 class CoverageCollector {
  public:

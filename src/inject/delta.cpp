@@ -25,15 +25,6 @@ obs::Json nameArray(const std::vector<std::string>& names) {
   return arr;
 }
 
-bool sameObservation(const InjectionObservation& a,
-                     const InjectionObservation& b) {
-  return a.sens == b.sens && a.sensCycle == b.sensCycle &&
-         a.zonesDeviated == b.zonesDeviated && a.obs == b.obs &&
-         a.firstObsCycle == b.firstObsCycle &&
-         a.obsDeviated == b.obsDeviated && a.diag == b.diag &&
-         a.diagCycle == b.diagCycle;
-}
-
 }  // namespace
 
 std::optional<InjectionRecord> bindCachedRecord(
@@ -261,7 +252,7 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
     const InjectionRecord& fresh = sim.records[slot.simIndex];
     if (fresh.outcome != slot.bound->outcome ||
         fresh.zone != slot.bound->zone ||
-        !sameObservation(fresh.obs, slot.bound->obs)) {
+        fresh.obs != slot.bound->obs) {
       ++st.mismatches;
       mismatch = true;
     }

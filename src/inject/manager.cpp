@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <string>
 
 #include "fault/engine_context.hpp"
 #include "faultsim/bitsliced.hpp"
@@ -211,8 +212,7 @@ obs::Json CampaignResult::toJson(const zones::ZoneDatabase* db) const {
 
 namespace {
 
-/// IEC classification of one observation; shared verbatim by the serial
-/// oracle and the bit-sliced engine so their records cannot diverge.
+/// IEC classification of one observation.
 Outcome classifyObservation(const InjectionObservation& obs,
                             std::uint64_t detectionWindow) {
   if (!obs.obs) {
@@ -245,10 +245,7 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
     slot.push_back(it->second);
   }
 
-  CampaignResult result =
-      resolveEngine(opt.engine) == faultsim::EngineKind::Serial
-          ? runSerial(wl, distinct, opt)
-          : runBitsliced(wl, distinct, opt);
+  CampaignResult result = runDistinct(wl, distinct, opt);
   if (distinct.size() < faults.size()) {
     std::vector<InjectionRecord> records;
     records.reserve(faults.size());
@@ -263,66 +260,17 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
   return result;
 }
 
-CampaignResult InjectionManager::runSerial(sim::Workload& wl,
-                                           const fault::FaultList& faults,
-                                           const CampaignOptions& opt) {
+CampaignResult InjectionManager::runDistinct(sim::Workload& wl,
+                                             const fault::FaultList& faults,
+                                             const CampaignOptions& opt) {
   obs::Registry& reg = obs::Registry::global();
-  obs::ScopedTimer campaignTimer("inject.campaign.serial");
-  // Record the stimulus once; golden and every faulty machine replay it
-  // (deterministic backdoor actions are re-executed on each machine).
-  const fault::EngineContext ctx(*nl_, cd_);
-  const faultsim::StimulusTrace stim = [&] {
-    const obs::ScopedTimer t("inject.record_stimulus");
-    return faultsim::recordStimulus(ctx, wl);
-  }();
-  const GoldenReference golden = [&] {
-    const obs::ScopedTimer t("inject.record_golden");
-    return recordGoldenReference(cd_, env_, wl, stim);
-  }();
-
-  CampaignResult result;
-  result.records.reserve(faults.size());
-  LockstepMonitors monitors(env_, golden);
-  const fault::Fault* latent =
-      opt.preexisting.has_value() ? &*opt.preexisting : nullptr;
-
-  sim::Simulator sim(cd_);
-  for (const fault::Fault& f : faults) {
-    InjectionRecord rec;
-    rec.fault = f;
-    rec.zone = targetZoneOf(*env_.zones, f);
-    monitors.begin(rec.obs);
-    result.cyclesSimulated += faultsim::runMachine(
-        sim, wl, stim, latent, f,
-        [&](const sim::Simulator& s, std::uint64_t c) {
-          monitors.observe(s, c);
-          // Classification is final once the alarm fired or the window
-          // closed.
-          return opt.earlyAbort && rec.obs.obs &&
-                 (rec.obs.diag ||
-                  c > rec.obs.firstObsCycle + env_.detectionWindow);
-        });
-    rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
-    result.records.push_back(std::move(rec));
-  }
-  reg.add("inject.campaigns");
-  reg.add("inject.faults_simulated", faults.size());
-  reg.add("inject.cycles_simulated", result.cyclesSimulated);
-  reg.add("inject.comb_evals", sim.perf().combEvals);
-  reg.add("inject.cell_evals", sim.perf().cellEvals);
-  exportEvalTelemetry(sim.perf());
-  return result;
-}
-
-CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
-                                              const fault::FaultList& faults,
-                                              const CampaignOptions& opt) {
-  obs::Registry& reg = obs::Registry::global();
-  const obs::ScopedTimer campaignTimer("inject.campaign.bitsliced");
+  const faultsim::EngineKind engine = resolveEngine(opt.engine);
+  const obs::ScopedTimer campaignTimer(
+      "inject.campaign." + std::string(faultsim::engineKindName(engine)));
   const fault::EngineContext ctx(*nl_, cd_);
   const auto& db = *env_.zones;
 
-  faultsim::LaneWatch watch;
+  faultsim::Watch watch;
   watch.groups.reserve(env_.targetZones.size());
   for (const zones::ZoneId zid : env_.targetZones) {
     watch.groups.push_back(db.zone(zid).valueNets);
@@ -330,46 +278,68 @@ CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
   watch.points = env_.obsNets;
   watch.asserted = env_.alarmNets;
   watch.detectionWindow = env_.detectionWindow;
-
-  faultsim::FaultSimOptions fopt;
-  fopt.earlyAbort = opt.earlyAbort;
-  fopt.laneWords = opt.laneWords;
-  fopt.threads = opt.threads;
-
-  const faultsim::BitslicedCampaign campaign = faultsim::runBitslicedWatch(
-      ctx, wl, faults, watch, opt.preexisting, fopt);
+  const faultsim::RetireMode retire = opt.earlyAbort
+                                          ? faultsim::RetireMode::Classify
+                                          : faultsim::RetireMode::WashoutOnly;
 
   CampaignResult result;
+  std::vector<faultsim::Observation> observations;
+  if (engine == faultsim::EngineKind::Serial) {
+    // Record the stimulus once; golden and every faulty machine replay it
+    // (deterministic backdoor actions are re-executed on each machine).
+    const faultsim::StimulusTrace stim = [&] {
+      const obs::ScopedTimer t("inject.record_stimulus");
+      return faultsim::recordStimulus(ctx, wl);
+    }();
+    const faultsim::GoldenTrace golden = [&] {
+      const obs::ScopedTimer t("inject.record_golden");
+      return faultsim::recordGolden(ctx, wl, stim, watch);
+    }();
+    faultsim::SerialCampaign run = faultsim::runSerialWatch(
+        ctx, wl, stim, golden, faults, watch, opt.preexisting, retire);
+    observations = std::move(run.observations);
+    result.cyclesSimulated = run.cycles;
+    reg.add("inject.comb_evals", run.perf.combEvals);
+    reg.add("inject.cell_evals", run.perf.cellEvals);
+    exportEvalTelemetry(run.perf);
+  } else {
+    faultsim::FaultSimOptions fopt;
+    fopt.laneWords = opt.laneWords;
+    fopt.threads = opt.threads;
+    faultsim::BitslicedCampaign run = faultsim::runBitslicedWatch(
+        ctx, wl, faults, watch, opt.preexisting, retire, fopt);
+    observations = std::move(run.observations);
+    result.cyclesSimulated = run.stats.laneCycles;
+    result.convergedEarly = run.stats.convergedEarly;
+    reg.add("inject.converged_early", result.convergedEarly);
+  }
+
   result.records.reserve(faults.size());
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    const faultsim::LaneObservation& lo = campaign.observations[fi];
+    const faultsim::Observation& o = observations[fi];
     InjectionRecord rec;
     rec.fault = faults[fi];
     rec.zone = targetZoneOf(db, faults[fi]);
-    rec.obs.sens = lo.sens;
-    rec.obs.sensCycle = lo.sensCycle;
-    rec.obs.zonesDeviated.reserve(lo.groupsDeviated.size());
-    for (const std::uint32_t t : lo.groupsDeviated) {
-      rec.obs.zonesDeviated.push_back(db.zone(env_.targetZones[t]).id);
+    rec.obs.sens = o.sens;
+    rec.obs.sensCycle = o.sensCycle;
+    rec.obs.zonesDeviated.reserve(o.groupsDeviated.size());
+    for (const std::uint32_t t : o.groupsDeviated) {
+      rec.obs.zonesDeviated.push_back(env_.targetZones[t]);
     }
-    rec.obs.obs = lo.obs;
-    rec.obs.firstObsCycle = lo.firstObsCycle;
-    rec.obs.obsDeviated.reserve(lo.pointsDeviated.size());
-    for (const std::uint32_t i : lo.pointsDeviated) {
+    rec.obs.obs = o.obs;
+    rec.obs.firstObsCycle = o.firstObsCycle;
+    rec.obs.obsDeviated.reserve(o.pointsDeviated.size());
+    for (const std::uint32_t i : o.pointsDeviated) {
       rec.obs.obsDeviated.push_back(env_.obsIds[i]);
     }
-    rec.obs.diag = lo.diag;
-    rec.obs.diagCycle = lo.diagCycle;
+    rec.obs.diag = o.diag;
+    rec.obs.diagCycle = o.diagCycle;
     rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
     result.records.push_back(std::move(rec));
   }
-  result.cyclesSimulated = campaign.stats.laneCycles;
-  result.convergedEarly = campaign.stats.convergedEarly;
-
   reg.add("inject.campaigns");
   reg.add("inject.faults_simulated", faults.size());
   reg.add("inject.cycles_simulated", result.cyclesSimulated);
-  reg.add("inject.converged_early", result.convergedEarly);
   return result;
 }
 

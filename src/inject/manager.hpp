@@ -1,7 +1,10 @@
 // Fault Injection Manager (paper, Figure 4): "this function runs all the
 // injection campaign based on automatically generated fault lists and
 // collects all the results."  Golden and faulty machines replay the same
-// recorded workload stimulus; the monitors classify every injection.
+// recorded workload stimulus.  The SENS, OBSE and DIAG monitors are one
+// faultsim::Watch over the target zones, the observation points and the
+// alarms; either engine runs it, and one mapping turns its observations
+// into classified injection records.
 #pragma once
 
 #include <array>
@@ -11,7 +14,6 @@
 #include "fault/fault.hpp"
 #include "faultsim/serial.hpp"
 #include "inject/coverage.hpp"
-#include "inject/monitors.hpp"
 #include "netlist/compiled.hpp"
 #include "obs/json.hpp"
 
@@ -170,9 +172,9 @@ class InjectionManager {
   /// folded: each distinct fault is simulated once and its record copied to
   /// every position that holds it.  The engine is resolveEngine(opt.engine):
   /// the bit-sliced engine, or the serial oracle (one faulty machine at a
-  /// time through faultsim::runMachine, classified by the lockstep
-  /// monitors).  Records are in fault-list order and bit-identical across
-  /// engines and thread counts.
+  /// time, faultsim::runSerialWatch); both run the environment's watch.
+  /// Records are in fault-list order and bit-identical across engines and
+  /// thread counts.
   [[nodiscard]] CampaignResult run(sim::Workload& wl,
                                    const fault::FaultList& faults,
                                    CoverageCollector* coverage = nullptr,
@@ -196,18 +198,13 @@ class InjectionManager {
       std::uint64_t seed) const;
 
  private:
-  /// The serial oracle over a list of distinct faults.
-  [[nodiscard]] CampaignResult runSerial(sim::Workload& wl,
-                                         const fault::FaultList& faults,
-                                         const CampaignOptions& opt);
-
-  /// Bit-sliced fault-parallel campaign over a list of distinct faults:
-  /// builds a LaneWatch from the environment (target-zone net groups,
-  /// observation nets, alarm nets), runs faultsim::runBitslicedWatch and
-  /// maps the lane observations back to InjectionRecords.
-  [[nodiscard]] CampaignResult runBitsliced(sim::Workload& wl,
-                                            const fault::FaultList& faults,
-                                            const CampaignOptions& opt);
+  /// One campaign over a list of distinct faults: builds the watch from the
+  /// environment (target-zone net groups, observation nets, alarm nets),
+  /// runs it on the resolved engine and maps the observations to
+  /// InjectionRecords.
+  [[nodiscard]] CampaignResult runDistinct(sim::Workload& wl,
+                                           const fault::FaultList& faults,
+                                           const CampaignOptions& opt);
 
   /// Exports compiled-design shape and evaluation-economy telemetry into
   /// the global registry after a campaign.

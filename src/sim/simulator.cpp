@@ -256,7 +256,6 @@ void Simulator::evalComb() {
 
 void Simulator::clockEdge() {
   ++perf_.cycles;
-  for (Observer& obs : observers_) obs(*this);
 
   // Memory ports sample the settled combinational values.
   for (MemoryId m = 0; m < nl_.memoryCount(); ++m) {

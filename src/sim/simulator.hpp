@@ -14,7 +14,6 @@
 // the equivalence oracle; both produce bit-identical values.
 #pragma once
 
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -160,18 +159,11 @@ class Simulator {
   void setStaleSampling(netlist::CellId ff, bool on);
   void clearStaleSampling();
 
-  /// Per-cycle callback invoked after evalComb, before clockEdge.  Used by
-  /// monitors.
-  using Observer = std::function<void(Simulator&)>;
-  void addObserver(Observer obs) { observers_.push_back(std::move(obs)); }
-  void clearObservers() { observers_.clear(); }
-
   // ---- snapshot / compare --------------------------------------------------
 
   /// Full machine state at an instant: cycle counter, net values, flip-flop
   /// state, input drivers, memory contents (explicit clone) and installed
-  /// fault hooks (forces, bridges, stale sampling).  Observers are NOT part
-  /// of the snapshot.
+  /// fault hooks (forces, bridges, stale sampling).
   ///
   /// The eval-mode equivalence tests compare an EventDriven and a
   /// FullSettle machine through it every cycle; no campaign engine uses it.
@@ -230,7 +222,6 @@ class Simulator {
   std::vector<bool> stale_;  // per cell
   bool anyStale_ = false;
   mutable bool dirty_ = true;
-  std::vector<Observer> observers_;
 
   // Event-driven worklist state.  fullDirty_ requests a whole-graph settle
   // (reset, bridge install/clear); dirtyNets_ seeds the per-level

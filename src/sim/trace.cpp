@@ -47,8 +47,4 @@ void VcdTrace::sample() {
   first_ = false;
 }
 
-void VcdTrace::attach(Simulator& sim, VcdTrace& trace) {
-  sim.addObserver([&trace](Simulator&) { trace.sample(); });
-}
-
 }  // namespace socfmea::sim

@@ -11,8 +11,7 @@
 namespace socfmea::sim {
 
 /// Streams value changes of a watch list of nets to a VCD file, one sample
-/// per cycle.  Attach with sample() after each evalComb (or use the
-/// observer hook).
+/// per cycle: call sample() after each evalComb.
 class VcdTrace {
  public:
   VcdTrace(std::ostream& out, const Simulator& sim,
@@ -20,10 +19,6 @@ class VcdTrace {
 
   /// Emits changes for the current cycle.
   void sample();
-
-  /// Convenience: registers itself as a simulator observer.  The trace must
-  /// outlive the simulator's observer list usage.
-  static void attach(Simulator& sim, VcdTrace& trace);
 
  private:
   static std::string idCode(std::size_t index);

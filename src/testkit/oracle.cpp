@@ -53,6 +53,19 @@ void applySabotage(const Sabotage& s, Sabotage::Engine engine,
   }
 }
 
+/// The campaign arm's watch, built from the design alone: each flip-flop's
+/// Q net is one group, and the primary outputs serve as both the points and
+/// the asserted nets.
+faultsim::Watch campaignWatch(const netlist::Netlist& nl) {
+  faultsim::Watch watch = faultsim::outputWatch(nl, {});
+  watch.asserted = watch.points;
+  for (const netlist::CellId ff : nl.flipFlops()) {
+    watch.groups.push_back({nl.cell(ff).output});
+  }
+  watch.detectionWindow = 4;
+  return watch;
+}
+
 /// Compares a combo's verdicts against the reference at the given original
 /// fault indices (identity map for full-list combos).
 void compareVerdicts(const FaultSimResult& ref, const FaultSimResult& got,
@@ -96,7 +109,7 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
   std::vector<std::size_t> identity(plan.faults.size());
   for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
 
-  const auto runSerial = [&](sim::EvalMode mode) {
+  const auto serialArm = [&](sim::EvalMode mode) {
     faultsim::FaultSimOptions o;
     o.evalMode = mode;
     auto r = faultsim::runSerialFaultSim(ctx, wl, plan.faults, o);
@@ -105,26 +118,22 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
     return r;
   };
 
-  report.reference = runSerial(sim::EvalMode::EventDriven);
+  report.reference = serialArm(sim::EvalMode::EventDriven);
   const FaultSimResult& ref = report.reference;
 
-  compareVerdicts(ref, runSerial(sim::EvalMode::FullSettle), identity,
+  compareVerdicts(ref, serialArm(sim::EvalMode::FullSettle), identity,
                   "serial/full-settle", report);
 
   // Golden traces of both eval modes must be cycle-for-cycle identical.
-  {
-    const faultsim::StimulusTrace stim = faultsim::recordStimulus(ctx, wl);
-    faultsim::FaultSimOptions ed, fs;
-    ed.evalMode = sim::EvalMode::EventDriven;
-    fs.evalMode = sim::EvalMode::FullSettle;
-    const auto gEd = faultsim::recordGolden(ctx, wl, stim, ed);
-    const auto gFs = faultsim::recordGolden(ctx, wl, stim, fs);
-    if (gEd.values != gFs.values) {
-      report.mismatches.push_back(
-          {"golden-trace",
-           "event-driven and full-settle golden runs differ",
-           {}});
-    }
+  const faultsim::Watch watch = campaignWatch(nl);
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(ctx, wl);
+  const faultsim::GoldenTrace golden =
+      faultsim::recordGolden(ctx, wl, stim, watch);
+  if (golden.values !=
+      faultsim::recordGolden(ctx, wl, stim, watch, sim::EvalMode::FullSettle)
+          .values) {
+    report.mismatches.push_back(
+        {"golden-trace", "event-driven and full-settle golden runs differ", {}});
   }
 
   // Bit-sliced fault-parallel engine: full fault model, full plan list.
@@ -141,6 +150,31 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
           ref, r, identity,
           std::string("bitsliced/") + std::string(evalModeName(mode)),
           report);
+    }
+
+    // Campaign mode: both engines' observations under the campaign watch,
+    // with early abort, must be identical.
+    const faultsim::SerialCampaign serial = faultsim::runSerialWatch(
+        ctx, wl, stim, golden, plan.faults, watch, std::nullopt,
+        faultsim::RetireMode::Classify);
+    faultsim::FaultSimOptions o;
+    o.threads = opt.threads;
+    const faultsim::BitslicedCampaign sliced = faultsim::runBitslicedWatch(
+        ctx, wl, plan.faults, watch, std::nullopt,
+        faultsim::RetireMode::Classify, o);
+    ++report.combosRun;
+    OracleMismatch mm{"campaign", "", {}};
+    for (std::size_t i = 0; i < plan.faults.size(); ++i) {
+      if (serial.observations[i] != sliced.observations[i]) {
+        mm.faultIndices.push_back(i);
+      }
+    }
+    if (!mm.faultIndices.empty()) {
+      mm.detail = std::to_string(mm.faultIndices.size()) +
+                  " bit-sliced observation(s) disagree with the serial "
+                  "watch (first at fault #" +
+                  std::to_string(mm.faultIndices.front()) + ")";
+      report.mismatches.push_back(std::move(mm));
     }
   }
 

@@ -3,16 +3,22 @@
 //
 //   serial    x {event-driven, full-settle}   the reference engine
 //   bitsliced x {event-driven, full-settle}   SIMD word-lane divergence engine
+//   campaign                                  serial vs bit-sliced watch
 //
 // The serial/event-driven run is the reference; every other combo must match
 // it fault-for-fault on outcomes and on the detected tally.  The bit-sliced
 // engine covers the FULL fault model (stuck-at, transients, bridges, delay,
 // memory faults), so it runs the whole plan fault list like the serial
 // engine; its event-driven arm runs at OracleOptions::threads, so the fuzz
-// keeps driving a multi-threaded engine.  Two extra properties ride along:
-// the golden traces of both eval modes must be identical, and the design
-// must survive a text round-trip — parse(write(nl)) re-simulated under the
-// rebound plan must reproduce the reference verdicts.
+// keeps driving a multi-threaded engine.  The campaign arm runs both
+// engines' campaign mode (faultsim::runSerialWatch, runBitslicedWatch) with
+// early abort over a watch built from the design alone — each flip-flop's
+// Q net a group, the primary outputs both points and alarms, detection
+// window 4 — and requires identical observations.  Two extra properties
+// ride along: the golden traces of both eval modes must be identical, and
+// the design must survive a text round-trip — parse(write(nl))
+// re-simulated under the rebound plan must reproduce the reference
+// verdicts.
 #pragma once
 
 #include <string>
@@ -54,7 +60,7 @@ struct OracleOptions {
 
 /// One disagreement between a combo and the reference.
 struct OracleMismatch {
-  std::string combo;   ///< e.g. "bitsliced/full-settle", "round-trip"
+  std::string combo;   ///< e.g. "bitsliced/full-settle", "campaign"
   std::string detail;  ///< human-readable description
   /// Indices into the plan's fault list whose verdicts disagreed (empty for
   /// non-verdict mismatches such as golden-trace or text differences).
@@ -63,7 +69,9 @@ struct OracleMismatch {
 
 struct OracleReport {
   bool pass = false;
-  std::size_t combosRun = 0;  ///< engine/mode combos executed (up to 4)
+  /// Combos executed: 2 serial, plus 2 bit-sliced and the campaign arm
+  /// when the plan carries at least one fault.
+  std::size_t combosRun = 0;
   faultsim::FaultSimResult reference;  ///< serial / event-driven
   std::vector<OracleMismatch> mismatches;
 

@@ -1,6 +1,10 @@
 #include "testkit/plan.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
@@ -157,12 +161,76 @@ MemoryId bindMemory(const Netlist& nl, const std::string& name,
                   name + "'");
 }
 
-std::uint64_t bindInt(const std::string& v, std::size_t line) {
+/// An unsigned integer (decimal, or 0x / 0 prefixed) of at most `max`.
+/// std::stoull alone would wrap a leading '-' and stop at the first
+/// non-digit, so both are rejected here.
+std::uint64_t bindInt(const std::string& v, std::size_t line,
+                      std::uint64_t max =
+                          std::numeric_limits<std::uint64_t>::max()) {
+  std::size_t end = 0;
+  std::uint64_t n = 0;
   try {
-    return std::stoull(v, nullptr, 0);
+    if (!v.empty() && std::isdigit(static_cast<unsigned char>(v[0])) != 0) {
+      n = std::stoull(v, &end, 0);
+    }
   } catch (const std::exception&) {
+    end = 0;
+  }
+  if (end == 0 || end != v.size() || n > max) {
     throw PlanError("line " + std::to_string(line) + ": bad number '" + v +
                     "'");
+  }
+  return n;
+}
+
+/// Rejects a fault the engines cannot run: a missing site, an SEU, delay or
+/// multi-SEU cell that is not a flip-flop, and a memory address or bit
+/// outside the memory.
+void checkFault(const Netlist& nl, const Fault& f, bool namesMemory,
+                std::size_t line) {
+  const auto fail = [&](const std::string& what) {
+    throw PlanError("line " + std::to_string(line) + ": " +
+                    std::string(fault::faultKindName(f.kind)) + " fault " +
+                    what);
+  };
+  const auto isFf = [&](CellId c) {
+    return c != kNoCell && nl.cell(c).type == netlist::CellType::Dff;
+  };
+  switch (f.kind) {
+    case FaultKind::StuckAt0:
+    case FaultKind::StuckAt1:
+    case FaultKind::SetPulse:
+      if (f.net == kNoNet) fail("needs net=");
+      return;
+    case FaultKind::BridgeAnd:
+    case FaultKind::BridgeOr:
+      if (f.net == kNoNet || f.net2 == kNoNet) fail("needs net= and net2=");
+      return;
+    case FaultKind::SeuFlip:
+    case FaultKind::DelayStale:
+      if (!isFf(f.cell)) fail("needs a flip-flop cell=");
+      return;
+    case FaultKind::MultiSeu:
+      if (f.cells.empty() ||
+          !std::all_of(f.cells.begin(), f.cells.end(), isFf)) {
+        fail("needs flip-flop cells=");
+      }
+      return;
+    default:
+      break;
+  }
+  if (!namesMemory) fail("needs mem=");
+  const netlist::MemoryInst& m = nl.memory(f.mem);
+  const auto inside = [&](std::uint64_t addr) {
+    return m.addrBits >= 64 || (addr >> m.addrBits) == 0;
+  };
+  if (!inside(f.addr) || !inside(f.addr2)) {
+    fail("address outside memory '" + m.name + "' (" +
+         std::to_string(m.addrBits) + " address bits)");
+  }
+  if (f.bit >= m.dataBits) {
+    fail("bit outside memory '" + m.name + "' (" +
+         std::to_string(m.dataBits) + " data bits)");
   }
 }
 
@@ -276,6 +344,7 @@ TestPlan readPlan(std::istream& in, const Netlist& nl) {
       }
       Fault f;
       f.kind = kindFromName(toks[1], lineNo);
+      bool namesMemory = false;
       for (std::size_t i = 2; i < toks.size(); ++i) {
         const auto eq = toks[i].find('=');
         if (eq == std::string::npos) {
@@ -292,12 +361,14 @@ TestPlan readPlan(std::istream& in, const Netlist& nl) {
           f.cell = bindCell(nl, v, lineNo);
         } else if (k == "mem") {
           f.mem = bindMemory(nl, v, lineNo);
+          namesMemory = true;
         } else if (k == "addr") {
           f.addr = bindInt(v, lineNo);
         } else if (k == "addr2") {
           f.addr2 = bindInt(v, lineNo);
         } else if (k == "bit") {
-          f.bit = static_cast<std::uint32_t>(bindInt(v, lineNo));
+          f.bit = static_cast<std::uint32_t>(
+              bindInt(v, lineNo, std::numeric_limits<std::uint32_t>::max()));
         } else if (k == "value") {
           f.stuckValue = bindInt(v, lineNo) != 0;
         } else if (k == "cycle") {
@@ -318,6 +389,7 @@ TestPlan readPlan(std::istream& in, const Netlist& nl) {
                           ": unknown fault attribute '" + k + "'");
         }
       }
+      checkFault(nl, f, namesMemory, lineNo);
       plan.faults.push_back(f);
     } else {
       throw PlanError("line " + std::to_string(lineNo) +

@@ -71,7 +71,10 @@ void writePlan(std::ostream& out, const netlist::Netlist& nl,
                                           const TestPlan& plan);
 
 /// Parses a plan and binds all names to ids of `nl`.  Throws PlanError with
-/// 1-based line info on syntax errors or unknown names.
+/// 1-based line info on syntax errors, unknown names, numbers that are
+/// negative or only partly numeric, and faults the engines cannot run: a
+/// missing site, an SEU, delay or multi-SEU cell that is not a flip-flop, or
+/// a memory address or bit outside the memory.
 [[nodiscard]] TestPlan readPlan(std::istream& in, const netlist::Netlist& nl);
 [[nodiscard]] TestPlan readPlanString(const std::string& text,
                                       const netlist::Netlist& nl);

@@ -159,9 +159,14 @@ TEST(TestkitPlan, RebindsOntoReparsedDesign) {
 }
 
 TEST(TestkitPlan, RejectsMalformedInput) {
-  nlx::Netlist nl("t");
-  const auto a = nl.addInput("a");
-  nl.addOutput("o", a);
+  // mem0 holds 8 words of 3 bits; ff is the one flip-flop, g a gate.
+  const nlx::Netlist nl = nlx::readNetlistString(
+      "design t\n"
+      "input a\ninput a0\ninput a1\ninput a2\n"
+      "memory mem0 addr=a0,a1,a2 wdata=a,a,a rdata=r0,r1,r2 we=a\n"
+      "dff ff q a\n"
+      "and g x a q\n"
+      "output o x\noutput m r0\n");
   EXPECT_THROW(tk::readPlanString("stim 0\n", nl), tk::PlanError);
   EXPECT_THROW(tk::readPlanString("inputs nosuch\n", nl), tk::PlanError);
   EXPECT_THROW(tk::readPlanString("inputs a\nstim 01\n", nl), tk::PlanError);
@@ -171,6 +176,39 @@ TEST(TestkitPlan, RejectsMalformedInput) {
                tk::PlanError);
   EXPECT_THROW(tk::readPlanString("fault sa0 wat=1\n", nl), tk::PlanError);
   EXPECT_THROW(tk::readPlanString("bogus\n", nl), tk::PlanError);
+  // Numbers: negative or only partly numeric.
+  for (const char* bad : {"fault mem-soft mem=mem0 addr=-1 bit=0 cycle=1\n",
+                          "fault mem-soft mem=mem0 addr=12junk bit=0\n",
+                          "fault set net=a cycle=3x\n",
+                          "fault mem-soft mem=mem0 addr=1 bit=4294967296\n"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(tk::readPlanString(bad, nl), tk::PlanError);
+  }
+  // Memory fields outside mem0, and faults without their site.
+  for (const char* bad :
+       {"fault mem-soft mem=mem0 addr=8 bit=0 cycle=1\n",
+        "fault mem-soft mem=mem0 addr=1099511627776 bit=0 cycle=1\n",
+        "fault mem-addr-wrong mem=mem0 addr=1 addr2=8\n",
+        "fault mem-soft mem=mem0 addr=1 bit=3 cycle=1\n",
+        "fault mem-stuck mem=mem0 addr=1 bit=40 value=1\n",
+        "fault mem-soft addr=1 bit=0 cycle=1\n", "fault sa0\n",
+        "fault bridge-and net=a\n", "fault seu cycle=1\n"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(tk::readPlanString(bad, nl), tk::PlanError);
+  }
+  // SEU, delay and multi-SEU cells must be flip-flops.
+  for (const char* bad : {"fault seu net=x cell=g cycle=1\n",
+                          "fault delay net=x cell=g\n",
+                          "fault mseu cells=ff,g cycle=1\n"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(tk::readPlanString(bad, nl), tk::PlanError);
+  }
+  const auto edge = tk::readPlanString(
+      "fault mem-soft mem=mem0 addr=7 bit=2 cycle=1\n"
+      "fault mem-stuck mem=mem0 addr=0x7 bit=2 value=1\n"
+      "fault seu net=q cell=ff cycle=1\nfault mseu cells=ff cycle=1\n",
+      nl);
+  EXPECT_EQ(edge.faults.size(), 4u);
   // Comments and blank lines are fine.
   const auto p =
       tk::readPlanString("# hi\n\ninputs a\nstim 1\nfault sa0 net=a\n", nl);
@@ -189,9 +227,9 @@ TEST(TestkitOracle, EnginesAgreeOnRandomCases) {
     const FuzzCase c = makeCase(base, i);
     const auto report = tk::runOracle(c.nl, c.plan);
     EXPECT_TRUE(report.pass) << report.summary();
-    // serial x both eval modes, plus bitsliced x both eval modes when the
-    // plan carries at least one fault.
-    EXPECT_EQ(report.combosRun, c.plan.faults.empty() ? 2u : 4u);
+    // serial x both eval modes, plus bitsliced x both eval modes and the
+    // campaign arm when the plan carries at least one fault.
+    EXPECT_EQ(report.combosRun, c.plan.faults.empty() ? 2u : 5u);
   }
 }
 

@@ -6,8 +6,10 @@
 //     campaign seed S and runs each through the differential oracle: the
 //     serial and bit-sliced fault-sim engines under both event-driven and
 //     full-settle evaluation must agree fault-for-fault (the bit-sliced
-//     event-driven arm runs over --threads T, default all cores),
-//     the golden traces of both modes must match, and the design must
+//     event-driven arm runs over --threads T, default all cores), both
+//     engines' campaign mode must record identical observations over a
+//     watch of every flip-flop and output, the golden traces of both
+//     modes must match, and the design must
 //     survive a .snl round-trip.  On a failure the case number and seed are
 //     printed (re-run any single case with the same --seed and --runs to
 //     reproduce); with --shrink the failing case is delta-debugged and the
