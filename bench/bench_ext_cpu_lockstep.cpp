@@ -34,7 +34,7 @@ void printTable() {
         inject::EnvironmentBuilder(flow.zones(), flow.effects())
             .withSeed(9)
             .build();
-    inject::InjectionManager mgr(d.nl, env);
+    inject::InjectionManager mgr(env);
     const auto profile =
         inject::OperationalProfile::record(flow.zones(), wl);
     // The injection manager's campaign — the same path the scenario suite

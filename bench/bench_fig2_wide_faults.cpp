@@ -27,7 +27,7 @@ void printTable() {
   const auto env = inject::EnvironmentBuilder(db, f.flowV2.effects())
                        .withSeed(2)
                        .build();
-  inject::InjectionManager mgr(f.v2.nl, env);
+  inject::InjectionManager mgr(env);
   memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1000));
 
   sim::Rng rng(2);

@@ -33,7 +33,7 @@ void printTable() {
   // Measured effects table from a zone-failure campaign.
   const auto env =
       inject::EnvironmentBuilder(db, fx).withSeed(3).withDetectionWindow(24).build();
-  inject::InjectionManager mgr(f.v2.nl, env);
+  inject::InjectionManager mgr(env);
   memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1200));
   const auto profile = inject::OperationalProfile::record(db, wl);
   inject::CampaignOptions copt;

@@ -47,7 +47,7 @@ void printTable() {
   // Campaign on the randomised subset.
   const auto faults =
       inject::randomizeFaultList(db, profile, compacted, 220, 4);
-  inject::InjectionManager mgr(f.v2.nl, env);
+  inject::InjectionManager mgr(env);
   inject::CoverageCollector cov(mgr.environment());
   const auto res = mgr.run(wl, faults, &cov);
   inject::printCampaign(std::cout, res);
@@ -63,7 +63,7 @@ void BM_CampaignThroughput(benchmark::State& state) {
   const auto env = inject::EnvironmentBuilder(db, f.flowV2.effects())
                        .withSeed(4)
                        .build();
-  inject::InjectionManager mgr(f.v2.nl, env);
+  inject::InjectionManager mgr(env);
   memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(600));
   const auto profile = inject::OperationalProfile::record(db, wl);
   const auto faults = mgr.zoneFailureFaults(profile, 1, 4);

@@ -39,7 +39,7 @@ void printTable() {
             .withSeed(7)
             .withDetectionWindow(24)
             .build();
-    inject::InjectionManager mgr(f.v2.nl, env);
+    inject::InjectionManager mgr(env);
     const auto profile =
         inject::OperationalProfile::record(f.flowV2.zones(), wl);
     // Campaign faults: SEUs on the output registers (covered by the
@@ -103,8 +103,9 @@ void BM_SerialFaultSim(benchmark::State& state) {
   inject::RandomWorkload wl(d.n, 128, 9, {{d.rst, false}});
   auto faults = fault::allStuckAtFaults(d.n);
   fault::collapseStuckAt(d.n, faults);
+  const netlist::CompiledDesignPtr cd = netlist::compile(d.n);
   for (auto _ : state) {
-    const auto res = faultsim::runSerialFaultSim(d.n, wl, faults);
+    const auto res = faultsim::runSerialFaultSim(cd, wl, faults);
     benchmark::DoNotOptimize(res.coverage());
     state.counters["faults/s"] = benchmark::Counter(
         static_cast<double>(faults.size()), benchmark::Counter::kIsRate);
@@ -117,8 +118,9 @@ void BM_BitslicedFaultSim(benchmark::State& state) {
   inject::RandomWorkload wl(d.n, 128, 9, {{d.rst, false}});
   auto faults = fault::allStuckAtFaults(d.n);
   fault::collapseStuckAt(d.n, faults);
+  const netlist::CompiledDesignPtr cd = netlist::compile(d.n);
   for (auto _ : state) {
-    const auto res = faultsim::runBitslicedFaultSim(d.n, wl, faults);
+    const auto res = faultsim::runBitslicedFaultSim(cd, wl, faults);
     benchmark::DoNotOptimize(res.coverage());
     state.counters["faults/s"] = benchmark::Counter(
         static_cast<double>(faults.size()), benchmark::Counter::kIsRate);
@@ -129,8 +131,9 @@ BENCHMARK(BM_BitslicedFaultSim)->Unit(benchmark::kMillisecond);
 void BM_ToggleCoverage(benchmark::State& state) {
   auto& f = benchutil::frmem();
   memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(800));
+  const netlist::CompiledDesignPtr& cd = f.flowV2.zones().compiledShared();
   for (auto _ : state) {
-    const auto tc = faultsim::measureToggle(f.v2.nl, wl);
+    const auto tc = faultsim::measureToggle(cd, wl);
     benchmark::DoNotOptimize(tc.onceFraction());
   }
 }

@@ -49,7 +49,7 @@ int main() {
   cpu::CpuWorkload wl(lock, cpu::selfTestProgram(), 450);
   const auto env =
       inject::EnvironmentBuilder(flow.zones(), flow.effects()).withSeed(8).build();
-  inject::InjectionManager mgr(lock.nl, env);
+  inject::InjectionManager mgr(env);
   const auto profile = inject::OperationalProfile::record(flow.zones(), wl);
   const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 3, 8));
   inject::printCampaign(std::cout, res);

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   // 4. The campaign: store hit when --cache-dir already holds this exact
   //    walkthrough, the in-process run (over --threads N) otherwise.  Both
   //    paths yield bit-identical records.
-  inject::InjectionManager manager(dut.nl, env);
+  inject::InjectionManager manager(env);
   inject::CoverageCollector coverage(manager.environment());
   inject::CampaignResult result;
   bool storeHit = false;

@@ -75,7 +75,7 @@ FmeaFlow::FmeaFlow(const netlist::Netlist& nl, FlowConfig cfg,
     return zones::zonesToJson(*zones_);
   });
   if (!zones_) {
-    if (auto db = zones::zonesFromJson(nl, cd, zonesArt)) {
+    if (auto db = zones::zonesFromJson(cd, zonesArt)) {
       zones_ = std::make_unique<zones::ZoneDatabase>(std::move(*db));
     } else {
       // Corrupt / foreign artifact under a colliding key: fall back.

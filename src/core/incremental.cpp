@@ -35,6 +35,7 @@ std::uint64_t campaignOptionsHash(const inject::CampaignOptions& copt) {
     h = hashMix(h, f.bit);
     h = hashMix(h, f.stuckValue ? 1 : 0);
     h = hashMix(h, f.cycle);
+    for (const netlist::CellId c : f.cells) h = hashMix(h, c);
   }
   return h;
 }
@@ -94,15 +95,14 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   const netlist::Netlist& nl = *nl_;
   const zones::ZoneDatabase& db = flow_->zones();
   const zones::EffectsModel& effects = flow_->effects();
-  netlist::CompiledDesignPtr cd = db.compiledShared();
-  if (!cd) cd = netlist::compile(nl);
+  const netlist::CompiledDesignPtr& cd = db.compiledShared();
 
   const inject::InjectionEnvironment env =
       inject::EnvironmentBuilder(db, effects)
           .withSeed(seed)
           .withDetectionWindow(detectionWindow)
           .build();
-  inject::InjectionManager mgr(nl, env);
+  inject::InjectionManager mgr(env);
   const inject::OperationalProfile profile =
       inject::OperationalProfile::record(db, wl);
   fault::FaultList faults = mgr.zoneFailureFaults(profile, perBit, seed);
@@ -115,7 +115,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   }
 
   std::uint64_t stimTotal = 0;
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(nl, wl);
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
   const obs::Json stimJson = stimulusHashes(nl, stim, &stimTotal);
 
   // Stage: fault enumeration (+ collapse via the profile).  Cheap enough to
@@ -194,7 +194,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
                 const inject::CachedCampaign cache =
                     inject::CachedCampaign::fromJson(*prevArt);
                 out.result = inject::runCampaignDelta(
-                    mgr, wl, faults, cache, cone, *cd, &cov, copt,
+                    mgr, wl, faults, cache, cone, &cov, copt,
                     opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
                 out.deltaRun = true;
               } catch (const std::exception&) {

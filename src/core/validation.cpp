@@ -50,6 +50,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
   ValidationFlowReport rep;
   const netlist::Netlist& nl = flow.design();
   const zones::ZoneDatabase& db = flow.zones();
+  const netlist::CompiledDesignPtr& cd = db.compiledShared();
   const zones::EffectsModel& effects = flow.effects();
 
   const inject::InjectionEnvironment env =
@@ -57,7 +58,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
           .withSeed(opt.seed)
           .withDetectionWindow(opt.detectionWindow)
           .build();
-  inject::InjectionManager mgr(nl, env);
+  inject::InjectionManager mgr(env);
   const inject::OperationalProfile profile =
       inject::OperationalProfile::record(db, workload);
   inject::ResultAnalyzer analyzer(db, effects);
@@ -79,7 +80,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
 
   // ---- step (b): workload efficiency (toggle coverage) -----------------------
   {
-    rep.toggle = faultsim::measureToggle(nl, workload);
+    rep.toggle = faultsim::measureToggle(cd, workload);
     rep.stepBPass = rep.toggle.passes(opt.toggleThreshold);
   }
 
@@ -129,8 +130,8 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     fsOpt.threads = opt.campaign.threads;
     const auto fs =
         mgr.resolveEngine(opt.campaign.engine) == faultsim::EngineKind::Serial
-            ? faultsim::runSerialFaultSim(nl, workload, stuckOnly, fsOpt)
-            : faultsim::runBitslicedFaultSim(nl, workload, stuckOnly, fsOpt);
+            ? faultsim::runSerialFaultSim(cd, workload, stuckOnly, fsOpt)
+            : faultsim::runBitslicedFaultSim(cd, workload, stuckOnly, fsOpt);
     rep.faultSimCoverage = fs.coverage();
     rep.sheetPermanentDdf = permanentDdf(flow.sheet(), criticalScope);
 

@@ -144,7 +144,7 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
                        .withSeed(opt.seed)
                        .withDetectionWindow(opt.detectionWindow)
                        .build();
-  inject::InjectionManager mgr(d.nl, env);
+  inject::InjectionManager mgr(env);
   const auto profile = inject::OperationalProfile::record(flow.zones(), wl);
   const auto faults = mgr.zoneFailureFaults(profile, opt.perBit, opt.seed);
   r.faults = faults.size();

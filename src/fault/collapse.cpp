@@ -36,30 +36,18 @@ Rep representative(const netlist::Netlist& nl, NetId net, bool value) {
   }
 }
 
-Rep representative(const netlist::CompiledDesign& cd, NetId net, bool value) {
-  for (;;) {
-    const netlist::NetSource& src = cd.netSource(net);
-    if (src.kind != netlist::NetSourceKind::Comb) return {net, value};
-    const CellType t = cd.cellType(src.id);
-    if (t != CellType::Buf && t != CellType::Not) return {net, value};
-    const NetId in = cd.fanin(src.id)[0];
-    if (cd.fanoutCount(in) != 1) return {net, value};
-    if (t == CellType::Not) value = !value;
-    net = in;
-  }
-}
+}  // namespace
 
-template <typename Design, typename DriverOf>
-CollapseStats collapseStuckAtImpl(const Design& d, FaultList& faults,
-                                  DriverOf driverOf) {
+CollapseStats collapseStuckAt(const netlist::Netlist& nl, FaultList& faults) {
   CollapseStats stats;
   stats.before = faults.size();
   for (Fault& f : faults) {
     if (f.kind != FaultKind::StuckAt0 && f.kind != FaultKind::StuckAt1) continue;
-    const Rep r = representative(d, f.net, f.kind == FaultKind::StuckAt1);
+    const Rep r = representative(nl, f.net, f.kind == FaultKind::StuckAt1);
     f.net = r.net;
     f.kind = r.value ? FaultKind::StuckAt1 : FaultKind::StuckAt0;
-    driverOf(r.net, f);
+    const CellId drv = nl.net(r.net).driver;
+    if (drv != netlist::kNoCell) f.cell = drv;
   }
   std::sort(faults.begin(), faults.end());
   faults.erase(std::unique(faults.begin(), faults.end()), faults.end());
@@ -70,28 +58,6 @@ CollapseStats collapseStuckAtImpl(const Design& d, FaultList& faults,
   reg.add("fault.collapse.after", stats.after);
   reg.set("fault.collapse.ratio", stats.ratio());
   return stats;
-}
-
-}  // namespace
-
-CollapseStats collapseStuckAt(const netlist::Netlist& nl, FaultList& faults) {
-  return collapseStuckAtImpl(nl, faults, [&nl](NetId net, Fault& f) {
-    const CellId drv = nl.net(net).driver;
-    if (drv != netlist::kNoCell) f.cell = drv;
-  });
-}
-
-CollapseStats collapseStuckAt(const EngineContext& ctx, FaultList& faults) {
-  const netlist::CompiledDesign& cd = ctx.compiled();
-  return collapseStuckAtImpl(cd, faults, [&cd](NetId net, Fault& f) {
-    const netlist::NetSource& src = cd.netSource(net);
-    // Any cell-driven net (legacy: driver != kNoCell).
-    if (src.kind == netlist::NetSourceKind::Comb ||
-        src.kind == netlist::NetSourceKind::Input ||
-        src.kind == netlist::NetSourceKind::Ff) {
-      f.cell = src.id;
-    }
-  });
 }
 
 }  // namespace socfmea::fault

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 
-#include "fault/engine_context.hpp"
 #include "fault/fault_list.hpp"
 
 namespace socfmea::fault {
@@ -29,10 +28,5 @@ struct CollapseStats {
 /// Collapses equivalent stuck-at faults in place; other fault kinds pass
 /// through untouched.  Returns before/after sizes.
 CollapseStats collapseStuckAt(const netlist::Netlist& nl, FaultList& faults);
-
-/// EngineContext form: identical collapse result computed from the compiled
-/// CSR adjacency (driver lookups and sole-reader checks without touching
-/// the Netlist's per-net vectors).
-CollapseStats collapseStuckAt(const EngineContext& ctx, FaultList& faults);
 
 }  // namespace socfmea::fault

@@ -181,77 +181,6 @@ FaultList memoryFaults(const Netlist& nl, netlist::MemoryId mem,
   return out;
 }
 
-FaultList allStuckAtFaults(const EngineContext& ctx) {
-  const netlist::CompiledDesign& cd = ctx.compiled();
-  FaultList out;
-  for (CellId id = 0; id < cd.cellCount(); ++id) {
-    const CellType t = cd.cellType(id);
-    const bool site =
-        isCombinational(t) || t == CellType::Dff || t == CellType::Input;
-    if (!site || cd.cellOutput(id) == kNoNet) continue;
-    if (t != CellType::Const0) {
-      Fault f;
-      f.kind = FaultKind::StuckAt0;
-      f.net = cd.cellOutput(id);
-      f.cell = id;
-      out.push_back(f);
-    }
-    if (t != CellType::Const1) {
-      Fault f;
-      f.kind = FaultKind::StuckAt1;
-      f.net = cd.cellOutput(id);
-      f.cell = id;
-      out.push_back(f);
-    }
-  }
-  return out;
-}
-
-FaultList allSeuFaults(const EngineContext& ctx) {
-  const netlist::CompiledDesign& cd = ctx.compiled();
-  FaultList out;
-  for (std::size_t i = 0; i < cd.ffs().size(); ++i) {
-    Fault f;
-    f.kind = FaultKind::SeuFlip;
-    f.cell = cd.ffs()[i];
-    f.net = cd.ffOutput(i);
-    out.push_back(f);
-  }
-  return out;
-}
-
-FaultList allSetFaults(const EngineContext& ctx) {
-  const netlist::CompiledDesign& cd = ctx.compiled();
-  FaultList out;
-  // CellId-ascending scan, matching the Netlist form's enumeration order
-  // (the level-bucketed comb order would permute the list).
-  for (CellId id = 0; id < cd.cellCount(); ++id) {
-    const CellType t = cd.cellType(id);
-    if (!isCombinational(t) || t == CellType::Const0 || t == CellType::Const1) {
-      continue;
-    }
-    Fault f;
-    f.kind = FaultKind::SetPulse;
-    f.net = cd.cellOutput(id);
-    f.cell = id;
-    out.push_back(f);
-  }
-  return out;
-}
-
-FaultList allDelayFaults(const EngineContext& ctx) {
-  const netlist::CompiledDesign& cd = ctx.compiled();
-  FaultList out;
-  for (std::size_t i = 0; i < cd.ffs().size(); ++i) {
-    Fault f;
-    f.kind = FaultKind::DelayStale;
-    f.cell = cd.ffs()[i];
-    f.net = cd.ffOutput(i);
-    out.push_back(f);
-  }
-  return out;
-}
-
 void append(FaultList& a, const FaultList& b) {
   a.insert(a.end(), b.begin(), b.end());
 }

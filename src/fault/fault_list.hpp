@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "fault/engine_context.hpp"
 #include "fault/fault.hpp"
 #include "sim/rng.hpp"
 
@@ -37,15 +36,6 @@ using FaultList = std::vector<Fault>;
 [[nodiscard]] FaultList memoryFaults(const netlist::Netlist& nl,
                                      netlist::MemoryId mem, std::size_t perKind,
                                      sim::Rng& rng);
-
-/// EngineContext forms of the deterministic enumerators: identical fault
-/// lists (same sites, same order), produced from the compiled SoA mirrors
-/// instead of per-cell Netlist lookups.  Campaign layers that already hold
-/// a context use these; the Netlist forms stay for standalone callers.
-[[nodiscard]] FaultList allStuckAtFaults(const EngineContext& ctx);
-[[nodiscard]] FaultList allSeuFaults(const EngineContext& ctx);
-[[nodiscard]] FaultList allSetFaults(const EngineContext& ctx);
-[[nodiscard]] FaultList allDelayFaults(const EngineContext& ctx);
 
 /// Appends `b` to `a`.
 void append(FaultList& a, const FaultList& b);

@@ -1281,7 +1281,7 @@ void runWithWidth(RunShared& rs, unsigned threads) {
 
 }  // namespace
 
-BitslicedCampaign runBitslicedWatch(const fault::EngineContext& ctx,
+BitslicedCampaign runBitslicedWatch(const netlist::CompiledDesignPtr& cd,
                                     sim::Workload& wl,
                                     const fault::FaultList& faults,
                                     const Watch& watch,
@@ -1290,10 +1290,10 @@ BitslicedCampaign runBitslicedWatch(const fault::EngineContext& ctx,
                                     const FaultSimOptions& opt) {
   const obs::ScopedTimer timer("faultsim.bitsliced");
   RunShared rs;
-  rs.cdp = ctx.compiledPtr();
+  rs.cdp = cd;
   rs.faults = &faults;
   rs.latent = latent ? &*latent : nullptr;
-  rs.stim = recordStimulus(ctx, wl);
+  rs.stim = recordStimulus(cd, wl);
   rs.cycles = rs.stim.cycles();
   rs.watch = &watch;
   rs.wl = &wl;
@@ -1358,22 +1358,13 @@ bool isTwoState(const sim::Simulator& golden) {
   return true;
 }
 
-FaultSimResult runBitslicedFaultSim(const netlist::Netlist& nl,
-                                    sim::Workload& wl,
-                                    const fault::FaultList& faults,
-                                    const FaultSimOptions& opt,
-                                    BitslicedStats* stats) {
-  const fault::EngineContext ctx(nl);
-  return runBitslicedFaultSim(ctx, wl, faults, opt, stats);
-}
-
-FaultSimResult runBitslicedFaultSim(const fault::EngineContext& ctx,
+FaultSimResult runBitslicedFaultSim(const netlist::CompiledDesignPtr& cd,
                                     sim::Workload& wl,
                                     const fault::FaultList& faults,
                                     const FaultSimOptions& opt,
                                     BitslicedStats* stats) {
   const BitslicedCampaign run = runBitslicedWatch(
-      ctx, wl, faults, outputWatch(ctx.design(), opt), std::nullopt,
+      cd, wl, faults, outputWatch(cd->design(), opt), std::nullopt,
       opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly, opt);
   if (stats != nullptr) *stats = run.stats;
   return faultSimResult(run.observations, run.stats.laneCycles);

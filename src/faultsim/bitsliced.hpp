@@ -64,7 +64,6 @@
 #include <optional>
 #include <vector>
 
-#include "fault/engine_context.hpp"
 #include "fault/fault_list.hpp"
 #include "faultsim/serial.hpp"
 #include "faultsim/stimulus.hpp"
@@ -105,12 +104,7 @@ struct BitslicedStats {
 /// group per pool task).  Throws std::invalid_argument when the golden
 /// machine is not two-state (X-free) after reset.
 [[nodiscard]] FaultSimResult runBitslicedFaultSim(
-    const fault::EngineContext& ctx, sim::Workload& wl,
-    const fault::FaultList& faults, const FaultSimOptions& opt = {},
-    BitslicedStats* stats = nullptr);
-
-[[nodiscard]] FaultSimResult runBitslicedFaultSim(
-    const netlist::Netlist& nl, sim::Workload& wl,
+    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
     const fault::FaultList& faults, const FaultSimOptions& opt = {},
     BitslicedStats* stats = nullptr);
 
@@ -126,7 +120,7 @@ struct BitslicedCampaign {
 /// runSerialWatch's for the same arguments.  opt.observedOutputs and
 /// opt.earlyAbort are ignored (the watch and `retire` decide).
 [[nodiscard]] BitslicedCampaign runBitslicedWatch(
-    const fault::EngineContext& ctx, sim::Workload& wl,
+    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
     const fault::FaultList& faults, const Watch& watch,
     const std::optional<fault::Fault>& latent, RetireMode retire,
     const FaultSimOptions& opt = {});

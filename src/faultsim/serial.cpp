@@ -52,16 +52,16 @@ FaultSimResult faultSimResult(const std::vector<Observation>& observations,
   return res;
 }
 
-GoldenTrace recordGolden(const fault::EngineContext& ctx, sim::Workload& wl,
-                         const StimulusTrace& stim, const Watch& watch,
-                         sim::EvalMode evalMode) {
+GoldenTrace recordGolden(const netlist::CompiledDesignPtr& cd,
+                         sim::Workload& wl, const StimulusTrace& stim,
+                         const Watch& watch, sim::EvalMode evalMode) {
   GoldenTrace g;
   for (const std::vector<netlist::NetId>& group : watch.groups) {
     g.nets.insert(g.nets.end(), group.begin(), group.end());
   }
   g.nets.insert(g.nets.end(), watch.points.begin(), watch.points.end());
   g.nets.insert(g.nets.end(), watch.asserted.begin(), watch.asserted.end());
-  sim::Simulator sim(ctx.compiledPtr());
+  sim::Simulator sim(cd);
   sim.setEvalMode(evalMode);
   wl.restart();
   sim.reset();
@@ -81,7 +81,7 @@ GoldenTrace recordGolden(const fault::EngineContext& ctx, sim::Workload& wl,
   return g;
 }
 
-SerialCampaign runSerialWatch(const fault::EngineContext& ctx,
+SerialCampaign runSerialWatch(const netlist::CompiledDesignPtr& cd,
                               sim::Workload& wl, const StimulusTrace& stim,
                               const GoldenTrace& golden,
                               const fault::FaultList& faults,
@@ -109,7 +109,7 @@ SerialCampaign runSerialWatch(const fault::EngineContext& ctx,
   run.observations.resize(faults.size());
   std::vector<char> groupHit(watch.groups.size());
   std::vector<char> pointHit(watch.points.size());
-  sim::Simulator sim(ctx.compiledPtr());
+  sim::Simulator sim(cd);
   sim.setEvalMode(opt.evalMode);
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     Observation& o = run.observations[fi];
@@ -164,23 +164,16 @@ SerialCampaign runSerialWatch(const fault::EngineContext& ctx,
   return run;
 }
 
-FaultSimResult runSerialFaultSim(const netlist::Netlist& nl, sim::Workload& wl,
-                                 const fault::FaultList& faults,
-                                 const FaultSimOptions& opt) {
-  const fault::EngineContext ctx(nl);
-  return runSerialFaultSim(ctx, wl, faults, opt);
-}
-
-FaultSimResult runSerialFaultSim(const fault::EngineContext& ctx,
+FaultSimResult runSerialFaultSim(const netlist::CompiledDesignPtr& cd,
                                  sim::Workload& wl,
                                  const fault::FaultList& faults,
                                  const FaultSimOptions& opt) {
   obs::ScopedTimer timer("faultsim.serial");
-  const Watch watch = outputWatch(ctx.design(), opt);
-  const StimulusTrace stim = recordStimulus(ctx, wl);
-  const GoldenTrace golden = recordGolden(ctx, wl, stim, watch, opt.evalMode);
+  const Watch watch = outputWatch(cd->design(), opt);
+  const StimulusTrace stim = recordStimulus(cd, wl);
+  const GoldenTrace golden = recordGolden(cd, wl, stim, watch, opt.evalMode);
   const SerialCampaign run = runSerialWatch(
-      ctx, wl, stim, golden, faults, watch, std::nullopt,
+      cd, wl, stim, golden, faults, watch, std::nullopt,
       opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly, opt);
   FaultSimResult res = faultSimResult(run.observations, run.cycles);
 

@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "fault/engine_context.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/harness.hpp"
 #include "faultsim/stimulus.hpp"
@@ -226,9 +225,9 @@ std::uint64_t runMachine(sim::Simulator& sim, sim::Workload& wl,
 /// Records the golden trace of `watch`'s nets by one fault-free replay of
 /// `stim`, the stimulus every faulty machine replays; the workload's
 /// deterministic backdoor actions are re-executed per cycle.  The recording
-/// Simulator shares the context's compiled design.
+/// Simulator shares `cd`.
 [[nodiscard]] GoldenTrace recordGolden(
-    const fault::EngineContext& ctx, sim::Workload& wl,
+    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
     const StimulusTrace& stim, const Watch& watch,
     sim::EvalMode evalMode = sim::EvalMode::EventDriven);
 
@@ -245,7 +244,7 @@ struct SerialCampaign {
 /// under `retire`.  Only opt.evalMode is read.  Throws std::invalid_argument
 /// when `golden` does not match the watch or the stimulus.
 [[nodiscard]] SerialCampaign runSerialWatch(
-    const fault::EngineContext& ctx, sim::Workload& wl,
+    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
     const StimulusTrace& stim, const GoldenTrace& golden,
     const fault::FaultList& faults, const Watch& watch,
     const std::optional<fault::Fault>& latent, RetireMode retire,
@@ -253,18 +252,10 @@ struct SerialCampaign {
 
 /// Runs the whole fault list serially over outputWatch: records the
 /// stimulus and the golden trace once, then runs runSerialWatch (DetectOnly
-/// under opt.earlyAbort, else WashoutOnly).  The Netlist form compiles the
-/// design once internally; campaign layers holding an EngineContext use the
-/// overload below to share the compiled form across engines.
-[[nodiscard]] FaultSimResult runSerialFaultSim(const netlist::Netlist& nl,
-                                               sim::Workload& wl,
-                                               const fault::FaultList& faults,
-                                               const FaultSimOptions& opt = {});
-
-[[nodiscard]] FaultSimResult runSerialFaultSim(const fault::EngineContext& ctx,
-                                               sim::Workload& wl,
-                                               const fault::FaultList& faults,
-                                               const FaultSimOptions& opt = {});
+/// under opt.earlyAbort, else WashoutOnly).
+[[nodiscard]] FaultSimResult runSerialFaultSim(
+    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
+    const fault::FaultList& faults, const FaultSimOptions& opt = {});
 
 void printFaultSim(std::ostream& out, const FaultSimResult& r);
 

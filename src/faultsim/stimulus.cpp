@@ -4,19 +4,14 @@
 
 namespace socfmea::faultsim {
 
-StimulusTrace recordStimulus(const netlist::Netlist& nl, sim::Workload& wl) {
-  const fault::EngineContext ctx(nl);
-  return recordStimulus(ctx, wl);
-}
-
-StimulusTrace recordStimulus(const fault::EngineContext& ctx,
+StimulusTrace recordStimulus(const netlist::CompiledDesignPtr& cd,
                              sim::Workload& wl) {
-  const netlist::Netlist& nl = ctx.design();
+  const netlist::Netlist& nl = cd->design();
   StimulusTrace t;
   for (netlist::CellId pi : nl.primaryInputs()) {
     t.inputs.push_back(nl.cell(pi).output);
   }
-  sim::Simulator sim(ctx.compiledPtr());
+  sim::Simulator sim(cd);
   wl.restart();
   sim.reset();
   t.values.reserve(wl.cycles());

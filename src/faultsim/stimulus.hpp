@@ -10,8 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/engine_context.hpp"
-#include "netlist/netlist.hpp"
+#include "netlist/compiled.hpp"
 #include "sim/workload.hpp"
 
 namespace socfmea::faultsim {
@@ -23,12 +22,9 @@ struct StimulusTrace {
   [[nodiscard]] std::uint64_t cycles() const noexcept { return values.size(); }
 };
 
-/// Records the stimulus a workload produces (one fault-free run).
-[[nodiscard]] StimulusTrace recordStimulus(const netlist::Netlist& nl,
-                                           sim::Workload& wl);
-
-/// EngineContext form: the recording Simulator shares the compiled design.
-[[nodiscard]] StimulusTrace recordStimulus(const fault::EngineContext& ctx,
+/// Records the stimulus a workload produces (one fault-free run on a
+/// Simulator that shares `cd`).
+[[nodiscard]] StimulusTrace recordStimulus(const netlist::CompiledDesignPtr& cd,
                                            sim::Workload& wl);
 
 }  // namespace socfmea::faultsim

@@ -170,8 +170,10 @@ std::vector<bool> structurallyConstantNets(const netlist::Netlist& nl) {
   return constant;
 }
 
-ToggleCoverage measureToggle(const netlist::Netlist& nl, sim::Workload& wl) {
-  sim::Simulator sim(nl);
+ToggleCoverage measureToggle(const netlist::CompiledDesignPtr& cd,
+                             sim::Workload& wl) {
+  const netlist::Netlist& nl = cd->design();
+  sim::Simulator sim(cd);
   const std::size_t nets = nl.netCount();
   std::vector<bool> sawRise(nets, false);
   std::vector<bool> sawFall(nets, false);

@@ -8,6 +8,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "netlist/compiled.hpp"
 #include "sim/workload.hpp"
 
 namespace socfmea::faultsim {
@@ -41,10 +42,10 @@ struct ToggleCoverage {
 [[nodiscard]] std::vector<bool> structurallyConstantNets(
     const netlist::Netlist& nl);
 
-/// Runs the workload fault-free and measures net toggling.  Constant-driven
-/// and structurally constant nets are excluded from the denominator (they
-/// cannot toggle by design).
-[[nodiscard]] ToggleCoverage measureToggle(const netlist::Netlist& nl,
+/// Runs the workload fault-free on a Simulator that shares `cd` and
+/// measures net toggling.  Constant-driven and structurally constant nets
+/// are excluded from the denominator (they cannot toggle by design).
+[[nodiscard]] ToggleCoverage measureToggle(const netlist::CompiledDesignPtr& cd,
                                            sim::Workload& wl);
 
 void printToggle(std::ostream& out, const netlist::Netlist& nl,

@@ -190,15 +190,15 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
                                 const fault::FaultList& faults,
                                 const CachedCampaign& cache,
                                 const netlist::AffectedCone& cone,
-                                const netlist::CompiledDesign& cd,
                                 CoverageCollector* coverage,
                                 const CampaignOptions& opt,
                                 double revalidateFraction,
                                 std::uint64_t revalidateSeed,
                                 DeltaStats* stats) {
-  const netlist::Netlist& nl = cd.design();
   const zones::ZoneDatabase& db = *mgr.environment().zones;
   const zones::EffectsModel& effects = *mgr.environment().effects;
+  const netlist::CompiledDesign& cd = *db.compiledShared();
+  const netlist::Netlist& nl = cd.design();
 
   DeltaStats st;
   st.total = faults.size();

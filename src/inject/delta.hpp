@@ -57,8 +57,8 @@ struct CachedCampaign {
     const zones::ZoneDatabase& db, const zones::EffectsModel& effects);
 
 /// Binds every fault's cached record in fault-list order; nullopt when any
-/// key is absent or any reference fails to rebind.  The whole-campaign
-/// store-hit path and the distributed merge both go through this.
+/// key is absent or any reference fails to rebind.  The incremental flow's
+/// whole-campaign store hit goes through this.
 [[nodiscard]] std::optional<std::vector<InjectionRecord>> bindCampaignRecords(
     const CachedCampaign& cache, const netlist::Netlist& nl,
     const fault::FaultList& faults, const zones::ZoneDatabase& db,
@@ -84,8 +84,8 @@ struct DeltaStats {
 [[nodiscard]] CampaignResult runCampaignDelta(
     InjectionManager& mgr, sim::Workload& wl, const fault::FaultList& faults,
     const CachedCampaign& cache, const netlist::AffectedCone& cone,
-    const netlist::CompiledDesign& cd, CoverageCollector* coverage,
-    const CampaignOptions& opt, double revalidateFraction,
-    std::uint64_t revalidateSeed, DeltaStats* stats);
+    CoverageCollector* coverage, const CampaignOptions& opt,
+    double revalidateFraction, std::uint64_t revalidateSeed,
+    DeltaStats* stats);
 
 }  // namespace socfmea::inject

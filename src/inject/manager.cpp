@@ -5,7 +5,6 @@
 #include <ostream>
 #include <string>
 
-#include "fault/engine_context.hpp"
 #include "faultsim/bitsliced.hpp"
 #include "faultsim/stimulus.hpp"
 #include "netlist/hash.hpp"
@@ -13,16 +12,8 @@
 
 namespace socfmea::inject {
 
-InjectionManager::InjectionManager(const netlist::Netlist& nl,
-                                   InjectionEnvironment env)
-    : nl_(&nl), env_(std::move(env)) {
-  if (env_.zones != nullptr && &env_.zones->design() == &nl &&
-      env_.zones->compiledShared() != nullptr) {
-    cd_ = env_.zones->compiledShared();
-  } else {
-    cd_ = netlist::compile(nl);
-  }
-}
+InjectionManager::InjectionManager(InjectionEnvironment env)
+    : env_(std::move(env)), cd_(env_.zones->compiledShared()) {}
 
 void InjectionManager::exportEvalTelemetry(
     const sim::Simulator::PerfCounters& perf) const {
@@ -267,7 +258,6 @@ CampaignResult InjectionManager::runDistinct(sim::Workload& wl,
   const faultsim::EngineKind engine = resolveEngine(opt.engine);
   const obs::ScopedTimer campaignTimer(
       "inject.campaign." + std::string(faultsim::engineKindName(engine)));
-  const fault::EngineContext ctx(*nl_, cd_);
   const auto& db = *env_.zones;
 
   faultsim::Watch watch;
@@ -289,14 +279,14 @@ CampaignResult InjectionManager::runDistinct(sim::Workload& wl,
     // (deterministic backdoor actions are re-executed on each machine).
     const faultsim::StimulusTrace stim = [&] {
       const obs::ScopedTimer t("inject.record_stimulus");
-      return faultsim::recordStimulus(ctx, wl);
+      return faultsim::recordStimulus(cd_, wl);
     }();
     const faultsim::GoldenTrace golden = [&] {
       const obs::ScopedTimer t("inject.record_golden");
-      return faultsim::recordGolden(ctx, wl, stim, watch);
+      return faultsim::recordGolden(cd_, wl, stim, watch);
     }();
     faultsim::SerialCampaign run = faultsim::runSerialWatch(
-        ctx, wl, stim, golden, faults, watch, opt.preexisting, retire);
+        cd_, wl, stim, golden, faults, watch, opt.preexisting, retire);
     observations = std::move(run.observations);
     result.cyclesSimulated = run.cycles;
     reg.add("inject.comb_evals", run.perf.combEvals);
@@ -307,7 +297,7 @@ CampaignResult InjectionManager::runDistinct(sim::Workload& wl,
     fopt.laneWords = opt.laneWords;
     fopt.threads = opt.threads;
     faultsim::BitslicedCampaign run = faultsim::runBitslicedWatch(
-        ctx, wl, faults, watch, opt.preexisting, retire, fopt);
+        cd_, wl, faults, watch, opt.preexisting, retire, fopt);
     observations = std::move(run.observations);
     result.cyclesSimulated = run.stats.laneCycles;
     result.convergedEarly = run.stats.convergedEarly;
@@ -358,6 +348,7 @@ fault::FaultList InjectionManager::zoneFailureFaults(
     std::uint64_t seed) const {
   fault::FaultList out;
   const auto& db = *env_.zones;
+  const netlist::Netlist& nl = db.design();
   for (zones::ZoneId zid : env_.targetZones) {
     const zones::SensibleZone& z = db.zone(zid);
     const auto& act = profile.zone(zid);
@@ -373,7 +364,7 @@ fault::FaultList InjectionManager::zoneFailureFaults(
       return profile.totalCycles() > 0 ? rng.below(profile.totalCycles()) : 0;
     };
     if (z.kind == zones::ZoneKind::Memory) {
-      const auto& mem = nl_->memory(z.mem);
+      const auto& mem = nl.memory(z.mem);
       sim::Rng rng(netlist::hashMix(seed, netlist::hashString(z.name)));
       for (std::size_t i = 0; i < perBit * 4; ++i) {
         fault::Fault f;
@@ -388,12 +379,12 @@ fault::FaultList InjectionManager::zoneFailureFaults(
     }
     for (netlist::CellId ff : z.ffs) {
       sim::Rng rng(
-          netlist::hashMix(seed, netlist::hashString(nl_->cell(ff).name)));
+          netlist::hashMix(seed, netlist::hashString(nl.cell(ff).name)));
       for (std::size_t i = 0; i < perBit; ++i) {
         fault::Fault f;
         f.kind = fault::FaultKind::SeuFlip;
         f.cell = ff;
-        f.net = nl_->cell(ff).output;
+        f.net = nl.cell(ff).output;
         f.cycle = pickCycle(rng);
         out.push_back(f);
       }

@@ -156,16 +156,14 @@ struct CampaignOptions {
 
 class InjectionManager {
  public:
-  /// Binds the campaign to a design.  The compiled form is taken from the
-  /// environment's ZoneDatabase when it carries one for the same netlist
-  /// (one flattening per flow); otherwise the design is compiled here once
-  /// and shared by every machine the campaigns create.
-  InjectionManager(const netlist::Netlist& nl, InjectionEnvironment env);
+  /// Binds the campaign to the design of the environment's ZoneDatabase
+  /// (env.zones must be set, as EnvironmentBuilder does): every machine the
+  /// campaigns create shares its compiled design (one flattening per flow).
+  explicit InjectionManager(InjectionEnvironment env);
 
   [[nodiscard]] const InjectionEnvironment& environment() const noexcept {
     return env_;
   }
-  [[nodiscard]] const netlist::Netlist& design() const noexcept { return *nl_; }
 
   /// Runs the campaign; `coverage`, when non-null, accumulates the
   /// completeness counters once per list position.  Repeated faults are
@@ -210,7 +208,6 @@ class InjectionManager {
   /// the global registry after a campaign.
   void exportEvalTelemetry(const sim::Simulator::PerfCounters& perf) const;
 
-  const netlist::Netlist* nl_;
   InjectionEnvironment env_;
   netlist::CompiledDesignPtr cd_;
 };

@@ -8,8 +8,7 @@ namespace socfmea::inject {
 OperationalProfile OperationalProfile::record(
     const zones::ZoneDatabase& db, sim::Workload& wl,
     std::size_t maxActiveCyclesPerZone) {
-  const auto& nl = db.design();
-  sim::Simulator sim(nl);
+  sim::Simulator sim(db.compiledShared());
 
   OperationalProfile p;
   p.activity_.assign(db.size(), {});

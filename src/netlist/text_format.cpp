@@ -212,7 +212,8 @@ void writeNetlist(std::ostream& out, const Netlist& nl) {
   // Net preamble in id order, then every cell in id order: the parser
   // re-creates each net and cell at its original id, so id-keyed artifacts
   // (zone databases, compiled-design caches) bind to a round-tripped design
-  // unchanged — the distributed job path depends on this.
+  // unchanged, and write(parse(write(nl))) is a fixed point — the testkit
+  // oracle's round-trip arm depends on this.
   for (NetId id = 0; id < nl.netCount(); ++id) {
     out << "net " << netName(nl, id) << "\n";
   }

@@ -63,56 +63,6 @@ ForwardReach emptyReach(const CompiledDesign& cd) {
 
 }  // namespace
 
-Cone faninCone(const Netlist& nl, const std::vector<NetId>& roots) {
-  Cone cone;
-  std::vector<bool> netSeen(nl.netCount(), false);
-  std::vector<NetId> stack;
-  for (NetId r : roots) {
-    if (r == kNoNet || netSeen[r]) continue;
-    netSeen[r] = true;
-    stack.push_back(r);
-  }
-  std::vector<bool> memSeen(nl.memoryCount(), false);
-
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    cone.nets.push_back(n);
-    const Net& net = nl.net(n);
-    if (net.memDriver != kNoMemory) {
-      if (!memSeen[net.memDriver]) {
-        memSeen[net.memDriver] = true;
-        cone.supportMems.push_back(net.memDriver);
-      }
-      continue;
-    }
-    if (net.driver == kNoCell) continue;
-    const Cell& drv = nl.cell(net.driver);
-    switch (drv.type) {
-      case CellType::Input:
-        cone.supportPis.push_back(net.driver);
-        continue;
-      case CellType::Dff:
-        cone.supportFfs.push_back(net.driver);
-        continue;
-      default:
-        break;
-    }
-    if (!isCombinational(drv.type)) continue;
-    cone.gates.push_back(net.driver);
-    for (NetId in : drv.inputs) {
-      if (in == kNoNet || netSeen[in]) continue;
-      netSeen[in] = true;
-      stack.push_back(in);
-    }
-  }
-  sortUnique(cone.gates);
-  sortUnique(cone.supportFfs);
-  sortUnique(cone.supportPis);
-  std::sort(cone.nets.begin(), cone.nets.end());
-  return cone;
-}
-
 Cone faninCone(const CompiledDesign& cd, const std::vector<NetId>& roots) {
   Cone cone;
   std::vector<bool> netSeen(cd.netCount(), false);
@@ -238,49 +188,6 @@ void extendForwardReach(const CompiledDesign& cd, ForwardReach& reach,
                         const std::vector<NetId>& seeds) {
   walkForward(cd, reach, seeds, /*throughRegisters=*/true,
               /*throughMemories=*/true, nullptr);
-}
-
-std::vector<NetId> combFanoutNets(const Netlist& nl, NetId src) {
-  std::vector<bool> netSeen(nl.netCount(), false);
-  std::vector<NetId> stack{src};
-  netSeen[src] = true;
-  std::vector<NetId> out;
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    for (CellId sink : nl.net(n).fanout) {
-      const Cell& c = nl.cell(sink);
-      if (!isCombinational(c.type) || c.output == kNoNet) continue;
-      if (!netSeen[c.output]) {
-        netSeen[c.output] = true;
-        stack.push_back(c.output);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<NetId> combFanoutNets(const CompiledDesign& cd, NetId src) {
-  std::vector<bool> netSeen(cd.netCount(), false);
-  std::vector<NetId> stack{src};
-  netSeen[src] = true;
-  std::vector<NetId> out;
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    for (CellId sink : cd.fanout(n)) {
-      if (!isCombinational(cd.cellType(sink))) continue;
-      const NetId next = cd.cellOutput(sink);
-      if (next == kNoNet || netSeen[next]) continue;
-      netSeen[next] = true;
-      stack.push_back(next);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace socfmea::netlist

@@ -21,12 +21,7 @@ struct Cone {
   std::vector<NetId> nets;         ///< nets internal to / feeding the cone
 };
 
-/// Computes the fan-in cone of `roots` (net ids).
-[[nodiscard]] Cone faninCone(const Netlist& nl, const std::vector<NetId>& roots);
-
-/// CSR form of the walk above (identical result).  The cone algorithms keep
-/// both entry points: the Netlist form for standalone callers, the compiled
-/// form for campaign layers that already share a CompiledDesign.
+/// Computes the fan-in cone of `roots` (net ids) over the CSR adjacency.
 [[nodiscard]] Cone faninCone(const CompiledDesign& cd,
                              const std::vector<NetId>& roots);
 
@@ -35,31 +30,27 @@ struct Cone {
 /// `throughRegisters` is true (i.e. multi-cycle reachability) and crossing
 /// behavioural memories (a corrupted write resurfaces on the read port) when
 /// `throughMemories` is true.  Returns cell ids of every reached cell
-/// including flip-flops and output ports.
-[[nodiscard]] std::vector<CellId> forwardReach(const Netlist& nl,
-                                               const std::vector<NetId>& srcNets,
-                                               bool throughRegisters,
-                                               bool throughMemories = false);
-
-/// CSR form of forwardReach (identical result); the memory write-port map
-/// is precomputed in the CompiledDesign instead of rebuilt per call.
+/// including flip-flops and output ports.  Runs the shared compiled walker
+/// (ForwardReach below).
 [[nodiscard]] std::vector<CellId> forwardReach(const CompiledDesign& cd,
                                                const std::vector<NetId>& srcNets,
                                                bool throughRegisters,
                                                bool throughMemories = false);
 
-/// Transitive fanout nets of a single net within the combinational phase.
-[[nodiscard]] std::vector<NetId> combFanoutNets(const Netlist& nl, NetId src);
-
-/// CSR form of combFanoutNets (identical result).
-[[nodiscard]] std::vector<NetId> combFanoutNets(const CompiledDesign& cd,
-                                                NetId src);
+/// The same walk over the Netlist's own per-net vectors, with the memory
+/// write-port map rebuilt per call.  No flow calls it: it is the
+/// independent reference the traversal property tests check the compiled
+/// walker against.
+[[nodiscard]] std::vector<CellId> forwardReach(const Netlist& nl,
+                                               const std::vector<NetId>& srcNets,
+                                               bool throughRegisters,
+                                               bool throughMemories = false);
 
 /// Flag form of the forward closure over the compiled CSR adjacency: every
 /// net, cell and memory whose value can be perturbed by a disturbance on the
 /// seeds, crossing flip-flops and memory write ports.  The incremental
 /// flow's affected-cone "D" set (netlist/diff) is built on it, and the
-/// cell-list forwardReach above runs the same walker.
+/// compiled cell-list forwardReach above runs the same walker.
 struct ForwardReach {
   std::vector<char> net;   ///< indexed by NetId
   std::vector<char> cell;  ///< indexed by CellId

@@ -232,13 +232,9 @@ void Simulator::evalComb() {
     for (const Bridge& br : bridges_) {
       const Logic va = netVal_[br.a];
       const Logic vb = netVal_[br.b];
-      Logic r = Logic::LX;
-      switch (br.kind) {
-        case BridgeKind::WiredAnd: r = logicAnd(va, vb); break;
-        case BridgeKind::WiredOr: r = logicOr(va, vb); break;
-        case BridgeKind::DominantA: r = va; break;
-      }
-      resolved.emplace_back(br.a, br.kind == BridgeKind::DominantA ? va : r);
+      const Logic r = br.kind == BridgeKind::WiredAnd ? logicAnd(va, vb)
+                                                      : logicOr(va, vb);
+      resolved.emplace_back(br.a, r);
       resolved.emplace_back(br.b, r);
     }
     // Install as temporary forces (kept under any explicit user forces).

@@ -32,8 +32,6 @@ namespace socfmea::sim {
 enum class BridgeKind : std::uint8_t {
   WiredAnd,
   WiredOr,
-  /// Dominant bridge: net A wins, net B reads A's value.
-  DominantA,
 };
 
 /// Combinational evaluation strategy.  Both modes settle to bit-identical

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "fault/engine_context.hpp"
 #include "faultsim/bitsliced.hpp"
 #include "inject/workload.hpp"
 #include "netlist/text_format.hpp"
@@ -103,7 +102,7 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
                     std::to_string(nl.primaryInputs().size()));
   }
   OracleReport report;
-  const fault::EngineContext ctx(nl);
+  const netlist::CompiledDesignPtr cd = netlist::compile(nl);
   inject::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
 
   std::vector<std::size_t> identity(plan.faults.size());
@@ -112,7 +111,7 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
   const auto serialArm = [&](sim::EvalMode mode) {
     faultsim::FaultSimOptions o;
     o.evalMode = mode;
-    auto r = faultsim::runSerialFaultSim(ctx, wl, plan.faults, o);
+    auto r = faultsim::runSerialFaultSim(cd, wl, plan.faults, o);
     applySabotage(opt.sabotage, Sabotage::Engine::Serial, mode, r);
     ++report.combosRun;
     return r;
@@ -126,11 +125,11 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
 
   // Golden traces of both eval modes must be cycle-for-cycle identical.
   const faultsim::Watch watch = campaignWatch(nl);
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(ctx, wl);
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
   const faultsim::GoldenTrace golden =
-      faultsim::recordGolden(ctx, wl, stim, watch);
+      faultsim::recordGolden(cd, wl, stim, watch);
   if (golden.values !=
-      faultsim::recordGolden(ctx, wl, stim, watch, sim::EvalMode::FullSettle)
+      faultsim::recordGolden(cd, wl, stim, watch, sim::EvalMode::FullSettle)
           .values) {
     report.mismatches.push_back(
         {"golden-trace", "event-driven and full-settle golden runs differ", {}});
@@ -143,7 +142,7 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
       faultsim::FaultSimOptions o;
       o.evalMode = mode;
       o.threads = mode == sim::EvalMode::EventDriven ? opt.threads : 1;
-      auto r = faultsim::runBitslicedFaultSim(ctx, wl, plan.faults, o);
+      auto r = faultsim::runBitslicedFaultSim(cd, wl, plan.faults, o);
       applySabotage(opt.sabotage, Sabotage::Engine::Bitsliced, mode, r);
       ++report.combosRun;
       compareVerdicts(
@@ -155,12 +154,12 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
     // Campaign mode: both engines' observations under the campaign watch,
     // with early abort, must be identical.
     const faultsim::SerialCampaign serial = faultsim::runSerialWatch(
-        ctx, wl, stim, golden, plan.faults, watch, std::nullopt,
+        cd, wl, stim, golden, plan.faults, watch, std::nullopt,
         faultsim::RetireMode::Classify);
     faultsim::FaultSimOptions o;
     o.threads = opt.threads;
     const faultsim::BitslicedCampaign sliced = faultsim::runBitslicedWatch(
-        ctx, wl, plan.faults, watch, std::nullopt,
+        cd, wl, plan.faults, watch, std::nullopt,
         faultsim::RetireMode::Classify, o);
     ++report.combosRun;
     OracleMismatch mm{"campaign", "", {}};
@@ -192,9 +191,8 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
         const TestPlan rebound = rebindPlan(nl, reparsed, plan);
         inject::VectorWorkload wl2(rebound.name, rebound.inputs,
                                    rebound.stimulus);
-        const fault::EngineContext ctx2(reparsed);
-        const auto r =
-            faultsim::runSerialFaultSim(ctx2, wl2, rebound.faults);
+        const auto r = faultsim::runSerialFaultSim(netlist::compile(reparsed),
+                                                   wl2, rebound.faults);
         compareVerdicts(ref, r, identity, "round-trip", report);
       }
     } catch (const std::exception& e) {

@@ -51,21 +51,17 @@ EffectsModel::EffectsModel(const ZoneDatabase& db,
 }
 
 void EffectsModel::computeReach(const ZoneDatabase& db) {
-  const auto& nl = db.design();
-  // Reuse the database's compiled design; compile locally for databases
-  // built without one (e.g. hand-assembled in tests).
-  netlist::CompiledDesignPtr cd = db.compiledShared();
-  if (cd == nullptr) cd = netlist::compile(nl);
+  const netlist::CompiledDesign& cd = *db.compiledShared();
   reach_.assign(db.size(), std::vector<EffectClass>(points_.size(),
                                                     EffectClass::None));
 
   for (const SensibleZone& z : db.zones()) {
     // Same-cycle combinational reach of the zone's value, then the
     // multi-cycle reach through other registers.
-    const auto combCells = netlist::forwardReach(*cd, z.valueNets, false);
-    const auto fullCells = netlist::forwardReach(*cd, z.valueNets, true, true);
-    std::vector<bool> comb(nl.cellCount(), false);
-    std::vector<bool> full(nl.cellCount(), false);
+    const auto combCells = netlist::forwardReach(cd, z.valueNets, false);
+    const auto fullCells = netlist::forwardReach(cd, z.valueNets, true, true);
+    std::vector<bool> comb(cd.cellCount(), false);
+    std::vector<bool> full(cd.cellCount(), false);
     for (CellId c : combCells) comb[c] = true;
     for (CellId c : fullCells) full[c] = true;
 
@@ -82,8 +78,8 @@ void EffectsModel::computeReach(const ZoneDatabase& db) {
       } else {
         // Primary output / alarm: the Output cell reads the sampled net.
         for (netlist::NetId n : p.nets) {
-          for (CellId sink : cd->fanout(n)) {
-            if (cd->cellType(sink) != CellType::Output) continue;
+          for (CellId sink : cd.fanout(n)) {
+            if (cd.cellType(sink) != CellType::Output) continue;
             mainHit = mainHit || comb[sink];
             anyHit = anyHit || full[sink];
           }

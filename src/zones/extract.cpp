@@ -46,8 +46,7 @@ ZoneDatabase extractZones(netlist::CompiledDesignPtr cdp,
                           const ExtractOptions& opt) {
   const netlist::CompiledDesign& cd = *cdp;
   const Netlist& nl = cd.design();
-  ZoneDatabase db(nl);
-  db.setCompiled(cdp);
+  ZoneDatabase db(cdp);
 
   // --- group flip-flops ------------------------------------------------------
   // Key: sub-block prefix if owned, else register stem (compacted), else the

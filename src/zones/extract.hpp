@@ -45,16 +45,14 @@ struct ExtractOptions {
   std::vector<LogicalEntitySpec> logicalEntities;
 };
 
-/// Runs the extraction.  The returned database has indices built.  This
-/// form compiles the design internally; the compiled-form overload below
-/// lets a flow compile once and share the result (the returned database
-/// carries it — see ZoneDatabase::compiledShared()).
-[[nodiscard]] ZoneDatabase extractZones(const netlist::Netlist& nl,
+/// Runs the extraction: every cone walk runs on the CSR adjacency, and the
+/// returned database (indices built) is built over `cd` for downstream
+/// reuse (ZoneDatabase::compiledShared()).
+[[nodiscard]] ZoneDatabase extractZones(netlist::CompiledDesignPtr cd,
                                         const ExtractOptions& opt = {});
 
-/// Compiled-form extraction: every cone walk runs on the CSR adjacency and
-/// `cd` is attached to the returned database for downstream reuse.
-[[nodiscard]] ZoneDatabase extractZones(netlist::CompiledDesignPtr cd,
+/// Compiles `nl` and runs the extraction above.
+[[nodiscard]] ZoneDatabase extractZones(const netlist::Netlist& nl,
                                         const ExtractOptions& opt = {});
 
 }  // namespace socfmea::zones

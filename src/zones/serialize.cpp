@@ -1,6 +1,7 @@
 #include "zones/serialize.hpp"
 
 #include <string_view>
+#include <utility>
 
 namespace socfmea::zones {
 
@@ -72,8 +73,7 @@ obs::Json zonesToJson(const ZoneDatabase& db) {
   return j;
 }
 
-std::optional<ZoneDatabase> zonesFromJson(const netlist::Netlist& nl,
-                                          netlist::CompiledDesignPtr cd,
+std::optional<ZoneDatabase> zonesFromJson(netlist::CompiledDesignPtr cd,
                                           const obs::Json& j) {
   const obs::Json* schema = j.find("schema");
   if (schema == nullptr || !schema->isString() ||
@@ -83,7 +83,8 @@ std::optional<ZoneDatabase> zonesFromJson(const netlist::Netlist& nl,
   const obs::Json* arr = j.find("zones");
   if (arr == nullptr || !arr->isArray()) return std::nullopt;
 
-  ZoneDatabase db(nl);
+  ZoneDatabase db(std::move(cd));
+  const netlist::Netlist& nl = db.design();
   const std::size_t cells = nl.cellCount();
   const std::size_t nets = nl.netCount();
   const std::size_t mems = nl.memoryCount();
@@ -138,7 +139,6 @@ std::optional<ZoneDatabase> zonesFromJson(const netlist::Netlist& nl,
     db.addZone(std::move(z));
   }
   db.buildIndices();
-  db.setCompiled(std::move(cd));
   return db;
 }
 

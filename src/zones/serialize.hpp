@@ -17,12 +17,11 @@ namespace socfmea::zones {
 /// cones, statistics) for the artifact store.
 [[nodiscard]] obs::Json zonesToJson(const ZoneDatabase& db);
 
-/// Rebuilds a ZoneDatabase over `nl` from a zonesToJson() artifact,
-/// attaching `cd` as the shared compiled design and rebuilding the
-/// cone-membership indices.  nullopt on malformed input or when an id is
-/// out of range for `nl` (artifact from a different design).
+/// Rebuilds a ZoneDatabase over `cd` from a zonesToJson() artifact and
+/// rebuilds the cone-membership indices.  nullopt on malformed input or
+/// when an id is out of range for the design (artifact from a different
+/// design).
 [[nodiscard]] std::optional<ZoneDatabase> zonesFromJson(
-    const netlist::Netlist& nl, netlist::CompiledDesignPtr cd,
-    const obs::Json& j);
+    netlist::CompiledDesignPtr cd, const obs::Json& j);
 
 }  // namespace socfmea::zones

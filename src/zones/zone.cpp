@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace socfmea::zones {
 
@@ -28,7 +29,8 @@ std::string_view faultScopeName(FaultScope s) noexcept {
   return "?";
 }
 
-ZoneDatabase::ZoneDatabase(const netlist::Netlist& nl) : nl_(&nl) {}
+ZoneDatabase::ZoneDatabase(netlist::CompiledDesignPtr cd)
+    : cd_(std::move(cd)) {}
 
 std::optional<ZoneId> ZoneDatabase::findZone(std::string_view name) const {
   for (const SensibleZone& z : zones_) {
@@ -49,8 +51,8 @@ ZoneId ZoneDatabase::addZone(SensibleZone z) {
 }
 
 void ZoneDatabase::buildIndices() {
-  coneMembership_.assign(nl_->cellCount(), {});
-  ffOwner_.assign(nl_->cellCount(), kNoZone);
+  coneMembership_.assign(cd_->cellCount(), {});
+  ffOwner_.assign(cd_->cellCount(), kNoZone);
   for (const SensibleZone& z : zones_) {
     for (netlist::CellId g : z.cone.gates) {
       auto& v = coneMembership_[g];
@@ -88,8 +90,8 @@ FaultScope ZoneDatabase::classifySite(netlist::CellId c,
 
 ZoneDatabase::ScopeCensus ZoneDatabase::census(double globalFraction) const {
   ScopeCensus out;
-  for (netlist::CellId c = 0; c < nl_->cellCount(); ++c) {
-    if (!netlist::isCombinational(nl_->cell(c).type)) continue;
+  for (netlist::CellId c = 0; c < cd_->cellCount(); ++c) {
+    if (!netlist::isCombinational(cd_->cellType(c))) continue;
     switch (classifySite(c, globalFraction)) {
       case FaultScope::Local: ++out.local; break;
       case FaultScope::Wide: ++out.wide; break;

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "netlist/netlist.hpp"
+#include "netlist/compiled.hpp"
 #include "netlist/traversal.hpp"
 #include "obs/json.hpp"
 
@@ -67,12 +67,20 @@ struct SensibleZone {
   }
 };
 
-/// The extracted zone set plus cone-membership indices.
+/// The extracted zone set plus cone-membership indices, over one compiled
+/// design that downstream layers (effects model, injection manager) share
+/// instead of re-compiling.
 class ZoneDatabase {
  public:
-  explicit ZoneDatabase(const netlist::Netlist& nl);
+  explicit ZoneDatabase(netlist::CompiledDesignPtr cd);
 
-  [[nodiscard]] const netlist::Netlist& design() const noexcept { return *nl_; }
+  [[nodiscard]] const netlist::Netlist& design() const noexcept {
+    return cd_->design();
+  }
+  [[nodiscard]] const netlist::CompiledDesignPtr& compiledShared()
+      const noexcept {
+    return cd_;
+  }
   [[nodiscard]] std::size_t size() const noexcept { return zones_.size(); }
   [[nodiscard]] const SensibleZone& zone(ZoneId id) const { return zones_.at(id); }
   [[nodiscard]] const std::vector<SensibleZone>& zones() const noexcept {
@@ -105,17 +113,7 @@ class ZoneDatabase {
   ZoneId addZone(SensibleZone z);
   void buildIndices();
 
-  /// Attaches the compiled form of design() so downstream layers (effects
-  /// model, injection manager) reuse one flattening per flow instead of
-  /// re-compiling.  Null for databases built without one.
-  void setCompiled(netlist::CompiledDesignPtr cd) { cd_ = std::move(cd); }
-  [[nodiscard]] const netlist::CompiledDesignPtr& compiledShared()
-      const noexcept {
-    return cd_;
-  }
-
  private:
-  const netlist::Netlist* nl_;
   netlist::CompiledDesignPtr cd_;
   std::vector<SensibleZone> zones_;
   std::vector<std::vector<ZoneId>> coneMembership_;  // by CellId

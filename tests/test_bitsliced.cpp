@@ -356,7 +356,8 @@ TEST(BitslicedKindTest, EveryFaultKindMatchesSerial) {
   f.cycle = 50;
   add(f);
 
-  const auto serial = fs::runSerialFaultSim(d.n, wl, faults);
+  const auto cd = nl::compile(d.n);
+  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
   // Enough stimulus lands on the memory for most kinds to matter; the test
   // is only meaningful if some faults really diverge.
   EXPECT_GT(serial.detected, 4u);
@@ -365,7 +366,7 @@ TEST(BitslicedKindTest, EveryFaultKindMatchesSerial) {
     fs::FaultSimOptions opt;
     opt.laneWords = laneWords;
     fs::BitslicedStats stats;
-    const auto sliced = fs::runBitslicedFaultSim(d.n, wl, faults, opt, &stats);
+    const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
     SCOPED_TRACE("laneWords=" + std::to_string(laneWords));
     expectVerdictsEqual(d.n, faults, serial, sliced);
     EXPECT_EQ(stats.laneWords, fs::resolveLaneWords(laneWords));
@@ -380,8 +381,9 @@ TEST(BitslicedKindTest, EarlyAbortOffStillMatches) {
   ft::collapseStuckAt(d.n, faults);
   fs::FaultSimOptions full;
   full.earlyAbort = false;
-  const auto serial = fs::runSerialFaultSim(d.n, wl, faults, full);
-  const auto sliced = fs::runBitslicedFaultSim(d.n, wl, faults, full);
+  const auto cd = nl::compile(d.n);
+  const auto serial = fs::runSerialFaultSim(cd, wl, faults, full);
+  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, full);
   expectVerdictsEqual(d.n, faults, serial, sliced);
 }
 
@@ -407,12 +409,13 @@ TEST(BitslicedRetireTest, RetiresRefillsAndStaysWithinCapacity) {
     faults.push_back(f);
   }
 
-  const auto serial = fs::runSerialFaultSim(d.n, wl, faults);
+  const auto cd = nl::compile(d.n);
+  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
 
   fs::FaultSimOptions opt;
   opt.laneWords = 1;
   fs::BitslicedStats stats;
-  const auto sliced = fs::runBitslicedFaultSim(d.n, wl, faults, opt, &stats);
+  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
   expectVerdictsEqual(d.n, faults, serial, sliced);
 
   // Verdict-final lanes retired before the workload end...
@@ -437,7 +440,8 @@ TEST(BitslicedRetireTest, WithoutEarlyAbortOnlyWashoutRetires) {
   fs::FaultSimOptions opt;
   opt.earlyAbort = false;
   fs::BitslicedStats stats;
-  const auto sliced = fs::runBitslicedFaultSim(d.n, wl, faults, opt, &stats);
+  const auto cd = nl::compile(d.n);
+  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
   (void)sliced;
   // Permanent faults can never wash out, so nothing retires early.
   EXPECT_EQ(stats.lanesRetiredEarly, 0u);
@@ -461,9 +465,10 @@ TEST(BitslicedRetireTest, TransientsWashOutAndConverge) {
   }
   fs::FaultSimOptions opt;
   opt.earlyAbort = false;
-  const auto serial = fs::runSerialFaultSim(d.n, wl, faults, opt);
+  const auto cd = nl::compile(d.n);
+  const auto serial = fs::runSerialFaultSim(cd, wl, faults, opt);
   fs::BitslicedStats stats;
-  const auto sliced = fs::runBitslicedFaultSim(d.n, wl, faults, opt, &stats);
+  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
   expectVerdictsEqual(d.n, faults, serial, sliced);
   // The register is reloaded every cycle, so every undetected SEU's
   // divergence is provably gone shortly after injection.
@@ -499,11 +504,12 @@ TEST(BitslicedActivityTest, DeepFaultInLongChainMatchesSerialVerdicts) {
   f.net = taps[35];  // deep in the chain
   faults.push_back(f);
 
-  const auto serial = fs::runSerialFaultSim(n, wl, faults);
+  const auto cd = nl::compile(n);
+  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
   fs::FaultSimOptions opt;
   opt.earlyAbort = false;  // keep the lane alive so every cycle sweeps
-  const auto serialFull = fs::runSerialFaultSim(n, wl, faults, opt);
-  const auto sliced = fs::runBitslicedFaultSim(n, wl, faults, opt);
+  const auto serialFull = fs::runSerialFaultSim(cd, wl, faults, opt);
+  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt);
   expectVerdictsEqual(n, faults, serialFull, sliced);
   EXPECT_EQ(serial.detected, sliced.detected);
 }
@@ -524,13 +530,14 @@ TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
     f.cycle = 60;
     faults.push_back(f);
   }
-  const auto serial = fs::runSerialFaultSim(d.n, wl, faults);
+  const auto cd = nl::compile(d.n);
+  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
   for (const unsigned threads : {2u, 8u}) {
     fs::FaultSimOptions opt;
     opt.threads = threads;
     opt.laneWords = 1;  // several word groups -> real work sharing
     fs::BitslicedStats stats;
-    const auto sliced = fs::runBitslicedFaultSim(d.n, wl, faults, opt, &stats);
+    const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expectVerdictsEqual(d.n, faults, serial, sliced);
     EXPECT_EQ(stats.workers, threads);
@@ -617,7 +624,7 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
   const auto faults = bed.sampleFaults(wl, 48);
   ASSERT_GT(faults.size(), 10u);
 
-  ij::InjectionManager mgr(bed.design.nl, bed.env);
+  ij::InjectionManager mgr(bed.env);
 
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;  // the reference oracle
@@ -704,7 +711,7 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
   memStuck.stuckValue = true;
   latents.push_back(memStuck);
 
-  ij::InjectionManager mgr(bed.design.nl, bed.env);
+  ij::InjectionManager mgr(bed.env);
   for (const ft::Fault& latent : latents) {
     SCOPED_TRACE("latent " + latent.describe(bed.design.nl));
     ij::CampaignOptions serialOpt;
@@ -730,7 +737,7 @@ TEST(BitslicedCampaignTest, AutoRunsBitslicedAtEveryThreadCount) {
   ms::ProtectionIpWorkload wl(bed.design, smallWorkload(80));
   const auto faults = bed.sampleFaults(wl, 8);
   ASSERT_FALSE(faults.empty());
-  ij::InjectionManager mgr(bed.design.nl, bed.env);
+  ij::InjectionManager mgr(bed.env);
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
   const auto serial = mgr.run(wl, faults, nullptr, serialOpt);
@@ -782,7 +789,7 @@ TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
   ij::RandomWorkload wl(n, 40, tk::testSeed(31), {{rst, false}});
   const ft::FaultList faults = ft::allStuckAtFaults(n);
   ASSERT_FALSE(faults.empty());
-  ij::InjectionManager mgr(n, env);
+  ij::InjectionManager mgr(env);
 
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
@@ -819,10 +826,11 @@ TEST(BitslicedPropertyTest, TwoHundredRandomDesignsBitIdenticalToSerial) {
     ij::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
 
     fs::FaultSimOptions o;
-    const auto serial = fs::runSerialFaultSim(n, wl, plan.faults, o);
+    const auto cd = nl::compile(n);
+    const auto serial = fs::runSerialFaultSim(cd, wl, plan.faults, o);
     // Rotate the lane width with the case index so every width soaks.
     o.laneWords = (i % 3 == 0) ? 1 : (i % 3 == 1) ? 2 : 4;
-    const auto sliced = fs::runBitslicedFaultSim(n, wl, plan.faults, o);
+    const auto sliced = fs::runBitslicedFaultSim(cd, wl, plan.faults, o);
     expectVerdictsEqual(n, plan.faults, serial, sliced);
     faultsChecked += plan.faults.size();
   }
@@ -853,7 +861,7 @@ TEST(BitslicedPropertyTest, LatentFaultsOnRandomDesignsMatchSerial) {
         tk::generatePlan(n, tk::randomPlanOptions(rng), rng);
     if (plan.faults.empty()) continue;
     ij::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
-    ij::InjectionManager mgr(n, env);
+    ij::InjectionManager mgr(env);
     for (int k = 0; k < 3; ++k) {
       ij::CampaignOptions serialOpt;
       serialOpt.engine = fs::EngineKind::Serial;

@@ -232,7 +232,7 @@ TEST(CpuFmeaTest, InjectionConfirmsComparatorCoverage) {
                        .withSeed(6)
                        .withDetectionWindow(8)
                        .build();
-  socfmea::inject::InjectionManager mgr(lock.nl, env);
+  socfmea::inject::InjectionManager mgr(env);
   const auto profile =
       socfmea::inject::OperationalProfile::record(flow.zones(), wl);
   const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 6));
@@ -250,7 +250,7 @@ TEST(CpuFmeaTest, PlainCpuInjectionShowsUndetectedFailures) {
                                                        flow.effects())
                        .withSeed(6)
                        .build();
-  socfmea::inject::InjectionManager mgr(plain.nl, env);
+  socfmea::inject::InjectionManager mgr(env);
   const auto profile =
       socfmea::inject::OperationalProfile::record(flow.zones(), wl);
   const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 6));

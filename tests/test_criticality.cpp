@@ -106,7 +106,7 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
   ft::FaultList faults = ft::allSeuFaults(tb.n);
   ft::append(faults, ft::allStuckAtFaults(tb.n));
 
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
   ij::RandomWorkload wl(tb.n, 64, 5, {{tb.rst, false}});
@@ -134,7 +134,7 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
 
 TEST(Criticality, UncheckedRegisterRanksAboveParityProtectedOne) {
   Testbed tb;
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   ij::RandomWorkload wl(tb.n, 64, 5, {{tb.rst, false}});
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
   const ft::FaultList faults = mgr.zoneFailureFaults(profile, 2, 7);
@@ -170,7 +170,7 @@ TEST_P(CriticalityFuzz, CountInvariantOnRandomDesign) {
                        .withSeed(GetParam())
                        .withDetectionWindow(4)
                        .build();
-  ij::InjectionManager mgr(n, env);
+  ij::InjectionManager mgr(env);
   ij::RandomWorkload wl(n, 48, GetParam() ^ 0x9E3779B9u, {});
   ft::FaultList faults = ft::allSeuFaults(n);
   const ij::CampaignResult result = mgr.run(wl, faults);

@@ -201,56 +201,6 @@ TEST(CollapseTest, Idempotent) {
 }
 
 // ---------------------------------------------------------------------------
-// EngineContext forms match the Netlist forms exactly
-// ---------------------------------------------------------------------------
-
-TEST(EngineContextTest, EnumerationMatchesNetlistForms) {
-  // A design with buffer chains (collapsible), a register and fanout so
-  // every enumerator and the collapser have real work to do.
-  nl::Netlist n;
-  nl::Builder b(n);
-  const auto rst = b.input("rst");
-  const auto a = b.inputBus("a", 4);
-  nl::Bus x = a;
-  for (int i = 0; i < 4; ++i) {
-    x[static_cast<std::size_t>(i)] =
-        (i % 2 == 0) ? b.bnot(b.bbuf(x[i])) : b.bbuf(b.bnot(x[i]));
-  }
-  const auto q = b.registerBus("r", x, nl::kNoNet, rst, 0);
-  b.outputBus("y", q);
-  b.output("p", b.reduceXor(q));
-  n.check();
-
-  const ft::EngineContext ctx(n);
-  EXPECT_EQ(&ctx.design(), &n);
-  EXPECT_EQ(&ctx.compiled().design(), &n);
-
-  // Fault enumeration: identical lists in identical order — the golden
-  // safety reports depend on this ordering.
-  EXPECT_EQ(ft::allStuckAtFaults(ctx), ft::allStuckAtFaults(n));
-  EXPECT_EQ(ft::allSeuFaults(ctx), ft::allSeuFaults(n));
-  EXPECT_EQ(ft::allSetFaults(ctx), ft::allSetFaults(n));
-  EXPECT_EQ(ft::allDelayFaults(ctx), ft::allDelayFaults(n));
-
-  // Collapsing: same representatives, same stats.
-  auto viaNl = ft::allStuckAtFaults(n);
-  auto viaCtx = viaNl;
-  const auto statsNl = ft::collapseStuckAt(n, viaNl);
-  const auto statsCtx = ft::collapseStuckAt(ctx, viaCtx);
-  EXPECT_EQ(viaCtx, viaNl);
-  EXPECT_EQ(statsCtx.before, statsNl.before);
-  EXPECT_EQ(statsCtx.after, statsNl.after);
-}
-
-TEST(EngineContextTest, RejectsForeignCompiledDesign) {
-  SmallDesign d1;
-  SmallDesign d2;
-  const auto cd2 = nl::compile(d2.n);
-  EXPECT_THROW(ft::EngineContext(d1.n, cd2), std::invalid_argument);
-  EXPECT_NO_THROW(ft::EngineContext(d2.n, cd2));
-}
-
-// ---------------------------------------------------------------------------
 // harness
 // ---------------------------------------------------------------------------
 

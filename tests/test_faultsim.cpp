@@ -100,7 +100,7 @@ TEST(ConstNetTest, MuxWithEqualConstLegs) {
 TEST(ToggleTest, RandomStimulusTogglesDataPath) {
   DataPath d;
   ij::RandomWorkload wl(d.n, 200, 42, {{d.rst, false}});
-  const auto tc = fs::measureToggle(d.n, wl);
+  const auto tc = fs::measureToggle(nl::compile(d.n), wl);
   EXPECT_GT(tc.nets, 0u);
   // Everything except the pinned reset (and its dependents, e.g. the final
   // carry-out chain) toggles under random stimulus.
@@ -117,7 +117,7 @@ TEST(ToggleTest, HeldInputsReportedUntoggled) {
     sim.setInputBus(d.a, c * 37);
     sim.setInputBus(d.b, 0);
   });
-  const auto tc = fs::measureToggle(d.n, wl);
+  const auto tc = fs::measureToggle(nl::compile(d.n), wl);
   EXPECT_FALSE(tc.passes(0.99));
   EXPECT_GE(tc.untoggled.size(), 8u);  // at least the b inputs
 }
@@ -134,7 +134,7 @@ TEST(SerialFaultSimTest, DetectsObservableStuckAt) {
   f.kind = ft::FaultKind::StuckAt1;
   f.net = d.q[0];  // register output: directly observable at `sum`
   faults.push_back(f);
-  const auto res = fs::runSerialFaultSim(d.n, wl, faults);
+  const auto res = fs::runSerialFaultSim(nl::compile(d.n), wl, faults);
   EXPECT_EQ(res.detected, 1u);
   EXPECT_DOUBLE_EQ(res.coverage(), 1.0);
 }
@@ -153,7 +153,7 @@ TEST(SerialFaultSimTest, UndetectableFaultStaysUndetected) {
   f.kind = ft::FaultKind::StuckAt1;
   f.net = y;
   faults.push_back(f);
-  const auto res = fs::runSerialFaultSim(n, wl, faults);
+  const auto res = fs::runSerialFaultSim(nl::compile(n), wl, faults);
   EXPECT_EQ(res.detected, 0u);
 }
 
@@ -171,7 +171,7 @@ TEST(SerialFaultSimTest, ObservedOutputsRestrictDetection) {
     if (d.n.cell(po).name == "par") opt.observedOutputs.push_back(po);
   }
   ASSERT_EQ(opt.observedOutputs.size(), 1u);
-  const auto res = fs::runSerialFaultSim(d.n, wl, faults, opt);
+  const auto res = fs::runSerialFaultSim(nl::compile(d.n), wl, faults, opt);
   EXPECT_EQ(res.detected, 1u);
 }
 
@@ -183,8 +183,9 @@ TEST(SerialFaultSimTest, EarlyAbortReducesCycles) {
   fast.earlyAbort = true;
   fs::FaultSimOptions full;
   full.earlyAbort = false;
-  const auto r1 = fs::runSerialFaultSim(d.n, wl, faults, fast);
-  const auto r2 = fs::runSerialFaultSim(d.n, wl, faults, full);
+  const auto cd = nl::compile(d.n);
+  const auto r1 = fs::runSerialFaultSim(cd, wl, faults, fast);
+  const auto r2 = fs::runSerialFaultSim(cd, wl, faults, full);
   EXPECT_EQ(r1.detected, r2.detected);  // same verdicts
   EXPECT_LT(r1.simulatedCycles, r2.simulatedCycles);
 }
@@ -198,8 +199,9 @@ TEST_P(EngineAgreement, SerialAndBitslicedVerdictsMatch) {
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
   ft::collapseStuckAt(d.n, faults);
 
-  const auto serial = fs::runSerialFaultSim(d.n, wl, faults);
-  const auto sliced = fs::runBitslicedFaultSim(d.n, wl, faults);
+  const auto cd = nl::compile(d.n);
+  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
+  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults);
 
   ASSERT_EQ(serial.outcomes.size(), sliced.outcomes.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {

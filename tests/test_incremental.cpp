@@ -76,9 +76,9 @@ core::IncrementalOptions oracleOptions(core::ArtifactStore* store) {
   return iopt;
 }
 
-core::IncrementalCampaign runOracleFlow(const ms::GateLevelDesign& d,
-                                        core::ArtifactStore* store,
-                                        double* sff) {
+core::IncrementalCampaign runOracleFlow(
+    const ms::GateLevelDesign& d, core::ArtifactStore* store, double* sff,
+    const inject::CampaignOptions& copt = {}) {
   core::IncrementalFlow inc(d.nl, core::makeFrmemFlowConfig(d),
                             oracleOptions(store));
   ms::ProtectionIpWorkload::Options wopt;
@@ -86,7 +86,7 @@ core::IncrementalCampaign runOracleFlow(const ms::GateLevelDesign& d,
   ms::ProtectionIpWorkload wl(d, wopt);
   core::IncrementalCampaign camp =
       inc.runZoneFailureCampaign(wl, /*perBit=*/1, /*seed=*/7,
-                                 /*detectionWindow=*/24);
+                                 /*detectionWindow=*/24, copt);
   if (sff != nullptr) *sff = inc.flow().sff();
   return camp;
 }
@@ -170,7 +170,7 @@ TEST(IncrementalDeterminismTest, FaultEnumerationIsStable) {
             .withSeed(7)
             .withDetectionWindow(24)
             .build();
-    inject::InjectionManager mgr(d.nl, env);
+    inject::InjectionManager mgr(env);
     ms::ProtectionIpWorkload::Options wopt;
     wopt.cycles = 300;
     ms::ProtectionIpWorkload wl(d, wopt);
@@ -380,8 +380,7 @@ TEST(IncrementalSerializeTest, ZoneDatabaseRoundTrip) {
   const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
   core::FmeaFlow flow(v1.nl, core::makeFrmemFlowConfig(v1));
   const Json j = zones::zonesToJson(flow.zones());
-  const auto back =
-      zones::zonesFromJson(v1.nl, flow.zones().compiledShared(), j);
+  const auto back = zones::zonesFromJson(flow.zones().compiledShared(), j);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(zones::zonesToJson(*back).dump(), j.dump());
 }
@@ -486,6 +485,40 @@ TEST(IncrementalOracleTest, SecondIdenticalRunIsAFullStoreHit) {
   EXPECT_EQ(sffA, sffB);
 }
 
+TEST(IncrementalOracleTest, LatentMultiSeuGroupsSplitTheCampaignKey) {
+  // Two latent multi-bit upsets that differ only in their flip-flop group:
+  // the second run over the same store must simulate its own campaign, not
+  // reuse the first one's records.
+  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const auto latentOn = [&](const char* a, const char* b) {
+    fault::Fault f;
+    f.kind = fault::FaultKind::MultiSeu;
+    for (const char* name : {a, b}) {
+      const auto cell = v1.nl.findCell(name);
+      EXPECT_TRUE(cell.has_value()) << name;
+      if (cell) f.cells.push_back(*cell);
+    }
+    std::sort(f.cells.begin(), f.cells.end());
+    f.cycle = 50;
+    inject::CampaignOptions copt;
+    copt.preexisting = f;
+    return copt;
+  };
+  const inject::CampaignOptions first =
+      latentOn("bist/phase_0", "bist/phase_1");
+  const inject::CampaignOptions second =
+      latentOn("ctrl/rd_addr_1", "ctrl/rd_addr_2");
+
+  core::ArtifactStore store(freshDir("latent_multiseu"));
+  (void)runOracleFlow(v1, &store, nullptr, first);
+  const core::IncrementalCampaign warm =
+      runOracleFlow(v1, &store, nullptr, second);
+  EXPECT_FALSE(warm.fullHit);
+  const core::IncrementalCampaign cold =
+      runOracleFlow(v1, nullptr, nullptr, second);
+  expectSameRecords(cold.result, warm.result);
+}
+
 // ---------------------------------------------------------------------------
 // Testkit fuzz hook: cone-based verdict reuse on random mutated designs.
 
@@ -519,19 +552,19 @@ TEST(IncrementalFuzzTest, ConeMergedVerdictsEqualColdRun) {
     const tk::TestPlan planB = tk::rebindPlan(a, b, planA);
 
     // Cold truth on both designs.
+    const nlst::CompiledDesignPtr cd = nlst::compile(b);
     inject::VectorWorkload wlA(planA.name, planA.inputs, planA.stimulus);
     const faultsim::FaultSimResult onA =
-        faultsim::runSerialFaultSim(a, wlA, planA.faults);
+        faultsim::runSerialFaultSim(nlst::compile(a), wlA, planA.faults);
     inject::VectorWorkload wlB(planB.name, planB.inputs, planB.stimulus);
     const faultsim::FaultSimResult onB =
-        faultsim::runSerialFaultSim(b, wlB, planB.faults);
+        faultsim::runSerialFaultSim(cd, wlB, planB.faults);
     ASSERT_EQ(onA.outcomes.size(), onB.outcomes.size());
 
     // The delta-reuse rule: faults outside the affected cone of diff(a, b)
     // keep their design-A verdict; merging must reproduce the cold B run.
     const nlst::NetlistDiff d = nlst::diff(a, b);
     ASSERT_FALSE(d.identical());
-    const nlst::CompiledDesignPtr cd = nlst::compile(b);
     const nlst::AffectedCone cone = nlst::affectedCone(*cd, d);
     std::size_t reused = 0;
     for (std::size_t i = 0; i < planB.faults.size(); ++i) {

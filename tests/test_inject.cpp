@@ -236,7 +236,7 @@ namespace {
 ij::CampaignResult runOne(Testbed& tb, const ft::Fault& f,
                           std::uint64_t window = 4) {
   auto wl = tb.workload(64);
-  ij::InjectionManager mgr(tb.n, tb.env(window));
+  ij::InjectionManager mgr(tb.env(window));
   return mgr.run(wl, {f});
 }
 
@@ -306,7 +306,7 @@ TEST(ManagerTest, StuckAlarmMakesDataFaultsUndetected) {
   const auto db = zn::extractZones(n);
   const zn::EffectsModel fx(db, {"alarm_"});
   const auto env = ij::EnvironmentBuilder(db, fx).withSeed(1).build();
-  ij::InjectionManager mgr(n, env);
+  ij::InjectionManager mgr(env);
   ij::RandomWorkload wl(n, 64, 5, {{rst, false}});
   ft::Fault f;
   f.kind = ft::FaultKind::SeuFlip;
@@ -320,7 +320,7 @@ TEST(ManagerTest, ZoneFailureFaultsCoverEveryTargetBit) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   const auto faults = mgr.zoneFailureFaults(profile, 2, 9);
   // dreg(4) + preg(1) + spare(1) flip-flops x 2 each.
   EXPECT_EQ(faults.size(), 12u);
@@ -330,7 +330,7 @@ TEST(ManagerTest, MeasuredAggregatesConsistent) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   const auto faults = mgr.zoneFailureFaults(profile, 2, 9);
   const auto res = mgr.run(wl, faults);
   std::size_t sum = 0;
@@ -353,7 +353,7 @@ TEST(CoverageTest, CompletenessReachesOneOnFullCampaign) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   ij::CoverageCollector cov(mgr.environment());
   const auto faults = mgr.zoneFailureFaults(profile, 3, 9);
   (void)mgr.run(wl, faults, &cov);
@@ -366,7 +366,7 @@ TEST(CoverageTest, CompletenessReachesOneOnFullCampaign) {
 
 TEST(CoverageTest, EmptyCampaignIsIncomplete) {
   Testbed tb;
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   ij::CoverageCollector cov(mgr.environment());
   EXPECT_EQ(cov.injections(), 0u);
   EXPECT_LT(cov.completeness(), 0.1);
@@ -380,7 +380,7 @@ TEST(AnalyzerTest, AggregateSplitsOutcomesPerZone) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   const auto zones = analyzer.aggregate(res);
@@ -401,7 +401,7 @@ TEST(AnalyzerTest, EffectsTableMatchesStructuralPrediction) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   const auto table = analyzer.effectsTable(res);
@@ -419,7 +419,7 @@ TEST(AnalyzerTest, ValidationOneSided) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 6, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
 
@@ -487,7 +487,7 @@ TEST(ManagerTest, LatentAlarmFaultDefeatsDetection) {
   seu.cycle = 20;
 
   auto wl = tb.workload(64);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   const auto clean = mgr.run(wl, {seu});
   EXPECT_EQ(clean.records[0].outcome, ij::Outcome::DangerousDetected);
 
@@ -512,7 +512,7 @@ TEST(ManagerTest, LatentFaultInPayloadStillDetected) {
   seu.cycle = 20;
 
   auto wl = tb.workload(64);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   ij::CampaignOptions opt;
   opt.preexisting = latent;
   const auto res = mgr.run(wl, {seu}, nullptr, opt);
@@ -535,7 +535,7 @@ TEST(ManagerTest, LatentSetPulseFiresInEveryEngine) {
   seu.cycle = 20;
 
   auto wl = tb.workload(64);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   for (const auto engine : {socfmea::faultsim::EngineKind::Serial,
                             socfmea::faultsim::EngineKind::Bitsliced}) {
     SCOPED_TRACE(std::string(socfmea::faultsim::engineKindName(engine)));
@@ -568,7 +568,7 @@ TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
   const ft::FaultList faults{a, b, a, c, b};
 
   auto wl = tb.workload(64);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   socfmea::obs::Registry& reg = socfmea::obs::Registry::global();
   using socfmea::faultsim::EngineKind;
   struct Config {
@@ -662,7 +662,7 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
   const ft::Fault u1Sa1 = stuck(ft::FaultKind::StuckAt1, u1q);
   const ft::Fault enSa1 = stuck(ft::FaultKind::StuckAt1, en);
 
-  ij::InjectionManager mgr(n, env);
+  ij::InjectionManager mgr(env);
   ij::CampaignOptions opt;
   opt.engine = socfmea::faultsim::EngineKind::Serial;
   const auto res = mgr.run(wl, {u0Sa0, u1Sa1, enSa1}, nullptr, opt);
@@ -705,7 +705,8 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
 
   // Fault simulation detects q0 reading 0 where golden reads X, and
   // alarm_and reading X where golden reads 0.
-  const auto fsim = socfmea::faultsim::runSerialFaultSim(n, wl, {u0Sa0, enSa1});
+  const auto fsim = socfmea::faultsim::runSerialFaultSim(nl::compile(n), wl,
+                                                         {u0Sa0, enSa1});
   EXPECT_EQ(fsim.outcomes,
             (std::vector<socfmea::faultsim::FaultOutcome>{
                 socfmea::faultsim::FaultOutcome::Detected,
@@ -720,7 +721,7 @@ TEST(TallyTest, MatchesPerOutcomeCounts) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
 
   const auto t = res.tally();
@@ -747,7 +748,7 @@ TEST(AnalyzerTest, EffectsTablePrinterShowsClassification) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   std::ostringstream out;
@@ -765,7 +766,7 @@ TEST(JsonExportTest, CampaignJsonMatchesInMemoryTally) {
   Testbed tb;
   auto wl = tb.workload(64);
   const auto profile = ij::OperationalProfile::record(tb.db, wl);
-  ij::InjectionManager mgr(tb.n, tb.env());
+  ij::InjectionManager mgr(tb.env());
   ij::CoverageCollector coverage(mgr.environment());
   const auto res =
       mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 9), &coverage);

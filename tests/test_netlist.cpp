@@ -302,11 +302,43 @@ struct Pipe {
 
 TEST(TraversalTest, FaninConeStopsAtRegisters) {
   Pipe p;
-  const auto cone = nl::faninCone(p.n, {p.w2});
+  const auto cone = nl::faninCone(*nl::compile(p.n), {p.w2});
   // g2 is in the cone; g1 is behind register r1 and must not be.
   EXPECT_EQ(cone.gates, (std::vector<nl::CellId>{p.g2}));
   EXPECT_EQ(cone.supportFfs, (std::vector<nl::CellId>{p.r1}));
   ASSERT_EQ(cone.supportPis.size(), 1u);  // the side input only
+}
+
+TEST(TraversalTest, FaninConeStopsAtMemoryReadPort) {
+  // One gate reads two rdata bits of one memory; the memory's write side is
+  // driven by primary inputs.
+  nl::Netlist n;
+  const auto a = n.addInput("a");
+  const auto d0 = n.addInput("d0");
+  const auto d1 = n.addInput("d1");
+  const auto we = n.addInput("we");
+  const auto r0 = n.addNet("r0");
+  const auto r1 = n.addNet("r1");
+  nl::MemoryInst m;
+  m.name = "m";
+  m.addrBits = 1;
+  m.dataBits = 2;
+  m.addr = {a};
+  m.wdata = {d0, d1};
+  m.rdata = {r0, r1};
+  m.writeEnable = we;
+  const auto mem = n.addMemory(std::move(m));
+  const auto y = n.addNet("y");
+  const auto g = n.addCell(nl::CellType::And, "g", {r0, r1}, y);
+  n.addOutput("o", y);
+
+  const auto cone = nl::faninCone(*nl::compile(n), {y});
+  EXPECT_EQ(cone.gates, (std::vector<nl::CellId>{g}));
+  EXPECT_EQ(cone.supportMems, (std::vector<nl::MemoryId>{mem}));
+  EXPECT_TRUE(cone.supportPis.empty());
+  EXPECT_TRUE(cone.supportFfs.empty());
+  // None of the write-side nets (a, d0, d1, we) is in the cone.
+  EXPECT_EQ(cone.nets, (std::vector<nl::NetId>{r0, r1, y}));
 }
 
 TEST(TraversalTest, ForwardReachThroughRegisters) {
@@ -345,13 +377,6 @@ TEST(TraversalTest, ForwardReachThroughMemory) {
   EXPECT_TRUE(std::find(noMem.begin(), noMem.end(), po) == noMem.end());
   const auto withMem = nl::forwardReach(n, {d}, true, true);
   EXPECT_TRUE(std::find(withMem.begin(), withMem.end(), po) != withMem.end());
-}
-
-TEST(TraversalTest, CombFanoutNets) {
-  Pipe p;
-  const auto nets = nl::combFanoutNets(p.n, p.q1);
-  EXPECT_TRUE(std::find(nets.begin(), nets.end(), p.w2) != nets.end());
-  EXPECT_TRUE(std::find(nets.begin(), nets.end(), p.q2) == nets.end());
 }
 
 // ---------------------------------------------------------------------------

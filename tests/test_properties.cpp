@@ -70,12 +70,13 @@ TEST_P(CollapseEquivalence, RepresentativeHasSameDetectability) {
   const auto stats = ft::collapseStuckAt(d.n, collapsed);
   ASSERT_LT(stats.after, stats.before);  // something actually collapsed
 
+  const auto cd = nl::compile(d.n);
   // Each original fault must have the same verdict as its representative.
-  const auto originalRes = fs::runSerialFaultSim(d.n, wl, original);
+  const auto originalRes = fs::runSerialFaultSim(cd, wl, original);
   for (std::size_t i = 0; i < original.size(); ++i) {
     ft::FaultList one{original[i]};
     ft::collapseStuckAt(d.n, one);
-    const auto repRes = fs::runSerialFaultSim(d.n, wl, one);
+    const auto repRes = fs::runSerialFaultSim(cd, wl, one);
     EXPECT_EQ(originalRes.outcomes[i], repRes.outcomes[0])
         << original[i].describe(d.n) << " vs representative "
         << one[0].describe(d.n);
@@ -161,7 +162,7 @@ TEST(DeterminismTest, IdenticalSeedsGiveIdenticalCampaigns) {
     const auto env = ij::EnvironmentBuilder(flow.zones(), flow.effects())
                          .withSeed(seed)
                          .build();
-    ij::InjectionManager mgr(design.nl, env);
+    ij::InjectionManager mgr(env);
     const auto profile = ij::OperationalProfile::record(flow.zones(), wl);
     auto faults = mgr.zoneFailureFaults(profile, 1, seed);
     faults.resize(std::min<std::size_t>(faults.size(), 40));

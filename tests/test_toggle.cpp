@@ -127,7 +127,7 @@ TEST(MeasureToggle, RiseAndFallBothCounted) {
   Fixture f;
   // in: 0 -> 1 -> 0 exercises rise and fall on the live cone.
   VectorWorkload wl("t", {f.in}, {{false}, {true}, {false}});
-  const auto tc = fs::measureToggle(f.nl, wl);
+  const auto tc = fs::measureToggle(nlx::compile(f.nl), wl);
   // c0/c1/pinned are screened out of the denominator.
   EXPECT_EQ(tc.nets, 3u);  // in, buf, live
   EXPECT_EQ(tc.toggledOnce, 3u);
@@ -140,7 +140,7 @@ TEST(MeasureToggle, RiseAndFallBothCounted) {
 TEST(MeasureToggle, RiseOnlyIsOnceNotBoth) {
   Fixture f;
   VectorWorkload wl("t", {f.in}, {{false}, {true}, {true}});
-  const auto tc = fs::measureToggle(f.nl, wl);
+  const auto tc = fs::measureToggle(nlx::compile(f.nl), wl);
   EXPECT_EQ(tc.toggledOnce, 3u);
   EXPECT_EQ(tc.toggledBoth, 0u);
   EXPECT_LT(tc.bothFraction(), 1.0);
@@ -149,7 +149,7 @@ TEST(MeasureToggle, RiseOnlyIsOnceNotBoth) {
 TEST(MeasureToggle, PinnedInputReportedUntoggled) {
   Fixture f;
   VectorWorkload wl("t", {f.in}, {{false}, {false}, {false}});
-  const auto tc = fs::measureToggle(f.nl, wl);
+  const auto tc = fs::measureToggle(nlx::compile(f.nl), wl);
   EXPECT_EQ(tc.toggledOnce, 0u);
   EXPECT_EQ(tc.untoggled.size(), 3u);
   EXPECT_FALSE(tc.passes());
