@@ -4,6 +4,7 @@
 # rtol 1e-9 after stripping the volatile sections (timings, cache counters,
 # delta statistics).  The warm run must also stay under the 30 % re-simulation
 # budget, which is the acceptance bound for a single architectural edit.
+# Both stores must hold nothing but campaign artifacts and head slots.
 file(REMOVE_RECURSE ${WORK}/inc_gate_cold ${WORK}/inc_gate_warm)
 
 execute_process(COMMAND ${FLOW} --cache-dir ${WORK}/inc_gate_cold
@@ -29,12 +30,26 @@ if(NOT rc3 EQUAL 0)
           "campaign re-simulated more than 30 % of the fault list")
 endif()
 
+# The store keeps campaigns and heads only: the analytic stages (compile,
+# zones, sheet) always run in process and leave nothing behind.
+foreach(store inc_gate_cold inc_gate_warm)
+  file(GLOB stored RELATIVE ${WORK}/${store} ${WORK}/${store}/*)
+  if(NOT stored)
+    message(FATAL_ERROR "${store} holds no artifacts")
+  endif()
+  foreach(f ${stored})
+    if(NOT f MATCHES "^(campaign|head)-.*\\.json$")
+      message(FATAL_ERROR "${store} holds ${f}: only campaign-*.json and "
+                          "head-*.json belong in the artifact store")
+    endif()
+  endforeach()
+endforeach()
+
 # Strip what legitimately differs between a cold and a warm run: stage
-# timings/cache flags, store statistics, delta bookkeeping, execution
-# counters and process telemetry.  Everything left — verdicts, SFF/DC,
-# campaign outcome metrics, coverage — must be bit-identical.
-set(volatile stages stage_hits stage_misses store execution delta full_hit
-             delta_run telemetry)
+# timings, store statistics, delta bookkeeping, execution counters and
+# process telemetry.  Everything left — verdicts, SFF/DC, campaign outcome
+# metrics, coverage — must be bit-identical.
+set(volatile stages store execution delta full_hit delta_run telemetry)
 execute_process(COMMAND ${GATE} strip ${WORK}/inc_cold.json
                         ${WORK}/inc_cold.stripped.json ${volatile}
                 RESULT_VARIABLE rc4)

@@ -47,13 +47,13 @@ int usage(const char* argv0) {
                "  --max-resim  fail (exit 3) when the campaign re-simulates"
                " more than this fraction\n"
                "(--cache-dir, --edit and --max-resim imply the incremental"
-               " flow-graph mode)\n";
+               " mode)\n";
   return 2;
 }
 
-/// Incremental mode: run the flow graph + delta campaign for the v1
-/// baseline with one architectural edit applied, reusing whatever the
-/// artifact store already holds from previous iterations.
+/// Incremental mode: run the FMEA flow + delta campaign for the v1
+/// baseline with one architectural edit applied, reusing whatever campaigns
+/// the artifact store already holds from previous iterations.
 int runIncremental(const char* jsonPath, const char* cacheDir,
                    const std::string& edit, double maxResim, unsigned threads,
                    faultsim::EngineKind engine) {
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The store-backed flags select the incremental flow-graph mode; the full
+  // The store-backed flags select the incremental mode; the full
   // report below takes --engine and --threads and stays identical for the
   // CI metrics gate whatever they say.
   if (flags.cacheDir != nullptr || edit != nullptr || maxResim >= 0.0) {

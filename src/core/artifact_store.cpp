@@ -45,14 +45,14 @@ ArtifactStore::ArtifactStore(std::filesystem::path dir,
   }
 }
 
-std::optional<obs::Json> ArtifactStore::load(std::string_view stage,
+std::optional<obs::Json> ArtifactStore::load(std::string_view kind,
                                              std::uint64_t key) {
-  return loadFile(std::string(stage) + "-" + netlist::hashHex(key) + ".json");
+  return loadFile(std::string(kind) + "-" + netlist::hashHex(key) + ".json");
 }
 
-void ArtifactStore::save(std::string_view stage, std::uint64_t key,
+void ArtifactStore::save(std::string_view kind, std::uint64_t key,
                          const obs::Json& a) {
-  saveFile(std::string(stage) + "-" + netlist::hashHex(key) + ".json", a);
+  saveFile(std::string(kind) + "-" + netlist::hashHex(key) + ".json", a);
 }
 
 namespace {

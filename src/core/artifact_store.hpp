@@ -1,10 +1,12 @@
-// Content-addressed artifact store: the persistence layer of the incremental
-// flow graph.  Stage outputs are JSON documents filed under
-// "<stage>-<hash16>.json" where the 64-bit key is the structural hash of the
-// stage's declared inputs; a small in-memory LRU fronts the disk so repeated
-// lookups within one process never re-parse.  "Head" slots are the one
-// mutable exception: named files ("head-<name>.json") recording the latest
-// run's design text and campaign key, which the next run diffs against.
+// Content-addressed artifact store: the persistence layer of the
+// incremental flow (core/incremental.hpp).  An artifact is a JSON document
+// filed under "<kind>-<hash16>.json", where the 64-bit key hashes every
+// input the artifact depends on.  The flow stores injection campaigns only
+// ("campaign-*.json"; the analytic stages always rerun in process); a small
+// in-memory LRU fronts the disk so repeated lookups within one process never
+// re-parse.  "Head" slots are the one mutable exception: named files
+// ("head-<name>.json") recording the latest run's design text and campaign
+// key, which the next run diffs against.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +40,14 @@ class ArtifactStore {
     return dir_;
   }
 
-  /// Looks up a stage artifact by content key; nullopt on miss or on a
+  /// Looks up an artifact by kind and content key; nullopt on miss or on a
   /// corrupt file (a corrupt artifact is indistinguishable from a miss —
   /// the caller recomputes and overwrites).
-  [[nodiscard]] std::optional<obs::Json> load(std::string_view stage,
+  [[nodiscard]] std::optional<obs::Json> load(std::string_view kind,
                                               std::uint64_t key);
-  /// Persists a stage artifact (atomic rename over any previous file, so
+  /// Persists an artifact (atomic rename over any previous file, so
   /// processes sharing one store directory never read a torn artifact).
-  void save(std::string_view stage, std::uint64_t key, const obs::Json& a);
+  void save(std::string_view kind, std::uint64_t key, const obs::Json& a);
 
   /// Mutable named slot (latest-run head state).  Heads deliberately bypass
   /// the in-memory LRU: another process sharing the store directory (a

@@ -5,19 +5,16 @@
 // and span the assumptions (sensitivity).  The validation flow
 // (core/validation.hpp) then cross-checks the sheet by fault injection.
 //
-// Internally the flow is an explicit graph of stages
-// (compile → zones → fit → sheet → verdict), each keyed by the structural
-// hash of its inputs and producing a content-addressed artifact through a
-// FlowGraph.  With an ArtifactStore attached, unchanged-hash stages load
-// from the store instead of recomputing (the zone stage rebuilds its
-// database from the artifact); core/incremental.hpp extends the same graph
-// with the fault-enumeration and injection-campaign stages.
+// The flow always runs in process: compile, zone extraction and the sheet
+// take milliseconds, so nothing here is cached.  Each of the three runs as a
+// stage of the flow's FlowGraph, which times it; core/incremental.hpp adds
+// the injection campaign, the one step worth keeping in the artifact store.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/flowgraph.hpp"
 #include "fmea/report.hpp"
@@ -40,23 +37,12 @@ struct FlowConfig {
   /// after populateFromZones(); re-run for every sensitivity scenario.
   std::function<void(fmea::FmeaSheet&, const zones::ZoneDatabase&)>
       configureSheet;
-  /// Content fingerprint of `configureSheet` (a std::function cannot be
-  /// hashed): callers deriving the hook from options must fold those
-  /// options in here, or sheet artifacts from different hooks would alias.
-  std::uint64_t configTag = 0;
 };
-
-/// Stable hashes of the stage input options (for artifact keys).
-[[nodiscard]] std::uint64_t extractOptionsHash(const zones::ExtractOptions& o);
-[[nodiscard]] std::uint64_t fitModelHash(const fmea::FitModel& m);
-[[nodiscard]] std::uint64_t sheetConfigHash(const fmea::SheetConfig& c);
 
 class FmeaFlow {
  public:
   /// Runs extraction and the nominal analysis.  `nl` must outlive the flow.
   FmeaFlow(const netlist::Netlist& nl, FlowConfig cfg);
-  /// Same, with an attached flow graph (artifact store / incremental mode).
-  FmeaFlow(const netlist::Netlist& nl, FlowConfig cfg, FlowGraphOptions graph);
 
   [[nodiscard]] const netlist::Netlist& design() const noexcept { return *nl_; }
   [[nodiscard]] const zones::ZoneDatabase& zones() const noexcept {
@@ -75,15 +61,9 @@ class FmeaFlow {
     return cfg_.fit;
   }
 
-  /// Structural hash of the design (content address of the compile stage).
-  [[nodiscard]] std::uint64_t designHash() const noexcept {
-    return designHash_;
-  }
-  /// Input key of the zone stage (design hash × extraction options).
-  [[nodiscard]] std::uint64_t zonesKey() const noexcept { return zonesKey_; }
-  /// The stage engine; core/incremental.hpp appends campaign stages to it.
-  [[nodiscard]] FlowGraph& graph() noexcept { return *graph_; }
-  [[nodiscard]] const FlowGraph& graph() const noexcept { return *graph_; }
+  /// The stage timer; core/incremental.hpp appends its campaign stage.
+  [[nodiscard]] FlowGraph& graph() noexcept { return graph_; }
+  [[nodiscard]] const FlowGraph& graph() const noexcept { return graph_; }
 
   [[nodiscard]] double sff() const { return sheet_.sff(); }
   [[nodiscard]] double dc() const { return sheet_.dc(); }
@@ -100,9 +80,7 @@ class FmeaFlow {
  private:
   const netlist::Netlist* nl_;
   FlowConfig cfg_;
-  std::unique_ptr<FlowGraph> graph_;
-  std::uint64_t designHash_ = 0;
-  std::uint64_t zonesKey_ = 0;
+  FlowGraph graph_;
   std::unique_ptr<zones::ZoneDatabase> zones_;
   std::unique_ptr<zones::EffectsModel> effects_;
   std::unique_ptr<zones::CorrelationMatrix> corr_;

@@ -2,54 +2,28 @@
 
 #include <chrono>
 
-#include "netlist/hash.hpp"
-
 namespace socfmea::core {
 
-obs::Json FlowGraph::stage(std::string_view name, std::uint64_t key,
-                           const std::function<obs::Json()>& compute,
-                           bool* cached) {
+void FlowGraph::stage(std::string_view name,
+                      const std::function<void()>& work) {
   const auto start = std::chrono::steady_clock::now();
-  StageRecord rec;
-  rec.name = std::string(name);
-  rec.inputHash = key;
-
-  obs::Json artifact;
-  if (opt_.store != nullptr && opt_.incremental) {
-    if (auto stored = opt_.store->load(name, key)) {
-      rec.cached = true;
-      artifact = std::move(*stored);
-    }
-  }
-  if (!rec.cached) {
-    artifact = compute();
-    if (opt_.store != nullptr) opt_.store->save(name, key, artifact);
-  }
-
-  rec.seconds =
+  work();
+  records_.push_back(StageRecord{
+      std::string(name),
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  (rec.cached ? hits_ : misses_) += 1;
-  records_.push_back(rec);
-  if (cached != nullptr) *cached = rec.cached;
-  return artifact;
+          .count()});
 }
 
 obs::Json FlowGraph::report() const {
-  obs::Json j = obs::Json::object();
   obs::Json stages = obs::Json::array();
   for (const StageRecord& rec : records_) {
     obs::Json s = obs::Json::object();
     s["name"] = rec.name;
-    s["input_hash"] = netlist::hashHex(rec.inputHash);
-    s["cached"] = rec.cached;
     s["seconds"] = rec.seconds;
     stages.push_back(std::move(s));
   }
+  obs::Json j = obs::Json::object();
   j["stages"] = std::move(stages);
-  j["stage_hits"] = static_cast<long long>(hits_);
-  j["stage_misses"] = static_cast<long long>(misses_);
-  if (opt_.store != nullptr) j["store"] = opt_.store->statsJson();
   return j;
 }
 

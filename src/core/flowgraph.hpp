@@ -1,63 +1,37 @@
-// The flow-graph stage engine.  A stage is a named computation with a
-// declared 64-bit input hash; run through the engine it either loads its
-// artifact from the content-addressed store (input hash unchanged since a
-// previous run) or computes, persists and returns it.  The engine records
-// per-stage cache outcomes and wall time for the `flow.incremental.*`
-// telemetry surface and the --json reports.
+// The flow's stage timer.  A stage is a named step of the flow (compile,
+// zones, sheet; the incremental flow adds its campaign); run through the
+// timer it records its wall time for the --json reports and the benchmark's
+// per-layer split.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/artifact_store.hpp"
 #include "obs/json.hpp"
 
 namespace socfmea::core {
 
 struct StageRecord {
   std::string name;
-  std::uint64_t inputHash = 0;
-  bool cached = false;
   double seconds = 0.0;
-};
-
-struct FlowGraphOptions {
-  ArtifactStore* store = nullptr;  ///< null = always compute, never persist
-  bool incremental = true;         ///< false = compute every stage (but still
-                                   ///< persist, warming the store)
 };
 
 class FlowGraph {
  public:
-  explicit FlowGraph(FlowGraphOptions opt = {}) : opt_(opt) {}
+  /// Runs `work` as stage `name` and records its wall time.
+  void stage(std::string_view name, const std::function<void()>& work);
 
-  /// Runs stage `name` keyed by `key`: returns the stored artifact when the
-  /// store holds one under this key (and incremental mode is on), otherwise
-  /// invokes `compute`, persists its result and returns it.  `cached`, when
-  /// non-null, reports which path was taken.
-  obs::Json stage(std::string_view name, std::uint64_t key,
-                  const std::function<obs::Json()>& compute,
-                  bool* cached = nullptr);
-
-  [[nodiscard]] ArtifactStore* store() const noexcept { return opt_.store; }
-  [[nodiscard]] bool incremental() const noexcept { return opt_.incremental; }
   [[nodiscard]] const std::vector<StageRecord>& records() const noexcept {
     return records_;
   }
-  [[nodiscard]] std::size_t stageHits() const noexcept { return hits_; }
-  [[nodiscard]] std::size_t stageMisses() const noexcept { return misses_; }
 
-  /// Per-stage table + hit/miss totals (+ store stats when attached).
+  /// The per-stage table: {"stages": [{"name", "seconds"}, ...]}.
   [[nodiscard]] obs::Json report() const;
 
  private:
-  FlowGraphOptions opt_;
   std::vector<StageRecord> records_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
 };
 
 }  // namespace socfmea::core

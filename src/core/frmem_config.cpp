@@ -1,7 +1,5 @@
 #include "core/frmem_config.hpp"
 
-#include "netlist/hash.hpp"
-
 namespace socfmea::core {
 
 using fmea::DiagnosticClaim;
@@ -23,15 +21,6 @@ FlowConfig makeFrmemFlowConfig(const GateLevelDesign& design) {
   cfg.fit.pinPermanent = 0.004;
 
   const GateLevelOptions opt = design.options;
-  // The hook below is a pure function of `opt`; its content fingerprint for
-  // the flow-graph sheet artifact key is therefore the option bits.
-  std::uint64_t tag = netlist::hashMix(0xF3E7u, opt.addrBits);
-  for (const bool b : {opt.addressInCode, opt.wbufParity, opt.postCoderChecker,
-                       opt.redundantChecker, opt.distributedSyndrome,
-                       opt.monitoredOutputs, opt.includeBist}) {
-    tag = netlist::hashMix(tag, b ? 1 : 0);
-  }
-  cfg.configTag = tag;
   cfg.configureSheet = [opt](FmeaSheet& sheet, const zones::ZoneDatabase& db) {
     const fmea::FitModel fit;  // populate already ran; reclassify re-derives
     // --- component classes ------------------------------------------------------

@@ -18,24 +18,15 @@ using netlist::hashString;
 
 namespace {
 
-std::uint64_t campaignOptionsHash(const inject::CampaignOptions& copt) {
+std::uint64_t campaignOptionsHash(const netlist::Netlist& nl,
+                                  const inject::CampaignOptions& copt) {
   // engine / laneWords / threads are excluded on purpose: the engines are
   // record-identical across them (CI-tested), so they must not split the
-  // cache.
+  // cache.  The latent fault is keyed by name, like the cached records, so
+  // an edit that renumbers its site keeps the key.
   std::uint64_t h = hashMix(0xCA4Bu, copt.earlyAbort ? 1 : 0);
   if (copt.preexisting) {
-    const fault::Fault& f = *copt.preexisting;
-    h = hashMix(h, static_cast<std::uint64_t>(f.kind));
-    h = hashMix(h, f.net);
-    h = hashMix(h, f.net2);
-    h = hashMix(h, f.cell);
-    h = hashMix(h, f.mem);
-    h = hashMix(h, f.addr);
-    h = hashMix(h, f.addr2);
-    h = hashMix(h, f.bit);
-    h = hashMix(h, f.stuckValue ? 1 : 0);
-    h = hashMix(h, f.cycle);
-    for (const netlist::CellId c : f.cells) h = hashMix(h, c);
+    h = hashMix(h, hashString(fault::faultKey(nl, *copt.preexisting)));
   }
   return h;
 }
@@ -82,19 +73,17 @@ std::optional<std::uint64_t> parseHex(const obs::Json* j) {
 
 IncrementalFlow::IncrementalFlow(const netlist::Netlist& nl, FlowConfig cfg,
                                  IncrementalOptions opt)
-    : nl_(&nl), opt_(opt) {
-  FlowGraphOptions g;
-  g.store = opt_.store;
-  g.incremental = opt_.incremental;
-  flow_ = std::make_unique<FmeaFlow>(nl, std::move(cfg), g);
-}
+    : nl_(&nl),
+      opt_(std::move(opt)),
+      designHash_(netlist::hashNetlist(nl)),
+      flow_(nl, std::move(cfg)) {}
 
 IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
     sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
     std::uint64_t detectionWindow, const inject::CampaignOptions& copt) {
   const netlist::Netlist& nl = *nl_;
-  const zones::ZoneDatabase& db = flow_->zones();
-  const zones::EffectsModel& effects = flow_->effects();
+  const zones::ZoneDatabase& db = flow_.zones();
+  const zones::EffectsModel& effects = flow_.effects();
   const netlist::CompiledDesignPtr& cd = db.compiledShared();
 
   const inject::InjectionEnvironment env =
@@ -118,134 +107,109 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
   const obs::Json stimJson = stimulusHashes(nl, stim, &stimTotal);
 
-  // Stage: fault enumeration (+ collapse via the profile).  Cheap enough to
-  // always recompute; the stage pins the key the campaign depends on.
   std::uint64_t faultsHash = 0xFA17u;
   for (const fault::Fault& f : faults) {
     faultsHash = hashMix(faultsHash, hashString(fault::faultKey(nl, f)));
   }
-  const std::uint64_t faultsKey =
-      hashMix(hashMix(flow_->zonesKey(), stimTotal),
-              hashMix(hashMix(hashMix(seed, perBit), opt_.workloadTag),
-                      hashMix(opt_.memFaultsPerKind, opt_.memFaultSeed)));
-  flow_->graph().stage("faults", faultsKey, [&] {
-    obs::Json a = obs::Json::object();
-    a["count"] = static_cast<long long>(faults.size());
-    a["keys_hash"] = hashHex(faultsHash);
-    return a;
-  });
-
   const std::uint64_t optsKey =
       hashMix(hashMix(hashMix(detectionWindow, seed), perBit),
-              hashMix(hashMix(campaignOptionsHash(copt), opt_.workloadTag),
+              hashMix(hashMix(campaignOptionsHash(nl, copt), opt_.workloadTag),
                       hashMix(opt_.memFaultsPerKind, opt_.memFaultSeed)));
-  const std::uint64_t campaignKey = hashMix(
-      hashMix(flow_->designHash(), optsKey), hashMix(faultsHash, stimTotal));
+  const std::uint64_t campaignKey = hashMix(hashMix(designHash_, optsKey),
+                                            hashMix(faultsHash, stimTotal));
 
   IncrementalCampaign out;
   out.faultCount = faults.size();
   inject::CoverageCollector cov(mgr.environment());
 
-  bool cached = false;
-  const obs::Json art = flow_->graph().stage(
-      "campaign", campaignKey,
-      [&] {
-        // Miss: delta-merge against the previous head when possible,
-        // otherwise run cold.
-        if (opt_.store != nullptr && opt_.incremental) {
-          // Branch fallback chain: this branch's own head, then the
-          // parent branch (the search's accepted architecture), then the
-          // base slot — the closest warm baseline wins.
-          auto head = opt_.store->loadHead(opt_.headSlot, opt_.headBranch);
-          if (!head && !opt_.headParent.empty()) {
-            head = opt_.store->loadHead(opt_.headSlot, opt_.headParent);
+  flow_.graph().stage("campaign", [&] {
+    ArtifactStore* store = opt_.store;
+    if (store != nullptr) {
+      // Hit: every verdict comes from the store.  Records that do not bind
+      // (a foreign artifact under a colliding key) take the miss path
+      // below, which overwrites them.
+      if (const auto art = store->load("campaign", campaignKey)) {
+        if (auto records = inject::bindCampaignRecords(
+                inject::CachedCampaign::fromJson(*art), nl, faults, db,
+                effects)) {
+          out.result.records = std::move(*records);
+          for (const inject::InjectionRecord& rec : out.result.records) {
+            cov.account(rec.obs);
           }
-          if (!head && !opt_.headBranch.empty()) {
-            head = opt_.store->loadHead(opt_.headSlot);
-          }
-          const obs::Json* text = head ? head->find("design_text") : nullptr;
-          const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
-          const auto prevKey =
-              head ? parseHex(head->find("campaign_key")) : std::nullopt;
-          if (text != nullptr && text->isString() && headOpts != nullptr &&
-              headOpts->isString() &&
-              headOpts->asString() == hashHex(optsKey) && prevKey) {
-            if (auto prevArt = opt_.store->load("campaign", *prevKey)) {
-              try {
-                const netlist::Netlist prev =
-                    netlist::readNetlistString(text->asString());
-                const netlist::NetlistDiff d = netlist::diff(prev, nl);
-                // Inputs whose recorded stimulus stream changed seed the
-                // cone exactly like edited cells.
-                std::vector<netlist::NetId> extraSeeds;
-                const obs::Json* prevStim = prevArt->find("stimulus");
-                for (const auto& [name, hash] : stimJson.items()) {
-                  const obs::Json* old =
-                      prevStim != nullptr ? prevStim->find(name) : nullptr;
-                  if (old == nullptr || !old->isString() ||
-                      old->asString() != hash.asString()) {
-                    if (const auto id = nl.findNet(name)) {
-                      extraSeeds.push_back(*id);
-                    }
-                  }
+          out.fullHit = true;
+          out.delta.total = faults.size();
+          out.delta.reused = faults.size();
+          return;
+        }
+      }
+      // Miss: delta-merge against the previous head when possible.  Branch
+      // fallback chain: this branch's own head, then the parent branch (the
+      // search's accepted architecture), then the base slot — the closest
+      // warm baseline wins.
+      auto head = store->loadHead(opt_.headSlot, opt_.headBranch);
+      if (!head && !opt_.headParent.empty()) {
+        head = store->loadHead(opt_.headSlot, opt_.headParent);
+      }
+      if (!head && !opt_.headBranch.empty()) {
+        head = store->loadHead(opt_.headSlot);
+      }
+      const obs::Json* text = head ? head->find("design_text") : nullptr;
+      const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
+      const auto prevKey =
+          head ? parseHex(head->find("campaign_key")) : std::nullopt;
+      if (text != nullptr && text->isString() && headOpts != nullptr &&
+          headOpts->isString() && headOpts->asString() == hashHex(optsKey) &&
+          prevKey) {
+        if (auto prevArt = store->load("campaign", *prevKey)) {
+          try {
+            const netlist::Netlist prev =
+                netlist::readNetlistString(text->asString());
+            const netlist::NetlistDiff d = netlist::diff(prev, nl);
+            // Inputs whose recorded stimulus stream changed seed the cone
+            // exactly like edited cells.
+            std::vector<netlist::NetId> extraSeeds;
+            const obs::Json* prevStim = prevArt->find("stimulus");
+            for (const auto& [name, hash] : stimJson.items()) {
+              const obs::Json* old =
+                  prevStim != nullptr ? prevStim->find(name) : nullptr;
+              if (old == nullptr || !old->isString() ||
+                  old->asString() != hash.asString()) {
+                if (const auto id = nl.findNet(name)) {
+                  extraSeeds.push_back(*id);
                 }
-                const netlist::AffectedCone cone =
-                    netlist::affectedCone(*cd, d, extraSeeds);
-                const inject::CachedCampaign cache =
-                    inject::CachedCampaign::fromJson(*prevArt);
-                out.result = inject::runCampaignDelta(
-                    mgr, wl, faults, cache, cone, &cov, copt,
-                    opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
-                out.deltaRun = true;
-              } catch (const std::exception&) {
-                out.deltaRun = false;  // unreadable head: cold below
               }
             }
+            const netlist::AffectedCone cone =
+                netlist::affectedCone(*cd, d, extraSeeds);
+            const inject::CachedCampaign cache =
+                inject::CachedCampaign::fromJson(*prevArt);
+            out.result = inject::runCampaignDelta(
+                mgr, wl, faults, cache, cone, &cov, copt,
+                opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
+            out.deltaRun = true;
+          } catch (const std::exception&) {
+            out.deltaRun = false;  // unreadable head: cold below
           }
         }
-        if (!out.deltaRun) {
-          out.result = mgr.run(wl, faults, &cov, copt);
-          out.delta.total = faults.size();
-          out.delta.simulated = faults.size();
-        }
-        obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
-        a["stimulus"] = stimJson;
-        a["opts_key"] = hashHex(optsKey);
-        return a;
-      },
-      &cached);
-
-  if (cached) {
-    // Whole-campaign hit: every verdict comes from the store.
-    const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
-    if (auto records =
-            inject::bindCampaignRecords(cache, nl, faults, db, effects)) {
-      out.result = inject::CampaignResult{};
-      out.result.records = std::move(*records);
-      for (const inject::InjectionRecord& rec : out.result.records) {
-        cov.account(rec.obs);
       }
-      out.fullHit = true;
-      out.delta.total = faults.size();
-      out.delta.reused = faults.size();
-    } else {
-      // Key collision with a foreign artifact: recompute and overwrite.
+    }
+    if (!out.deltaRun) {
       out.result = mgr.run(wl, faults, &cov, copt);
       out.delta.total = faults.size();
       out.delta.simulated = faults.size();
+    }
+    if (store != nullptr) {
       obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
       a["stimulus"] = stimJson;
       a["opts_key"] = hashHex(optsKey);
-      if (opt_.store != nullptr) {
-        opt_.store->save("campaign", campaignKey, a);
-      }
+      store->save("campaign", campaignKey, a);
     }
-  }
+  });
 
   if (opt_.store != nullptr) {
     obs::Json head = obs::Json::object();
     head["design"] = nl.name();
-    head["design_hash"] = hashHex(flow_->designHash());
+    head["design_hash"] = hashHex(designHash_);
     head["design_text"] = netlist::writeNetlistString(nl);
     head["campaign_key"] = hashHex(campaignKey);
     head["opts_key"] = hashHex(optsKey);
@@ -260,8 +224,6 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   reg.add("flow.incremental.faults_resimulated", out.delta.simulated);
   reg.add("flow.incremental.revalidated", out.delta.revalidated);
   reg.add("flow.incremental.revalidate_mismatches", out.delta.mismatches);
-  reg.add("flow.incremental.stage_hits", cached ? 1 : 0);
-  reg.add("flow.incremental.stage_misses", cached ? 0 : 1);
   if (opt_.store != nullptr) {
     const ArtifactStore::Stats& st = opt_.store->stats();
     reg.set("flow.incremental.store_hits",
@@ -301,11 +263,13 @@ IncrementalFlow::CandidateEvaluation IncrementalFlow::evaluateCandidate(
 obs::Json IncrementalFlow::report() const {
   obs::Json j = obs::Json::object();
   j["design"] = nl_->name();
-  j["design_hash"] = hashHex(flow_->designHash());
-  j["graph"] = flow_->graph().report();
-  j["sff"] = flow_->sff();
-  j["dc"] = flow_->dc();
-  j["sil"] = static_cast<int>(flow_->sil());
+  j["design_hash"] = hashHex(designHash_);
+  obs::Json graph = flow_.graph().report();
+  if (opt_.store != nullptr) graph["store"] = opt_.store->statsJson();
+  j["graph"] = std::move(graph);
+  j["sff"] = flow_.sff();
+  j["dc"] = flow_.dc();
+  j["sil"] = static_cast<int>(flow_.sil());
   j["campaign"] = lastCampaign_;
   return j;
 }

@@ -1,17 +1,19 @@
-// IncrementalFlow: the delta-reuse front of the flow graph.  Owns an
-// FmeaFlow (whose analytic stages already run through the graph) and adds
-// the fault-enumeration and injection-campaign stages: a campaign keyed by
-// (design hash, stimulus hashes, fault keys, campaign options) loads whole
-// from the store; otherwise the previous run's head state (design text +
-// campaign artifact) is diffed against the current design and only faults
+// IncrementalFlow: the delta-reuse front of the flow.  Owns an FmeaFlow
+// (which always runs in process) and adds the injection campaign, the one
+// step it keeps in the artifact store: a campaign keyed by (design hash,
+// stimulus hashes, fault keys, seeds, workload tag, campaign options) loads
+// whole from the store; otherwise the previous run's head state (design
+// text + campaign key) is diffed against the current design and only faults
 // inside the affected cone are re-simulated (inject/delta.hpp), which is
-// bit-identical to a cold run by construction.
+// bit-identical to a cold run by construction.  A store therefore holds
+// only `campaign-*.json` artifacts and `head-*.json` slots.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 
+#include "core/artifact_store.hpp"
 #include "core/flow.hpp"
 #include "inject/delta.hpp"
 #include "sim/workload.hpp"
@@ -20,7 +22,6 @@ namespace socfmea::core {
 
 struct IncrementalOptions {
   ArtifactStore* store = nullptr;  ///< null = cold every time
-  bool incremental = true;
   /// Fraction of reusable faults re-simulated anyway to cross-check the
   /// cache (any mismatch re-simulates every reused fault).
   double revalidateFraction = 0.02;
@@ -63,22 +64,24 @@ class IncrementalFlow {
   IncrementalFlow(const netlist::Netlist& nl, FlowConfig cfg,
                   IncrementalOptions opt);
 
-  [[nodiscard]] FmeaFlow& flow() noexcept { return *flow_; }
-  [[nodiscard]] const FmeaFlow& flow() const noexcept { return *flow_; }
+  [[nodiscard]] FmeaFlow& flow() noexcept { return flow_; }
+  [[nodiscard]] const FmeaFlow& flow() const noexcept { return flow_; }
   [[nodiscard]] const IncrementalOptions& options() const noexcept {
     return opt_;
   }
 
   /// The paper's validation step (a) with delta reuse: enumerates the
   /// zone-failure fault list, then loads / delta-merges / cold-runs the
-  /// campaign and persists the artifact + head state for the next
-  /// iteration.  Exports `flow.incremental.*` telemetry.
+  /// campaign (timed as the flow graph's "campaign" stage) and persists the
+  /// artifact + head state for the next iteration.  Exports
+  /// `flow.incremental.*` telemetry.
   [[nodiscard]] IncrementalCampaign runZoneFailureCampaign(
       sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
       std::uint64_t detectionWindow,
       const inject::CampaignOptions& copt = {});
 
-  /// Flow-graph + store + last-campaign report section for --json output.
+  /// Stage timings + store statistics (under "graph") and the last
+  /// campaign, for --json output.
   [[nodiscard]] obs::Json report() const;
 
   /// Batch candidate evaluation (the architecture-search entry point): one
@@ -100,7 +103,9 @@ class IncrementalFlow {
  private:
   const netlist::Netlist* nl_;
   IncrementalOptions opt_;
-  std::unique_ptr<FmeaFlow> flow_;
+  /// Structural hash of the design: the campaign key's design component.
+  std::uint64_t designHash_ = 0;
+  FmeaFlow flow_;
   obs::Json lastCampaign_ = obs::Json::object();
 };
 

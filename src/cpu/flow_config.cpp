@@ -7,28 +7,6 @@ using fmea::FmeaSheet;
 using fmea::FreqClass;
 using fmea::SdFactors;
 
-namespace {
-
-/// FNV-1a fingerprint of everything the configureSheet hook depends on, so
-/// sheet artifacts from different scenario configs never alias.
-std::uint64_t configTagOf(const CpuOptions& o, int mitigation) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    h = (h ^ v) * 0x100000001b3ull;
-  };
-  mix(o.lockstep ? 1 : 0);
-  mix(o.stl ? 2 : 0);
-  mix(o.trap ? 4 : 0);
-  mix(o.skewCycles);
-  mix(o.fallback ? 8 : 0);
-  mix(o.minimalObs ? 16 : 0);
-  for (std::uint8_t b : o.program) mix(b);
-  mix(static_cast<std::uint64_t>(mitigation) + 0x9e37u);
-  return h;
-}
-
-}  // namespace
-
 core::FlowConfig makeCpuFlowConfig(const CpuDesign& design) {
   core::FlowConfig cfg;
   cfg.alarmNames = design.alarmNames;
@@ -92,7 +70,6 @@ core::FlowConfig makeCpuFlowConfig(const CpuDesign& design) {
       sheet.addClaim("prog/rom", "", DiagnosticClaim{"rom-crc", 0.90});
     }
   };
-  cfg.configTag = configTagOf(opt, -1);
   return cfg;
 }
 
@@ -140,7 +117,6 @@ core::FlowConfig makeMitigationFlowConfig(const CpuDesign& design,
         break;
     }
   };
-  cfg.configTag = configTagOf(opt, static_cast<int>(mitigation));
   return cfg;
 }
 

@@ -204,6 +204,13 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
   st.total = faults.size();
   st.affectedCells = cone.affectedCells;
 
+  // Every faulty machine also carries the latent fault.  A latent site
+  // inside the cone can carry any fault's effect into the edit, so nothing
+  // is reused; outside it, a two-fault machine deviates only within the two
+  // sites' forward cones, and both miss the edit.
+  const bool latentAffected =
+      opt.preexisting && netlist::faultAffected(cone, cd, *opt.preexisting);
+
   // Partition the list: every fault is either simulated or bound to a cached
   // record (possibly both, for the revalidation sample).
   struct Slot {
@@ -217,7 +224,7 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const fault::Fault& f = faults[i];
     Slot& slot = slots[i];
-    if (!netlist::faultAffected(cone, cd, f)) {
+    if (!latentAffected && !netlist::faultAffected(cone, cd, f)) {
       const std::string key = fault::faultKey(nl, f);
       const auto it = cache.byKey.find(key);
       if (it != cache.byKey.end()) {

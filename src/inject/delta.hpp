@@ -78,9 +78,11 @@ struct DeltaStats {
 
 /// Runs the campaign over `faults`, simulating only faults inside `cone`
 /// (plus unmatched keys and the revalidation sample) and merging cached
-/// verdicts for the rest.  Record order, coverage accounting and every
-/// metric are bit-identical to `mgr.run(wl, faults, ...)` on a cold cache —
-/// the oracle tests enforce this.
+/// verdicts for the rest.  A latent fault (`opt.preexisting`) inside the
+/// cone reuses nothing: every faulty machine carries it into the edit.
+/// Record order, coverage accounting and every metric are bit-identical to
+/// `mgr.run(wl, faults, ...)` on a cold cache — the oracle tests enforce
+/// this.
 [[nodiscard]] CampaignResult runCampaignDelta(
     InjectionManager& mgr, sim::Workload& wl, const fault::FaultList& faults,
     const CachedCampaign& cache, const netlist::AffectedCone& cone,

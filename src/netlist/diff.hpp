@@ -1,5 +1,5 @@
 // Netlist diffing and affected-cone closure — the structural substrate of
-// the incremental flow graph.  diff() matches cells and memories between two
+// the incremental flow's delta campaigns.  diff() matches cells and memories between two
 // designs by their (unique, mandatory) instance names and classifies each as
 // added / removed / changed; net identity is derived from the *driver* (cell
 // name, or memory name + rdata bit), never from net names, so anonymous nets

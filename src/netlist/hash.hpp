@@ -1,5 +1,5 @@
-// Stable 64-bit structural hashing — the content address every flow-graph
-// artifact is keyed by.  The hash walks the netlist in id order (creation
+// Stable 64-bit structural hashing — the design component of the
+// incremental flow's campaign keys.  The hash walks the netlist in id order (creation
 // order, which every generator and the text parser produce deterministically)
 // and mixes names, cell types and pin wiring, so two independently built
 // copies of the same design collide exactly and any structural edit moves

@@ -125,12 +125,6 @@ BuiltCandidate buildCandidate(const std::vector<TransformSpec>& specs,
       sheet.addClaim(c.zonePattern, c.modePattern, c.claim);
     }
   };
-  // The claims are a pure function of the spec set (hashed via `id`) and of
-  // the claim tables baked into applyTransform — version the latter so a
-  // warm store never serves sheets computed by an older table.
-  constexpr std::uint64_t kClaimTableVersion = 3;
-  b.cfg.configTag =
-      hashMix(hashMix(b.cfg.configTag, hashString(id)), kClaimTableVersion);
   return b;
 }
 
@@ -278,7 +272,6 @@ bool ArchitectureSearch::verifyBitIdentity(const Eval& best) {
   BuiltCandidate built = buildCandidate(best.score.specs, best.score.id);
   core::IncrementalOptions iopt;
   iopt.store = nullptr;
-  iopt.incremental = false;
   iopt.memFaultsPerKind = opt_.memFaultsPerKind;
   memsys::ProtectionIpWorkload::Options wopt;
   wopt.cycles = opt_.workloadCycles;

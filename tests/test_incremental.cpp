@@ -1,4 +1,4 @@
-// The incremental flow graph's contracts:
+// The incremental flow's contracts:
 //
 //   * determinism — structural hashing, zone extraction and fault
 //     enumeration are pure functions of the design, and the text format is
@@ -7,8 +7,10 @@
 //     corrupt files degrading to a recomputable miss, the side-effect-free
 //     --cache-dir probe, and race-free saves from concurrent processes;
 //   * the oracle — every Section-6 v1 -> v2 architectural edit, run as a
-//     delta on a store warmed with the v1 baseline, must produce campaign
-//     records and an SFF bit-identical to a cold run of the edited design;
+//     delta on a store warmed with the v1 baseline and without the
+//     revalidation sample, must produce campaign records and an SFF
+//     bit-identical to a cold run of the edited design; so must a campaign
+//     with a latent fault, which is keyed by name;
 //   * the testkit fuzz hook — on random generated designs, merging cached
 //     verdicts for faults outside the affected cone with re-simulated
 //     verdicts inside it equals a full cold run of the mutated design.
@@ -39,7 +41,6 @@
 #include "netlist/text_format.hpp"
 #include "testkit/netlist_gen.hpp"
 #include "testkit/plan.hpp"
-#include "zones/serialize.hpp"
 
 namespace core = socfmea::core;
 namespace fault = socfmea::fault;
@@ -73,6 +74,9 @@ core::IncrementalOptions oracleOptions(core::ArtifactStore* store) {
   iopt.store = store;
   iopt.workloadTag = nlst::hashString("test-oracle-workload");
   iopt.memFaultsPerKind = kOracleMemFaultsPerKind;
+  // No revalidation sample: a sampled mismatch re-simulates every reused
+  // fault, which would hide a cone that reuses a stale record.
+  iopt.revalidateFraction = 0.0;
   return iopt;
 }
 
@@ -110,6 +114,24 @@ void expectSameRecords(const inject::CampaignResult& a,
   }
 }
 
+/// Campaign options carrying a latent fault of `kind` on flip-flop `ff`.
+inject::CampaignOptions latentOn(const ms::GateLevelDesign& d,
+                                 fault::FaultKind kind, const char* ff,
+                                 std::uint64_t cycle = 0) {
+  fault::Fault f;
+  f.kind = kind;
+  const auto cell = d.nl.findCell(ff);
+  EXPECT_TRUE(cell.has_value()) << ff;
+  if (cell) {
+    f.cell = *cell;
+    f.net = d.nl.cell(*cell).output;
+  }
+  f.cycle = cycle;
+  inject::CampaignOptions copt;
+  copt.preexisting = f;
+  return copt;
+}
+
 fs::path freshDir(const std::string& name) {
   const fs::path p = fs::path("test_incremental_work") / name;
   fs::remove_all(p);
@@ -145,16 +167,32 @@ TEST(IncrementalHashTest, TextRoundTripIsAFixedPoint) {
 }
 
 TEST(IncrementalDeterminismTest, ZoneExtractionIsStable) {
+  // Two independent builds and extractions must agree id by id, not just in
+  // zone counts: the fault list, and with it the campaign key, is
+  // enumerated over these zones.
   const ms::GateLevelDesign a = ms::buildProtectionIp(ms::GateLevelOptions::v1());
   const ms::GateLevelDesign b = ms::buildProtectionIp(ms::GateLevelOptions::v1());
-  core::FmeaFlow fa(a.nl, core::makeFrmemFlowConfig(a));
-  core::FmeaFlow fb(b.nl, core::makeFrmemFlowConfig(b));
-  EXPECT_EQ(fa.designHash(), fb.designHash());
-  EXPECT_EQ(fa.zonesKey(), fb.zonesKey());
-  // Full id-level artifact equality, not just zone counts: two independent
-  // extractions must produce byte-identical serialized databases.
-  EXPECT_EQ(zones::zonesToJson(fa.zones()).dump(),
-            zones::zonesToJson(fb.zones()).dump());
+  const core::FmeaFlow fa(a.nl, core::makeFrmemFlowConfig(a));
+  const core::FmeaFlow fb(b.nl, core::makeFrmemFlowConfig(b));
+  const std::vector<zones::SensibleZone>& za = fa.zones().zones();
+  const std::vector<zones::SensibleZone>& zb = fb.zones().zones();
+  ASSERT_FALSE(za.empty());
+  ASSERT_EQ(za.size(), zb.size());
+  for (std::size_t i = 0; i < za.size(); ++i) {
+    SCOPED_TRACE(za[i].name);
+    EXPECT_EQ(za[i].id, zb[i].id);
+    EXPECT_EQ(za[i].name, zb[i].name);
+    EXPECT_EQ(za[i].kind, zb[i].kind);
+    EXPECT_EQ(za[i].ffs, zb[i].ffs);
+    EXPECT_EQ(za[i].valueNets, zb[i].valueNets);
+    EXPECT_EQ(za[i].coneRoots, zb[i].coneRoots);
+    EXPECT_EQ(za[i].cone.gates, zb[i].cone.gates);
+    EXPECT_EQ(za[i].cone.supportFfs, zb[i].cone.supportFfs);
+    EXPECT_EQ(za[i].cone.supportPis, zb[i].cone.supportPis);
+    EXPECT_EQ(za[i].cone.supportMems, zb[i].cone.supportMems);
+    EXPECT_EQ(za[i].cone.nets, zb[i].cone.nets);
+    EXPECT_EQ(za[i].mem, zb[i].mem);
+  }
 }
 
 TEST(IncrementalDeterminismTest, FaultEnumerationIsStable) {
@@ -376,15 +414,6 @@ TEST(IncrementalSerializeTest, MultiSeuKeyIsStableAcrossReparseRenumbering) {
   EXPECT_EQ(fault::faultKey(re, *rebound), key);
 }
 
-TEST(IncrementalSerializeTest, ZoneDatabaseRoundTrip) {
-  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
-  core::FmeaFlow flow(v1.nl, core::makeFrmemFlowConfig(v1));
-  const Json j = zones::zonesToJson(flow.zones());
-  const auto back = zones::zonesFromJson(flow.zones().compiledShared(), j);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(zones::zonesToJson(*back).dump(), j.dump());
-}
-
 // ---------------------------------------------------------------------------
 // Diff + affected cone.
 
@@ -516,6 +545,58 @@ TEST(IncrementalOracleTest, LatentMultiSeuGroupsSplitTheCampaignKey) {
   EXPECT_FALSE(warm.fullHit);
   const core::IncrementalCampaign cold =
       runOracleFlow(v1, nullptr, nullptr, second);
+  expectSameRecords(cold.result, warm.result);
+}
+
+TEST(IncrementalOracleTest, LatentFaultInsideTheConeReusesNothing) {
+  // A latent stuck-at on a register the wbuf-parity edit reads: every faulty
+  // machine carries it into the edited logic, so no v1 record may be
+  // reused, wherever the injected fault itself sits.
+  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const ms::GateLevelDesign dut =
+      ms::buildProtectionIp(editedOptions("wbuf-parity"));
+  const fault::FaultKind kind = fault::FaultKind::StuckAt1;
+  const inject::CampaignOptions onDut = latentOn(dut, kind, "mce/wdata_r_3");
+
+  core::ArtifactStore store(freshDir("latent_in_cone"));
+  (void)runOracleFlow(v1, &store, nullptr, latentOn(v1, kind, "mce/wdata_r_3"));
+  const core::IncrementalCampaign warm =
+      runOracleFlow(dut, &store, nullptr, onDut);
+  EXPECT_TRUE(warm.deltaRun);
+  EXPECT_EQ(warm.delta.reused, 0u);
+  const core::IncrementalCampaign cold =
+      runOracleFlow(dut, nullptr, nullptr, onDut);
+  expectSameRecords(cold.result, warm.result);
+}
+
+TEST(IncrementalOracleTest, LatentFaultIsKeyedByName) {
+  // The wbuf-parity edit adds cells ahead of `wbuf/data_0`, so the same
+  // latent upset sits on different cell ids in the two designs.  The head's
+  // options key must not see the renumbering, or the edit never runs as a
+  // delta.
+  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const ms::GateLevelDesign dut =
+      ms::buildProtectionIp(editedOptions("wbuf-parity"));
+  const fault::FaultKind kind = fault::FaultKind::SeuFlip;
+  const inject::CampaignOptions onV1 = latentOn(v1, kind, "wbuf/data_0", 50);
+  const inject::CampaignOptions onDut = latentOn(dut, kind, "wbuf/data_0", 50);
+  ASSERT_NE(onV1.preexisting->cell, onDut.preexisting->cell);
+
+  core::ArtifactStore store(freshDir("latent_by_name"));
+  const auto headOptsKey = [&store] {
+    const auto head = store.loadHead("flow");
+    const Json* key = head ? head->find("opts_key") : nullptr;
+    return key != nullptr && key->isString() ? key->asString() : std::string();
+  };
+  (void)runOracleFlow(v1, &store, nullptr, onV1);
+  const std::string v1Key = headOptsKey();
+  const core::IncrementalCampaign warm =
+      runOracleFlow(dut, &store, nullptr, onDut);
+  EXPECT_FALSE(v1Key.empty());
+  EXPECT_EQ(headOptsKey(), v1Key);
+  EXPECT_TRUE(warm.deltaRun);
+  const core::IncrementalCampaign cold =
+      runOracleFlow(dut, nullptr, nullptr, onDut);
   expectSameRecords(cold.result, warm.result);
 }
 

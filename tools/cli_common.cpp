@@ -72,7 +72,7 @@ const std::string& commonUsageSynopsis() {
 const std::string& commonUsageDetails() {
   static const std::string s =
       "  --json       machine-readable report path\n"
-      "  --cache-dir  artifact store for the flow graph / delta campaign\n"
+      "  --cache-dir  artifact store for campaign reuse / delta campaigns\n"
       "  --threads    campaign threads (default 1, 0 = all cores, at most"
       " 1024)\n"
       "  --engine     campaign engine: serial | bitsliced | auto (default;"
