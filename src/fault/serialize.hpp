@@ -1,16 +1,14 @@
-// Name-based fault serialization.  Campaign artifacts outlive the Netlist
-// they were enumerated from, so faults are keyed and stored by *names*
-// (cell / memory instance names, net names where present) rather than ids,
-// which renumber freely between design iterations.  Anonymous nets are
-// referenced through their driver ("@c:<cell>") or memory read port
-// ("@m:<mem>:<bit>"), mirroring the identity rule of netlist::diff.
+// Name-based fault identity.  Campaign artifacts outlive the Netlist they
+// were enumerated from, so faults are keyed by *names* (cell / memory
+// instance names, net names where present) rather than ids, which renumber
+// freely between design iterations.  Anonymous nets are referenced through
+// their driver ("@c:<cell>") or memory read port ("@m:<mem>:<bit>"),
+// mirroring the identity rule of netlist::diff.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "fault/fault.hpp"
-#include "obs/json.hpp"
 
 namespace socfmea::fault {
 
@@ -19,24 +17,10 @@ namespace socfmea::fault {
 [[nodiscard]] std::string netRef(const netlist::Netlist& nl,
                                  netlist::NetId id);
 
-/// Resolves a netRef() back to a net id on (a possibly different) design;
-/// nullopt when the referenced driver no longer exists.
-[[nodiscard]] std::optional<netlist::NetId> resolveNetRef(
-    const netlist::Netlist& nl, std::string_view ref);
-
 /// Canonical identity string of a fault: kind, name-based site references
 /// and all parameters.  Two faults on two design iterations with equal keys
 /// denote the same physical defect.
 [[nodiscard]] std::string faultKey(const netlist::Netlist& nl,
                                    const Fault& f);
-
-/// Inverse of faultKindName(); nullopt on unknown names.
-[[nodiscard]] std::optional<FaultKind> faultKindFromName(std::string_view n);
-
-/// Full name-based JSON round trip (artifact store, tooling).
-[[nodiscard]] obs::Json faultToJson(const netlist::Netlist& nl,
-                                    const Fault& f);
-[[nodiscard]] std::optional<Fault> faultFromJson(const netlist::Netlist& nl,
-                                                 const obs::Json& j);
 
 }  // namespace socfmea::fault

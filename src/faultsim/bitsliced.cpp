@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
-#include "core/thread_pool.hpp"
 #include "faultsim/lanes.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
@@ -54,8 +54,6 @@ struct RunShared {
 
   LaneScheduler* sched = nullptr;
   std::vector<Observation>* results = nullptr;  ///< by fault index
-  std::mutex* statsMu = nullptr;
-  BitslicedStats* stats = nullptr;
 };
 
 /// One word group: NB*64 lanes evaluated in lockstep against a private
@@ -112,20 +110,15 @@ class WordEngine {
     obs_.resize(kLanes);
   }
 
-  /// Pulls word groups from the shared scheduler until it drains.
-  void runAll() {
+  /// Pulls word groups from the shared scheduler until it drains; returns
+  /// this engine's counters.
+  [[nodiscard]] BitslicedStats runAll() {
     for (;;) {
       const std::vector<std::size_t> group = rs_.sched->takeGroup(kLanes);
       if (group.empty()) break;
       runGroup(group);
     }
-    const std::lock_guard<std::mutex> lock(*rs_.statsMu);
-    rs_.stats->wordGroups += stats_.wordGroups;
-    rs_.stats->wordCycles += stats_.wordCycles;
-    rs_.stats->laneCycles += stats_.laneCycles;
-    rs_.stats->lanesRetiredEarly += stats_.lanesRetiredEarly;
-    rs_.stats->lanesRefilled += stats_.lanesRefilled;
-    rs_.stats->convergedEarly += stats_.convergedEarly;
+    return stats_;
   }
 
  private:
@@ -1266,17 +1259,42 @@ class WordEngine {
   bool refillExhausted_ = false;
 };
 
+/// Fork-join over `threads` workers (0 = hardware concurrency): the caller
+/// is worker 0 and threads - 1 jthreads are the rest; each runs one engine
+/// until the scheduler drains.  Adds the workers' counters into `stats`
+/// after the join, then rethrows the first worker's exception, if any.
 template <unsigned NB>
-void runWithWidth(RunShared& rs, unsigned threads) {
-  core::ThreadPool pool(threads);
-  std::vector<std::unique_ptr<WordEngine<NB>>> engines(pool.size());
-  pool.parallelFor(pool.size(), 1, [&](unsigned w, std::size_t) {
-    if (engines[w] == nullptr) {
-      engines[w] = std::make_unique<WordEngine<NB>>(rs);
+void runWithWidth(const RunShared& rs, unsigned threads,
+                  BitslicedStats& stats) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned workers = threads != 0 ? threads : hw;
+  std::vector<BitslicedStats> parts(workers);
+  std::vector<std::exception_ptr> errors(workers);
+  const auto work = [&](unsigned w) {
+    try {
+      parts[w] = WordEngine<NB>(rs).runAll();
+    } catch (...) {
+      errors[w] = std::current_exception();
     }
-    engines[w]->runAll();
-  });
-  rs.stats->workers = pool.size();
+  };
+  {
+    std::vector<std::jthread> others;  // joined at the end of this block
+    others.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) others.emplace_back(work, w);
+    work(0);
+  }
+  for (const BitslicedStats& p : parts) {
+    stats.wordGroups += p.wordGroups;
+    stats.wordCycles += p.wordCycles;
+    stats.laneCycles += p.laneCycles;
+    stats.lanesRetiredEarly += p.lanesRetiredEarly;
+    stats.lanesRefilled += p.lanesRefilled;
+    stats.convergedEarly += p.convergedEarly;
+  }
+  stats.workers = workers;
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace
@@ -1308,16 +1326,13 @@ BitslicedCampaign runBitslicedWatch(const netlist::CompiledDesignPtr& cd,
   rs.sched = &sched;
   std::vector<Observation> results(faults.size());
   rs.results = &results;
-  std::mutex statsMu;
-  rs.statsMu = &statsMu;
   BitslicedStats stats;
-  rs.stats = &stats;
   stats.laneWords = resolveLaneWords(opt.laneWords);
 
   switch (stats.laneWords) {
-    case 4: runWithWidth<4>(rs, opt.threads); break;
-    case 2: runWithWidth<2>(rs, opt.threads); break;
-    default: runWithWidth<1>(rs, opt.threads); break;
+    case 4: runWithWidth<4>(rs, opt.threads, stats); break;
+    case 2: runWithWidth<2>(rs, opt.threads, stats); break;
+    default: runWithWidth<1>(rs, opt.threads, stats); break;
   }
 
   obs::Registry& reg = obs::Registry::global();

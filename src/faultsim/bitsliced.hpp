@@ -52,12 +52,14 @@
 // or classified) or washed out (transient spent and all divergence zero) —
 // and is refilled from the pending transient queue so words stay dense.
 //
-// Threads.  Word groups fan out over a core::ThreadPool; every worker owns
-// its engine (golden Simulator, divergence words, lane clones) and pulls
-// groups from the shared LaneScheduler.  Results land in a pre-sized vector
-// by fault index and stats are merged once per worker under a mutex, so
-// verdicts and observation records are bit-identical to the serial oracle
-// for any lane width, thread count or refill order.
+// Threads.  A run is one fork-join: the calling thread is worker 0 and
+// threads - 1 std::jthreads are the others (one thread starts none).  Every
+// worker owns its engine (golden Simulator, divergence words, lane clones)
+// and pulls groups from the shared LaneScheduler until it drains.  Results
+// land in a pre-sized vector by fault index, and each worker returns its
+// counters, which the caller adds up after the join, so verdicts and
+// observation records are bit-identical to the serial oracle for any lane
+// width, thread count or refill order.
 #pragma once
 
 #include <cstdint>
@@ -100,9 +102,9 @@ struct BitslicedStats {
 
 /// Fault-sim mode: same contract as runSerialFaultSim — a fault is Detected
 /// when any observed output diverges from the golden run — with verdicts
-/// bit-identical to the serial oracle.  Composes with opt.threads (one word
-/// group per pool task).  Throws std::invalid_argument when the golden
-/// machine is not two-state (X-free) after reset.
+/// bit-identical to the serial oracle.  Composes with opt.threads (word
+/// groups dealt out to the workers).  Throws std::invalid_argument when the
+/// golden machine is not two-state (X-free) after reset.
 [[nodiscard]] FaultSimResult runBitslicedFaultSim(
     const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
     const fault::FaultList& faults, const FaultSimOptions& opt = {},

@@ -1,17 +1,10 @@
 #include "faultsim/lanes.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace socfmea::faultsim {
 
 namespace {
-
-[[nodiscard]] bool noSimdRequested() noexcept {
-  const char* v = std::getenv("SOCFMEA_NO_SIMD");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
 
 [[nodiscard]] unsigned autoLaneWords() noexcept {
 #if defined(__AVX2__)
@@ -26,7 +19,6 @@ namespace {
 }  // namespace
 
 unsigned resolveLaneWords(unsigned requested) noexcept {
-  if (noSimdRequested()) return 1;
   const unsigned w = requested == 0 ? autoLaneWords() : requested;
   if (w >= 4) return 4;
   if (w >= 2) return 2;
@@ -34,7 +26,6 @@ unsigned resolveLaneWords(unsigned requested) noexcept {
 }
 
 const char* simdTargetName() noexcept {
-  if (noSimdRequested()) return "portable";
 #if defined(__AVX2__)
   return "avx2";
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)

@@ -117,9 +117,8 @@ inline constexpr unsigned kMaxLaneWords = 4;
 
 /// Resolves the lane width in 64-bit limbs: `requested` 1/2/4 is honoured
 /// verbatim; 0 picks the widest word the compiled SIMD target covers with
-/// one register (4 with AVX2, 2 with NEON, 1 portable).  SOCFMEA_NO_SIMD=1
-/// in the environment forces 1 regardless (the portable-fallback CI leg).
-/// Other values round down to the nearest of {1, 2, 4}.
+/// one register (4 with AVX2, 2 with NEON, 1 portable).  Other values
+/// round down to the nearest of {1, 2, 4}.
 [[nodiscard]] unsigned resolveLaneWords(unsigned requested) noexcept;
 
 /// Human-readable SIMD target the auto width maps to ("avx2", "neon",

@@ -67,13 +67,12 @@ struct FaultSimOptions {
   /// abort); disable to count divergence cycles.
   bool earlyAbort = true;
   /// Bit-sliced lane width in 64-bit words per net (1/2/4 = 64/128/256
-  /// lanes); 0 picks the widest the build's SIMD target supports
-  /// (overridable at run time with SOCFMEA_NO_SIMD=1).  Ignored by the
-  /// serial engine.
+  /// lanes); 0 picks the widest the build's SIMD target supports.  Ignored
+  /// by the serial engine.
   unsigned laneWords = 0;
-  /// Bit-sliced parallelism: 0 = hardware concurrency, N = N workers, one
-  /// word group per pool task.  Ignored by the serial engine.  Verdicts are
-  /// bit-identical regardless of the value.
+  /// Bit-sliced parallelism: 0 = hardware concurrency, N = N workers that
+  /// share the word groups out.  Ignored by the serial engine.  Verdicts
+  /// are bit-identical regardless of the value.
   unsigned threads = 1;
   /// Combinational evaluation strategy for every machine in the campaign.
   /// Both settle to bit-identical values; FullSettle is the equivalence

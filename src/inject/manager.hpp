@@ -133,7 +133,7 @@ struct CampaignOptions {
   /// oracle (InjectionManager::resolveEngine decides); Serial is the
   /// reference oracle; Bitsliced packs 64*laneWords faulty machines per
   /// SIMD word group (faultsim/bitsliced.hpp) and composes with threads
-  /// (one word group per pool task).  An explicit Bitsliced throws
+  /// (the workers share the word groups out).  An explicit Bitsliced throws
   /// std::invalid_argument when X survives reset.  Records and every IEC
   /// metric are bit-identical across engines; only the "execution" counters
   /// differ.  `engine` and `laneWords` are deliberately excluded from the
@@ -142,9 +142,8 @@ struct CampaignOptions {
   /// precisely because the records are identical.
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
   /// Bit-sliced lane width in 64-bit words per net (1/2/4 = 64/128/256
-  /// lanes); 0 picks the widest the build's SIMD target supports
-  /// (SOCFMEA_NO_SIMD=1 forces 1 at run time).  The serial engine ignores
-  /// it.
+  /// lanes); 0 picks the widest the build's SIMD target supports.  The
+  /// serial engine ignores it.
   unsigned laneWords = 0;
   /// Campaign parallelism: 0 = hardware concurrency, N = N threads.  The
   /// bit-sliced engine spreads its word groups over this many threads; the

@@ -2,22 +2,6 @@
 
 namespace socfmea::obs {
 
-Registry::Registry(const Registry& o) {
-  const std::scoped_lock lock(o.mu_);
-  counters_ = o.counters_;
-  gauges_ = o.gauges_;
-  timers_ = o.timers_;
-}
-
-Registry& Registry::operator=(const Registry& o) {
-  if (this == &o) return *this;
-  const std::scoped_lock lock(mu_, o.mu_);
-  counters_ = o.counters_;
-  gauges_ = o.gauges_;
-  timers_ = o.timers_;
-  return *this;
-}
-
 Registry& Registry::global() {
   static Registry reg;
   return reg;
@@ -53,21 +37,6 @@ void Registry::record(std::string_view timer, double wallSeconds,
   it->second.wallSeconds += wallSeconds;
   it->second.cpuSeconds += cpuSeconds;
   ++it->second.count;
-}
-
-void Registry::merge(const Registry& other) {
-  if (this == &other) return;
-  // Copy under the other's lock first so the two locks never interleave.
-  const Registry snapshot(other);
-  const std::scoped_lock lock(mu_);
-  for (const auto& [k, v] : snapshot.counters_) counters_[k] += v;
-  for (const auto& [k, v] : snapshot.gauges_) gauges_[k] = v;
-  for (const auto& [k, v] : snapshot.timers_) {
-    TimerStat& t = timers_[k];
-    t.wallSeconds += v.wallSeconds;
-    t.cpuSeconds += v.cpuSeconds;
-    t.count += v.count;
-  }
 }
 
 void Registry::clear() {

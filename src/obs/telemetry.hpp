@@ -6,11 +6,9 @@
 // it is deliberately kept out of the metric sections that CI diffs against
 // the golden report, because timings are machine-dependent.
 //
-// Concurrency model: a worker either updates a shared Registry directly
-// (every mutator is thread-safe) or owns a private Registry that the
-// coordinator merge()s at the end — every figure is a sum (or last-write
-// gauge), so merged per-worker registries equal what a serial run would have
-// produced.
+// Concurrency model: every mutator and reader locks the registry, so worker
+// threads record into one shared Registry directly.  A hot loop keeps its
+// own counters and records them once per run rather than locking per event.
 #pragma once
 
 #include <chrono>
@@ -34,10 +32,6 @@ struct TimerStat {
 
 class Registry {
  public:
-  Registry() = default;
-  Registry(const Registry& o);
-  Registry& operator=(const Registry& o);
-
   /// The process-wide registry most call sites record into.
   [[nodiscard]] static Registry& global();
 
@@ -48,9 +42,6 @@ class Registry {
   /// Accumulates one timed interval under `timer`.
   void record(std::string_view timer, double wallSeconds, double cpuSeconds);
 
-  /// Accumulates every figure of `other` into this registry: counters and
-  /// timers add, gauges take the other's value when present.
-  void merge(const Registry& other);
   void clear();
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;

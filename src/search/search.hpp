@@ -30,8 +30,6 @@ struct SearchOptions {
   /// Campaign budget: total faults re-simulated across all candidate
   /// evaluations.  0 = unlimited.
   std::size_t faultBudget = 0;
-  /// Tie-breaking / proposal-ordering seed.
-  std::uint64_t seed = 1;
   std::size_t beamWidth = 3;
   /// The loop adds at most one transform per round, and SIL3 margin from v1
   /// takes a low-teens stack of checkers — leave headroom beyond that.

@@ -364,46 +364,6 @@ void Simulator::clearBridges() {
   fullDirty_ = true;
 }
 
-Simulator::Snapshot Simulator::snapshot() const {
-  ensureSettled();
-  Snapshot s;
-  s.cycle = cycle_;
-  s.netVal = netVal_;
-  s.ffState = ffState_;
-  s.ffPrevD = ffPrevD_;
-  s.inputVal = inputVal_;
-  s.mems = mems_;
-  s.memRdataReg = memRdataReg_;
-  s.forces = forces_;
-  s.bridges = bridges_;
-  s.stale = stale_;
-  s.anyStale = anyStale_;
-  return s;
-}
-
-bool Simulator::stateEquals(const Snapshot& s) const {
-  if (s.netVal.size() != netVal_.size() ||
-      s.ffState.size() != ffState_.size() || s.mems.size() != mems_.size()) {
-    return false;
-  }
-  if (cycle_ != s.cycle) return false;
-  // Installed bridges could diverge the futures even from equal values;
-  // compare unequal rather than deep-compare them.
-  if (!bridges_.empty() || !s.bridges.empty()) return false;
-  if (forces_ != s.forces) return false;
-  if (anyStale_ != s.anyStale || stale_ != s.stale) return false;
-  // Cheapest state first; netVal_ last (it is derived, but comparing it
-  // spares re-deriving the snapshot side).
-  if (ffState_ != s.ffState || ffPrevD_ != s.ffPrevD) return false;
-  if (inputVal_ != s.inputVal) return false;
-  if (memRdataReg_ != s.memRdataReg) return false;
-  for (std::size_t i = 0; i < mems_.size(); ++i) {
-    if (!mems_[i].stateEquals(s.mems[i])) return false;
-  }
-  ensureSettled();
-  return netVal_ == s.netVal;
-}
-
 void Simulator::setStaleSampling(CellId ff, bool on) {
   if (cd_->cellType(ff) != CellType::Dff) {
     throw std::invalid_argument("setStaleSampling on a non-Dff cell");

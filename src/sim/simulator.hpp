@@ -56,10 +56,9 @@ class Simulator {
   void setEvalMode(EvalMode m) noexcept { mode_ = m; }
   [[nodiscard]] EvalMode evalMode() const noexcept { return mode_; }
 
-  /// Lifetime activity counters (telemetry, not machine state): they are
-  /// excluded from snapshots and stateEquals() ignores them.  The campaign
-  /// layers aggregate them into obs::Registry after a run to report where
-  /// the evaluation work went.
+  /// Lifetime activity counters (telemetry, not machine state; reset()
+  /// keeps them).  The campaign layers aggregate them into obs::Registry
+  /// after a run to report where the evaluation work went.
   struct PerfCounters {
     std::uint64_t cycles = 0;     ///< clockEdge() calls
     std::uint64_t combEvals = 0;  ///< combinational settle passes
@@ -157,28 +156,6 @@ class Simulator {
   void setStaleSampling(netlist::CellId ff, bool on);
   void clearStaleSampling();
 
-  // ---- snapshot / compare --------------------------------------------------
-
-  /// Full machine state at an instant: cycle counter, net values, flip-flop
-  /// state, input drivers, memory contents (explicit clone) and installed
-  /// fault hooks (forces, bridges, stale sampling).
-  ///
-  /// The eval-mode equivalence tests compare an EventDriven and a
-  /// FullSettle machine through it every cycle; no campaign engine uses it.
-  struct Snapshot;
-
-  /// Captures the current state (call on settled or unsettled state alike;
-  /// the combinational network is settled first so the snapshot is
-  /// self-consistent).
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// True when the complete machine state (cycle, flip-flops, nets, inputs,
-  /// memories, fault hooks) equals the snapshot — from that point on, the
-  /// two machines evolve identically under identical stimulus.  Memories
-  /// with fault overlays and installed bridges conservatively compare
-  /// unequal.  The eval-mode equivalence tests assert it every cycle.
-  [[nodiscard]] bool stateEquals(const Snapshot& s) const;
-
  private:
   void initState();
   void settleFull();
@@ -230,20 +207,6 @@ class Simulator {
   std::vector<std::uint8_t> cellDirty_;  // per order position
   std::vector<std::vector<std::uint32_t>> levelBucket_;  // per level
   std::vector<Logic> insScratch_;
-};
-
-struct Simulator::Snapshot {
-  std::uint64_t cycle = 0;
-  std::vector<Logic> netVal;
-  std::vector<Logic> ffState;
-  std::vector<Logic> ffPrevD;
-  std::vector<Logic> inputVal;
-  std::vector<MemoryModel> mems;  ///< explicit clone of every memory
-  std::vector<std::vector<Logic>> memRdataReg;
-  std::unordered_map<netlist::NetId, Logic> forces;
-  std::vector<Bridge> bridges;
-  std::vector<bool> stale;
-  bool anyStale = false;
 };
 
 }  // namespace socfmea::sim

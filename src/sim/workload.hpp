@@ -40,11 +40,6 @@ class Workload {
   /// this; drive() has no such requirement because stimulus is recorded
   /// once and replayed).
   virtual void backdoor(Simulator& /*sim*/, std::uint64_t /*cycle*/) {}
-  /// Optional self-check against the settled values (golden runs only).
-  /// Returns false on a functional mismatch.
-  virtual bool check(Simulator& /*sim*/, std::uint64_t /*cycle*/) {
-    return true;
-  }
 };
 
 }  // namespace socfmea::sim

@@ -1,7 +1,7 @@
 // Tests for the bit-sliced fault-parallel engine (faultsim/bitsliced.*,
 // faultsim/lanes.*) and the primitives it stands on: BitWord pack/unpack
 // algebra, the lane scheduler's permanents-first ordering and refill
-// contract, the thread pool that fans word groups out, active-list-bounded
+// contract, the worker threads that share word groups out, active-list-bounded
 // activity, per-fault-kind divergence agreement with the serial oracle on a
 // design with flip-flops and a behavioural memory, lane retirement / refill
 // invariants, campaign-record equality on the memsys protection IP (with
@@ -10,12 +10,10 @@
 // over the full fault model.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 #include <stdexcept>
-#include <string_view>
+#include <thread>
 
-#include "core/thread_pool.hpp"
 #include "fault/collapse.hpp"
 #include "fault/fault_list.hpp"
 #include "faultsim/bitsliced.hpp"
@@ -41,7 +39,6 @@ namespace fs = socfmea::faultsim;
 namespace ij = socfmea::inject;
 namespace sm = socfmea::sim;
 namespace ms = socfmea::memsys;
-namespace co = socfmea::core;
 
 namespace {
 
@@ -105,20 +102,7 @@ TYPED_TEST(BitWordTest, Algebra) {
   EXPECT_EQ(andnot(a, c), (a & ~c));
 }
 
-// SOCFMEA_NO_SIMD=1 (the CI portable leg) is a global kill-switch: every
-// request resolves to the 64-lane scalar width.
-[[nodiscard]] bool noSimdEnv() {
-  const char* v = std::getenv("SOCFMEA_NO_SIMD");
-  return v != nullptr && v[0] != '\0' && std::string_view(v) != "0";
-}
-
 TEST(LaneWidthTest, ResolveRoundsDown) {
-  if (noSimdEnv()) {
-    for (const unsigned req : {0u, 1u, 2u, 3u, 4u, 9u})
-      EXPECT_EQ(fs::resolveLaneWords(req), 1u) << "req=" << req;
-    EXPECT_STREQ(fs::simdTargetName(), "portable");
-    return;
-  }
   EXPECT_EQ(fs::resolveLaneWords(1), 1u);
   EXPECT_EQ(fs::resolveLaneWords(2), 2u);
   EXPECT_EQ(fs::resolveLaneWords(3), 2u);
@@ -164,50 +148,6 @@ TEST(LaneSchedulerTest, PermanentsFirstThenTransientsByCycle) {
   EXPECT_EQ(*r2, 4u);  // the skipped-over entry stayed queued
   EXPECT_FALSE(sched.takeRefill(0).has_value());
   EXPECT_TRUE(sched.takeGroup(3).empty());
-}
-
-// ---------------------------------------------------------------------------
-// thread pool (one word group per task)
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
-  co::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::atomic<int>> seen(1000);
-  pool.parallelFor(seen.size(), 7, [&](unsigned worker, std::size_t i) {
-    ASSERT_LT(worker, pool.size());
-    seen[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossCalls) {
-  co::ThreadPool pool(3);
-  for (int round = 0; round < 5; ++round) {
-    std::atomic<std::size_t> sum{0};
-    pool.parallelFor(100, 1, [&](unsigned, std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 4950u);
-  }
-}
-
-TEST(ThreadPoolTest, PropagatesException) {
-  co::ThreadPool pool(2);
-  EXPECT_THROW(pool.parallelFor(10, 1,
-                                [&](unsigned, std::size_t i) {
-                                  if (i == 3) throw std::runtime_error("boom");
-                                }),
-               std::runtime_error);
-  // The pool survives the throw.
-  std::atomic<int> n{0};
-  pool.parallelFor(8, 1, [&](unsigned, std::size_t) { ++n; });
-  EXPECT_EQ(n.load(), 8);
-}
-
-TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
-  EXPECT_GE(co::resolveThreadCount(0), 1u);
-  EXPECT_EQ(co::resolveThreadCount(5), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -532,7 +472,10 @@ TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
   }
   const auto cd = nl::compile(d.n);
   const auto serial = fs::runSerialFaultSim(cd, wl, faults);
-  for (const unsigned threads : {2u, 8u}) {
+  // 0 = one worker per hardware thread (at least one).
+  const unsigned allCores = std::max(1u, std::thread::hardware_concurrency());
+  for (const unsigned threads : {2u, 8u, 0u}) {
+    if (threads == 0 && allCores > 8) continue;  // no test runs more than 8
     fs::FaultSimOptions opt;
     opt.threads = threads;
     opt.laneWords = 1;  // several word groups -> real work sharing
@@ -540,7 +483,7 @@ TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
     const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expectVerdictsEqual(d.n, faults, serial, sliced);
-    EXPECT_EQ(stats.workers, threads);
+    EXPECT_EQ(stats.workers, threads == 0 ? allCores : threads);
   }
 }
 
@@ -764,7 +707,8 @@ TEST(BitslicedCampaignTest, AutoRunsBitslicedAtEveryThreadCount) {
 
 // X after reset: one flip-flop has no reset and samples an undriven net, so
 // the golden machine is not two-state.  Auto falls back to the serial
-// oracle, counted once per campaign; an explicit Bitsliced still throws.
+// oracle, counted once per campaign; an explicit Bitsliced still throws, at
+// one thread and at four (a worker's exception reaches the caller).
 TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
   nl::Netlist n{"xreset"};
   nl::NetId rst;
@@ -801,10 +745,14 @@ TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
   EXPECT_EQ(reg.counter("inject.auto_serial_fallbacks") - fallbacks, 1u);
   expectRecordsEqual(serial, autoRun);
 
-  ij::CampaignOptions slicedOpt;
-  slicedOpt.engine = fs::EngineKind::Bitsliced;
-  EXPECT_THROW((void)mgr.run(wl, faults, nullptr, slicedOpt),
-               std::invalid_argument);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ij::CampaignOptions slicedOpt;
+    slicedOpt.engine = fs::EngineKind::Bitsliced;
+    slicedOpt.threads = threads;
+    EXPECT_THROW((void)mgr.run(wl, faults, nullptr, slicedOpt),
+                 std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------------------

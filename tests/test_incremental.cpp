@@ -343,28 +343,12 @@ TEST(ArtifactStoreTest, TwoProcessesSavingTheSameKeyRaceFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization round trips backing the campaign artifact.
-
-TEST(IncrementalSerializeTest, FaultRoundTripPreservesTheKey) {
-  Rng rng(11);
-  tk::GeneratorOptions gopt;
-  gopt.memories = 1;
-  const nlst::Netlist nl = tk::generateNetlist(gopt, rng);
-  tk::PlanOptions popt;
-  popt.memFaults = 3;
-  const tk::TestPlan plan = tk::generatePlan(nl, popt, rng);
-  ASSERT_FALSE(plan.faults.empty());
-  for (const fault::Fault& f : plan.faults) {
-    const auto back = fault::faultFromJson(nl, fault::faultToJson(nl, f));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(fault::faultKey(nl, f), fault::faultKey(nl, *back));
-  }
-}
+// The name-based fault key backing the campaign artifact.
 
 namespace {
 
-// A multi-bit SEU names its flip-flop group by cell; the serialized form and
-// the fault key must carry the whole group.
+// A multi-bit SEU names its flip-flop group by cell; the fault key must
+// carry the whole group.
 nlst::Netlist multiSeuTestbed() {
   nlst::Netlist n("tb");
   nlst::Builder b(n);
@@ -382,23 +366,10 @@ nlst::Netlist multiSeuTestbed() {
 
 }  // namespace
 
-TEST(IncrementalSerializeTest, MultiSeuJsonRoundTripPreservesTheFault) {
-  const nlst::Netlist n = multiSeuTestbed();
-  fault::Fault f;
-  f.kind = fault::FaultKind::MultiSeu;
-  f.cells = {*n.findCell("preg"), *n.findCell("spare")};
-  std::sort(f.cells.begin(), f.cells.end());
-  f.cycle = 7;
-  const auto back = fault::faultFromJson(n, fault::faultToJson(n, f));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(f == *back);
-  EXPECT_EQ(fault::faultKey(n, f), fault::faultKey(n, *back));
-}
-
 TEST(IncrementalSerializeTest, MultiSeuKeyIsStableAcrossReparseRenumbering) {
   // The text format may renumber ids on the first round trip; the key is
-  // name-based, so rebinding the fault on the reparsed design must yield
-  // the identical provenance key.
+  // name-based, so rebinding the fault's cells by name on the reparsed
+  // design must yield the identical provenance key.
   const nlst::Netlist n = multiSeuTestbed();
   fault::Fault f;
   f.kind = fault::FaultKind::MultiSeu;
@@ -409,9 +380,14 @@ TEST(IncrementalSerializeTest, MultiSeuKeyIsStableAcrossReparseRenumbering) {
 
   const nlst::Netlist re =
       nlst::readNetlistString(nlst::writeNetlistString(n));
-  const auto rebound = fault::faultFromJson(re, fault::faultToJson(n, f));
-  ASSERT_TRUE(rebound.has_value());
-  EXPECT_EQ(fault::faultKey(re, *rebound), key);
+  const auto dreg0 = re.findCell("dreg_0");
+  const auto preg = re.findCell("preg");
+  ASSERT_TRUE(dreg0.has_value());
+  ASSERT_TRUE(preg.has_value());
+  fault::Fault rebound = f;
+  rebound.cells = {*dreg0, *preg};
+  std::sort(rebound.cells.begin(), rebound.cells.end());
+  EXPECT_EQ(fault::faultKey(re, rebound), key);
 }
 
 // ---------------------------------------------------------------------------

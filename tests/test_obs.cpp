@@ -1,6 +1,6 @@
 // The obs layer: JSON document model (round trips, escaping, numeric
 // fidelity, strict parsing) and the telemetry registry (thread safety,
-// per-worker merge semantics, scoped timers).
+// scoped timers).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -134,28 +134,6 @@ TEST(RegistryTest, CountersGaugesTimers) {
   EXPECT_EQ(t.count, 2u);
 }
 
-TEST(RegistryTest, MergeMatchesSerialAccumulation) {
-  // The merge contract: merged per-worker registries equal what one serial
-  // registry would have recorded.
-  Registry serial;
-  std::vector<Registry> workers(4);
-  for (int w = 0; w < 4; ++w) {
-    for (int i = 0; i <= w; ++i) {
-      workers[w].add("faults", 3);
-      workers[w].record("phase", 0.5, 0.5);
-      serial.add("faults", 3);
-      serial.record("phase", 0.5, 0.5);
-    }
-  }
-  Registry merged;
-  for (const Registry& w : workers) merged.merge(w);
-  EXPECT_EQ(merged.counter("faults"), serial.counter("faults"));
-  EXPECT_DOUBLE_EQ(merged.timer("phase").wallSeconds,
-                   serial.timer("phase").wallSeconds);
-  EXPECT_EQ(merged.timer("phase").count, serial.timer("phase").count);
-  EXPECT_EQ(merged.toJson().dump(), serial.toJson().dump());
-}
-
 TEST(RegistryTest, ConcurrentAddsFromManyThreads) {
   Registry reg;
   constexpr int kThreads = 8;
@@ -170,24 +148,6 @@ TEST(RegistryTest, ConcurrentAddsFromManyThreads) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(reg.counter("hits"),
             static_cast<std::uint64_t>(kThreads) * kAdds);
-}
-
-TEST(RegistryTest, ConcurrentWorkerMerge) {
-  // Each thread fills a private registry, then merges into the shared one —
-  // the coordinator pattern the parallel campaign uses.
-  Registry shared;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&shared] {
-      Registry local;
-      for (int i = 0; i < 500; ++i) local.add("work");
-      local.record("slice", 0.001, 0.001);
-      shared.merge(local);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(shared.counter("work"), 3000u);
-  EXPECT_EQ(shared.timer("slice").count, 6u);
 }
 
 TEST(RegistryTest, TimerNestingAccumulates) {

@@ -26,7 +26,7 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0 << " " << cli::commonUsageSynopsis()
             << "\n                   [--budget <faults>] [--target-sff <f>]"
-               " [--seed <S>] [--rounds <N>]\n"
+               " [--rounds <N>]\n"
                "                   [--beam <W>] [--candidates <K>]"
                " [--no-verify]\n"
             << cli::commonUsageDetails()
@@ -34,7 +34,6 @@ int usage(const char* argv0) {
                " across all candidates (0 = unlimited)\n"
                "  --target-sff stop once the best hybrid SFF reaches this"
                " (default 0.9938, the paper v2 envelope)\n"
-               "  --seed       proposal tie-breaking seed\n"
                "  --rounds     beam-search round cap (default 16)\n"
                "  --beam       beam width (default 3)\n"
                "  --candidates proposals per beam state per round"
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
   cli::CommonFlags flags;
   unsigned budget = 0;
   double targetSff = 0.9938;
-  unsigned seed = 1;
   unsigned rounds = 16;
   unsigned beam = 3;
   unsigned candidates = 6;
@@ -72,11 +70,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--target-sff") == 0 && i + 1 < argc) {
       if (!cli::parseFraction(argv[++i], targetSff) || targetSff > 1.0) {
         std::cerr << "--target-sff needs a fraction in [0, 1]\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      if (!cli::parseUnsigned(argv[++i], seed)) {
-        std::cerr << "--seed needs an unsigned value\n";
         return 2;
       }
     } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
@@ -113,7 +106,6 @@ int main(int argc, char** argv) {
   sopt.store = store.get();
   sopt.targetSff = targetSff;
   sopt.faultBudget = budget;
-  sopt.seed = seed;
   sopt.beamWidth = beam;
   sopt.maxRounds = rounds;
   sopt.candidatesPerRound = candidates;

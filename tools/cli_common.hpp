@@ -55,8 +55,8 @@ enum class FlagStatus {
     const CommonFlags& flags, std::string& error);
 
 /// Largest --threads value any tool accepts: far above any host's core
-/// count, and small enough that core::ThreadPool never asks the OS for an
-/// absurd number of threads.
+/// count, and small enough that a campaign never asks the OS for an absurd
+/// number of worker threads.
 inline constexpr unsigned kMaxThreads = 1024;
 
 /// The one --threads value parser (the shared flags, cpu_mitigation_flow,
