@@ -27,7 +27,6 @@
 #include "core/frmem_config.hpp"
 #include "core/validation.hpp"
 #include "memsys/workloads.hpp"
-#include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
 #include "tools/cli_common.hpp"
 
@@ -73,28 +72,22 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
     return 2;
   }
   std::unique_ptr<core::ArtifactStore> store = std::move(*storeOpt);
-  memsys::ProtectionIpWorkload::Options wopt;
-  wopt.cycles = 2000;
   core::IncrementalOptions iopt;
   iopt.store = store.get();
-  iopt.workloadTag = netlist::hashMix(
-      netlist::hashString("protection-ip-workload"),
-      netlist::hashMix(wopt.cycles, wopt.seed));
-  // The array dominates the IP's FIT budget: weight it beyond the per-zone
-  // quota with a deterministic per-kind sample (same keys on every variant).
-  iopt.memFaultsPerKind = 48;
+  iopt.workloadTag = core::frmemWorkloadTag();
+  iopt.memFaultsPerKind = core::kFrmemMemFaultsPerKind;
 
   core::IncrementalFlow inc(dut.nl, core::makeFrmemFlowConfig(dut), iopt);
   std::cout << "==== incremental flow: v1 + edit '" << edit << "' ====\n";
   std::cout << core::verdictLine(inc.flow()) << "\n";
 
-  memsys::ProtectionIpWorkload workload(dut, wopt);
+  memsys::ProtectionIpWorkload workload(dut, core::frmemWorkloadOptions());
   inject::CampaignOptions copt;
   copt.engine = engine;
   copt.threads = threads;
-  const core::IncrementalCampaign camp =
-      inc.runZoneFailureCampaign(workload, /*perBit=*/1, /*seed=*/7,
-                                 /*detectionWindow=*/24, copt);
+  const core::IncrementalCampaign camp = inc.runZoneFailureCampaign(
+      workload, core::kFrmemPerBit, core::kFrmemCampaignSeed,
+      core::kFrmemDetectionWindow, copt);
   const double fraction =
       camp.delta.total == 0
           ? 0.0

@@ -8,6 +8,13 @@
 
 namespace socfmea::core {
 
+namespace {
+
+/// Zones listed in the report's criticality ranking.
+constexpr std::size_t kRankingTop = 10;
+
+}  // namespace
+
 void writeFlowReport(std::ostream& out, const FmeaFlow& flow,
                      const FlowReportOptions& opt) {
   const auto& nl = flow.design();
@@ -33,15 +40,9 @@ void writeFlowReport(std::ostream& out, const FmeaFlow& flow,
 
   fmea::printSummary(out, flow.sheet());
   out << "\n";
-  fmea::printRanking(out, flow.sheet(), opt.rankingTop);
-  if (opt.sheetRows != 0) {
-    out << "\n";
-    fmea::printSheet(out, flow.sheet(), opt.sheetRows);
-  }
-  if (opt.includeCorrelation) {
-    out << "\n";
-    flow.correlation().print(out, flow.zones(), 10);
-  }
+  fmea::printRanking(out, flow.sheet(), kRankingTop);
+  out << "\n";
+  flow.correlation().print(out, flow.zones(), 10);
   if (opt.includeSensitivity) {
     out << "\n";
     fmea::printSensitivity(out, flow.sensitivity());
@@ -91,7 +92,7 @@ obs::Json flowReportJson(const FmeaFlow& flow, const FlowReportOptions& opt) {
   j["design"] = designStatsJson(flow.design());
   j["zones"] = zones::toJson(flow.zones());
   j["effects"] = flow.effects().toJson();
-  j["sheet"] = flow.sheet().toJson(opt.sheetRows);
+  j["sheet"] = flow.sheet().toJson();
 
   if (opt.includeSensitivity) {
     const fmea::SensitivityResult sens = flow.sensitivity();

@@ -11,10 +11,7 @@
 namespace socfmea::core {
 
 struct FlowReportOptions {
-  std::size_t rankingTop = 10;
-  std::size_t sheetRows = 0;      ///< 0 = omit the full row table
   bool includeSensitivity = true;
-  bool includeCorrelation = true;
 };
 
 /// Writes the complete analysis report for a flow.

@@ -1,5 +1,7 @@
 #include "core/frmem_config.hpp"
 
+#include "netlist/hash.hpp"
+
 namespace socfmea::core {
 
 using fmea::DiagnosticClaim;
@@ -148,6 +150,18 @@ FlowConfig makeFrmemFlowConfig(const GateLevelDesign& design) {
     }
   };
   return cfg;
+}
+
+memsys::ProtectionIpWorkload::Options frmemWorkloadOptions() {
+  memsys::ProtectionIpWorkload::Options wopt;
+  wopt.cycles = kFrmemWorkloadCycles;
+  return wopt;
+}
+
+std::uint64_t frmemWorkloadTag() {
+  const memsys::ProtectionIpWorkload::Options wopt = frmemWorkloadOptions();
+  return netlist::hashMix(netlist::hashString("protection-ip-workload"),
+                          netlist::hashMix(wopt.cycles, wopt.seed));
 }
 
 }  // namespace socfmea::core

@@ -185,7 +185,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
                 inject::CachedCampaign::fromJson(*prevArt);
             out.result = inject::runCampaignDelta(
                 mgr, wl, faults, cache, cone, &cov, copt,
-                opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
+                opt_.revalidateFraction, &out.delta);
             out.deltaRun = true;
           } catch (const std::exception&) {
             out.deltaRun = false;  // unreadable head: cold below

@@ -25,7 +25,6 @@ struct IncrementalOptions {
   /// Fraction of reusable faults re-simulated anyway to cross-check the
   /// cache (any mismatch re-simulates every reused fault).
   double revalidateFraction = 0.02;
-  std::uint64_t revalidateSeed = 0x5EEDCAFE;
   /// Head-slot name: one slot per (design family × workload) iteration line.
   std::string headSlot = "flow";
   /// Head branch within the slot ("" = the base slot).  Candidate

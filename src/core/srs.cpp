@@ -11,6 +11,13 @@ namespace socfmea::core {
 
 namespace {
 
+/// FMEA rows rendered, most critical first.
+constexpr std::size_t kFmeaRows = 25;
+/// Zones listed in the criticality ranking.
+constexpr std::size_t kRankingTop = 10;
+/// The SIL the document argues for (drives the compliance verdict).
+constexpr fmea::Sil kTargetSil = fmea::Sil::Sil3;
+
 std::string pct(double v) {
   std::ostringstream ss;
   ss << std::fixed << std::setprecision(2) << v * 100.0 << " %";
@@ -31,9 +38,8 @@ void writeSrs(std::ostream& out, const FmeaFlow& flow, const SrsOptions& opt,
               const ValidationFlowReport* validation) {
   const auto& nl = flow.design();
   const auto& sheet = flow.sheet();
-  const std::string title = opt.title.empty() ? nl.name() : opt.title;
 
-  out << "# Safety Requirements Specification — " << title << "\n\n";
+  out << "# Safety Requirements Specification — " << nl.name() << "\n\n";
   out << "Prepared by: " << opt.author
       << ".  Methodology: SoC-level FMEA per Mariani/Boschi/Colucci "
          "(DATE 2007), IEC 61508.\n\n";
@@ -79,23 +85,22 @@ void writeSrs(std::ostream& out, const FmeaFlow& flow, const SrsOptions& opt,
             [](const fmea::FmeaRow& a, const fmea::FmeaRow& b) {
               return a.lambdaDU > b.lambdaDU;
             });
-  std::size_t shown = 0;
-  for (const auto& r : rows) {
-    if (opt.fmeaRows != 0 && shown++ >= opt.fmeaRows) break;
+  for (std::size_t i = 0; i < std::min(rows.size(), kFmeaRows); ++i) {
+    const fmea::FmeaRow& r = rows[i];
     out << "| " << r.zoneName << " | " << r.failureMode << " | "
         << (r.persistence == fmea::Persistence::Transient ? "T" : "P")
         << " | " << fit(r.lambda) << " | " << pct(r.safe.combined()) << " | "
         << pct(r.ddf) << " | " << fit(r.lambdaDD) << " | " << fit(r.lambdaDU)
         << " |\n";
   }
-  if (opt.fmeaRows != 0 && rows.size() > opt.fmeaRows) {
-    out << "\n(" << rows.size() - opt.fmeaRows
+  if (rows.size() > kFmeaRows) {
+    out << "\n(" << rows.size() - kFmeaRows
         << " further rows omitted; sorted by λDU, most critical first.)\n";
   }
 
   out << "\n### Criticality ranking\n\n";
   std::size_t rank = 1;
-  for (const auto& e : sheet.ranking(opt.rankingTop)) {
+  for (const auto& e : sheet.ranking(kRankingTop)) {
     out << rank++ << ". **" << e.name << "** — " << fit(e.lambdaDU) << " ("
         << pct(e.share) << " of total λDU)\n";
   }
@@ -117,11 +122,11 @@ void writeSrs(std::ostream& out, const FmeaFlow& flow, const SrsOptions& opt,
       << "| SIL (probabilistic route) | " << fmea::silName(sheet.silByPfh())
       << " |\n\n";
 
-  const bool silOk = sheet.sil() >= opt.targetSil;
-  out << "Target: **" << fmea::silName(opt.targetSil) << "** — "
+  const bool silOk = sheet.sil() >= kTargetSil;
+  out << "Target: **" << fmea::silName(kTargetSil) << "** — "
       << passFail(silOk) << " by the architectural route (SFF "
       << pct(sheet.sff()) << " vs required "
-      << pct(fmea::requiredSff(opt.targetSil, sheet.config().hft,
+      << pct(fmea::requiredSff(kTargetSil, sheet.config().hft,
                                sheet.config().elementType))
       << ").\n";
 

@@ -16,17 +16,13 @@
 namespace socfmea::core {
 
 struct SrsOptions {
-  std::string title;          ///< defaults to the design name
   std::string author = "socfmea";
-  std::size_t fmeaRows = 25;  ///< FMEA rows rendered (0 = all)
-  std::size_t rankingTop = 10;
   bool includeSensitivity = true;
-  /// Target SIL the document argues for (drives the compliance verdict).
-  fmea::Sil targetSil = fmea::Sil::Sil3;
 };
 
-/// Writes the SRS for an analyzed flow.  When `validation` is non-null, the
-/// fault-injection evidence section (steps a-d) is included.
+/// Writes the SRS for an analyzed flow, titled with the design name and
+/// arguing for SIL3.  When `validation` is non-null, the fault-injection
+/// evidence section (steps a-d) is included.
 void writeSrs(std::ostream& out, const FmeaFlow& flow, const SrsOptions& opt,
               const ValidationFlowReport* validation = nullptr);
 

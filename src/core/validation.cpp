@@ -11,6 +11,12 @@ namespace socfmea::core {
 
 namespace {
 
+/// Step (b): required toggle fraction (the paper's default 99 %).
+constexpr double kToggleThreshold = 0.99;
+/// Tolerance for measured-vs-estimated comparisons (percentage points).
+constexpr double kTolerance = 0.20;
+constexpr std::uint64_t kDetectionWindow = 24;
+
 // Permanent-row DDF of the sheet over the given zones (the critical areas
 // whose cones the selective injection targets): λDD/λD restricted to
 // permanent failure modes.
@@ -56,7 +62,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
   const inject::InjectionEnvironment env =
       inject::EnvironmentBuilder(db, effects)
           .withSeed(opt.seed)
-          .withDetectionWindow(opt.detectionWindow)
+          .withDetectionWindow(kDetectionWindow)
           .build();
   inject::InjectionManager mgr(env);
   const inject::OperationalProfile profile =
@@ -71,7 +77,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     inject::CoverageCollector cov(mgr.environment());
     rep.zoneCampaign = mgr.run(workload, faults, &cov, opt.campaign);
     rep.zoneValidation =
-        analyzer.validate(flow.sheet(), rep.zoneCampaign, opt.tolerance);
+        analyzer.validate(flow.sheet(), rep.zoneCampaign, kTolerance);
     rep.campaignCompleteness = cov.completeness();
     rep.stepAPass = rep.zoneValidation.pass &&
                     rep.zoneValidation.effectsConsistent &&
@@ -81,7 +87,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
   // ---- step (b): workload efficiency (toggle coverage) -----------------------
   {
     rep.toggle = faultsim::measureToggle(cd, workload);
-    rep.stepBPass = rep.toggle.passes(opt.toggleThreshold);
+    rep.stepBPass = rep.toggle.passes(kToggleThreshold);
   }
 
   // ---- step (c): selective local faults on the critical areas ----------------
@@ -139,7 +145,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
         std::fabs(rep.localMeasuredSff - rep.zoneCampaign.measuredSff());
     const double dcDelta =
         std::fabs(rep.faultSimCoverage - rep.sheetPermanentDdf);
-    rep.stepCPass = sffDelta <= opt.tolerance && dcDelta <= opt.tolerance;
+    rep.stepCPass = sffDelta <= kTolerance && dcDelta <= kTolerance;
   }
 
   // ---- step (d): wide / global HW faults --------------------------------------

@@ -3,7 +3,7 @@
 //       against the FMEA (S/D/DDF comparison, effects table, coverage
 //       completeness);
 //   (b) workload-efficiency measurement: toggle coverage of the gate-level
-//       netlist must exceed a threshold (default 99 %);
+//       netlist must exceed 99 % (the paper's threshold);
 //   (c) selective local HW fault injection on the critical areas (top-ranked
 //       zones), plus the fault simulator's permanent-fault coverage measured
 //       against the DDF claimed in the sheet;
@@ -24,17 +24,12 @@ struct ValidationOptions {
   std::uint64_t seed = 7;
   /// Step (a): SEU injections per flip-flop of each target zone.
   std::size_t zoneFailuresPerBit = 2;
-  /// Step (b): required toggle fraction (the paper's default 99 %).
-  double toggleThreshold = 0.99;
   /// Step (c): number of critical zones treated as "critical areas".
   std::size_t criticalZones = 10;
   /// Step (c): local faults sampled per critical zone.
   std::size_t localFaultsPerZone = 12;
   /// Step (d): wide bridging faults + global critical-net faults sampled.
   std::size_t wideFaults = 48;
-  /// Tolerance for measured-vs-estimated comparisons (percentage points).
-  double tolerance = 0.20;
-  std::uint64_t detectionWindow = 24;
   /// Engine / threads / laneWords knobs of the campaigns of steps (a), (c)
   /// and (d) and of step (c)'s fault simulation.  Step (d) always runs
   /// without early abort.

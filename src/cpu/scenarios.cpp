@@ -15,6 +15,8 @@ namespace {
 using cpu::encode;
 using cpu::Op;
 
+constexpr std::uint64_t kDetectionWindow = 24;
+
 /// Gate-level cycle budget for a program image: 2 reset cycles, 2 cycles
 /// per retired instruction, slack for the detection window and late alarms.
 std::uint64_t cycleBudget(const std::vector<std::uint8_t>& image) {
@@ -142,7 +144,7 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   CpuWorkload wl(d, s.design.program, s.cycles);
   const auto env = inject::EnvironmentBuilder(flow.zones(), flow.effects())
                        .withSeed(opt.seed)
-                       .withDetectionWindow(opt.detectionWindow)
+                       .withDetectionWindow(kDetectionWindow)
                        .build();
   inject::InjectionManager mgr(env);
   const auto profile = inject::OperationalProfile::record(flow.zones(), wl);

@@ -48,7 +48,6 @@ struct Scenario {
 struct RunOptions {
   std::uint64_t seed = 8;
   std::size_t perBit = 2;           ///< zoneFailureFaults density
-  std::uint64_t detectionWindow = 24;
   inject::CampaignOptions campaign;  ///< engine / threads / laneWords knobs
 };
 

@@ -43,9 +43,6 @@ class TinyCpu {
   void flipReg(std::size_t reg, unsigned bit) {
     regs_.at(reg) ^= static_cast<std::uint8_t>(1u << (bit % 8));
   }
-  void flipAcc(unsigned bit) {
-    acc_ ^= static_cast<std::uint8_t>(1u << (bit % 8));
-  }
   void flipPc(unsigned bit) {
     pc_ ^= static_cast<std::uint8_t>(1u << (bit % kProgAddrBits));
   }

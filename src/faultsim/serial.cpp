@@ -1,7 +1,6 @@
 #include "faultsim/serial.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <span>
 #include <stdexcept>
 
@@ -181,12 +180,6 @@ FaultSimResult runSerialFaultSim(const netlist::CompiledDesignPtr& cd,
   reg.add("faultsim.serial.machines", res.total);
   reg.add("faultsim.serial.cycles", res.simulatedCycles);
   return res;
-}
-
-void printFaultSim(std::ostream& out, const FaultSimResult& r) {
-  out << "fault simulation: " << r.detected << "/" << r.total
-      << " faults detected (coverage " << r.coverage() * 100.0 << "%), "
-      << r.simulatedCycles << " machine-cycles\n";
 }
 
 }  // namespace socfmea::faultsim

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -255,7 +254,5 @@ struct SerialCampaign {
 [[nodiscard]] FaultSimResult runSerialFaultSim(
     const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
     const fault::FaultList& faults, const FaultSimOptions& opt = {});
-
-void printFaultSim(std::ostream& out, const FaultSimResult& r);
 
 }  // namespace socfmea::faultsim

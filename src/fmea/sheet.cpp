@@ -124,21 +124,6 @@ std::size_t FmeaSheet::setFrequency(std::string_view zonePattern, FreqClass f,
   return n;
 }
 
-std::size_t FmeaSheet::forEachRow(std::string_view zonePattern,
-                                  std::string_view modePattern,
-                                  const std::function<void(FmeaRow&)>& fn) {
-  std::size_t n = 0;
-  for (FmeaRow& r : rows_) {
-    if (!matches(r.zoneName, zonePattern) ||
-        !matches(r.failureMode, modePattern)) {
-      continue;
-    }
-    fn(r);
-    ++n;
-  }
-  return n;
-}
-
 void FmeaSheet::compute() {
   for (FmeaRow& r : rows_) {
     const double sComb = std::clamp(r.safe.combined(), 0.0, 1.0);

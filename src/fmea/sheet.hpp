@@ -25,7 +25,6 @@
 //   λDD = λD · DDF;  λDU = λD - λDD
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -120,9 +119,6 @@ class FmeaSheet {
   std::size_t setSafeFactors(std::string_view zonePattern, SdFactors sd);
   std::size_t setFrequency(std::string_view zonePattern, FreqClass f,
                            double lifetimeFraction);
-  std::size_t forEachRow(std::string_view zonePattern,
-                         std::string_view modePattern,
-                         const std::function<void(FmeaRow&)>& fn);
 
   // --- computation -----------------------------------------------------------
 

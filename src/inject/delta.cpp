@@ -10,6 +10,9 @@ namespace socfmea::inject {
 
 namespace {
 
+/// Seeds the per-fault draw of the revalidation sample.
+constexpr std::uint64_t kRevalidateSeed = 0x5EEDCAFE;
+
 std::optional<Outcome> outcomeFromName(std::string_view n) {
   for (const Outcome o :
        {Outcome::NoEffect, Outcome::SafeMasked, Outcome::SafeDetected,
@@ -193,7 +196,6 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
                                 CoverageCollector* coverage,
                                 const CampaignOptions& opt,
                                 double revalidateFraction,
-                                std::uint64_t revalidateSeed,
                                 DeltaStats* stats) {
   const zones::ZoneDatabase& db = *mgr.environment().zones;
   const zones::EffectsModel& effects = *mgr.environment().effects;
@@ -232,7 +234,7 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
         if (slot.bound) {
           // Deterministic per-fault draw, independent of the rest of the
           // list, so the sample is stable under fault-list growth.
-          sim::Rng rng(netlist::hashMix(revalidateSeed,
+          sim::Rng rng(netlist::hashMix(kRevalidateSeed,
                                         netlist::hashString(key)));
           slot.revalidate =
               revalidateFraction > 0.0 && rng.chance(revalidateFraction);

@@ -87,7 +87,6 @@ struct DeltaStats {
     InjectionManager& mgr, sim::Workload& wl, const fault::FaultList& faults,
     const CachedCampaign& cache, const netlist::AffectedCone& cone,
     CoverageCollector* coverage, const CampaignOptions& opt,
-    double revalidateFraction, std::uint64_t revalidateSeed,
-    DeltaStats* stats);
+    double revalidateFraction, DeltaStats* stats);
 
 }  // namespace socfmea::inject

@@ -16,15 +16,11 @@ InjectionEnvironment EnvironmentBuilder::build() const {
   env.seed = seed_;
   env.detectionWindow = window_;
 
-  if (!targets_.empty()) {
-    env.targetZones = targets_;
-  } else {
-    for (const zones::SensibleZone& z : db_->zones()) {
-      if (z.kind == zones::ZoneKind::Register ||
-          z.kind == zones::ZoneKind::SubBlock ||
-          z.kind == zones::ZoneKind::Memory) {
-        env.targetZones.push_back(z.id);
-      }
+  for (const zones::SensibleZone& z : db_->zones()) {
+    if (z.kind == zones::ZoneKind::Register ||
+        z.kind == zones::ZoneKind::SubBlock ||
+        z.kind == zones::ZoneKind::Memory) {
+      env.targetZones.push_back(z.id);
     }
   }
 

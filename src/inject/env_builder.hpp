@@ -46,19 +46,12 @@ class EnvironmentBuilder {
     window_ = w;
     return *this;
   }
-  /// Restricts the target zones (default: all register/sub-block/memory
-  /// zones).
-  EnvironmentBuilder& withTargets(std::vector<zones::ZoneId> targets) {
-    targets_ = std::move(targets);
-    return *this;
-  }
 
   [[nodiscard]] InjectionEnvironment build() const;
 
  private:
   const zones::ZoneDatabase* db_;
   const zones::EffectsModel* effects_;
-  std::vector<zones::ZoneId> targets_;
   std::uint64_t seed_ = 1;
   std::uint64_t window_ = 16;
 };

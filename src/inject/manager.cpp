@@ -46,11 +46,6 @@ std::string_view outcomeName(Outcome o) noexcept {
   return "?";
 }
 
-bool isSafeOutcome(Outcome o) noexcept {
-  return o == Outcome::NoEffect || o == Outcome::SafeMasked ||
-         o == Outcome::SafeDetected;
-}
-
 OutcomeTally CampaignResult::tally() const {
   OutcomeTally t;
   t.total = records.size();

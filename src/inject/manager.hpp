@@ -29,9 +29,6 @@ enum class Outcome : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view outcomeName(Outcome o) noexcept;
-/// Safe in the SFF sense (everything except DangerousUndetected counts
-/// toward the numerator; DangerousDetected is counted via λDD).
-[[nodiscard]] bool isSafeOutcome(Outcome o) noexcept;
 
 struct InjectionRecord {
   fault::Fault fault;

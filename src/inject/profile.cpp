@@ -5,9 +5,15 @@
 
 namespace socfmea::inject {
 
-OperationalProfile OperationalProfile::record(
-    const zones::ZoneDatabase& db, sim::Workload& wl,
-    std::size_t maxActiveCyclesPerZone) {
+namespace {
+
+/// Cap of ZoneActivity::activeCycles.
+constexpr std::size_t kMaxActiveCyclesPerZone = 512;
+
+}  // namespace
+
+OperationalProfile OperationalProfile::record(const zones::ZoneDatabase& db,
+                                              sim::Workload& wl) {
   sim::Simulator sim(db.compiledShared());
 
   OperationalProfile p;
@@ -52,7 +58,7 @@ OperationalProfile OperationalProfile::record(
         lastChange[z.id] = c;
         a.lastActive = c;
         ++a.writes;
-        if (a.activeCycles.size() < maxActiveCyclesPerZone) {
+        if (a.activeCycles.size() < kMaxActiveCyclesPerZone) {
           a.activeCycles.push_back(static_cast<std::uint32_t>(c));
         }
       }

@@ -29,7 +29,7 @@ struct ZoneActivity {
   std::uint64_t lastActive = 0;    ///< last cycle with a change
   double activeFraction = 0.0;     ///< changing cycles / total cycles
   double avgHoldCycles = 0.0;      ///< mean cycles a value is held (ζ estimate)
-  std::vector<std::uint32_t> activeCycles;  ///< cycles with changes (capped)
+  std::vector<std::uint32_t> activeCycles;  ///< cycles with changes (first 512)
 
   [[nodiscard]] bool triggered() const noexcept { return writes > 0; }
 };
@@ -38,8 +38,7 @@ class OperationalProfile {
  public:
   /// Records the profile with one fault-free run of the workload.
   static OperationalProfile record(const zones::ZoneDatabase& db,
-                                   sim::Workload& wl,
-                                   std::size_t maxActiveCyclesPerZone = 512);
+                                   sim::Workload& wl);
 
   [[nodiscard]] std::uint64_t totalCycles() const noexcept { return cycles_; }
   [[nodiscard]] const ZoneActivity& zone(zones::ZoneId z) const {

@@ -89,24 +89,10 @@ DecodeOutput DecoderPipeline::tick() {
   return out;
 }
 
-void DecoderPipeline::corruptStage1(std::uint32_t bit) {
-  if (s1_.valid && bit < kCodeBits) s1_.code ^= (std::uint64_t{1} << bit);
-}
-
 void DecoderPipeline::corruptStage1Syndrome(std::uint32_t bit) {
   if (s1_.valid && bit < kCheckBits) {
     s1_.syndrome = static_cast<std::uint8_t>(s1_.syndrome ^ (1u << bit));
   }
-}
-
-void DecoderPipeline::corruptStage2(std::uint32_t bit) {
-  if (s2_.valid && bit < kDataBits) s2_.data ^= (1u << bit);
-}
-
-void DecoderPipeline::flush() {
-  s1_ = {};
-  s2_ = {};
-  pendingCode_.reset();
 }
 
 }  // namespace socfmea::memsys

@@ -68,14 +68,8 @@ class DecoderPipeline {
 
   // ---- fault-injection hooks -------------------------------------------------
 
-  /// Flips a bit of the stage-1 code register (0..38).
-  void corruptStage1(std::uint32_t bit);
   /// Flips a bit of the stage-1 syndrome register (0..5).
   void corruptStage1Syndrome(std::uint32_t bit);
-  /// Flips a bit of the stage-2 data register (0..31).
-  void corruptStage2(std::uint32_t bit);
-
-  void flush();
 
  private:
   struct Stage1 {

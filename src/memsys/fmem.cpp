@@ -2,14 +2,21 @@
 
 namespace socfmea::memsys {
 
+namespace {
+
+constexpr std::size_t kWbufDepth = 4;
+constexpr std::size_t kScrubStoreCapacity = 8;
+
+}  // namespace
+
 FMem::FMem(CodeMemory& mem, const FMemConfig& cfg)
     : cfg_(cfg),
       codec_(cfg.addressInCode),
       mem_(&mem),
       ctrl_(mem),
-      wbuf_(cfg.wbufDepth, cfg.wbufParity),
+      wbuf_(kWbufDepth, cfg.wbufParity),
       pipe_(codec_, cfg.decoder),
-      scrub_(mem.words(), cfg.scrubStoreCapacity, cfg.backgroundScan) {}
+      scrub_(mem.words(), kScrubStoreCapacity, /*backgroundScan=*/true) {}
 
 void FMem::requestWrite(std::uint64_t addr, std::uint32_t data) {
   wbuf_.push(addr, data);

@@ -19,9 +19,6 @@ struct FMemConfig {
   bool addressInCode = false;   ///< v2: fold the address into the code
   bool wbufParity = false;      ///< v2: parity on the write buffer
   DecoderFeatures decoder;      ///< v2 checker set
-  std::size_t wbufDepth = 4;
-  std::size_t scrubStoreCapacity = 8;
-  bool backgroundScan = true;
 };
 
 class FMem {

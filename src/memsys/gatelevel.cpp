@@ -99,7 +99,7 @@ GateLevelDesign buildProtectionIp(const GateLevelOptions& opt) {
   d.priv = b.input("priv");
   d.addr = b.inputBus("addr", A);
   d.wdata = b.inputBus("wdata", kDataBits);
-  d.bistEn = opt.includeBist ? b.input("bist_en") : b.constNet(false);
+  d.bistEn = b.input("bist_en");
   // The latent-fault strobe pin exists in EVERY variant (mirroring the
   // workload's unconditional self-test window): gating it on the checker
   // options would re-drive the BIST alarm strobe below from a const cell in
@@ -112,11 +112,15 @@ GateLevelDesign buildProtectionIp(const GateLevelOptions& opt) {
   // Muxed in front of the bus-interface registers: when bist_en is high the
   // engine sweeps the address space writing an LFSR pattern and then reading
   // it back, comparing at the decoder output.
+  // The three constant cells below are never read: the engine drives every
+  // BIST net.  They stay because removing them would renumber every later
+  // net and cell, and so change the design hash that stored campaigns are
+  // keyed by.
   Bus bistAddr, bistData;
   NetId bistReq = b.constNet(false);
   NetId bistWe = b.constNet(false);
   NetId bistChk = b.constNet(false);
-  if (opt.includeBist) {
+  {
     Builder::Scope s(b, "bist");
     // Phase counter: 2 bits, advances every cycle while enabled; the address
     // counter advances on phase wrap.  Phase 0 issues an access, 1..3 wait
@@ -167,9 +171,6 @@ GateLevelDesign buildProtectionIp(const GateLevelOptions& opt) {
     bistWe = b.band(issue, b.bnot(passQ));
     bistChk = b.band(d.bistEn, passQ);
     d.blockPrefixes.push_back("bist");
-  } else {
-    bistAddr = b.constBus(0, A);
-    bistData = b.constBus(0, kDataBits);
   }
 
   // ---- MCE bus-interface registers -------------------------------------------
@@ -371,8 +372,8 @@ GateLevelDesign buildProtectionIp(const GateLevelOptions& opt) {
   }
 
   // ---- BIST read-back comparator ------------------------------------------------
-  NetId alarmBistW = b.constNet(false);
-  if (opt.includeBist) {
+  NetId alarmBistW = b.constNet(false);  // never read; kept like the above
+  {
     Builder::Scope s(b, "bist");
     // Expected pattern regenerated from the latched read address (the BIST
     // counter spans the lower address bits only).
@@ -432,7 +433,7 @@ GateLevelDesign buildProtectionIp(const GateLevelOptions& opt) {
     if (opt.redundantChecker) alarmOut("pipe", alarmPipeW);
     if (opt.wbufParity) alarmOut("wbuf", wbufParityErr);
     if (opt.monitoredOutputs) alarmOut("out", alarmOutW);
-    if (opt.includeBist) alarmOut("bist", alarmBistW);
+    alarmOut("bist", alarmBistW);
   }
 
   d.nl.check();

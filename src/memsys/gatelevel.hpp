@@ -25,7 +25,6 @@ struct GateLevelOptions {
   bool redundantChecker = false;
   bool distributedSyndrome = false;
   bool monitoredOutputs = false;  ///< duplicate output register + comparator
-  bool includeBist = true;
 
   [[nodiscard]] static GateLevelOptions v1() { return {}; }
   [[nodiscard]] static GateLevelOptions v2() {

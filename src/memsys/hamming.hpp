@@ -52,8 +52,6 @@ class HammingCodec {
   explicit HammingCodec(bool foldAddress = false) noexcept
       : foldAddress_(foldAddress) {}
 
-  [[nodiscard]] bool foldsAddress() const noexcept { return foldAddress_; }
-
   /// Encodes 32 data bits (and, in v2, the word address) into 39 bits.
   [[nodiscard]] std::uint64_t encode(std::uint32_t data,
                                      std::uint64_t addr = 0) const noexcept;

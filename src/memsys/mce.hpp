@@ -33,10 +33,6 @@ class Mce final : public AhbSlave {
     fmem_->clearAlarms();
   }
 
-  [[nodiscard]] bool quiescent() const {
-    return outstanding_.empty() && fmem_->writeBuffer().empty();
-  }
-
  private:
   FMem* fmem_;
   Mpu* mpu_;

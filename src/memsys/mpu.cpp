@@ -5,17 +5,6 @@
 
 namespace socfmea::memsys {
 
-std::string_view mpuVerdictName(MpuVerdict v) noexcept {
-  switch (v) {
-    case MpuVerdict::Allowed: return "allowed";
-    case MpuVerdict::DeniedRead: return "denied-read";
-    case MpuVerdict::DeniedWrite: return "denied-write";
-    case MpuVerdict::DeniedPrivilege: return "denied-privilege";
-    case MpuVerdict::OutOfRange: return "out-of-range";
-  }
-  return "?";
-}
-
 Mpu::Mpu(std::uint64_t words, std::size_t pageCount) : words_(words) {
   if (pageCount == 0) throw std::invalid_argument("MPU needs >= 1 page");
   wordsPerPage_ = std::max<std::uint64_t>(1, words / pageCount);

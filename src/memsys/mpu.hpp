@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace socfmea::memsys {
@@ -27,8 +26,6 @@ enum class MpuVerdict : std::uint8_t {
   DeniedPrivilege,
   OutOfRange,
 };
-
-[[nodiscard]] std::string_view mpuVerdictName(MpuVerdict v) noexcept;
 
 class Mpu {
  public:

@@ -5,6 +5,12 @@
 
 namespace socfmea::memsys {
 
+namespace {
+
+constexpr std::size_t kMpuPages = 8;
+
+}  // namespace
+
 MemSysConfig MemSysConfig::v1() {
   MemSysConfig c;
   c.fmem.addressInCode = false;
@@ -40,7 +46,7 @@ MemSubsystem::MemSubsystem(const MemSysConfig& cfg)
     : cfg_(cfg),
       mem_(cfg.addrBits),
       bus_(cfg.masterCount),
-      mpu_(mem_.words(), cfg.pageCount),
+      mpu_(mem_.words(), kMpuPages),
       fmem_(mem_, cfg.fmem),
       mce_(fmem_, mpu_, bus_) {
   bus_.connectSlave(&mce_);

@@ -17,7 +17,6 @@ namespace socfmea::memsys {
 
 struct MemSysConfig {
   std::uint32_t addrBits = 8;     ///< 256 words of 32 data bits
-  std::size_t pageCount = 8;      ///< MPU pages
   std::size_t masterCount = 2;    ///< AHB masters
   FMemConfig fmem;
   bool swStartupTests = false;    ///< v2: run the SW test library at boot

@@ -4,22 +4,29 @@
 
 namespace socfmea::memsys {
 
+namespace {
+
+constexpr std::uint64_t kResetCycles = 4;
+/// BIST window: the engine sweeps a 16-address window, write pass + read
+/// pass, four cycles per access, plus drain slack.
+constexpr std::uint64_t kBistCycles = 16 * 4 * 2 + 16;
+/// Latent-fault self-test window: strobe chk_test across a write and a
+/// read so every checker comparator and alarm register is proven alive.
+/// The window runs unconditionally — on designs without a chk_test input
+/// drive() simply skips the strobe — so the cycle schedule is identical
+/// across architectural variants and the incremental flow can reuse
+/// cached verdicts between them (a conditional window would shift every
+/// post-window access by 16 cycles the moment a checker is added).
+constexpr std::uint64_t kLatentCycles = 16;
+/// One operation every kPacing cycles (covers the read latency and the
+/// write-buffer drain of the paced design).
+constexpr std::uint64_t kPacing = 4;
+
+}  // namespace
+
 ProtectionIpWorkload::ProtectionIpWorkload(const GateLevelDesign& design,
                                            Options opt)
     : d_(&design), opt_(opt) {
-  if (opt_.exerciseBist && d_->options.includeBist) {
-    // The engine sweeps a 16-address window: write pass + read pass, four
-    // cycles per access, plus drain slack.
-    bistCycles_ = 16 * 4 * 2 + 16;
-  }
-  // Latent-fault self-test window: strobe chk_test across a write and a
-  // read so every checker comparator and alarm register is proven alive.
-  // The window runs unconditionally — on designs without a chk_test input
-  // drive() simply skips the strobe — so the cycle schedule is identical
-  // across architectural variants and the incremental flow can reuse
-  // cached verdicts between them (a conditional window would shift every
-  // post-window access by 16 cycles the moment a checker is added).
-  latentCycles_ = 16;
   buildPlan();
 }
 
@@ -38,19 +45,19 @@ void ProtectionIpWorkload::buildPlan() {
 
   for (std::uint64_t c = 0; c < opt_.cycles; ++c) {
     CyclePlan& p = plan_[c];
-    if (c < opt_.resetCycles) {
+    if (c < kResetCycles) {
       p.rst = true;
       continue;
     }
-    const std::uint64_t t = c - opt_.resetCycles;
-    if (t < bistCycles_) {
+    const std::uint64_t t = c - kResetCycles;
+    if (t < kBistCycles) {
       p.bist = true;
       continue;
     }
-    if (t < bistCycles_ + latentCycles_) {
+    if (t < kBistCycles + kLatentCycles) {
       // Self-test window: strobe, with one write and one read in flight.
       p.chk = true;
-      const std::uint64_t lt = t - bistCycles_;
+      const std::uint64_t lt = t - kBistCycles;
       if (lt == 1) {
         p.req = true;
         p.we = true;
@@ -62,7 +69,7 @@ void ProtectionIpWorkload::buildPlan() {
       }
       continue;
     }
-    if ((t - bistCycles_) % opt_.pacing != 0) continue;  // idle slot
+    if ((t - kBistCycles) % kPacing != 0) continue;  // idle slot
 
     const std::uint64_t roll = rng.below(100);
     if (roll < 45 || written.empty()) {
@@ -102,7 +109,7 @@ void ProtectionIpWorkload::buildPlan() {
           nextSyndrome = (nextSyndrome % 63) + 1;
         }
       }
-    } else if (opt_.exerciseMpu && roll < 95) {
+    } else if (roll < 95) {
       // MPU probe: user-privilege access to the protected top page.
       p.req = true;
       p.we = rng.coin();
@@ -117,12 +124,7 @@ void ProtectionIpWorkload::buildPlan() {
 void ProtectionIpWorkload::drive(sim::Simulator& sim, std::uint64_t cycle) {
   const CyclePlan& p = plan_.at(cycle);
   sim.setInput(d_->rst, sim::fromBool(p.rst));
-  const bool bistInput =
-      d_->bistEn != netlist::kNoNet &&
-      sim.design().net(d_->bistEn).driver != netlist::kNoCell &&
-      sim.design().cell(sim.design().net(d_->bistEn).driver).type ==
-          netlist::CellType::Input;
-  if (bistInput) sim.setInput(d_->bistEn, sim::fromBool(p.bist));
+  sim.setInput(d_->bistEn, sim::fromBool(p.bist));
   const auto& chkNet = sim.design().net(d_->chkTest);
   if (chkNet.driver != netlist::kNoCell &&
       sim.design().cell(chkNet.driver).type == netlist::CellType::Input) {
@@ -146,7 +148,7 @@ void ProtectionIpWorkload::backdoor(sim::Simulator& sim, std::uint64_t cycle) {
 }
 
 TrafficStats runBehavioralTraffic(MemSubsystem& sys, std::uint64_t operations,
-                                  std::uint64_t seed, bool exerciseMpu) {
+                                  std::uint64_t seed) {
   sim::Rng rng(seed);
   TrafficStats stats;
   const std::uint64_t words = sys.array().words();
@@ -175,7 +177,7 @@ TrafficStats runBehavioralTraffic(MemSubsystem& sys, std::uint64_t operations,
       const auto got = sys.read(addr, Privilege::Machine, master);
       ++stats.reads;
       if (!got.has_value() || *got != latest) ++stats.readMismatches;
-    } else if (exerciseMpu && roll < 95) {
+    } else if (roll < 95) {
       // Denied accesses: user touch of a privileged page.
       const std::uint64_t addr = words - 1 - rng.below(words / 8);
       if (!sys.read(addr, Privilege::User, master).has_value()) {

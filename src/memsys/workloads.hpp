@@ -23,17 +23,11 @@ class ProtectionIpWorkload final : public sim::Workload {
   struct Options {
     std::uint64_t cycles = 2000;
     std::uint64_t seed = 42;
-    std::uint64_t resetCycles = 4;
-    bool exerciseBist = true;
-    bool exerciseMpu = true;
     /// Plant memory soft errors (single and double bit, rotating over all
     /// 39 code-bit positions) right before reads, so the correction,
     /// classification and checker logic is exercised — the toggle-closure
     /// role of an error-injecting verification component.
     bool plantEccErrors = true;
-    /// Issue one operation every `pacing` cycles (covers the read latency
-    /// and write-buffer drain of the paced design).
-    std::uint64_t pacing = 4;
   };
 
   ProtectionIpWorkload(const GateLevelDesign& design, Options opt);
@@ -65,8 +59,6 @@ class ProtectionIpWorkload final : public sim::Workload {
   const GateLevelDesign* d_;
   Options opt_;
   std::vector<CyclePlan> plan_;
-  std::uint64_t bistCycles_ = 0;
-  std::uint64_t latentCycles_ = 0;
 };
 
 /// Mixed multi-master traffic over the behavioural sub-system.
@@ -80,7 +72,6 @@ struct TrafficStats {
 
 [[nodiscard]] TrafficStats runBehavioralTraffic(MemSubsystem& sys,
                                                 std::uint64_t operations,
-                                                std::uint64_t seed,
-                                                bool exerciseMpu = true);
+                                                std::uint64_t seed);
 
 }  // namespace socfmea::memsys

@@ -31,10 +31,6 @@ std::string Builder::freshName(std::string_view hint) {
   return base + "$" + std::to_string(anonCounters_[base]++);
 }
 
-NetId Builder::freshNet(std::string_view hint) {
-  return nl_.addNet(freshName(hint));
-}
-
 NetId Builder::gate(CellType type, const std::vector<NetId>& inputs,
                     std::string_view hint) {
   const std::string base =
@@ -48,7 +44,6 @@ NetId Builder::bnot(NetId a) { return gate(CellType::Not, {a}); }
 NetId Builder::bbuf(NetId a) { return gate(CellType::Buf, {a}); }
 NetId Builder::band(NetId a, NetId b) { return gate(CellType::And, {a, b}); }
 NetId Builder::bor(NetId a, NetId b) { return gate(CellType::Or, {a, b}); }
-NetId Builder::bnand(NetId a, NetId b) { return gate(CellType::Nand, {a, b}); }
 NetId Builder::bnor(NetId a, NetId b) { return gate(CellType::Nor, {a, b}); }
 NetId Builder::bxor(NetId a, NetId b) { return gate(CellType::Xor, {a, b}); }
 NetId Builder::bxnor(NetId a, NetId b) { return gate(CellType::Xnor, {a, b}); }
@@ -97,20 +92,6 @@ Bus Builder::notBus(const Bus& a) {
   return b;
 }
 
-Bus Builder::andBus(const Bus& a, const Bus& b) {
-  assert(a.size() == b.size());
-  Bus r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = band(a[i], b[i]);
-  return r;
-}
-
-Bus Builder::orBus(const Bus& a, const Bus& b) {
-  assert(a.size() == b.size());
-  Bus r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = bor(a[i], b[i]);
-  return r;
-}
-
 Bus Builder::xorBus(const Bus& a, const Bus& b) {
   assert(a.size() == b.size());
   Bus r(a.size());
@@ -122,12 +103,6 @@ Bus Builder::muxBus(NetId sel, const Bus& a, const Bus& b) {
   assert(a.size() == b.size());
   Bus r(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) r[i] = bmux(sel, a[i], b[i]);
-  return r;
-}
-
-Bus Builder::maskBus(const Bus& a, NetId s) {
-  Bus r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = band(a[i], s);
   return r;
 }
 

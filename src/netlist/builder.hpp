@@ -45,14 +45,12 @@ class Builder {
 
   // ---- scalar gates (each returns the driven net) --------------------------
 
-  NetId freshNet(std::string_view hint = "n");
   NetId gate(CellType type, const std::vector<NetId>& inputs,
              std::string_view hint = {});
   NetId bnot(NetId a);
   NetId bbuf(NetId a);
   NetId band(NetId a, NetId b);
   NetId bor(NetId a, NetId b);
-  NetId bnand(NetId a, NetId b);
   NetId bnor(NetId a, NetId b);
   NetId bxor(NetId a, NetId b);
   NetId bxnor(NetId a, NetId b);
@@ -71,13 +69,9 @@ class Builder {
 
   Bus constBus(std::uint64_t value, std::size_t width);
   Bus notBus(const Bus& a);
-  Bus andBus(const Bus& a, const Bus& b);
-  Bus orBus(const Bus& a, const Bus& b);
   Bus xorBus(const Bus& a, const Bus& b);
   /// Per-bit mux of two equal-width buses.
   Bus muxBus(NetId sel, const Bus& a, const Bus& b);
-  /// AND of every bit of `a` with scalar `s`.
-  Bus maskBus(const Bus& a, NetId s);
 
   NetId reduceAnd(const Bus& a);
   NetId reduceOr(const Bus& a);

@@ -1,7 +1,5 @@
 #include "netlist/hash.hpp"
 
-#include <bit>
-
 namespace socfmea::netlist {
 
 std::uint64_t hashString(std::string_view s) noexcept {
@@ -11,10 +9,6 @@ std::uint64_t hashString(std::string_view s) noexcept {
     h *= 0x00000100000001B3ull;
   }
   return h;
-}
-
-std::uint64_t hashDouble(double v) noexcept {
-  return std::bit_cast<std::uint64_t>(v);
 }
 
 std::uint64_t hashNetlist(const Netlist& nl) {

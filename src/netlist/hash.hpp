@@ -28,9 +28,6 @@ namespace socfmea::netlist {
 /// FNV-1a over the bytes (64-bit).
 [[nodiscard]] std::uint64_t hashString(std::string_view s) noexcept;
 
-/// Hash of the exact bit pattern (NaN-stable; +0.0 and -0.0 differ).
-[[nodiscard]] std::uint64_t hashDouble(double v) noexcept;
-
 /// Canonical structural hash of a checked or unchecked netlist: design name,
 /// nets (names), cells (type, name, pin wiring, DFF init) and memories
 /// (geometry + port wiring), all in id order.

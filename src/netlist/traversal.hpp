@@ -55,16 +55,6 @@ struct ForwardReach {
   std::vector<char> net;   ///< indexed by NetId
   std::vector<char> cell;  ///< indexed by CellId
   std::vector<char> mem;   ///< indexed by MemoryId
-
-  [[nodiscard]] bool netReached(NetId n) const {
-    return n != kNoNet && n < net.size() && net[n] != 0;
-  }
-  [[nodiscard]] bool cellReached(CellId c) const {
-    return c != kNoCell && c < cell.size() && cell[c] != 0;
-  }
-  [[nodiscard]] bool memReached(MemoryId m) const {
-    return m < mem.size() && mem[m] != 0;
-  }
 };
 
 [[nodiscard]] ForwardReach forwardReach(const CompiledDesign& cd,

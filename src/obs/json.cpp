@@ -300,8 +300,16 @@ class Parser {
   Json parseValue() {
     skipWs();
     switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        if (depth_ == Json::kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+        }
+        ++depth_;
+        Json v = peek() == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parseString());
       case 't': expectLiteral("true"); return Json(true);
       case 'f': expectLiteral("false"); return Json(false);
@@ -482,6 +490,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open around pos_
 };
 
 }  // namespace

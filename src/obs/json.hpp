@@ -103,7 +103,13 @@ class Json {
   [[nodiscard]] std::string dump(int indent = 0) const;
   void dump(std::ostream& out, int indent = 0) const;
 
-  /// Strict parser; throws std::runtime_error naming the byte offset.
+  /// Deepest nesting of arrays and objects parse() accepts.  The parser
+  /// recurses once per level, so the bound keeps a hostile file from
+  /// overflowing the stack; every report the tools write stays far below it.
+  static constexpr std::size_t kMaxDepth = 512;
+
+  /// Strict parser; throws std::runtime_error naming the byte offset, also
+  /// for a document nested deeper than kMaxDepth.
   [[nodiscard]] static Json parse(std::string_view text);
 
  private:

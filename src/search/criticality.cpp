@@ -11,6 +11,13 @@ using inject::Outcome;
 
 namespace {
 
+/// KT-prior pseudo-count added to the DU numerator (and twice to the
+/// denominator) of every refuting measured fraction.
+constexpr double kPriorDu = 0.5;
+/// Rows with fewer activated matching samples keep their analytic λDU
+/// unconditionally (too little evidence to refute anything).
+constexpr std::size_t kMinSamples = 4;
+
 /// Stable instance name of a fault's site.
 std::string siteName(const netlist::Netlist& nl, const fault::Fault& f) {
   const auto netName = [&](netlist::NetId n) -> std::string {
@@ -103,8 +110,7 @@ bool faultKindMatchesRow(fault::FaultKind kind, const fmea::FmeaRow& row) {
 
 CriticalityMap CriticalityMap::fromCampaign(
     const netlist::Netlist& nl, const zones::ZoneDatabase& db,
-    const inject::CampaignResult& result, const fmea::FmeaSheet* sheet,
-    const CriticalityOptions& opt) {
+    const inject::CampaignResult& result, const fmea::FmeaSheet* sheet) {
   CriticalityMap m;
 
   // ---- Count weighting: fold every record into its site and zone ----------
@@ -206,7 +212,7 @@ CriticalityMap CriticalityMap::fromCampaign(
       // periodic-test claims that act outside it.
       const bool testable =
           r.persistence == fmea::Persistence::Transient &&
-          pooled.activated >= opt.minSamples;
+          pooled.activated >= kMinSamples;
       if (testable) {
         ++m.rowsMeasured_;
         const double exposure = rowExposure(r);
@@ -219,8 +225,8 @@ CriticalityMap CriticalityMap::fromCampaign(
           // The claim is overstated; substitute the smoothed measurement,
           // never dropping below the analytic value (one-sided).
           const double frac =
-              (static_cast<double>(pooled.du) + opt.priorDu) /
-              (static_cast<double>(pooled.activated) + 2.0 * opt.priorDu);
+              (static_cast<double>(pooled.du) + kPriorDu) /
+              (static_cast<double>(pooled.activated) + 2.0 * kPriorDu);
           rowDu = std::max(r.lambdaDU, lambdaEff * frac);
           ++m.rowsRefuted_;
         }

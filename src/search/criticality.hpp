@@ -38,16 +38,6 @@
 
 namespace socfmea::search {
 
-/// Attribution knobs.
-struct CriticalityOptions {
-  /// KT-prior pseudo-count added to the DU numerator (and twice to the
-  /// denominator) of every refuting measured fraction.
-  double priorDu = 0.5;
-  /// Rows with fewer activated matching samples keep their analytic λDU
-  /// unconditionally (too little evidence to refute anything).
-  std::size_t minSamples = 4;
-};
-
 /// One fault site (FF / net / memory instance) with its share of the
 /// campaign's dangerous-undetected outcomes.
 struct SiteCriticality {
@@ -89,8 +79,7 @@ class CriticalityMap {
   [[nodiscard]] static CriticalityMap fromCampaign(
       const netlist::Netlist& nl, const zones::ZoneDatabase& db,
       const inject::CampaignResult& result,
-      const fmea::FmeaSheet* sheet = nullptr,
-      const CriticalityOptions& opt = {});
+      const fmea::FmeaSheet* sheet = nullptr);
 
   /// Zones by descending criticality (lambdaShare when a sheet was given,
   /// duShare otherwise).
@@ -103,9 +92,6 @@ class CriticalityMap {
   }
 
   [[nodiscard]] std::size_t totalDu() const noexcept { return totalDu_; }
-  [[nodiscard]] std::size_t totalActivated() const noexcept {
-    return totalActivated_;
-  }
 
   /// Hybrid SFF: 1 − Σ λDU' / Σ λ with measured substitution on refuted
   /// rows.  Equal to the analytic SFF when nothing was refuted, and to the
@@ -114,20 +100,6 @@ class CriticalityMap {
   [[nodiscard]] double hybridSff() const noexcept { return hybridSff_; }
   [[nodiscard]] double analyticSff() const noexcept { return analyticSff_; }
   [[nodiscard]] double measuredSff() const noexcept { return measuredSff_; }
-  [[nodiscard]] double hybridLambdaDu() const noexcept {
-    return hybridLambdaDu_;
-  }
-  /// Transient rows with enough pooled samples to test their claims.
-  [[nodiscard]] std::size_t rowsMeasured() const noexcept {
-    return rowsMeasured_;
-  }
-  [[nodiscard]] std::size_t rowsAnalytic() const noexcept {
-    return rowsAnalytic_;
-  }
-  /// Measured rows whose analytic λDU the campaign refuted (and replaced).
-  [[nodiscard]] std::size_t rowsRefuted() const noexcept {
-    return rowsRefuted_;
-  }
 
   /// `search.criticality.*` block: totals, hybrid metrics, ranked zones and
   /// (up to `maxSites`) ranked sites.
@@ -146,8 +118,10 @@ class CriticalityMap {
   double analyticSff_ = 0.0;
   double measuredSff_ = 0.0;
   double hybridLambdaDu_ = 0.0;
+  /// Transient rows with enough pooled samples to test their claims.
   std::size_t rowsMeasured_ = 0;
   std::size_t rowsAnalytic_ = 0;
+  /// Measured rows whose analytic λDU the campaign refuted (and replaced).
   std::size_t rowsRefuted_ = 0;
 };
 

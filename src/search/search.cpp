@@ -7,13 +7,9 @@
 #include "core/frmem_config.hpp"
 #include "fault/serialize.hpp"
 #include "memsys/workloads.hpp"
-#include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
 
 namespace socfmea::search {
-
-using netlist::hashMix;
-using netlist::hashString;
 
 std::string architectureId(std::vector<TransformSpec>& specs) {
   std::sort(specs.begin(), specs.end(),
@@ -170,23 +166,20 @@ const ArchitectureSearch::Eval& ArchitectureSearch::evaluate(
   iopt.headSlot = "search";
   iopt.headBranch = id == "v1" ? std::string() : id;
   iopt.headParent = parentId == "v1" ? std::string() : parentId;
-  iopt.memFaultsPerKind = opt_.memFaultsPerKind;
-  memsys::ProtectionIpWorkload::Options wopt;
-  wopt.cycles = opt_.workloadCycles;
-  iopt.workloadTag = hashMix(hashString("protection-ip-workload"),
-                             hashMix(wopt.cycles, wopt.seed));
+  iopt.memFaultsPerKind = core::kFrmemMemFaultsPerKind;
+  iopt.workloadTag = core::frmemWorkloadTag();
 
-  memsys::ProtectionIpWorkload wl(built.design, wopt);
+  memsys::ProtectionIpWorkload wl(built.design, core::frmemWorkloadOptions());
   inject::CampaignOptions copt;
   copt.engine = opt_.engine;
   copt.threads = opt_.threads;
   auto run = core::IncrementalFlow::evaluateCandidate(
-      built.design.nl, built.cfg, iopt, wl, opt_.perBit, opt_.campaignSeed,
-      opt_.detectionWindow, copt);
+      built.design.nl, built.cfg, iopt, wl, core::kFrmemPerBit,
+      core::kFrmemCampaignSeed, core::kFrmemDetectionWindow, copt);
 
   ev->crit = CriticalityMap::fromCampaign(
       built.design.nl, run.flow->flow().zones(), run.campaign.result,
-      &run.flow->flow().sheet(), opt_.criticality);
+      &run.flow->flow().sheet());
 
   CandidateScore& s = ev->score;
   s.id = id;
@@ -272,17 +265,14 @@ bool ArchitectureSearch::verifyBitIdentity(const Eval& best) {
   BuiltCandidate built = buildCandidate(best.score.specs, best.score.id);
   core::IncrementalOptions iopt;
   iopt.store = nullptr;
-  iopt.memFaultsPerKind = opt_.memFaultsPerKind;
-  memsys::ProtectionIpWorkload::Options wopt;
-  wopt.cycles = opt_.workloadCycles;
-  iopt.workloadTag = hashMix(hashString("protection-ip-workload"),
-                             hashMix(wopt.cycles, wopt.seed));
-  memsys::ProtectionIpWorkload wl(built.design, wopt);
+  iopt.memFaultsPerKind = core::kFrmemMemFaultsPerKind;
+  iopt.workloadTag = core::frmemWorkloadTag();
+  memsys::ProtectionIpWorkload wl(built.design, core::frmemWorkloadOptions());
   inject::CampaignOptions copt;
   copt.engine = opt_.engine;
   auto cold = core::IncrementalFlow::evaluateCandidate(
-      built.design.nl, built.cfg, iopt, wl, opt_.perBit, opt_.campaignSeed,
-      opt_.detectionWindow, copt);
+      built.design.nl, built.cfg, iopt, wl, core::kFrmemPerBit,
+      core::kFrmemCampaignSeed, core::kFrmemDetectionWindow, copt);
   return sameVerdicts(built.design.nl, best.records,
                       cold.campaign.result.records);
 }

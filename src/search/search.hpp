@@ -5,7 +5,9 @@
 // candidate with a delta campaign over one shared warm artifact store
 // (core::IncrementalFlow::evaluateCandidate, per-branch heads), and walks
 // the SFF-vs-gate-cost Pareto frontier greedily with beam backtracking
-// until the SIL3 margin holds or the campaign budget runs out.
+// until the SIL3 margin holds or the campaign budget runs out.  Every
+// candidate runs the frmem campaign of core/frmem_config.hpp, the one
+// `memsys_sil3_flow --cache-dir` runs, so the two can share a store.
 #pragma once
 
 #include <functional>
@@ -40,14 +42,6 @@ struct SearchOptions {
   /// (inject::CampaignOptions::threads).
   unsigned threads = 1;
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
-  /// Campaign shape — kept identical to examples/memsys_sil3_flow so the
-  /// store can be shared between the CLI flows and the search.
-  std::size_t perBit = 1;
-  std::uint64_t campaignSeed = 7;
-  std::uint64_t detectionWindow = 24;
-  std::size_t memFaultsPerKind = 48;
-  std::uint64_t workloadCycles = 2000;
-  CriticalityOptions criticality;
   /// Re-run the winning architecture cold + flat and require bit-identical
   /// verdicts against the search path.
   bool verifyFinal = true;

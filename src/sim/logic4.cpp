@@ -4,16 +4,6 @@ namespace socfmea::sim {
 
 using netlist::CellType;
 
-char logicChar(Logic v) noexcept {
-  switch (v) {
-    case Logic::L0: return '0';
-    case Logic::L1: return '1';
-    case Logic::LX: return 'x';
-    case Logic::LZ: return 'z';
-  }
-  return '?';
-}
-
 Logic logicNot(Logic a) noexcept {
   if (a == Logic::L0) return Logic::L1;
   if (a == Logic::L1) return Logic::L0;

@@ -25,17 +25,10 @@ enum class Logic : std::uint8_t {
   return b ? Logic::L1 : Logic::L0;
 }
 
-/// True only for a definite 1.
-[[nodiscard]] constexpr bool isOne(Logic v) noexcept { return v == Logic::L1; }
-/// True only for a definite 0.
-[[nodiscard]] constexpr bool isZero(Logic v) noexcept { return v == Logic::L0; }
 /// True for X or Z.
 [[nodiscard]] constexpr bool isUnknown(Logic v) noexcept {
   return v == Logic::LX || v == Logic::LZ;
 }
-
-/// Display character ('0', '1', 'x', 'z').
-[[nodiscard]] char logicChar(Logic v) noexcept;
 
 /// Logical inversion with X-propagation.
 [[nodiscard]] Logic logicNot(Logic a) noexcept;

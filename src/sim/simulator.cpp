@@ -330,12 +330,6 @@ void Simulator::releaseNet(NetId net) {
   markNetDirty(net);
 }
 
-void Simulator::releaseAllNets() {
-  for (const auto& [net, v] : forces_) markNetDirty(net);
-  forces_.clear();
-  dirty_ = true;
-}
-
 void Simulator::flipFf(CellId ff) {
   if (cd_->cellType(ff) != CellType::Dff) {
     throw std::invalid_argument("flipFf on a non-Dff cell");
@@ -371,11 +365,6 @@ void Simulator::setStaleSampling(CellId ff, bool on) {
   stale_[ff] = on;
   anyStale_ = false;
   for (bool s : stale_) anyStale_ = anyStale_ || s;
-}
-
-void Simulator::clearStaleSampling() {
-  std::fill(stale_.begin(), stale_.end(), false);
-  anyStale_ = false;
 }
 
 }  // namespace socfmea::sim

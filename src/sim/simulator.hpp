@@ -139,7 +139,6 @@ class Simulator {
   /// Forces a net to a value during evalComb until released (stuck-at).
   void forceNet(netlist::NetId net, Logic v);
   void releaseNet(netlist::NetId net);
-  void releaseAllNets();
 
   /// Inverts a flip-flop's stored state now (SEU).
   void flipFf(netlist::CellId ff);
@@ -154,7 +153,6 @@ class Simulator {
 
   /// Delay-fault model: the flip-flop samples the previous cycle's D value.
   void setStaleSampling(netlist::CellId ff, bool on);
-  void clearStaleSampling();
 
  private:
   void initState();

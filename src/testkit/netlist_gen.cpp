@@ -140,25 +140,23 @@ Netlist generateNetlist(const GeneratorOptions& opt, sim::Rng& rng) {
   for (std::size_t i = 0; i < opt.outputs; ++i) {
     nl.addOutput("out" + std::to_string(outNo++), pickNet());
   }
-  if (opt.observeSinks) {
-    // Every unread net gets an observer port so no logic is dead — the
-    // differential oracle compares primary outputs, and an unobservable
-    // cone would hide engine disagreements.
-    std::vector<bool> read(nl.netCount(), false);
-    for (CellId c = 0; c < nl.cellCount(); ++c) {
-      for (NetId in : nl.cell(c).inputs) {
-        if (in != kNoNet) read[in] = true;
-      }
+  // Every unread net gets an observer port so no logic is dead — the
+  // differential oracle compares primary outputs, and an unobservable cone
+  // would hide engine disagreements.
+  std::vector<bool> read(nl.netCount(), false);
+  for (CellId c = 0; c < nl.cellCount(); ++c) {
+    for (NetId in : nl.cell(c).inputs) {
+      if (in != kNoNet) read[in] = true;
     }
-    for (const auto& mem : nl.memories()) {
-      for (NetId n : mem.addr) read[n] = true;
-      for (NetId n : mem.wdata) read[n] = true;
-      if (mem.writeEnable != kNoNet) read[mem.writeEnable] = true;
-      if (mem.readEnable != kNoNet) read[mem.readEnable] = true;
-    }
-    for (NetId n = 0; n < nl.netCount(); ++n) {
-      if (!read[n]) nl.addOutput("sink" + std::to_string(outNo++), n);
-    }
+  }
+  for (const auto& mem : nl.memories()) {
+    for (NetId n : mem.addr) read[n] = true;
+    for (NetId n : mem.wdata) read[n] = true;
+    if (mem.writeEnable != kNoNet) read[mem.writeEnable] = true;
+    if (mem.readEnable != kNoNet) read[mem.readEnable] = true;
+  }
+  for (NetId n = 0; n < nl.netCount(); ++n) {
+    if (!read[n]) nl.addOutput("sink" + std::to_string(outNo++), n);
   }
 
   nl.check();

@@ -26,9 +26,6 @@ struct GeneratorOptions {
   double ffEnableProb = 0.35;  ///< chance a flip-flop has an enable net
   double ffResetProb = 0.35;   ///< chance a flip-flop has a reset net
   std::size_t outputs = 3;     ///< explicitly sampled output ports
-  /// Adds an output port on every otherwise-unread net so all logic is
-  /// observable — maximizes what the differential oracle can disagree on.
-  bool observeSinks = true;
 };
 
 /// Draws a random parameter mix: cell count, depth profile, FF/memory

@@ -40,15 +40,11 @@ namespace {
 
 void applySabotage(const Sabotage& s, Sabotage::Engine engine,
                    sim::EvalMode mode, FaultSimResult& r) {
-  if (s.engine != engine || s.mode != mode || s.stride == 0) return;
-  std::size_t nthDetected = 0;
+  if (s.engine != engine || s.mode != mode) return;
   for (auto& outcome : r.outcomes) {
     if (outcome != FaultOutcome::Detected) continue;
-    if (nthDetected >= s.offset && (nthDetected - s.offset) % s.stride == 0) {
-      outcome = FaultOutcome::Undetected;
-      --r.detected;
-    }
-    ++nthDetected;
+    outcome = FaultOutcome::Undetected;
+    --r.detected;
   }
 }
 
@@ -179,26 +175,24 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
 
   // Text round-trip: parse(write(nl)) must write back identically and must
   // reproduce the reference verdicts under the rebound plan.
-  if (opt.roundTrip) {
-    const std::string text = netlist::writeNetlistString(nl);
-    try {
-      const netlist::Netlist reparsed = netlist::readNetlistString(text);
-      const std::string text2 = netlist::writeNetlistString(reparsed);
-      if (text2 != text) {
-        report.mismatches.push_back(
-            {"round-trip", "write(parse(write(nl))) is not a fixed point", {}});
-      } else {
-        const TestPlan rebound = rebindPlan(nl, reparsed, plan);
-        inject::VectorWorkload wl2(rebound.name, rebound.inputs,
-                                   rebound.stimulus);
-        const auto r = faultsim::runSerialFaultSim(netlist::compile(reparsed),
-                                                   wl2, rebound.faults);
-        compareVerdicts(ref, r, identity, "round-trip", report);
-      }
-    } catch (const std::exception& e) {
+  const std::string text = netlist::writeNetlistString(nl);
+  try {
+    const netlist::Netlist reparsed = netlist::readNetlistString(text);
+    const std::string text2 = netlist::writeNetlistString(reparsed);
+    if (text2 != text) {
       report.mismatches.push_back(
-          {"round-trip", std::string("reparse failed: ") + e.what(), {}});
+          {"round-trip", "write(parse(write(nl))) is not a fixed point", {}});
+    } else {
+      const TestPlan rebound = rebindPlan(nl, reparsed, plan);
+      inject::VectorWorkload wl2(rebound.name, rebound.inputs,
+                                 rebound.stimulus);
+      const auto r = faultsim::runSerialFaultSim(netlist::compile(reparsed),
+                                                 wl2, rebound.faults);
+      compareVerdicts(ref, r, identity, "round-trip", report);
     }
+  } catch (const std::exception& e) {
+    report.mismatches.push_back(
+        {"round-trip", std::string("reparse failed: ") + e.what(), {}});
   }
 
   report.pass = report.mismatches.empty();

@@ -34,16 +34,14 @@ namespace socfmea::testkit {
 
 /// A deliberate, deterministic engine bug for validating the shrinker and
 /// the repro pipeline: after the selected engine/mode combo runs, every
-/// `stride`-th Detected verdict (starting at `offset`) is downgraded to
-/// Undetected — the classic "engine silently misses detections" failure.
+/// Detected verdict is downgraded to Undetected — the classic "engine
+/// silently misses detections" failure.
 /// Because only real detections flip, a failing case needs a live cone from
 /// a fault site to an observed output, so the shrinker must preserve one.
 struct Sabotage {
   enum class Engine : std::uint8_t { None, Serial, Bitsliced };
   Engine engine = Engine::None;
   sim::EvalMode mode = sim::EvalMode::FullSettle;
-  std::uint64_t stride = 1;  ///< downgrade every stride-th detection
-  std::uint64_t offset = 0;
 
   [[nodiscard]] bool active() const noexcept { return engine != Engine::None; }
 };
@@ -52,9 +50,6 @@ struct OracleOptions {
   /// Worker count of the bit-sliced event-driven arm (0 = hardware
   /// concurrency); the full-settle arm runs on one thread.
   unsigned threads = 0;
-  /// Check parse(write(nl)) by re-running the reference engine on the
-  /// reparsed design with the plan rebound by name.
-  bool roundTrip = true;
   Sabotage sabotage;
 };
 

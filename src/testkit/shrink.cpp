@@ -18,6 +18,11 @@ using netlist::NetId;
 
 namespace {
 
+/// Total oracle calls one shrink may spend.
+constexpr std::size_t kMaxOracleCalls = 400;
+/// Rounds of the structural passes (each stops early once nothing shrinks).
+constexpr std::size_t kStructuralRounds = 3;
+
 struct Candidate {
   Netlist nl;
   TestPlan plan;
@@ -159,7 +164,7 @@ class Shrinker {
       shrinkFaults();
       shrinkCycles();
       zeroStimulus();
-      for (std::size_t round = 0; round < opt_.structuralRounds; ++round) {
+      for (std::size_t round = 0; round < kStructuralRounds; ++round) {
         const std::size_t before = cur_.nl.cellCount();
         pruneOutputs();
         sweepDeadCells();
@@ -179,7 +184,7 @@ class Shrinker {
 
  private:
   bool fails(const Netlist& nl, const TestPlan& plan) {
-    if (calls_ >= opt_.maxOracleCalls) return false;
+    if (calls_ >= kMaxOracleCalls) return false;
     ++calls_;
     try {
       return !runOracle(nl, plan, opt_.oracle).pass;

@@ -24,9 +24,7 @@
 namespace socfmea::testkit {
 
 struct ShrinkOptions {
-  OracleOptions oracle;          ///< must reproduce the failure being shrunk
-  std::size_t maxOracleCalls = 400;  ///< total predicate budget
-  std::size_t structuralRounds = 3;
+  OracleOptions oracle;  ///< must reproduce the failure being shrunk
 };
 
 struct ShrinkResult {

@@ -96,25 +96,21 @@ ZoneDatabase extractZones(netlist::CompiledDesignPtr cdp,
   }
 
   // --- primary I/O -----------------------------------------------------------
-  if (opt.includePrimaryInputs) {
-    for (CellId pi : nl.primaryInputs()) {
-      SensibleZone z;
-      z.kind = ZoneKind::PrimaryInput;
-      z.name = nl.cell(pi).name;
-      z.valueNets.push_back(nl.cell(pi).output);
-      db.addZone(std::move(z));
-    }
+  for (CellId pi : nl.primaryInputs()) {
+    SensibleZone z;
+    z.kind = ZoneKind::PrimaryInput;
+    z.name = nl.cell(pi).name;
+    z.valueNets.push_back(nl.cell(pi).output);
+    db.addZone(std::move(z));
   }
-  if (opt.includePrimaryOutputs) {
-    for (CellId po : nl.primaryOutputs()) {
-      SensibleZone z;
-      z.kind = ZoneKind::PrimaryOutput;
-      z.name = nl.cell(po).name;
-      z.valueNets.push_back(nl.cell(po).inputs[0]);
-      z.coneRoots = z.valueNets;
-      z.cone = netlist::faninCone(cd, z.coneRoots);
-      db.addZone(std::move(z));
-    }
+  for (CellId po : nl.primaryOutputs()) {
+    SensibleZone z;
+    z.kind = ZoneKind::PrimaryOutput;
+    z.name = nl.cell(po).name;
+    z.valueNets.push_back(nl.cell(po).inputs[0]);
+    z.coneRoots = z.valueNets;
+    z.cone = netlist::faninCone(cd, z.coneRoots);
+    db.addZone(std::move(z));
   }
 
   // --- critical nets ---------------------------------------------------------
@@ -133,21 +129,19 @@ ZoneDatabase extractZones(netlist::CompiledDesignPtr cdp,
   }
 
   // --- memories ---------------------------------------------------------------
-  if (opt.includeMemories) {
-    for (netlist::MemoryId m = 0; m < nl.memoryCount(); ++m) {
-      const auto& mem = nl.memory(m);
-      SensibleZone z;
-      z.kind = ZoneKind::Memory;
-      z.name = mem.name;
-      z.mem = m;
-      z.valueNets = mem.rdata;
-      z.coneRoots = mem.addr;
-      z.coneRoots.insert(z.coneRoots.end(), mem.wdata.begin(), mem.wdata.end());
-      z.coneRoots.push_back(mem.writeEnable);
-      if (mem.readEnable != kNoNet) z.coneRoots.push_back(mem.readEnable);
-      z.cone = netlist::faninCone(cd, z.coneRoots);
-      db.addZone(std::move(z));
-    }
+  for (netlist::MemoryId m = 0; m < nl.memoryCount(); ++m) {
+    const auto& mem = nl.memory(m);
+    SensibleZone z;
+    z.kind = ZoneKind::Memory;
+    z.name = mem.name;
+    z.mem = m;
+    z.valueNets = mem.rdata;
+    z.coneRoots = mem.addr;
+    z.coneRoots.insert(z.coneRoots.end(), mem.wdata.begin(), mem.wdata.end());
+    z.coneRoots.push_back(mem.writeEnable);
+    if (mem.readEnable != kNoNet) z.coneRoots.push_back(mem.readEnable);
+    z.cone = netlist::faninCone(cd, z.coneRoots);
+    db.addZone(std::move(z));
   }
 
   // --- user-declared logical entities -----------------------------------------

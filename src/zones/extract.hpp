@@ -38,9 +38,6 @@ struct ExtractOptions {
   /// flip-flop inside a sub-block is owned by the sub-block zone and not
   /// emitted as a separate register zone.
   std::vector<std::string> subBlockPrefixes;
-  bool includePrimaryInputs = true;
-  bool includePrimaryOutputs = true;
-  bool includeMemories = true;
   /// User-declared logical-entity zones.
   std::vector<LogicalEntitySpec> logicalEntities;
 };

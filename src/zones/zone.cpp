@@ -19,16 +19,6 @@ std::string_view zoneKindName(ZoneKind k) noexcept {
   return "?";
 }
 
-std::string_view faultScopeName(FaultScope s) noexcept {
-  switch (s) {
-    case FaultScope::Local: return "local";
-    case FaultScope::Wide: return "wide";
-    case FaultScope::Global: return "global";
-    case FaultScope::Unassigned: return "unassigned";
-  }
-  return "?";
-}
-
 ZoneDatabase::ZoneDatabase(netlist::CompiledDesignPtr cd)
     : cd_(std::move(cd)) {}
 

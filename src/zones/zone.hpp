@@ -48,8 +48,6 @@ struct ConeStats {
 /// global = to a large fraction of all zones (clock roots, power, thermal).
 enum class FaultScope : std::uint8_t { Local, Wide, Global, Unassigned };
 
-[[nodiscard]] std::string_view faultScopeName(FaultScope s) noexcept;
-
 struct SensibleZone {
   ZoneId id = kNoZone;
   ZoneKind kind = ZoneKind::Register;

@@ -261,13 +261,19 @@ TEST(ArtifactStoreTest, CorruptArtifactIsAMiss) {
     a["x"] = Json(1.0);
     store.save("stage", 0x1234u, a);
   }
-  // Truncate the file behind the store's back; a fresh store (empty LRU)
-  // must treat the unparsable artifact as a miss, not an error.
+  // Truncate the file behind the store's back, or nest it far deeper than
+  // the parser accepts; a fresh store (empty LRU) must treat the unparsable
+  // artifact as a miss, not an error.
   const fs::path file = dir / ("stage-" + nlst::hashHex(0x1234u) + ".json");
   ASSERT_TRUE(fs::exists(file));
-  std::ofstream(file) << "{ not json";
-  core::ArtifactStore reopened(dir);
-  EXPECT_FALSE(reopened.load("stage", 0x1234u).has_value());
+  for (const std::string& corrupt :
+       {std::string("{ not json"),
+        std::string(200000, '[') + std::string(200000, ']')}) {
+    std::ofstream(file) << corrupt;
+    core::ArtifactStore reopened(dir);
+    EXPECT_FALSE(reopened.load("stage", 0x1234u).has_value());
+    EXPECT_EQ(reopened.stats().misses, 1u);
+  }
 }
 
 TEST(ArtifactStoreTest, LruEvictionFallsBackToDisk) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -98,6 +99,17 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("nul"), std::runtime_error);
   EXPECT_THROW((void)Json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW((void)Json::parse("\"bad \\q escape\""), std::runtime_error);
+  // Nesting past the bound is rejected, not a stack overflow; a document
+  // exactly at the bound still parses.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_THROW((void)Json::parse(nested(100000)), std::runtime_error);
+  EXPECT_THROW((void)Json::parse(std::string(100000, '[')),
+               std::runtime_error);
+  EXPECT_THROW((void)Json::parse(nested(Json::kMaxDepth + 1)),
+               std::runtime_error);
+  EXPECT_NO_THROW((void)Json::parse(nested(Json::kMaxDepth)));
 }
 
 TEST(JsonTest, DeepEqualityComparesNumerically) {

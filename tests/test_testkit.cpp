@@ -101,7 +101,7 @@ TEST(TestkitGenerator, DesignsAreCheckCleanAcrossParameterSpace) {
     EXPECT_NO_THROW(nl.check());
     EXPECT_GE(nl.primaryInputs().size(), 1u);
     EXPECT_GE(nl.primaryOutputs().size(), 1u);
-    // observeSinks: every net is read by a cell/memory or exported.
+    // Sink ports: every net is read by a cell/memory or exported.
     std::vector<bool> read(nl.netCount(), false);
     for (nlx::CellId c = 0; c < nl.cellCount(); ++c) {
       for (nlx::NetId in : nl.cell(c).inputs) {
