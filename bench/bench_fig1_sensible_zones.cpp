@@ -5,6 +5,7 @@
 // cone all manifest as the same zone failure.
 #include "bench_util.hpp"
 #include "fault/harness.hpp"
+#include "faultsim/serial.hpp"
 #include "zones/extract.hpp"
 
 using namespace socfmea;
@@ -51,23 +52,21 @@ void printTable() {
 
       // Golden zone trace.
       wl.restart();
-      sim.reset();
+      faultsim::resetMachine(sim);
       std::vector<std::uint64_t> golden;
       for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
-        wl.drive(sim, c);
-        wl.backdoor(sim, c);
+        sim::driveCycle(sim, wl, c);
         sim.evalComb();
         golden.push_back(sim.busValue(z.valueNets));
         sim.clockEdge();
       }
       // Faulty run.
       wl.restart();
-      sim.reset();
+      faultsim::resetMachine(sim);
       h.install(sim);
       bool deviated = false;
       for (std::uint64_t c = 0; c < wl.cycles() && !deviated; ++c) {
-        wl.drive(sim, c);
-        wl.backdoor(sim, c);
+        sim::driveCycle(sim, wl, c);
         sim.evalComb();
         deviated = sim.busValue(z.valueNets) != golden[c];
         sim.clockEdge();

@@ -98,32 +98,47 @@ LogicOnly& logicDesign() {
   return d;
 }
 
+/// The ablation's fault simulation: the logic design's primary outputs
+/// watched over one recorded stimulus, each machine stopped at its first
+/// deviation.
+struct Ablation {
+  const LogicOnly& d = logicDesign();
+  netlist::CompiledDesignPtr cd = netlist::compile(d.n);
+  fault::FaultList faults = fault::allStuckAtFaults(d.n);
+  faultsim::Watch watch = faultsim::outputWatch(d.n, d.n.primaryOutputs());
+  faultsim::StimulusTrace stim;
+
+  Ablation() {
+    fault::collapseStuckAt(d.n, faults);
+    inject::RandomWorkload wl(d.n, 128, 9, {{d.rst, false}});
+    stim = faultsim::recordStimulus(cd, wl);
+  }
+};
+
 void BM_SerialFaultSim(benchmark::State& state) {
-  auto& d = logicDesign();
-  inject::RandomWorkload wl(d.n, 128, 9, {{d.rst, false}});
-  auto faults = fault::allStuckAtFaults(d.n);
-  fault::collapseStuckAt(d.n, faults);
-  const netlist::CompiledDesignPtr cd = netlist::compile(d.n);
+  const Ablation a;
+  const faultsim::GoldenTrace golden =
+      faultsim::recordGolden(a.cd, a.stim, a.watch);
   for (auto _ : state) {
-    const auto res = faultsim::runSerialFaultSim(cd, wl, faults);
-    benchmark::DoNotOptimize(res.coverage());
+    const auto res = faultsim::runSerialWatch(
+        a.cd, a.stim, golden, a.faults, a.watch, std::nullopt,
+        faultsim::RetireMode::DetectOnly);
+    benchmark::DoNotOptimize(res.observations.data());
     state.counters["faults/s"] = benchmark::Counter(
-        static_cast<double>(faults.size()), benchmark::Counter::kIsRate);
+        static_cast<double>(a.faults.size()), benchmark::Counter::kIsRate);
   }
 }
 BENCHMARK(BM_SerialFaultSim)->Unit(benchmark::kMillisecond);
 
 void BM_BitslicedFaultSim(benchmark::State& state) {
-  auto& d = logicDesign();
-  inject::RandomWorkload wl(d.n, 128, 9, {{d.rst, false}});
-  auto faults = fault::allStuckAtFaults(d.n);
-  fault::collapseStuckAt(d.n, faults);
-  const netlist::CompiledDesignPtr cd = netlist::compile(d.n);
+  const Ablation a;
   for (auto _ : state) {
-    const auto res = faultsim::runBitslicedFaultSim(cd, wl, faults);
-    benchmark::DoNotOptimize(res.coverage());
+    const auto res = faultsim::runBitslicedWatch(
+        a.cd, a.stim, a.faults, a.watch, std::nullopt,
+        faultsim::RetireMode::DetectOnly);
+    benchmark::DoNotOptimize(res.observations.data());
     state.counters["faults/s"] = benchmark::Counter(
-        static_cast<double>(faults.size()), benchmark::Counter::kIsRate);
+        static_cast<double>(a.faults.size()), benchmark::Counter::kIsRate);
   }
 }
 BENCHMARK(BM_BitslicedFaultSim)->Unit(benchmark::kMillisecond);

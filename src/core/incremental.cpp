@@ -20,7 +20,7 @@ namespace {
 
 std::uint64_t campaignOptionsHash(const netlist::Netlist& nl,
                                   const inject::CampaignOptions& copt) {
-  // engine / laneWords / threads are excluded on purpose: the engines are
+  // engine / threads are excluded on purpose: the engines are
   // record-identical across them (CI-tested), so they must not split the
   // cache.  The latent fault is keyed by name, like the cached records, so
   // an edit that renumbers its site keeps the key.
@@ -153,14 +153,17 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
       if (!head && !opt_.headBranch.empty()) {
         head = store->loadHead(opt_.headSlot);
       }
+      // A head without a campaign key, or whose campaign is the one that
+      // just failed to load or bind, has no baseline to offer: run cold.
       const obs::Json* text = head ? head->find("design_text") : nullptr;
       const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
-      const auto prevKey =
-          head ? parseHex(head->find("campaign_key")) : std::nullopt;
+      const std::uint64_t prevKey =
+          head ? parseHex(head->find("campaign_key")).value_or(campaignKey)
+               : campaignKey;
       if (text != nullptr && text->isString() && headOpts != nullptr &&
           headOpts->isString() && headOpts->asString() == hashHex(optsKey) &&
-          prevKey) {
-        if (auto prevArt = store->load("campaign", *prevKey)) {
+          prevKey != campaignKey) {
+        if (auto prevArt = store->load("campaign", prevKey)) {
           try {
             const netlist::Netlist prev =
                 netlist::readNetlistString(text->asString());

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <ostream>
 
-#include "faultsim/bitsliced.hpp"
 #include "inject/env_builder.hpp"
 
 namespace socfmea::core {
@@ -130,15 +129,19 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
         stuckOnly.push_back(f);
       }
     }
-    faultsim::FaultSimOptions fsOpt;
-    fsOpt.observedOutputs = alarmOutputs(nl, effects);
-    fsOpt.laneWords = opt.campaign.laneWords;
-    fsOpt.threads = opt.campaign.threads;
-    const auto fs =
-        mgr.resolveEngine(opt.campaign.engine) == faultsim::EngineKind::Serial
-            ? faultsim::runSerialFaultSim(cd, workload, stuckOnly, fsOpt)
-            : faultsim::runBitslicedFaultSim(cd, workload, stuckOnly, fsOpt);
-    rep.faultSimCoverage = fs.coverage();
+    // A fault is detected when an alarm output deviates from golden.
+    const faultsim::Watch alarms =
+        faultsim::outputWatch(nl, alarmOutputs(nl, effects));
+    const inject::WatchRun fs =
+        mgr.runWatch(workload, stuckOnly, alarms, std::nullopt,
+                     faultsim::RetireMode::DetectOnly, opt.campaign);
+    const auto detected = std::count_if(
+        fs.observations.begin(), fs.observations.end(),
+        [](const faultsim::Observation& o) { return o.obs; });
+    rep.faultSimCoverage =
+        stuckOnly.empty() ? 1.0
+                          : static_cast<double>(detected) /
+                                static_cast<double>(stuckOnly.size());
     rep.sheetPermanentDdf = permanentDdf(flow.sheet(), criticalScope);
 
     const double sffDelta =

@@ -30,9 +30,9 @@ struct ValidationOptions {
   std::size_t localFaultsPerZone = 12;
   /// Step (d): wide bridging faults + global critical-net faults sampled.
   std::size_t wideFaults = 48;
-  /// Engine / threads / laneWords knobs of the campaigns of steps (a), (c)
-  /// and (d) and of step (c)'s fault simulation.  Step (d) always runs
-  /// without early abort.
+  /// Engine / threads knobs of the campaigns of steps (a), (c) and (d) and
+  /// of step (c)'s fault simulation.  Step (d) always runs without early
+  /// abort.
   inject::CampaignOptions campaign;
 };
 

@@ -48,7 +48,7 @@ struct Scenario {
 struct RunOptions {
   std::uint64_t seed = 8;
   std::size_t perBit = 2;           ///< zoneFailureFaults density
-  inject::CampaignOptions campaign;  ///< engine / threads / laneWords knobs
+  inject::CampaignOptions campaign;  ///< engine / threads knobs
 };
 
 struct ScenarioResult {

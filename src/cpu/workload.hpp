@@ -1,6 +1,7 @@
 // Workload for the gate-level CPU: holds reset, loads the program image into
-// the behavioural ROM through the deterministic backdoor at cycle 0, then
-// lets the core run the program.  The observable stream is the OUT port —
+// the behavioural ROM through the backdoor at cycle 0 (one flip per set bit
+// over the all-zero array every machine starts from), then lets the core run
+// the program.  The observable stream is the OUT port —
 // the self-test signature the paper-style STL publishes.
 #pragma once
 
@@ -22,11 +23,13 @@ class CpuWorkload final : public sim::Workload {
     sim.setInput(d_->rst, sim::fromBool(cycle < 2));
   }
 
-  void backdoor(sim::Simulator& sim, std::uint64_t cycle) override {
+  void backdoor(std::uint64_t cycle,
+                std::vector<sim::MemFlip>& flips) const override {
     if (cycle != 0 || !d_->behaviouralRom()) return;
-    auto& rom = sim.memory(0);
-    for (std::uint64_t a = 0; a < rom.words(); ++a) {
-      rom.poke(a, program_[a]);
+    for (std::uint64_t a = 0; a < program_.size(); ++a) {
+      for (std::uint32_t b = 0; b < kWordBits; ++b) {
+        if ((program_[a] >> b) & 1u) flips.push_back({0, a, b});
+      }
     }
   }
 

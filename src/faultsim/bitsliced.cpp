@@ -44,10 +44,8 @@ struct RunShared {
   const fault::FaultList* faults = nullptr;
   /// Campaign-wide latent fault carried by every lane (null = none).
   const Fault* latent = nullptr;
-  StimulusTrace stim;
-  std::uint64_t cycles = 0;
+  const StimulusTrace* stim = nullptr;
   const Watch* watch = nullptr;
-  sim::Workload* wl = nullptr;
   sim::EvalMode evalMode = sim::EvalMode::EventDriven;
   RetireMode retire = RetireMode::WashoutOnly;
   std::uint64_t washEvery = 4;
@@ -1102,13 +1100,10 @@ class WordEngine {
       installLane(static_cast<unsigned>(i), group[i]);
     }
 
-    for (std::uint64_t c = 0; c < rs_.cycles; ++c) {
+    for (std::uint64_t c = 0; c < rs_.stim->cycles(); ++c) {
       activateTransients(c);
-      for (std::size_t i = 0; i < rs_.stim.inputs.size(); ++i) {
-        golden_.setInput(rs_.stim.inputs[i],
-                         sim::fromBool(rs_.stim.values[c][i]));
-      }
-      replayBackdoor(c);
+      rs_.stim->apply(golden_, c);
+      mirrorFlips(c);
       golden_.evalComb();
       const std::span<const Logic> g = golden_.netValues();
 
@@ -1137,45 +1132,13 @@ class WordEngine {
     resetGroupState();
   }
 
-  /// Replays the workload's deterministic backdoor actions on the golden
-  /// machine and mirrors the memory deltas into every lane-owned clone.
-  /// Backdoor actions must only mutate memories, and only via bit flips
-  /// (XOR) — the documented Workload contract the in-tree workloads follow
-  /// — so mirroring the golden XOR delta is exact for clones whose contents
-  /// differ from the golden array.
-  void replayBackdoor(std::uint64_t c) {
-    bool anyOwned = false;
-    for (const MemoryId m : memList_)
-      anyOwned = anyOwned || ownedMask_[m].any();
-    if (!anyOwned) {
-      rs_.wl->backdoor(golden_, c);
-      return;
-    }
-    backdoorPre_.clear();
-    for (const MemoryId m : memList_) {
-      if (ownedMask_[m].none()) {
-        backdoorPre_.emplace_back();
-        continue;
-      }
-      const sim::MemoryModel& gm = golden_.memory(m);
-      std::vector<std::uint64_t> cells(gm.words());
-      for (std::uint64_t a = 0; a < gm.words(); ++a) cells[a] = gm.peek(a);
-      backdoorPre_.push_back(std::move(cells));
-    }
-    rs_.wl->backdoor(golden_, c);
-    for (std::size_t i = 0; i < memList_.size(); ++i) {
-      const MemoryId m = memList_[i];
-      if (ownedMask_[m].none()) continue;
-      const sim::MemoryModel& gm = golden_.memory(m);
-      for (std::uint64_t a = 0; a < gm.words(); ++a) {
-        const std::uint64_t delta = backdoorPre_[i][a] ^ gm.peek(a);
-        if (delta == 0) continue;
-        forEachLane(ownedMask_[m], [&](unsigned lane) {
-          for (std::uint32_t b = 0; b < 64; ++b) {
-            if ((delta >> b) & 1u) clones_[m][lane]->flipBit(a, b);
-          }
-        });
-      }
+  /// Applies cycle c's backdoor flips, which the golden machine just took,
+  /// to every lane-owned clone of the flipped memory as well.
+  void mirrorFlips(std::uint64_t c) {
+    for (const sim::MemFlip& f : rs_.stim->flips[c]) {
+      forEachLane(ownedMask_[f.mem], [&](unsigned lane) {
+        clones_[f.mem][lane]->flipBit(f.addr, f.bit);
+      });
     }
   }
 
@@ -1244,7 +1207,6 @@ class WordEngine {
   std::vector<MemLaneScratch> memScratch_;
   std::vector<std::size_t> memScratchOffset_;
   std::vector<std::vector<Logic>> gShadow_;
-  std::vector<std::vector<std::uint64_t>> backdoorPre_;
 
   // Lane bookkeeping.
   Word live_ = Word::zero();
@@ -1300,7 +1262,7 @@ void runWithWidth(const RunShared& rs, unsigned threads,
 }  // namespace
 
 BitslicedCampaign runBitslicedWatch(const netlist::CompiledDesignPtr& cd,
-                                    sim::Workload& wl,
+                                    const StimulusTrace& stim,
                                     const fault::FaultList& faults,
                                     const Watch& watch,
                                     const std::optional<fault::Fault>& latent,
@@ -1311,16 +1273,11 @@ BitslicedCampaign runBitslicedWatch(const netlist::CompiledDesignPtr& cd,
   rs.cdp = cd;
   rs.faults = &faults;
   rs.latent = latent ? &*latent : nullptr;
-  rs.stim = recordStimulus(cd, wl);
-  rs.cycles = rs.stim.cycles();
+  rs.stim = &stim;
   rs.watch = &watch;
-  rs.wl = &wl;
   rs.evalMode = opt.evalMode;
   rs.retire = retire;
-  rs.washEvery = std::max<std::uint64_t>(1, rs.cycles / 64);
-  // Workers re-execute only backdoor() (thread-safe by the Workload
-  // contract); restart once so any precomputed plan is armed.
-  wl.restart();
+  rs.washEvery = std::max<std::uint64_t>(1, stim.cycles() / 64);
 
   LaneScheduler sched(faults);
   rs.sched = &sched;
@@ -1371,18 +1328,6 @@ bool isTwoState(const sim::Simulator& golden) {
     }
   }
   return true;
-}
-
-FaultSimResult runBitslicedFaultSim(const netlist::CompiledDesignPtr& cd,
-                                    sim::Workload& wl,
-                                    const fault::FaultList& faults,
-                                    const FaultSimOptions& opt,
-                                    BitslicedStats* stats) {
-  const BitslicedCampaign run = runBitslicedWatch(
-      cd, wl, faults, outputWatch(cd->design(), opt), std::nullopt,
-      opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly, opt);
-  if (stats != nullptr) *stats = run.stats;
-  return faultSimResult(run.observations, run.stats.laneCycles);
 }
 
 }  // namespace socfmea::faultsim

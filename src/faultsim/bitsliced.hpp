@@ -1,9 +1,9 @@
 // Bit-sliced fault-parallel simulation: up to 256 faulty machines packed
 // into the bit-lanes of a SIMD word, evaluated in lockstep over the
 // compiled design's level-bucketed order with word-wide two-state boolean
-// kernels.  It watches each lane through the serial oracle's Watch and
-// reports the same Observation per fault (faultsim/serial.hpp); fault
-// simulation is the outputs-only watch.
+// kernels.  It replays the recorded StimulusTrace, watches each lane
+// through the serial oracle's Watch and reports the same Observation per
+// fault (faultsim/serial.hpp); fault simulation is the outputs-only watch.
 //
 // Representation.  Each word group runs ONE scalar golden Simulator in
 // lockstep from reset and stores, per net, only the *divergence* word
@@ -19,7 +19,7 @@
 // mask and previous-D word; SEU flips XOR the flip-flop divergence word at
 // the scheduled cycle; memory faults give the lane a private clone of the
 // golden memory (with the fault overlay installed) that replays the lane's
-// own writes and the workload's backdoor deltas.
+// own writes and the recorded backdoor flips.
 //
 // Soundness rests on a two-state argument: after reset every golden and
 // lane value is definite (0/1), and no engine operation can introduce X, so
@@ -27,9 +27,9 @@
 // engine *verifies* the golden machine is X-free at every group start and
 // throws std::invalid_argument otherwise.
 //
-// Workload backdoor() actions must only mutate memories, and only by bit
-// flips (the in-tree workloads do); the engine replays them on the golden
-// machine and mirrors the memory deltas into lane-owned clones.
+// Backdoor actions are recorded bit flips (sim::MemFlip); each cycle's
+// flips act on the golden machine and on every lane-owned clone of the
+// flipped memory alike, so the engine never calls the workload.
 //
 // Group start.  Every word group starts at cycle 0: the worker resets its
 // golden machine the way the serial oracle resets a faulty one
@@ -54,8 +54,9 @@
 //
 // Threads.  A run is one fork-join: the calling thread is worker 0 and
 // threads - 1 std::jthreads are the others (one thread starts none).  Every
-// worker owns its engine (golden Simulator, divergence words, lane clones)
-// and pulls groups from the shared LaneScheduler until it drains.  Results
+// worker owns its engine (golden Simulator, divergence words, lane clones),
+// reads the shared stimulus trace and pulls groups from the shared
+// LaneScheduler until it drains.  Results
 // land in a pre-sized vector by fault index, and each worker returns its
 // counters, which the caller adds up after the join, so verdicts and
 // observation records are bit-identical to the serial oracle for any lane
@@ -69,7 +70,6 @@
 #include "fault/fault_list.hpp"
 #include "faultsim/serial.hpp"
 #include "faultsim/stimulus.hpp"
-#include "sim/workload.hpp"
 
 namespace socfmea::faultsim {
 
@@ -97,32 +97,24 @@ struct BitslicedStats {
 /// checks it on its golden machine at every word group's start and throws
 /// std::invalid_argument when it fails; on a Simulator fresh from reset it
 /// decides whether the design can run bit-sliced at all
-/// (inject::InjectionManager::resolveEngine).
+/// (inject::InjectionManager::runWatch).
 [[nodiscard]] bool isTwoState(const sim::Simulator& golden);
-
-/// Fault-sim mode: same contract as runSerialFaultSim — a fault is Detected
-/// when any observed output diverges from the golden run — with verdicts
-/// bit-identical to the serial oracle.  Composes with opt.threads (word
-/// groups dealt out to the workers).  Throws std::invalid_argument when the
-/// golden machine is not two-state (X-free) after reset.
-[[nodiscard]] FaultSimResult runBitslicedFaultSim(
-    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
-    const fault::FaultList& faults, const FaultSimOptions& opt = {},
-    BitslicedStats* stats = nullptr);
 
 struct BitslicedCampaign {
   std::vector<Observation> observations;  ///< parallel to the fault list
   BitslicedStats stats;                   ///< the run's execution counters
 };
 
-/// Runs every fault against `watch`, each lane on top of `latent` when it
-/// is set (inject::CampaignOptions::preexisting), comparing with the
-/// lockstep golden machine every cycle.  A lane retires once verdictFinal
-/// holds under `retire`, or once it washed out; the observations equal
-/// runSerialWatch's for the same arguments.  opt.observedOutputs and
-/// opt.earlyAbort are ignored (the watch and `retire` decide).
+/// Runs every fault against `watch` over the recorded `stim`, each lane on
+/// top of `latent` when it is set (inject::CampaignOptions::preexisting),
+/// comparing with the lockstep golden machine every cycle.  A lane retires
+/// once verdictFinal holds under `retire`, or once it washed out; the
+/// observations equal runSerialWatch's for the same arguments.  Composes
+/// with opt.threads (word groups dealt out to the workers).  Throws
+/// std::invalid_argument when the golden machine is not two-state (X-free)
+/// after reset.
 [[nodiscard]] BitslicedCampaign runBitslicedWatch(
-    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
+    const netlist::CompiledDesignPtr& cd, const StimulusTrace& stim,
     const fault::FaultList& faults, const Watch& watch,
     const std::optional<fault::Fault>& latent, RetireMode retire,
     const FaultSimOptions& opt = {});

@@ -4,8 +4,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "obs/telemetry.hpp"
-
 namespace socfmea::faultsim {
 
 std::string_view engineKindName(EngineKind k) noexcept {
@@ -25,9 +23,8 @@ std::optional<EngineKind> engineKindFromName(std::string_view n) noexcept {
   return std::nullopt;
 }
 
-Watch outputWatch(const netlist::Netlist& nl, const FaultSimOptions& opt) {
-  const std::vector<netlist::CellId>& outputs =
-      opt.observedOutputs.empty() ? nl.primaryOutputs() : opt.observedOutputs;
+Watch outputWatch(const netlist::Netlist& nl,
+                  const std::vector<netlist::CellId>& outputs) {
   Watch watch;
   watch.points.reserve(outputs.size());
   for (const netlist::CellId po : outputs) {
@@ -36,24 +33,9 @@ Watch outputWatch(const netlist::Netlist& nl, const FaultSimOptions& opt) {
   return watch;
 }
 
-FaultSimResult faultSimResult(const std::vector<Observation>& observations,
-                              std::uint64_t simulatedCycles) {
-  FaultSimResult res;
-  res.total = observations.size();
-  res.outcomes.reserve(observations.size());
-  for (const Observation& o : observations) {
-    res.outcomes.push_back(o.obs ? FaultOutcome::Detected
-                                 : FaultOutcome::Undetected);
-    if (o.obs) ++res.detected;
-  }
-  res.simulatedCycles = simulatedCycles;
-  obs::Registry::global().add("faultsim.detected", res.detected);
-  return res;
-}
-
 GoldenTrace recordGolden(const netlist::CompiledDesignPtr& cd,
-                         sim::Workload& wl, const StimulusTrace& stim,
-                         const Watch& watch, sim::EvalMode evalMode) {
+                         const StimulusTrace& stim, const Watch& watch,
+                         sim::EvalMode evalMode) {
   GoldenTrace g;
   for (const std::vector<netlist::NetId>& group : watch.groups) {
     g.nets.insert(g.nets.end(), group.begin(), group.end());
@@ -62,14 +44,10 @@ GoldenTrace recordGolden(const netlist::CompiledDesignPtr& cd,
   g.nets.insert(g.nets.end(), watch.asserted.begin(), watch.asserted.end());
   sim::Simulator sim(cd);
   sim.setEvalMode(evalMode);
-  wl.restart();
-  sim.reset();
+  resetMachine(sim);
   g.values.reserve(stim.cycles());
   for (std::uint64_t c = 0; c < stim.cycles(); ++c) {
-    for (std::size_t i = 0; i < stim.inputs.size(); ++i) {
-      sim.setInput(stim.inputs[i], sim::fromBool(stim.values[c][i]));
-    }
-    wl.backdoor(sim, c);
+    stim.apply(sim, c);
     sim.evalComb();
     std::vector<sim::Logic> row;
     row.reserve(g.nets.size());
@@ -81,7 +59,7 @@ GoldenTrace recordGolden(const netlist::CompiledDesignPtr& cd,
 }
 
 SerialCampaign runSerialWatch(const netlist::CompiledDesignPtr& cd,
-                              sim::Workload& wl, const StimulusTrace& stim,
+                              const StimulusTrace& stim,
                               const GoldenTrace& golden,
                               const fault::FaultList& faults,
                               const Watch& watch,
@@ -115,7 +93,7 @@ SerialCampaign runSerialWatch(const netlist::CompiledDesignPtr& cd,
     std::fill(groupHit.begin(), groupHit.end(), 0);
     std::fill(pointHit.begin(), pointHit.end(), 0);
     run.cycles += runMachine(
-        sim, wl, stim, latent ? &*latent : nullptr, faults[fi],
+        sim, stim, latent ? &*latent : nullptr, faults[fi],
         [&](const sim::Simulator& s, std::uint64_t c) {
           const std::span<const sim::Logic> now = s.netValues();
           const std::vector<sim::Logic>& gold = golden.values[c];
@@ -161,25 +139,6 @@ SerialCampaign runSerialWatch(const netlist::CompiledDesignPtr& cd,
   }
   run.perf = sim.perf();
   return run;
-}
-
-FaultSimResult runSerialFaultSim(const netlist::CompiledDesignPtr& cd,
-                                 sim::Workload& wl,
-                                 const fault::FaultList& faults,
-                                 const FaultSimOptions& opt) {
-  obs::ScopedTimer timer("faultsim.serial");
-  const Watch watch = outputWatch(cd->design(), opt);
-  const StimulusTrace stim = recordStimulus(cd, wl);
-  const GoldenTrace golden = recordGolden(cd, wl, stim, watch, opt.evalMode);
-  const SerialCampaign run = runSerialWatch(
-      cd, wl, stim, golden, faults, watch, std::nullopt,
-      opt.earlyAbort ? RetireMode::DetectOnly : RetireMode::WashoutOnly, opt);
-  FaultSimResult res = faultSimResult(run.observations, run.cycles);
-
-  auto& reg = obs::Registry::global();
-  reg.add("faultsim.serial.machines", res.total);
-  reg.add("faultsim.serial.cycles", res.simulatedCycles);
-  return res;
 }
 
 }  // namespace socfmea::faultsim

@@ -3,9 +3,10 @@
 // Stands in for the commercial fault simulator of the paper's validation
 // step (c): "the fault simulator can be used to precisely measure the fault
 // coverage vs permanent faults respect the workload and the implemented
-// diagnostic."  Both engines watch a machine through the same Watch and
-// report the same Observation per fault; the serial form (runSerialWatch) is
-// the one reference oracle, for fault simulation (the primary outputs) and
+// diagnostic."  Both engines replay one recorded StimulusTrace, watch a
+// machine through the same Watch and report the same Observation per fault;
+// the serial form (runSerialWatch) is the one reference oracle, for fault
+// simulation (outputWatch: a fault is detected when an output deviates) and
 // for the injection manager's campaigns (sensible zones, observation points
 // and alarms: the SENS, OBSE and DIAG monitors of the paper's Figure 4).
 #pragma once
@@ -19,21 +20,15 @@
 #include "fault/harness.hpp"
 #include "faultsim/stimulus.hpp"
 #include "sim/simulator.hpp"
-#include "sim/workload.hpp"
 
 namespace socfmea::faultsim {
 
-enum class FaultOutcome : std::uint8_t {
-  Detected,    ///< a primary output diverged from the golden run
-  Undetected,  ///< ran the full workload without divergence
-};
-
-/// Which fault-simulation engine a campaign layer dispatches to.  Both
-/// engines produce bit-identical verdicts and tallies (CI-tested); they
-/// differ only in throughput and in which execution counters they fill.
+/// Which engine inject::InjectionManager::runWatch runs.  Both engines
+/// produce bit-identical observations (CI-tested); they differ only in
+/// throughput and in which execution counters they fill.
 enum class EngineKind : std::uint8_t {
   /// The bit-sliced engine at every thread count; the serial oracle when
-  /// X survives reset (inject::InjectionManager::resolveEngine).
+  /// X survives reset (inject::InjectionManager::runWatch).
   Auto,
   /// One faulty machine at a time — the reference oracle.
   Serial,
@@ -47,24 +42,7 @@ enum class EngineKind : std::uint8_t {
 [[nodiscard]] std::optional<EngineKind> engineKindFromName(
     std::string_view n) noexcept;
 
-struct FaultSimResult {
-  std::size_t total = 0;
-  std::size_t detected = 0;
-  std::vector<FaultOutcome> outcomes;  ///< parallel to the input fault list
-  std::uint64_t simulatedCycles = 0;   ///< total cycles across all machines
-
-  [[nodiscard]] double coverage() const noexcept {
-    return total == 0 ? 1.0
-                      : static_cast<double>(detected) / static_cast<double>(total);
-  }
-};
-
 struct FaultSimOptions {
-  /// Observe only these output ports; empty = every primary output.
-  std::vector<netlist::CellId> observedOutputs;
-  /// Stop a faulty machine at first divergence (classic fault-sim early
-  /// abort); disable to count divergence cycles.
-  bool earlyAbort = true;
   /// Bit-sliced lane width in 64-bit words per net (1/2/4 = 64/128/256
   /// lanes); 0 picks the widest the build's SIMD target supports.  Ignored
   /// by the serial engine.
@@ -137,17 +115,10 @@ struct Observation {
   return false;
 }
 
-/// The fault-simulation watch: the source nets of opt.observedOutputs (every
-/// primary output when empty) as points.  Both engines' fault simulation
-/// runs it; a fault is Detected when a point deviates.
+/// The fault-simulation watch: the source nets of the output ports
+/// `outputs` as points, so a fault is detected when a point deviates.
 [[nodiscard]] Watch outputWatch(const netlist::Netlist& nl,
-                                const FaultSimOptions& opt);
-
-/// Turns fault-sim observations into verdicts (Detected = a point deviated)
-/// and adds the detections to the faultsim.detected counter.
-[[nodiscard]] FaultSimResult faultSimResult(
-    const std::vector<Observation>& observations,
-    std::uint64_t simulatedCycles);
+                                const std::vector<netlist::CellId>& outputs);
 
 /// Golden per-cycle values of a watch's nets.
 struct GoldenTrace {
@@ -160,8 +131,7 @@ struct GoldenTrace {
 /// Puts `sim` in the state every machine of a campaign starts from: reset()
 /// plus fault-free memories filled with 0.  Both engines start each run
 /// here: runMachine each faulty machine, the bit-sliced engine the golden
-/// machine of each word group.  It leaves the workload alone; re-arming it
-/// (restart()) is the caller's business.
+/// machine of each word group.
 inline void resetMachine(sim::Simulator& sim) {
   sim.reset();
   for (netlist::MemoryId m = 0; m < sim.design().memoryCount(); ++m) {
@@ -170,23 +140,22 @@ inline void resetMachine(sim::Simulator& sim) {
   }
 }
 
-/// The serial oracle's per-fault step (runSerialWatch).  Restarts `wl`,
-/// resets `sim` with resetMachine, installs `latent` (when non-null) and
-/// then `f`, and replays the recorded stimulus plus the workload's backdoor
-/// actions cycle by cycle: SEU / soft-error flips before the inputs, the
-/// settle, SET pulses in install order (each settled before the next one
-/// reads its net), `observe(sim, cycle)`, then the clock edge.  `observe`
+/// The serial oracle's per-fault step (runSerialWatch).  Resets `sim` with
+/// resetMachine, installs `latent` (when non-null) and then `f`, and
+/// replays the recorded stimulus cycle by cycle: SEU / soft-error flips,
+/// the inputs and backdoor flips (StimulusTrace::apply), the settle, SET
+/// pulses in install order (each settled before the next one reads its
+/// net), `observe(sim, cycle)`, then the clock edge.  `observe`
 /// returns true to stop the machine after that cycle's edge.  Removes both
 /// faults again and returns the cycles simulated.  A template so the
 /// per-cycle observer inlines into the campaign's hot loop.
 template <typename Observe>
-std::uint64_t runMachine(sim::Simulator& sim, sim::Workload& wl,
-                         const StimulusTrace& stim, const fault::Fault* latent,
-                         const fault::Fault& f, Observe&& observe) {
+std::uint64_t runMachine(sim::Simulator& sim, const StimulusTrace& stim,
+                         const fault::Fault* latent, const fault::Fault& f,
+                         Observe&& observe) {
   std::optional<fault::FaultHarness> latentHarness;
   if (latent != nullptr) latentHarness.emplace(*latent);
   fault::FaultHarness harness(f);
-  wl.restart();
   resetMachine(sim);
   if (latentHarness) latentHarness->install(sim);
   harness.install(sim);
@@ -195,10 +164,7 @@ std::uint64_t runMachine(sim::Simulator& sim, sim::Workload& wl,
   while (c < stim.cycles()) {
     if (latentHarness) latentHarness->beforeCycle(sim, c);
     harness.beforeCycle(sim, c);
-    for (std::size_t i = 0; i < stim.inputs.size(); ++i) {
-      sim.setInput(stim.inputs[i], sim::fromBool(stim.values[c][i]));
-    }
-    wl.backdoor(sim, c);
+    stim.apply(sim, c);
     sim.evalComb();
     if (latentHarness && latentHarness->wantsPulse(c)) {
       latentHarness->applyPulse(sim);
@@ -221,12 +187,11 @@ std::uint64_t runMachine(sim::Simulator& sim, sim::Workload& wl,
 }
 
 /// Records the golden trace of `watch`'s nets by one fault-free replay of
-/// `stim`, the stimulus every faulty machine replays; the workload's
-/// deterministic backdoor actions are re-executed per cycle.  The recording
+/// `stim`, the stimulus every faulty machine replays.  The recording
 /// Simulator shares `cd`.
 [[nodiscard]] GoldenTrace recordGolden(
-    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
-    const StimulusTrace& stim, const Watch& watch,
+    const netlist::CompiledDesignPtr& cd, const StimulusTrace& stim,
+    const Watch& watch,
     sim::EvalMode evalMode = sim::EvalMode::EventDriven);
 
 struct SerialCampaign {
@@ -242,17 +207,10 @@ struct SerialCampaign {
 /// under `retire`.  Only opt.evalMode is read.  Throws std::invalid_argument
 /// when `golden` does not match the watch or the stimulus.
 [[nodiscard]] SerialCampaign runSerialWatch(
-    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
-    const StimulusTrace& stim, const GoldenTrace& golden,
+    const netlist::CompiledDesignPtr& cd, const StimulusTrace& stim,
+    const GoldenTrace& golden,
     const fault::FaultList& faults, const Watch& watch,
     const std::optional<fault::Fault>& latent, RetireMode retire,
     const FaultSimOptions& opt = {});
-
-/// Runs the whole fault list serially over outputWatch: records the
-/// stimulus and the golden trace once, then runs runSerialWatch (DetectOnly
-/// under opt.earlyAbort, else WashoutOnly).
-[[nodiscard]] FaultSimResult runSerialFaultSim(
-    const netlist::CompiledDesignPtr& cd, sim::Workload& wl,
-    const fault::FaultList& faults, const FaultSimOptions& opt = {});
 
 }  // namespace socfmea::faultsim

@@ -4,6 +4,13 @@
 
 namespace socfmea::faultsim {
 
+void StimulusTrace::apply(sim::Simulator& sim, std::uint64_t c) const {
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    sim.setInput(inputs[i], sim::fromBool(values[c][i]));
+  }
+  sim::applyFlips(sim, flips[c]);
+}
+
 StimulusTrace recordStimulus(const netlist::CompiledDesignPtr& cd,
                              sim::Workload& wl) {
   const netlist::Netlist& nl = cd->design();
@@ -15,9 +22,12 @@ StimulusTrace recordStimulus(const netlist::CompiledDesignPtr& cd,
   wl.restart();
   sim.reset();
   t.values.reserve(wl.cycles());
+  t.flips.reserve(wl.cycles());
   for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
     wl.drive(sim, c);
-    wl.backdoor(sim, c);
+    std::vector<sim::MemFlip>& flips = t.flips.emplace_back();
+    wl.backdoor(c, flips);
+    sim::applyFlips(sim, flips);
     sim.evalComb();
     std::vector<bool> row;
     row.reserve(t.inputs.size());

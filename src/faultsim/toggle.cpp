@@ -182,8 +182,7 @@ ToggleCoverage measureToggle(const netlist::CompiledDesignPtr& cd,
   wl.restart();
   sim.reset();
   for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
-    wl.drive(sim, c);
-    wl.backdoor(sim, c);
+    sim::driveCycle(sim, wl, c);
     sim.evalComb();
     for (netlist::NetId n = 0; n < nets; ++n) {
       const sim::Logic v = sim.value(n);

@@ -246,65 +246,86 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
   return result;
 }
 
+faultsim::Watch InjectionManager::watch() const {
+  faultsim::Watch w;
+  w.groups.reserve(env_.targetZones.size());
+  for (const zones::ZoneId zid : env_.targetZones) {
+    w.groups.push_back(env_.zones->zone(zid).valueNets);
+  }
+  w.points = env_.obsNets;
+  w.asserted = env_.alarmNets;
+  w.detectionWindow = env_.detectionWindow;
+  return w;
+}
+
+WatchRun InjectionManager::runWatch(sim::Workload& wl,
+                                    const fault::FaultList& faults,
+                                    const faultsim::Watch& watch,
+                                    const std::optional<fault::Fault>& latent,
+                                    faultsim::RetireMode retire,
+                                    const CampaignOptions& opt) {
+  obs::Registry& reg = obs::Registry::global();
+  const faultsim::EngineKind engine = [&] {
+    if (opt.engine != faultsim::EngineKind::Auto) return opt.engine;
+    if (faultsim::isTwoState(sim::Simulator(cd_))) {
+      return faultsim::EngineKind::Bitsliced;
+    }
+    reg.add("inject.auto_serial_fallbacks");
+    return faultsim::EngineKind::Serial;
+  }();
+  const obs::ScopedTimer campaignTimer(
+      "inject.campaign." + std::string(faultsim::engineKindName(engine)));
+  const faultsim::StimulusTrace stim = [&] {
+    const obs::ScopedTimer t("inject.record_stimulus");
+    return faultsim::recordStimulus(cd_, wl);
+  }();
+
+  WatchRun run;
+  if (engine == faultsim::EngineKind::Serial) {
+    const faultsim::GoldenTrace golden = [&] {
+      const obs::ScopedTimer t("inject.record_golden");
+      return faultsim::recordGolden(cd_, stim, watch);
+    }();
+    faultsim::SerialCampaign serial = faultsim::runSerialWatch(
+        cd_, stim, golden, faults, watch, latent, retire);
+    run.observations = std::move(serial.observations);
+    run.cyclesSimulated = serial.cycles;
+    reg.add("inject.comb_evals", serial.perf.combEvals);
+    reg.add("inject.cell_evals", serial.perf.cellEvals);
+    exportEvalTelemetry(serial.perf);
+  } else {
+    faultsim::FaultSimOptions fopt;
+    fopt.threads = opt.threads;
+    faultsim::BitslicedCampaign sliced = faultsim::runBitslicedWatch(
+        cd_, stim, faults, watch, latent, retire, fopt);
+    run.observations = std::move(sliced.observations);
+    run.cyclesSimulated = sliced.stats.laneCycles;
+    run.convergedEarly = sliced.stats.convergedEarly;
+    reg.add("inject.converged_early", run.convergedEarly);
+  }
+  reg.add("inject.campaigns");
+  reg.add("inject.faults_simulated", faults.size());
+  reg.add("inject.cycles_simulated", run.cyclesSimulated);
+  return run;
+}
+
 CampaignResult InjectionManager::runDistinct(sim::Workload& wl,
                                              const fault::FaultList& faults,
                                              const CampaignOptions& opt) {
-  obs::Registry& reg = obs::Registry::global();
-  const faultsim::EngineKind engine = resolveEngine(opt.engine);
-  const obs::ScopedTimer campaignTimer(
-      "inject.campaign." + std::string(faultsim::engineKindName(engine)));
-  const auto& db = *env_.zones;
-
-  faultsim::Watch watch;
-  watch.groups.reserve(env_.targetZones.size());
-  for (const zones::ZoneId zid : env_.targetZones) {
-    watch.groups.push_back(db.zone(zid).valueNets);
-  }
-  watch.points = env_.obsNets;
-  watch.asserted = env_.alarmNets;
-  watch.detectionWindow = env_.detectionWindow;
-  const faultsim::RetireMode retire = opt.earlyAbort
-                                          ? faultsim::RetireMode::Classify
-                                          : faultsim::RetireMode::WashoutOnly;
-
+  const WatchRun run = runWatch(wl, faults, watch(), opt.preexisting,
+                                opt.earlyAbort
+                                    ? faultsim::RetireMode::Classify
+                                    : faultsim::RetireMode::WashoutOnly,
+                                opt);
   CampaignResult result;
-  std::vector<faultsim::Observation> observations;
-  if (engine == faultsim::EngineKind::Serial) {
-    // Record the stimulus once; golden and every faulty machine replay it
-    // (deterministic backdoor actions are re-executed on each machine).
-    const faultsim::StimulusTrace stim = [&] {
-      const obs::ScopedTimer t("inject.record_stimulus");
-      return faultsim::recordStimulus(cd_, wl);
-    }();
-    const faultsim::GoldenTrace golden = [&] {
-      const obs::ScopedTimer t("inject.record_golden");
-      return faultsim::recordGolden(cd_, wl, stim, watch);
-    }();
-    faultsim::SerialCampaign run = faultsim::runSerialWatch(
-        cd_, wl, stim, golden, faults, watch, opt.preexisting, retire);
-    observations = std::move(run.observations);
-    result.cyclesSimulated = run.cycles;
-    reg.add("inject.comb_evals", run.perf.combEvals);
-    reg.add("inject.cell_evals", run.perf.cellEvals);
-    exportEvalTelemetry(run.perf);
-  } else {
-    faultsim::FaultSimOptions fopt;
-    fopt.laneWords = opt.laneWords;
-    fopt.threads = opt.threads;
-    faultsim::BitslicedCampaign run = faultsim::runBitslicedWatch(
-        cd_, wl, faults, watch, opt.preexisting, retire, fopt);
-    observations = std::move(run.observations);
-    result.cyclesSimulated = run.stats.laneCycles;
-    result.convergedEarly = run.stats.convergedEarly;
-    reg.add("inject.converged_early", result.convergedEarly);
-  }
-
+  result.cyclesSimulated = run.cyclesSimulated;
+  result.convergedEarly = run.convergedEarly;
   result.records.reserve(faults.size());
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    const faultsim::Observation& o = observations[fi];
+    const faultsim::Observation& o = run.observations[fi];
     InjectionRecord rec;
     rec.fault = faults[fi];
-    rec.zone = targetZoneOf(db, faults[fi]);
+    rec.zone = targetZoneOf(*env_.zones, faults[fi]);
     rec.obs.sens = o.sens;
     rec.obs.sensCycle = o.sensCycle;
     rec.obs.zonesDeviated.reserve(o.groupsDeviated.size());
@@ -322,20 +343,7 @@ CampaignResult InjectionManager::runDistinct(sim::Workload& wl,
     rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
     result.records.push_back(std::move(rec));
   }
-  reg.add("inject.campaigns");
-  reg.add("inject.faults_simulated", faults.size());
-  reg.add("inject.cycles_simulated", result.cyclesSimulated);
   return result;
-}
-
-faultsim::EngineKind InjectionManager::resolveEngine(
-    faultsim::EngineKind requested) const {
-  if (requested != faultsim::EngineKind::Auto) return requested;
-  if (faultsim::isTwoState(sim::Simulator(cd_))) {
-    return faultsim::EngineKind::Bitsliced;
-  }
-  obs::Registry::global().add("inject.auto_serial_fallbacks");
-  return faultsim::EngineKind::Serial;
 }
 
 fault::FaultList InjectionManager::zoneFailureFaults(

@@ -1,10 +1,11 @@
 // Fault Injection Manager (paper, Figure 4): "this function runs all the
 // injection campaign based on automatically generated fault lists and
-// collects all the results."  Golden and faulty machines replay the same
-// recorded workload stimulus.  The SENS, OBSE and DIAG monitors are one
-// faultsim::Watch over the target zones, the observation points and the
-// alarms; either engine runs it, and one mapping turns its observations
-// into classified injection records.
+// collects all the results."  The workload is recorded once per run, and
+// golden and faulty machines replay the recording (inputs plus backdoor
+// flips).  The SENS, OBSE and DIAG monitors are one faultsim::Watch over the
+// target zones, the observation points and the alarms; runWatch runs it on
+// either engine, and one mapping turns its observations into classified
+// injection records.
 #pragma once
 
 #include <array>
@@ -127,27 +128,31 @@ struct CampaignOptions {
   std::optional<fault::Fault> preexisting;
   /// Campaign engine.  Auto runs the bit-sliced engine at every thread
   /// count, unless X survives reset, when it falls back to the serial
-  /// oracle (InjectionManager::resolveEngine decides); Serial is the
-  /// reference oracle; Bitsliced packs 64*laneWords faulty machines per
-  /// SIMD word group (faultsim/bitsliced.hpp) and composes with threads
-  /// (the workers share the word groups out).  An explicit Bitsliced throws
-  /// std::invalid_argument when X survives reset.  Records and every IEC
-  /// metric are bit-identical across engines; only the "execution" counters
-  /// differ.  `engine` and `laneWords` are deliberately excluded from the
-  /// incremental flow's campaign-options hash (core/incremental.cpp) —
-  /// switching engines must not invalidate cached campaign records,
-  /// precisely because the records are identical.
+  /// oracle (InjectionManager::runWatch decides); Serial is the reference
+  /// oracle; Bitsliced packs as many faulty machines per SIMD word group as
+  /// the build's SIMD target allows (faultsim/bitsliced.hpp) and composes
+  /// with threads (the workers share the word groups out).  An explicit
+  /// Bitsliced throws std::invalid_argument when X survives reset.  Records
+  /// and every IEC metric are bit-identical across engines; only the
+  /// "execution" counters differ.  `engine` and `threads` are deliberately
+  /// excluded from the incremental flow's campaign-options hash
+  /// (core/incremental.cpp) — switching engines must not invalidate cached
+  /// campaign records, precisely because the records are identical.
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
-  /// Bit-sliced lane width in 64-bit words per net (1/2/4 = 64/128/256
-  /// lanes); 0 picks the widest the build's SIMD target supports.  The
-  /// serial engine ignores it.
-  unsigned laneWords = 0;
   /// Campaign parallelism: 0 = hardware concurrency, N = N threads.  The
   /// bit-sliced engine spreads its word groups over this many threads; the
   /// serial oracle ignores it.  Records and every IEC metric are
   /// bit-identical regardless of the value; only the "execution" counters
   /// move, because workers race for word groups and refills.
   unsigned threads = 1;
+};
+
+/// One InjectionManager::runWatch: an observation per fault plus the
+/// engine's execution counters (CampaignResult's "execution" section).
+struct WatchRun {
+  std::vector<faultsim::Observation> observations;  ///< parallel to faults
+  std::uint64_t cyclesSimulated = 0;
+  std::uint64_t convergedEarly = 0;
 };
 
 class InjectionManager {
@@ -164,24 +169,39 @@ class InjectionManager {
   /// Runs the campaign; `coverage`, when non-null, accumulates the
   /// completeness counters once per list position.  Repeated faults are
   /// folded: each distinct fault is simulated once and its record copied to
-  /// every position that holds it.  The engine is resolveEngine(opt.engine):
-  /// the bit-sliced engine, or the serial oracle (one faulty machine at a
-  /// time, faultsim::runSerialWatch); both run the environment's watch.
-  /// Records are in fault-list order and bit-identical across engines and
-  /// thread counts.
+  /// every position that holds it.  The distinct faults run once through
+  /// runWatch over watch(), on top of opt.preexisting, with the Classify
+  /// stop rule under opt.earlyAbort (else WashoutOnly).  Records are in
+  /// fault-list order and bit-identical across engines and thread counts.
   [[nodiscard]] CampaignResult run(sim::Workload& wl,
                                    const fault::FaultList& faults,
                                    CoverageCollector* coverage = nullptr,
                                    const CampaignOptions& opt = {});
 
-  /// The one place EngineKind::Auto is resolved, for the campaigns above
-  /// and for fault simulation on the same design (validation step (c)).
-  /// Serial and Bitsliced stand as requested.  Auto is the bit-sliced
-  /// engine when the design's golden machine is two-state after reset
-  /// (faultsim::isTwoState), and otherwise the serial oracle, counted in
-  /// the inject.auto_serial_fallbacks telemetry counter.
-  [[nodiscard]] faultsim::EngineKind resolveEngine(
-      faultsim::EngineKind requested) const;
+  /// The environment's SENS, OBSE and DIAG monitors as one watch: each
+  /// target zone's value nets a group, the observation nets the points,
+  /// the alarm nets the asserted nets.
+  [[nodiscard]] faultsim::Watch watch() const;
+
+  /// The one switch between the engines, for the campaigns above and for
+  /// fault simulation on the same design (validation step (c)).  Records
+  /// the stimulus of `wl` once — the only campaign step that calls the
+  /// workload — and runs every fault against `watch` on the engine
+  /// opt.engine resolves to, each machine on top of `latent` when it is set
+  /// and stopped under `retire`: the serial oracle (faultsim::runSerialWatch
+  /// against a golden trace recorded from the same stimulus) or the
+  /// bit-sliced engine (faultsim::runBitslicedWatch at opt.threads).
+  /// Serial and Bitsliced stand as requested; Auto is the bit-sliced engine
+  /// when the design's golden machine is two-state after reset
+  /// (faultsim::isTwoState), and otherwise the serial oracle, counted in the
+  /// inject.auto_serial_fallbacks telemetry counter.  Only opt.engine and
+  /// opt.threads are read.
+  [[nodiscard]] WatchRun runWatch(sim::Workload& wl,
+                                  const fault::FaultList& faults,
+                                  const faultsim::Watch& watch,
+                                  const std::optional<fault::Fault>& latent,
+                                  faultsim::RetireMode retire,
+                                  const CampaignOptions& opt);
 
   /// The paper's validation step (a): "exhaustive fault injection of
   /// sensible zone failures" — for every target zone, SEU faults on each of
@@ -192,10 +212,8 @@ class InjectionManager {
       std::uint64_t seed) const;
 
  private:
-  /// One campaign over a list of distinct faults: builds the watch from the
-  /// environment (target-zone net groups, observation nets, alarm nets),
-  /// runs it on the resolved engine and maps the observations to
-  /// InjectionRecords.
+  /// One campaign over a list of distinct faults: runs watch() through
+  /// runWatch and maps the observations to InjectionRecords.
   [[nodiscard]] CampaignResult runDistinct(sim::Workload& wl,
                                            const fault::FaultList& faults,
                                            const CampaignOptions& opt);

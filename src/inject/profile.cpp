@@ -33,8 +33,7 @@ OperationalProfile OperationalProfile::record(const zones::ZoneDatabase& db,
   wl.restart();
   sim.reset();
   for (std::uint64_t c = 0; c < cycles; ++c) {
-    wl.drive(sim, c);
-    wl.backdoor(sim, c);
+    sim::driveCycle(sim, wl, c);
     sim.evalComb();
     for (const zones::SensibleZone& z : db.zones()) {
       bool changed = false;

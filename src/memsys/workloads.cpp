@@ -30,10 +30,6 @@ ProtectionIpWorkload::ProtectionIpWorkload(const GateLevelDesign& design,
   buildPlan();
 }
 
-void ProtectionIpWorkload::restart() {
-  // The plan is a pure function of the options/seed — nothing to redo.
-}
-
 void ProtectionIpWorkload::buildPlan() {
   sim::Rng rng(opt_.seed);
   const std::uint64_t words = std::uint64_t{1} << d_->options.addrBits;
@@ -137,12 +133,13 @@ void ProtectionIpWorkload::drive(sim::Simulator& sim, std::uint64_t cycle) {
   sim.setInputBus(d_->wdata, p.data);
 }
 
-void ProtectionIpWorkload::backdoor(sim::Simulator& sim, std::uint64_t cycle) {
-  if (cycle >= plan_.size() || sim.design().memoryCount() == 0) return;
+void ProtectionIpWorkload::backdoor(std::uint64_t cycle,
+                                    std::vector<sim::MemFlip>& flips) const {
+  if (cycle >= plan_.size() || d_->nl.memoryCount() == 0) return;
   const CyclePlan& p = plan_[cycle];
   for (std::uint32_t bit = 0; bit < kCodeBits; ++bit) {
     if (p.flipMask & (std::uint64_t{1} << bit)) {
-      sim.memory(0).flipBit(p.flipAddr, bit);
+      flips.push_back({0, p.flipAddr, bit});
     }
   }
 }

@@ -34,13 +34,14 @@ class ProtectionIpWorkload final : public sim::Workload {
 
   [[nodiscard]] std::string name() const override { return "protection-ip"; }
   [[nodiscard]] std::uint64_t cycles() const override { return opt_.cycles; }
-  void restart() override;
   void drive(sim::Simulator& sim, std::uint64_t cycle) override;
-  void backdoor(sim::Simulator& sim, std::uint64_t cycle) override;
+  void backdoor(std::uint64_t cycle,
+                std::vector<sim::MemFlip>& flips) const override;
 
  private:
   /// One precomputed cycle of stimulus: the whole run is planned at
-  /// restart() so drive() and backdoor() stay deterministic and replayable.
+  /// construction, so drive() and backdoor() are pure functions of the
+  /// cycle.
   struct CyclePlan {
     bool rst = false;
     bool bist = false;

@@ -7,11 +7,23 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 
 namespace socfmea::sim {
+
+/// One backdoor action: flip stored bit `bit` of word `addr` of memory
+/// `mem` (MemoryModel::flipBit, past every fault model).
+struct MemFlip {
+  netlist::MemoryId mem = 0;
+  std::uint64_t addr = 0;
+  std::uint32_t bit = 0;
+
+  [[nodiscard]] bool operator==(const MemFlip&) const = default;
+};
 
 class Workload {
  public:
@@ -27,19 +39,22 @@ class Workload {
 
   /// Testbench backdoor actions for this cycle (e.g. planting memory soft
   /// errors so the error-handling logic is exercised — how verification
-  /// components reach toggle-coverage closure on ECC paths).  MUST be a
-  /// deterministic function of (restart state, cycle): it is re-executed on
-  /// both the golden and every faulty machine.  Called after drive(),
-  /// before evalComb().
-  ///
-  /// Concurrency contract: the parallel campaign engines call backdoor()
-  /// from several worker threads at once (after one restart() on the main
-  /// thread), each with its own Simulator.  backdoor() must therefore not
-  /// mutate workload state — read a plan precomputed in restart(), or
-  /// derive everything from `cycle` (the in-tree workloads do exactly
-  /// this; drive() has no such requirement because stimulus is recorded
-  /// once and replayed).
-  virtual void backdoor(Simulator& /*sim*/, std::uint64_t /*cycle*/) {}
+  /// components reach toggle-coverage closure on ECC paths), appended to
+  /// `flips` as memory bit flips applied after the inputs, before
+  /// evalComb().  A pure function of the cycle: every machine starts with
+  /// all-zero memories, so a workload that loads an image emits its set
+  /// bits as flips.  Campaigns call it once per cycle while recording the
+  /// stimulus (faultsim::recordStimulus); the engines replay the recorded
+  /// flips and never call the workload.
+  virtual void backdoor(std::uint64_t /*cycle*/,
+                        std::vector<MemFlip>& /*flips*/) const {}
 };
+
+/// Applies `flips` to the memories of `sim`, in order.
+void applyFlips(Simulator& sim, std::span<const MemFlip> flips);
+
+/// One fault-free testbench cycle: drives `wl`'s inputs for `cycle` onto
+/// `sim`, then applies the cycle's backdoor flips.  Call before evalComb().
+void driveCycle(Simulator& sim, Workload& wl, std::uint64_t cycle);
 
 }  // namespace socfmea::sim

@@ -9,8 +9,7 @@
 
 namespace socfmea::testkit {
 
-using faultsim::FaultOutcome;
-using faultsim::FaultSimResult;
+using faultsim::Observation;
 
 std::string_view evalModeName(sim::EvalMode m) noexcept {
   return m == sim::EvalMode::EventDriven ? "event-driven" : "full-settle";
@@ -26,10 +25,16 @@ std::vector<std::size_t> OracleReport::suspectFaults() const {
   return all;
 }
 
+std::size_t OracleReport::detected() const {
+  return static_cast<std::size_t>(
+      std::count_if(reference.begin(), reference.end(),
+                    [](const Observation& o) { return o.obs; }));
+}
+
 std::string OracleReport::summary() const {
   std::ostringstream ss;
   ss << (pass ? "PASS" : "FAIL") << " (" << combosRun << " combos, "
-     << reference.total << " faults, " << reference.detected << " detected)";
+     << reference.size() << " faults, " << detected() << " detected)";
   for (const auto& m : mismatches) {
     ss << "\n  " << m.combo << ": " << m.detail;
   }
@@ -39,12 +44,10 @@ std::string OracleReport::summary() const {
 namespace {
 
 void applySabotage(const Sabotage& s, Sabotage::Engine engine,
-                   sim::EvalMode mode, FaultSimResult& r) {
+                   sim::EvalMode mode, std::vector<Observation>& observed) {
   if (s.engine != engine || s.mode != mode) return;
-  for (auto& outcome : r.outcomes) {
-    if (outcome != FaultOutcome::Detected) continue;
-    outcome = FaultOutcome::Undetected;
-    --r.detected;
+  for (Observation& o : observed) {
+    if (o.obs) o = Observation{};
   }
 }
 
@@ -52,7 +55,7 @@ void applySabotage(const Sabotage& s, Sabotage::Engine engine,
 /// Q net is one group, and the primary outputs serve as both the points and
 /// the asserted nets.
 faultsim::Watch campaignWatch(const netlist::Netlist& nl) {
-  faultsim::Watch watch = faultsim::outputWatch(nl, {});
+  faultsim::Watch watch = faultsim::outputWatch(nl, nl.primaryOutputs());
   watch.asserted = watch.points;
   for (const netlist::CellId ff : nl.flipFlops()) {
     watch.groups.push_back({nl.cell(ff).output});
@@ -61,34 +64,47 @@ faultsim::Watch campaignWatch(const netlist::Netlist& nl) {
   return watch;
 }
 
-/// Compares a combo's verdicts against the reference at the given original
-/// fault indices (identity map for full-list combos).
-void compareVerdicts(const FaultSimResult& ref, const FaultSimResult& got,
-                     const std::vector<std::size_t>& indexMap,
-                     const std::string& combo, OracleReport& report) {
+/// Records a mismatch for every fault whose observation differs from the
+/// reference.
+void compareObservations(const std::vector<Observation>& ref,
+                         const std::vector<Observation>& got,
+                         const std::string& combo, OracleReport& report) {
   OracleMismatch mm;
   mm.combo = combo;
-  if (got.outcomes.size() != indexMap.size()) {
-    mm.detail = "ran " + std::to_string(got.outcomes.size()) +
-                " faults, expected " + std::to_string(indexMap.size());
+  if (got.size() != ref.size()) {
+    mm.detail = "ran " + std::to_string(got.size()) + " faults, expected " +
+                std::to_string(ref.size());
     report.mismatches.push_back(std::move(mm));
     return;
   }
-  for (std::size_t i = 0; i < indexMap.size(); ++i) {
-    if (got.outcomes[i] != ref.outcomes[indexMap[i]]) {
-      mm.faultIndices.push_back(indexMap[i]);
-    }
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (got[i] != ref[i]) mm.faultIndices.push_back(i);
   }
   if (!mm.faultIndices.empty()) {
-    mm.detail =
-        std::to_string(mm.faultIndices.size()) +
-        " verdict(s) disagree with serial/event-driven (first at fault #" +
-        std::to_string(mm.faultIndices.front()) + ")";
+    mm.detail = std::to_string(mm.faultIndices.size()) +
+                " observation(s) disagree with the reference (first at "
+                "fault #" +
+                std::to_string(mm.faultIndices.front()) + ")";
     report.mismatches.push_back(std::move(mm));
   }
 }
 
 }  // namespace
+
+std::vector<Observation> serialOutputs(const netlist::CompiledDesignPtr& cd,
+                                       const faultsim::StimulusTrace& stim,
+                                       const fault::FaultList& faults,
+                                       faultsim::RetireMode retire,
+                                       sim::EvalMode mode) {
+  const faultsim::Watch watch =
+      faultsim::outputWatch(cd->design(), cd->design().primaryOutputs());
+  faultsim::FaultSimOptions o;
+  o.evalMode = mode;
+  return faultsim::runSerialWatch(
+             cd, stim, faultsim::recordGolden(cd, stim, watch, mode), faults,
+             watch, std::nullopt, retire, o)
+      .observations;
+}
 
 OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
                        const OracleOptions& opt) {
@@ -100,32 +116,28 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
   OracleReport report;
   const netlist::CompiledDesignPtr cd = netlist::compile(nl);
   inject::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
-
-  std::vector<std::size_t> identity(plan.faults.size());
-  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
 
   const auto serialArm = [&](sim::EvalMode mode) {
-    faultsim::FaultSimOptions o;
-    o.evalMode = mode;
-    auto r = faultsim::runSerialFaultSim(cd, wl, plan.faults, o);
+    std::vector<Observation> r = serialOutputs(
+        cd, stim, plan.faults, faultsim::RetireMode::DetectOnly, mode);
     applySabotage(opt.sabotage, Sabotage::Engine::Serial, mode, r);
     ++report.combosRun;
     return r;
   };
 
   report.reference = serialArm(sim::EvalMode::EventDriven);
-  const FaultSimResult& ref = report.reference;
+  const std::vector<Observation>& ref = report.reference;
 
-  compareVerdicts(ref, serialArm(sim::EvalMode::FullSettle), identity,
-                  "serial/full-settle", report);
+  compareObservations(ref, serialArm(sim::EvalMode::FullSettle),
+                      "serial/full-settle", report);
 
   // Golden traces of both eval modes must be cycle-for-cycle identical.
   const faultsim::Watch watch = campaignWatch(nl);
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
   const faultsim::GoldenTrace golden =
-      faultsim::recordGolden(cd, wl, stim, watch);
+      faultsim::recordGolden(cd, stim, watch);
   if (golden.values !=
-      faultsim::recordGolden(cd, wl, stim, watch, sim::EvalMode::FullSettle)
+      faultsim::recordGolden(cd, stim, watch, sim::EvalMode::FullSettle)
           .values) {
     report.mismatches.push_back(
         {"golden-trace", "event-driven and full-settle golden runs differ", {}});
@@ -133,44 +145,38 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
 
   // Bit-sliced fault-parallel engine: full fault model, full plan list.
   if (!plan.faults.empty()) {
+    const faultsim::Watch outputs =
+        faultsim::outputWatch(nl, nl.primaryOutputs());
     for (const auto mode :
          {sim::EvalMode::EventDriven, sim::EvalMode::FullSettle}) {
       faultsim::FaultSimOptions o;
       o.evalMode = mode;
       o.threads = mode == sim::EvalMode::EventDriven ? opt.threads : 1;
-      auto r = faultsim::runBitslicedFaultSim(cd, wl, plan.faults, o);
+      std::vector<Observation> r =
+          faultsim::runBitslicedWatch(cd, stim, plan.faults, outputs,
+                                      std::nullopt,
+                                      faultsim::RetireMode::DetectOnly, o)
+              .observations;
       applySabotage(opt.sabotage, Sabotage::Engine::Bitsliced, mode, r);
       ++report.combosRun;
-      compareVerdicts(
-          ref, r, identity,
-          std::string("bitsliced/") + std::string(evalModeName(mode)),
+      compareObservations(
+          ref, r, std::string("bitsliced/") + std::string(evalModeName(mode)),
           report);
     }
 
     // Campaign mode: both engines' observations under the campaign watch,
     // with early abort, must be identical.
     const faultsim::SerialCampaign serial = faultsim::runSerialWatch(
-        cd, wl, stim, golden, plan.faults, watch, std::nullopt,
+        cd, stim, golden, plan.faults, watch, std::nullopt,
         faultsim::RetireMode::Classify);
     faultsim::FaultSimOptions o;
     o.threads = opt.threads;
     const faultsim::BitslicedCampaign sliced = faultsim::runBitslicedWatch(
-        cd, wl, plan.faults, watch, std::nullopt,
+        cd, stim, plan.faults, watch, std::nullopt,
         faultsim::RetireMode::Classify, o);
     ++report.combosRun;
-    OracleMismatch mm{"campaign", "", {}};
-    for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-      if (serial.observations[i] != sliced.observations[i]) {
-        mm.faultIndices.push_back(i);
-      }
-    }
-    if (!mm.faultIndices.empty()) {
-      mm.detail = std::to_string(mm.faultIndices.size()) +
-                  " bit-sliced observation(s) disagree with the serial "
-                  "watch (first at fault #" +
-                  std::to_string(mm.faultIndices.front()) + ")";
-      report.mismatches.push_back(std::move(mm));
-    }
+    compareObservations(serial.observations, sliced.observations, "campaign",
+                        report);
   }
 
   // Text round-trip: parse(write(nl)) must write back identically and must
@@ -186,9 +192,12 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
       const TestPlan rebound = rebindPlan(nl, reparsed, plan);
       inject::VectorWorkload wl2(rebound.name, rebound.inputs,
                                  rebound.stimulus);
-      const auto r = faultsim::runSerialFaultSim(netlist::compile(reparsed),
-                                                 wl2, rebound.faults);
-      compareVerdicts(ref, r, identity, "round-trip", report);
+      const netlist::CompiledDesignPtr cd2 = netlist::compile(reparsed);
+      compareObservations(
+          ref,
+          serialOutputs(cd2, faultsim::recordStimulus(cd2, wl2),
+                        rebound.faults),
+          "round-trip", report);
     }
   } catch (const std::exception& e) {
     report.mismatches.push_back(

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "cpu/workload.hpp"
 #include "fault/collapse.hpp"
 #include "fault/fault_list.hpp"
 #include "faultsim/bitsliced.hpp"
@@ -27,11 +28,13 @@
 #include "obs/telemetry.hpp"
 #include "sim/rng.hpp"
 #include "testkit/netlist_gen.hpp"
+#include "testkit/oracle.hpp"
 #include "testkit/plan.hpp"
 #include "testkit/seed.hpp"
 #include "zones/extract.hpp"
 
 namespace tk = socfmea::testkit;
+namespace cp = socfmea::cpu;
 namespace nl = socfmea::netlist;
 namespace zn = socfmea::zones;
 namespace ft = socfmea::fault;
@@ -208,15 +211,33 @@ struct MemDesign {
   }
 };
 
-void expectVerdictsEqual(const nl::Netlist& n, const ft::FaultList& faults,
-                         const fs::FaultSimResult& serial,
-                         const fs::FaultSimResult& sliced) {
-  ASSERT_EQ(serial.outcomes.size(), sliced.outcomes.size());
+/// The bit-sliced side of tk::serialOutputs: every primary output of `cd`
+/// watched over the recorded `stim`, each lane stopped under `retire`.
+fs::BitslicedCampaign slicedRun(const nl::CompiledDesignPtr& cd,
+                                const fs::StimulusTrace& stim,
+                                const ft::FaultList& faults,
+                                fs::RetireMode retire,
+                                const fs::FaultSimOptions& opt = {}) {
+  const nl::Netlist& n = cd->design();
+  return fs::runBitslicedWatch(cd, stim, faults,
+                               fs::outputWatch(n, n.primaryOutputs()),
+                               std::nullopt, retire, opt);
+}
+
+void expectObservationsEqual(const nl::Netlist& n, const ft::FaultList& faults,
+                             const std::vector<fs::Observation>& serial,
+                             const std::vector<fs::Observation>& sliced) {
+  ASSERT_EQ(serial.size(), faults.size());
+  ASSERT_EQ(sliced.size(), faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(serial.outcomes[i], sliced.outcomes[i])
-        << faults[i].describe(n);
+    EXPECT_EQ(serial[i], sliced[i]) << faults[i].describe(n);
   }
-  EXPECT_EQ(serial.detected, sliced.detected);
+}
+
+std::size_t detected(const std::vector<fs::Observation>& observations) {
+  return static_cast<std::size_t>(
+      std::count_if(observations.begin(), observations.end(),
+                    [](const fs::Observation& o) { return o.obs; }));
 }
 
 }  // namespace
@@ -297,20 +318,21 @@ TEST(BitslicedKindTest, EveryFaultKindMatchesSerial) {
   add(f);
 
   const auto cd = nl::compile(d.n);
-  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const auto serial = tk::serialOutputs(cd, stim, faults);
   // Enough stimulus lands on the memory for most kinds to matter; the test
   // is only meaningful if some faults really diverge.
-  EXPECT_GT(serial.detected, 4u);
+  EXPECT_GT(detected(serial), 4u);
 
   for (const unsigned laneWords : {1u, 2u, 4u}) {
     fs::FaultSimOptions opt;
     opt.laneWords = laneWords;
-    fs::BitslicedStats stats;
-    const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
+    const auto sliced =
+        slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly, opt);
     SCOPED_TRACE("laneWords=" + std::to_string(laneWords));
-    expectVerdictsEqual(d.n, faults, serial, sliced);
-    EXPECT_EQ(stats.laneWords, fs::resolveLaneWords(laneWords));
-    EXPECT_GT(stats.wordCycles, 0u);
+    expectObservationsEqual(d.n, faults, serial, sliced.observations);
+    EXPECT_EQ(sliced.stats.laneWords, fs::resolveLaneWords(laneWords));
+    EXPECT_GT(sliced.stats.wordCycles, 0u);
   }
 }
 
@@ -319,12 +341,136 @@ TEST(BitslicedKindTest, EarlyAbortOffStillMatches) {
   ij::RandomWorkload wl(d.n, 70, tk::testSeed(22), {{d.rst, false}});
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
   ft::collapseStuckAt(d.n, faults);
-  fs::FaultSimOptions full;
-  full.earlyAbort = false;
   const auto cd = nl::compile(d.n);
-  const auto serial = fs::runSerialFaultSim(cd, wl, faults, full);
-  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, full);
-  expectVerdictsEqual(d.n, faults, serial, sliced);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  constexpr fs::RetireMode kFull = fs::RetireMode::WashoutOnly;
+  expectObservationsEqual(d.n, faults,
+                          tk::serialOutputs(cd, stim, faults, kFull),
+                          slicedRun(cd, stim, faults, kFull).observations);
+}
+
+// ---------------------------------------------------------------------------
+// backdoor flips
+// ---------------------------------------------------------------------------
+
+// The CPU workload loads its behavioural ROM at cycle 0 as flips over the
+// all-zero array.  A soft error planted in the ROM at cycle 0 acts before
+// the load, so the loaded word keeps it flipped on both engines; a load
+// that overwrote the word would lose it on the serial oracle alone.
+TEST(BitslicedBackdoorTest, CycleZeroRomSoftErrorsMatchSerial) {
+  const cp::CpuDesign d = cp::buildTinyCpu(cp::CpuOptions::plain());
+  ASSERT_TRUE(d.behaviouralRom());
+  cp::CpuWorkload wl(d, cp::selfTestProgram(), 300);
+  ft::FaultList faults;
+  for (std::uint64_t addr = 0; addr < 8; ++addr) {
+    for (std::uint32_t bit = 0; bit < 8; ++bit) {
+      ft::Fault f;
+      f.kind = ft::FaultKind::MemSoftError;
+      f.mem = 0;
+      f.addr = addr;
+      f.bit = bit;
+      f.cycle = 0;
+      faults.push_back(f);
+    }
+  }
+  const auto cd = nl::compile(d.nl);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const auto serial = tk::serialOutputs(cd, stim, faults);
+  EXPECT_GT(detected(serial), 0u);
+  expectObservationsEqual(
+      d.nl, faults, serial,
+      slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly).observations);
+}
+
+namespace {
+
+/// Replays a plan's stimulus and makes the given backdoor flips.
+class FlipWorkload final : public sm::Workload {
+ public:
+  FlipWorkload(const tk::TestPlan& plan,
+               std::vector<std::vector<sm::MemFlip>> flips)
+      : plan_(plan), flips_(std::move(flips)) {}
+
+  [[nodiscard]] std::string name() const override { return "flips"; }
+  [[nodiscard]] std::uint64_t cycles() const override {
+    return plan_.cycles();
+  }
+  void drive(sm::Simulator& sim, std::uint64_t cycle) override {
+    for (std::size_t i = 0; i < plan_.inputs.size(); ++i) {
+      sim.setInput(plan_.inputs[i], sm::fromBool(plan_.stimulus[cycle][i]));
+    }
+  }
+  void backdoor(std::uint64_t cycle,
+                std::vector<sm::MemFlip>& flips) const override {
+    flips.insert(flips.end(), flips_[cycle].begin(), flips_[cycle].end());
+  }
+
+ private:
+  const tk::TestPlan& plan_;
+  std::vector<std::vector<sm::MemFlip>> flips_;
+};
+
+}  // namespace
+
+// Random designs with a memory, replayed with random backdoor flips: on the
+// cycle and cell of a soft error, on a stuck cell, after a soft error gave
+// its lane a clone, and anywhere.  The observations of both engines must be
+// identical at every lane width.
+TEST(BitslicedBackdoorTest, RandomFlipsOnRandomDesignsMatchSerial) {
+  const std::uint64_t base = tk::testSeed(0xF11B);
+  std::size_t flipsMade = 0;
+  std::size_t memFaults = 0;
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    const std::uint64_t seed = tk::derivedSeed(base, i);
+    SCOPED_TRACE(tk::seedMessage(seed));
+    sm::Rng rng(seed);
+    tk::GeneratorOptions g = tk::randomOptions(rng);
+    g.memories = 1;
+    const nl::Netlist n = tk::generateNetlist(g, rng);
+    tk::PlanOptions po = tk::randomPlanOptions(rng);
+    po.memFaults = static_cast<std::size_t>(rng.range(4, 10));
+    const tk::TestPlan plan = tk::generatePlan(n, po, rng);
+    const nl::MemoryInst& mem = n.memory(0);
+
+    std::vector<std::vector<sm::MemFlip>> flips(plan.cycles());
+    const auto anyCell = [&](std::uint64_t cycle) {
+      flips[cycle].push_back(
+          {0, rng.below(std::uint64_t{1} << mem.addrBits),
+           static_cast<std::uint32_t>(rng.below(mem.dataBits))});
+    };
+    for (const ft::Fault& f : plan.faults) {
+      if (f.kind == ft::FaultKind::MemSoftError) {
+        ++memFaults;
+        if (rng.coin()) flips[f.cycle].push_back({f.mem, f.addr, f.bit});
+        if (f.cycle + 1 < plan.cycles()) {
+          anyCell(f.cycle + 1 + rng.below(plan.cycles() - f.cycle - 1));
+        }
+      } else if (f.kind == ft::FaultKind::MemStuckBit) {
+        ++memFaults;
+        flips[rng.below(plan.cycles())].push_back({f.mem, f.addr, f.bit});
+      }
+    }
+    for (int k = 0; k < 3; ++k) anyCell(rng.below(plan.cycles()));
+    for (const auto& row : flips) flipsMade += row.size();
+
+    FlipWorkload wl(plan, std::move(flips));
+    const auto cd = nl::compile(n);
+    const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+    const auto serial =
+        tk::serialOutputs(cd, stim, plan.faults, fs::RetireMode::WashoutOnly);
+    for (const unsigned laneWords : {1u, 2u, 4u}) {
+      SCOPED_TRACE("laneWords=" + std::to_string(laneWords));
+      fs::FaultSimOptions o;
+      o.laneWords = laneWords;
+      expectObservationsEqual(
+          n, plan.faults, serial,
+          slicedRun(cd, stim, plan.faults, fs::RetireMode::WashoutOnly, o)
+              .observations);
+    }
+  }
+  // The sweep must have exercised the flip path on real memory faults.
+  EXPECT_GT(memFaults, 200u);
+  EXPECT_GT(flipsMade, 300u);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,13 +496,15 @@ TEST(BitslicedRetireTest, RetiresRefillsAndStaysWithinCapacity) {
   }
 
   const auto cd = nl::compile(d.n);
-  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const auto serial = tk::serialOutputs(cd, stim, faults);
 
   fs::FaultSimOptions opt;
   opt.laneWords = 1;
-  fs::BitslicedStats stats;
-  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
-  expectVerdictsEqual(d.n, faults, serial, sliced);
+  const auto sliced =
+      slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly, opt);
+  expectObservationsEqual(d.n, faults, serial, sliced.observations);
+  const fs::BitslicedStats& stats = sliced.stats;
 
   // Verdict-final lanes retired before the workload end...
   EXPECT_GT(stats.lanesRetiredEarly, 0u);
@@ -377,12 +525,11 @@ TEST(BitslicedRetireTest, WithoutEarlyAbortOnlyWashoutRetires) {
   ij::RandomWorkload wl(d.n, 80, tk::testSeed(24), {{d.rst, false}});
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
   ft::collapseStuckAt(d.n, faults);
-  fs::FaultSimOptions opt;
-  opt.earlyAbort = false;
-  fs::BitslicedStats stats;
   const auto cd = nl::compile(d.n);
-  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
-  (void)sliced;
+  const fs::BitslicedStats stats =
+      slicedRun(cd, fs::recordStimulus(cd, wl), faults,
+                fs::RetireMode::WashoutOnly)
+          .stats;
   // Permanent faults can never wash out, so nothing retires early.
   EXPECT_EQ(stats.lanesRetiredEarly, 0u);
   EXPECT_EQ(stats.convergedEarly, 0u);
@@ -403,16 +550,16 @@ TEST(BitslicedRetireTest, TransientsWashOutAndConverge) {
     f.cycle = 10;
     faults.push_back(f);
   }
-  fs::FaultSimOptions opt;
-  opt.earlyAbort = false;
   const auto cd = nl::compile(d.n);
-  const auto serial = fs::runSerialFaultSim(cd, wl, faults, opt);
-  fs::BitslicedStats stats;
-  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
-  expectVerdictsEqual(d.n, faults, serial, sliced);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const auto sliced = slicedRun(cd, stim, faults, fs::RetireMode::WashoutOnly);
+  expectObservationsEqual(
+      d.n, faults,
+      tk::serialOutputs(cd, stim, faults, fs::RetireMode::WashoutOnly),
+      sliced.observations);
   // The register is reloaded every cycle, so every undetected SEU's
   // divergence is provably gone shortly after injection.
-  EXPECT_GT(stats.convergedEarly, 0u);
+  EXPECT_GT(sliced.stats.convergedEarly, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -445,13 +592,15 @@ TEST(BitslicedActivityTest, DeepFaultInLongChainMatchesSerialVerdicts) {
   faults.push_back(f);
 
   const auto cd = nl::compile(n);
-  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
-  fs::FaultSimOptions opt;
-  opt.earlyAbort = false;  // keep the lane alive so every cycle sweeps
-  const auto serialFull = fs::runSerialFaultSim(cd, wl, faults, opt);
-  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt);
-  expectVerdictsEqual(n, faults, serialFull, sliced);
-  EXPECT_EQ(serial.detected, sliced.detected);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  // WashoutOnly keeps the lane alive so every cycle sweeps.
+  const auto sliced = slicedRun(cd, stim, faults, fs::RetireMode::WashoutOnly);
+  expectObservationsEqual(
+      n, faults,
+      tk::serialOutputs(cd, stim, faults, fs::RetireMode::WashoutOnly),
+      sliced.observations);
+  EXPECT_EQ(detected(tk::serialOutputs(cd, stim, faults)),
+            detected(sliced.observations));
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +620,8 @@ TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
     faults.push_back(f);
   }
   const auto cd = nl::compile(d.n);
-  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const auto serial = tk::serialOutputs(cd, stim, faults);
   // 0 = one worker per hardware thread (at least one).
   const unsigned allCores = std::max(1u, std::thread::hardware_concurrency());
   for (const unsigned threads : {2u, 8u, 0u}) {
@@ -479,11 +629,11 @@ TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
     fs::FaultSimOptions opt;
     opt.threads = threads;
     opt.laneWords = 1;  // several word groups -> real work sharing
-    fs::BitslicedStats stats;
-    const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults, opt, &stats);
+    const auto sliced =
+        slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly, opt);
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expectVerdictsEqual(d.n, faults, serial, sliced);
-    EXPECT_EQ(stats.workers, threads == 0 ? allCores : threads);
+    expectObservationsEqual(d.n, faults, serial, sliced.observations);
+    EXPECT_EQ(sliced.stats.workers, threads == 0 ? allCores : threads);
   }
 }
 
@@ -600,7 +750,8 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
 // Latent (dual-point) faults: every lane carries the campaign's latent
 // fault under its own.  One latent fault per way the engine overlays it — a
 // permanent force on an alarm net, a transient flip, a SET pulse (alongside
-// campaign SETs in the same cycle) and a memory overlay — must give records
+// campaign SETs in the same cycle) and a memory overlay — must give the
+// campaign watch's observations (what the records are mapped from)
 // identical to the serial oracle at one and at four threads.  64-lane words
 // and more faults than one word holds make groups refill mid-run, and late
 // SEUs fill a last group whose golden machine must restart from a clean
@@ -654,21 +805,25 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
   memStuck.stuckValue = true;
   latents.push_back(memStuck);
 
-  ij::InjectionManager mgr(bed.env);
+  const ij::InjectionManager mgr(bed.env);
+  const nl::CompiledDesignPtr& cd = bed.db.compiledShared();
+  const fs::Watch watch = mgr.watch();
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const fs::GoldenTrace golden = fs::recordGolden(cd, stim, watch);
   for (const ft::Fault& latent : latents) {
     SCOPED_TRACE("latent " + latent.describe(bed.design.nl));
-    ij::CampaignOptions serialOpt;
-    serialOpt.engine = fs::EngineKind::Serial;
-    serialOpt.preexisting = latent;
-    const auto serial = mgr.run(wl, faults, nullptr, serialOpt);
+    const auto serial = fs::runSerialWatch(cd, stim, golden, faults, watch,
+                                           latent, fs::RetireMode::Classify);
     for (const unsigned threads : {1u, 4u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      ij::CampaignOptions opt = serialOpt;
-      opt.engine = fs::EngineKind::Bitsliced;
+      fs::FaultSimOptions opt;
       opt.threads = threads;
       opt.laneWords = 1;
-      const auto sliced = mgr.run(wl, faults, nullptr, opt);
-      expectRecordsEqual(serial, sliced);
+      expectObservationsEqual(
+          bed.design.nl, faults, serial.observations,
+          fs::runBitslicedWatch(cd, stim, faults, watch, latent,
+                                fs::RetireMode::Classify, opt)
+              .observations);
     }
   }
 }
@@ -773,13 +928,16 @@ TEST(BitslicedPropertyTest, TwoHundredRandomDesignsBitIdenticalToSerial) {
     if (plan.faults.empty()) continue;
     ij::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
 
-    fs::FaultSimOptions o;
     const auto cd = nl::compile(n);
-    const auto serial = fs::runSerialFaultSim(cd, wl, plan.faults, o);
+    const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
     // Rotate the lane width with the case index so every width soaks.
+    fs::FaultSimOptions o;
     o.laneWords = (i % 3 == 0) ? 1 : (i % 3 == 1) ? 2 : 4;
-    const auto sliced = fs::runBitslicedFaultSim(cd, wl, plan.faults, o);
-    expectVerdictsEqual(n, plan.faults, serial, sliced);
+    expectObservationsEqual(
+        n, plan.faults,
+        tk::serialOutputs(cd, stim, plan.faults),
+        slicedRun(cd, stim, plan.faults, fs::RetireMode::DetectOnly, o)
+            .observations);
     faultsChecked += plan.faults.size();
   }
   // The sweep must have exercised a real fault population.
@@ -809,18 +967,25 @@ TEST(BitslicedPropertyTest, LatentFaultsOnRandomDesignsMatchSerial) {
         tk::generatePlan(n, tk::randomPlanOptions(rng), rng);
     if (plan.faults.empty()) continue;
     ij::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
-    ij::InjectionManager mgr(env);
+    const ij::InjectionManager mgr(env);
+    const nl::CompiledDesignPtr& cd = db.compiledShared();
+    const fs::Watch watch = mgr.watch();
+    const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+    const fs::GoldenTrace golden = fs::recordGolden(cd, stim, watch);
     for (int k = 0; k < 3; ++k) {
-      ij::CampaignOptions serialOpt;
-      serialOpt.engine = fs::EngineKind::Serial;
-      serialOpt.preexisting = plan.faults[rng.below(plan.faults.size())];
-      SCOPED_TRACE("latent " + serialOpt.preexisting->describe(n));
-      const auto serial = mgr.run(wl, plan.faults, nullptr, serialOpt);
-      ij::CampaignOptions opt = serialOpt;
-      opt.engine = fs::EngineKind::Bitsliced;
+      const ft::Fault latent = plan.faults[rng.below(plan.faults.size())];
+      SCOPED_TRACE("latent " + latent.describe(n));
+      const auto serial =
+          fs::runSerialWatch(cd, stim, golden, plan.faults, watch, latent,
+                             fs::RetireMode::Classify);
+      fs::FaultSimOptions opt;
       opt.laneWords = 1;
-      expectRecordsEqual(serial, mgr.run(wl, plan.faults, nullptr, opt));
-      recordsChecked += serial.records.size();
+      expectObservationsEqual(
+          n, plan.faults, serial.observations,
+          fs::runBitslicedWatch(cd, stim, plan.faults, watch, latent,
+                                fs::RetireMode::Classify, opt)
+              .observations);
+      recordsChecked += serial.observations.size();
     }
   }
   EXPECT_GT(recordsChecked, 1000u);

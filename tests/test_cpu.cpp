@@ -100,8 +100,7 @@ void cosim(const cp::CpuOptions& opt, const std::vector<std::uint8_t>& prog,
   wl.restart();
   sim.reset();
   for (std::uint64_t c = 0; c < cycles; ++c) {
-    wl.drive(sim, c);
-    wl.backdoor(sim, c);
+    sm::driveCycle(sim, wl, c);
     sim.evalComb();
     sim.clockEdge();
     // After reset (2 cycles), odd cycles are EXEC edges: c=2 FETCH, c=3 EXEC.
@@ -146,8 +145,7 @@ TEST(CpuGateLevelTest, LockstepChannelsAgreeFaultFree) {
   wl.restart();
   sim.reset();
   for (std::uint64_t c = 0; c < 400; ++c) {
-    wl.drive(sim, c);
-    wl.backdoor(sim, c);
+    sm::driveCycle(sim, wl, c);
     sim.evalComb();
     EXPECT_NE(sim.value(alarm), sm::Logic::L1) << "spurious lockstep alarm";
     sim.clockEdge();
@@ -164,8 +162,7 @@ TEST(CpuGateLevelTest, LockstepComparatorCatchesSeu) {
   sim.reset();
   bool alarmed = false;
   for (std::uint64_t c = 0; c < 400; ++c) {
-    wl.drive(sim, c);
-    wl.backdoor(sim, c);
+    sm::driveCycle(sim, wl, c);
     if (c == 40) sim.flipFf(victim);  // SEU in the checker channel
     sim.evalComb();
     if (sim.value(alarm) == sm::Logic::L1) alarmed = true;
@@ -187,8 +184,7 @@ TEST(CpuGateLevelTest, PlainCoreSeuGoesUnnoticed) {
     sim.reset();
     std::vector<std::uint64_t> outs;
     for (std::uint64_t c = 0; c < 400; ++c) {
-      wl.drive(sim, c);
-      wl.backdoor(sim, c);
+      sm::driveCycle(sim, wl, c);
       if (inject && c == 40) sim.flipFf(*d.nl.findCell("cpu0/acc_3"));
       sim.evalComb();
       outs.push_back(sim.busValue(d.core0.out));

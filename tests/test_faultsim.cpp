@@ -11,12 +11,14 @@
 #include "faultsim/toggle.hpp"
 #include "inject/workload.hpp"
 #include "netlist/builder.hpp"
+#include "testkit/oracle.hpp"
 
 namespace nl = socfmea::netlist;
 namespace fs = socfmea::faultsim;
 namespace ft = socfmea::fault;
 namespace ij = socfmea::inject;
 namespace sm = socfmea::sim;
+namespace tk = socfmea::testkit;
 
 namespace {
 
@@ -134,9 +136,11 @@ TEST(SerialFaultSimTest, DetectsObservableStuckAt) {
   f.kind = ft::FaultKind::StuckAt1;
   f.net = d.q[0];  // register output: directly observable at `sum`
   faults.push_back(f);
-  const auto res = fs::runSerialFaultSim(nl::compile(d.n), wl, faults);
-  EXPECT_EQ(res.detected, 1u);
-  EXPECT_DOUBLE_EQ(res.coverage(), 1.0);
+  const auto cd = nl::compile(d.n);
+  const auto res = tk::serialOutputs(cd, fs::recordStimulus(cd, wl), faults);
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_TRUE(res[0].obs);
+  EXPECT_FALSE(res[0].pointsDeviated.empty());
 }
 
 TEST(SerialFaultSimTest, UndetectableFaultStaysUndetected) {
@@ -153,8 +157,9 @@ TEST(SerialFaultSimTest, UndetectableFaultStaysUndetected) {
   f.kind = ft::FaultKind::StuckAt1;
   f.net = y;
   faults.push_back(f);
-  const auto res = fs::runSerialFaultSim(nl::compile(n), wl, faults);
-  EXPECT_EQ(res.detected, 0u);
+  const auto cd = nl::compile(n);
+  const auto res = tk::serialOutputs(cd, fs::recordStimulus(cd, wl), faults);
+  EXPECT_EQ(res.at(0), fs::Observation{});
 }
 
 TEST(SerialFaultSimTest, ObservedOutputsRestrictDetection) {
@@ -166,49 +171,65 @@ TEST(SerialFaultSimTest, ObservedOutputsRestrictDetection) {
   f.net = d.q[0];
   faults.push_back(f);
   // Observe only the parity output: a q0 flip changes parity -> detected.
-  fs::FaultSimOptions opt;
+  std::vector<nl::CellId> observed;
   for (nl::CellId po : d.n.primaryOutputs()) {
-    if (d.n.cell(po).name == "par") opt.observedOutputs.push_back(po);
+    if (d.n.cell(po).name == "par") observed.push_back(po);
   }
-  ASSERT_EQ(opt.observedOutputs.size(), 1u);
-  const auto res = fs::runSerialFaultSim(nl::compile(d.n), wl, faults, opt);
-  EXPECT_EQ(res.detected, 1u);
+  ASSERT_EQ(observed.size(), 1u);
+  const fs::Watch watch = fs::outputWatch(d.n, observed);
+  const auto cd = nl::compile(d.n);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const auto res = fs::runSerialWatch(
+      cd, stim, fs::recordGolden(cd, stim, watch), faults, watch,
+      std::nullopt, fs::RetireMode::DetectOnly);
+  EXPECT_TRUE(res.observations.at(0).obs);
+  EXPECT_EQ(res.observations[0].pointsDeviated,
+            std::vector<std::uint32_t>{0});
 }
 
 TEST(SerialFaultSimTest, EarlyAbortReducesCycles) {
   DataPath d;
   ij::RandomWorkload wl(d.n, 200, 7, {{d.rst, false}});
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
-  fs::FaultSimOptions fast;
-  fast.earlyAbort = true;
-  fs::FaultSimOptions full;
-  full.earlyAbort = false;
   const auto cd = nl::compile(d.n);
-  const auto r1 = fs::runSerialFaultSim(cd, wl, faults, fast);
-  const auto r2 = fs::runSerialFaultSim(cd, wl, faults, full);
-  EXPECT_EQ(r1.detected, r2.detected);  // same verdicts
-  EXPECT_LT(r1.simulatedCycles, r2.simulatedCycles);
+  const fs::Watch watch = fs::outputWatch(d.n, d.n.primaryOutputs());
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const fs::GoldenTrace golden = fs::recordGolden(cd, stim, watch);
+  const auto run = [&](fs::RetireMode retire) {
+    return fs::runSerialWatch(cd, stim, golden, faults, watch, std::nullopt,
+                              retire);
+  };
+  const auto r1 = run(fs::RetireMode::DetectOnly);
+  const auto r2 = run(fs::RetireMode::WashoutOnly);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    // Same verdicts, same first deviation.
+    EXPECT_EQ(r1.observations[i].obs, r2.observations[i].obs);
+    EXPECT_EQ(r1.observations[i].firstObsCycle,
+              r2.observations[i].firstObsCycle);
+  }
+  EXPECT_LT(r1.cycles, r2.cycles);
 }
 
 // The headline property: bit-sliced and serial engines agree on every fault.
 class EngineAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(EngineAgreement, SerialAndBitslicedVerdictsMatch) {
+TEST_P(EngineAgreement, SerialAndBitslicedObservationsMatch) {
   DataPath d;
   ij::RandomWorkload wl(d.n, 120, GetParam(), {{d.rst, false}});
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
   ft::collapseStuckAt(d.n, faults);
 
   const auto cd = nl::compile(d.n);
-  const auto serial = fs::runSerialFaultSim(cd, wl, faults);
-  const auto sliced = fs::runBitslicedFaultSim(cd, wl, faults);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
+  const auto serial = tk::serialOutputs(cd, stim, faults);
+  const auto sliced = fs::runBitslicedWatch(
+      cd, stim, faults, fs::outputWatch(d.n, d.n.primaryOutputs()),
+      std::nullopt, fs::RetireMode::DetectOnly);
 
-  ASSERT_EQ(serial.outcomes.size(), sliced.outcomes.size());
+  ASSERT_EQ(serial.size(), sliced.observations.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(serial.outcomes[i], sliced.outcomes[i])
-        << faults[i].describe(d.n);
+    EXPECT_EQ(serial[i], sliced.observations[i]) << faults[i].describe(d.n);
   }
-  EXPECT_EQ(serial.detected, sliced.detected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineAgreement,

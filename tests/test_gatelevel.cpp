@@ -236,8 +236,7 @@ TEST(GateLevelTest, WorkloadRunsGoldenWithoutSpuriousUncorrectable) {
   wl.restart();
   std::uint64_t uncorrectable = 0;
   for (std::uint64_t c = 0; c < opt.cycles; ++c) {
-    wl.drive(sim, c);
-    wl.backdoor(sim, c);
+    sm::driveCycle(sim, wl, c);
     sim.evalComb();
     for (const char* a : {"double", "addr"}) {
       const auto net = d.nl.findNet(std::string("out/alarm_") + a + "_r_q");
@@ -263,8 +262,7 @@ TEST(GateLevelTest, WorkloadDeterministicAcrossRestarts) {
       rdata[i] = *d.nl.findNet("out/rdata_r_" + std::to_string(i) + "_q");
     }
     for (std::uint64_t c = 0; c < opt.cycles; ++c) {
-      wl.drive(sim, c);
-      wl.backdoor(sim, c);
+      sm::driveCycle(sim, wl, c);
       sim.evalComb();
       trace.push_back(sim.busValue(rdata));
       sim.clockEdge();

@@ -40,6 +40,7 @@
 #include "netlist/hash.hpp"
 #include "netlist/text_format.hpp"
 #include "testkit/netlist_gen.hpp"
+#include "testkit/oracle.hpp"
 #include "testkit/plan.hpp"
 
 namespace core = socfmea::core;
@@ -496,6 +497,35 @@ TEST(IncrementalOracleTest, SecondIdenticalRunIsAFullStoreHit) {
   EXPECT_EQ(sffA, sffB);
 }
 
+// A primed store whose one campaign file no longer parses: the rerun misses
+// it once and runs cold.  The head names the key that just missed, so there
+// is no delta baseline to load a second time.
+TEST(IncrementalOracleTest, UnreadableCampaignRunsColdWithOneMiss) {
+  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const fs::path dir = freshDir("unreadable");
+  {
+    core::ArtifactStore primed(dir);
+    (void)runOracleFlow(v1, &primed, nullptr);
+  }
+  std::vector<fs::path> campaigns;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().filename().string().starts_with("campaign-")) {
+      campaigns.push_back(e.path());
+    }
+  }
+  ASSERT_EQ(campaigns.size(), 1u);
+  std::ofstream(campaigns[0])
+      << std::string(200000, '[') + std::string(200000, ']');
+
+  core::ArtifactStore store(dir);
+  const core::IncrementalCampaign rerun = runOracleFlow(v1, &store, nullptr);
+  EXPECT_FALSE(rerun.fullHit);
+  EXPECT_FALSE(rerun.deltaRun);
+  EXPECT_EQ(rerun.delta.simulated, rerun.delta.total);
+  EXPECT_EQ(store.stats().misses, 1u);
+  expectSameRecords(runOracleFlow(v1, nullptr, nullptr).result, rerun.result);
+}
+
 TEST(IncrementalOracleTest, LatentMultiSeuGroupsSplitTheCampaignKey) {
   // Two latent multi-bit upsets that differ only in their flip-flop group:
   // the second run over the same store must simulate its own campaign, not
@@ -615,14 +645,15 @@ TEST(IncrementalFuzzTest, ConeMergedVerdictsEqualColdRun) {
     const tk::TestPlan planB = tk::rebindPlan(a, b, planA);
 
     // Cold truth on both designs.
+    const nlst::CompiledDesignPtr cdA = nlst::compile(a);
     const nlst::CompiledDesignPtr cd = nlst::compile(b);
     inject::VectorWorkload wlA(planA.name, planA.inputs, planA.stimulus);
-    const faultsim::FaultSimResult onA =
-        faultsim::runSerialFaultSim(nlst::compile(a), wlA, planA.faults);
+    const auto onA = tk::serialOutputs(
+        cdA, faultsim::recordStimulus(cdA, wlA), planA.faults);
     inject::VectorWorkload wlB(planB.name, planB.inputs, planB.stimulus);
-    const faultsim::FaultSimResult onB =
-        faultsim::runSerialFaultSim(cd, wlB, planB.faults);
-    ASSERT_EQ(onA.outcomes.size(), onB.outcomes.size());
+    const auto onB = tk::serialOutputs(cd, faultsim::recordStimulus(cd, wlB),
+                                       planB.faults);
+    ASSERT_EQ(onA.size(), onB.size());
 
     // The delta-reuse rule: faults outside the affected cone of diff(a, b)
     // keep their design-A verdict; merging must reproduce the cold B run.
@@ -633,7 +664,7 @@ TEST(IncrementalFuzzTest, ConeMergedVerdictsEqualColdRun) {
     for (std::size_t i = 0; i < planB.faults.size(); ++i) {
       if (nlst::faultAffected(cone, *cd, planB.faults[i])) continue;
       ++reused;
-      EXPECT_EQ(onA.outcomes[i], onB.outcomes[i]) << "fault " << i;
+      EXPECT_EQ(onA[i].obs, onB[i].obs) << "fault " << i;
     }
     EXPECT_GT(reused, 0u);
   }

@@ -13,6 +13,7 @@
 #include "inject/workload.hpp"
 #include "netlist/builder.hpp"
 #include "obs/telemetry.hpp"
+#include "testkit/oracle.hpp"
 #include "zones/extract.hpp"
 
 namespace nl = socfmea::netlist;
@@ -20,6 +21,7 @@ namespace zn = socfmea::zones;
 namespace ft = socfmea::fault;
 namespace ij = socfmea::inject;
 namespace sm = socfmea::sim;
+namespace tk = socfmea::testkit;
 
 namespace {
 
@@ -83,7 +85,7 @@ TEST(WorkloadTest, RandomIsDeterministicAcrossRestarts) {
     sim.reset();
     std::vector<std::uint64_t> vals;
     for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
-      wl.drive(sim, c);
+      sm::driveCycle(sim, wl, c);
       sim.evalComb();
       vals.push_back(sim.busValue(tb.din));
       sim.clockEdge();
@@ -99,7 +101,7 @@ TEST(WorkloadTest, PinnedInputsHold) {
   sm::Simulator sim(tb.n);
   wl.restart();
   for (std::uint64_t c = 0; c < 32; ++c) {
-    wl.drive(sim, c);
+    sm::driveCycle(sim, wl, c);
     sim.evalComb();
     EXPECT_EQ(sim.value(tb.rst), sm::Logic::L0);
     sim.clockEdge();
@@ -705,12 +707,12 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
 
   // Fault simulation detects q0 reading 0 where golden reads X, and
   // alarm_and reading X where golden reads 0.
-  const auto fsim = socfmea::faultsim::runSerialFaultSim(nl::compile(n), wl,
-                                                         {u0Sa0, enSa1});
-  EXPECT_EQ(fsim.outcomes,
-            (std::vector<socfmea::faultsim::FaultOutcome>{
-                socfmea::faultsim::FaultOutcome::Detected,
-                socfmea::faultsim::FaultOutcome::Detected}));
+  const auto cd = nl::compile(n);
+  const auto fsim = tk::serialOutputs(
+      cd, socfmea::faultsim::recordStimulus(cd, wl), {u0Sa0, enSa1});
+  ASSERT_EQ(fsim.size(), 2u);
+  EXPECT_TRUE(fsim[0].obs);
+  EXPECT_TRUE(fsim[1].obs);
 }
 
 // ---------------------------------------------------------------------------

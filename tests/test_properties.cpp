@@ -20,6 +20,7 @@
 #include "netlist/compiled.hpp"
 #include "netlist/text_format.hpp"
 #include "sim/rng.hpp"
+#include "testkit/oracle.hpp"
 #include "testkit/seed.hpp"
 
 namespace tk = socfmea::testkit;
@@ -73,13 +74,14 @@ TEST_P(CollapseEquivalence, RepresentativeHasSameDetectability) {
   ASSERT_LT(stats.after, stats.before);  // something actually collapsed
 
   const auto cd = nl::compile(d.n);
+  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   // Each original fault must have the same verdict as its representative.
-  const auto originalRes = fs::runSerialFaultSim(cd, wl, original);
+  const auto originalRes = tk::serialOutputs(cd, stim, original);
   for (std::size_t i = 0; i < original.size(); ++i) {
     ft::FaultList one{original[i]};
     ft::collapseStuckAt(d.n, one);
-    const auto repRes = fs::runSerialFaultSim(cd, wl, one);
-    EXPECT_EQ(originalRes.outcomes[i], repRes.outcomes[0])
+    const auto repRes = tk::serialOutputs(cd, stim, one);
+    EXPECT_EQ(originalRes[i].obs, repRes[0].obs)
         << original[i].describe(d.n) << " vs representative "
         << one[0].describe(d.n);
   }
@@ -124,15 +126,16 @@ TEST_P(SnlRoundTrip, ProtectionIpSimulatesIdentically) {
   for (std::uint64_t c = 0; c < wopt.cycles; ++c) {
     // Drive both simulators with the same plan (drive() resolves nets by id,
     // which survive the round trip in creation order for inputs).
-    wl.drive(s1, c);
-    wl.backdoor(s1, c);
-    // Mirror inputs onto the reparsed design by name.
+    sm::driveCycle(s1, wl, c);
+    // Mirror inputs onto the reparsed design by name, and the flips.
     for (nl::CellId pi : design.nl.primaryInputs()) {
       const auto& cell = design.nl.cell(pi);
       s2.setInput(*reparsed.findNet(design.nl.net(cell.output).name),
                   s1.value(cell.output));
     }
-    wl.backdoor(s2, c);
+    std::vector<sm::MemFlip> flips;
+    wl.backdoor(c, flips);
+    sm::applyFlips(s2, flips);
     s1.evalComb();
     s2.evalComb();
     for (std::size_t i = 0; i < nets1.size(); ++i) {

@@ -44,7 +44,7 @@ FuzzCase makeDetectingCase(std::uint64_t campaignSeed) {
   for (std::uint64_t run = 0; run < 32; ++run) {
     FuzzCase c = makeCase(campaignSeed, run);
     const auto report = tk::runOracle(c.nl, c.plan);
-    if (report.pass && report.reference.detected > 0) return c;
+    if (report.pass && report.detected() > 0) return c;
   }
   ADD_FAILURE() << "no detecting case in 32 runs of seed " << campaignSeed;
   return makeCase(campaignSeed, 0);
@@ -300,7 +300,7 @@ TEST_P(CorpusTest, ReplaysCleanThroughAllCombos) {
   EXPECT_NO_THROW(repro.design.check());
   const auto report = tk::runOracle(repro.design, repro.plan);
   EXPECT_TRUE(report.pass) << report.summary();
-  EXPECT_EQ(report.reference.total, repro.plan.faults.size());
+  EXPECT_EQ(report.reference.size(), repro.plan.faults.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusTest,
