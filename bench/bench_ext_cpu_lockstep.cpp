@@ -29,17 +29,19 @@ void printTable() {
         Arch{"lockstep+STL", cpu::CpuOptions::lockstepStl(), 1}}) {
     const auto d = cpu::buildTinyCpu(a.opt);
     core::FmeaFlow flow(d.nl, cpu::makeCpuFlowConfig(d));
-    cpu::CpuWorkload wl(d, cpu::selfTestProgram(), 450);
+    const cpu::CpuWorkload wl(d, cpu::selfTestProgram(), 450);
     const auto env =
         inject::EnvironmentBuilder(flow.zones(), flow.effects())
             .withSeed(9)
             .build();
     inject::InjectionManager mgr(env);
+    const faultsim::StimulusTrace stim =
+        faultsim::recordStimulus(flow.zones().compiledShared(), wl);
     const auto profile =
-        inject::OperationalProfile::record(flow.zones(), wl);
+        inject::OperationalProfile::record(flow.zones(), stim);
     // The injection manager's campaign — the same path the scenario suite
     // (cpu::scenarios, run by examples/cpu_mitigation_flow) uses.
-    const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 9));
+    const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 2, 9));
     const auto silHft1 =
         fmea::silFromSff(flow.sff(), a.hft, fmea::ElementType::TypeB);
     std::printf("  %-15s %9.2f%%  %8.2f%%   %-9s %-9s %9.2f%%  %12.2f%%\n",
@@ -61,20 +63,19 @@ void printTable() {
 
 void BM_CpuCosimCycle(benchmark::State& state) {
   const auto d = cpu::buildTinyCpu(cpu::CpuOptions::lockstepCpu());
-  cpu::CpuWorkload wl(d, cpu::selfTestProgram(), 450);
-  sim::Simulator sim(d.nl);
+  const netlist::CompiledDesignPtr cd = netlist::compile(d.nl);
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(
+      cd, cpu::CpuWorkload(d, cpu::selfTestProgram(), 450));
+  sim::Simulator sim(cd);
   std::uint64_t c = 0;
   for (auto _ : state) {
     // The workload's ROM load is a set of flips over all-zero memories, so
     // every pass over the program starts from a reset machine.
-    if (c == 0) {
-      wl.restart();
-      faultsim::resetMachine(sim);
-    }
-    sim::driveCycle(sim, wl, c);
+    if (c == 0) faultsim::resetMachine(sim);
+    stim.apply(sim, c);
     sim.evalComb();
     sim.clockEdge();
-    c = (c + 1) % wl.cycles();
+    c = (c + 1) % stim.cycles();
     state.counters["cycles/s"] =
         benchmark::Counter(1, benchmark::Counter::kIsRate);
   }

@@ -4,7 +4,6 @@
 // their converging cones, and showing how distinct physical faults in one
 // cone all manifest as the same zone failure.
 #include "bench_util.hpp"
-#include "fault/harness.hpp"
 #include "faultsim/serial.hpp"
 #include "zones/extract.hpp"
 
@@ -38,8 +37,17 @@ void printTable() {
   const auto zid = db.findZone("dec/s1_syn");
   if (zid) {
     const auto& z = db.zone(*zid);
-    sim::Simulator sim(f.v2.nl);
-    memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(400));
+    const faultsim::StimulusTrace stim = faultsim::recordStimulus(
+        db.compiledShared(),
+        memsys::ProtectionIpWorkload(f.v2, benchutil::workloadOptions(400)));
+    sim::Simulator sim(db.compiledShared());
+    // Golden zone trace.
+    std::vector<std::uint64_t> golden;
+    (void)faultsim::runMachine(sim, stim, nullptr, nullptr,
+                               [&](const sim::Simulator& s, std::uint64_t) {
+                                 golden.push_back(s.busValue(z.valueNets));
+                                 return false;
+                               });
     std::size_t converged = 0;
     std::size_t tried = 0;
     for (std::size_t gi = 0; gi < z.cone.gates.size() && tried < 24; gi += 7) {
@@ -48,30 +56,14 @@ void printTable() {
       flt.kind = fault::FaultKind::StuckAt1;
       flt.cell = z.cone.gates[gi];
       flt.net = f.v2.nl.cell(flt.cell).output;
-      fault::FaultHarness h(flt);
-
-      // Golden zone trace.
-      wl.restart();
-      faultsim::resetMachine(sim);
-      std::vector<std::uint64_t> golden;
-      for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
-        sim::driveCycle(sim, wl, c);
-        sim.evalComb();
-        golden.push_back(sim.busValue(z.valueNets));
-        sim.clockEdge();
-      }
-      // Faulty run.
-      wl.restart();
-      faultsim::resetMachine(sim);
-      h.install(sim);
+      // Faulty run, stopped at the zone's first deviation.
       bool deviated = false;
-      for (std::uint64_t c = 0; c < wl.cycles() && !deviated; ++c) {
-        sim::driveCycle(sim, wl, c);
-        sim.evalComb();
-        deviated = sim.busValue(z.valueNets) != golden[c];
-        sim.clockEdge();
-      }
-      h.remove(sim);
+      (void)faultsim::runMachine(
+          sim, stim, nullptr, &flt,
+          [&](const sim::Simulator& s, std::uint64_t c) {
+            deviated = s.busValue(z.valueNets) != golden[c];
+            return deviated;
+          });
       if (deviated) ++converged;
     }
     std::cout << "\nconvergence demo on zone 'dec/s1_syn' (cone of "

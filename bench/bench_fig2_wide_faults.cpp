@@ -28,7 +28,9 @@ void printTable() {
                        .withSeed(2)
                        .build();
   inject::InjectionManager mgr(env);
-  memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1000));
+  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1000));
+  const faultsim::StimulusTrace stim =
+      faultsim::recordStimulus(db.compiledShared(), wl);
 
   sim::Rng rng(2);
   fault::FaultList wide;
@@ -53,7 +55,7 @@ void printTable() {
   inject::CampaignOptions opt;
   opt.earlyAbort = false;
   const auto runHisto = [&](const char* name, const fault::FaultList& faults) {
-    const auto res = mgr.run(wl, faults, nullptr, opt);
+    const auto res = mgr.run(stim, faults, nullptr, opt);
     std::map<std::size_t, std::size_t> histo;
     std::size_t multi = 0;
     for (const auto& r : res.records) {

@@ -34,12 +34,14 @@ void printTable() {
   const auto env =
       inject::EnvironmentBuilder(db, fx).withSeed(3).withDetectionWindow(24).build();
   inject::InjectionManager mgr(env);
-  memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1200));
-  const auto profile = inject::OperationalProfile::record(db, wl);
+  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1200));
+  const faultsim::StimulusTrace stim =
+      faultsim::recordStimulus(db.compiledShared(), wl);
+  const auto profile = inject::OperationalProfile::record(db, stim);
   inject::CampaignOptions copt;
   copt.earlyAbort = false;  // observe the full effect migration
   const auto res =
-      mgr.run(wl, mgr.zoneFailureFaults(profile, 1, 3), nullptr, copt);
+      mgr.run(stim, mgr.zoneFailureFaults(profile, 1, 3), nullptr, copt);
 
   inject::ResultAnalyzer analyzer(db, fx);
   const auto table = analyzer.effectsTable(res);

@@ -26,8 +26,10 @@ void printTable() {
             << " DIAG nets, detection window " << env.detectionWindow
             << " cycles\n";
 
-  memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1500));
-  const auto profile = inject::OperationalProfile::record(db, wl);
+  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1500));
+  const faultsim::StimulusTrace stim =
+      faultsim::recordStimulus(db.compiledShared(), wl);
+  const auto profile = inject::OperationalProfile::record(db, stim);
   std::cout << "operational profile: " << profile.totalCycles()
             << " cycles, workload completeness "
             << profile.completeness() * 100.0 << "% of zones triggered\n";
@@ -49,7 +51,7 @@ void printTable() {
       inject::randomizeFaultList(db, profile, compacted, 220, 4);
   inject::InjectionManager mgr(env);
   inject::CoverageCollector cov(mgr.environment());
-  const auto res = mgr.run(wl, faults, &cov);
+  const auto res = mgr.run(stim, faults, &cov);
   inject::printCampaign(std::cout, res);
   cov.print(std::cout, db);
   std::cout << "completeness criterion "
@@ -64,14 +66,16 @@ void BM_CampaignThroughput(benchmark::State& state) {
                        .withSeed(4)
                        .build();
   inject::InjectionManager mgr(env);
-  memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(600));
-  const auto profile = inject::OperationalProfile::record(db, wl);
+  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(600));
+  const faultsim::StimulusTrace stim =
+      faultsim::recordStimulus(db.compiledShared(), wl);
+  const auto profile = inject::OperationalProfile::record(db, stim);
   const auto faults = mgr.zoneFailureFaults(profile, 1, 4);
   const auto subset =
       fault::FaultList(faults.begin(),
                        faults.begin() + std::min<std::size_t>(32, faults.size()));
   for (auto _ : state) {
-    const auto res = mgr.run(wl, subset);
+    const auto res = mgr.run(stim, subset);
     benchmark::DoNotOptimize(res.records.size());
     state.counters["injections/s"] = benchmark::Counter(
         static_cast<double>(subset.size()), benchmark::Counter::kIsRate);
@@ -83,9 +87,11 @@ BENCHMARK(BM_CampaignThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_OperationalProfile(benchmark::State& state) {
   auto& f = benchutil::frmem();
-  memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(600));
+  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(600));
+  const faultsim::StimulusTrace stim =
+      faultsim::recordStimulus(f.flowV2.zones().compiledShared(), wl);
   for (auto _ : state) {
-    const auto p = inject::OperationalProfile::record(f.flowV2.zones(), wl);
+    const auto p = inject::OperationalProfile::record(f.flowV2.zones(), stim);
     benchmark::DoNotOptimize(p.completeness());
   }
 }

@@ -19,7 +19,7 @@ namespace {
 void printTable() {
   benchutil::banner("T-VAL", "Section 5: validation steps a-d on v2");
   auto& f = benchutil::frmem();
-  memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(2000));
+  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(2000));
   core::ValidationOptions opt;
   opt.zoneFailuresPerBit = 1;
   const auto rep = core::runValidationFlow(f.flowV2, wl, opt);
@@ -40,8 +40,10 @@ void printTable() {
             .withDetectionWindow(24)
             .build();
     inject::InjectionManager mgr(env);
+    const faultsim::StimulusTrace stim =
+        faultsim::recordStimulus(f.flowV2.zones().compiledShared(), wl);
     const auto profile =
-        inject::OperationalProfile::record(f.flowV2.zones(), wl);
+        inject::OperationalProfile::record(f.flowV2.zones(), stim);
     // Campaign faults: SEUs on the output registers (covered by the
     // monitored-outputs comparator in the healthy design).
     fault::FaultList seus;
@@ -51,14 +53,14 @@ void printTable() {
         seus.push_back(zf);
       }
     }
-    const auto healthy = mgr.run(wl, seus);
+    const auto healthy = mgr.run(stim, seus);
 
     fault::Fault latent;
     latent.kind = fault::FaultKind::StuckAt0;
     latent.net = *f.v2.nl.findNet("out/alarm_out_r_q");
     inject::CampaignOptions copt;
     copt.preexisting = latent;
-    const auto degraded = mgr.run(wl, seus, nullptr, copt);
+    const auto degraded = mgr.run(stim, seus, nullptr, copt);
 
     std::cout << "\nlatent-fault degradation (" << seus.size()
               << " output-register SEUs):\n"
@@ -110,8 +112,8 @@ struct Ablation {
 
   Ablation() {
     fault::collapseStuckAt(d.n, faults);
-    inject::RandomWorkload wl(d.n, 128, 9, {{d.rst, false}});
-    stim = faultsim::recordStimulus(cd, wl);
+    stim = faultsim::recordStimulus(
+        cd, inject::RandomWorkload(d.n, 128, 9, {{d.rst, false}}));
   }
 };
 
@@ -145,10 +147,11 @@ BENCHMARK(BM_BitslicedFaultSim)->Unit(benchmark::kMillisecond);
 
 void BM_ToggleCoverage(benchmark::State& state) {
   auto& f = benchutil::frmem();
-  memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(800));
   const netlist::CompiledDesignPtr& cd = f.flowV2.zones().compiledShared();
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(
+      cd, memsys::ProtectionIpWorkload(f.v2, benchutil::workloadOptions(800)));
   for (auto _ : state) {
-    const auto tc = faultsim::measureToggle(cd, wl);
+    const auto tc = faultsim::measureToggle(cd, stim);
     benchmark::DoNotOptimize(tc.onceFraction());
   }
 }

@@ -50,8 +50,10 @@ int main() {
   const auto env =
       inject::EnvironmentBuilder(flow.zones(), flow.effects()).withSeed(8).build();
   inject::InjectionManager mgr(env);
-  const auto profile = inject::OperationalProfile::record(flow.zones(), wl);
-  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 3, 8));
+  const faultsim::StimulusTrace stim =
+      faultsim::recordStimulus(flow.zones().compiledShared(), wl);
+  const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
+  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 3, 8));
   inject::printCampaign(std::cout, res);
   std::cout << "\nthe comparator catches state corruption in either channel;"
                " the residual is the\nshared fetch stream (common mode) —"

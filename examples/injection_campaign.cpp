@@ -75,9 +75,10 @@ int main(int argc, char** argv) {
   // 2. Operational profiler.
   memsys::ProtectionIpWorkload::Options wopt;
   wopt.cycles = 1600;
-  memsys::ProtectionIpWorkload workload(dut, wopt);
-  const auto profile =
-      inject::OperationalProfile::record(flow.zones(), workload);
+  const memsys::ProtectionIpWorkload workload(dut, wopt);
+  const faultsim::StimulusTrace stim =
+      faultsim::recordStimulus(flow.zones().compiledShared(), workload);
+  const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
   profile.print(std::cout, flow.zones(), 8);
 
   // 3. Candidate list -> collapser -> randomiser.
@@ -110,7 +111,8 @@ int main(int argc, char** argv) {
     if (const auto art = store->load("walkthrough-campaign", campKey)) {
       const auto cache = inject::CachedCampaign::fromJson(*art);
       if (auto records = inject::bindCampaignRecords(
-              cache, dut.nl, faults, flow.zones(), flow.effects())) {
+              cache, dut.nl, faults, flow.zones(), flow.effects(),
+              stim.cycles())) {
         result.records = std::move(*records);
         for (const inject::InjectionRecord& rec : result.records) {
           coverage.account(rec.obs);
@@ -120,7 +122,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!storeHit) {
-    result = manager.run(workload, faults, &coverage, copt);
+    result = manager.run(stim, faults, &coverage, copt);
     if (store) {
       store->save("walkthrough-campaign", campKey,
                   inject::campaignRecordsToJson(dut.nl, flow.zones(),

@@ -79,7 +79,7 @@ IncrementalFlow::IncrementalFlow(const netlist::Netlist& nl, FlowConfig cfg,
       flow_(nl, std::move(cfg)) {}
 
 IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
-    sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
+    const sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
     std::uint64_t detectionWindow, const inject::CampaignOptions& copt) {
   const netlist::Netlist& nl = *nl_;
   const zones::ZoneDatabase& db = flow_.zones();
@@ -92,8 +92,9 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
           .withDetectionWindow(detectionWindow)
           .build();
   inject::InjectionManager mgr(env);
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
   const inject::OperationalProfile profile =
-      inject::OperationalProfile::record(db, wl);
+      inject::OperationalProfile::record(db, stim);
   fault::FaultList faults = mgr.zoneFailureFaults(profile, perBit, seed);
   if (opt_.memFaultsPerKind > 0) {
     for (netlist::MemoryId m = 0; m < nl.memoryCount(); ++m) {
@@ -104,7 +105,6 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   }
 
   std::uint64_t stimTotal = 0;
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
   const obs::Json stimJson = stimulusHashes(nl, stim, &stimTotal);
 
   std::uint64_t faultsHash = 0xFA17u;
@@ -126,12 +126,12 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
     ArtifactStore* store = opt_.store;
     if (store != nullptr) {
       // Hit: every verdict comes from the store.  Records that do not bind
-      // (a foreign artifact under a colliding key) take the miss path
-      // below, which overwrites them.
+      // (a foreign artifact under a colliding key, a cycle outside the
+      // workload) take the miss path below, which overwrites them.
       if (const auto art = store->load("campaign", campaignKey)) {
         if (auto records = inject::bindCampaignRecords(
                 inject::CachedCampaign::fromJson(*art), nl, faults, db,
-                effects)) {
+                effects, stim.cycles())) {
           out.result.records = std::move(*records);
           for (const inject::InjectionRecord& rec : out.result.records) {
             cov.account(rec.obs);
@@ -187,7 +187,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
             const inject::CachedCampaign cache =
                 inject::CachedCampaign::fromJson(*prevArt);
             out.result = inject::runCampaignDelta(
-                mgr, wl, faults, cache, cone, &cov, copt,
+                mgr, stim, faults, cache, cone, &cov, copt,
                 opt_.revalidateFraction, &out.delta);
             out.deltaRun = true;
           } catch (const std::exception&) {
@@ -197,7 +197,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
       }
     }
     if (!out.deltaRun) {
-      out.result = mgr.run(wl, faults, &cov, copt);
+      out.result = mgr.run(stim, faults, &cov, copt);
       out.delta.total = faults.size();
       out.delta.simulated = faults.size();
     }
@@ -254,7 +254,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
 
 IncrementalFlow::CandidateEvaluation IncrementalFlow::evaluateCandidate(
     const netlist::Netlist& nl, FlowConfig cfg, IncrementalOptions opt,
-    sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
+    const sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
     std::uint64_t detectionWindow, const inject::CampaignOptions& copt) {
   CandidateEvaluation ev;
   ev.flow = std::make_unique<IncrementalFlow>(nl, std::move(cfg), opt);

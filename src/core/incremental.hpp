@@ -69,13 +69,14 @@ class IncrementalFlow {
     return opt_;
   }
 
-  /// The paper's validation step (a) with delta reuse: enumerates the
-  /// zone-failure fault list, then loads / delta-merges / cold-runs the
-  /// campaign (timed as the flow graph's "campaign" stage) and persists the
-  /// artifact + head state for the next iteration.  Exports
-  /// `flow.incremental.*` telemetry.
+  /// The paper's validation step (a) with delta reuse: records `wl` once
+  /// (faultsim::recordStimulus) for the profile, the stimulus hash and the
+  /// campaign, enumerates the zone-failure fault list, then loads /
+  /// delta-merges / cold-runs the campaign (timed as the flow graph's
+  /// "campaign" stage) and persists the artifact + head state for the next
+  /// iteration.  Exports `flow.incremental.*` telemetry.
   [[nodiscard]] IncrementalCampaign runZoneFailureCampaign(
-      sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
+      const sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
       std::uint64_t detectionWindow,
       const inject::CampaignOptions& copt = {});
 
@@ -95,7 +96,7 @@ class IncrementalFlow {
   };
   [[nodiscard]] static CandidateEvaluation evaluateCandidate(
       const netlist::Netlist& nl, FlowConfig cfg, IncrementalOptions opt,
-      sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
+      const sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
       std::uint64_t detectionWindow,
       const inject::CampaignOptions& copt = {});
 

@@ -50,7 +50,7 @@ std::vector<netlist::CellId> alarmOutputs(const netlist::Netlist& nl,
 }  // namespace
 
 ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
-                                       sim::Workload& workload,
+                                       const sim::Workload& workload,
                                        const ValidationOptions& opt) {
   ValidationFlowReport rep;
   const netlist::Netlist& nl = flow.design();
@@ -64,8 +64,9 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
           .withDetectionWindow(kDetectionWindow)
           .build();
   inject::InjectionManager mgr(env);
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, workload);
   const inject::OperationalProfile profile =
-      inject::OperationalProfile::record(db, workload);
+      inject::OperationalProfile::record(db, stim);
   inject::ResultAnalyzer analyzer(db, effects);
   sim::Rng rng(opt.seed);
 
@@ -74,7 +75,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     const fault::FaultList faults =
         mgr.zoneFailureFaults(profile, opt.zoneFailuresPerBit, opt.seed);
     inject::CoverageCollector cov(mgr.environment());
-    rep.zoneCampaign = mgr.run(workload, faults, &cov, opt.campaign);
+    rep.zoneCampaign = mgr.run(stim, faults, &cov, opt.campaign);
     rep.zoneValidation =
         analyzer.validate(flow.sheet(), rep.zoneCampaign, kTolerance);
     rep.campaignCompleteness = cov.completeness();
@@ -85,7 +86,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
 
   // ---- step (b): workload efficiency (toggle coverage) -----------------------
   {
-    rep.toggle = faultsim::measureToggle(cd, workload);
+    rep.toggle = faultsim::measureToggle(cd, stim);
     rep.stepBPass = rep.toggle.passes(kToggleThreshold);
   }
 
@@ -117,7 +118,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     }
     const fault::FaultList randomized = inject::randomizeFaultList(
         db, profile, local, local.size(), opt.seed + 1);
-    rep.localCampaign = mgr.run(workload, randomized, nullptr, opt.campaign);
+    rep.localCampaign = mgr.run(stim, randomized, nullptr, opt.campaign);
     rep.localMeasuredSff = rep.localCampaign.measuredSff();
 
     // Fault simulator: permanent-fault coverage of the *diagnostic* (alarm
@@ -133,7 +134,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     const faultsim::Watch alarms =
         faultsim::outputWatch(nl, alarmOutputs(nl, effects));
     const inject::WatchRun fs =
-        mgr.runWatch(workload, stuckOnly, alarms, std::nullopt,
+        mgr.runWatch(stim, stuckOnly, alarms, std::nullopt,
                      faultsim::RetireMode::DetectOnly, opt.campaign);
     const auto detected = std::count_if(
         fs.observations.begin(), fs.observations.end(),
@@ -181,7 +182,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     }
     inject::CampaignOptions copt = opt.campaign;
     copt.earlyAbort = false;  // observe the full multiple-failure picture
-    rep.wideCampaign = mgr.run(workload, wide, nullptr, copt);
+    rep.wideCampaign = mgr.run(stim, wide, nullptr, copt);
     for (const inject::InjectionRecord& r : rep.wideCampaign.records) {
       if (r.obs.zonesDeviated.size() > 1) ++rep.multiZoneFailures;
     }

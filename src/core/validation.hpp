@@ -65,9 +65,11 @@ struct ValidationFlowReport {
   [[nodiscard]] obs::Json toJson() const;
 };
 
-/// Runs the full validation flow on a design analyzed by `flow`.
+/// Runs the full validation flow on a design analyzed by `flow`.  Records
+/// `workload` once (faultsim::recordStimulus); the profile, the toggle
+/// pass and every campaign of steps (a)-(d) replay that recording.
 [[nodiscard]] ValidationFlowReport runValidationFlow(
-    const FmeaFlow& flow, sim::Workload& workload,
+    const FmeaFlow& flow, const sim::Workload& workload,
     const ValidationOptions& opt = {});
 
 void printValidationFlow(std::ostream& out, const ValidationFlowReport& rep);

@@ -141,13 +141,15 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   r.analysisDc = flow.dc();
   r.sil = flow.sil();
 
-  CpuWorkload wl(d, s.design.program, s.cycles);
   const auto env = inject::EnvironmentBuilder(flow.zones(), flow.effects())
                        .withSeed(opt.seed)
                        .withDetectionWindow(kDetectionWindow)
                        .build();
   inject::InjectionManager mgr(env);
-  const auto profile = inject::OperationalProfile::record(flow.zones(), wl);
+  const faultsim::StimulusTrace stim =
+      faultsim::recordStimulus(flow.zones().compiledShared(),
+                               CpuWorkload(d, s.design.program, s.cycles));
+  const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
   const auto faults = mgr.zoneFailureFaults(profile, opt.perBit, opt.seed);
   r.faults = faults.size();
 
@@ -160,7 +162,7 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   if (copt.engine == faultsim::EngineKind::Auto && copt.threads == 1) {
     copt.engine = faultsim::EngineKind::Serial;
   }
-  r.campaign.merged = mgr.run(wl, faults, nullptr, copt);
+  r.campaign.merged = mgr.run(stim, faults, nullptr, copt);
 
   r.tally = r.campaign.merged.tally();
   r.measuredSff = inject::CampaignResult::measuredSff(r.tally);

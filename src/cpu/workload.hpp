@@ -16,10 +16,9 @@ class CpuWorkload final : public sim::Workload {
               std::uint64_t cycles = 600)
       : d_(&design), program_(padProgram(std::move(program))), cycles_(cycles) {}
 
-  [[nodiscard]] std::string name() const override { return "cpu-selftest"; }
   [[nodiscard]] std::uint64_t cycles() const override { return cycles_; }
 
-  void drive(sim::Simulator& sim, std::uint64_t cycle) override {
+  void drive(sim::Simulator& sim, std::uint64_t cycle) const override {
     sim.setInput(d_->rst, sim::fromBool(cycle < 2));
   }
 

@@ -44,17 +44,15 @@ GoldenTrace recordGolden(const netlist::CompiledDesignPtr& cd,
   g.nets.insert(g.nets.end(), watch.asserted.begin(), watch.asserted.end());
   sim::Simulator sim(cd);
   sim.setEvalMode(evalMode);
-  resetMachine(sim);
   g.values.reserve(stim.cycles());
-  for (std::uint64_t c = 0; c < stim.cycles(); ++c) {
-    stim.apply(sim, c);
-    sim.evalComb();
-    std::vector<sim::Logic> row;
+  const auto observe = [&](const sim::Simulator& s, std::uint64_t) {
+    const std::span<const sim::Logic> now = s.netValues();
+    std::vector<sim::Logic>& row = g.values.emplace_back();
     row.reserve(g.nets.size());
-    for (netlist::NetId n : g.nets) row.push_back(sim.value(n));
-    g.values.push_back(std::move(row));
-    sim.clockEdge();
-  }
+    for (netlist::NetId n : g.nets) row.push_back(now[n]);
+    return false;
+  };
+  (void)runMachine(sim, stim, nullptr, nullptr, observe);
   return g;
 }
 
@@ -93,7 +91,7 @@ SerialCampaign runSerialWatch(const netlist::CompiledDesignPtr& cd,
     std::fill(groupHit.begin(), groupHit.end(), 0);
     std::fill(pointHit.begin(), pointHit.end(), 0);
     run.cycles += runMachine(
-        sim, stim, latent ? &*latent : nullptr, faults[fi],
+        sim, stim, latent ? &*latent : nullptr, &faults[fi],
         [&](const sim::Simulator& s, std::uint64_t c) {
           const std::span<const sim::Logic> now = s.netValues();
           const std::vector<sim::Logic>& gold = golden.values[c];

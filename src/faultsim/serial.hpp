@@ -11,6 +11,7 @@
 // and alarms: the SENS, OBSE and DIAG monitors of the paper's Figure 4).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -129,9 +130,9 @@ struct GoldenTrace {
 };
 
 /// Puts `sim` in the state every machine of a campaign starts from: reset()
-/// plus fault-free memories filled with 0.  Both engines start each run
-/// here: runMachine each faulty machine, the bit-sliced engine the golden
-/// machine of each word group.
+/// plus fault-free memories filled with 0.  Every run starts here:
+/// runMachine each fault-free and faulty machine, the bit-sliced engine the
+/// golden machine of each word group.
 inline void resetMachine(sim::Simulator& sim) {
   sim.reset();
   for (netlist::MemoryId m = 0; m < sim.design().memoryCount(); ++m) {
@@ -140,55 +141,59 @@ inline void resetMachine(sim::Simulator& sim) {
   }
 }
 
-/// The serial oracle's per-fault step (runSerialWatch).  Resets `sim` with
-/// resetMachine, installs `latent` (when non-null) and then `f`, and
-/// replays the recorded stimulus cycle by cycle: SEU / soft-error flips,
-/// the inputs and backdoor flips (StimulusTrace::apply), the settle, SET
-/// pulses in install order (each settled before the next one reads its
-/// net), `observe(sim, cycle)`, then the clock edge.  `observe`
-/// returns true to stop the machine after that cycle's edge.  Removes both
-/// faults again and returns the cycles simulated.  A template so the
-/// per-cycle observer inlines into the campaign's hot loop.
+/// One machine of the serial oracle: the fault-free machine when `f` is
+/// null (recordGolden, the operational profile, the toggle pass), a faulty
+/// machine of runSerialWatch otherwise.  Resets `sim` with resetMachine,
+/// installs `latent` and then `f` (each when non-null), and replays the
+/// recorded stimulus cycle by cycle: SEU / soft-error flips, the inputs and
+/// backdoor flips (StimulusTrace::apply), the settle, SET pulses in install
+/// order (each settled before the next one reads its net),
+/// `observe(sim, cycle)`, then the clock edge.  `observe` returns true to
+/// stop the machine after that cycle's edge.  Removes the faults again and
+/// returns the cycles simulated.  A template so the per-cycle observer
+/// inlines into the campaign's hot loop.
 template <typename Observe>
 std::uint64_t runMachine(sim::Simulator& sim, const StimulusTrace& stim,
-                         const fault::Fault* latent, const fault::Fault& f,
+                         const fault::Fault* latent, const fault::Fault* f,
                          Observe&& observe) {
-  std::optional<fault::FaultHarness> latentHarness;
-  if (latent != nullptr) latentHarness.emplace(*latent);
-  fault::FaultHarness harness(f);
+  // Install order: the latent fault, then `f`.
+  std::array<std::optional<fault::FaultHarness>, 2> harnesses;
+  if (latent != nullptr) harnesses[0].emplace(*latent);
+  if (f != nullptr) harnesses[1].emplace(*f);
   resetMachine(sim);
-  if (latentHarness) latentHarness->install(sim);
-  harness.install(sim);
+  for (auto& h : harnesses) {
+    if (h) h->install(sim);
+  }
 
   std::uint64_t c = 0;
   while (c < stim.cycles()) {
-    if (latentHarness) latentHarness->beforeCycle(sim, c);
-    harness.beforeCycle(sim, c);
+    for (auto& h : harnesses) {
+      if (h) h->beforeCycle(sim, c);
+    }
     stim.apply(sim, c);
     sim.evalComb();
-    if (latentHarness && latentHarness->wantsPulse(c)) {
-      latentHarness->applyPulse(sim);
-      sim.evalComb();
-    }
-    if (harness.wantsPulse(c)) {
-      harness.applyPulse(sim);
-      sim.evalComb();
+    for (auto& h : harnesses) {
+      if (h && h->wantsPulse(c)) {
+        h->applyPulse(sim);
+        sim.evalComb();
+      }
     }
     const bool stop = observe(sim, c);
     sim.clockEdge();
-    if (latentHarness) latentHarness->afterEdge(sim);
-    harness.afterEdge(sim);
+    for (auto& h : harnesses) {
+      if (h) h->afterEdge(sim);
+    }
     ++c;
     if (stop) break;
   }
-  harness.remove(sim);
-  if (latentHarness) latentHarness->remove(sim);
+  if (harnesses[1]) harnesses[1]->remove(sim);
+  if (harnesses[0]) harnesses[0]->remove(sim);
   return c;
 }
 
-/// Records the golden trace of `watch`'s nets by one fault-free replay of
-/// `stim`, the stimulus every faulty machine replays.  The recording
-/// Simulator shares `cd`.
+/// Records the golden trace of `watch`'s nets: the fault-free runMachine
+/// over `stim`, the stimulus every faulty machine replays, on a Simulator
+/// that shares `cd`.
 [[nodiscard]] GoldenTrace recordGolden(
     const netlist::CompiledDesignPtr& cd, const StimulusTrace& stim,
     const Watch& watch,

@@ -1,10 +1,10 @@
-// Recorded stimulus: one fault-free run captures what the workload drives
-// per cycle and the memory bit flips its backdoor makes, and both engines
-// replay the recording instead of calling the workload — drive() may mutate
-// workload state, and replay never calls it.  The serial oracle's machine
-// step (faultsim::runMachine) replays it for the golden and every faulty
-// machine; the bit-sliced engine replays it on its lockstep golden machine
-// and mirrors the flips into lane-owned memory clones.
+// Recorded stimulus: what the workload drives per cycle and the memory bit
+// flips its backdoor makes, captured once per flow by recordStimulus — the
+// workload's only caller — and handed down to every consumer, which replays
+// it instead of calling the workload.  The fault-free and every faulty
+// machine of the serial oracle step through faultsim::runMachine, which
+// replays it; the bit-sliced engine replays it on its lockstep golden
+// machine and mirrors the flips into lane-owned memory clones.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +28,10 @@ struct StimulusTrace {
   void apply(sim::Simulator& sim, std::uint64_t c) const;
 };
 
-/// Records the stimulus a workload produces (one fault-free run on a
-/// Simulator that shares `cd`, restarted and from all-zero memories).  The
-/// only campaign step that calls the workload.
+/// Records the stimulus `wl` produces on the primary inputs of `cd`'s
+/// design (an input the workload never drives reads 0), timed as the
+/// inject.record_stimulus telemetry timer.
 [[nodiscard]] StimulusTrace recordStimulus(const netlist::CompiledDesignPtr& cd,
-                                           sim::Workload& wl);
+                                           const sim::Workload& wl);
 
 }  // namespace socfmea::faultsim

@@ -1,7 +1,9 @@
 #include "faultsim/toggle.hpp"
 
 #include <ostream>
+#include <span>
 
+#include "faultsim/serial.hpp"
 #include "netlist/levelize.hpp"
 
 namespace socfmea::faultsim {
@@ -171,27 +173,24 @@ std::vector<bool> structurallyConstantNets(const netlist::Netlist& nl) {
 }
 
 ToggleCoverage measureToggle(const netlist::CompiledDesignPtr& cd,
-                             sim::Workload& wl) {
+                             const StimulusTrace& stim) {
   const netlist::Netlist& nl = cd->design();
   sim::Simulator sim(cd);
   const std::size_t nets = nl.netCount();
   std::vector<bool> sawRise(nets, false);
   std::vector<bool> sawFall(nets, false);
   std::vector<sim::Logic> prev(nets, sim::Logic::LX);
-
-  wl.restart();
-  sim.reset();
-  for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
-    sim::driveCycle(sim, wl, c);
-    sim.evalComb();
+  const auto observe = [&](const sim::Simulator& s, std::uint64_t) {
+    const std::span<const sim::Logic> now = s.netValues();
     for (netlist::NetId n = 0; n < nets; ++n) {
-      const sim::Logic v = sim.value(n);
+      const sim::Logic v = now[n];
       if (prev[n] == sim::Logic::L0 && v == sim::Logic::L1) sawRise[n] = true;
       if (prev[n] == sim::Logic::L1 && v == sim::Logic::L0) sawFall[n] = true;
       prev[n] = v;
     }
-    sim.clockEdge();
-  }
+    return false;
+  };
+  (void)runMachine(sim, stim, nullptr, nullptr, observe);
 
   const std::vector<bool> constant = structurallyConstantNets(nl);
   ToggleCoverage tc;

@@ -8,8 +8,8 @@
 #include <iosfwd>
 #include <vector>
 
+#include "faultsim/stimulus.hpp"
 #include "netlist/compiled.hpp"
-#include "sim/workload.hpp"
 
 namespace socfmea::faultsim {
 
@@ -42,11 +42,12 @@ struct ToggleCoverage {
 [[nodiscard]] std::vector<bool> structurallyConstantNets(
     const netlist::Netlist& nl);
 
-/// Runs the workload fault-free on a Simulator that shares `cd` and
-/// measures net toggling.  Constant-driven and structurally constant nets
-/// are excluded from the denominator (they cannot toggle by design).
+/// Replays `stim` on the fault-free machine (runMachine, on a Simulator
+/// that shares `cd`) and measures net toggling.  Constant-driven and
+/// structurally constant nets are excluded from the denominator (they
+/// cannot toggle by design).
 [[nodiscard]] ToggleCoverage measureToggle(const netlist::CompiledDesignPtr& cd,
-                                           sim::Workload& wl);
+                                           const StimulusTrace& stim);
 
 void printToggle(std::ostream& out, const netlist::Netlist& nl,
                  const ToggleCoverage& tc, std::size_t maxUntoggled = 10);

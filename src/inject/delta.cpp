@@ -32,7 +32,12 @@ obs::Json nameArray(const std::vector<std::string>& names) {
 
 std::optional<InjectionRecord> bindCachedRecord(
     const CachedRecord& c, const fault::Fault& f,
-    const zones::ZoneDatabase& db, const zones::EffectsModel& effects) {
+    const zones::ZoneDatabase& db, const zones::EffectsModel& effects,
+    std::uint64_t cycles) {
+  if (c.sensCycle >= cycles || c.firstObsCycle >= cycles ||
+      c.diagCycle >= cycles) {
+    return std::nullopt;
+  }
   InjectionRecord rec;
   rec.fault = f;
   rec.outcome = c.outcome;
@@ -69,14 +74,14 @@ std::optional<InjectionRecord> bindCachedRecord(
 std::optional<std::vector<InjectionRecord>> bindCampaignRecords(
     const CachedCampaign& cache, const netlist::Netlist& nl,
     const fault::FaultList& faults, const zones::ZoneDatabase& db,
-    const zones::EffectsModel& effects) {
+    const zones::EffectsModel& effects, std::uint64_t cycles) {
   std::vector<InjectionRecord> out;
   out.reserve(faults.size());
   for (const fault::Fault& f : faults) {
     const auto it = cache.byKey.find(fault::faultKey(nl, f));
     if (it == cache.byKey.end()) return std::nullopt;
     std::optional<InjectionRecord> rec =
-        bindCachedRecord(it->second, f, db, effects);
+        bindCachedRecord(it->second, f, db, effects, cycles);
     if (!rec) return std::nullopt;
     out.push_back(std::move(*rec));
   }
@@ -145,11 +150,13 @@ CachedCampaign CachedCampaign::fromJson(const obs::Json& j) {
       const obs::Json* v = rj.find(k);
       return v != nullptr && v->isBool() && v->asBool();
     };
-    const auto integer = [&rj](std::string_view k) -> std::uint64_t {
+    // A cycle that is not a non-negative integer reads as one no workload
+    // reaches, so the record never binds.
+    const auto cycle = [&rj](std::string_view k) -> std::uint64_t {
       const obs::Json* v = rj.find(k);
-      return v != nullptr && v->isInt()
+      return v != nullptr && v->isInt() && v->asInt() >= 0
                  ? static_cast<std::uint64_t>(v->asInt())
-                 : 0;
+                 : ~std::uint64_t{0};
     };
     const auto strings = [&rj](std::string_view k) {
       std::vector<std::string> out;
@@ -163,13 +170,13 @@ CachedCampaign CachedCampaign::fromJson(const obs::Json& j) {
     };
     rec.zone = str("zone");
     rec.sens = boolean("sens");
-    rec.sensCycle = integer("sens_cycle");
+    rec.sensCycle = cycle("sens_cycle");
     rec.zonesDeviated = strings("zones_deviated");
     rec.obsHit = boolean("obs");
-    rec.firstObsCycle = integer("first_obs_cycle");
+    rec.firstObsCycle = cycle("first_obs_cycle");
     rec.obsDeviated = strings("obs_deviated");
     rec.diag = boolean("diag");
-    rec.diagCycle = integer("diag_cycle");
+    rec.diagCycle = cycle("diag_cycle");
     c.byKey.emplace(key->asString(), std::move(rec));
   }
   return c;
@@ -189,7 +196,8 @@ obs::Json DeltaStats::toJson() const {
   return j;
 }
 
-CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
+CampaignResult runCampaignDelta(InjectionManager& mgr,
+                                const faultsim::StimulusTrace& stim,
                                 const fault::FaultList& faults,
                                 const CachedCampaign& cache,
                                 const netlist::AffectedCone& cone,
@@ -230,7 +238,8 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
       const std::string key = fault::faultKey(nl, f);
       const auto it = cache.byKey.find(key);
       if (it != cache.byKey.end()) {
-        slot.bound = bindCachedRecord(it->second, f, db, effects);
+        slot.bound =
+            bindCachedRecord(it->second, f, db, effects, stim.cycles());
         if (slot.bound) {
           // Deterministic per-fault draw, independent of the rest of the
           // list, so the sample is stable under fault-list growth.
@@ -251,7 +260,7 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
   // Reused records never re-enter the simulator, so their coverage counters
   // are accumulated here; CoverageCollector sums are order-independent, so
   // the result equals a cold run's.
-  CampaignResult sim = mgr.run(wl, simFaults, coverage, opt);
+  CampaignResult sim = mgr.run(stim, simFaults, coverage, opt);
 
   bool mismatch = false;
   for (const std::size_t i : reusedIdx) {
@@ -283,7 +292,7 @@ CampaignResult runCampaignDelta(InjectionManager& mgr, sim::Workload& wl,
         rest.push_back(faults[i]);
       }
     }
-    CampaignResult fresh = mgr.run(wl, rest, coverage, opt);
+    CampaignResult fresh = mgr.run(stim, rest, coverage, opt);
     merged.cyclesSimulated += fresh.cyclesSimulated;
     merged.convergedEarly += fresh.convergedEarly;
     for (std::size_t k = 0; k < restIdx.size(); ++k) {

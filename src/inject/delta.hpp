@@ -50,19 +50,21 @@ struct CachedCampaign {
 };
 
 /// Rebinds one cached record's zone / observation names onto the (possibly
-/// edited) design; nullopt when any reference no longer resolves — the
-/// caller simulates the fault instead.
+/// edited) design; nullopt when any reference no longer resolves or any of
+/// its cycles lies outside the workload's `cycles` — the caller simulates
+/// the fault instead.
 [[nodiscard]] std::optional<InjectionRecord> bindCachedRecord(
     const CachedRecord& c, const fault::Fault& f,
-    const zones::ZoneDatabase& db, const zones::EffectsModel& effects);
+    const zones::ZoneDatabase& db, const zones::EffectsModel& effects,
+    std::uint64_t cycles);
 
 /// Binds every fault's cached record in fault-list order; nullopt when any
-/// key is absent or any reference fails to rebind.  The incremental flow's
-/// whole-campaign store hit goes through this.
+/// key is absent or any record fails to bind (bindCachedRecord).  The
+/// incremental flow's whole-campaign store hit goes through this.
 [[nodiscard]] std::optional<std::vector<InjectionRecord>> bindCampaignRecords(
     const CachedCampaign& cache, const netlist::Netlist& nl,
     const fault::FaultList& faults, const zones::ZoneDatabase& db,
-    const zones::EffectsModel& effects);
+    const zones::EffectsModel& effects, std::uint64_t cycles);
 
 struct DeltaStats {
   std::size_t total = 0;        ///< faults in the new list
@@ -76,15 +78,17 @@ struct DeltaStats {
   [[nodiscard]] obs::Json toJson() const;
 };
 
-/// Runs the campaign over `faults`, simulating only faults inside `cone`
-/// (plus unmatched keys and the revalidation sample) and merging cached
-/// verdicts for the rest.  A latent fault (`opt.preexisting`) inside the
-/// cone reuses nothing: every faulty machine carries it into the edit.
-/// Record order, coverage accounting and every metric are bit-identical to
-/// `mgr.run(wl, faults, ...)` on a cold cache — the oracle tests enforce
+/// Runs the campaign over `faults` and the recorded stimulus `stim`,
+/// simulating only faults inside `cone` (plus unmatched keys, records that
+/// do not bind and the revalidation sample) and merging cached verdicts for
+/// the rest.  A latent fault (`opt.preexisting`) inside the cone reuses
+/// nothing: every faulty machine carries it into the edit.  Record order,
+/// coverage accounting and every metric are bit-identical to
+/// `mgr.run(stim, faults, ...)` on a cold cache — the oracle tests enforce
 /// this.
 [[nodiscard]] CampaignResult runCampaignDelta(
-    InjectionManager& mgr, sim::Workload& wl, const fault::FaultList& faults,
+    InjectionManager& mgr, const faultsim::StimulusTrace& stim,
+    const fault::FaultList& faults,
     const CachedCampaign& cache, const netlist::AffectedCone& cone,
     CoverageCollector* coverage, const CampaignOptions& opt,
     double revalidateFraction, DeltaStats* stats);

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "faultsim/bitsliced.hpp"
-#include "faultsim/stimulus.hpp"
 #include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
 
@@ -213,7 +212,7 @@ Outcome classifyObservation(const InjectionObservation& obs,
 
 }  // namespace
 
-CampaignResult InjectionManager::run(sim::Workload& wl,
+CampaignResult InjectionManager::run(const faultsim::StimulusTrace& stim,
                                      const fault::FaultList& faults,
                                      CoverageCollector* coverage,
                                      const CampaignOptions& opt) {
@@ -231,7 +230,7 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
     slot.push_back(it->second);
   }
 
-  CampaignResult result = runDistinct(wl, distinct, opt);
+  CampaignResult result = runDistinct(stim, distinct, opt);
   if (distinct.size() < faults.size()) {
     std::vector<InjectionRecord> records;
     records.reserve(faults.size());
@@ -258,7 +257,7 @@ faultsim::Watch InjectionManager::watch() const {
   return w;
 }
 
-WatchRun InjectionManager::runWatch(sim::Workload& wl,
+WatchRun InjectionManager::runWatch(const faultsim::StimulusTrace& stim,
                                     const fault::FaultList& faults,
                                     const faultsim::Watch& watch,
                                     const std::optional<fault::Fault>& latent,
@@ -275,11 +274,6 @@ WatchRun InjectionManager::runWatch(sim::Workload& wl,
   }();
   const obs::ScopedTimer campaignTimer(
       "inject.campaign." + std::string(faultsim::engineKindName(engine)));
-  const faultsim::StimulusTrace stim = [&] {
-    const obs::ScopedTimer t("inject.record_stimulus");
-    return faultsim::recordStimulus(cd_, wl);
-  }();
-
   WatchRun run;
   if (engine == faultsim::EngineKind::Serial) {
     const faultsim::GoldenTrace golden = [&] {
@@ -309,10 +303,10 @@ WatchRun InjectionManager::runWatch(sim::Workload& wl,
   return run;
 }
 
-CampaignResult InjectionManager::runDistinct(sim::Workload& wl,
-                                             const fault::FaultList& faults,
-                                             const CampaignOptions& opt) {
-  const WatchRun run = runWatch(wl, faults, watch(), opt.preexisting,
+CampaignResult InjectionManager::runDistinct(
+    const faultsim::StimulusTrace& stim, const fault::FaultList& faults,
+    const CampaignOptions& opt) {
+  const WatchRun run = runWatch(stim, faults, watch(), opt.preexisting,
                                 opt.earlyAbort
                                     ? faultsim::RetireMode::Classify
                                     : faultsim::RetireMode::WashoutOnly,

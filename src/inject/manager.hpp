@@ -1,6 +1,7 @@
 // Fault Injection Manager (paper, Figure 4): "this function runs all the
 // injection campaign based on automatically generated fault lists and
-// collects all the results."  The workload is recorded once per run, and
+// collects all the results."  A flow records its workload once
+// (faultsim::recordStimulus) and hands the trace to every campaign it runs;
 // golden and faulty machines replay the recording (inputs plus backdoor
 // flips).  The SENS, OBSE and DIAG monitors are one faultsim::Watch over the
 // target zones, the observation points and the alarms; runWatch runs it on
@@ -166,14 +167,15 @@ class InjectionManager {
     return env_;
   }
 
-  /// Runs the campaign; `coverage`, when non-null, accumulates the
-  /// completeness counters once per list position.  Repeated faults are
+  /// Runs the campaign over `stim`, the stimulus recorded on this design;
+  /// `coverage`, when non-null, accumulates the completeness counters once
+  /// per list position.  Repeated faults are
   /// folded: each distinct fault is simulated once and its record copied to
   /// every position that holds it.  The distinct faults run once through
   /// runWatch over watch(), on top of opt.preexisting, with the Classify
   /// stop rule under opt.earlyAbort (else WashoutOnly).  Records are in
   /// fault-list order and bit-identical across engines and thread counts.
-  [[nodiscard]] CampaignResult run(sim::Workload& wl,
+  [[nodiscard]] CampaignResult run(const faultsim::StimulusTrace& stim,
                                    const fault::FaultList& faults,
                                    CoverageCollector* coverage = nullptr,
                                    const CampaignOptions& opt = {});
@@ -184,9 +186,8 @@ class InjectionManager {
   [[nodiscard]] faultsim::Watch watch() const;
 
   /// The one switch between the engines, for the campaigns above and for
-  /// fault simulation on the same design (validation step (c)).  Records
-  /// the stimulus of `wl` once — the only campaign step that calls the
-  /// workload — and runs every fault against `watch` on the engine
+  /// fault simulation on the same design (validation step (c)).  Runs every
+  /// fault over the recorded stimulus `stim` against `watch` on the engine
   /// opt.engine resolves to, each machine on top of `latent` when it is set
   /// and stopped under `retire`: the serial oracle (faultsim::runSerialWatch
   /// against a golden trace recorded from the same stimulus) or the
@@ -196,7 +197,7 @@ class InjectionManager {
   /// (faultsim::isTwoState), and otherwise the serial oracle, counted in the
   /// inject.auto_serial_fallbacks telemetry counter.  Only opt.engine and
   /// opt.threads are read.
-  [[nodiscard]] WatchRun runWatch(sim::Workload& wl,
+  [[nodiscard]] WatchRun runWatch(const faultsim::StimulusTrace& stim,
                                   const fault::FaultList& faults,
                                   const faultsim::Watch& watch,
                                   const std::optional<fault::Fault>& latent,
@@ -214,9 +215,9 @@ class InjectionManager {
  private:
   /// One campaign over a list of distinct faults: runs watch() through
   /// runWatch and maps the observations to InjectionRecords.
-  [[nodiscard]] CampaignResult runDistinct(sim::Workload& wl,
-                                           const fault::FaultList& faults,
-                                           const CampaignOptions& opt);
+  [[nodiscard]] CampaignResult runDistinct(
+      const faultsim::StimulusTrace& stim, const fault::FaultList& faults,
+      const CampaignOptions& opt);
 
   /// Exports compiled-design shape and evaluation-economy telemetry into
   /// the global registry after a campaign.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
+
+#include "faultsim/serial.hpp"
 
 namespace socfmea::inject {
 
@@ -12,13 +15,11 @@ constexpr std::size_t kMaxActiveCyclesPerZone = 512;
 
 }  // namespace
 
-OperationalProfile OperationalProfile::record(const zones::ZoneDatabase& db,
-                                              sim::Workload& wl) {
-  sim::Simulator sim(db.compiledShared());
-
+OperationalProfile OperationalProfile::record(
+    const zones::ZoneDatabase& db, const faultsim::StimulusTrace& stim) {
   OperationalProfile p;
   p.activity_.assign(db.size(), {});
-  const std::uint64_t cycles = wl.cycles();
+  const std::uint64_t cycles = stim.cycles();
   p.cycles_ = cycles;
 
   // Previous settled value of every zone value net.
@@ -30,16 +31,13 @@ OperationalProfile OperationalProfile::record(const zones::ZoneDatabase& db,
   std::vector<std::uint64_t> holdSum(db.size(), 0);
   std::vector<std::uint64_t> holdCount(db.size(), 0);
 
-  wl.restart();
-  sim.reset();
-  for (std::uint64_t c = 0; c < cycles; ++c) {
-    sim::driveCycle(sim, wl, c);
-    sim.evalComb();
+  const auto observe = [&](const sim::Simulator& sim, std::uint64_t c) {
+    const std::span<const sim::Logic> now = sim.netValues();
     for (const zones::SensibleZone& z : db.zones()) {
       bool changed = false;
       auto& pv = prev[z.id];
       for (std::size_t i = 0; i < z.valueNets.size(); ++i) {
-        const sim::Logic v = sim.value(z.valueNets[i]);
+        const sim::Logic v = now[z.valueNets[i]];
         if (v != pv[i]) {
           // The first transition out of X is initialization, not activity.
           if (!sim::isUnknown(pv[i])) changed = true;
@@ -62,8 +60,10 @@ OperationalProfile OperationalProfile::record(const zones::ZoneDatabase& db,
         }
       }
     }
-    sim.clockEdge();
-  }
+    return false;
+  };
+  sim::Simulator sim(db.compiledShared());
+  (void)faultsim::runMachine(sim, stim, nullptr, nullptr, observe);
 
   for (zones::ZoneId z = 0; z < p.activity_.size(); ++z) {
     ZoneActivity& a = p.activity_[z];

@@ -5,20 +5,21 @@
 // that only faults which will produce an error are selected during the
 // fault list generation process."
 //
-// The profiler runs the workload fault-free and records, per sensible zone,
-// when its stored value changes (write activity), how long values are held
-// (the measured lifetime ζ) and which cycles the zone is live — the data the
-// Collapser and Randomiser use to build compact, non-trivial fault lists,
-// and the data that measures workload completeness ("it is measured in a
-// deterministic way to check if it [is] complete in terms of its capability
-// to trigger all the sensible zones of the DUT").
+// The profiler replays the recorded workload on the fault-free machine and
+// records, per sensible zone, when its stored value changes (write
+// activity), how long values are held (the measured lifetime ζ) and which
+// cycles the zone is live — the data the Collapser and Randomiser use to
+// build compact, non-trivial fault lists, and the data that measures
+// workload completeness ("it is measured in a deterministic way to check if
+// it [is] complete in terms of its capability to trigger all the sensible
+// zones of the DUT").
 #pragma once
 
 #include <iosfwd>
 #include <vector>
 
+#include "faultsim/stimulus.hpp"
 #include "fmea/sheet.hpp"
-#include "sim/workload.hpp"
 #include "zones/zone.hpp"
 
 namespace socfmea::inject {
@@ -36,9 +37,10 @@ struct ZoneActivity {
 
 class OperationalProfile {
  public:
-  /// Records the profile with one fault-free run of the workload.
+  /// Records the profile with one fault-free replay of the recorded
+  /// stimulus (faultsim::runMachine).
   static OperationalProfile record(const zones::ZoneDatabase& db,
-                                   sim::Workload& wl);
+                                   const faultsim::StimulusTrace& stim);
 
   [[nodiscard]] std::uint64_t totalCycles() const noexcept { return cycles_; }
   [[nodiscard]] const ZoneActivity& zone(zones::ZoneId z) const {

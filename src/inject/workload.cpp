@@ -3,34 +3,44 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/rng.hpp"
+
 namespace socfmea::inject {
 
-RandomWorkload::RandomWorkload(
-    const netlist::Netlist& nl, std::uint64_t cycles, std::uint64_t seed,
-    std::vector<std::pair<netlist::NetId, bool>> pinned)
-    : pinned_(std::move(pinned)), cycles_(cycles), seed_(seed), rng_(seed) {
+namespace {
+
+std::vector<netlist::NetId> primaryInputNets(const netlist::Netlist& nl) {
+  std::vector<netlist::NetId> nets;
   for (netlist::CellId pi : nl.primaryInputs()) {
-    const netlist::NetId net = nl.cell(pi).output;
-    const bool isPinned =
-        std::any_of(pinned_.begin(), pinned_.end(),
-                    [&](const auto& p) { return p.first == net; });
-    if (!isPinned) inputs_.push_back(net);
+    nets.push_back(nl.cell(pi).output);
   }
+  return nets;
 }
 
-void RandomWorkload::drive(sim::Simulator& sim, std::uint64_t /*cycle*/) {
-  for (netlist::NetId n : inputs_) {
-    sim.setInput(n, sim::fromBool(rng_.coin()));
+/// One coin per unpinned primary input and cycle, in cycle then input
+/// order.
+std::vector<std::vector<bool>> randomTable(
+    const netlist::Netlist& nl, std::uint64_t cycles, std::uint64_t seed,
+    const std::vector<std::pair<netlist::NetId, bool>>& pinned) {
+  sim::Rng rng(seed);
+  std::vector<std::vector<bool>> values(cycles);
+  for (std::vector<bool>& row : values) {
+    for (netlist::CellId pi : nl.primaryInputs()) {
+      const netlist::NetId net = nl.cell(pi).output;
+      const auto pin =
+          std::find_if(pinned.begin(), pinned.end(),
+                       [&](const auto& p) { return p.first == net; });
+      row.push_back(pin != pinned.end() ? pin->second : rng.coin());
+    }
   }
-  for (const auto& [net, v] : pinned_) sim.setInput(net, sim::fromBool(v));
+  return values;
 }
 
-VectorWorkload::VectorWorkload(std::string name,
-                               std::vector<netlist::NetId> inputs,
+}  // namespace
+
+VectorWorkload::VectorWorkload(std::vector<netlist::NetId> inputs,
                                std::vector<std::vector<bool>> values)
-    : name_(std::move(name)),
-      inputs_(std::move(inputs)),
-      values_(std::move(values)) {
+    : inputs_(std::move(inputs)), values_(std::move(values)) {
   for (const auto& row : values_) {
     if (row.size() != inputs_.size()) {
       throw std::invalid_argument("vector width mismatch in VectorWorkload");
@@ -38,11 +48,17 @@ VectorWorkload::VectorWorkload(std::string name,
   }
 }
 
-void VectorWorkload::drive(sim::Simulator& sim, std::uint64_t cycle) {
+void VectorWorkload::drive(sim::Simulator& sim, std::uint64_t cycle) const {
   const auto& row = values_.at(cycle);
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     sim.setInput(inputs_[i], sim::fromBool(row[i]));
   }
 }
+
+RandomWorkload::RandomWorkload(
+    const netlist::Netlist& nl, std::uint64_t cycles, std::uint64_t seed,
+    const std::vector<std::pair<netlist::NetId, bool>>& pinned)
+    : VectorWorkload(primaryInputNets(nl),
+                     randomTable(nl, cycles, seed, pinned)) {}
 
 }  // namespace socfmea::inject

@@ -1,5 +1,5 @@
-// Generic reusable workloads: constrained-random stimulus over all primary
-// inputs, fixed vector sequences, and lambda-driven testbenches.  Domain
+// Generic reusable workloads: explicit vector sequences, constrained-random
+// stimulus over all primary inputs, and lambda-driven testbenches.  Domain
 // workloads (memory traffic, scrub cycles, MPU violations) live in
 // memsys/workloads.hpp.
 #pragma once
@@ -8,46 +8,32 @@
 #include <utility>
 #include <vector>
 
-#include "sim/rng.hpp"
 #include "sim/workload.hpp"
 
 namespace socfmea::inject {
 
-/// Uniform random stimulus on every primary input, with optional pinned
-/// inputs (reset, enables) held at fixed values.
-class RandomWorkload final : public sim::Workload {
- public:
-  RandomWorkload(const netlist::Netlist& nl, std::uint64_t cycles,
-                 std::uint64_t seed,
-                 std::vector<std::pair<netlist::NetId, bool>> pinned = {});
-
-  [[nodiscard]] std::string name() const override { return "random"; }
-  [[nodiscard]] std::uint64_t cycles() const override { return cycles_; }
-  void restart() override { rng_ = sim::Rng(seed_); }
-  void drive(sim::Simulator& sim, std::uint64_t cycle) override;
-
- private:
-  std::vector<netlist::NetId> inputs_;
-  std::vector<std::pair<netlist::NetId, bool>> pinned_;
-  std::uint64_t cycles_;
-  std::uint64_t seed_;
-  sim::Rng rng_;
-};
-
 /// Replays explicit vectors: values[cycle][i] drives inputs[i].
-class VectorWorkload final : public sim::Workload {
+class VectorWorkload : public sim::Workload {
  public:
-  VectorWorkload(std::string name, std::vector<netlist::NetId> inputs,
+  VectorWorkload(std::vector<netlist::NetId> inputs,
                  std::vector<std::vector<bool>> values);
 
-  [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] std::uint64_t cycles() const override { return values_.size(); }
-  void drive(sim::Simulator& sim, std::uint64_t cycle) override;
+  void drive(sim::Simulator& sim, std::uint64_t cycle) const override;
 
  private:
-  std::string name_;
   std::vector<netlist::NetId> inputs_;
   std::vector<std::vector<bool>> values_;
+};
+
+/// Uniform random stimulus on every primary input, with optional pinned
+/// inputs (reset, enables) held at fixed values: a vector table drawn at
+/// construction, cycle by cycle in primary-input order.
+class RandomWorkload final : public VectorWorkload {
+ public:
+  RandomWorkload(
+      const netlist::Netlist& nl, std::uint64_t cycles, std::uint64_t seed,
+      const std::vector<std::pair<netlist::NetId, bool>>& pinned = {});
 };
 
 /// Wraps a callable as a workload.
@@ -55,27 +41,17 @@ class FunctionWorkload final : public sim::Workload {
  public:
   using DriveFn = std::function<void(sim::Simulator&, std::uint64_t)>;
 
-  FunctionWorkload(std::string name, std::uint64_t cycles, DriveFn drive,
-                   std::function<void()> restart = {})
-      : name_(std::move(name)),
-        cycles_(cycles),
-        drive_(std::move(drive)),
-        restart_(std::move(restart)) {}
+  FunctionWorkload(std::uint64_t cycles, DriveFn drive)
+      : cycles_(cycles), drive_(std::move(drive)) {}
 
-  [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] std::uint64_t cycles() const override { return cycles_; }
-  void restart() override {
-    if (restart_) restart_();
-  }
-  void drive(sim::Simulator& sim, std::uint64_t cycle) override {
+  void drive(sim::Simulator& sim, std::uint64_t cycle) const override {
     drive_(sim, cycle);
   }
 
  private:
-  std::string name_;
   std::uint64_t cycles_;
   DriveFn drive_;
-  std::function<void()> restart_;
 };
 
 }  // namespace socfmea::inject

@@ -117,7 +117,8 @@ void ProtectionIpWorkload::buildPlan() {
   }
 }
 
-void ProtectionIpWorkload::drive(sim::Simulator& sim, std::uint64_t cycle) {
+void ProtectionIpWorkload::drive(sim::Simulator& sim,
+                                 std::uint64_t cycle) const {
   const CyclePlan& p = plan_.at(cycle);
   sim.setInput(d_->rst, sim::fromBool(p.rst));
   sim.setInput(d_->bistEn, sim::fromBool(p.bist));

@@ -32,9 +32,8 @@ class ProtectionIpWorkload final : public sim::Workload {
 
   ProtectionIpWorkload(const GateLevelDesign& design, Options opt);
 
-  [[nodiscard]] std::string name() const override { return "protection-ip"; }
   [[nodiscard]] std::uint64_t cycles() const override { return opt_.cycles; }
-  void drive(sim::Simulator& sim, std::uint64_t cycle) override;
+  void drive(sim::Simulator& sim, std::uint64_t cycle) const override;
   void backdoor(std::uint64_t cycle,
                 std::vector<sim::MemFlip>& flips) const override;
 

@@ -115,8 +115,8 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
   }
   OracleReport report;
   const netlist::CompiledDesignPtr cd = netlist::compile(nl);
-  inject::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
+  const faultsim::StimulusTrace stim = faultsim::recordStimulus(
+      cd, inject::VectorWorkload(plan.inputs, plan.stimulus));
 
   const auto serialArm = [&](sim::EvalMode mode) {
     std::vector<Observation> r = serialOutputs(
@@ -190,14 +190,11 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
           {"round-trip", "write(parse(write(nl))) is not a fixed point", {}});
     } else {
       const TestPlan rebound = rebindPlan(nl, reparsed, plan);
-      inject::VectorWorkload wl2(rebound.name, rebound.inputs,
-                                 rebound.stimulus);
       const netlist::CompiledDesignPtr cd2 = netlist::compile(reparsed);
-      compareObservations(
-          ref,
-          serialOutputs(cd2, faultsim::recordStimulus(cd2, wl2),
-                        rebound.faults),
-          "round-trip", report);
+      const faultsim::StimulusTrace stim2 = faultsim::recordStimulus(
+          cd2, inject::VectorWorkload(rebound.inputs, rebound.stimulus));
+      compareObservations(ref, serialOutputs(cd2, stim2, rebound.faults),
+                          "round-trip", report);
     }
   } catch (const std::exception& e) {
     report.mismatches.push_back(

@@ -391,11 +391,10 @@ class FlipWorkload final : public sm::Workload {
                std::vector<std::vector<sm::MemFlip>> flips)
       : plan_(plan), flips_(std::move(flips)) {}
 
-  [[nodiscard]] std::string name() const override { return "flips"; }
   [[nodiscard]] std::uint64_t cycles() const override {
     return plan_.cycles();
   }
-  void drive(sm::Simulator& sim, std::uint64_t cycle) override {
+  void drive(sm::Simulator& sim, std::uint64_t cycle) const override {
     for (std::size_t i = 0; i < plan_.inputs.size(); ++i) {
       sim.setInput(plan_.inputs[i], sm::fromBool(plan_.stimulus[cycle][i]));
     }
@@ -667,9 +666,12 @@ struct MemsysBed {
                 .withDetectionWindow(24)
                 .build()) {}
 
-  [[nodiscard]] ft::FaultList sampleFaults(ms::ProtectionIpWorkload& wl,
+  /// The bed's workload over `cycles`, recorded on its design.
+  [[nodiscard]] fs::StimulusTrace stimulus(std::uint64_t cycles) const;
+
+  [[nodiscard]] ft::FaultList sampleFaults(const fs::StimulusTrace& stim,
                                            std::size_t count) const {
-    const auto profile = ij::OperationalProfile::record(db, wl);
+    const auto profile = ij::OperationalProfile::record(db, stim);
     ft::FaultList candidates = ft::allStuckAtFaults(design.nl);
     ft::append(candidates, ft::allSeuFaults(design.nl));
     ij::collapseAgainstProfile(db, profile, candidates);
@@ -682,6 +684,12 @@ ms::ProtectionIpWorkload::Options smallWorkload(std::uint64_t cycles) {
   o.cycles = cycles;
   o.seed = kWorkloadSeed;
   return o;
+}
+
+fs::StimulusTrace MemsysBed::stimulus(std::uint64_t cycles) const {
+  return fs::recordStimulus(
+      db.compiledShared(),
+      ms::ProtectionIpWorkload(design, smallWorkload(cycles)));
 }
 
 void expectRecordsEqual(const ij::CampaignResult& a,
@@ -713,8 +721,8 @@ void expectRecordsEqual(const ij::CampaignResult& a,
 TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
   SCOPED_TRACE(tk::seedMessage(kWorkloadSeed));
   MemsysBed bed;
-  ms::ProtectionIpWorkload wl(bed.design, smallWorkload(260));
-  const auto faults = bed.sampleFaults(wl, 48);
+  const fs::StimulusTrace stim = bed.stimulus(260);
+  const auto faults = bed.sampleFaults(stim, 48);
   ASSERT_GT(faults.size(), 10u);
 
   ij::InjectionManager mgr(bed.env);
@@ -722,14 +730,14 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;  // the reference oracle
   ij::CoverageCollector serialCov(mgr.environment());
-  const auto serial = mgr.run(wl, faults, &serialCov, serialOpt);
+  const auto serial = mgr.run(stim, faults, &serialCov, serialOpt);
 
   for (const unsigned threads : {1u, 4u}) {
     ij::CampaignOptions opt;
     opt.engine = fs::EngineKind::Bitsliced;
     opt.threads = threads;
     ij::CoverageCollector cov(mgr.environment());
-    const auto sliced = mgr.run(wl, faults, &cov, opt);
+    const auto sliced = mgr.run(stim, faults, &cov, opt);
     SCOPED_TRACE("threads=" + std::to_string(threads));
 
     expectRecordsEqual(serial, sliced);
@@ -754,13 +762,13 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
 // campaign watch's observations (what the records are mapped from)
 // identical to the serial oracle at one and at four threads.  64-lane words
 // and more faults than one word holds make groups refill mid-run, and late
-// SEUs fill a last group whose golden machine must restart from a clean
+// SEUs fill a last group whose golden machine must start over from a clean
 // reset after the groups before it.
 TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
   SCOPED_TRACE(tk::seedMessage(kWorkloadSeed));
   MemsysBed bed;
-  ms::ProtectionIpWorkload wl(bed.design, smallWorkload(200));
-  ft::FaultList faults = bed.sampleFaults(wl, 96);
+  const fs::StimulusTrace stim = bed.stimulus(200);
+  ft::FaultList faults = bed.sampleFaults(stim, 96);
   const nl::NetId obsNet = bed.env.obsNets.front();
   const nl::NetId otherObsNet = bed.env.obsNets.back();
   for (const nl::NetId net : {obsNet, otherObsNet}) {
@@ -808,7 +816,6 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
   const ij::InjectionManager mgr(bed.env);
   const nl::CompiledDesignPtr& cd = bed.db.compiledShared();
   const fs::Watch watch = mgr.watch();
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   const fs::GoldenTrace golden = fs::recordGolden(cd, stim, watch);
   for (const ft::Fault& latent : latents) {
     SCOPED_TRACE("latent " + latent.describe(bed.design.nl));
@@ -832,13 +839,13 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
 // and the records equal the serial oracle's.
 TEST(BitslicedCampaignTest, AutoRunsBitslicedAtEveryThreadCount) {
   MemsysBed bed;
-  ms::ProtectionIpWorkload wl(bed.design, smallWorkload(80));
-  const auto faults = bed.sampleFaults(wl, 8);
+  const fs::StimulusTrace stim = bed.stimulus(80);
+  const auto faults = bed.sampleFaults(stim, 8);
   ASSERT_FALSE(faults.empty());
   ij::InjectionManager mgr(bed.env);
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
-  const auto serial = mgr.run(wl, faults, nullptr, serialOpt);
+  const auto serial = mgr.run(stim, faults, nullptr, serialOpt);
 
   const auto& reg = socfmea::obs::Registry::global();
   const auto slicedMachines = [&] {
@@ -853,7 +860,7 @@ TEST(BitslicedCampaignTest, AutoRunsBitslicedAtEveryThreadCount) {
     opt.threads = threads;
     const std::uint64_t machines = slicedMachines();
     const std::uint64_t campaigns = serialCampaigns();
-    const auto res = mgr.run(wl, faults, nullptr, opt);
+    const auto res = mgr.run(stim, faults, nullptr, opt);
     EXPECT_EQ(slicedMachines() - machines, faults.size());
     EXPECT_EQ(serialCampaigns(), campaigns);
     expectRecordsEqual(serial, res);
@@ -885,18 +892,20 @@ TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
                        .withSeed(kEnvSeed)
                        .withDetectionWindow(4)
                        .build();
-  ij::RandomWorkload wl(n, 40, tk::testSeed(31), {{rst, false}});
+  const fs::StimulusTrace stim = fs::recordStimulus(
+      db.compiledShared(),
+      ij::RandomWorkload(n, 40, tk::testSeed(31), {{rst, false}}));
   const ft::FaultList faults = ft::allStuckAtFaults(n);
   ASSERT_FALSE(faults.empty());
   ij::InjectionManager mgr(env);
 
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
-  const auto serial = mgr.run(wl, faults, nullptr, serialOpt);
+  const auto serial = mgr.run(stim, faults, nullptr, serialOpt);
 
   const auto& reg = socfmea::obs::Registry::global();
   const std::uint64_t fallbacks = reg.counter("inject.auto_serial_fallbacks");
-  const auto autoRun = mgr.run(wl, faults);  // engine Auto
+  const auto autoRun = mgr.run(stim, faults);  // engine Auto
   EXPECT_EQ(reg.counter("inject.auto_serial_fallbacks") - fallbacks, 1u);
   expectRecordsEqual(serial, autoRun);
 
@@ -905,7 +914,7 @@ TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
     ij::CampaignOptions slicedOpt;
     slicedOpt.engine = fs::EngineKind::Bitsliced;
     slicedOpt.threads = threads;
-    EXPECT_THROW((void)mgr.run(wl, faults, nullptr, slicedOpt),
+    EXPECT_THROW((void)mgr.run(stim, faults, nullptr, slicedOpt),
                  std::invalid_argument);
   }
 }
@@ -926,7 +935,7 @@ TEST(BitslicedPropertyTest, TwoHundredRandomDesignsBitIdenticalToSerial) {
     tk::PlanOptions po = tk::randomPlanOptions(rng);
     const tk::TestPlan plan = tk::generatePlan(n, po, rng);
     if (plan.faults.empty()) continue;
-    ij::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
+    const ij::VectorWorkload wl(plan.inputs, plan.stimulus);
 
     const auto cd = nl::compile(n);
     const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
@@ -966,7 +975,7 @@ TEST(BitslicedPropertyTest, LatentFaultsOnRandomDesignsMatchSerial) {
     const tk::TestPlan plan =
         tk::generatePlan(n, tk::randomPlanOptions(rng), rng);
     if (plan.faults.empty()) continue;
-    ij::VectorWorkload wl(plan.name, plan.inputs, plan.stimulus);
+    const ij::VectorWorkload wl(plan.inputs, plan.stimulus);
     const ij::InjectionManager mgr(env);
     const nl::CompiledDesignPtr& cd = db.compiledShared();
     const fs::Watch watch = mgr.watch();

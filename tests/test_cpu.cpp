@@ -11,6 +11,7 @@
 #include "sim/simulator.hpp"
 
 namespace cp = socfmea::cpu;
+namespace fs = socfmea::faultsim;
 namespace sm = socfmea::sim;
 namespace nl = socfmea::netlist;
 using socfmea::fmea::Sil;
@@ -92,15 +93,15 @@ namespace {
 void cosim(const cp::CpuOptions& opt, const std::vector<std::uint8_t>& prog,
            std::uint64_t cycles) {
   const cp::CpuDesign d = cp::buildTinyCpu(opt);
-  cp::CpuWorkload wl(d, prog, cycles);
-  sm::Simulator sim(d.nl);
+  const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(cd, cp::CpuWorkload(d, prog, cycles));
+  sm::Simulator sim(cd);
   cp::TinyCpu iss(prog);
   iss.reset();
 
-  wl.restart();
-  sim.reset();
   for (std::uint64_t c = 0; c < cycles; ++c) {
-    sm::driveCycle(sim, wl, c);
+    stim.apply(sim, c);
     sim.evalComb();
     sim.clockEdge();
     // After reset (2 cycles), odd cycles are EXEC edges: c=2 FETCH, c=3 EXEC.
@@ -139,13 +140,13 @@ TEST(CpuGateLevelTest, CosimRandomPrograms) {
 
 TEST(CpuGateLevelTest, LockstepChannelsAgreeFaultFree) {
   const cp::CpuDesign d = cp::buildTinyCpu(cp::CpuOptions::lockstepCpu());
-  cp::CpuWorkload wl(d, cp::selfTestProgram(), 400);
-  sm::Simulator sim(d.nl);
+  const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(cd, cp::CpuWorkload(d, cp::selfTestProgram(), 400));
+  sm::Simulator sim(cd);
   const auto alarm = *d.nl.findNet("lockchk/alarm_r_q");
-  wl.restart();
-  sim.reset();
   for (std::uint64_t c = 0; c < 400; ++c) {
-    sm::driveCycle(sim, wl, c);
+    stim.apply(sim, c);
     sim.evalComb();
     EXPECT_NE(sim.value(alarm), sm::Logic::L1) << "spurious lockstep alarm";
     sim.clockEdge();
@@ -154,15 +155,15 @@ TEST(CpuGateLevelTest, LockstepChannelsAgreeFaultFree) {
 
 TEST(CpuGateLevelTest, LockstepComparatorCatchesSeu) {
   const cp::CpuDesign d = cp::buildTinyCpu(cp::CpuOptions::lockstepCpu());
-  cp::CpuWorkload wl(d, cp::selfTestProgram(), 400);
-  sm::Simulator sim(d.nl);
+  const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(cd, cp::CpuWorkload(d, cp::selfTestProgram(), 400));
+  sm::Simulator sim(cd);
   const auto alarm = *d.nl.findNet("lockchk/alarm_r_q");
   const auto victim = *d.nl.findCell("cpu1/acc_3");
-  wl.restart();
-  sim.reset();
   bool alarmed = false;
   for (std::uint64_t c = 0; c < 400; ++c) {
-    sm::driveCycle(sim, wl, c);
+    stim.apply(sim, c);
     if (c == 40) sim.flipFf(victim);  // SEU in the checker channel
     sim.evalComb();
     if (sim.value(alarm) == sm::Logic::L1) alarmed = true;
@@ -176,15 +177,15 @@ TEST(CpuGateLevelTest, PlainCoreSeuGoesUnnoticed) {
   // no alarm anywhere — the motivation for lockstep.
   const cp::CpuDesign d = cp::buildTinyCpu(cp::CpuOptions::plain());
   EXPECT_TRUE(d.alarmNames.empty());
-  cp::CpuWorkload wl(d, cp::selfTestProgram(), 400);
+  const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(cd, cp::CpuWorkload(d, cp::selfTestProgram(), 400));
 
   const auto outsOf = [&](bool inject) {
-    sm::Simulator sim(d.nl);
-    wl.restart();
-    sim.reset();
+    sm::Simulator sim(cd);
     std::vector<std::uint64_t> outs;
     for (std::uint64_t c = 0; c < 400; ++c) {
-      sm::driveCycle(sim, wl, c);
+      stim.apply(sim, c);
       if (inject && c == 40) sim.flipFf(*d.nl.findCell("cpu0/acc_3"));
       sim.evalComb();
       outs.push_back(sim.busValue(d.core0.out));
@@ -221,7 +222,9 @@ TEST(CpuFmeaTest, LockstepLiftsSffIntoSil3Band) {
 TEST(CpuFmeaTest, InjectionConfirmsComparatorCoverage) {
   const auto lock = cp::buildTinyCpu(cp::CpuOptions::lockstepCpu());
   socfmea::core::FmeaFlow flow(lock.nl, cp::makeCpuFlowConfig(lock));
-  cp::CpuWorkload wl(lock, cp::selfTestProgram(), 400);
+  const fs::StimulusTrace stim = fs::recordStimulus(
+      flow.zones().compiledShared(),
+      cp::CpuWorkload(lock, cp::selfTestProgram(), 400));
 
   const auto env = socfmea::inject::EnvironmentBuilder(flow.zones(),
                                                        flow.effects())
@@ -230,8 +233,8 @@ TEST(CpuFmeaTest, InjectionConfirmsComparatorCoverage) {
                        .build();
   socfmea::inject::InjectionManager mgr(env);
   const auto profile =
-      socfmea::inject::OperationalProfile::record(flow.zones(), wl);
-  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 6));
+      socfmea::inject::OperationalProfile::record(flow.zones(), stim);
+  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 2, 6));
   // Nearly every dangerous state flip must be annunciated by the comparator.
   EXPECT_GT(res.measuredDdf(), 0.90);
   EXPECT_GT(res.measuredSff(), 0.90);
@@ -240,7 +243,9 @@ TEST(CpuFmeaTest, InjectionConfirmsComparatorCoverage) {
 TEST(CpuFmeaTest, PlainCpuInjectionShowsUndetectedFailures) {
   const auto plain = cp::buildTinyCpu(cp::CpuOptions::plain());
   socfmea::core::FmeaFlow flow(plain.nl, cp::makeCpuFlowConfig(plain));
-  cp::CpuWorkload wl(plain, cp::selfTestProgram(), 400);
+  const fs::StimulusTrace stim = fs::recordStimulus(
+      flow.zones().compiledShared(),
+      cp::CpuWorkload(plain, cp::selfTestProgram(), 400));
 
   const auto env = socfmea::inject::EnvironmentBuilder(flow.zones(),
                                                        flow.effects())
@@ -248,8 +253,8 @@ TEST(CpuFmeaTest, PlainCpuInjectionShowsUndetectedFailures) {
                        .build();
   socfmea::inject::InjectionManager mgr(env);
   const auto profile =
-      socfmea::inject::OperationalProfile::record(flow.zones(), wl);
-  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 6));
+      socfmea::inject::OperationalProfile::record(flow.zones(), stim);
+  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 2, 6));
   EXPECT_GT(res.count(socfmea::inject::Outcome::DangerousUndetected), 0u);
 }
 

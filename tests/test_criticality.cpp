@@ -109,8 +109,10 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
   ij::InjectionManager mgr(tb.env());
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
-  ij::RandomWorkload wl(tb.n, 64, 5, {{tb.rst, false}});
-  const ij::CampaignResult serial = mgr.run(wl, faults, nullptr, serialOpt);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(tb.db.compiledShared(),
+                         ij::RandomWorkload(tb.n, 64, 5, {{tb.rst, false}}));
+  const ij::CampaignResult serial = mgr.run(stim, faults, nullptr, serialOpt);
   ASSERT_GT(serial.tally().count(ij::Outcome::DangerousUndetected), 0u);
 
   const auto critSerial =
@@ -120,7 +122,7 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
   // Bit-sliced engine: records are bit-identical, so the attribution is too.
   ij::CampaignOptions slicedOpt;
   slicedOpt.engine = fs::EngineKind::Bitsliced;
-  const ij::CampaignResult sliced = mgr.run(wl, faults, nullptr, slicedOpt);
+  const ij::CampaignResult sliced = mgr.run(stim, faults, nullptr, slicedOpt);
   const auto critSliced =
       sr::CriticalityMap::fromCampaign(tb.n, tb.db, sliced);
   expectCountInvariant(critSliced, sliced);
@@ -135,10 +137,12 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
 TEST(Criticality, UncheckedRegisterRanksAboveParityProtectedOne) {
   Testbed tb;
   ij::InjectionManager mgr(tb.env());
-  ij::RandomWorkload wl(tb.n, 64, 5, {{tb.rst, false}});
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(tb.db.compiledShared(),
+                         ij::RandomWorkload(tb.n, 64, 5, {{tb.rst, false}}));
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   const ft::FaultList faults = mgr.zoneFailureFaults(profile, 2, 7);
-  const ij::CampaignResult result = mgr.run(wl, faults);
+  const ij::CampaignResult result = mgr.run(stim, faults);
   const auto crit = sr::CriticalityMap::fromCampaign(tb.n, tb.db, result);
 
   double bareShare = 0.0;
@@ -171,9 +175,11 @@ TEST_P(CriticalityFuzz, CountInvariantOnRandomDesign) {
                        .withDetectionWindow(4)
                        .build();
   ij::InjectionManager mgr(env);
-  ij::RandomWorkload wl(n, 48, GetParam() ^ 0x9E3779B9u, {});
+  const fs::StimulusTrace stim = fs::recordStimulus(
+      db.compiledShared(),
+      ij::RandomWorkload(n, 48, GetParam() ^ 0x9E3779B9u, {}));
   ft::FaultList faults = ft::allSeuFaults(n);
-  const ij::CampaignResult result = mgr.run(wl, faults);
+  const ij::CampaignResult result = mgr.run(stim, faults);
   expectCountInvariant(
       sr::CriticalityMap::fromCampaign(n, db, result), result);
 }

@@ -101,8 +101,10 @@ TEST(ConstNetTest, MuxWithEqualConstLegs) {
 
 TEST(ToggleTest, RandomStimulusTogglesDataPath) {
   DataPath d;
-  ij::RandomWorkload wl(d.n, 200, 42, {{d.rst, false}});
-  const auto tc = fs::measureToggle(nl::compile(d.n), wl);
+  const auto cd = nl::compile(d.n);
+  const auto tc = fs::measureToggle(
+      cd, fs::recordStimulus(cd, ij::RandomWorkload(d.n, 200, 42,
+                                                    {{d.rst, false}})));
   EXPECT_GT(tc.nets, 0u);
   // Everything except the pinned reset (and its dependents, e.g. the final
   // carry-out chain) toggles under random stimulus.
@@ -114,12 +116,13 @@ TEST(ToggleTest, RandomStimulusTogglesDataPath) {
 TEST(ToggleTest, HeldInputsReportedUntoggled) {
   DataPath d;
   // Drive only bus `a`; bus `b` stays at 0 -> its nets never toggle.
-  ij::FunctionWorkload wl("partial", 100, [&](sm::Simulator& sim, std::uint64_t c) {
+  const ij::FunctionWorkload wl(100, [&](sm::Simulator& sim, std::uint64_t c) {
     sim.setInput(d.rst, sm::Logic::L0);
     sim.setInputBus(d.a, c * 37);
     sim.setInputBus(d.b, 0);
   });
-  const auto tc = fs::measureToggle(nl::compile(d.n), wl);
+  const auto cd = nl::compile(d.n);
+  const auto tc = fs::measureToggle(cd, fs::recordStimulus(cd, wl));
   EXPECT_FALSE(tc.passes(0.99));
   EXPECT_GE(tc.untoggled.size(), 8u);  // at least the b inputs
 }

@@ -5,12 +5,14 @@
 
 #include <set>
 
+#include "faultsim/serial.hpp"
 #include "memsys/gatelevel.hpp"
 #include "memsys/hamming.hpp"
 #include "memsys/workloads.hpp"
 #include "netlist/stats.hpp"
 #include "sim/simulator.hpp"
 
+namespace fs = socfmea::faultsim;
 namespace ms = socfmea::memsys;
 namespace nl = socfmea::netlist;
 namespace sm = socfmea::sim;
@@ -231,42 +233,43 @@ TEST(GateLevelTest, WorkloadRunsGoldenWithoutSpuriousUncorrectable) {
   ms::ProtectionIpWorkload::Options opt;
   opt.cycles = 800;
   opt.plantEccErrors = false;  // a truly clean run
-  ms::ProtectionIpWorkload wl(d, opt);
-  sm::Simulator sim(d.nl);
-  wl.restart();
+  const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(cd, ms::ProtectionIpWorkload(d, opt));
+  sm::Simulator sim(cd);
   std::uint64_t uncorrectable = 0;
-  for (std::uint64_t c = 0; c < opt.cycles; ++c) {
-    sm::driveCycle(sim, wl, c);
-    sim.evalComb();
-    for (const char* a : {"double", "addr"}) {
-      const auto net = d.nl.findNet(std::string("out/alarm_") + a + "_r_q");
-      if (net && sim.value(*net) == sm::Logic::L1) ++uncorrectable;
-    }
-    sim.clockEdge();
-  }
+  (void)fs::runMachine(
+      sim, stim, nullptr, nullptr, [&](const sm::Simulator& s, std::uint64_t) {
+        for (const char* a : {"double", "addr"}) {
+          const auto net =
+              d.nl.findNet(std::string("out/alarm_") + a + "_r_q");
+          if (net && s.value(*net) == sm::Logic::L1) ++uncorrectable;
+        }
+        return false;
+      });
   EXPECT_EQ(uncorrectable, 0u);
 }
 
-TEST(GateLevelTest, WorkloadDeterministicAcrossRestarts) {
+TEST(GateLevelTest, WorkloadDeterministicAcrossRecordings) {
   auto d = ms::buildProtectionIp(ms::GateLevelOptions::v2());
   ms::ProtectionIpWorkload::Options opt;
   opt.cycles = 400;
-  ms::ProtectionIpWorkload wl(d, opt);
+  const ms::ProtectionIpWorkload wl(d, opt);
+  const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+  nl::Bus rdata(ms::kDataBits);
+  for (std::uint32_t i = 0; i < ms::kDataBits; ++i) {
+    rdata[i] = *d.nl.findNet("out/rdata_r_" + std::to_string(i) + "_q");
+  }
 
+  // Each run records the one workload object afresh.
   const auto runOnce = [&] {
-    sm::Simulator sim(d.nl);
-    wl.restart();
+    sm::Simulator sim(cd);
     std::vector<std::uint64_t> trace;
-    nl::Bus rdata(ms::kDataBits);
-    for (std::uint32_t i = 0; i < ms::kDataBits; ++i) {
-      rdata[i] = *d.nl.findNet("out/rdata_r_" + std::to_string(i) + "_q");
-    }
-    for (std::uint64_t c = 0; c < opt.cycles; ++c) {
-      sm::driveCycle(sim, wl, c);
-      sim.evalComb();
-      trace.push_back(sim.busValue(rdata));
-      sim.clockEdge();
-    }
+    (void)fs::runMachine(sim, fs::recordStimulus(cd, wl), nullptr, nullptr,
+                         [&](const sm::Simulator& s, std::uint64_t) {
+                           trace.push_back(s.busValue(rdata));
+                           return false;
+                         });
     return trace;
   };
   EXPECT_EQ(runOnce(), runOnce());

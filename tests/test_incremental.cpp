@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,7 @@
 #include "netlist/diff.hpp"
 #include "netlist/hash.hpp"
 #include "netlist/text_format.hpp"
+#include "obs/telemetry.hpp"
 #include "testkit/netlist_gen.hpp"
 #include "testkit/oracle.hpp"
 #include "testkit/plan.hpp"
@@ -212,9 +214,11 @@ TEST(IncrementalDeterminismTest, FaultEnumerationIsStable) {
     inject::InjectionManager mgr(env);
     ms::ProtectionIpWorkload::Options wopt;
     wopt.cycles = 300;
-    ms::ProtectionIpWorkload wl(d, wopt);
     const inject::OperationalProfile profile =
-        inject::OperationalProfile::record(flow.zones(), wl);
+        inject::OperationalProfile::record(
+            flow.zones(),
+            faultsim::recordStimulus(flow.zones().compiledShared(),
+                                     ms::ProtectionIpWorkload(d, wopt)));
     const fault::FaultList faults = mgr.zoneFailureFaults(profile, 1, 7);
     out.reserve(faults.size());
     for (const fault::Fault& f : faults) {
@@ -397,6 +401,57 @@ TEST(IncrementalSerializeTest, MultiSeuKeyIsStableAcrossReparseRenumbering) {
   EXPECT_EQ(fault::faultKey(re, rebound), key);
 }
 
+// A cached cycle binds when it lies inside the workload, [0, cycles).
+TEST(IncrementalSerializeTest, CachedCyclesBindInsideTheWorkloadOnly) {
+  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const core::FmeaFlow flow(v1.nl, core::makeFrmemFlowConfig(v1));
+  const fault::Fault f;
+  for (std::uint64_t inject::CachedRecord::*cycle :
+       {&inject::CachedRecord::sensCycle, &inject::CachedRecord::firstObsCycle,
+        &inject::CachedRecord::diagCycle}) {
+    inject::CachedRecord c;
+    c.*cycle = 9;
+    EXPECT_TRUE(
+        inject::bindCachedRecord(c, f, flow.zones(), flow.effects(), 10));
+    c.*cycle = 10;
+    EXPECT_FALSE(
+        inject::bindCachedRecord(c, f, flow.zones(), flow.effects(), 10));
+  }
+
+  // A stored cycle that is not a non-negative integer (or is absent) never
+  // binds, however long the workload.
+  const auto loaded = [](const char* key, Json value) {
+    Json rec = Json::object();
+    rec["key"] = "k";
+    rec["outcome"] =
+        std::string(inject::outcomeName(inject::Outcome::NoEffect));
+    rec["sens_cycle"] = 0;
+    rec["first_obs_cycle"] = 0;
+    rec["diag_cycle"] = 0;
+    if (value.isNull()) {
+      rec.erase(key);
+    } else {
+      rec[key] = std::move(value);
+    }
+    Json art = Json::object();
+    art["schema"] = "socfmea.campaign_artifact/1";
+    art["records"].push_back(std::move(rec));
+    return inject::CachedCampaign::fromJson(art).byKey.at("k");
+  };
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  EXPECT_TRUE(inject::bindCachedRecord(loaded("diag_cycle", 9), f,
+                                       flow.zones(), flow.effects(), huge));
+  for (const char* key : {"sens_cycle", "first_obs_cycle", "diag_cycle"}) {
+    SCOPED_TRACE(key);
+    for (const Json& bad : {Json(-5), Json(1e300), Json(2.5), Json("7"),
+                            Json()}) {
+      EXPECT_FALSE(inject::bindCachedRecord(loaded(key, bad), f,
+                                            flow.zones(), flow.effects(),
+                                            huge));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Diff + affected cone.
 
@@ -526,6 +581,90 @@ TEST(IncrementalOracleTest, UnreadableCampaignRunsColdWithOneMiss) {
   expectSameRecords(runOracleFlow(v1, nullptr, nullptr).result, rerun.result);
 }
 
+// A parseable artifact whose records hold cycles no workload cycle can
+// have: every detected record's diag_cycle is 1e300 (not an integer) and
+// every other deviating record's sens_cycle is -5.  None of them binds, so
+// the full hit takes the miss path and the delta path re-simulates those
+// faults; both give the cold run's records.
+TEST(IncrementalOracleTest, ImpossibleCachedCyclesDoNotBind) {
+  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const fs::path primed = freshDir("impossible_cycles");
+  {
+    core::ArtifactStore store(primed);
+    (void)runOracleFlow(v1, &store, nullptr);
+  }
+  std::vector<fs::path> campaigns;
+  for (const auto& e : fs::directory_iterator(primed)) {
+    if (e.path().filename().string().starts_with("campaign-")) {
+      campaigns.push_back(e.path());
+    }
+  }
+  ASSERT_EQ(campaigns.size(), 1u);
+  Json art = [&] {
+    std::ifstream in(campaigns[0]);
+    return Json::parse(std::string(std::istreambuf_iterator<char>(in), {}));
+  }();
+  Json records = Json::array();
+  std::size_t tampered = 0;
+  for (Json r : art.at("records").elements()) {
+    if (r.at("diag").asBool()) {
+      r["diag_cycle"] = Json(1e300);
+      ++tampered;
+    } else if (r.at("sens").asBool()) {
+      r["sens_cycle"] = Json(-5);
+      ++tampered;
+    }
+    records.push_back(std::move(r));
+  }
+  ASSERT_GT(tampered, 0u);
+  art["records"] = std::move(records);
+  std::ofstream(campaigns[0]) << art.dump();
+
+  const fs::path hitDir = freshDir("impossible_cycles_hit");
+  fs::copy(primed, hitDir, fs::copy_options::recursive);
+  core::ArtifactStore hitStore(hitDir);
+  const core::IncrementalCampaign rerun = runOracleFlow(v1, &hitStore, nullptr);
+  EXPECT_FALSE(rerun.fullHit);
+  expectSameRecords(runOracleFlow(v1, nullptr, nullptr).result, rerun.result);
+
+  const ms::GateLevelDesign dut =
+      ms::buildProtectionIp(editedOptions("wbuf-parity"));
+  const fs::path deltaDir = freshDir("impossible_cycles_delta");
+  fs::copy(primed, deltaDir, fs::copy_options::recursive);
+  core::ArtifactStore deltaStore(deltaDir);
+  const core::IncrementalCampaign delta =
+      runOracleFlow(dut, &deltaStore, nullptr);
+  EXPECT_TRUE(delta.deltaRun);
+  EXPECT_GT(delta.delta.reused, 0u);
+  expectSameRecords(runOracleFlow(dut, nullptr, nullptr).result,
+                    delta.result);
+}
+
+// Each path of the incremental flow records the workload once: the profile,
+// the stimulus hash and the campaign share the recording.
+TEST(IncrementalOracleTest, EveryPathRecordsTheWorkloadOnce) {
+  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const ms::GateLevelDesign dut =
+      ms::buildProtectionIp(editedOptions("wbuf-parity"));
+  core::ArtifactStore store(freshDir("record_once"));
+  const auto recordedOnce = [&](const ms::GateLevelDesign& d) {
+    const auto recordings = [] {
+      return socfmea::obs::Registry::global()
+          .timer("inject.record_stimulus")
+          .count;
+    };
+    const std::uint64_t before = recordings();
+    const core::IncrementalCampaign camp = runOracleFlow(d, &store, nullptr);
+    EXPECT_EQ(recordings() - before, 1u);
+    return camp;
+  };
+  const core::IncrementalCampaign cold = recordedOnce(v1);
+  EXPECT_FALSE(cold.fullHit);
+  EXPECT_FALSE(cold.deltaRun);
+  EXPECT_TRUE(recordedOnce(dut).deltaRun);
+  EXPECT_TRUE(recordedOnce(dut).fullHit);
+}
+
 TEST(IncrementalOracleTest, LatentMultiSeuGroupsSplitTheCampaignKey) {
   // Two latent multi-bit upsets that differ only in their flip-flop group:
   // the second run over the same store must simulate its own campaign, not
@@ -647,12 +786,16 @@ TEST(IncrementalFuzzTest, ConeMergedVerdictsEqualColdRun) {
     // Cold truth on both designs.
     const nlst::CompiledDesignPtr cdA = nlst::compile(a);
     const nlst::CompiledDesignPtr cd = nlst::compile(b);
-    inject::VectorWorkload wlA(planA.name, planA.inputs, planA.stimulus);
     const auto onA = tk::serialOutputs(
-        cdA, faultsim::recordStimulus(cdA, wlA), planA.faults);
-    inject::VectorWorkload wlB(planB.name, planB.inputs, planB.stimulus);
-    const auto onB = tk::serialOutputs(cd, faultsim::recordStimulus(cd, wlB),
-                                       planB.faults);
+        cdA,
+        faultsim::recordStimulus(
+            cdA, inject::VectorWorkload(planA.inputs, planA.stimulus)),
+        planA.faults);
+    const auto onB = tk::serialOutputs(
+        cd,
+        faultsim::recordStimulus(
+            cd, inject::VectorWorkload(planB.inputs, planB.stimulus)),
+        planB.faults);
     ASSERT_EQ(onA.size(), onB.size());
 
     // The delta-reuse rule: faults outside the affected cone of diff(a, b)

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "faultsim/stimulus.hpp"
 #include "inject/analyzer.hpp"
 #include "inject/manager.hpp"
 #include "inject/workload.hpp"
@@ -19,6 +21,7 @@
 namespace nl = socfmea::netlist;
 namespace zn = socfmea::zones;
 namespace ft = socfmea::fault;
+namespace fs = socfmea::faultsim;
 namespace ij = socfmea::inject;
 namespace sm = socfmea::sim;
 namespace tk = socfmea::testkit;
@@ -68,6 +71,19 @@ struct Testbed {
   [[nodiscard]] ij::RandomWorkload workload(std::uint64_t cycles = 64) const {
     return ij::RandomWorkload(n, cycles, 5, {{rst, false}});
   }
+  /// workload(cycles), recorded on the testbed's design.
+  [[nodiscard]] fs::StimulusTrace stimulus(std::uint64_t cycles = 64) const {
+    return fs::recordStimulus(db.compiledShared(), workload(cycles));
+  }
+  /// Reset low and din at 0 every cycle: nothing ever changes.
+  [[nodiscard]] fs::StimulusTrace idle() const {
+    return fs::recordStimulus(
+        db.compiledShared(),
+        ij::FunctionWorkload(32, [&](sm::Simulator& sim, std::uint64_t) {
+          sim.setInput(rst, sm::Logic::L0);
+          sim.setInputBus(din, 0);
+        }));
+  }
 };
 
 }  // namespace
@@ -76,43 +92,36 @@ struct Testbed {
 // workloads
 // ---------------------------------------------------------------------------
 
-TEST(WorkloadTest, RandomIsDeterministicAcrossRestarts) {
+TEST(WorkloadTest, RandomIsDeterministicAcrossRecordings) {
+  // The table is drawn at construction: recording one object twice gives
+  // the same stimulus, and so does a second object with the same seed.
   Testbed tb;
-  auto wl = tb.workload(32);
-  sm::Simulator sim(tb.n);
-  const auto capture = [&] {
-    wl.restart();
-    sim.reset();
-    std::vector<std::uint64_t> vals;
-    for (std::uint64_t c = 0; c < wl.cycles(); ++c) {
-      sm::driveCycle(sim, wl, c);
-      sim.evalComb();
-      vals.push_back(sim.busValue(tb.din));
-      sim.clockEdge();
-    }
-    return vals;
-  };
-  EXPECT_EQ(capture(), capture());
+  const auto wl = tb.workload(32);
+  const fs::StimulusTrace a = fs::recordStimulus(tb.db.compiledShared(), wl);
+  const fs::StimulusTrace b = fs::recordStimulus(tb.db.compiledShared(), wl);
+  ASSERT_EQ(a.cycles(), 32u);
+  EXPECT_EQ(a.inputs, b.inputs);
+  EXPECT_EQ(a.values, b.values);
+  EXPECT_EQ(a.values, tb.stimulus(32).values);
+  // Random data: the din inputs do not hold one value for 32 cycles.
+  const std::set<std::vector<bool>> rows(a.values.begin(), a.values.end());
+  EXPECT_GT(rows.size(), 1u);
 }
 
 TEST(WorkloadTest, PinnedInputsHold) {
   Testbed tb;
-  auto wl = tb.workload(32);
-  sm::Simulator sim(tb.n);
-  wl.restart();
-  for (std::uint64_t c = 0; c < 32; ++c) {
-    sm::driveCycle(sim, wl, c);
-    sim.evalComb();
-    EXPECT_EQ(sim.value(tb.rst), sm::Logic::L0);
-    sim.clockEdge();
-  }
+  const fs::StimulusTrace stim = tb.stimulus(32);
+  const auto rst = std::find(stim.inputs.begin(), stim.inputs.end(), tb.rst);
+  ASSERT_NE(rst, stim.inputs.end());
+  const auto col = static_cast<std::size_t>(rst - stim.inputs.begin());
+  for (const std::vector<bool>& row : stim.values) EXPECT_FALSE(row[col]);
 }
 
 TEST(WorkloadTest, VectorWorkloadValidatesWidth) {
   Testbed tb;
-  EXPECT_THROW(ij::VectorWorkload("v", {tb.din[0], tb.din[1]}, {{true}}),
+  EXPECT_THROW(ij::VectorWorkload({tb.din[0], tb.din[1]}, {{true}}),
                std::invalid_argument);
-  ij::VectorWorkload ok("v", {tb.din[0]}, {{true}, {false}});
+  const ij::VectorWorkload ok({tb.din[0]}, {{true}, {false}});
   EXPECT_EQ(ok.cycles(), 2u);
 }
 
@@ -122,8 +131,8 @@ TEST(WorkloadTest, VectorWorkloadValidatesWidth) {
 
 TEST(ProfileTest, ActiveZonesRecorded) {
   Testbed tb;
-  auto wl = tb.workload(128);
-  const auto p = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(128);
+  const auto p = ij::OperationalProfile::record(tb.db, stim);
   const auto dreg = *tb.db.findZone("dreg");
   EXPECT_TRUE(p.zone(dreg).triggered());
   EXPECT_GT(p.zone(dreg).writes, 20u);  // random data changes most cycles
@@ -133,19 +142,15 @@ TEST(ProfileTest, ActiveZonesRecorded) {
 
 TEST(ProfileTest, CompletenessCountsTriggeredZones) {
   Testbed tb;
-  auto wl = tb.workload(128);
-  const auto p = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(128);
+  const auto p = ij::OperationalProfile::record(tb.db, stim);
   EXPECT_GT(p.completeness(), 0.5);
   EXPECT_LE(p.completeness(), 1.0);
 }
 
 TEST(ProfileTest, IdleWorkloadTriggersNothing) {
   Testbed tb;
-  ij::FunctionWorkload idle("idle", 32, [&](sm::Simulator& sim, std::uint64_t) {
-    sim.setInput(tb.rst, sm::Logic::L0);
-    sim.setInputBus(tb.din, 0);
-  });
-  const auto p = ij::OperationalProfile::record(tb.db, idle);
+  const auto p = ij::OperationalProfile::record(tb.db, tb.idle());
   const auto dreg = *tb.db.findZone("dreg");
   EXPECT_FALSE(p.zone(dreg).triggered());
   EXPECT_FALSE(p.untriggeredZones().empty());
@@ -153,8 +158,8 @@ TEST(ProfileTest, IdleWorkloadTriggersNothing) {
 
 TEST(ProfileTest, FreqClassTracksActivity) {
   Testbed tb;
-  auto wl = tb.workload(128);
-  const auto p = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(128);
+  const auto p = ij::OperationalProfile::record(tb.db, stim);
   const auto dreg = *tb.db.findZone("dreg");
   // Random 4-bit data changes nearly every cycle: continuous-ish.
   const auto f = p.freqClassOf(dreg);
@@ -190,11 +195,7 @@ TEST(EnvBuilderTest, OwnerZonesOfSeuIsTheFfZone) {
 TEST(EnvBuilderTest, CollapserDropsInactiveZoneFaults) {
   Testbed tb;
   // Idle workload: nothing triggers -> every zone-owned fault is dropped.
-  ij::FunctionWorkload idle("idle", 32, [&](sm::Simulator& sim, std::uint64_t) {
-    sim.setInput(tb.rst, sm::Logic::L0);
-    sim.setInputBus(tb.din, 0);
-  });
-  const auto p = ij::OperationalProfile::record(tb.db, idle);
+  const auto p = ij::OperationalProfile::record(tb.db, tb.idle());
   auto faults = ft::allSeuFaults(tb.n);
   const auto dropped = ij::collapseAgainstProfile(tb.db, p, faults);
   EXPECT_GT(dropped, 0u);
@@ -203,8 +204,8 @@ TEST(EnvBuilderTest, CollapserDropsInactiveZoneFaults) {
 
 TEST(EnvBuilderTest, RandomiserAssignsActiveCycles) {
   Testbed tb;
-  auto wl = tb.workload(128);
-  const auto p = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(128);
+  const auto p = ij::OperationalProfile::record(tb.db, stim);
   auto faults = ft::allSeuFaults(tb.n);
   const auto sampled = ij::randomizeFaultList(tb.db, p, faults, 64, 3);
   EXPECT_LE(sampled.size(), 64u);
@@ -222,8 +223,8 @@ TEST(EnvBuilderTest, RandomiserAssignsActiveCycles) {
 
 TEST(EnvBuilderTest, RandomiserCapsListSize) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto p = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto p = ij::OperationalProfile::record(tb.db, stim);
   const auto faults = ft::allStuckAtFaults(tb.n);
   const auto sampled = ij::randomizeFaultList(tb.db, p, faults, 5, 3);
   EXPECT_EQ(sampled.size(), 5u);
@@ -237,9 +238,9 @@ namespace {
 
 ij::CampaignResult runOne(Testbed& tb, const ft::Fault& f,
                           std::uint64_t window = 4) {
-  auto wl = tb.workload(64);
+  const auto stim = tb.stimulus(64);
   ij::InjectionManager mgr(tb.env(window));
-  return mgr.run(wl, {f});
+  return mgr.run(stim, {f});
 }
 
 }  // namespace
@@ -309,19 +310,20 @@ TEST(ManagerTest, StuckAlarmMakesDataFaultsUndetected) {
   const zn::EffectsModel fx(db, {"alarm_"});
   const auto env = ij::EnvironmentBuilder(db, fx).withSeed(1).build();
   ij::InjectionManager mgr(env);
-  ij::RandomWorkload wl(n, 64, 5, {{rst, false}});
+  const fs::StimulusTrace stim = fs::recordStimulus(
+      db.compiledShared(), ij::RandomWorkload(n, 64, 5, {{rst, false}}));
   ft::Fault f;
   f.kind = ft::FaultKind::SeuFlip;
   f.cell = *n.findCell("dreg_2");
   f.cycle = 20;
-  const auto res = mgr.run(wl, {f});
+  const auto res = mgr.run(stim, {f});
   EXPECT_EQ(res.records[0].outcome, ij::Outcome::DangerousUndetected);
 }
 
 TEST(ManagerTest, ZoneFailureFaultsCoverEveryTargetBit) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
   const auto faults = mgr.zoneFailureFaults(profile, 2, 9);
   // dreg(4) + preg(1) + spare(1) flip-flops x 2 each.
@@ -330,11 +332,11 @@ TEST(ManagerTest, ZoneFailureFaultsCoverEveryTargetBit) {
 
 TEST(ManagerTest, MeasuredAggregatesConsistent) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
   const auto faults = mgr.zoneFailureFaults(profile, 2, 9);
-  const auto res = mgr.run(wl, faults);
+  const auto res = mgr.run(stim, faults);
   std::size_t sum = 0;
   for (const auto o :
        {ij::Outcome::NoEffect, ij::Outcome::SafeMasked,
@@ -353,12 +355,12 @@ TEST(ManagerTest, MeasuredAggregatesConsistent) {
 
 TEST(CoverageTest, CompletenessReachesOneOnFullCampaign) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
   ij::CoverageCollector cov(mgr.environment());
   const auto faults = mgr.zoneFailureFaults(profile, 3, 9);
-  (void)mgr.run(wl, faults, &cov);
+  (void)mgr.run(stim, faults, &cov);
   EXPECT_EQ(cov.injections(), faults.size());
   EXPECT_GT(cov.sensCoverage(), 0.99);
   EXPECT_GT(cov.diagCoverage(), 0.99);
@@ -380,10 +382,10 @@ TEST(CoverageTest, EmptyCampaignIsIncomplete) {
 
 TEST(AnalyzerTest, AggregateSplitsOutcomesPerZone) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
+  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   const auto zones = analyzer.aggregate(res);
   for (const auto& m : zones) {
@@ -401,10 +403,10 @@ TEST(AnalyzerTest, AggregateSplitsOutcomesPerZone) {
 
 TEST(AnalyzerTest, EffectsTableMatchesStructuralPrediction) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
+  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   const auto table = analyzer.effectsTable(res);
   for (const auto& e : table) {
@@ -419,10 +421,10 @@ TEST(AnalyzerTest, EffectsTableMatchesStructuralPrediction) {
 
 TEST(AnalyzerTest, ValidationOneSided) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 6, 9));
+  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 6, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
 
   // Sheet that matches reality: dreg claims the parity checker.
@@ -488,14 +490,14 @@ TEST(ManagerTest, LatentAlarmFaultDefeatsDetection) {
   seu.cell = *tb.n.findCell("dreg_1");
   seu.cycle = 20;
 
-  auto wl = tb.workload(64);
+  const auto stim = tb.stimulus(64);
   ij::InjectionManager mgr(tb.env());
-  const auto clean = mgr.run(wl, {seu});
+  const auto clean = mgr.run(stim, {seu});
   EXPECT_EQ(clean.records[0].outcome, ij::Outcome::DangerousDetected);
 
   ij::CampaignOptions opt;
   opt.preexisting = latent;
-  const auto degraded = mgr.run(wl, {seu}, nullptr, opt);
+  const auto degraded = mgr.run(stim, {seu}, nullptr, opt);
   EXPECT_EQ(degraded.records[0].outcome, ij::Outcome::DangerousUndetected);
 }
 
@@ -513,11 +515,11 @@ TEST(ManagerTest, LatentFaultInPayloadStillDetected) {
   seu.cell = *tb.n.findCell("dreg_2");
   seu.cycle = 20;
 
-  auto wl = tb.workload(64);
+  const auto stim = tb.stimulus(64);
   ij::InjectionManager mgr(tb.env());
   ij::CampaignOptions opt;
   opt.preexisting = latent;
-  const auto res = mgr.run(wl, {seu}, nullptr, opt);
+  const auto res = mgr.run(stim, {seu}, nullptr, opt);
   EXPECT_EQ(res.records[0].outcome, ij::Outcome::DangerousDetected);
 }
 
@@ -536,7 +538,7 @@ TEST(ManagerTest, LatentSetPulseFiresInEveryEngine) {
   seu.cell = tb.spareFf;
   seu.cycle = 20;
 
-  auto wl = tb.workload(64);
+  const auto stim = tb.stimulus(64);
   ij::InjectionManager mgr(tb.env());
   for (const auto engine : {socfmea::faultsim::EngineKind::Serial,
                             socfmea::faultsim::EngineKind::Bitsliced}) {
@@ -544,7 +546,7 @@ TEST(ManagerTest, LatentSetPulseFiresInEveryEngine) {
     ij::CampaignOptions opt;
     opt.engine = engine;
     opt.preexisting = latent;
-    const auto res = mgr.run(wl, {seu}, nullptr, opt);
+    const auto res = mgr.run(stim, {seu}, nullptr, opt);
     ASSERT_EQ(res.records.size(), 1u);
     EXPECT_TRUE(res.records[0].obs.obs);
     EXPECT_EQ(res.records[0].obs.firstObsCycle, 30u);
@@ -569,7 +571,7 @@ TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
   c.cycle = 33;
   const ft::FaultList faults{a, b, a, c, b};
 
-  auto wl = tb.workload(64);
+  const auto stim = tb.stimulus(64);
   ij::InjectionManager mgr(tb.env());
   socfmea::obs::Registry& reg = socfmea::obs::Registry::global();
   using socfmea::faultsim::EngineKind;
@@ -587,7 +589,7 @@ TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
     opt.threads = cfg.threads;
     ij::CoverageCollector cov(mgr.environment());
     const std::uint64_t before = reg.counter("inject.faults_simulated");
-    const auto res = mgr.run(wl, faults, &cov, opt);
+    const auto res = mgr.run(stim, faults, &cov, opt);
     EXPECT_EQ(reg.counter("inject.faults_simulated") - before, 3u);
     EXPECT_EQ(cov.injections(), 5u);
     ASSERT_EQ(res.records.size(), faults.size());
@@ -595,7 +597,7 @@ TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
       SCOPED_TRACE(i);
       const ij::InjectionRecord& got = res.records[i];
       const ij::InjectionRecord want =
-          mgr.run(wl, {faults[i]}, nullptr, opt).records.at(0);
+          mgr.run(stim, {faults[i]}, nullptr, opt).records.at(0);
       EXPECT_TRUE(got.fault == want.fault);
       EXPECT_EQ(got.zone, want.zone);
       EXPECT_EQ(got.outcome, want.outcome);
@@ -649,7 +651,9 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
   const zn::EffectsModel fx(db, {"alarm_"});
   const auto env =
       ij::EnvironmentBuilder(db, fx).withSeed(1).withDetectionWindow(4).build();
-  ij::RandomWorkload wl(n, 16, 7, {{rst, false}, {en, false}});
+  const fs::StimulusTrace stim = fs::recordStimulus(
+      db.compiledShared(),
+      ij::RandomWorkload(n, 16, 7, {{rst, false}, {en, false}}));
   const auto pointOf = [&](nl::NetId net) {
     const auto it = std::find(env.obsNets.begin(), env.obsNets.end(), net);
     return env.obsIds.at(static_cast<std::size_t>(it - env.obsNets.begin()));
@@ -667,7 +671,7 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
   ij::InjectionManager mgr(env);
   ij::CampaignOptions opt;
   opt.engine = socfmea::faultsim::EngineKind::Serial;
-  const auto res = mgr.run(wl, {u0Sa0, u1Sa1, enSa1}, nullptr, opt);
+  const auto res = mgr.run(stim, {u0Sa0, u1Sa1, enSa1}, nullptr, opt);
   ASSERT_EQ(res.records.size(), 3u);
 
   // X in golden, 0 in the faulty machine: zone and point deviate at cycle 1;
@@ -707,9 +711,8 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
 
   // Fault simulation detects q0 reading 0 where golden reads X, and
   // alarm_and reading X where golden reads 0.
-  const auto cd = nl::compile(n);
-  const auto fsim = tk::serialOutputs(
-      cd, socfmea::faultsim::recordStimulus(cd, wl), {u0Sa0, enSa1});
+  const auto fsim =
+      tk::serialOutputs(db.compiledShared(), stim, {u0Sa0, enSa1});
   ASSERT_EQ(fsim.size(), 2u);
   EXPECT_TRUE(fsim[0].obs);
   EXPECT_TRUE(fsim[1].obs);
@@ -721,10 +724,10 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
 
 TEST(TallyTest, MatchesPerOutcomeCounts) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
+  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 4, 9));
 
   const auto t = res.tally();
   std::size_t sum = 0;
@@ -748,10 +751,10 @@ TEST(TallyTest, MatchesPerOutcomeCounts) {
 
 TEST(AnalyzerTest, EffectsTablePrinterShowsClassification) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(wl, mgr.zoneFailureFaults(profile, 4, 9));
+  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   std::ostringstream out;
   ij::printEffectsTable(out, tb.db, tb.fx, analyzer.effectsTable(res));
@@ -766,12 +769,12 @@ TEST(AnalyzerTest, EffectsTablePrinterShowsClassification) {
 
 TEST(JsonExportTest, CampaignJsonMatchesInMemoryTally) {
   Testbed tb;
-  auto wl = tb.workload(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, wl);
+  const auto stim = tb.stimulus(64);
+  const auto profile = ij::OperationalProfile::record(tb.db, stim);
   ij::InjectionManager mgr(tb.env());
   ij::CoverageCollector coverage(mgr.environment());
   const auto res =
-      mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 9), &coverage);
+      mgr.run(stim, mgr.zoneFailureFaults(profile, 2, 9), &coverage);
   const ij::OutcomeTally tally = res.tally();
 
   // Round trip through the serializer + parser, then cross-check every

@@ -325,6 +325,7 @@ TEST(MitigationsTest, CfcssCatchesWildControlFlowEdges) {
 // gate level: scenario designs vs the ISS, trap alarm, skewed comparator
 // ---------------------------------------------------------------------------
 
+namespace fs = socfmea::faultsim;
 namespace nl = socfmea::netlist;
 
 namespace {
@@ -341,18 +342,18 @@ TEST(ScenarioGateLevelTest, DesignsMatchIssFaultFreeWithQuietAlarms) {
   for (const auto& s : sc::all()) {
     SCOPED_TRACE(s.name);
     const cp::CpuDesign d = cp::buildTinyCpu(s.design);
-    cp::CpuWorkload wl(d, s.design.program, s.cycles);
-    sm::Simulator sim(d.nl);
+    const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+    const fs::StimulusTrace stim =
+        fs::recordStimulus(cd, cp::CpuWorkload(d, s.design.program, s.cycles));
+    sm::Simulator sim(cd);
     cp::TinyCpu iss(s.design.program);
     iss.reset();
 
     std::vector<nl::NetId> alarms;
     for (const auto& a : s.expectedAlarms) alarms.push_back(alarmNet(d, a));
 
-    wl.restart();
-    sim.reset();
     for (std::uint64_t c = 0; c < s.cycles; ++c) {
-      sm::driveCycle(sim, wl, c);
+      stim.apply(sim, c);
       sim.evalComb();
       for (const auto a : alarms) {
         ASSERT_NE(sim.value(a), sm::Logic::L1)
@@ -377,19 +378,19 @@ TEST(ScenarioGateLevelTest, DwcRegisterSeuRaisesStickyTrapAlarm) {
   const sc::Scenario* s = sc::find("dwc");
   ASSERT_NE(s, nullptr);
   const cp::CpuDesign d = cp::buildTinyCpu(s->design);
-  cp::CpuWorkload wl(d, s->design.program, s->cycles);
-  sm::Simulator sim(d.nl);
+  const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(cd, cp::CpuWorkload(d, s->design.program, s->cycles));
+  sm::Simulator sim(cd);
   const auto alarm = alarmNet(d, "alarm_trap");
   const auto victim = *d.nl.findCell("cpu0/r0_0");
 
-  wl.restart();
-  sim.reset();
   std::uint64_t firstAlarm = 0;
   bool alarmed = false;
   bool droppedAfterAlarm = false;
   const std::uint64_t inject = 31;  // mid-loop, r0/r1 hold the decrement
   for (std::uint64_t c = 0; c < s->cycles; ++c) {
-    sm::driveCycle(sim, wl, c);
+    stim.apply(sim, c);
     if (c == inject) sim.flipFf(victim);
     sim.evalComb();
     const bool high = sim.value(alarm) == sm::Logic::L1;
@@ -415,19 +416,19 @@ TEST(ScenarioGateLevelTest, SkewedLockstepCatchesEitherChannelWithinWindow) {
   const cp::CpuDesign d = cp::buildTinyCpu(s->design);
   const auto alarm = alarmNet(d, "alarm_lock");
   const auto fallback = *d.nl.findNet("lockchk/fallback_q");
+  const nl::CompiledDesignPtr cd = nl::compile(d.nl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(cd, cp::CpuWorkload(d, s->design.program, s->cycles));
 
   const auto run = [&](const char* victimCell, bool* alarmed,
                        std::uint64_t* firstAlarm, bool* fallbackAtEnd,
                        bool* fallbackDropped) {
-    cp::CpuWorkload wl(d, s->design.program, s->cycles);
-    sm::Simulator sim(d.nl);
-    wl.restart();
-    sim.reset();
+    sm::Simulator sim(cd);
     *alarmed = false;
     *fallbackDropped = false;
     bool fbSeen = false;
     for (std::uint64_t c = 0; c < s->cycles; ++c) {
-      sm::driveCycle(sim, wl, c);
+      stim.apply(sim, c);
       if (victimCell && c == 40) sim.flipFf(*d.nl.findCell(victimCell));
       sim.evalComb();
       if (!*alarmed && sim.value(alarm) == sm::Logic::L1) {

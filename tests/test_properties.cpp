@@ -108,11 +108,17 @@ TEST_P(SnlRoundTrip, ProtectionIpSimulatesIdentically) {
   // Same golden output trace cycle by cycle on both netlists.
   ms::ProtectionIpWorkload::Options wopt;
   wopt.cycles = 400;
-  ms::ProtectionIpWorkload wl(design, wopt);
+  const nl::CompiledDesignPtr cd = nl::compile(design.nl);
+  const fs::StimulusTrace stim =
+      fs::recordStimulus(cd, ms::ProtectionIpWorkload(design, wopt));
+  // The same recording on the reparsed design, its inputs rebound by name.
+  fs::StimulusTrace rebound = stim;
+  for (nl::NetId& in : rebound.inputs) {
+    in = *reparsed.findNet(design.nl.net(in).name);
+  }
 
-  sm::Simulator s1(design.nl);
+  sm::Simulator s1(cd);
   sm::Simulator s2(reparsed);
-  wl.restart();
   std::vector<nl::NetId> nets1;
   std::vector<nl::NetId> nets2;
   for (nl::CellId po : design.nl.primaryOutputs()) {
@@ -124,18 +130,8 @@ TEST_P(SnlRoundTrip, ProtectionIpSimulatesIdentically) {
   ASSERT_EQ(nets1.size(), nets2.size());
 
   for (std::uint64_t c = 0; c < wopt.cycles; ++c) {
-    // Drive both simulators with the same plan (drive() resolves nets by id,
-    // which survive the round trip in creation order for inputs).
-    sm::driveCycle(s1, wl, c);
-    // Mirror inputs onto the reparsed design by name, and the flips.
-    for (nl::CellId pi : design.nl.primaryInputs()) {
-      const auto& cell = design.nl.cell(pi);
-      s2.setInput(*reparsed.findNet(design.nl.net(cell.output).name),
-                  s1.value(cell.output));
-    }
-    std::vector<sm::MemFlip> flips;
-    wl.backdoor(c, flips);
-    sm::applyFlips(s2, flips);
+    stim.apply(s1, c);
+    rebound.apply(s2, c);
     s1.evalComb();
     s2.evalComb();
     for (std::size_t i = 0; i < nets1.size(); ++i) {
@@ -161,17 +157,19 @@ TEST(DeterminismTest, IdenticalSeedsGiveIdenticalCampaigns) {
                                socfmea::core::makeFrmemFlowConfig(design));
   ms::ProtectionIpWorkload::Options wopt;
   wopt.cycles = 600;
-  ms::ProtectionIpWorkload wl(design, wopt);
+  const ms::ProtectionIpWorkload wl(design, wopt);
 
   const auto runOnce = [&] {
     const auto env = ij::EnvironmentBuilder(flow.zones(), flow.effects())
                          .withSeed(seed)
                          .build();
     ij::InjectionManager mgr(env);
-    const auto profile = ij::OperationalProfile::record(flow.zones(), wl);
+    const fs::StimulusTrace stim =
+        fs::recordStimulus(flow.zones().compiledShared(), wl);
+    const auto profile = ij::OperationalProfile::record(flow.zones(), stim);
     auto faults = mgr.zoneFailureFaults(profile, 1, seed);
     faults.resize(std::min<std::size_t>(faults.size(), 40));
-    const auto res = mgr.run(wl, faults);
+    const auto res = mgr.run(stim, faults);
     std::vector<int> outcomes;
     for (const auto& r : res.records) {
       outcomes.push_back(static_cast<int>(r.outcome));

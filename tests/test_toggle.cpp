@@ -36,6 +36,14 @@ struct Fixture {
     nl.addOutput("o_pin", pinned);
     nl.check();
   }
+
+  /// measureToggle over `values` driven onto `in`, one row per cycle.
+  [[nodiscard]] fs::ToggleCoverage toggle(
+      std::vector<std::vector<bool>> values) const {
+    const nlx::CompiledDesignPtr cd = nlx::compile(nl);
+    return fs::measureToggle(
+        cd, fs::recordStimulus(cd, VectorWorkload({in}, std::move(values))));
+  }
 };
 
 }  // namespace
@@ -126,8 +134,7 @@ TEST(StructurallyConstant, MemoryReadDataVaries) {
 TEST(MeasureToggle, RiseAndFallBothCounted) {
   Fixture f;
   // in: 0 -> 1 -> 0 exercises rise and fall on the live cone.
-  VectorWorkload wl("t", {f.in}, {{false}, {true}, {false}});
-  const auto tc = fs::measureToggle(nlx::compile(f.nl), wl);
+  const auto tc = f.toggle({{false}, {true}, {false}});
   // c0/c1/pinned are screened out of the denominator.
   EXPECT_EQ(tc.nets, 3u);  // in, buf, live
   EXPECT_EQ(tc.toggledOnce, 3u);
@@ -139,8 +146,7 @@ TEST(MeasureToggle, RiseAndFallBothCounted) {
 
 TEST(MeasureToggle, RiseOnlyIsOnceNotBoth) {
   Fixture f;
-  VectorWorkload wl("t", {f.in}, {{false}, {true}, {true}});
-  const auto tc = fs::measureToggle(nlx::compile(f.nl), wl);
+  const auto tc = f.toggle({{false}, {true}, {true}});
   EXPECT_EQ(tc.toggledOnce, 3u);
   EXPECT_EQ(tc.toggledBoth, 0u);
   EXPECT_LT(tc.bothFraction(), 1.0);
@@ -148,8 +154,7 @@ TEST(MeasureToggle, RiseOnlyIsOnceNotBoth) {
 
 TEST(MeasureToggle, PinnedInputReportedUntoggled) {
   Fixture f;
-  VectorWorkload wl("t", {f.in}, {{false}, {false}, {false}});
-  const auto tc = fs::measureToggle(nlx::compile(f.nl), wl);
+  const auto tc = f.toggle({{false}, {false}, {false}});
   EXPECT_EQ(tc.toggledOnce, 0u);
   EXPECT_EQ(tc.untoggled.size(), 3u);
   EXPECT_FALSE(tc.passes());
