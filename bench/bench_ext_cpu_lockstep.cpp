@@ -29,14 +29,10 @@ void printTable() {
         Arch{"lockstep+STL", cpu::CpuOptions::lockstepStl(), 1}}) {
     const auto d = cpu::buildTinyCpu(a.opt);
     core::FmeaFlow flow(d.nl, cpu::makeCpuFlowConfig(d));
-    const cpu::CpuWorkload wl(d, cpu::selfTestProgram(), 450);
+    const cpu::CpuWorkload stim(d, cpu::selfTestProgram(), 450);
     const auto env =
-        inject::EnvironmentBuilder(flow.zones(), flow.effects())
-            .withSeed(9)
-            .build();
+        inject::EnvironmentBuilder(flow.zones(), flow.effects()).build();
     inject::InjectionManager mgr(env);
-    const faultsim::StimulusTrace stim =
-        faultsim::recordStimulus(flow.zones().compiledShared(), wl);
     const auto profile =
         inject::OperationalProfile::record(flow.zones(), stim);
     // The injection manager's campaign — the same path the scenario suite
@@ -64,8 +60,7 @@ void printTable() {
 void BM_CpuCosimCycle(benchmark::State& state) {
   const auto d = cpu::buildTinyCpu(cpu::CpuOptions::lockstepCpu());
   const netlist::CompiledDesignPtr cd = netlist::compile(d.nl);
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(
-      cd, cpu::CpuWorkload(d, cpu::selfTestProgram(), 450));
+  const cpu::CpuWorkload stim(d, cpu::selfTestProgram(), 450);
   sim::Simulator sim(cd);
   std::uint64_t c = 0;
   for (auto _ : state) {

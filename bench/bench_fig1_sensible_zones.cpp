@@ -37,9 +37,7 @@ void printTable() {
   const auto zid = db.findZone("dec/s1_syn");
   if (zid) {
     const auto& z = db.zone(*zid);
-    const faultsim::StimulusTrace stim = faultsim::recordStimulus(
-        db.compiledShared(),
-        memsys::ProtectionIpWorkload(f.v2, benchutil::workloadOptions(400)));
+    const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(400));
     sim::Simulator sim(db.compiledShared());
     // Golden zone trace.
     std::vector<std::uint64_t> golden;

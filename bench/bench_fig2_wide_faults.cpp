@@ -24,13 +24,9 @@ void printTable() {
             << census.unassigned << "\n";
 
   // Wide/global stuck-at campaign, full observation (no early abort).
-  const auto env = inject::EnvironmentBuilder(db, f.flowV2.effects())
-                       .withSeed(2)
-                       .build();
+  const auto env = inject::EnvironmentBuilder(db, f.flowV2.effects()).build();
   inject::InjectionManager mgr(env);
-  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1000));
-  const faultsim::StimulusTrace stim =
-      faultsim::recordStimulus(db.compiledShared(), wl);
+  const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(1000));
 
   sim::Rng rng(2);
   fault::FaultList wide;

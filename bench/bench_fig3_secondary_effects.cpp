@@ -32,11 +32,9 @@ void printTable() {
 
   // Measured effects table from a zone-failure campaign.
   const auto env =
-      inject::EnvironmentBuilder(db, fx).withSeed(3).withDetectionWindow(24).build();
+      inject::EnvironmentBuilder(db, fx).withDetectionWindow(24).build();
   inject::InjectionManager mgr(env);
-  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1200));
-  const faultsim::StimulusTrace stim =
-      faultsim::recordStimulus(db.compiledShared(), wl);
+  const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(1200));
   const auto profile = inject::OperationalProfile::record(db, stim);
   inject::CampaignOptions copt;
   copt.earlyAbort = false;  // observe the full effect migration

@@ -20,15 +20,13 @@ void printTable() {
   const auto& fx = f.flowV2.effects();
 
   const auto env =
-      inject::EnvironmentBuilder(db, fx).withSeed(4).withDetectionWindow(24).build();
+      inject::EnvironmentBuilder(db, fx).withDetectionWindow(24).build();
   std::cout << "environment: " << env.targetZones.size() << " target zones, "
             << env.obsNets.size() << " OBSE nets, " << env.alarmNets.size()
             << " DIAG nets, detection window " << env.detectionWindow
             << " cycles\n";
 
-  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(1500));
-  const faultsim::StimulusTrace stim =
-      faultsim::recordStimulus(db.compiledShared(), wl);
+  const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(1500));
   const auto profile = inject::OperationalProfile::record(db, stim);
   std::cout << "operational profile: " << profile.totalCycles()
             << " cycles, workload completeness "
@@ -62,13 +60,9 @@ void printTable() {
 void BM_CampaignThroughput(benchmark::State& state) {
   auto& f = benchutil::frmem();
   const auto& db = f.flowV2.zones();
-  const auto env = inject::EnvironmentBuilder(db, f.flowV2.effects())
-                       .withSeed(4)
-                       .build();
+  const auto env = inject::EnvironmentBuilder(db, f.flowV2.effects()).build();
   inject::InjectionManager mgr(env);
-  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(600));
-  const faultsim::StimulusTrace stim =
-      faultsim::recordStimulus(db.compiledShared(), wl);
+  const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(600));
   const auto profile = inject::OperationalProfile::record(db, stim);
   const auto faults = mgr.zoneFailureFaults(profile, 1, 4);
   const auto subset =
@@ -87,9 +81,7 @@ BENCHMARK(BM_CampaignThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_OperationalProfile(benchmark::State& state) {
   auto& f = benchutil::frmem();
-  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(600));
-  const faultsim::StimulusTrace stim =
-      faultsim::recordStimulus(f.flowV2.zones().compiledShared(), wl);
+  const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(600));
   for (auto _ : state) {
     const auto p = inject::OperationalProfile::record(f.flowV2.zones(), stim);
     benchmark::DoNotOptimize(p.completeness());

@@ -5,6 +5,7 @@
 // scrubbing repairs, MPU denials, and the SW start-up test library.
 #include "bench_util.hpp"
 #include "memsys/startup_tests.hpp"
+#include "sim/rng.hpp"
 
 using namespace socfmea;
 namespace ms = socfmea::memsys;

@@ -19,10 +19,11 @@ namespace {
 void printTable() {
   benchutil::banner("T-VAL", "Section 5: validation steps a-d on v2");
   auto& f = benchutil::frmem();
-  const memsys::ProtectionIpWorkload wl(f.v2, benchutil::workloadOptions(2000));
+  const memsys::ProtectionIpWorkload stim(f.v2,
+                                         benchutil::workloadOptions(2000));
   core::ValidationOptions opt;
   opt.zoneFailuresPerBit = 1;
-  const auto rep = core::runValidationFlow(f.flowV2, wl, opt);
+  const auto rep = core::runValidationFlow(f.flowV2, stim, opt);
   core::printValidationFlow(std::cout, rep);
   inject::printValidation(std::cout, rep.zoneValidation, 12);
   std::cout << "detection latency over the zone campaign: mean "
@@ -36,12 +37,9 @@ void printTable() {
   {
     const auto env =
         inject::EnvironmentBuilder(f.flowV2.zones(), f.flowV2.effects())
-            .withSeed(7)
             .withDetectionWindow(24)
             .build();
     inject::InjectionManager mgr(env);
-    const faultsim::StimulusTrace stim =
-        faultsim::recordStimulus(f.flowV2.zones().compiledShared(), wl);
     const auto profile =
         inject::OperationalProfile::record(f.flowV2.zones(), stim);
     // Campaign faults: SEUs on the output registers (covered by the
@@ -101,20 +99,16 @@ LogicOnly& logicDesign() {
 }
 
 /// The ablation's fault simulation: the logic design's primary outputs
-/// watched over one recorded stimulus, each machine stopped at its first
+/// watched over one stimulus trace, each machine stopped at its first
 /// deviation.
 struct Ablation {
   const LogicOnly& d = logicDesign();
   netlist::CompiledDesignPtr cd = netlist::compile(d.n);
   fault::FaultList faults = fault::allStuckAtFaults(d.n);
   faultsim::Watch watch = faultsim::outputWatch(d.n, d.n.primaryOutputs());
-  faultsim::StimulusTrace stim;
+  inject::RandomWorkload stim{d.n, 128, 9, {{d.rst, false}}};
 
-  Ablation() {
-    fault::collapseStuckAt(d.n, faults);
-    stim = faultsim::recordStimulus(
-        cd, inject::RandomWorkload(d.n, 128, 9, {{d.rst, false}}));
-  }
+  Ablation() { fault::collapseStuckAt(d.n, faults); }
 };
 
 void BM_SerialFaultSim(benchmark::State& state) {
@@ -148,8 +142,7 @@ BENCHMARK(BM_BitslicedFaultSim)->Unit(benchmark::kMillisecond);
 void BM_ToggleCoverage(benchmark::State& state) {
   auto& f = benchutil::frmem();
   const netlist::CompiledDesignPtr& cd = f.flowV2.zones().compiledShared();
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(
-      cd, memsys::ProtectionIpWorkload(f.v2, benchutil::workloadOptions(800)));
+  const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(800));
   for (auto _ : state) {
     const auto tc = faultsim::measureToggle(cd, stim);
     benchmark::DoNotOptimize(tc.onceFraction());

@@ -46,12 +46,10 @@ int main() {
   std::cout << "\n==== injection cross-check on the lockstep core ====\n";
   const auto lock = cpu::buildTinyCpu(cpu::CpuOptions::lockstepCpu());
   core::FmeaFlow flow(lock.nl, cpu::makeCpuFlowConfig(lock));
-  cpu::CpuWorkload wl(lock, cpu::selfTestProgram(), 450);
+  const cpu::CpuWorkload stim(lock, cpu::selfTestProgram(), 450);
   const auto env =
-      inject::EnvironmentBuilder(flow.zones(), flow.effects()).withSeed(8).build();
+      inject::EnvironmentBuilder(flow.zones(), flow.effects()).build();
   inject::InjectionManager mgr(env);
-  const faultsim::StimulusTrace stim =
-      faultsim::recordStimulus(flow.zones().compiledShared(), wl);
   const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
   const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 3, 8));
   inject::printCampaign(std::cout, res);

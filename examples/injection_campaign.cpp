@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   // 1. Environment builder.
   const inject::InjectionEnvironment env =
       inject::EnvironmentBuilder(flow.zones(), flow.effects())
-          .withSeed(42)
           .withDetectionWindow(24)
           .build();
   std::cout << "environment: " << env.targetZones.size() << " target zones, "
@@ -75,9 +74,7 @@ int main(int argc, char** argv) {
   // 2. Operational profiler.
   memsys::ProtectionIpWorkload::Options wopt;
   wopt.cycles = 1600;
-  const memsys::ProtectionIpWorkload workload(dut, wopt);
-  const faultsim::StimulusTrace stim =
-      faultsim::recordStimulus(flow.zones().compiledShared(), workload);
+  const memsys::ProtectionIpWorkload stim(dut, wopt);
   const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
   profile.print(std::cout, flow.zones(), 8);
 

@@ -11,6 +11,7 @@
 #endif
 
 #include "netlist/hash.hpp"
+#include "obs/telemetry.hpp"
 
 namespace socfmea::core {
 
@@ -30,6 +31,12 @@ std::string uniqueTmpSuffix() {
 #endif
   return ".tmp." + std::to_string(pid) + "." +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
+
+/// The hash a file keeps of its body: over the body's compact text, which
+/// parse(dump(x)) reproduces exactly.
+std::string bodyHash(const obs::Json& body) {
+  return netlist::hashHex(netlist::hashString(body.dump()));
 }
 
 }  // namespace
@@ -140,6 +147,7 @@ obs::Json ArtifactStore::statsJson() const {
   j["memory_hits"] = static_cast<long long>(stats_.memoryHits);
   j["disk_hits"] = static_cast<long long>(stats_.diskHits);
   j["misses"] = static_cast<long long>(stats_.misses);
+  j["rejected"] = static_cast<long long>(stats_.rejected);
   j["stores"] = static_cast<long long>(stats_.stores);
   return j;
 }
@@ -161,15 +169,29 @@ std::optional<obs::Json> ArtifactStore::loadFile(const std::string& file,
   }
   std::ostringstream text;
   text << in.rdbuf();
+  std::optional<obs::Json> body;
   try {
-    obs::Json a = obs::Json::parse(text.str());
-    ++stats_.diskHits;
-    if (useLru) touchLru(file, a);
-    return a;
+    obs::Json stored = obs::Json::parse(text.str());
+    const obs::Json* hash = stored.find("body_hash");
+    if (hash != nullptr && hash->isString() &&
+        stored.find("body") != nullptr) {
+      const std::string want = hash->asString();
+      body = std::move(stored["body"]);
+      if (bodyHash(*body) != want) body.reset();
+    }
   } catch (const std::exception&) {
-    ++stats_.misses;  // corrupt file: treated as a miss, recomputed over
+    body.reset();
+  }
+  if (!body) {
+    // Corrupt file: treated as a miss, recomputed and saved over.
+    ++stats_.misses;
+    ++stats_.rejected;
+    obs::Registry::global().add("core.store.rejected");
     return std::nullopt;
   }
+  ++stats_.diskHits;
+  if (useLru) touchLru(file, *body);
+  return body;
 }
 
 void ArtifactStore::saveFile(const std::string& file, const obs::Json& a,
@@ -180,7 +202,10 @@ void ArtifactStore::saveFile(const std::string& file, const obs::Json& a,
     if (!out) {
       throw std::runtime_error("ArtifactStore: cannot write " + tmp.string());
     }
-    out << a.dump(2) << '\n';
+    obs::Json stored = obs::Json::object();
+    stored["body_hash"] = bodyHash(a);
+    stored["body"] = a;
+    out << stored.dump(2) << '\n';
   }
   std::error_code ec;
   std::filesystem::rename(tmp, dir_ / file, ec);

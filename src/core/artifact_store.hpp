@@ -7,6 +7,11 @@
 // re-parse.  "Head" slots are the one mutable exception: named files
 // ("head-<name>.json") recording the latest run's design text and campaign
 // key, which the next run diffs against.
+//
+// Every file holds {"body_hash": <hex>, "body": <document>}, the hash taken
+// over the document's compact text.  A file whose hash is missing or does
+// not match its body is refused like an unparsable one: the load misses
+// and the caller recomputes and overwrites it.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +46,9 @@ class ArtifactStore {
   }
 
   /// Looks up an artifact by kind and content key; nullopt on miss or on a
-  /// corrupt file (a corrupt artifact is indistinguishable from a miss —
-  /// the caller recomputes and overwrites).
+  /// corrupt file: unparsable, or altered so its body no longer matches its
+  /// hash (a corrupt artifact is indistinguishable from a miss — the caller
+  /// recomputes and overwrites).
   [[nodiscard]] std::optional<obs::Json> load(std::string_view kind,
                                               std::uint64_t key);
   /// Persists an artifact (atomic rename over any previous file, so
@@ -69,7 +75,8 @@ class ArtifactStore {
   struct Stats {
     std::size_t memoryHits = 0;
     std::size_t diskHits = 0;
-    std::size_t misses = 0;
+    std::size_t misses = 0;    ///< absent or refused files
+    std::size_t rejected = 0;  ///< of the misses: files present but refused
     std::size_t stores = 0;
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

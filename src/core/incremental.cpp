@@ -4,7 +4,6 @@
 
 #include "fault/fault_list.hpp"
 #include "fault/serialize.hpp"
-#include "faultsim/stimulus.hpp"
 #include "inject/env_builder.hpp"
 #include "netlist/hash.hpp"
 #include "netlist/text_format.hpp"
@@ -31,7 +30,7 @@ std::uint64_t campaignOptionsHash(const netlist::Netlist& nl,
   return h;
 }
 
-/// Per-primary-input hash of the recorded stimulus stream, keyed by input
+/// Per-primary-input hash of the stimulus trace's stream, keyed by input
 /// name — the diff layer's view of "did the testbench change at this pin".
 obs::Json stimulusHashes(const netlist::Netlist& nl,
                          const faultsim::StimulusTrace& stim,
@@ -79,8 +78,9 @@ IncrementalFlow::IncrementalFlow(const netlist::Netlist& nl, FlowConfig cfg,
       flow_(nl, std::move(cfg)) {}
 
 IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
-    const sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
-    std::uint64_t detectionWindow, const inject::CampaignOptions& copt) {
+    const faultsim::StimulusTrace& stim, std::size_t perBit,
+    std::uint64_t seed, std::uint64_t detectionWindow,
+    const inject::CampaignOptions& copt) {
   const netlist::Netlist& nl = *nl_;
   const zones::ZoneDatabase& db = flow_.zones();
   const zones::EffectsModel& effects = flow_.effects();
@@ -88,11 +88,9 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
 
   const inject::InjectionEnvironment env =
       inject::EnvironmentBuilder(db, effects)
-          .withSeed(seed)
           .withDetectionWindow(detectionWindow)
           .build();
   inject::InjectionManager mgr(env);
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, wl);
   const inject::OperationalProfile profile =
       inject::OperationalProfile::record(db, stim);
   fault::FaultList faults = mgr.zoneFailureFaults(profile, perBit, seed);
@@ -119,7 +117,6 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
                                             hashMix(faultsHash, stimTotal));
 
   IncrementalCampaign out;
-  out.faultCount = faults.size();
   inject::CoverageCollector cov(mgr.environment());
 
   flow_.graph().stage("campaign", [&] {
@@ -168,8 +165,8 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
             const netlist::Netlist prev =
                 netlist::readNetlistString(text->asString());
             const netlist::NetlistDiff d = netlist::diff(prev, nl);
-            // Inputs whose recorded stimulus stream changed seed the cone
-            // exactly like edited cells.
+            // Inputs whose stimulus stream changed seed the cone exactly
+            // like edited cells.
             std::vector<netlist::NetId> extraSeeds;
             const obs::Json* prevStim = prevArt->find("stimulus");
             for (const auto& [name, hash] : stimJson.items()) {
@@ -254,12 +251,13 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
 
 IncrementalFlow::CandidateEvaluation IncrementalFlow::evaluateCandidate(
     const netlist::Netlist& nl, FlowConfig cfg, IncrementalOptions opt,
-    const sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
-    std::uint64_t detectionWindow, const inject::CampaignOptions& copt) {
+    const faultsim::StimulusTrace& stim, std::size_t perBit,
+    std::uint64_t seed, std::uint64_t detectionWindow,
+    const inject::CampaignOptions& copt) {
   CandidateEvaluation ev;
   ev.flow = std::make_unique<IncrementalFlow>(nl, std::move(cfg), opt);
-  ev.campaign =
-      ev.flow->runZoneFailureCampaign(wl, perBit, seed, detectionWindow, copt);
+  ev.campaign = ev.flow->runZoneFailureCampaign(stim, perBit, seed,
+                                                detectionWindow, copt);
   return ev;
 }
 

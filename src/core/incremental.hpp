@@ -15,8 +15,8 @@
 
 #include "core/artifact_store.hpp"
 #include "core/flow.hpp"
+#include "faultsim/stimulus.hpp"
 #include "inject/delta.hpp"
-#include "sim/workload.hpp"
 
 namespace socfmea::core {
 
@@ -55,7 +55,6 @@ struct IncrementalCampaign {
   inject::DeltaStats delta;
   bool fullHit = false;   ///< whole campaign loaded from the store
   bool deltaRun = false;  ///< head diff + cone reuse path taken
-  std::size_t faultCount = 0;
 };
 
 class IncrementalFlow {
@@ -69,15 +68,15 @@ class IncrementalFlow {
     return opt_;
   }
 
-  /// The paper's validation step (a) with delta reuse: records `wl` once
-  /// (faultsim::recordStimulus) for the profile, the stimulus hash and the
-  /// campaign, enumerates the zone-failure fault list, then loads /
-  /// delta-merges / cold-runs the campaign (timed as the flow graph's
-  /// "campaign" stage) and persists the artifact + head state for the next
-  /// iteration.  Exports `flow.incremental.*` telemetry.
+  /// The paper's validation step (a) with delta reuse: the profile, the
+  /// stimulus hash and the campaign all read `stim`, the workload's trace
+  /// over the design's primary inputs.  Enumerates the zone-failure fault
+  /// list, then loads / delta-merges / cold-runs the campaign (timed as the
+  /// flow graph's "campaign" stage) and persists the artifact + head state
+  /// for the next iteration.  Exports `flow.incremental.*` telemetry.
   [[nodiscard]] IncrementalCampaign runZoneFailureCampaign(
-      const sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
-      std::uint64_t detectionWindow,
+      const faultsim::StimulusTrace& stim, std::size_t perBit,
+      std::uint64_t seed, std::uint64_t detectionWindow,
       const inject::CampaignOptions& copt = {});
 
   /// Stage timings + store statistics (under "graph") and the last
@@ -96,8 +95,8 @@ class IncrementalFlow {
   };
   [[nodiscard]] static CandidateEvaluation evaluateCandidate(
       const netlist::Netlist& nl, FlowConfig cfg, IncrementalOptions opt,
-      const sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
-      std::uint64_t detectionWindow,
+      const faultsim::StimulusTrace& stim, std::size_t perBit,
+      std::uint64_t seed, std::uint64_t detectionWindow,
       const inject::CampaignOptions& copt = {});
 
  private:

@@ -50,7 +50,7 @@ std::vector<netlist::CellId> alarmOutputs(const netlist::Netlist& nl,
 }  // namespace
 
 ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
-                                       const sim::Workload& workload,
+                                       const faultsim::StimulusTrace& stim,
                                        const ValidationOptions& opt) {
   ValidationFlowReport rep;
   const netlist::Netlist& nl = flow.design();
@@ -60,11 +60,9 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
 
   const inject::InjectionEnvironment env =
       inject::EnvironmentBuilder(db, effects)
-          .withSeed(opt.seed)
           .withDetectionWindow(kDetectionWindow)
           .build();
   inject::InjectionManager mgr(env);
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(cd, workload);
   const inject::OperationalProfile profile =
       inject::OperationalProfile::record(db, stim);
   inject::ResultAnalyzer analyzer(db, effects);

@@ -65,11 +65,11 @@ struct ValidationFlowReport {
   [[nodiscard]] obs::Json toJson() const;
 };
 
-/// Runs the full validation flow on a design analyzed by `flow`.  Records
-/// `workload` once (faultsim::recordStimulus); the profile, the toggle
-/// pass and every campaign of steps (a)-(d) replay that recording.
+/// Runs the full validation flow on a design analyzed by `flow`.  The
+/// profile, the toggle pass and every campaign of steps (a)-(d) replay
+/// `stim`, the workload's trace over the design's primary inputs.
 [[nodiscard]] ValidationFlowReport runValidationFlow(
-    const FmeaFlow& flow, const sim::Workload& workload,
+    const FmeaFlow& flow, const faultsim::StimulusTrace& stim,
     const ValidationOptions& opt = {});
 
 void printValidationFlow(std::ostream& out, const ValidationFlowReport& rep);

@@ -142,13 +142,10 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   r.sil = flow.sil();
 
   const auto env = inject::EnvironmentBuilder(flow.zones(), flow.effects())
-                       .withSeed(opt.seed)
                        .withDetectionWindow(kDetectionWindow)
                        .build();
   inject::InjectionManager mgr(env);
-  const faultsim::StimulusTrace stim =
-      faultsim::recordStimulus(flow.zones().compiledShared(),
-                               CpuWorkload(d, s.design.program, s.cycles));
+  const CpuWorkload stim(d, s.design.program, s.cycles);
   const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
   const auto faults = mgr.zoneFailureFaults(profile, opt.perBit, opt.seed);
   r.faults = faults.size();

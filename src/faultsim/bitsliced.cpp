@@ -1135,7 +1135,7 @@ class WordEngine {
   /// Applies cycle c's backdoor flips, which the golden machine just took,
   /// to every lane-owned clone of the flipped memory as well.
   void mirrorFlips(std::uint64_t c) {
-    for (const sim::MemFlip& f : rs_.stim->flips[c]) {
+    for (const sim::MemFlip& f : rs_.stim->flipsAt(c)) {
       forEachLane(ownedMask_[f.mem], [&](unsigned lane) {
         clones_[f.mem][lane]->flipBit(f.addr, f.bit);
       });

@@ -1,7 +1,7 @@
 // Bit-sliced fault-parallel simulation: up to 256 faulty machines packed
 // into the bit-lanes of a SIMD word, evaluated in lockstep over the
 // compiled design's level-bucketed order with word-wide two-state boolean
-// kernels.  It replays the recorded StimulusTrace, watches each lane
+// kernels.  It replays the workload's StimulusTrace, watches each lane
 // through the serial oracle's Watch and reports the same Observation per
 // fault (faultsim/serial.hpp); fault simulation is the outputs-only watch.
 //
@@ -19,7 +19,7 @@
 // mask and previous-D word; SEU flips XOR the flip-flop divergence word at
 // the scheduled cycle; memory faults give the lane a private clone of the
 // golden memory (with the fault overlay installed) that replays the lane's
-// own writes and the recorded backdoor flips.
+// own writes and the trace's backdoor flips.
 //
 // Soundness rests on a two-state argument: after reset every golden and
 // lane value is definite (0/1), and no engine operation can introduce X, so
@@ -27,13 +27,13 @@
 // engine *verifies* the golden machine is X-free at every group start and
 // throws std::invalid_argument otherwise.
 //
-// Backdoor actions are recorded bit flips (sim::MemFlip); each cycle's
+// Backdoor actions are bit flips in the trace (sim::MemFlip); each cycle's
 // flips act on the golden machine and on every lane-owned clone of the
-// flipped memory alike, so the engine never calls the workload.
+// flipped memory alike.
 //
 // Group start.  Every word group starts at cycle 0: the worker resets its
 // golden machine the way the serial oracle resets a faulty one
-// (resetMachine) and replays the recorded stimulus from there, so each group
+// (resetMachine) and replays the stimulus trace from there, so each group
 // carries one golden timeline from reset to the workload's end (or until its
 // last lane retires).
 //
@@ -105,8 +105,8 @@ struct BitslicedCampaign {
   BitslicedStats stats;                   ///< the run's execution counters
 };
 
-/// Runs every fault against `watch` over the recorded `stim`, each lane on
-/// top of `latent` when it is set (inject::CampaignOptions::preexisting),
+/// Runs every fault against `watch` over the stimulus trace `stim`, each lane
+/// on top of `latent` when it is set (inject::CampaignOptions::preexisting),
 /// comparing with the lockstep golden machine every cycle.  A lane retires
 /// once verdictFinal holds under `retire`, or once it washed out; the
 /// observations equal runSerialWatch's for the same arguments.  Composes

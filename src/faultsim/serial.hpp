@@ -3,7 +3,7 @@
 // Stands in for the commercial fault simulator of the paper's validation
 // step (c): "the fault simulator can be used to precisely measure the fault
 // coverage vs permanent faults respect the workload and the implemented
-// diagnostic."  Both engines replay one recorded StimulusTrace, watch a
+// diagnostic."  Both engines replay one StimulusTrace, watch a
 // machine through the same Watch and report the same Observation per fault;
 // the serial form (runSerialWatch) is the one reference oracle, for fault
 // simulation (outputWatch: a fault is detected when an output deviates) and
@@ -145,7 +145,7 @@ inline void resetMachine(sim::Simulator& sim) {
 /// null (recordGolden, the operational profile, the toggle pass), a faulty
 /// machine of runSerialWatch otherwise.  Resets `sim` with resetMachine,
 /// installs `latent` and then `f` (each when non-null), and replays the
-/// recorded stimulus cycle by cycle: SEU / soft-error flips, the inputs and
+/// stimulus trace cycle by cycle: SEU / soft-error flips, the inputs and
 /// backdoor flips (StimulusTrace::apply), the settle, SET pulses in install
 /// order (each settled before the next one reads its net),
 /// `observe(sim, cycle)`, then the clock edge.  `observe` returns true to

@@ -1,37 +1,49 @@
-// Recorded stimulus: what the workload drives per cycle and the memory bit
-// flips its backdoor makes, captured once per flow by recordStimulus — the
-// workload's only caller — and handed down to every consumer, which replays
-// it instead of calling the workload.  The fault-free and every faulty
-// machine of the serial oracle step through faultsim::runMachine, which
-// replays it; the bit-sliced engine replays it on its lockstep golden
-// machine and mirrors the flips into lane-owned memory clones.
+// Stimulus trace: what the testbench drives on the primary inputs per cycle
+// and the memory bit flips its backdoor makes.  A workload is a trace: the
+// workloads (memsys::ProtectionIpWorkload, cpu::CpuWorkload,
+// inject::RandomWorkload) derive from StimulusTrace and write its rows in
+// their constructors, a test plan carries one, and a flow hands it down to
+// every consumer unchanged.  The fault-free and every faulty machine of the
+// serial oracle step through faultsim::runMachine, which replays it; the
+// bit-sliced engine replays it on its lockstep golden machine and mirrors
+// the flips into lane-owned memory clones.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "netlist/compiled.hpp"
-#include "sim/workload.hpp"
+#include "netlist/netlist.hpp"
+#include "sim/simulator.hpp"
 
 namespace socfmea::faultsim {
 
-/// Recorded per-cycle primary-input stimulus plus backdoor flips.
+/// Per-cycle primary-input stimulus plus backdoor flips.
 struct StimulusTrace {
-  std::vector<netlist::NetId> inputs;     ///< primary input nets
+  std::vector<netlist::NetId> inputs;     ///< driven input nets
   std::vector<std::vector<bool>> values;  ///< [cycle][input]
   /// [cycle] backdoor flips, applied after the inputs and before the
-  /// settle.  Not part of the incremental flow's stimulus hash.
+  /// settle.  May be shorter than `values`: a cycle past its end flips
+  /// nothing.  Not part of the incremental flow's stimulus hash.
   std::vector<std::vector<sim::MemFlip>> flips;
+
+  StimulusTrace() = default;
+  /// `cycles` all-zero rows over the primary inputs of `nl`, in their
+  /// order: a workload starts here, so an input it never drives reads 0.
+  StimulusTrace(const netlist::Netlist& nl, std::uint64_t cycles);
+
   [[nodiscard]] std::uint64_t cycles() const noexcept { return values.size(); }
+  /// The column of input net `net`; throws std::invalid_argument when the
+  /// trace does not drive it.
+  [[nodiscard]] std::size_t column(netlist::NetId net) const;
+  /// Cycle `c`'s backdoor flips.
+  [[nodiscard]] std::span<const sim::MemFlip> flipsAt(std::uint64_t c) const {
+    if (c >= flips.size()) return {};
+    return flips[c];
+  }
 
   /// Drives cycle `c` onto `sim`: the input values, then the flips.
   void apply(sim::Simulator& sim, std::uint64_t c) const;
 };
-
-/// Records the stimulus `wl` produces on the primary inputs of `cd`'s
-/// design (an input the workload never drives reads 0), timed as the
-/// inject.record_stimulus telemetry timer.
-[[nodiscard]] StimulusTrace recordStimulus(const netlist::CompiledDesignPtr& cd,
-                                           const sim::Workload& wl);
 
 }  // namespace socfmea::faultsim

@@ -70,10 +70,6 @@ std::vector<EffectsEntry> ResultAnalyzer::effectsTable(
     if (ownerZones(*db_, r.fault).size() > 1) continue;
     EffectsEntry& e = byZone[r.zone];
     e.zone = r.zone;
-    if (!e.any) {
-      e.any = true;
-      e.firstObserved = r.obs.obsDeviated.front();
-    }
     for (zones::ObsId p : r.obs.obsDeviated) {
       if (std::find(e.observedAt.begin(), e.observedAt.end(), p) ==
           e.observedAt.end()) {

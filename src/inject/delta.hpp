@@ -78,7 +78,7 @@ struct DeltaStats {
   [[nodiscard]] obs::Json toJson() const;
 };
 
-/// Runs the campaign over `faults` and the recorded stimulus `stim`,
+/// Runs the campaign over `faults` and the stimulus trace `stim`,
 /// simulating only faults inside `cone` (plus unmatched keys, records that
 /// do not bind and the revalidation sample) and merging cached verdicts for
 /// the rest.  A latent fault (`opt.preexisting`) inside the cone reuses

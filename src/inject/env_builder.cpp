@@ -13,7 +13,6 @@ InjectionEnvironment EnvironmentBuilder::build() const {
   InjectionEnvironment env;
   env.zones = db_;
   env.effects = effects_;
-  env.seed = seed_;
   env.detectionWindow = window_;
 
   for (const zones::SensibleZone& z : db_->zones()) {

@@ -1,8 +1,8 @@
 // Environment Builder (paper, Figure 4): "this block extracts from the FMEA
 // all the information related to the environment for the injection campaign
 // and builds all the required environment configuration files" — here, an
-// InjectionEnvironment value: target zones, observation and alarm nets, the
-// detection window, and the campaign seed.
+// InjectionEnvironment value: target zones, observation and alarm nets, and
+// the detection window.
 //
 // It also hosts the Collapser and Randomiser: starting from the operational
 // profile, the candidate fault list is reduced to faults that can actually
@@ -29,7 +29,6 @@ struct InjectionEnvironment {
   std::vector<netlist::NetId> alarmNets;    ///< diagnostic alarm nets
   std::uint64_t detectionWindow = 16;       ///< cycles for DIAG to fire after
                                             ///< the first functional deviation
-  std::uint64_t seed = 1;
 };
 
 class EnvironmentBuilder {
@@ -38,10 +37,6 @@ class EnvironmentBuilder {
                      const zones::EffectsModel& effects)
       : db_(&db), effects_(&effects) {}
 
-  EnvironmentBuilder& withSeed(std::uint64_t seed) {
-    seed_ = seed;
-    return *this;
-  }
   EnvironmentBuilder& withDetectionWindow(std::uint64_t w) {
     window_ = w;
     return *this;
@@ -52,7 +47,6 @@ class EnvironmentBuilder {
  private:
   const zones::ZoneDatabase* db_;
   const zones::EffectsModel* effects_;
-  std::uint64_t seed_ = 1;
   std::uint64_t window_ = 16;
 };
 

@@ -1,12 +1,12 @@
 // Fault Injection Manager (paper, Figure 4): "this function runs all the
 // injection campaign based on automatically generated fault lists and
-// collects all the results."  A flow records its workload once
-// (faultsim::recordStimulus) and hands the trace to every campaign it runs;
-// golden and faulty machines replay the recording (inputs plus backdoor
-// flips).  The SENS, OBSE and DIAG monitors are one faultsim::Watch over the
-// target zones, the observation points and the alarms; runWatch runs it on
-// either engine, and one mapping turns its observations into classified
-// injection records.
+// collects all the results."  A workload is its stimulus trace
+// (faultsim::StimulusTrace, written when the workload is built); a flow
+// hands it to every campaign it runs, and golden and faulty machines replay
+// it (inputs plus backdoor flips).  The SENS, OBSE and DIAG monitors are one
+// faultsim::Watch over the target zones, the observation points and the
+// alarms; runWatch runs it on either engine, and one mapping turns its
+// observations into classified injection records.
 #pragma once
 
 #include <array>
@@ -167,7 +167,7 @@ class InjectionManager {
     return env_;
   }
 
-  /// Runs the campaign over `stim`, the stimulus recorded on this design;
+  /// Runs the campaign over `stim`, a stimulus trace of this design;
   /// `coverage`, when non-null, accumulates the completeness counters once
   /// per list position.  Repeated faults are
   /// folded: each distinct fault is simulated once and its record copied to
@@ -187,7 +187,7 @@ class InjectionManager {
 
   /// The one switch between the engines, for the campaigns above and for
   /// fault simulation on the same design (validation step (c)).  Runs every
-  /// fault over the recorded stimulus `stim` against `watch` on the engine
+  /// fault over the stimulus trace `stim` against `watch` on the engine
   /// opt.engine resolves to, each machine on top of `latent` when it is set
   /// and stopped under `retire`: the serial oracle (faultsim::runSerialWatch
   /// against a golden trace recorded from the same stimulus) or the

@@ -46,14 +46,11 @@ OperationalProfile OperationalProfile::record(
       }
       if (changed) {
         ZoneActivity& a = p.activity_[z.id];
-        if (a.writes == 0) {
-          a.firstActive = c;
-        } else {
+        if (a.writes != 0) {
           holdSum[z.id] += c - lastChange[z.id];
           ++holdCount[z.id];
         }
         lastChange[z.id] = c;
-        a.lastActive = c;
         ++a.writes;
         if (a.activeCycles.size() < kMaxActiveCyclesPerZone) {
           a.activeCycles.push_back(static_cast<std::uint32_t>(c));

@@ -5,7 +5,7 @@
 // that only faults which will produce an error are selected during the
 // fault list generation process."
 //
-// The profiler replays the recorded workload on the fault-free machine and
+// The profiler replays the workload's trace on the fault-free machine and
 // records, per sensible zone, when its stored value changes (write
 // activity), how long values are held (the measured lifetime ζ) and which
 // cycles the zone is live — the data the Collapser and Randomiser use to
@@ -26,8 +26,6 @@ namespace socfmea::inject {
 
 struct ZoneActivity {
   std::uint64_t writes = 0;        ///< capture events that changed the value
-  std::uint64_t firstActive = 0;   ///< first cycle with a change
-  std::uint64_t lastActive = 0;    ///< last cycle with a change
   double activeFraction = 0.0;     ///< changing cycles / total cycles
   double avgHoldCycles = 0.0;      ///< mean cycles a value is held (ζ estimate)
   std::vector<std::uint32_t> activeCycles;  ///< cycles with changes (first 512)
@@ -37,8 +35,8 @@ struct ZoneActivity {
 
 class OperationalProfile {
  public:
-  /// Records the profile with one fault-free replay of the recorded
-  /// stimulus (faultsim::runMachine).
+  /// Records the profile with one fault-free replay of the stimulus trace
+  /// (faultsim::runMachine).
   static OperationalProfile record(const zones::ZoneDatabase& db,
                                    const faultsim::StimulusTrace& stim);
 

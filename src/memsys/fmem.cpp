@@ -87,7 +87,7 @@ std::optional<FMem::ReadComplete> FMem::tick(bool busIdle) {
   if (a.singleCorrected && !meta.isScrub) scrub_.noteError(meta.addr);
 
   if (meta.isScrub) {
-    scrub_.slotResult(meta.scrubReq, a.singleCorrected, a.uncorrectable());
+    scrub_.slotResult(meta.scrubReq, a.singleCorrected);
     // Repair: write the corrected word back through the normal encode path.
     if (!a.uncorrectable() &&
         (meta.scrubReq.kind == ScrubRequest::Kind::Repair ||

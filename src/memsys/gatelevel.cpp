@@ -170,7 +170,6 @@ GateLevelDesign buildProtectionIp(const GateLevelOptions& opt) {
     bistReq = issue;
     bistWe = b.band(issue, b.bnot(passQ));
     bistChk = b.band(d.bistEn, passQ);
-    d.blockPrefixes.push_back("bist");
   }
 
   // ---- MCE bus-interface registers -------------------------------------------

@@ -52,15 +52,13 @@ struct GateLevelDesign {
   netlist::NetId bistEn = netlist::kNoNet;
   /// Latent-fault self-test strobe: inverts one leg of every checker
   /// comparator so the alarm paths can be proven alive (and toggled) in a
-  /// fault-free run.  Only an input when the design has checkers.
+  /// fault-free run.  An input of every variant.
   netlist::NetId chkTest = netlist::kNoNet;
   netlist::Bus addr;
   netlist::Bus wdata;
 
   /// Substrings identifying alarm outputs (for zones::EffectsModel).
   std::vector<std::string> alarmNames;
-  /// Hierarchy prefixes suitable as sub-block zones.
-  std::vector<std::string> blockPrefixes;
 };
 
 /// Builds the protection IP.  The netlist passes check().

@@ -30,14 +30,12 @@ std::optional<ScrubRequest> Scrubber::idleSlot() {
   return std::nullopt;
 }
 
-void Scrubber::slotResult(const ScrubRequest& req, bool correctable,
-                          bool uncorrectable) {
+void Scrubber::slotResult(const ScrubRequest& req, bool correctable) {
   if (correctable) {
     ++stats_.correctableSeen;
     // A scan that found a correctable error queues a repair for it.
     if (req.kind == ScrubRequest::Kind::Scan) noteError(req.addr);
   }
-  if (uncorrectable) ++stats_.uncorrectableSeen;
 }
 
 double Scrubber::forecastRate() const noexcept {

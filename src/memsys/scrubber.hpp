@@ -14,7 +14,6 @@ struct ScrubStats {
   std::uint64_t repairsIssued = 0;    ///< repair writes performed
   std::uint64_t scansIssued = 0;      ///< background scan reads performed
   std::uint64_t correctableSeen = 0;  ///< corrected errors found while scrubbing
-  std::uint64_t uncorrectableSeen = 0;
 };
 
 /// What the scrubber wants to do with its DMA slot this cycle.
@@ -41,8 +40,7 @@ class Scrubber {
   [[nodiscard]] std::optional<ScrubRequest> idleSlot();
 
   /// Reports the outcome of a previously issued slot (fault forecasting).
-  void slotResult(const ScrubRequest& req, bool correctable,
-                  bool uncorrectable);
+  void slotResult(const ScrubRequest& req, bool correctable);
 
   [[nodiscard]] const ScrubStats& stats() const noexcept { return stats_; }
   /// Corrected-error rate seen by scrubbing — the fault-forecasting signal.

@@ -1,6 +1,7 @@
 #include "memsys/workloads.hpp"
 
 #include "memsys/hamming.hpp"
+#include "sim/rng.hpp"
 
 namespace socfmea::memsys {
 
@@ -12,11 +13,11 @@ constexpr std::uint64_t kResetCycles = 4;
 constexpr std::uint64_t kBistCycles = 16 * 4 * 2 + 16;
 /// Latent-fault self-test window: strobe chk_test across a write and a
 /// read so every checker comparator and alarm register is proven alive.
-/// The window runs unconditionally — on designs without a chk_test input
-/// drive() simply skips the strobe — so the cycle schedule is identical
-/// across architectural variants and the incremental flow can reuse
-/// cached verdicts between them (a conditional window would shift every
-/// post-window access by 16 cycles the moment a checker is added).
+/// The window runs unconditionally (every variant has the chk_test input),
+/// so the cycle schedule is identical across architectural variants and
+/// the incremental flow can reuse cached verdicts between them (a
+/// conditional window would shift every post-window access by 16 cycles
+/// the moment a checker is added).
 constexpr std::uint64_t kLatentCycles = 16;
 /// One operation every kPacing cycles (covers the read latency and the
 /// write-buffer drain of the paced design).
@@ -26,42 +27,59 @@ constexpr std::uint64_t kPacing = 4;
 
 ProtectionIpWorkload::ProtectionIpWorkload(const GateLevelDesign& design,
                                            Options opt)
-    : d_(&design), opt_(opt) {
-  buildPlan();
-}
+    : StimulusTrace(design.nl, opt.cycles) {
+  const std::size_t rst = column(design.rst);
+  const std::size_t bist = column(design.bistEn);
+  const std::size_t chk = column(design.chkTest);
+  const std::size_t req = column(design.req);
+  const std::size_t we = column(design.we);
+  const std::size_t priv = column(design.priv);
+  const auto busColumns = [&](const netlist::Bus& bus) {
+    std::vector<std::size_t> cols;
+    for (const netlist::NetId n : bus) cols.push_back(column(n));
+    return cols;
+  };
+  const std::vector<std::size_t> addr = busColumns(design.addr);
+  const std::vector<std::size_t> wdata = busColumns(design.wdata);
+  const auto setBus = [](std::vector<bool>& row,
+                         const std::vector<std::size_t>& cols,
+                         std::uint64_t value) {
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      row[cols[i]] = ((value >> i) & 1u) != 0;
+    }
+  };
+  flips.resize(opt.cycles);  // planted errors land in the one memory, 0
 
-void ProtectionIpWorkload::buildPlan() {
-  sim::Rng rng(opt_.seed);
-  const std::uint64_t words = std::uint64_t{1} << d_->options.addrBits;
-  plan_.assign(opt_.cycles, CyclePlan{});
-
+  sim::Rng rng(opt.seed);
+  const std::uint64_t words = std::uint64_t{1} << design.options.addrBits;
   std::vector<std::uint64_t> written;
   std::uint32_t nextFlipBit = 0;   // rotate over all 39 code-bit positions
   std::uint32_t nextSyndrome = 1;  // rotate over all 6-bit syndrome values
 
-  for (std::uint64_t c = 0; c < opt_.cycles; ++c) {
-    CyclePlan& p = plan_[c];
+  for (std::uint64_t c = 0; c < opt.cycles; ++c) {
+    std::vector<bool>& row = values[c];
+    row[priv] = true;  // machine privilege unless an MPU probe drops it
     if (c < kResetCycles) {
-      p.rst = true;
+      row[rst] = true;
       continue;
     }
     const std::uint64_t t = c - kResetCycles;
     if (t < kBistCycles) {
-      p.bist = true;
+      row[bist] = true;
       continue;
     }
     if (t < kBistCycles + kLatentCycles) {
       // Self-test window: strobe, with one write and one read in flight.
-      p.chk = true;
+      row[chk] = true;
       const std::uint64_t lt = t - kBistCycles;
       if (lt == 1) {
-        p.req = true;
-        p.we = true;
-        p.addr = 1;
-        p.data = 0x5A5A5A5Au;
+        row[req] = true;
+        row[we] = true;
+        setBus(row, addr, 1);
+        setBus(row, wdata, 0x5A5A5A5Au);
       } else if (lt == 6) {
-        p.req = true;
-        p.addr = 1;
+        row[req] = true;
+        setBus(row, addr, 1);
       }
       continue;
     }
@@ -70,78 +88,59 @@ void ProtectionIpWorkload::buildPlan() {
     const std::uint64_t roll = rng.below(100);
     if (roll < 45 || written.empty()) {
       // Write to the unrestricted lower three pages.
-      p.req = true;
-      p.we = true;
-      p.addr = rng.below(std::max<std::uint64_t>(1, words * 3 / 4));
-      p.data = static_cast<std::uint32_t>(rng.next());
-      if (written.size() < 256) written.push_back(p.addr);
+      const std::uint64_t a =
+          rng.below(std::max<std::uint64_t>(1, words * 3 / 4));
+      row[req] = true;
+      row[we] = true;
+      setBus(row, addr, a);
+      setBus(row, wdata, static_cast<std::uint32_t>(rng.next()));
+      if (written.size() < 256) written.push_back(a);
     } else if (roll < 90) {
       // Read back a previously written address; often plant an ECC error
       // there first so the correction/classification logic is exercised.
-      p.req = true;
-      p.addr = written[rng.below(written.size())];
-      if (opt_.plantEccErrors && rng.chance(0.70)) {
-        p.flipAddr = p.addr;
+      const std::uint64_t a = written[rng.below(written.size())];
+      row[req] = true;
+      setBus(row, addr, a);
+      if (opt.plantEccErrors && rng.chance(0.70)) {
+        std::uint64_t flipMask = 0;  // memory code bits to flip (of 39)
         const std::uint64_t kind = rng.below(10);
         if (kind < 6) {
           // Single-bit plant, rotating over every code position.
-          p.flipMask = std::uint64_t{1} << (nextFlipBit % kCodeBits);
+          flipMask = std::uint64_t{1} << (nextFlipBit % kCodeBits);
           ++nextFlipBit;
         } else if (kind < 8) {
           // Double-bit plant with varied separation.
           const std::uint32_t b0 = nextFlipBit % kCodeBits;
           const std::uint32_t sep = 1 + nextFlipBit % 17;
-          p.flipMask = (std::uint64_t{1} << b0) |
-                       (std::uint64_t{1} << ((b0 + sep) % kCodeBits));
+          flipMask = (std::uint64_t{1} << b0) |
+                     (std::uint64_t{1} << ((b0 + sep) % kCodeBits));
           ++nextFlipBit;
         } else {
           // Syndrome sweep: flip exactly the check bits of a rotating 6-bit
           // pattern so the correction decoders see every syndrome value.
-          for (std::uint32_t c = 0; c < kCheckBits; ++c) {
-            if (nextSyndrome & (1u << c)) {
-              p.flipMask |= std::uint64_t{1} << HammingCodec::checkBitIndex(c);
+          for (std::uint32_t k = 0; k < kCheckBits; ++k) {
+            if (nextSyndrome & (1u << k)) {
+              flipMask |= std::uint64_t{1} << HammingCodec::checkBitIndex(k);
             }
           }
           nextSyndrome = (nextSyndrome % 63) + 1;
         }
+        for (std::uint32_t bit = 0; bit < kCodeBits; ++bit) {
+          if (flipMask & (std::uint64_t{1} << bit)) {
+            flips[c].push_back({0, a, bit});
+          }
+        }
       }
     } else if (roll < 95) {
       // MPU probe: user-privilege access to the protected top page.
-      p.req = true;
-      p.we = rng.coin();
-      p.priv = false;
-      p.addr = words - 1 - rng.below(std::max<std::uint64_t>(1, words / 8));
-      p.data = static_cast<std::uint32_t>(rng.next());
+      row[req] = true;
+      row[we] = rng.coin();
+      row[priv] = false;
+      setBus(row, addr,
+             words - 1 - rng.below(std::max<std::uint64_t>(1, words / 8)));
+      setBus(row, wdata, static_cast<std::uint32_t>(rng.next()));
     }
     // Remaining rolls: idle (write buffer drains, scrub-style quiet).
-  }
-}
-
-void ProtectionIpWorkload::drive(sim::Simulator& sim,
-                                 std::uint64_t cycle) const {
-  const CyclePlan& p = plan_.at(cycle);
-  sim.setInput(d_->rst, sim::fromBool(p.rst));
-  sim.setInput(d_->bistEn, sim::fromBool(p.bist));
-  const auto& chkNet = sim.design().net(d_->chkTest);
-  if (chkNet.driver != netlist::kNoCell &&
-      sim.design().cell(chkNet.driver).type == netlist::CellType::Input) {
-    sim.setInput(d_->chkTest, sim::fromBool(p.chk));
-  }
-  sim.setInput(d_->req, sim::fromBool(p.req));
-  sim.setInput(d_->we, sim::fromBool(p.we));
-  sim.setInput(d_->priv, sim::fromBool(p.priv));
-  sim.setInputBus(d_->addr, p.addr);
-  sim.setInputBus(d_->wdata, p.data);
-}
-
-void ProtectionIpWorkload::backdoor(std::uint64_t cycle,
-                                    std::vector<sim::MemFlip>& flips) const {
-  if (cycle >= plan_.size() || d_->nl.memoryCount() == 0) return;
-  const CyclePlan& p = plan_[cycle];
-  for (std::uint32_t bit = 0; bit < kCodeBits; ++bit) {
-    if (p.flipMask & (std::uint64_t{1} << bit)) {
-      flips.push_back({0, p.flipAddr, bit});
-    }
   }
 }
 

@@ -11,14 +11,13 @@
 
 #include <vector>
 
+#include "faultsim/stimulus.hpp"
 #include "memsys/gatelevel.hpp"
 #include "memsys/subsystem.hpp"
-#include "sim/rng.hpp"
-#include "sim/workload.hpp"
 
 namespace socfmea::memsys {
 
-class ProtectionIpWorkload final : public sim::Workload {
+class ProtectionIpWorkload final : public faultsim::StimulusTrace {
  public:
   struct Options {
     std::uint64_t cycles = 2000;
@@ -30,35 +29,9 @@ class ProtectionIpWorkload final : public sim::Workload {
     bool plantEccErrors = true;
   };
 
+  /// Writes the whole run's stimulus and backdoor flips over `design`'s
+  /// primary inputs.
   ProtectionIpWorkload(const GateLevelDesign& design, Options opt);
-
-  [[nodiscard]] std::uint64_t cycles() const override { return opt_.cycles; }
-  void drive(sim::Simulator& sim, std::uint64_t cycle) const override;
-  void backdoor(std::uint64_t cycle,
-                std::vector<sim::MemFlip>& flips) const override;
-
- private:
-  /// One precomputed cycle of stimulus: the whole run is planned at
-  /// construction, so drive() and backdoor() are pure functions of the
-  /// cycle.
-  struct CyclePlan {
-    bool rst = false;
-    bool bist = false;
-    bool chk = false;  ///< latent-fault self-test strobe
-    bool req = false;
-    bool we = false;
-    bool priv = true;
-    std::uint64_t addr = 0;
-    std::uint32_t data = 0;
-    std::uint64_t flipMask = 0;  ///< memory code bits to flip (over 39 bits)
-    std::uint64_t flipAddr = 0;
-  };
-
-  void buildPlan();
-
-  const GateLevelDesign* d_;
-  Options opt_;
-  std::vector<CyclePlan> plan_;
 };
 
 /// Mixed multi-master traffic over the behavioural sub-system.

@@ -154,7 +154,6 @@ CompiledDesign::Stats CompiledDesign::stats() const noexcept {
   }
   s.combCells = combCell_.size();
   s.fanoutEdges = fanoutCells_.size();
-  s.faninEdges = faninNets_.size();
   return s;
 }
 

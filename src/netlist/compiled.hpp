@@ -159,7 +159,6 @@ class CompiledDesign {
     std::uint32_t maxLevelWidth = 0;  ///< widest level (cells)
     std::uint64_t combCells = 0;
     std::uint64_t fanoutEdges = 0;    ///< CSR fanout entries (net->pin edges)
-    std::uint64_t faninEdges = 0;     ///< CSR fanin entries
   };
   [[nodiscard]] Stats stats() const noexcept;
 

@@ -194,7 +194,6 @@ AffectedCone affectedCone(const CompiledDesign& cd, const NetlistDiff& d,
     for (const NetId n : cd.fanin(c)) pushNetSrc(n);
   }
 
-  for (const char f : fwd.cell) cone.forwardCells += f != 0 ? 1 : 0;
   for (const char f : cone.cell) cone.affectedCells += f != 0 ? 1 : 0;
   return cone;
 }

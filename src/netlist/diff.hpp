@@ -66,7 +66,6 @@ struct NetlistDiff {
 struct AffectedCone {
   std::vector<char> cell;  ///< site cell must be re-simulated
   std::vector<char> mem;   ///< faults inside this memory must be re-simulated
-  std::size_t forwardCells = 0;   ///< |D| (diagnostics)
   std::size_t affectedCells = 0;  ///< |R| (diagnostics)
 
   [[nodiscard]] bool cellAffected(CellId c) const {
@@ -79,7 +78,7 @@ struct AffectedCone {
 
 /// Computes the affected cone of `d` on compiled design B.  `extraSeedNets`
 /// adds divergence sources the structural diff cannot see (primary inputs
-/// whose recorded stimulus stream changed between the runs).
+/// whose stimulus stream changed between the runs).
 [[nodiscard]] AffectedCone affectedCone(const CompiledDesign& cd,
                                         const NetlistDiff& d,
                                         const std::vector<NetId>& extraSeedNets = {});

@@ -168,7 +168,6 @@ std::optional<AppliedTransform> applyTransform(netlist::Netlist& nl,
   }
 
   const std::size_t cellsBefore = nl.cellCount();
-  const std::size_t memsBefore = nl.memoryCount();
   Builder b(nl);
   Builder::Scope sc(b, scope);
   std::size_t memBits = 0;
@@ -300,7 +299,6 @@ std::optional<AppliedTransform> applyTransform(netlist::Netlist& nl,
 
   out.alarmNames.push_back(b.qualify("alarm"));
   out.cellsAdded = nl.cellCount() - cellsBefore;
-  out.memsAdded = nl.memoryCount() - memsBefore;
   // Gate-equivalent cost: one per cell, a quarter per signature memory bit
   // (SRAM bits are ~4x denser than standard-cell logic).
   out.gateCost = out.cellsAdded + memBits / 4;

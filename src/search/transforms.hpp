@@ -83,7 +83,6 @@ struct AppliedTransform {
   std::string id;
   std::size_t gateCost = 0;     ///< cells + memory bits added
   std::size_t cellsAdded = 0;
-  std::size_t memsAdded = 0;
   std::vector<std::string> alarmNames;  ///< new alarm outputs (diag nets)
   std::vector<ClaimEdit> claims;        ///< analytic claims to install
 };

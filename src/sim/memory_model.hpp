@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "netlist/cell.hpp"
+
 namespace socfmea::sim {
 
 /// Address-decoder fault behaviour for a single affected address.
@@ -27,6 +29,16 @@ struct CouplingFault {
   std::uint64_t victimAddr = 0;
   std::uint32_t victimBit = 0;
   bool invert = true;   ///< true: victim flips; false: victim copies aggressor
+};
+
+/// One backdoor action: flip stored bit `bit` of word `addr` of memory
+/// `mem` (MemoryModel::flipBit, past every fault model).
+struct MemFlip {
+  netlist::MemoryId mem = 0;
+  std::uint64_t addr = 0;
+  std::uint32_t bit = 0;
+
+  [[nodiscard]] bool operator==(const MemFlip&) const = default;
 };
 
 class MemoryModel {

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "faultsim/bitsliced.hpp"
-#include "inject/workload.hpp"
 #include "netlist/text_format.hpp"
 
 namespace socfmea::testkit {
@@ -108,15 +107,14 @@ std::vector<Observation> serialOutputs(const netlist::CompiledDesignPtr& cd,
 
 OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
                        const OracleOptions& opt) {
-  if (plan.inputs.size() != nl.primaryInputs().size()) {
-    throw PlanError("plan drives " + std::to_string(plan.inputs.size()) +
+  const faultsim::StimulusTrace& stim = plan.stim;
+  if (stim.inputs.size() != nl.primaryInputs().size()) {
+    throw PlanError("plan drives " + std::to_string(stim.inputs.size()) +
                     " inputs but design '" + nl.name() + "' has " +
                     std::to_string(nl.primaryInputs().size()));
   }
   OracleReport report;
   const netlist::CompiledDesignPtr cd = netlist::compile(nl);
-  const faultsim::StimulusTrace stim = faultsim::recordStimulus(
-      cd, inject::VectorWorkload(plan.inputs, plan.stimulus));
 
   const auto serialArm = [&](sim::EvalMode mode) {
     std::vector<Observation> r = serialOutputs(
@@ -190,10 +188,9 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
           {"round-trip", "write(parse(write(nl))) is not a fixed point", {}});
     } else {
       const TestPlan rebound = rebindPlan(nl, reparsed, plan);
-      const netlist::CompiledDesignPtr cd2 = netlist::compile(reparsed);
-      const faultsim::StimulusTrace stim2 = faultsim::recordStimulus(
-          cd2, inject::VectorWorkload(rebound.inputs, rebound.stimulus));
-      compareObservations(ref, serialOutputs(cd2, stim2, rebound.faults),
+      compareObservations(ref,
+                          serialOutputs(netlist::compile(reparsed),
+                                        rebound.stim, rebound.faults),
                           "round-trip", report);
     }
   } catch (const std::exception& e) {

@@ -5,7 +5,7 @@
 //   bitsliced x {event-driven, full-settle}   SIMD word-lane divergence engine
 //   campaign                                  serial vs bit-sliced watch
 //
-// Every arm replays one recorded stimulus.  The four fault-simulation arms
+// Every arm replays the plan's stimulus trace.  The four fault-simulation arms
 // run the primary-output watch (faultsim::outputWatch) with the DetectOnly
 // stop rule; the serial/event-driven run is the reference, and every other
 // arm must match its Observation fault for fault.  The bit-sliced engine

@@ -34,13 +34,9 @@ PlanOptions randomPlanOptions(sim::Rng& rng) {
 TestPlan generatePlan(const Netlist& nl, const PlanOptions& opt,
                       sim::Rng& rng) {
   TestPlan plan;
-  for (CellId pi : nl.primaryInputs()) {
-    plan.inputs.push_back(nl.cell(pi).output);
-  }
   const std::uint64_t cycles = std::max<std::uint64_t>(1, opt.cycles);
-  plan.stimulus.resize(cycles);
-  for (auto& row : plan.stimulus) {
-    row.resize(plan.inputs.size());
+  plan.stim = faultsim::StimulusTrace(nl, cycles);
+  for (auto& row : plan.stim.values) {
     for (std::size_t i = 0; i < row.size(); ++i) row[i] = rng.coin();
   }
 
@@ -239,9 +235,9 @@ void checkFault(const Netlist& nl, const Fault& f, bool namesMemory,
 void writePlan(std::ostream& out, const Netlist& nl, const TestPlan& plan) {
   out << "plan " << plan.name << "\n";
   out << "inputs";
-  for (NetId in : plan.inputs) out << " " << planNetName(nl, in);
+  for (NetId in : plan.stim.inputs) out << " " << planNetName(nl, in);
   out << "\n";
-  for (const auto& row : plan.stimulus) {
+  for (const auto& row : plan.stim.values) {
     out << "stim ";
     for (bool b : row) out << (b ? '1' : '0');
     out << "\n";
@@ -314,9 +310,21 @@ TestPlan readPlan(std::istream& in, const Netlist& nl) {
       }
       plan.name = toks[1];
     } else if (kw == "inputs") {
-      plan.inputs.clear();
+      if (!plan.stim.values.empty() &&
+          plan.stim.values.front().size() != toks.size() - 1) {
+        throw PlanError("line " + std::to_string(lineNo) +
+                        ": inputs changes the width of earlier stim lines");
+      }
+      plan.stim.inputs.clear();
       for (std::size_t i = 1; i < toks.size(); ++i) {
-        plan.inputs.push_back(bindNet(nl, toks[i], lineNo));
+        const NetId in = bindNet(nl, toks[i], lineNo);
+        const CellId driver = nl.net(in).driver;
+        if (driver == kNoCell ||
+            nl.cell(driver).type != netlist::CellType::Input) {
+          throw PlanError("line " + std::to_string(lineNo) + ": net '" +
+                          toks[i] + "' is not a primary input");
+        }
+        plan.stim.inputs.push_back(in);
       }
       sawInputs = true;
     } else if (kw == "stim") {
@@ -324,9 +332,9 @@ TestPlan readPlan(std::istream& in, const Netlist& nl) {
         throw PlanError("line " + std::to_string(lineNo) +
                         ": stim before inputs");
       }
-      if (toks.size() != 2 || toks[1].size() != plan.inputs.size()) {
+      if (toks.size() != 2 || toks[1].size() != plan.stim.inputs.size()) {
         throw PlanError("line " + std::to_string(lineNo) + ": stim needs " +
-                        std::to_string(plan.inputs.size()) + " bits");
+                        std::to_string(plan.stim.inputs.size()) + " bits");
       }
       std::vector<bool> row;
       for (char c : toks[1]) {
@@ -336,7 +344,7 @@ TestPlan readPlan(std::istream& in, const Netlist& nl) {
         }
         row.push_back(c == '1');
       }
-      plan.stimulus.push_back(std::move(row));
+      plan.stim.values.push_back(std::move(row));
     } else if (kw == "fault") {
       if (toks.size() < 2) {
         throw PlanError("line " + std::to_string(lineNo) +
@@ -414,7 +422,7 @@ TestPlan rebindPlan(const Netlist& from, const Netlist& to,
                     "' missing from design '" + to.name() + "'");
   };
   TestPlan out = plan;
-  for (auto& in : out.inputs) in = mapNet(in);
+  for (auto& in : out.stim.inputs) in = mapNet(in);
   for (auto& f : out.faults) {
     f.net = mapNet(f.net);
     f.net2 = mapNet(f.net2);

@@ -1,6 +1,7 @@
-// A test plan is the complete replayable campaign input for one design:
-// explicit per-cycle stimulus on every primary input plus a fault list over
-// the fault:: model.  Plans serialize to a line-oriented text format that
+// A test plan is the complete replayable campaign input for one design: a
+// stimulus trace with explicit per-cycle values on every primary input
+// (which the engines replay as is) plus a fault list over the fault::
+// model.  Plans serialize to a line-oriented text format that
 // names every fault site, so a plan file re-binds onto a reparsed .nl file,
 // a shrunk rebuild of the design, or the design it was generated from.
 //
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "fault/fault_list.hpp"
+#include "faultsim/stimulus.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/rng.hpp"
 
@@ -28,12 +30,12 @@ namespace socfmea::testkit {
 
 struct TestPlan {
   std::string name = "plan";
-  std::vector<netlist::NetId> inputs;       ///< primary input nets, in order
-  std::vector<std::vector<bool>> stimulus;  ///< [cycle][input]
-  fault::FaultList faults;                  ///< ids bound to one netlist
+  /// Primary input nets, in order, and their values per cycle; no flips.
+  faultsim::StimulusTrace stim;
+  fault::FaultList faults;  ///< ids bound to one netlist
 
   [[nodiscard]] std::uint64_t cycles() const noexcept {
-    return stimulus.size();
+    return stim.cycles();
   }
 };
 
@@ -72,9 +74,11 @@ void writePlan(std::ostream& out, const netlist::Netlist& nl,
 
 /// Parses a plan and binds all names to ids of `nl`.  Throws PlanError with
 /// 1-based line info on syntax errors, unknown names, numbers that are
-/// negative or only partly numeric, and faults the engines cannot run: a
-/// missing site, an SEU, delay or multi-SEU cell that is not a flip-flop, or
-/// a memory address or bit outside the memory.
+/// negative or only partly numeric, stimulus the engines cannot replay (an
+/// input that is not a primary input, a stim line of the wrong width), and
+/// faults the engines cannot run: a missing site, an SEU, delay or
+/// multi-SEU cell that is not a flip-flop, or a memory address or bit
+/// outside the memory.
 [[nodiscard]] TestPlan readPlan(std::istream& in, const netlist::Netlist& nl);
 [[nodiscard]] TestPlan readPlanString(const std::string& text,
                                       const netlist::Netlist& nl);

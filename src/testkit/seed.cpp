@@ -1,6 +1,10 @@
 #include "testkit/seed.hpp"
 
+#include <cctype>
 #include <cstdlib>
+#include <vector>
+
+#include "sim/rng.hpp"
 
 namespace socfmea::testkit {
 
@@ -36,6 +40,64 @@ std::string seedMessage(std::uint64_t seed) {
     msg += " (override the campaign with SOCFMEA_TEST_SEED=<n>)";
   }
   return msg;
+}
+
+std::string mutateText(std::string text, std::uint64_t seed) {
+  if (text.empty()) return text;
+  sim::Rng rng(seed);
+  // [begin, end) of a random line, its newline included.
+  const auto anyLine = [&] {
+    std::vector<std::size_t> starts{0};
+    for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+      if (text[i] == '\n') starts.push_back(i + 1);
+    }
+    const std::size_t begin = starts[rng.below(starts.size())];
+    const std::size_t nl = text.find('\n', begin);
+    return std::pair{begin, nl == std::string::npos ? text.size() : nl + 1};
+  };
+  switch (rng.below(5)) {
+    case 0: {
+      const std::size_t at = rng.below(text.size());
+      text[at] = static_cast<char>(text[at] ^ (1 + rng.below(255)));
+      break;
+    }
+    case 1:
+      text.resize(rng.below(text.size()));
+      break;
+    case 2: {
+      const auto [begin, end] = anyLine();
+      text.erase(begin, end - begin);
+      break;
+    }
+    case 3: {
+      const auto [begin, end] = anyLine();
+      text.insert(begin, text.substr(begin, end - begin));
+      break;
+    }
+    default: {
+      std::vector<std::pair<std::size_t, std::size_t>> numbers;
+      for (std::size_t i = 0; i < text.size();) {
+        if (std::isdigit(static_cast<unsigned char>(text[i])) == 0) {
+          ++i;
+          continue;
+        }
+        std::size_t end = i;
+        while (end < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[end])) != 0) {
+          ++end;
+        }
+        numbers.emplace_back(i, end - i);
+        i = end;
+      }
+      if (numbers.empty()) break;
+      constexpr const char* kExtremes[] = {"18446744073709551615",
+                                           "100000000000000000000", "-1"};
+      const auto [at, len] = numbers[rng.below(numbers.size())];
+      text.replace(at, len, kExtremes[rng.below(3)]);
+      break;
+    }
+  }
+  return text;
 }
 
 }  // namespace socfmea::testkit

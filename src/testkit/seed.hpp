@@ -29,4 +29,9 @@ namespace socfmea::testkit {
 /// "seed 123 (rerun with SOCFMEA_TEST_SEED=7 to reproduce)".
 [[nodiscard]] std::string seedMessage(std::uint64_t seed);
 
+/// One seeded mutation of a file's text, for robustness tests of the
+/// readers: a flipped byte, a truncation, a dropped or a duplicated line,
+/// or a number replaced by an extreme (2^64 - 1, 10^20 or -1).
+[[nodiscard]] std::string mutateText(std::string text, std::uint64_t seed);
+
 }  // namespace socfmea::testkit

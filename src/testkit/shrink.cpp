@@ -99,31 +99,28 @@ std::optional<Candidate> rebuild(const Netlist& src, const TestPlan& plan,
     Candidate cand;
     cand.plan.name = plan.name;
     // Promoted inputs first (all-zero columns), then the surviving originals
-    // with their recorded stimulus.
-    const std::uint64_t cycles = plan.cycles();
+    // with their stimulus.
+    const std::vector<NetId>& oldInputs = plan.stim.inputs;
+    std::vector<NetId>& inputs = cand.plan.stim.inputs;
     std::vector<std::size_t> columns;  // old column; >= old count = promoted
     for (NetId n : promoted) {
-      cand.plan.inputs.push_back(netMap[n]);
-      columns.push_back(plan.inputs.size());
+      inputs.push_back(netMap[n]);
+      columns.push_back(oldInputs.size());
     }
-    for (std::size_t i = 0; i < plan.inputs.size(); ++i) {
-      const NetId mapped = netMap[plan.inputs[i]];
+    for (std::size_t i = 0; i < oldInputs.size(); ++i) {
+      const NetId mapped = netMap[oldInputs[i]];
       if (mapped == kNoNet) continue;  // its Input cell was dropped
       if (nl.net(mapped).driver == kNoCell) return std::nullopt;
-      cand.plan.inputs.push_back(mapped);
+      inputs.push_back(mapped);
       columns.push_back(i);
     }
-    if (cand.plan.inputs.size() != nl.primaryInputs().size()) {
+    if (inputs.size() != nl.primaryInputs().size()) {
       return std::nullopt;  // a promoted/original input lost its port
     }
-    cand.plan.stimulus.resize(cycles);
-    for (std::uint64_t cyc = 0; cyc < cycles; ++cyc) {
-      auto& row = cand.plan.stimulus[cyc];
-      row.resize(columns.size());
-      for (std::size_t i = 0; i < columns.size(); ++i) {
-        row[i] = columns[i] < plan.inputs.size()
-                     ? plan.stimulus[cyc][columns[i]]
-                     : false;
+    for (const std::vector<bool>& old : plan.stim.values) {
+      std::vector<bool>& row = cand.plan.stim.values.emplace_back();
+      for (const std::size_t col : columns) {
+        row.push_back(col < oldInputs.size() && old[col]);
       }
     }
     for (const auto& f : plan.faults) {
@@ -232,21 +229,22 @@ class Shrinker {
     // Shortest failing stimulus prefix, by halving then linear trim.
     while (cur_.plan.cycles() > 1) {
       TestPlan cand = cur_.plan;
-      cand.stimulus.resize(std::max<std::size_t>(1, cand.stimulus.size() / 2));
+      cand.stim.values.resize(
+          std::max<std::size_t>(1, cand.stim.values.size() / 2));
       if (!tryPlan(std::move(cand))) break;
     }
     while (cur_.plan.cycles() > 1) {
       TestPlan cand = cur_.plan;
-      cand.stimulus.pop_back();
+      cand.stim.values.pop_back();
       if (!tryPlan(std::move(cand))) break;
     }
   }
 
   void zeroStimulus() {
-    for (std::size_t col = 0; col < cur_.plan.inputs.size(); ++col) {
+    for (std::size_t col = 0; col < cur_.plan.stim.inputs.size(); ++col) {
       TestPlan cand = cur_.plan;
       bool any = false;
-      for (auto& row : cand.stimulus) {
+      for (auto& row : cand.stim.values) {
         any = any || row[col];
         row[col] = false;
       }
@@ -254,7 +252,7 @@ class Shrinker {
     }
     for (std::size_t cyc = 0; cyc < cur_.plan.cycles(); ++cyc) {
       TestPlan cand = cur_.plan;
-      auto& row = cand.stimulus[cyc];
+      auto& row = cand.stim.values[cyc];
       if (std::none_of(row.begin(), row.end(), [](bool b) { return b; })) {
         continue;
       }

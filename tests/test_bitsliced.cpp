@@ -251,7 +251,7 @@ std::size_t detected(const std::vector<fs::Observation>& observations) {
 // every lane width.
 TEST(BitslicedKindTest, EveryFaultKindMatchesSerial) {
   MemDesign d;
-  ij::RandomWorkload wl(d.n, 90, tk::testSeed(21), {{d.rst, false}});
+  const ij::RandomWorkload stim(d.n, 90, tk::testSeed(21), {{d.rst, false}});
 
   ft::FaultList faults;
   const auto add = [&](ft::Fault f) { faults.push_back(f); };
@@ -318,7 +318,6 @@ TEST(BitslicedKindTest, EveryFaultKindMatchesSerial) {
   add(f);
 
   const auto cd = nl::compile(d.n);
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   const auto serial = tk::serialOutputs(cd, stim, faults);
   // Enough stimulus lands on the memory for most kinds to matter; the test
   // is only meaningful if some faults really diverge.
@@ -338,11 +337,10 @@ TEST(BitslicedKindTest, EveryFaultKindMatchesSerial) {
 
 TEST(BitslicedKindTest, EarlyAbortOffStillMatches) {
   MemDesign d;
-  ij::RandomWorkload wl(d.n, 70, tk::testSeed(22), {{d.rst, false}});
+  const ij::RandomWorkload stim(d.n, 70, tk::testSeed(22), {{d.rst, false}});
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
   ft::collapseStuckAt(d.n, faults);
   const auto cd = nl::compile(d.n);
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   constexpr fs::RetireMode kFull = fs::RetireMode::WashoutOnly;
   expectObservationsEqual(d.n, faults,
                           tk::serialOutputs(cd, stim, faults, kFull),
@@ -360,7 +358,7 @@ TEST(BitslicedKindTest, EarlyAbortOffStillMatches) {
 TEST(BitslicedBackdoorTest, CycleZeroRomSoftErrorsMatchSerial) {
   const cp::CpuDesign d = cp::buildTinyCpu(cp::CpuOptions::plain());
   ASSERT_TRUE(d.behaviouralRom());
-  cp::CpuWorkload wl(d, cp::selfTestProgram(), 300);
+  const cp::CpuWorkload stim(d, cp::selfTestProgram(), 300);
   ft::FaultList faults;
   for (std::uint64_t addr = 0; addr < 8; ++addr) {
     for (std::uint32_t bit = 0; bit < 8; ++bit) {
@@ -374,42 +372,12 @@ TEST(BitslicedBackdoorTest, CycleZeroRomSoftErrorsMatchSerial) {
     }
   }
   const auto cd = nl::compile(d.nl);
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   const auto serial = tk::serialOutputs(cd, stim, faults);
   EXPECT_GT(detected(serial), 0u);
   expectObservationsEqual(
       d.nl, faults, serial,
       slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly).observations);
 }
-
-namespace {
-
-/// Replays a plan's stimulus and makes the given backdoor flips.
-class FlipWorkload final : public sm::Workload {
- public:
-  FlipWorkload(const tk::TestPlan& plan,
-               std::vector<std::vector<sm::MemFlip>> flips)
-      : plan_(plan), flips_(std::move(flips)) {}
-
-  [[nodiscard]] std::uint64_t cycles() const override {
-    return plan_.cycles();
-  }
-  void drive(sm::Simulator& sim, std::uint64_t cycle) const override {
-    for (std::size_t i = 0; i < plan_.inputs.size(); ++i) {
-      sim.setInput(plan_.inputs[i], sm::fromBool(plan_.stimulus[cycle][i]));
-    }
-  }
-  void backdoor(std::uint64_t cycle,
-                std::vector<sm::MemFlip>& flips) const override {
-    flips.insert(flips.end(), flips_[cycle].begin(), flips_[cycle].end());
-  }
-
- private:
-  const tk::TestPlan& plan_;
-  std::vector<std::vector<sm::MemFlip>> flips_;
-};
-
-}  // namespace
 
 // Random designs with a memory, replayed with random backdoor flips: on the
 // cycle and cell of a soft error, on a stuck cell, after a soft error gave
@@ -452,9 +420,9 @@ TEST(BitslicedBackdoorTest, RandomFlipsOnRandomDesignsMatchSerial) {
     for (int k = 0; k < 3; ++k) anyCell(rng.below(plan.cycles()));
     for (const auto& row : flips) flipsMade += row.size();
 
-    FlipWorkload wl(plan, std::move(flips));
+    fs::StimulusTrace stim = plan.stim;
+    stim.flips = std::move(flips);
     const auto cd = nl::compile(n);
-    const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
     const auto serial =
         tk::serialOutputs(cd, stim, plan.faults, fs::RetireMode::WashoutOnly);
     for (const unsigned laneWords : {1u, 2u, 4u}) {
@@ -478,7 +446,7 @@ TEST(BitslicedBackdoorTest, RandomFlipsOnRandomDesignsMatchSerial) {
 
 TEST(BitslicedRetireTest, RetiresRefillsAndStaysWithinCapacity) {
   DataPath d;
-  ij::RandomWorkload wl(d.n, 120, tk::testSeed(23), {{d.rst, false}});
+  const ij::RandomWorkload stim(d.n, 120, tk::testSeed(23), {{d.rst, false}});
   // More faults than one 64-lane word: uncollapsed stuck-ats (mostly
   // detected within a few cycles -> early retirement) plus late SEUs the
   // refill path can only install mid-run.
@@ -495,7 +463,6 @@ TEST(BitslicedRetireTest, RetiresRefillsAndStaysWithinCapacity) {
   }
 
   const auto cd = nl::compile(d.n);
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   const auto serial = tk::serialOutputs(cd, stim, faults);
 
   fs::FaultSimOptions opt;
@@ -515,20 +482,18 @@ TEST(BitslicedRetireTest, RetiresRefillsAndStaysWithinCapacity) {
   EXPECT_LE(stats.laneCycles, stats.wordCycles * 64);
   // Early retirement makes the bit-sliced engine simulate fewer lane-cycles
   // than a full per-fault replay would.
-  EXPECT_LT(stats.laneCycles, faults.size() * wl.cycles());
+  EXPECT_LT(stats.laneCycles, faults.size() * stim.cycles());
   EXPECT_GE(stats.wordGroups, (faults.size() + 63) / 64);
 }
 
 TEST(BitslicedRetireTest, WithoutEarlyAbortOnlyWashoutRetires) {
   DataPath d;
-  ij::RandomWorkload wl(d.n, 80, tk::testSeed(24), {{d.rst, false}});
+  const ij::RandomWorkload stim(d.n, 80, tk::testSeed(24), {{d.rst, false}});
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
   ft::collapseStuckAt(d.n, faults);
   const auto cd = nl::compile(d.n);
   const fs::BitslicedStats stats =
-      slicedRun(cd, fs::recordStimulus(cd, wl), faults,
-                fs::RetireMode::WashoutOnly)
-          .stats;
+      slicedRun(cd, stim, faults, fs::RetireMode::WashoutOnly).stats;
   // Permanent faults can never wash out, so nothing retires early.
   EXPECT_EQ(stats.lanesRetiredEarly, 0u);
   EXPECT_EQ(stats.convergedEarly, 0u);
@@ -536,7 +501,7 @@ TEST(BitslicedRetireTest, WithoutEarlyAbortOnlyWashoutRetires) {
 
 TEST(BitslicedRetireTest, TransientsWashOutAndConverge) {
   DataPath d;
-  ij::RandomWorkload wl(d.n, 120, tk::testSeed(25), {{d.rst, false}});
+  const ij::RandomWorkload stim(d.n, 120, tk::testSeed(25), {{d.rst, false}});
   // SEUs on bits that are overwritten the very next cycle: the divergence
   // washes out and the lane retires long before the workload ends even
   // without a detection verdict (earlyAbort off exercises pure washout).
@@ -550,7 +515,6 @@ TEST(BitslicedRetireTest, TransientsWashOutAndConverge) {
     faults.push_back(f);
   }
   const auto cd = nl::compile(d.n);
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   const auto sliced = slicedRun(cd, stim, faults, fs::RetireMode::WashoutOnly);
   expectObservationsEqual(
       d.n, faults,
@@ -583,7 +547,7 @@ TEST(BitslicedActivityTest, DeepFaultInLongChainMatchesSerialVerdicts) {
   bl.output("o", cur);
   n.check();
 
-  ij::RandomWorkload wl(n, 40, tk::testSeed(26));
+  const ij::RandomWorkload stim(n, 40, tk::testSeed(26));
   ft::FaultList faults;
   ft::Fault f;
   f.kind = ft::FaultKind::StuckAt1;
@@ -591,7 +555,6 @@ TEST(BitslicedActivityTest, DeepFaultInLongChainMatchesSerialVerdicts) {
   faults.push_back(f);
 
   const auto cd = nl::compile(n);
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   // WashoutOnly keeps the lane alive so every cycle sweeps.
   const auto sliced = slicedRun(cd, stim, faults, fs::RetireMode::WashoutOnly);
   expectObservationsEqual(
@@ -608,7 +571,7 @@ TEST(BitslicedActivityTest, DeepFaultInLongChainMatchesSerialVerdicts) {
 
 TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
   DataPath d;
-  ij::RandomWorkload wl(d.n, 100, tk::testSeed(27), {{d.rst, false}});
+  const ij::RandomWorkload stim(d.n, 100, tk::testSeed(27), {{d.rst, false}});
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
   for (nl::CellId ff : d.n.flipFlops()) {
     ft::Fault f;
@@ -619,7 +582,6 @@ TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
     faults.push_back(f);
   }
   const auto cd = nl::compile(d.n);
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   const auto serial = tk::serialOutputs(cd, stim, faults);
   // 0 = one worker per hardware thread (at least one).
   const unsigned allCores = std::max(1u, std::thread::hardware_concurrency());
@@ -662,7 +624,6 @@ struct MemsysBed {
       : db(zn::extractZones(design.nl)),
         fx(db, design.alarmNames),
         env(ij::EnvironmentBuilder(db, fx)
-                .withSeed(kEnvSeed)
                 .withDetectionWindow(24)
                 .build()) {}
 
@@ -687,9 +648,7 @@ ms::ProtectionIpWorkload::Options smallWorkload(std::uint64_t cycles) {
 }
 
 fs::StimulusTrace MemsysBed::stimulus(std::uint64_t cycles) const {
-  return fs::recordStimulus(
-      db.compiledShared(),
-      ms::ProtectionIpWorkload(design, smallWorkload(cycles)));
+  return ms::ProtectionIpWorkload(design, smallWorkload(cycles));
 }
 
 void expectRecordsEqual(const ij::CampaignResult& a,
@@ -889,12 +848,9 @@ TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
   const zn::ZoneDatabase db = zn::extractZones(n);
   const zn::EffectsModel fx(db, {});
   const auto env = ij::EnvironmentBuilder(db, fx)
-                       .withSeed(kEnvSeed)
                        .withDetectionWindow(4)
                        .build();
-  const fs::StimulusTrace stim = fs::recordStimulus(
-      db.compiledShared(),
-      ij::RandomWorkload(n, 40, tk::testSeed(31), {{rst, false}}));
+  const ij::RandomWorkload stim(n, 40, tk::testSeed(31), {{rst, false}});
   const ft::FaultList faults = ft::allStuckAtFaults(n);
   ASSERT_FALSE(faults.empty());
   ij::InjectionManager mgr(env);
@@ -935,10 +891,9 @@ TEST(BitslicedPropertyTest, TwoHundredRandomDesignsBitIdenticalToSerial) {
     tk::PlanOptions po = tk::randomPlanOptions(rng);
     const tk::TestPlan plan = tk::generatePlan(n, po, rng);
     if (plan.faults.empty()) continue;
-    const ij::VectorWorkload wl(plan.inputs, plan.stimulus);
+    const fs::StimulusTrace& stim = plan.stim;
 
     const auto cd = nl::compile(n);
-    const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
     // Rotate the lane width with the case index so every width soaks.
     fs::FaultSimOptions o;
     o.laneWords = (i % 3 == 0) ? 1 : (i % 3 == 1) ? 2 : 4;
@@ -969,17 +924,15 @@ TEST(BitslicedPropertyTest, LatentFaultsOnRandomDesignsMatchSerial) {
     if (db.size() == 0) continue;
     const zn::EffectsModel fx(db, {});
     const auto env = ij::EnvironmentBuilder(db, fx)
-                         .withSeed(seed)
                          .withDetectionWindow(4)
                          .build();
     const tk::TestPlan plan =
         tk::generatePlan(n, tk::randomPlanOptions(rng), rng);
     if (plan.faults.empty()) continue;
-    const ij::VectorWorkload wl(plan.inputs, plan.stimulus);
+    const fs::StimulusTrace& stim = plan.stim;
     const ij::InjectionManager mgr(env);
     const nl::CompiledDesignPtr& cd = db.compiledShared();
     const fs::Watch watch = mgr.watch();
-    const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
     const fs::GoldenTrace golden = fs::recordGolden(cd, stim, watch);
     for (int k = 0; k < 3; ++k) {
       const ft::Fault latent = plan.faults[rng.below(plan.faults.size())];

@@ -11,7 +11,6 @@
 #include "core/frmem_config.hpp"
 #include "core/validation.hpp"
 #include "memsys/workloads.hpp"
-#include "obs/telemetry.hpp"
 
 namespace core = socfmea::core;
 namespace ms = socfmea::memsys;
@@ -148,16 +147,7 @@ TEST(ValidationFlowTest, AllFourStepsPassOnV2) {
   vopt.criticalZones = 8;
   vopt.localFaultsPerZone = 9;
   vopt.wideFaults = 32;
-  const auto recordings = [] {
-    return socfmea::obs::Registry::global()
-        .timer("inject.record_stimulus")
-        .count;
-  };
-  const std::uint64_t before = recordings();
   const auto rep = core::runValidationFlow(flows().flowV2, workload, vopt);
-  // One recording of the workload: the profile, the toggle pass and the
-  // campaigns of steps (a), (c) and (d) all replay it.
-  EXPECT_EQ(recordings() - before, 1u);
 
   EXPECT_TRUE(rep.stepAPass) << "zone-failure injection vs FMEA";
   EXPECT_TRUE(rep.stepBPass) << "toggle " << rep.toggle.onceFraction();

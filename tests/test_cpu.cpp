@@ -94,8 +94,7 @@ void cosim(const cp::CpuOptions& opt, const std::vector<std::uint8_t>& prog,
            std::uint64_t cycles) {
   const cp::CpuDesign d = cp::buildTinyCpu(opt);
   const nl::CompiledDesignPtr cd = nl::compile(d.nl);
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(cd, cp::CpuWorkload(d, prog, cycles));
+  const cp::CpuWorkload stim(d, prog, cycles);
   sm::Simulator sim(cd);
   cp::TinyCpu iss(prog);
   iss.reset();
@@ -141,8 +140,7 @@ TEST(CpuGateLevelTest, CosimRandomPrograms) {
 TEST(CpuGateLevelTest, LockstepChannelsAgreeFaultFree) {
   const cp::CpuDesign d = cp::buildTinyCpu(cp::CpuOptions::lockstepCpu());
   const nl::CompiledDesignPtr cd = nl::compile(d.nl);
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(cd, cp::CpuWorkload(d, cp::selfTestProgram(), 400));
+  const cp::CpuWorkload stim(d, cp::selfTestProgram(), 400);
   sm::Simulator sim(cd);
   const auto alarm = *d.nl.findNet("lockchk/alarm_r_q");
   for (std::uint64_t c = 0; c < 400; ++c) {
@@ -156,8 +154,7 @@ TEST(CpuGateLevelTest, LockstepChannelsAgreeFaultFree) {
 TEST(CpuGateLevelTest, LockstepComparatorCatchesSeu) {
   const cp::CpuDesign d = cp::buildTinyCpu(cp::CpuOptions::lockstepCpu());
   const nl::CompiledDesignPtr cd = nl::compile(d.nl);
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(cd, cp::CpuWorkload(d, cp::selfTestProgram(), 400));
+  const cp::CpuWorkload stim(d, cp::selfTestProgram(), 400);
   sm::Simulator sim(cd);
   const auto alarm = *d.nl.findNet("lockchk/alarm_r_q");
   const auto victim = *d.nl.findCell("cpu1/acc_3");
@@ -178,8 +175,7 @@ TEST(CpuGateLevelTest, PlainCoreSeuGoesUnnoticed) {
   const cp::CpuDesign d = cp::buildTinyCpu(cp::CpuOptions::plain());
   EXPECT_TRUE(d.alarmNames.empty());
   const nl::CompiledDesignPtr cd = nl::compile(d.nl);
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(cd, cp::CpuWorkload(d, cp::selfTestProgram(), 400));
+  const cp::CpuWorkload stim(d, cp::selfTestProgram(), 400);
 
   const auto outsOf = [&](bool inject) {
     sm::Simulator sim(cd);
@@ -222,13 +218,10 @@ TEST(CpuFmeaTest, LockstepLiftsSffIntoSil3Band) {
 TEST(CpuFmeaTest, InjectionConfirmsComparatorCoverage) {
   const auto lock = cp::buildTinyCpu(cp::CpuOptions::lockstepCpu());
   socfmea::core::FmeaFlow flow(lock.nl, cp::makeCpuFlowConfig(lock));
-  const fs::StimulusTrace stim = fs::recordStimulus(
-      flow.zones().compiledShared(),
-      cp::CpuWorkload(lock, cp::selfTestProgram(), 400));
+  const cp::CpuWorkload stim(lock, cp::selfTestProgram(), 400);
 
   const auto env = socfmea::inject::EnvironmentBuilder(flow.zones(),
                                                        flow.effects())
-                       .withSeed(6)
                        .withDetectionWindow(8)
                        .build();
   socfmea::inject::InjectionManager mgr(env);
@@ -243,13 +236,10 @@ TEST(CpuFmeaTest, InjectionConfirmsComparatorCoverage) {
 TEST(CpuFmeaTest, PlainCpuInjectionShowsUndetectedFailures) {
   const auto plain = cp::buildTinyCpu(cp::CpuOptions::plain());
   socfmea::core::FmeaFlow flow(plain.nl, cp::makeCpuFlowConfig(plain));
-  const fs::StimulusTrace stim = fs::recordStimulus(
-      flow.zones().compiledShared(),
-      cp::CpuWorkload(plain, cp::selfTestProgram(), 400));
+  const cp::CpuWorkload stim(plain, cp::selfTestProgram(), 400);
 
   const auto env = socfmea::inject::EnvironmentBuilder(flow.zones(),
                                                        flow.effects())
-                       .withSeed(6)
                        .build();
   socfmea::inject::InjectionManager mgr(env);
   const auto profile =

@@ -64,7 +64,6 @@ struct Testbed {
 
   [[nodiscard]] ij::InjectionEnvironment env() const {
     return ij::EnvironmentBuilder(db, fx)
-        .withSeed(1)
         .withDetectionWindow(4)
         .build();
   }
@@ -109,9 +108,7 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
   ij::InjectionManager mgr(tb.env());
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(tb.db.compiledShared(),
-                         ij::RandomWorkload(tb.n, 64, 5, {{tb.rst, false}}));
+  const ij::RandomWorkload stim(tb.n, 64, 5, {{tb.rst, false}});
   const ij::CampaignResult serial = mgr.run(stim, faults, nullptr, serialOpt);
   ASSERT_GT(serial.tally().count(ij::Outcome::DangerousUndetected), 0u);
 
@@ -137,9 +134,7 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
 TEST(Criticality, UncheckedRegisterRanksAboveParityProtectedOne) {
   Testbed tb;
   ij::InjectionManager mgr(tb.env());
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(tb.db.compiledShared(),
-                         ij::RandomWorkload(tb.n, 64, 5, {{tb.rst, false}}));
+  const ij::RandomWorkload stim(tb.n, 64, 5, {{tb.rst, false}});
   const auto profile = ij::OperationalProfile::record(tb.db, stim);
   const ft::FaultList faults = mgr.zoneFailureFaults(profile, 2, 7);
   const ij::CampaignResult result = mgr.run(stim, faults);
@@ -171,13 +166,10 @@ TEST_P(CriticalityFuzz, CountInvariantOnRandomDesign) {
   if (db.size() == 0) GTEST_SKIP() << "no sensible zones generated";
   const zn::EffectsModel fx(db, {});
   const auto env = ij::EnvironmentBuilder(db, fx)
-                       .withSeed(GetParam())
                        .withDetectionWindow(4)
                        .build();
   ij::InjectionManager mgr(env);
-  const fs::StimulusTrace stim = fs::recordStimulus(
-      db.compiledShared(),
-      ij::RandomWorkload(n, 48, GetParam() ^ 0x9E3779B9u, {}));
+  const ij::RandomWorkload stim(n, 48, GetParam() ^ 0x9E3779B9u, {});
   ft::FaultList faults = ft::allSeuFaults(n);
   const ij::CampaignResult result = mgr.run(stim, faults);
   expectCountInvariant(

@@ -234,8 +234,7 @@ TEST(GateLevelTest, WorkloadRunsGoldenWithoutSpuriousUncorrectable) {
   opt.cycles = 800;
   opt.plantEccErrors = false;  // a truly clean run
   const nl::CompiledDesignPtr cd = nl::compile(d.nl);
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(cd, ms::ProtectionIpWorkload(d, opt));
+  const ms::ProtectionIpWorkload stim(d, opt);
   sm::Simulator sim(cd);
   std::uint64_t uncorrectable = 0;
   (void)fs::runMachine(
@@ -250,7 +249,7 @@ TEST(GateLevelTest, WorkloadRunsGoldenWithoutSpuriousUncorrectable) {
   EXPECT_EQ(uncorrectable, 0u);
 }
 
-TEST(GateLevelTest, WorkloadDeterministicAcrossRecordings) {
+TEST(GateLevelTest, WorkloadDeterministicAcrossReplays) {
   auto d = ms::buildProtectionIp(ms::GateLevelOptions::v2());
   ms::ProtectionIpWorkload::Options opt;
   opt.cycles = 400;
@@ -261,11 +260,11 @@ TEST(GateLevelTest, WorkloadDeterministicAcrossRecordings) {
     rdata[i] = *d.nl.findNet("out/rdata_r_" + std::to_string(i) + "_q");
   }
 
-  // Each run records the one workload object afresh.
+  // Each run replays the one workload object on a fresh machine.
   const auto runOnce = [&] {
     sm::Simulator sim(cd);
     std::vector<std::uint64_t> trace;
-    (void)fs::runMachine(sim, fs::recordStimulus(cd, wl), nullptr, nullptr,
+    (void)fs::runMachine(sim, wl, nullptr, nullptr,
                          [&](const sm::Simulator& s, std::uint64_t) {
                            trace.push_back(s.busValue(rdata));
                            return false;

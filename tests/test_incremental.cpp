@@ -34,16 +34,16 @@
 #include "faultsim/serial.hpp"
 #include "inject/env_builder.hpp"
 #include "inject/manager.hpp"
-#include "inject/workload.hpp"
 #include "memsys/workloads.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/diff.hpp"
 #include "netlist/hash.hpp"
 #include "netlist/text_format.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/json.hpp"
 #include "testkit/netlist_gen.hpp"
 #include "testkit/oracle.hpp"
 #include "testkit/plan.hpp"
+#include "testkit/seed.hpp"
 
 namespace core = socfmea::core;
 namespace fault = socfmea::fault;
@@ -142,6 +142,29 @@ fs::path freshDir(const std::string& name) {
   return p;
 }
 
+std::string readText(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// The store's campaign artifacts, by path.
+std::vector<fs::path> campaignFiles(const fs::path& dir) {
+  std::vector<fs::path> files;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().filename().string().starts_with("campaign-")) {
+      files.push_back(e.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// The key a campaign artifact is filed under ("campaign-<hex16>.json").
+std::uint64_t campaignKeyOf(const fs::path& file) {
+  const std::string stem = file.stem().string();
+  return std::stoull(stem.substr(stem.find('-') + 1), nullptr, 16);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -208,17 +231,14 @@ TEST(IncrementalDeterminismTest, FaultEnumerationIsStable) {
     core::FmeaFlow flow(d.nl, core::makeFrmemFlowConfig(d));
     const inject::InjectionEnvironment env =
         inject::EnvironmentBuilder(flow.zones(), flow.effects())
-            .withSeed(7)
             .withDetectionWindow(24)
             .build();
     inject::InjectionManager mgr(env);
     ms::ProtectionIpWorkload::Options wopt;
     wopt.cycles = 300;
     const inject::OperationalProfile profile =
-        inject::OperationalProfile::record(
-            flow.zones(),
-            faultsim::recordStimulus(flow.zones().compiledShared(),
-                                     ms::ProtectionIpWorkload(d, wopt)));
+        inject::OperationalProfile::record(flow.zones(),
+                                           ms::ProtectionIpWorkload(d, wopt));
     const fault::FaultList faults = mgr.zoneFailureFaults(profile, 1, 7);
     out.reserve(faults.size());
     for (const fault::Fault& f : faults) {
@@ -278,7 +298,46 @@ TEST(ArtifactStoreTest, CorruptArtifactIsAMiss) {
     core::ArtifactStore reopened(dir);
     EXPECT_FALSE(reopened.load("stage", 0x1234u).has_value());
     EXPECT_EQ(reopened.stats().misses, 1u);
+    EXPECT_EQ(reopened.stats().rejected, 1u);
   }
+}
+
+// A file that still parses but whose body no longer matches the hash saved
+// with it is refused like an unparsable one, heads included; so is a file
+// without a hash (the layout of stores written before the hash).
+TEST(ArtifactStoreTest, AlteredFileIsRejected) {
+  const fs::path dir = freshDir("altered_file");
+  Json a = Json::object();
+  a["answer"] = Json(42);
+  {
+    core::ArtifactStore store(dir);
+    store.save("stage", 0x1234u, a);
+    store.saveHead("flow", a);
+  }
+  const auto alter = [](const fs::path& file) {
+    std::string text = readText(file);
+    const std::string was = "\"answer\": 42";
+    const std::size_t at = text.find(was);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, was.size(), "\"answer\": 43");
+    std::ofstream(file, std::ios::trunc) << text;
+  };
+  alter(dir / ("stage-" + nlst::hashHex(0x1234u) + ".json"));
+  alter(dir / "head-flow.json");
+  {
+    core::ArtifactStore store(dir);
+    EXPECT_FALSE(store.load("stage", 0x1234u).has_value());
+    EXPECT_FALSE(store.loadHead("flow").has_value());
+    EXPECT_EQ(store.stats().misses, 2u);
+    EXPECT_EQ(store.stats().rejected, 2u);
+  }
+  std::ofstream(dir / "head-flow.json", std::ios::trunc) << a.dump(2);
+  core::ArtifactStore store(dir);
+  EXPECT_FALSE(store.loadHead("flow").has_value());
+  EXPECT_EQ(store.stats().rejected, 1u);
+  store.saveHead("flow", a);
+  ASSERT_TRUE(store.loadHead("flow").has_value());
+  EXPECT_EQ(store.loadHead("flow")->dump(), a.dump());
 }
 
 TEST(ArtifactStoreTest, LruEvictionFallsBackToDisk) {
@@ -562,12 +621,7 @@ TEST(IncrementalOracleTest, UnreadableCampaignRunsColdWithOneMiss) {
     core::ArtifactStore primed(dir);
     (void)runOracleFlow(v1, &primed, nullptr);
   }
-  std::vector<fs::path> campaigns;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.path().filename().string().starts_with("campaign-")) {
-      campaigns.push_back(e.path());
-    }
-  }
+  const std::vector<fs::path> campaigns = campaignFiles(dir);
   ASSERT_EQ(campaigns.size(), 1u);
   std::ofstream(campaigns[0])
       << std::string(200000, '[') + std::string(200000, ']');
@@ -581,11 +635,12 @@ TEST(IncrementalOracleTest, UnreadableCampaignRunsColdWithOneMiss) {
   expectSameRecords(runOracleFlow(v1, nullptr, nullptr).result, rerun.result);
 }
 
-// A parseable artifact whose records hold cycles no workload cycle can
-// have: every detected record's diag_cycle is 1e300 (not an integer) and
-// every other deviating record's sens_cycle is -5.  None of them binds, so
-// the full hit takes the miss path and the delta path re-simulates those
-// faults; both give the cold run's records.
+// A campaign artifact whose records hold cycles no workload cycle can have:
+// every detected record's diag_cycle is 1e300 (not an integer) and every
+// other deviating record's sens_cycle is -5.  It is saved through the store,
+// so its body hash holds and the binding alone must refuse it.  None of the
+// records binds, so the full hit takes the miss path and the delta path
+// re-simulates those faults; both give the cold run's records.
 TEST(IncrementalOracleTest, ImpossibleCachedCyclesDoNotBind) {
   const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
   const fs::path primed = freshDir("impossible_cycles");
@@ -593,17 +648,10 @@ TEST(IncrementalOracleTest, ImpossibleCachedCyclesDoNotBind) {
     core::ArtifactStore store(primed);
     (void)runOracleFlow(v1, &store, nullptr);
   }
-  std::vector<fs::path> campaigns;
-  for (const auto& e : fs::directory_iterator(primed)) {
-    if (e.path().filename().string().starts_with("campaign-")) {
-      campaigns.push_back(e.path());
-    }
-  }
+  const std::vector<fs::path> campaigns = campaignFiles(primed);
   ASSERT_EQ(campaigns.size(), 1u);
-  Json art = [&] {
-    std::ifstream in(campaigns[0]);
-    return Json::parse(std::string(std::istreambuf_iterator<char>(in), {}));
-  }();
+  const std::uint64_t key = campaignKeyOf(campaigns[0]);
+  Json art = *core::ArtifactStore(primed).load("campaign", key);
   Json records = Json::array();
   std::size_t tampered = 0;
   for (Json r : art.at("records").elements()) {
@@ -618,7 +666,7 @@ TEST(IncrementalOracleTest, ImpossibleCachedCyclesDoNotBind) {
   }
   ASSERT_GT(tampered, 0u);
   art["records"] = std::move(records);
-  std::ofstream(campaigns[0]) << art.dump();
+  core::ArtifactStore(primed).save("campaign", key, art);
 
   const fs::path hitDir = freshDir("impossible_cycles_hit");
   fs::copy(primed, hitDir, fs::copy_options::recursive);
@@ -640,29 +688,134 @@ TEST(IncrementalOracleTest, ImpossibleCachedCyclesDoNotBind) {
                     delta.result);
 }
 
-// Each path of the incremental flow records the workload once: the profile,
-// the stimulus hash and the campaign share the recording.
-TEST(IncrementalOracleTest, EveryPathRecordsTheWorkloadOnce) {
+namespace {
+
+/// Moves the first detected record's diag_cycle back onto its
+/// first_obs_cycle in the file's text, as a hand edit would: a cycle the
+/// workload has, so the record still binds.  False when no detected record
+/// has a later diag_cycle.
+bool shortenFirstDetection(const fs::path& file) {
+  std::string text = readText(file);
+  const std::string kDiag = "\"diag\": true";
+  const std::string kFirstObs = "\"first_obs_cycle\": ";
+  const std::string kDiagCycle = "\"diag_cycle\": ";
+  for (std::size_t at = text.find(kDiag); at != std::string::npos;
+       at = text.find(kDiag, at + 1)) {
+    const std::size_t obsAt = text.rfind(kFirstObs, at);
+    const std::size_t cycleAt = text.find(kDiagCycle, at);
+    if (obsAt == std::string::npos || cycleAt == std::string::npos) break;
+    const std::size_t numAt = cycleAt + kDiagCycle.size();
+    const std::size_t numEnd = text.find_first_not_of("0123456789", numAt);
+    const long long firstObs =
+        std::strtoll(text.c_str() + obsAt + kFirstObs.size(), nullptr, 10);
+    if (std::strtoll(text.c_str() + numAt, nullptr, 10) <= firstObs) continue;
+    text.replace(numAt, numEnd - numAt, std::to_string(firstObs));
+    std::ofstream(file, std::ios::trunc) << text;
+    return true;
+  }
+  return false;
+}
+
+void expectSameMetrics(const inject::CampaignResult& a,
+                       const inject::CampaignResult& b) {
+  EXPECT_EQ(a.measuredSff(), b.measuredSff());
+  EXPECT_EQ(a.measuredDdf(), b.measuredDdf());
+  EXPECT_EQ(a.meanDetectionLatency(), b.meanDetectionLatency());
+  EXPECT_EQ(a.maxDetectionLatency(), b.maxDetectionLatency());
+}
+
+}  // namespace
+
+// The store's trust in a full hit rests on the body hash: no revalidation
+// sample runs there.  After v1 primes the store and the wbuf-parity edit
+// runs twice (delta, then full hit), one detected record of the edit's
+// artifact gets diag_cycle = first_obs_cycle by hand.  The next run refuses
+// the file, recomputes and reports the clean records and latencies.
+TEST(IncrementalOracleTest, AlteredArtifactIsAMiss) {
   const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
   const ms::GateLevelDesign dut =
       ms::buildProtectionIp(editedOptions("wbuf-parity"));
-  core::ArtifactStore store(freshDir("record_once"));
-  const auto recordedOnce = [&](const ms::GateLevelDesign& d) {
-    const auto recordings = [] {
-      return socfmea::obs::Registry::global()
-          .timer("inject.record_stimulus")
-          .count;
-    };
-    const std::uint64_t before = recordings();
-    const core::IncrementalCampaign camp = runOracleFlow(d, &store, nullptr);
-    EXPECT_EQ(recordings() - before, 1u);
-    return camp;
-  };
-  const core::IncrementalCampaign cold = recordedOnce(v1);
-  EXPECT_FALSE(cold.fullHit);
-  EXPECT_FALSE(cold.deltaRun);
-  EXPECT_TRUE(recordedOnce(dut).deltaRun);
-  EXPECT_TRUE(recordedOnce(dut).fullHit);
+  const fs::path dir = freshDir("altered_artifact");
+  core::IncrementalCampaign clean;
+  std::vector<fs::path> before;
+  {
+    core::ArtifactStore store(dir);
+    (void)runOracleFlow(v1, &store, nullptr);
+    before = campaignFiles(dir);
+    EXPECT_TRUE(runOracleFlow(dut, &store, nullptr).deltaRun);
+    clean = runOracleFlow(dut, &store, nullptr);
+    ASSERT_TRUE(clean.fullHit);
+  }
+  std::vector<fs::path> edited;
+  for (const fs::path& f : campaignFiles(dir)) {
+    if (std::find(before.begin(), before.end(), f) == before.end()) {
+      edited.push_back(f);
+    }
+  }
+  ASSERT_EQ(edited.size(), 1u);
+  ASSERT_TRUE(shortenFirstDetection(edited[0]));
+
+  core::ArtifactStore store(dir);
+  const core::IncrementalCampaign rerun = runOracleFlow(dut, &store, nullptr);
+  EXPECT_FALSE(rerun.fullHit);
+  EXPECT_EQ(store.stats().rejected, 1u);
+  expectSameRecords(clean.result, rerun.result);
+  expectSameMetrics(clean.result, rerun.result);
+}
+
+// Seeded mutations of the store files the wbuf-parity edit reads: the v1
+// campaign artifact and the head before its delta, and its own artifact
+// before its full hit.  Byte flips, truncations, dropped and duplicated
+// lines and extreme numbers all leave the rerun with the clean run's
+// records and metrics.
+TEST(IncrementalOracleTest, MutatedStoreFilesGiveTheCleanRun) {
+  const ms::GateLevelDesign v1 = ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const ms::GateLevelDesign dut =
+      ms::buildProtectionIp(editedOptions("wbuf-parity"));
+  const core::IncrementalCampaign clean = runOracleFlow(dut, nullptr, nullptr);
+  const fs::path primed = freshDir("mutated_primed");
+  {
+    core::ArtifactStore store(primed);
+    (void)runOracleFlow(v1, &store, nullptr);
+  }
+  const fs::path edited = freshDir("mutated_edited");
+  fs::copy(primed, edited, fs::copy_options::recursive);
+  {
+    core::ArtifactStore store(edited);
+    (void)runOracleFlow(dut, &store, nullptr);
+  }
+  const std::vector<fs::path> v1Files = campaignFiles(primed);
+  ASSERT_EQ(v1Files.size(), 1u);
+  std::vector<fs::path> editFiles;
+  for (const fs::path& f : campaignFiles(edited)) {
+    if (f.filename() != v1Files[0].filename()) editFiles.push_back(f);
+  }
+  ASSERT_EQ(editFiles.size(), 1u);
+  const struct {
+    fs::path store;
+    std::string file;
+  } targets[] = {{primed, v1Files[0].filename().string()},
+                 {primed, "head-flow.json"},
+                 {edited, editFiles[0].filename().string()}};
+
+  const std::uint64_t base = tk::testSeed(0x5704E);
+  std::uint64_t k = 0;
+  for (const auto& t : targets) {
+    const std::string text = readText(t.store / t.file);
+    for (int m = 0; m < 8; ++m, ++k) {
+      const std::uint64_t seed = tk::derivedSeed(base, k);
+      SCOPED_TRACE(t.file + ", " + tk::seedMessage(seed));
+      const fs::path dir = freshDir("mutated_rerun");
+      fs::copy(t.store, dir, fs::copy_options::recursive);
+      std::ofstream(dir / t.file, std::ios::trunc)
+          << tk::mutateText(text, seed);
+      core::ArtifactStore store(dir);
+      const core::IncrementalCampaign rerun =
+          runOracleFlow(dut, &store, nullptr);
+      expectSameRecords(clean.result, rerun.result);
+      expectSameMetrics(clean.result, rerun.result);
+    }
+  }
 }
 
 TEST(IncrementalOracleTest, LatentMultiSeuGroupsSplitTheCampaignKey) {
@@ -786,16 +939,8 @@ TEST(IncrementalFuzzTest, ConeMergedVerdictsEqualColdRun) {
     // Cold truth on both designs.
     const nlst::CompiledDesignPtr cdA = nlst::compile(a);
     const nlst::CompiledDesignPtr cd = nlst::compile(b);
-    const auto onA = tk::serialOutputs(
-        cdA,
-        faultsim::recordStimulus(
-            cdA, inject::VectorWorkload(planA.inputs, planA.stimulus)),
-        planA.faults);
-    const auto onB = tk::serialOutputs(
-        cd,
-        faultsim::recordStimulus(
-            cd, inject::VectorWorkload(planB.inputs, planB.stimulus)),
-        planB.faults);
+    const auto onA = tk::serialOutputs(cdA, planA.stim, planA.faults);
+    const auto onB = tk::serialOutputs(cd, planB.stim, planB.faults);
     ASSERT_EQ(onA.size(), onB.size());
 
     // The delta-reuse rule: faults outside the affected cone of diff(a, b)

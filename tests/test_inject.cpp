@@ -63,26 +63,16 @@ struct Testbed {
 
   [[nodiscard]] ij::InjectionEnvironment env(std::uint64_t window = 4) const {
     return ij::EnvironmentBuilder(db, fx)
-        .withSeed(1)
         .withDetectionWindow(window)
         .build();
   }
 
-  [[nodiscard]] ij::RandomWorkload workload(std::uint64_t cycles = 64) const {
+  [[nodiscard]] ij::RandomWorkload stimulus(std::uint64_t cycles = 64) const {
     return ij::RandomWorkload(n, cycles, 5, {{rst, false}});
-  }
-  /// workload(cycles), recorded on the testbed's design.
-  [[nodiscard]] fs::StimulusTrace stimulus(std::uint64_t cycles = 64) const {
-    return fs::recordStimulus(db.compiledShared(), workload(cycles));
   }
   /// Reset low and din at 0 every cycle: nothing ever changes.
   [[nodiscard]] fs::StimulusTrace idle() const {
-    return fs::recordStimulus(
-        db.compiledShared(),
-        ij::FunctionWorkload(32, [&](sm::Simulator& sim, std::uint64_t) {
-          sim.setInput(rst, sm::Logic::L0);
-          sim.setInputBus(din, 0);
-        }));
+    return fs::StimulusTrace(n, 32);
   }
 };
 
@@ -92,17 +82,17 @@ struct Testbed {
 // workloads
 // ---------------------------------------------------------------------------
 
-TEST(WorkloadTest, RandomIsDeterministicAcrossRecordings) {
-  // The table is drawn at construction: recording one object twice gives
-  // the same stimulus, and so does a second object with the same seed.
+TEST(WorkloadTest, RandomIsDeterministicPerSeed) {
+  // The trace is drawn at construction: two objects with the same seed hold
+  // the same stimulus, over every primary input in order.
   Testbed tb;
-  const auto wl = tb.workload(32);
-  const fs::StimulusTrace a = fs::recordStimulus(tb.db.compiledShared(), wl);
-  const fs::StimulusTrace b = fs::recordStimulus(tb.db.compiledShared(), wl);
+  const fs::StimulusTrace a = tb.stimulus(32);
+  const fs::StimulusTrace b = tb.stimulus(32);
   ASSERT_EQ(a.cycles(), 32u);
+  EXPECT_EQ(a.inputs, fs::StimulusTrace(tb.n, 0).inputs);
   EXPECT_EQ(a.inputs, b.inputs);
   EXPECT_EQ(a.values, b.values);
-  EXPECT_EQ(a.values, tb.stimulus(32).values);
+  EXPECT_TRUE(a.flips.empty());
   // Random data: the din inputs do not hold one value for 32 cycles.
   const std::set<std::vector<bool>> rows(a.values.begin(), a.values.end());
   EXPECT_GT(rows.size(), 1u);
@@ -115,14 +105,6 @@ TEST(WorkloadTest, PinnedInputsHold) {
   ASSERT_NE(rst, stim.inputs.end());
   const auto col = static_cast<std::size_t>(rst - stim.inputs.begin());
   for (const std::vector<bool>& row : stim.values) EXPECT_FALSE(row[col]);
-}
-
-TEST(WorkloadTest, VectorWorkloadValidatesWidth) {
-  Testbed tb;
-  EXPECT_THROW(ij::VectorWorkload({tb.din[0], tb.din[1]}, {{true}}),
-               std::invalid_argument);
-  const ij::VectorWorkload ok({tb.din[0]}, {{true}, {false}});
-  EXPECT_EQ(ok.cycles(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -308,10 +290,9 @@ TEST(ManagerTest, StuckAlarmMakesDataFaultsUndetected) {
   n.check();
   const auto db = zn::extractZones(n);
   const zn::EffectsModel fx(db, {"alarm_"});
-  const auto env = ij::EnvironmentBuilder(db, fx).withSeed(1).build();
+  const auto env = ij::EnvironmentBuilder(db, fx).build();
   ij::InjectionManager mgr(env);
-  const fs::StimulusTrace stim = fs::recordStimulus(
-      db.compiledShared(), ij::RandomWorkload(n, 64, 5, {{rst, false}}));
+  const ij::RandomWorkload stim(n, 64, 5, {{rst, false}});
   ft::Fault f;
   f.kind = ft::FaultKind::SeuFlip;
   f.cell = *n.findCell("dreg_2");
@@ -650,10 +631,8 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
   const zn::ZoneDatabase db = zn::extractZones(n);
   const zn::EffectsModel fx(db, {"alarm_"});
   const auto env =
-      ij::EnvironmentBuilder(db, fx).withSeed(1).withDetectionWindow(4).build();
-  const fs::StimulusTrace stim = fs::recordStimulus(
-      db.compiledShared(),
-      ij::RandomWorkload(n, 16, 7, {{rst, false}, {en, false}}));
+      ij::EnvironmentBuilder(db, fx).withDetectionWindow(4).build();
+  const ij::RandomWorkload stim(n, 16, 7, {{rst, false}, {en, false}});
   const auto pointOf = [&](nl::NetId net) {
     const auto it = std::find(env.obsNets.begin(), env.obsNets.end(), net);
     return env.obsIds.at(static_cast<std::size_t>(it - env.obsNets.begin()));

@@ -220,7 +220,7 @@ TEST(ScrubberTest, ScanFindingErrorQueuesRepair) {
   ms::Scrubber s(8, 4, true);
   const auto scan = s.idleSlot();
   ASSERT_TRUE(scan.has_value());
-  s.slotResult(*scan, /*correctable=*/true, false);
+  s.slotResult(*scan, /*correctable=*/true);
   EXPECT_EQ(s.pendingRepairs(), 1u);
   EXPECT_GT(s.forecastRate(), 0.0);
 }

@@ -343,8 +343,7 @@ TEST(ScenarioGateLevelTest, DesignsMatchIssFaultFreeWithQuietAlarms) {
     SCOPED_TRACE(s.name);
     const cp::CpuDesign d = cp::buildTinyCpu(s.design);
     const nl::CompiledDesignPtr cd = nl::compile(d.nl);
-    const fs::StimulusTrace stim =
-        fs::recordStimulus(cd, cp::CpuWorkload(d, s.design.program, s.cycles));
+    const cp::CpuWorkload stim(d, s.design.program, s.cycles);
     sm::Simulator sim(cd);
     cp::TinyCpu iss(s.design.program);
     iss.reset();
@@ -379,8 +378,7 @@ TEST(ScenarioGateLevelTest, DwcRegisterSeuRaisesStickyTrapAlarm) {
   ASSERT_NE(s, nullptr);
   const cp::CpuDesign d = cp::buildTinyCpu(s->design);
   const nl::CompiledDesignPtr cd = nl::compile(d.nl);
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(cd, cp::CpuWorkload(d, s->design.program, s->cycles));
+  const cp::CpuWorkload stim(d, s->design.program, s->cycles);
   sm::Simulator sim(cd);
   const auto alarm = alarmNet(d, "alarm_trap");
   const auto victim = *d.nl.findCell("cpu0/r0_0");
@@ -417,8 +415,7 @@ TEST(ScenarioGateLevelTest, SkewedLockstepCatchesEitherChannelWithinWindow) {
   const auto alarm = alarmNet(d, "alarm_lock");
   const auto fallback = *d.nl.findNet("lockchk/fallback_q");
   const nl::CompiledDesignPtr cd = nl::compile(d.nl);
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(cd, cp::CpuWorkload(d, s->design.program, s->cycles));
+  const cp::CpuWorkload stim(d, s->design.program, s->cycles);
 
   const auto run = [&](const char* victimCell, bool* alarmed,
                        std::uint64_t* firstAlarm, bool* fallbackAtEnd,

@@ -66,7 +66,7 @@ class CollapseEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CollapseEquivalence, RepresentativeHasSameDetectability) {
   SCOPED_TRACE(tk::seedMessage(GetParam()));
   ChainDesign d;
-  ij::RandomWorkload wl(d.n, 60, GetParam(), {{d.rst, false}});
+  const ij::RandomWorkload stim(d.n, 60, GetParam(), {{d.rst, false}});
 
   ft::FaultList original = ft::allStuckAtFaults(d.n);
   ft::FaultList collapsed = original;
@@ -74,7 +74,6 @@ TEST_P(CollapseEquivalence, RepresentativeHasSameDetectability) {
   ASSERT_LT(stats.after, stats.before);  // something actually collapsed
 
   const auto cd = nl::compile(d.n);
-  const fs::StimulusTrace stim = fs::recordStimulus(cd, wl);
   // Each original fault must have the same verdict as its representative.
   const auto originalRes = tk::serialOutputs(cd, stim, original);
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -109,9 +108,8 @@ TEST_P(SnlRoundTrip, ProtectionIpSimulatesIdentically) {
   ms::ProtectionIpWorkload::Options wopt;
   wopt.cycles = 400;
   const nl::CompiledDesignPtr cd = nl::compile(design.nl);
-  const fs::StimulusTrace stim =
-      fs::recordStimulus(cd, ms::ProtectionIpWorkload(design, wopt));
-  // The same recording on the reparsed design, its inputs rebound by name.
+  const ms::ProtectionIpWorkload stim(design, wopt);
+  // The same trace on the reparsed design, its inputs rebound by name.
   fs::StimulusTrace rebound = stim;
   for (nl::NetId& in : rebound.inputs) {
     in = *reparsed.findNet(design.nl.net(in).name);
@@ -157,15 +155,12 @@ TEST(DeterminismTest, IdenticalSeedsGiveIdenticalCampaigns) {
                                socfmea::core::makeFrmemFlowConfig(design));
   ms::ProtectionIpWorkload::Options wopt;
   wopt.cycles = 600;
-  const ms::ProtectionIpWorkload wl(design, wopt);
+  const ms::ProtectionIpWorkload stim(design, wopt);
 
   const auto runOnce = [&] {
-    const auto env = ij::EnvironmentBuilder(flow.zones(), flow.effects())
-                         .withSeed(seed)
-                         .build();
+    const auto env =
+        ij::EnvironmentBuilder(flow.zones(), flow.effects()).build();
     ij::InjectionManager mgr(env);
-    const fs::StimulusTrace stim =
-        fs::recordStimulus(flow.zones().compiledShared(), wl);
     const auto profile = ij::OperationalProfile::record(flow.zones(), stim);
     auto faults = mgr.zoneFailureFaults(profile, 1, seed);
     faults.resize(std::min<std::size_t>(faults.size(), 40));

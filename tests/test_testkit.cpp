@@ -4,10 +4,14 @@
 // cases, a deliberately sabotaged engine is caught, and the shrinker
 // reduces such a failure to a minimal repro that replays from .nl + .plan
 // files.  The shrunk corpus under tests/corpus/ replays clean as a
-// regression anchor.
+// regression anchor, and seeded mutations of it either fail to load or
+// replay clean.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 
 #include "netlist/text_format.hpp"
@@ -144,8 +148,8 @@ TEST(TestkitPlan, RoundTripsThroughText) {
     const std::string text = tk::writePlanString(c.nl, c.plan);
     const tk::TestPlan back = tk::readPlanString(text, c.nl);
     EXPECT_EQ(back.name, c.plan.name);
-    EXPECT_EQ(back.inputs, c.plan.inputs);
-    EXPECT_EQ(back.stimulus, c.plan.stimulus);
+    EXPECT_EQ(back.stim.inputs, c.plan.stim.inputs);
+    EXPECT_EQ(back.stim.values, c.plan.stim.values);
     EXPECT_EQ(back.faults, c.plan.faults);
   }
 }
@@ -306,3 +310,46 @@ TEST_P(CorpusTest, ReplaysCleanThroughAllCombos) {
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusTest,
                          ::testing::Values("comb-xor-sa1", "dff-enable-delay",
                                            "mem-set-pulse"));
+
+// Seeded mutations of every corpus pair, alternately in the .nl and in the
+// .plan: byte flips, truncations, dropped and duplicated lines and extreme
+// numbers.  A mutant either throws (a reader's error, or the engines'
+// std::invalid_argument when X survives reset) or replays clean through
+// every combo.
+TEST(CorpusMutationTest, MutantsThrowOrReplayClean) {
+  const auto readFile = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::uint64_t base = tk::testSeed(0xC0DE5);
+  std::uint64_t k = 0;
+  std::size_t replayed = 0;
+  std::size_t thrown = 0;
+  for (const char* pair : {"comb-xor-sa1", "dff-enable-delay", "mem-set-pulse",
+                           "cpu-dwc-r0-seu", "cpu-cfcss-pc-seu"}) {
+    const std::string path = std::string(SOCFMEA_CORPUS_DIR) + "/" + pair;
+    const std::string nlText = readFile(path + ".nl");
+    const std::string planText = readFile(path + ".plan");
+    ASSERT_FALSE(nlText.empty() || planText.empty()) << path;
+    for (int m = 0; m < 40; ++m, ++k) {
+      const std::uint64_t seed = tk::derivedSeed(base, k);
+      SCOPED_TRACE(std::string(pair) + ", " + tk::seedMessage(seed));
+      const bool inDesign = m % 2 == 0;
+      std::optional<tk::OracleReport> report;
+      try {
+        const nlx::Netlist nl = nlx::readNetlistString(
+            inDesign ? tk::mutateText(nlText, seed) : nlText);
+        report = tk::runOracle(
+            nl, tk::readPlanString(
+                    inDesign ? planText : tk::mutateText(planText, seed), nl));
+      } catch (const std::exception&) {
+        ++thrown;
+        continue;
+      }
+      EXPECT_TRUE(report->pass) << report->summary();
+      ++replayed;
+    }
+  }
+  EXPECT_GT(replayed, 0u);
+  EXPECT_GT(thrown, 0u);
+}

@@ -6,12 +6,10 @@
 #include <sstream>
 
 #include "faultsim/toggle.hpp"
-#include "inject/workload.hpp"
 #include "netlist/netlist.hpp"
 
 namespace nlx = socfmea::netlist;
 namespace fs = socfmea::faultsim;
-using socfmea::inject::VectorWorkload;
 
 namespace {
 
@@ -40,9 +38,10 @@ struct Fixture {
   /// measureToggle over `values` driven onto `in`, one row per cycle.
   [[nodiscard]] fs::ToggleCoverage toggle(
       std::vector<std::vector<bool>> values) const {
-    const nlx::CompiledDesignPtr cd = nlx::compile(nl);
-    return fs::measureToggle(
-        cd, fs::recordStimulus(cd, VectorWorkload({in}, std::move(values))));
+    fs::StimulusTrace stim;
+    stim.inputs = {in};
+    stim.values = std::move(values);
+    return fs::measureToggle(nlx::compile(nl), stim);
   }
 };
 

@@ -237,10 +237,8 @@ int fuzz(const Args& a) {
 /// Reset for two cycles on every primary input (the tinycpu designs have
 /// only `rst`), then let the program run.
 void resetThenRun(testkit::TestPlan& plan) {
-  for (std::size_t c = 0; c < plan.stimulus.size(); ++c) {
-    for (std::size_t i = 0; i < plan.inputs.size(); ++i) {
-      plan.stimulus[c][i] = c < 2;
-    }
+  for (std::size_t c = 0; c < plan.cycles(); ++c) {
+    plan.stim.values[c].assign(plan.stim.inputs.size(), c < 2);
   }
 }
 
@@ -355,8 +353,7 @@ int pinCorpus(const Args& a) {
     const cpu::CpuDesign d = cpu::buildTinyCpu(s->design);
     testkit::TestPlan plan;
     plan.name = an.file;
-    plan.inputs = {d.rst};
-    plan.stimulus.assign(s->cycles, std::vector<bool>(1, false));
+    plan.stim = faultsim::StimulusTrace(d.nl, s->cycles);
     resetThenRun(plan);
     fault::Fault f;
     f.kind = fault::FaultKind::SeuFlip;
