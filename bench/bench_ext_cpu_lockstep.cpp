@@ -33,11 +33,12 @@ void printTable() {
     const auto env =
         inject::EnvironmentBuilder(flow.zones(), flow.effects()).build();
     inject::InjectionManager mgr(env);
+    const faultsim::GoldenRun golden(flow.zones().compiledShared(), stim);
     const auto profile =
-        inject::OperationalProfile::record(flow.zones(), stim);
+        inject::OperationalProfile::record(flow.zones(), golden);
     // The injection manager's campaign — the same path the scenario suite
     // (cpu::scenarios, run by examples/cpu_mitigation_flow) uses.
-    const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 2, 9));
+    const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 2, 9));
     const auto silHft1 =
         fmea::silFromSff(flow.sff(), a.hft, fmea::ElementType::TypeB);
     std::printf("  %-15s %9.2f%%  %8.2f%%   %-9s %-9s %9.2f%%  %12.2f%%\n",

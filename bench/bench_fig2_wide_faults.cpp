@@ -27,6 +27,7 @@ void printTable() {
   const auto env = inject::EnvironmentBuilder(db, f.flowV2.effects()).build();
   inject::InjectionManager mgr(env);
   const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(1000));
+  const faultsim::GoldenRun golden(db.compiledShared(), stim);
 
   sim::Rng rng(2);
   fault::FaultList wide;
@@ -51,7 +52,7 @@ void printTable() {
   inject::CampaignOptions opt;
   opt.earlyAbort = false;
   const auto runHisto = [&](const char* name, const fault::FaultList& faults) {
-    const auto res = mgr.run(stim, faults, nullptr, opt);
+    const auto res = mgr.run(golden, faults, nullptr, opt);
     std::map<std::size_t, std::size_t> histo;
     std::size_t multi = 0;
     for (const auto& r : res.records) {

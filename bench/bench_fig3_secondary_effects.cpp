@@ -35,11 +35,12 @@ void printTable() {
       inject::EnvironmentBuilder(db, fx).withDetectionWindow(24).build();
   inject::InjectionManager mgr(env);
   const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(1200));
-  const auto profile = inject::OperationalProfile::record(db, stim);
+  const faultsim::GoldenRun golden(db.compiledShared(), stim);
+  const auto profile = inject::OperationalProfile::record(db, golden);
   inject::CampaignOptions copt;
   copt.earlyAbort = false;  // observe the full effect migration
   const auto res =
-      mgr.run(stim, mgr.zoneFailureFaults(profile, 1, 3), nullptr, copt);
+      mgr.run(golden, mgr.zoneFailureFaults(profile, 1, 3), nullptr, copt);
 
   inject::ResultAnalyzer analyzer(db, fx);
   const auto table = analyzer.effectsTable(res);

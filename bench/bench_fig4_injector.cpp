@@ -27,7 +27,8 @@ void printTable() {
             << " cycles\n";
 
   const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(1500));
-  const auto profile = inject::OperationalProfile::record(db, stim);
+  const faultsim::GoldenRun golden(db.compiledShared(), stim);
+  const auto profile = inject::OperationalProfile::record(db, golden);
   std::cout << "operational profile: " << profile.totalCycles()
             << " cycles, workload completeness "
             << profile.completeness() * 100.0 << "% of zones triggered\n";
@@ -49,7 +50,7 @@ void printTable() {
       inject::randomizeFaultList(db, profile, compacted, 220, 4);
   inject::InjectionManager mgr(env);
   inject::CoverageCollector cov(mgr.environment());
-  const auto res = mgr.run(stim, faults, &cov);
+  const auto res = mgr.run(golden, faults, &cov);
   inject::printCampaign(std::cout, res);
   cov.print(std::cout, db);
   std::cout << "completeness criterion "
@@ -63,13 +64,14 @@ void BM_CampaignThroughput(benchmark::State& state) {
   const auto env = inject::EnvironmentBuilder(db, f.flowV2.effects()).build();
   inject::InjectionManager mgr(env);
   const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(600));
-  const auto profile = inject::OperationalProfile::record(db, stim);
+  const faultsim::GoldenRun golden(db.compiledShared(), stim);
+  const auto profile = inject::OperationalProfile::record(db, golden);
   const auto faults = mgr.zoneFailureFaults(profile, 1, 4);
   const auto subset =
       fault::FaultList(faults.begin(),
                        faults.begin() + std::min<std::size_t>(32, faults.size()));
   for (auto _ : state) {
-    const auto res = mgr.run(stim, subset);
+    const auto res = mgr.run(golden, subset);
     benchmark::DoNotOptimize(res.records.size());
     state.counters["injections/s"] = benchmark::Counter(
         static_cast<double>(subset.size()), benchmark::Counter::kIsRate);
@@ -82,8 +84,10 @@ BENCHMARK(BM_CampaignThroughput)->Unit(benchmark::kMillisecond);
 void BM_OperationalProfile(benchmark::State& state) {
   auto& f = benchutil::frmem();
   const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(600));
+  const zones::ZoneDatabase& db = f.flowV2.zones();
   for (auto _ : state) {
-    const auto p = inject::OperationalProfile::record(f.flowV2.zones(), stim);
+    const faultsim::GoldenRun golden(db.compiledShared(), stim);
+    const auto p = inject::OperationalProfile::record(db, golden);
     benchmark::DoNotOptimize(p.completeness());
   }
 }

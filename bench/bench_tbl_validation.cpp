@@ -40,8 +40,9 @@ void printTable() {
             .withDetectionWindow(24)
             .build();
     inject::InjectionManager mgr(env);
+    const faultsim::GoldenRun golden(f.flowV2.zones().compiledShared(), stim);
     const auto profile =
-        inject::OperationalProfile::record(f.flowV2.zones(), stim);
+        inject::OperationalProfile::record(f.flowV2.zones(), golden);
     // Campaign faults: SEUs on the output registers (covered by the
     // monitored-outputs comparator in the healthy design).
     fault::FaultList seus;
@@ -51,14 +52,14 @@ void printTable() {
         seus.push_back(zf);
       }
     }
-    const auto healthy = mgr.run(stim, seus);
+    const auto healthy = mgr.run(golden, seus);
 
     fault::Fault latent;
     latent.kind = fault::FaultKind::StuckAt0;
     latent.net = *f.v2.nl.findNet("out/alarm_out_r_q");
     inject::CampaignOptions copt;
     copt.preexisting = latent;
-    const auto degraded = mgr.run(stim, seus, nullptr, copt);
+    const auto degraded = mgr.run(golden, seus, nullptr, copt);
 
     std::cout << "\nlatent-fault degradation (" << seus.size()
               << " output-register SEUs):\n"
@@ -128,9 +129,10 @@ BENCHMARK(BM_SerialFaultSim)->Unit(benchmark::kMillisecond);
 
 void BM_BitslicedFaultSim(benchmark::State& state) {
   const Ablation a;
+  const faultsim::GoldenRun golden(a.cd, a.stim);
   for (auto _ : state) {
     const auto res = faultsim::runBitslicedWatch(
-        a.cd, a.stim, a.faults, a.watch, std::nullopt,
+        golden, a.faults, a.watch, std::nullopt,
         faultsim::RetireMode::DetectOnly);
     benchmark::DoNotOptimize(res.observations.data());
     state.counters["faults/s"] = benchmark::Counter(
@@ -144,7 +146,8 @@ void BM_ToggleCoverage(benchmark::State& state) {
   const netlist::CompiledDesignPtr& cd = f.flowV2.zones().compiledShared();
   const memsys::ProtectionIpWorkload stim(f.v2, benchutil::workloadOptions(800));
   for (auto _ : state) {
-    const auto tc = faultsim::measureToggle(cd, stim);
+    const faultsim::GoldenRun golden(cd, stim);
+    const auto tc = faultsim::measureToggle(golden);
     benchmark::DoNotOptimize(tc.onceFraction());
   }
 }

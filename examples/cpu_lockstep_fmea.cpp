@@ -50,8 +50,9 @@ int main() {
   const auto env =
       inject::EnvironmentBuilder(flow.zones(), flow.effects()).build();
   inject::InjectionManager mgr(env);
-  const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
-  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 3, 8));
+  const faultsim::GoldenRun golden(flow.zones().compiledShared(), stim);
+  const auto profile = inject::OperationalProfile::record(flow.zones(), golden);
+  const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 3, 8));
   inject::printCampaign(std::cout, res);
   std::cout << "\nthe comparator catches state corruption in either channel;"
                " the residual is the\nshared fetch stream (common mode) —"

@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
   memsys::ProtectionIpWorkload::Options wopt;
   wopt.cycles = 1600;
   const memsys::ProtectionIpWorkload stim(dut, wopt);
-  const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
+  const faultsim::GoldenRun golden(flow.zones().compiledShared(), stim);
+  const auto profile = inject::OperationalProfile::record(flow.zones(), golden);
   profile.print(std::cout, flow.zones(), 8);
 
   // 3. Candidate list -> collapser -> randomiser.
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!storeHit) {
-    result = manager.run(stim, faults, &coverage, copt);
+    result = manager.run(golden, faults, &coverage, copt);
     if (store) {
       store->save("walkthrough-campaign", campKey,
                   inject::campaignRecordsToJson(dut.nl, flow.zones(),

@@ -91,8 +91,12 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
           .withDetectionWindow(detectionWindow)
           .build();
   inject::InjectionManager mgr(env);
+  // The one fault-free run of this campaign, on every path: the profile
+  // needs it even on a full store hit, because the fault list (and so the
+  // campaign key) comes from the profile.
+  const faultsim::GoldenRun golden(cd, stim);
   const inject::OperationalProfile profile =
-      inject::OperationalProfile::record(db, stim);
+      inject::OperationalProfile::record(db, golden);
   fault::FaultList faults = mgr.zoneFailureFaults(profile, perBit, seed);
   if (opt_.memFaultsPerKind > 0) {
     for (netlist::MemoryId m = 0; m < nl.memoryCount(); ++m) {
@@ -184,7 +188,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
             const inject::CachedCampaign cache =
                 inject::CachedCampaign::fromJson(*prevArt);
             out.result = inject::runCampaignDelta(
-                mgr, stim, faults, cache, cone, &cov, copt,
+                mgr, golden, faults, cache, cone, &cov, copt,
                 opt_.revalidateFraction, &out.delta);
             out.deltaRun = true;
           } catch (const std::exception&) {
@@ -194,7 +198,7 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
       }
     }
     if (!out.deltaRun) {
-      out.result = mgr.run(stim, faults, &cov, copt);
+      out.result = mgr.run(golden, faults, &cov, copt);
       out.delta.total = faults.size();
       out.delta.simulated = faults.size();
     }

@@ -68,12 +68,14 @@ class IncrementalFlow {
     return opt_;
   }
 
-  /// The paper's validation step (a) with delta reuse: the profile, the
-  /// stimulus hash and the campaign all read `stim`, the workload's trace
-  /// over the design's primary inputs.  Enumerates the zone-failure fault
-  /// list, then loads / delta-merges / cold-runs the campaign (timed as the
-  /// flow graph's "campaign" stage) and persists the artifact + head state
-  /// for the next iteration.  Exports `flow.incremental.*` telemetry.
+  /// The paper's validation step (a) with delta reuse over `stim`, the
+  /// workload's trace over the design's primary inputs: records its golden
+  /// run once (faultsim::GoldenRun, on every path, store hits included),
+  /// which the profile and the campaign read, and hashes the trace for the
+  /// campaign key.  Enumerates the zone-failure fault list, then loads /
+  /// delta-merges / cold-runs the campaign (timed as the flow graph's
+  /// "campaign" stage) and persists the artifact + head state for the next
+  /// iteration.  Exports `flow.incremental.*` telemetry.
   [[nodiscard]] IncrementalCampaign runZoneFailureCampaign(
       const faultsim::StimulusTrace& stim, std::size_t perBit,
       std::uint64_t seed, std::uint64_t detectionWindow,

@@ -63,8 +63,11 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
           .withDetectionWindow(kDetectionWindow)
           .build();
   inject::InjectionManager mgr(env);
+  // The flow's one fault-free run: the profile, the toggle pass and every
+  // bit-sliced campaign below read it.
+  const faultsim::GoldenRun golden(cd, stim);
   const inject::OperationalProfile profile =
-      inject::OperationalProfile::record(db, stim);
+      inject::OperationalProfile::record(db, golden);
   inject::ResultAnalyzer analyzer(db, effects);
   sim::Rng rng(opt.seed);
 
@@ -73,7 +76,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     const fault::FaultList faults =
         mgr.zoneFailureFaults(profile, opt.zoneFailuresPerBit, opt.seed);
     inject::CoverageCollector cov(mgr.environment());
-    rep.zoneCampaign = mgr.run(stim, faults, &cov, opt.campaign);
+    rep.zoneCampaign = mgr.run(golden, faults, &cov, opt.campaign);
     rep.zoneValidation =
         analyzer.validate(flow.sheet(), rep.zoneCampaign, kTolerance);
     rep.campaignCompleteness = cov.completeness();
@@ -84,7 +87,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
 
   // ---- step (b): workload efficiency (toggle coverage) -----------------------
   {
-    rep.toggle = faultsim::measureToggle(cd, stim);
+    rep.toggle = faultsim::measureToggle(golden);
     rep.stepBPass = rep.toggle.passes(kToggleThreshold);
   }
 
@@ -116,7 +119,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     }
     const fault::FaultList randomized = inject::randomizeFaultList(
         db, profile, local, local.size(), opt.seed + 1);
-    rep.localCampaign = mgr.run(stim, randomized, nullptr, opt.campaign);
+    rep.localCampaign = mgr.run(golden, randomized, nullptr, opt.campaign);
     rep.localMeasuredSff = rep.localCampaign.measuredSff();
 
     // Fault simulator: permanent-fault coverage of the *diagnostic* (alarm
@@ -132,7 +135,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     const faultsim::Watch alarms =
         faultsim::outputWatch(nl, alarmOutputs(nl, effects));
     const inject::WatchRun fs =
-        mgr.runWatch(stim, stuckOnly, alarms, std::nullopt,
+        mgr.runWatch(golden, stuckOnly, alarms, std::nullopt,
                      faultsim::RetireMode::DetectOnly, opt.campaign);
     const auto detected = std::count_if(
         fs.observations.begin(), fs.observations.end(),
@@ -180,7 +183,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     }
     inject::CampaignOptions copt = opt.campaign;
     copt.earlyAbort = false;  // observe the full multiple-failure picture
-    rep.wideCampaign = mgr.run(stim, wide, nullptr, copt);
+    rep.wideCampaign = mgr.run(golden, wide, nullptr, copt);
     for (const inject::InjectionRecord& r : rep.wideCampaign.records) {
       if (r.obs.zonesDeviated.size() > 1) ++rep.multiZoneFailures;
     }

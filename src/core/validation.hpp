@@ -65,9 +65,10 @@ struct ValidationFlowReport {
   [[nodiscard]] obs::Json toJson() const;
 };
 
-/// Runs the full validation flow on a design analyzed by `flow`.  The
-/// profile, the toggle pass and every campaign of steps (a)-(d) replay
-/// `stim`, the workload's trace over the design's primary inputs.
+/// Runs the full validation flow on a design analyzed by `flow` over `stim`,
+/// the workload's trace over the design's primary inputs.  Records the
+/// golden run once (faultsim::GoldenRun); the profile, the toggle pass and
+/// every campaign of steps (a)-(d) read it.
 [[nodiscard]] ValidationFlowReport runValidationFlow(
     const FmeaFlow& flow, const faultsim::StimulusTrace& stim,
     const ValidationOptions& opt = {});

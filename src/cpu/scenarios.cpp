@@ -146,7 +146,8 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
                        .build();
   inject::InjectionManager mgr(env);
   const CpuWorkload stim(d, s.design.program, s.cycles);
-  const auto profile = inject::OperationalProfile::record(flow.zones(), stim);
+  const faultsim::GoldenRun golden(flow.zones().compiledShared(), stim);
+  const auto profile = inject::OperationalProfile::record(flow.zones(), golden);
   const auto faults = mgr.zoneFailureFaults(profile, opt.perBit, opt.seed);
   r.faults = faults.size();
 
@@ -159,7 +160,7 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   if (copt.engine == faultsim::EngineKind::Auto && copt.threads == 1) {
     copt.engine = faultsim::EngineKind::Serial;
   }
-  r.campaign.merged = mgr.run(stim, faults, nullptr, copt);
+  r.campaign.merged = mgr.run(golden, faults, nullptr, copt);
 
   r.tally = r.campaign.merged.tally();
   r.measuredSff = inject::CampaignResult::measuredSff(r.tally);

@@ -1,17 +1,19 @@
 #include "faultsim/bitsliced.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
 #include "faultsim/lanes.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/simulator.hpp"
 
 namespace socfmea::faultsim {
 
@@ -27,7 +29,6 @@ using netlist::kNoNet;
 using netlist::MemoryId;
 using netlist::MemoryInst;
 using netlist::NetId;
-using sim::Logic;
 
 constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
 
@@ -40,13 +41,11 @@ constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
 /// Everything the word-group workers share read-only (plus the scheduler and
 /// the result vector, which are sharded by fault index / internally locked).
 struct RunShared {
-  netlist::CompiledDesignPtr cdp;
+  const GoldenRun* golden = nullptr;
   const fault::FaultList* faults = nullptr;
   /// Campaign-wide latent fault carried by every lane (null = none).
   const Fault* latent = nullptr;
-  const StimulusTrace* stim = nullptr;
   const Watch* watch = nullptr;
-  sim::EvalMode evalMode = sim::EvalMode::EventDriven;
   RetireMode retire = RetireMode::WashoutOnly;
   std::uint64_t washEvery = 4;
 
@@ -54,9 +53,37 @@ struct RunShared {
   std::vector<Observation>* results = nullptr;  ///< by fault index
 };
 
-/// One word group: NB*64 lanes evaluated in lockstep against a private
-/// golden Simulator, storing per-net divergence words.  An engine instance
-/// is owned by one worker thread and reused across groups.
+/// Indices into BitslicedStats::phaseSeconds (kBitslicedPhases order).
+enum Phase : std::size_t { kGolden, kSweep, kObserve, kEdge, kTail };
+
+/// A worker's phase stopwatch: lap(p) books the time since the previous lap
+/// to phase p, so every moment between start() and the last lap lands in
+/// exactly one phase.  Owned by one engine: the hot loop takes no lock.
+class PhaseClock {
+ public:
+  void start() { last_ = std::chrono::steady_clock::now(); }
+  void lap(Phase p) {
+    const auto now = std::chrono::steady_clock::now();
+    spent_[p] += now - last_;
+    last_ = now;
+  }
+  [[nodiscard]] std::array<double, kBitslicedPhases.size()> seconds() const {
+    std::array<double, kBitslicedPhases.size()> s{};
+    for (std::size_t p = 0; p < s.size(); ++p) {
+      s[p] = std::chrono::duration<double>(spent_[p]).count();
+    }
+    return s;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point last_;
+  std::array<std::chrono::steady_clock::duration, kBitslicedPhases.size()>
+      spent_{};
+};
+
+/// One word group: NB*64 lanes evaluated in lockstep against the recorded
+/// golden run, storing per-net divergence words.  An engine instance is
+/// owned by one worker thread and reused across groups.
 template <unsigned NB>
 class WordEngine {
  public:
@@ -65,10 +92,9 @@ class WordEngine {
 
   explicit WordEngine(const RunShared& rs)
       : rs_(rs),
-        cd_(*rs.cdp),
-        nl_(cd_.design()),
-        golden_(rs.cdp) {
-    golden_.setEvalMode(rs_.evalMode);
+        run_(*rs.golden),
+        cd_(*run_.compiled()),
+        nl_(cd_.design()) {
     const std::size_t nets = cd_.netCount();
     const std::size_t combs = cd_.combCount();
     const std::size_t nffs = cd_.ffs().size();
@@ -95,8 +121,11 @@ class WordEngine {
     inFfList_.assign(nffs, 0);
     const std::size_t mems = nl_.memoryCount();
     memRegDiv_.resize(mems);
+    goldenMem_.reserve(mems);
     for (MemoryId m = 0; m < mems; ++m) {
-      memRegDiv_[m].assign(nl_.memory(m).dataBits, Word::zero());
+      const MemoryInst& mi = nl_.memory(m);
+      memRegDiv_[m].assign(mi.dataBits, Word::zero());
+      goldenMem_.emplace_back(mi.addrBits, mi.dataBits);
     }
     memPin_.assign(mems, 0);
     inMemList_.assign(mems, 0);
@@ -111,11 +140,14 @@ class WordEngine {
   /// Pulls word groups from the shared scheduler until it drains; returns
   /// this engine's counters.
   [[nodiscard]] BitslicedStats runAll() {
+    clock_.start();
     for (;;) {
       const std::vector<std::size_t> group = rs_.sched->takeGroup(kLanes);
       if (group.empty()) break;
       runGroup(group);
     }
+    clock_.lap(kTail);
+    stats_.phaseSeconds = clock_.seconds();
     return stats_;
   }
 
@@ -130,8 +162,8 @@ class WordEngine {
 
   // ---- divergence bookkeeping ----------------------------------------------
 
-  [[nodiscard]] Word laneWordOf(NetId n, std::span<const Logic> g) const {
-    return Word::broadcast(g[n] == Logic::L1) ^ div_[n];
+  [[nodiscard]] Word laneWordOf(NetId n, NetBits g) const {
+    return Word::broadcast(g[n]) ^ div_[n];
   }
 
   void addActive(std::uint32_t pos) {
@@ -208,11 +240,10 @@ class WordEngine {
 
   /// Applies the per-lane force overlay to a natural divergence word, given
   /// this cycle's settled golden values.
-  [[nodiscard]] Word overlayDiv(NetId n, const Word& natural,
-                                std::span<const Logic> g) const {
+  [[nodiscard]] Word overlayDiv(NetId n, const Word& natural, NetBits g) const {
     const Word& m = forceMask_[n];
     if (m.none()) return natural;
-    const Word forcedDiv = forceVal_[n] ^ Word::broadcast(g[n] == Logic::L1);
+    const Word forcedDiv = forceVal_[n] ^ Word::broadcast(g[n]);
     return andnot(natural, m) | (forcedDiv & m);
   }
 
@@ -238,8 +269,7 @@ class WordEngine {
 
   // ---- word kernels --------------------------------------------------------
 
-  [[nodiscard]] Word evalCellWord(std::uint32_t pos,
-                                  std::span<const Logic> g) const {
+  [[nodiscard]] Word evalCellWord(std::uint32_t pos, NetBits g) const {
     const std::span<const NetId> ins = cd_.combInputs(pos);
     switch (cd_.combType(pos)) {
       case CellType::Const0: return Word::zero();
@@ -283,18 +313,17 @@ class WordEngine {
         return (s & b) | andnot(a, s);
       }
       default:
-        return Word::broadcast(g[cd_.combOutput(pos)] == Logic::L1);
+        return Word::broadcast(g[cd_.combOutput(pos)]);
     }
   }
 
-  void evalPass1(std::uint32_t pos, std::span<const Logic> g) {
+  void evalPass1(std::uint32_t pos, NetBits g) {
     const NetId out = cd_.combOutput(pos);
-    const Word natural =
-        evalCellWord(pos, g) ^ Word::broadcast(g[out] == Logic::L1);
+    const Word natural = evalCellWord(pos, g) ^ Word::broadcast(g[out]);
     setDiv(out, overlayDiv(out, natural, g));
   }
 
-  void sweepPass1(std::span<const Logic> g) {
+  void sweepPass1(NetBits g) {
     const std::uint32_t levels = cd_.levelCount();
     for (std::uint32_t level = 0; level < levels; ++level) {
       auto& act = activeList_[level];
@@ -341,15 +370,14 @@ class WordEngine {
     }
   }
 
-  void evSweep(std::span<const Logic> g) {
+  void evSweep(NetBits g) {
     for (std::uint32_t level = 0; level < cd_.levelCount(); ++level) {
       auto& bucket = evBucket_[level];
       for (std::size_t i = 0; i < bucket.size(); ++i) {
         const std::uint32_t pos = bucket[i];
         evDirty_[pos] = 0;
         const NetId out = cd_.combOutput(pos);
-        const Word natural =
-            evalCellWord(pos, g) ^ Word::broadcast(g[out] == Logic::L1);
+        const Word natural = evalCellWord(pos, g) ^ Word::broadcast(g[out]);
         const Word nd = overlayDiv(out, natural, g);
         if (!(nd == div_[out])) {
           setDiv(out, nd);
@@ -364,8 +392,7 @@ class WordEngine {
 
   void ensureOwned(MemoryId m, unsigned lane) {
     if (ownedMask_[m].bit(lane)) return;
-    clones_[m][lane] =
-        std::make_unique<sim::MemoryModel>(golden_.memory(m));
+    clones_[m][lane] = std::make_unique<sim::MemoryModel>(goldenMem_[m]);
     ownedMask_[m].setBit(lane);
     addMemList(m);
   }
@@ -503,13 +530,13 @@ class WordEngine {
     }
   }
 
-  void seedPhase(std::span<const Logic> g) {
+  void seedPhase(NetBits g) {
     // Bridges re-resolve per cycle: drop last cycle's resolved forces and
     // re-derive the nets' natural values (the serial engine's first settle).
     for (const BridgeLane& b : bridgeLanes_) releaseBridge(b);
     // Forced nets track the golden value cycle by cycle: the forced-lane
     // divergence is (forced value XOR golden), recomputed against this
-    // cycle's settled golden machine.
+    // cycle's golden row.
     for (std::size_t i = 0; i < forcedList_.size();) {
       const NetId n = forcedList_[i];
       if (forceMask_[n].none()) {
@@ -561,12 +588,12 @@ class WordEngine {
   /// settle: every bridge reads the same settled values, then forces both
   /// of its nets — except a net under an explicit force, or a net the
   /// latent bridge (installed first, so it wins) shares with the lane's own.
-  void resolveBridges(std::span<const Logic> g, const Word& lanes) {
+  void resolveBridges(NetBits g, const Word& lanes) {
     if (bridgeLanes_.empty()) return;
     bridgeValue_.clear();
     for (const BridgeLane& b : bridgeLanes_) {
-      const bool va = (g[b.a] == Logic::L1) != div_[b.a].bit(b.lane);
-      const bool vb = (g[b.b] == Logic::L1) != div_[b.b].bit(b.lane);
+      const bool va = g[b.a] != div_[b.a].bit(b.lane);
+      const bool vb = g[b.b] != div_[b.b].bit(b.lane);
       bridgeValue_.push_back(b.wiredAnd ? (va && vb) : (va || vb));
     }
     bool changed = false;
@@ -588,7 +615,7 @@ class WordEngine {
           forcedLookup_[net] = 1;
           forcedList_.push_back(net);
         }
-        const bool newDiv = r != (g[net] == Logic::L1);
+        const bool newDiv = r != g[net];
         if (div_[net].bit(b.lane) != newDiv) {
           Word w = div_[net];
           if (newDiv) {
@@ -608,7 +635,7 @@ class WordEngine {
   /// SET pulses: the latent fault's in every live lane first, settled, then
   /// each lane's own — the serial machine step's order, in which a pulse
   /// reads the values the previous one settled.
-  void applyPulses(std::uint64_t c, std::span<const Logic> g) {
+  void applyPulses(std::uint64_t c, NetBits g) {
     const Fault* latent = rs_.latent;
     if (latent != nullptr && latent->kind == FaultKind::SetPulse &&
         latent->cycle == c) {
@@ -629,7 +656,7 @@ class WordEngine {
   /// Settles freshly pulsed lanes the way the scalar engine re-runs
   /// evalComb after a pulse: propagate the pulse, and in a pulsed lane that
   /// also carries a bridge, re-derive the natural values and re-resolve.
-  void settlePulses(const Word& pulsed, std::span<const Logic> g) {
+  void settlePulses(const Word& pulsed, NetBits g) {
     evSweep(g);
     Word rebridge = Word::zero();
     for (const BridgeLane& b : bridgeLanes_) {
@@ -645,11 +672,11 @@ class WordEngine {
 
   /// Inverts the lane's own settled value of `net` until releasePulses(),
   /// like FaultHarness::applyPulse.
-  void pulseLane(unsigned lane, NetId net, std::span<const Logic> g) {
-    const bool settled = (g[net] == Logic::L1) != div_[net].bit(lane);
+  void pulseLane(unsigned lane, NetId net, NetBits g) {
+    const bool settled = g[net] != div_[net].bit(lane);
     addForce(net, lane, !settled);
     Word w = div_[net];
-    if (!settled != (g[net] == Logic::L1)) {
+    if (!settled != g[net]) {
       w.setBit(lane);
     } else {
       w.clearBit(lane);
@@ -682,7 +709,7 @@ class WordEngine {
     }
   }
 
-  void observe(std::uint64_t c, std::span<const Logic> g) {
+  void observe(std::uint64_t c, NetBits g) {
     const Watch& w = *rs_.watch;
     // SENS groups, ascending index — the serial oracle's order.
     for (std::size_t t = 0; t < w.groups.size(); ++t) {
@@ -722,7 +749,7 @@ class WordEngine {
     if (!w.asserted.empty()) {
       Word dw = Word::zero();
       for (const NetId n : w.asserted) {
-        if (touched_[n] != 0 && g[n] == Logic::L0) dw |= div_[n];
+        if (touched_[n] != 0 && !g[n]) dw |= div_[n];
       }
       const Word fresh = andnot(dw & live_, diagDone_);
       if (fresh.any()) {
@@ -738,10 +765,10 @@ class WordEngine {
   // ---- clock edge ----------------------------------------------------------
 
   [[nodiscard]] std::uint64_t packGolden(const std::vector<NetId>& nets,
-                                         std::span<const Logic> g) const {
+                                         NetBits g) const {
     std::uint64_t v = 0;
     for (std::size_t b = 0; b < nets.size(); ++b) {
-      if (g[nets[b]] == Logic::L1) v |= std::uint64_t{1} << b;
+      if (g[nets[b]]) v |= std::uint64_t{1} << b;
     }
     return v;
   }
@@ -763,19 +790,18 @@ class WordEngine {
     std::uint64_t addr = 0;
   };
 
-  void clockEdge(std::span<const Logic> g) {
+  /// Cycle c's clock edge; `g` is row c of the golden run.
+  void clockEdge(std::uint64_t c, NetBits g) {
     // --- memory ports, pre-edge: sample lane port values, clone on write
     // divergence, replay lane-local writes into owned clones.
     memScratch_.clear();
     memScratchOffset_.clear();
-    gShadow_.clear();
     for (const MemoryId m : memList_) {
       const MemoryInst& mi = nl_.memory(m);
       const std::uint64_t gAddr = packGolden(mi.addr, g);
       const std::uint64_t gData = packGolden(mi.wdata, g);
-      const bool gWe = g[mi.writeEnable] == Logic::L1;
-      const bool gRe =
-          mi.readEnable == kNoNet || g[mi.readEnable] == Logic::L1;
+      const bool gWe = g[mi.writeEnable];
+      const bool gRe = mi.readEnable == kNoNet || g[mi.readEnable];
       Word portDiv = Word::zero();
       for (const NetId n : mi.addr) {
         if (touched_[n] != 0) portDiv |= div_[n];
@@ -792,11 +818,6 @@ class WordEngine {
       const Word involved = live_ & (ownedMask_[m] | portDiv | regDivU);
 
       memScratchOffset_.push_back(memScratch_.size());
-      // Golden read register before the edge (the hold value of lanes whose
-      // read enable is low this cycle).
-      const std::span<const Logic> shadow = golden_.memReadReg(m);
-      gShadow_.emplace_back(shadow.begin(), shadow.end());
-
       forEachLane(involved, [&](unsigned lane) {
         const std::uint64_t laneAddr = gAddr ^ laneXorOf(mi.addr, lane);
         const std::uint64_t laneData = gData ^ laneXorOf(mi.wdata, lane);
@@ -822,23 +843,21 @@ class WordEngine {
     }
 
     // --- flip-flop capture, phase A: next-state lane words from the
-    // pre-edge settled values (golden captures in clockEdge below).
+    // pre-edge settled values.  The golden state is the Q net in row c; the
+    // golden previous D is the D net one row back (the init value at reset).
     ffScratch_.clear();
     for (const std::uint32_t i : ffList_) {
-      const CellId cell = cd_.ffs()[i];
       const NetId dNet = cd_.ffD(i);
       const NetId enNet = cd_.ffEn(i);
       const NetId rstNet = cd_.ffRst(i);
       const Word laneD = laneWordOf(dNet, g);
       Word sampled = laneD;
       if (ffStale_[i].any()) {
-        const Word lanePrev =
-            Word::broadcast(golden_.ffPrevDs()[cell] == Logic::L1) ^
-            prevDivD_[i];
+        const bool gPrev = c > 0 ? run_.row(c - 1)[dNet] : cd_.ffInit(i);
+        const Word lanePrev = Word::broadcast(gPrev) ^ prevDivD_[i];
         sampled = (ffStale_[i] & lanePrev) | andnot(laneD, ffStale_[i]);
       }
-      const Word cur =
-          Word::broadcast(golden_.ffStates()[cell] == Logic::L1) ^ ffDiv_[i];
+      const Word cur = Word::broadcast(g[cd_.ffOutput(i)]) ^ ffDiv_[i];
       const Word enW =
           enNet == kNoNet ? Word::ones() : laneWordOf(enNet, g);
       const Word rstW =
@@ -849,14 +868,15 @@ class WordEngine {
       ffScratch_.push_back({i, next, div_[dNet]});
     }
 
-    golden_.clockEdge();
+    writeGolden(g);
 
     // --- memory ports, post-edge: lane reads against the post-write array,
-    // read-register divergence, rdata net seeding.
+    // read-register divergence, rdata net seeding.  The golden read register
+    // is the rdata nets: row c before the edge, row c + 1 after it.
+    const NetBits next = run_.row(c + 1);
     for (std::size_t mIdx = 0; mIdx < memList_.size(); ++mIdx) {
       const MemoryId m = memList_[mIdx];
       const MemoryInst& mi = nl_.memory(m);
-      const std::span<const Logic> gRegNew = golden_.memReadReg(m);
       const std::size_t begin = memScratchOffset_[mIdx];
       const std::size_t end = mIdx + 1 < memScratchOffset_.size()
                                   ? memScratchOffset_[mIdx + 1]
@@ -867,14 +887,14 @@ class WordEngine {
         if (ls.re) {
           laneRead = ownedMask_[m].bit(ls.lane)
                          ? clones_[m][ls.lane]->read(ls.addr)
-                         : golden_.memory(m).read(ls.addr);
+                         : goldenMem_[m].read(ls.addr);
         }
         for (std::uint32_t b = 0; b < mi.dataBits; ++b) {
+          const NetId rd = mi.rdata[b];
           const bool laneBit =
               ls.re ? ((laneRead >> b) & 1u) != 0
-                    : (gShadow_[mIdx][b] == Logic::L1) !=
-                          memRegDiv_[m][b].bit(ls.lane);
-          const bool gBit = gRegNew[b] == Logic::L1;
+                    : g[rd] != memRegDiv_[m][b].bit(ls.lane);
+          const bool gBit = next[rd];
           if (laneBit != gBit) {
             memRegDiv_[m][b].setBit(ls.lane);
           } else {
@@ -888,15 +908,33 @@ class WordEngine {
     }
 
     // --- flip-flop capture, phase C: divergence against the golden
-    // machine's new state, Q-net seeding for the next cycle.
+    // machine's new state (the Q net in row c + 1), Q-net seeding for the
+    // next cycle.
     for (const FfScratch& fs : ffScratch_) {
-      const CellId cell = cd_.ffs()[fs.index];
-      const Word nd =
-          fs.next ^ Word::broadcast(golden_.ffStates()[cell] == Logic::L1);
+      const NetId q = cd_.ffOutput(fs.index);
+      const Word nd = fs.next ^ Word::broadcast(next[q]);
       ffDiv_[fs.index] = nd;
       prevDivD_[fs.index] = fs.dDiv;
-      setDivKeepForced(cd_.ffOutput(fs.index), nd);
+      setDivKeepForced(q, nd);
     }
+  }
+
+  /// The golden machine's memory writes at the edge of the cycle whose row
+  /// is `g`, ahead of the lanes' reads.  Timed as the golden phase.
+  void writeGolden(NetBits g) {
+    bool any = false;
+    for (MemoryId m = 0; m < goldenMem_.size() && !any; ++m) {
+      any = g[nl_.memory(m).writeEnable];
+    }
+    if (!any) return;
+    clock_.lap(kEdge);
+    for (MemoryId m = 0; m < goldenMem_.size(); ++m) {
+      const MemoryInst& mi = nl_.memory(m);
+      if (g[mi.writeEnable]) {
+        goldenMem_[m].write(packGolden(mi.addr, g), packGolden(mi.wdata, g));
+      }
+    }
+    clock_.lap(kGolden);
   }
 
   // ---- retirement / washout / refill ---------------------------------------
@@ -969,7 +1007,7 @@ class WordEngine {
     forEachLane(candidates, [&](unsigned lane) {
       for (const MemoryId m : memList_) {
         if (ownedMask_[m].bit(lane) &&
-            !clones_[m][lane]->stateEquals(golden_.memory(m))) {
+            !clones_[m][lane]->stateEquals(goldenMem_[m])) {
           return;  // stored contents still deviate; keep simulating
         }
       }
@@ -1083,37 +1121,37 @@ class WordEngine {
     refillExhausted_ = false;
   }
 
+  /// Runs one word group from reset over the golden run.  Each cycle reads
+  /// its row in place; the golden memories take the backdoor flips after the
+  /// transients act and the golden writes at the edge, as the serial
+  /// oracle's fault-free machine does.
   void runGroup(const std::vector<std::size_t>& group) {
     ++stats_.wordGroups;
     if (forcedLookup_.empty()) forcedLookup_.assign(cd_.netCount(), 0);
-
-    resetMachine(golden_);
-    if (!isTwoState(golden_)) {
-      throw std::invalid_argument(
-          "bit-sliced engine: golden machine is not two-state (an X/Z net "
-          "value, flip-flop state or memory read register survived reset)");
-    }
+    for (sim::MemoryModel& m : goldenMem_) m.fillAll(0);
 
     groupHit_.assign(rs_.watch->groups.size(), Word::zero());
     pointHit_.assign(rs_.watch->points.size(), Word::zero());
     for (std::size_t i = 0; i < group.size(); ++i) {
       installLane(static_cast<unsigned>(i), group[i]);
     }
+    clock_.lap(kTail);
 
-    for (std::uint64_t c = 0; c < rs_.stim->cycles(); ++c) {
+    for (std::uint64_t c = 0; c < run_.cycles(); ++c) {
       activateTransients(c);
-      rs_.stim->apply(golden_, c);
-      mirrorFlips(c);
-      golden_.evalComb();
-      const std::span<const Logic> g = golden_.netValues();
+      applyFlips(c);
+      const NetBits g = run_.row(c);
 
       seedPhase(g);
       sweepPass1(g);
       resolveBridges(g, live_);
       applyPulses(c, g);
+      clock_.lap(kSweep);
       observe(c, g);
-      clockEdge(g);
+      clock_.lap(kObserve);
+      clockEdge(c, g);
       releasePulses();
+      clock_.lap(kEdge);
 
       ++stats_.wordCycles;
       stats_.laneCycles += live_.popcount();
@@ -1122,6 +1160,7 @@ class WordEngine {
       retireFinalVerdicts(c);
       if ((c + 1) % rs_.washEvery == 0) washoutCheck(c);
       refill(c);
+      clock_.lap(kTail);
       if (live_.none() && refillExhausted_) break;
     }
 
@@ -1132,14 +1171,19 @@ class WordEngine {
     resetGroupState();
   }
 
-  /// Applies cycle c's backdoor flips, which the golden machine just took,
-  /// to every lane-owned clone of the flipped memory as well.
-  void mirrorFlips(std::uint64_t c) {
-    for (const sim::MemFlip& f : rs_.stim->flipsAt(c)) {
+  /// Applies cycle c's backdoor flips to the golden memories and to every
+  /// lane-owned clone of the flipped memory.  Timed as the golden phase.
+  void applyFlips(std::uint64_t c) {
+    const std::span<const sim::MemFlip> flips = run_.stimulus().flipsAt(c);
+    if (flips.empty()) return;
+    clock_.lap(kSweep);
+    for (const sim::MemFlip& f : flips) {
+      goldenMem_[f.mem].flipBit(f.addr, f.bit);
       forEachLane(ownedMask_[f.mem], [&](unsigned lane) {
         clones_[f.mem][lane]->flipBit(f.addr, f.bit);
       });
     }
+    clock_.lap(kGolden);
   }
 
   void retireFinalVerdicts(std::uint64_t c) {
@@ -1162,10 +1206,11 @@ class WordEngine {
   };
 
   const RunShared& rs_;
+  const GoldenRun& run_;
   const CompiledDesign& cd_;
   const netlist::Netlist& nl_;
-  sim::Simulator golden_;
   BitslicedStats stats_;
+  PhaseClock clock_;
 
   // Per-net divergence and force overlays.
   std::vector<Word> div_;
@@ -1206,7 +1251,9 @@ class WordEngine {
   std::vector<std::vector<std::unique_ptr<sim::MemoryModel>>> clones_;
   std::vector<MemLaneScratch> memScratch_;
   std::vector<std::size_t> memScratchOffset_;
-  std::vector<std::vector<Logic>> gShadow_;
+  /// The golden machine's arrays: zeroed per group, then the trace's flips
+  /// and the golden writes (the lanes' clones start as copies of them).
+  std::vector<sim::MemoryModel> goldenMem_;
 
   // Lane bookkeeping.
   Word live_ = Word::zero();
@@ -1252,6 +1299,9 @@ void runWithWidth(const RunShared& rs, unsigned threads,
     stats.lanesRetiredEarly += p.lanesRetiredEarly;
     stats.lanesRefilled += p.lanesRefilled;
     stats.convergedEarly += p.convergedEarly;
+    for (std::size_t ph = 0; ph < p.phaseSeconds.size(); ++ph) {
+      stats.phaseSeconds[ph] += p.phaseSeconds[ph];
+    }
   }
   stats.workers = workers;
   for (const std::exception_ptr& e : errors) {
@@ -1261,23 +1311,25 @@ void runWithWidth(const RunShared& rs, unsigned threads,
 
 }  // namespace
 
-BitslicedCampaign runBitslicedWatch(const netlist::CompiledDesignPtr& cd,
-                                    const StimulusTrace& stim,
+BitslicedCampaign runBitslicedWatch(const GoldenRun& golden,
                                     const fault::FaultList& faults,
                                     const Watch& watch,
                                     const std::optional<fault::Fault>& latent,
                                     RetireMode retire,
                                     const FaultSimOptions& opt) {
+  if (!golden.isTwoState()) {
+    throw std::invalid_argument(
+        "bit-sliced engine: golden machine is not two-state (an X/Z net "
+        "value, flip-flop state or memory read register survived reset)");
+  }
   const obs::ScopedTimer timer("faultsim.bitsliced");
   RunShared rs;
-  rs.cdp = cd;
+  rs.golden = &golden;
   rs.faults = &faults;
   rs.latent = latent ? &*latent : nullptr;
-  rs.stim = &stim;
   rs.watch = &watch;
-  rs.evalMode = opt.evalMode;
   rs.retire = retire;
-  rs.washEvery = std::max<std::uint64_t>(1, stim.cycles() / 64);
+  rs.washEvery = std::max<std::uint64_t>(1, golden.cycles() / 64);
 
   LaneScheduler sched(faults);
   rs.sched = &sched;
@@ -1304,30 +1356,13 @@ BitslicedCampaign runBitslicedWatch(const netlist::CompiledDesignPtr& cd,
   reg.set("faultsim.bitsliced.simd_width",
           static_cast<double>(stats.laneWords) * 64.0);
   reg.set("faultsim.bitsliced.workers", static_cast<double>(stats.workers));
+  // Summed over the workers: at N threads about N times the wall time.
+  for (std::size_t p = 0; p < kBitslicedPhases.size(); ++p) {
+    reg.record("faultsim.bitsliced.phase." + std::string(kBitslicedPhases[p]),
+               stats.phaseSeconds[p], stats.phaseSeconds[p]);
+  }
 
   return BitslicedCampaign{std::move(results), stats};
-}
-
-bool isTwoState(const sim::Simulator& golden) {
-  const auto definite = [](Logic v) {
-    return v == Logic::L0 || v == Logic::L1;
-  };
-  const CompiledDesign& cd = golden.compiled();
-  for (const Logic v : golden.netValues()) {
-    if (!definite(v)) return false;
-  }
-  for (const CellId cell : cd.ffs()) {
-    if (!definite(golden.ffStates()[cell]) ||
-        !definite(golden.ffPrevDs()[cell])) {
-      return false;
-    }
-  }
-  for (MemoryId m = 0; m < cd.design().memoryCount(); ++m) {
-    for (const Logic v : golden.memReadReg(m)) {
-      if (!definite(v)) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace socfmea::faultsim

@@ -5,8 +5,9 @@
 // through the serial oracle's Watch and reports the same Observation per
 // fault (faultsim/serial.hpp); fault simulation is the outputs-only watch.
 //
-// Representation.  Each word group runs ONE scalar golden Simulator in
-// lockstep from reset and stores, per net, only the *divergence* word
+// Representation.  Every word group reads ONE recorded golden run
+// (faultsim/golden_run.hpp), cycle by cycle from reset, and stores, per
+// net, only the *divergence* word
 //
 //   div[net] lane bit = faulty lane value XOR golden value
 //
@@ -24,18 +25,23 @@
 // Soundness rests on a two-state argument: after reset every golden and
 // lane value is definite (0/1), and no engine operation can introduce X, so
 // Logic collapses to one bit per lane and XOR divergence is exact.  The
-// engine *verifies* the golden machine is X-free at every group start and
-// throws std::invalid_argument otherwise.
+// record says whether its machine was X-free after reset
+// (GoldenRun::isTwoState); the engine throws std::invalid_argument when it
+// was not.
 //
-// Backdoor actions are bit flips in the trace (sim::MemFlip); each cycle's
-// flips act on the golden machine and on every lane-owned clone of the
-// flipped memory alike.
+// The golden machine's state comes from the rows: a flip-flop's state is its
+// Q net (row c before the edge, row c + 1 after it), its previous D value
+// the D net one row back, a memory's read register its rdata nets.  Only
+// the arrays are kept live: each worker holds one fault-free MemoryModel
+// per memory, zeroed at every group start, which takes the trace's backdoor
+// flips (sim::MemFlip) right after the cycle's transients act and the
+// golden write at the clock edge, before the lanes read.  Each cycle's
+// flips act on every lane-owned clone of the flipped memory alike.
 //
-// Group start.  Every word group starts at cycle 0: the worker resets its
-// golden machine the way the serial oracle resets a faulty one
-// (resetMachine) and replays the stimulus trace from there, so each group
-// carries one golden timeline from reset to the workload's end (or until its
-// last lane retires).
+// Group start.  Every word group starts at cycle 0 with its lanes reset the
+// way the serial oracle resets a faulty machine (resetMachine), and reads
+// the record from row 0 to the workload's end (or until its last lane
+// retires).
 //
 // Latent faults.  Campaign mode takes an optional latent fault that every
 // lane carries under its own fault and the golden machine never sees: it is
@@ -54,24 +60,38 @@
 //
 // Threads.  A run is one fork-join: the calling thread is worker 0 and
 // threads - 1 std::jthreads are the others (one thread starts none).  Every
-// worker owns its engine (golden Simulator, divergence words, lane clones),
-// reads the shared stimulus trace and pulls groups from the shared
-// LaneScheduler until it drains.  Results
-// land in a pre-sized vector by fault index, and each worker returns its
-// counters, which the caller adds up after the join, so verdicts and
-// observation records are bit-identical to the serial oracle for any lane
-// width, thread count or refill order.
+// worker owns its engine (golden memories, divergence words, lane clones),
+// reads the shared golden run and pulls groups from the shared
+// LaneScheduler until it drains.  Results land in a pre-sized vector by
+// fault index, and each worker returns its counters and phase times, which
+// the caller adds up after the join, so verdicts and observation records
+// are bit-identical to the serial oracle for any lane width, thread count
+// or refill order.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault_list.hpp"
+#include "faultsim/golden_run.hpp"
 #include "faultsim/serial.hpp"
-#include "faultsim/stimulus.hpp"
 
 namespace socfmea::faultsim {
+
+/// The phases of a word group, each worker's time in them exported as the
+/// timer faultsim.bitsliced.phase.<name>:
+///   golden   the golden memories' backdoor flips and writes (rows are read
+///            in place);
+///   sweep    transient activation, seed, pass-1 sweep, bridges, SET pulses;
+///   observe  the watch compare;
+///   edge     the lanes' clock edge and the release of SET pulses;
+///   tail     retirement, washout and refill, plus each group's set-up and
+///            tear-down.
+inline constexpr std::array<std::string_view, 5> kBitslicedPhases = {
+    "golden", "sweep", "observe", "edge", "tail"};
 
 /// Execution counters of one bit-sliced run (telemetry + bench reporting).
 struct BitslicedStats {
@@ -83,6 +103,8 @@ struct BitslicedStats {
   std::uint64_t convergedEarly = 0;     ///< lanes retired by washout
   unsigned laneWords = 1;               ///< limbs per word (64 lanes each)
   unsigned workers = 1;
+  /// Seconds per phase (kBitslicedPhases order), summed over the workers.
+  std::array<double, kBitslicedPhases.size()> phaseSeconds{};
 
   /// Mean live lanes per occupied word-cycle, over the word capacity.
   [[nodiscard]] double laneOccupancy() const noexcept {
@@ -92,31 +114,23 @@ struct BitslicedStats {
   }
 };
 
-/// The engine's two-state precondition: every net value, flip-flop state
-/// and memory read register of `golden` is definite (0/1).  The engine
-/// checks it on its golden machine at every word group's start and throws
-/// std::invalid_argument when it fails; on a Simulator fresh from reset it
-/// decides whether the design can run bit-sliced at all
-/// (inject::InjectionManager::runWatch).
-[[nodiscard]] bool isTwoState(const sim::Simulator& golden);
-
 struct BitslicedCampaign {
   std::vector<Observation> observations;  ///< parallel to the fault list
   BitslicedStats stats;                   ///< the run's execution counters
 };
 
-/// Runs every fault against `watch` over the stimulus trace `stim`, each lane
-/// on top of `latent` when it is set (inject::CampaignOptions::preexisting),
-/// comparing with the lockstep golden machine every cycle.  A lane retires
-/// once verdictFinal holds under `retire`, or once it washed out; the
-/// observations equal runSerialWatch's for the same arguments.  Composes
-/// with opt.threads (word groups dealt out to the workers).  Throws
-/// std::invalid_argument when the golden machine is not two-state (X-free)
-/// after reset.
+/// Runs every fault against `watch` over the golden run's stimulus trace,
+/// each lane on top of `latent` when it is set
+/// (inject::CampaignOptions::preexisting), comparing with the recorded
+/// golden run every cycle.  A lane retires once verdictFinal holds under
+/// `retire`, or once it washed out; the observations equal runSerialWatch's
+/// for the same arguments.  Composes with opt.threads (word groups dealt
+/// out to the workers); opt.evalMode is not read (the record was settled in
+/// its own mode).  Throws std::invalid_argument when the golden machine was
+/// not two-state (X-free) after reset.
 [[nodiscard]] BitslicedCampaign runBitslicedWatch(
-    const netlist::CompiledDesignPtr& cd, const StimulusTrace& stim,
-    const fault::FaultList& faults, const Watch& watch,
-    const std::optional<fault::Fault>& latent, RetireMode retire,
-    const FaultSimOptions& opt = {});
+    const GoldenRun& golden, const fault::FaultList& faults,
+    const Watch& watch, const std::optional<fault::Fault>& latent,
+    RetireMode retire, const FaultSimOptions& opt = {});
 
 }  // namespace socfmea::faultsim

@@ -52,9 +52,11 @@ struct FaultSimOptions {
   /// share the word groups out.  Ignored by the serial engine.  Verdicts
   /// are bit-identical regardless of the value.
   unsigned threads = 1;
-  /// Combinational evaluation strategy for every machine in the campaign.
+  /// Combinational evaluation strategy of the serial oracle's machines.
   /// Both settle to bit-identical values; FullSettle is the equivalence
   /// oracle the tests and the testkit fuzz oracle run against EventDriven.
+  /// The bit-sliced engine reads a GoldenRun, settled in the mode it was
+  /// recorded in.
   sim::EvalMode evalMode = sim::EvalMode::EventDriven;
 };
 
@@ -130,9 +132,9 @@ struct GoldenTrace {
 };
 
 /// Puts `sim` in the state every machine of a campaign starts from: reset()
-/// plus fault-free memories filled with 0.  Every run starts here:
-/// runMachine each fault-free and faulty machine, the bit-sliced engine the
-/// golden machine of each word group.
+/// plus fault-free memories filled with 0.  Every run starts here: runMachine
+/// each fault-free and faulty machine (a fresh Simulator is in this state
+/// too).
 inline void resetMachine(sim::Simulator& sim) {
   sim.reset();
   for (netlist::MemoryId m = 0; m < sim.design().memoryCount(); ++m) {
@@ -142,8 +144,8 @@ inline void resetMachine(sim::Simulator& sim) {
 }
 
 /// One machine of the serial oracle: the fault-free machine when `f` is
-/// null (recordGolden, the operational profile, the toggle pass), a faulty
-/// machine of runSerialWatch otherwise.  Resets `sim` with resetMachine,
+/// null (GoldenRun, recordGolden), a faulty machine of runSerialWatch
+/// otherwise.  Resets `sim` with resetMachine,
 /// installs `latent` and then `f` (each when non-null), and replays the
 /// stimulus trace cycle by cycle: SEU / soft-error flips, the inputs and
 /// backdoor flips (StimulusTrace::apply), the settle, SET pulses in install

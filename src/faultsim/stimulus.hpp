@@ -5,8 +5,9 @@
 // their constructors, a test plan carries one, and a flow hands it down to
 // every consumer unchanged.  The fault-free and every faulty machine of the
 // serial oracle step through faultsim::runMachine, which replays it; the
-// bit-sliced engine replays it on its lockstep golden machine and mirrors
-// the flips into lane-owned memory clones.
+// fault-free replay is recorded once per flow (faultsim::GoldenRun), and
+// the bit-sliced engine reads that record and applies the flips to its
+// golden arrays and the lane-owned memory clones.
 #pragma once
 
 #include <cstdint>

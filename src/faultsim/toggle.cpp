@@ -3,7 +3,6 @@
 #include <ostream>
 #include <span>
 
-#include "faultsim/serial.hpp"
 #include "netlist/levelize.hpp"
 
 namespace socfmea::faultsim {
@@ -172,29 +171,27 @@ std::vector<bool> structurallyConstantNets(const netlist::Netlist& nl) {
   return constant;
 }
 
-ToggleCoverage measureToggle(const netlist::CompiledDesignPtr& cd,
-                             const StimulusTrace& stim) {
-  const netlist::Netlist& nl = cd->design();
-  sim::Simulator sim(cd);
-  const std::size_t nets = nl.netCount();
-  std::vector<bool> sawRise(nets, false);
-  std::vector<bool> sawFall(nets, false);
-  std::vector<sim::Logic> prev(nets, sim::Logic::LX);
-  const auto observe = [&](const sim::Simulator& s, std::uint64_t) {
-    const std::span<const sim::Logic> now = s.netValues();
-    for (netlist::NetId n = 0; n < nets; ++n) {
-      const sim::Logic v = now[n];
-      if (prev[n] == sim::Logic::L0 && v == sim::Logic::L1) sawRise[n] = true;
-      if (prev[n] == sim::Logic::L1 && v == sim::Logic::L0) sawFall[n] = true;
-      prev[n] = v;
+ToggleCoverage measureToggle(const GoldenRun& golden) {
+  const netlist::Netlist& nl = golden.compiled()->design();
+  const std::size_t words = golden.rowWords();
+  // A rise is a known 0 followed by a 1, a fall a 1 followed by a known 0;
+  // row 0 follows nothing.
+  std::vector<std::uint64_t> rise(words, 0);
+  std::vector<std::uint64_t> fall(words, 0);
+  for (std::uint64_t c = 1; c < golden.cycles(); ++c) {
+    const std::span<const std::uint64_t> prev = golden.row(c - 1).words;
+    const std::span<const std::uint64_t> cur = golden.row(c).words;
+    for (std::size_t w = 0; w < words; ++w) {
+      rise[w] |= golden.knownWord(c - 1, w) & ~prev[w] & cur[w];
+      fall[w] |= prev[w] & golden.knownWord(c, w) & ~cur[w];
     }
-    return false;
-  };
-  (void)runMachine(sim, stim, nullptr, nullptr, observe);
+  }
+  const NetBits sawRise{rise};
+  const NetBits sawFall{fall};
 
   const std::vector<bool> constant = structurallyConstantNets(nl);
   ToggleCoverage tc;
-  for (netlist::NetId n = 0; n < nets; ++n) {
+  for (netlist::NetId n = 0; n < nl.netCount(); ++n) {
     // Structurally constant nets cannot toggle; exclude them.
     if (constant[n]) continue;
     ++tc.nets;

@@ -8,8 +8,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "faultsim/stimulus.hpp"
-#include "netlist/compiled.hpp"
+#include "faultsim/golden_run.hpp"
 
 namespace socfmea::faultsim {
 
@@ -42,12 +41,11 @@ struct ToggleCoverage {
 [[nodiscard]] std::vector<bool> structurallyConstantNets(
     const netlist::Netlist& nl);
 
-/// Replays `stim` on the fault-free machine (runMachine, on a Simulator
-/// that shares `cd`) and measures net toggling.  Constant-driven and
-/// structurally constant nets are excluded from the denominator (they
-/// cannot toggle by design).
-[[nodiscard]] ToggleCoverage measureToggle(const netlist::CompiledDesignPtr& cd,
-                                           const StimulusTrace& stim);
+/// Measures net toggling over the golden run's rows (cycles 0 to cycles - 1;
+/// an X value neither rises nor falls).  Constant-driven and structurally
+/// constant nets are excluded from the denominator (they cannot toggle by
+/// design).
+[[nodiscard]] ToggleCoverage measureToggle(const GoldenRun& golden);
 
 void printToggle(std::ostream& out, const netlist::Netlist& nl,
                  const ToggleCoverage& tc, std::size_t maxUntoggled = 10);

@@ -197,7 +197,7 @@ obs::Json DeltaStats::toJson() const {
 }
 
 CampaignResult runCampaignDelta(InjectionManager& mgr,
-                                const faultsim::StimulusTrace& stim,
+                                const faultsim::GoldenRun& golden,
                                 const fault::FaultList& faults,
                                 const CachedCampaign& cache,
                                 const netlist::AffectedCone& cone,
@@ -239,7 +239,7 @@ CampaignResult runCampaignDelta(InjectionManager& mgr,
       const auto it = cache.byKey.find(key);
       if (it != cache.byKey.end()) {
         slot.bound =
-            bindCachedRecord(it->second, f, db, effects, stim.cycles());
+            bindCachedRecord(it->second, f, db, effects, golden.cycles());
         if (slot.bound) {
           // Deterministic per-fault draw, independent of the rest of the
           // list, so the sample is stable under fault-list growth.
@@ -260,7 +260,7 @@ CampaignResult runCampaignDelta(InjectionManager& mgr,
   // Reused records never re-enter the simulator, so their coverage counters
   // are accumulated here; CoverageCollector sums are order-independent, so
   // the result equals a cold run's.
-  CampaignResult sim = mgr.run(stim, simFaults, coverage, opt);
+  CampaignResult sim = mgr.run(golden, simFaults, coverage, opt);
 
   bool mismatch = false;
   for (const std::size_t i : reusedIdx) {
@@ -292,7 +292,7 @@ CampaignResult runCampaignDelta(InjectionManager& mgr,
         rest.push_back(faults[i]);
       }
     }
-    CampaignResult fresh = mgr.run(stim, rest, coverage, opt);
+    CampaignResult fresh = mgr.run(golden, rest, coverage, opt);
     merged.cyclesSimulated += fresh.cyclesSimulated;
     merged.convergedEarly += fresh.convergedEarly;
     for (std::size_t k = 0; k < restIdx.size(); ++k) {

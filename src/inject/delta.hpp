@@ -78,16 +78,16 @@ struct DeltaStats {
   [[nodiscard]] obs::Json toJson() const;
 };
 
-/// Runs the campaign over `faults` and the stimulus trace `stim`,
-/// simulating only faults inside `cone` (plus unmatched keys, records that
-/// do not bind and the revalidation sample) and merging cached verdicts for
-/// the rest.  A latent fault (`opt.preexisting`) inside the cone reuses
-/// nothing: every faulty machine carries it into the edit.  Record order,
-/// coverage accounting and every metric are bit-identical to
-/// `mgr.run(stim, faults, ...)` on a cold cache — the oracle tests enforce
+/// Runs the campaign over `faults` and the golden run `golden`, simulating
+/// only faults inside `cone` (plus unmatched keys, records that do not bind
+/// and the revalidation sample) and merging cached verdicts for the rest.
+/// A latent fault (`opt.preexisting`) inside the cone reuses nothing: every
+/// faulty machine carries it into the edit.  Record order, coverage
+/// accounting and every metric are bit-identical to
+/// `mgr.run(golden, faults, ...)` on a cold cache — the oracle tests enforce
 /// this.
 [[nodiscard]] CampaignResult runCampaignDelta(
-    InjectionManager& mgr, const faultsim::StimulusTrace& stim,
+    InjectionManager& mgr, const faultsim::GoldenRun& golden,
     const fault::FaultList& faults,
     const CachedCampaign& cache, const netlist::AffectedCone& cone,
     CoverageCollector* coverage, const CampaignOptions& opt,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 
 #include "faultsim/bitsliced.hpp"
@@ -212,7 +213,7 @@ Outcome classifyObservation(const InjectionObservation& obs,
 
 }  // namespace
 
-CampaignResult InjectionManager::run(const faultsim::StimulusTrace& stim,
+CampaignResult InjectionManager::run(const faultsim::GoldenRun& golden,
                                      const fault::FaultList& faults,
                                      CoverageCollector* coverage,
                                      const CampaignOptions& opt) {
@@ -230,7 +231,7 @@ CampaignResult InjectionManager::run(const faultsim::StimulusTrace& stim,
     slot.push_back(it->second);
   }
 
-  CampaignResult result = runDistinct(stim, distinct, opt);
+  CampaignResult result = runDistinct(golden, distinct, opt);
   if (distinct.size() < faults.size()) {
     std::vector<InjectionRecord> records;
     records.reserve(faults.size());
@@ -257,18 +258,20 @@ faultsim::Watch InjectionManager::watch() const {
   return w;
 }
 
-WatchRun InjectionManager::runWatch(const faultsim::StimulusTrace& stim,
+WatchRun InjectionManager::runWatch(const faultsim::GoldenRun& golden,
                                     const fault::FaultList& faults,
                                     const faultsim::Watch& watch,
                                     const std::optional<fault::Fault>& latent,
                                     faultsim::RetireMode retire,
                                     const CampaignOptions& opt) {
+  if (golden.compiled() != cd_) {
+    throw std::invalid_argument(
+        "InjectionManager::runWatch: the golden run is of another design");
+  }
   obs::Registry& reg = obs::Registry::global();
   const faultsim::EngineKind engine = [&] {
     if (opt.engine != faultsim::EngineKind::Auto) return opt.engine;
-    if (faultsim::isTwoState(sim::Simulator(cd_))) {
-      return faultsim::EngineKind::Bitsliced;
-    }
+    if (golden.isTwoState()) return faultsim::EngineKind::Bitsliced;
     reg.add("inject.auto_serial_fallbacks");
     return faultsim::EngineKind::Serial;
   }();
@@ -276,12 +279,14 @@ WatchRun InjectionManager::runWatch(const faultsim::StimulusTrace& stim,
       "inject.campaign." + std::string(faultsim::engineKindName(engine)));
   WatchRun run;
   if (engine == faultsim::EngineKind::Serial) {
-    const faultsim::GoldenTrace golden = [&] {
+    // The oracle keeps its own golden trace (faultsim/golden_run.hpp).
+    const faultsim::StimulusTrace& stim = golden.stimulus();
+    const faultsim::GoldenTrace trace = [&] {
       const obs::ScopedTimer t("inject.record_golden");
       return faultsim::recordGolden(cd_, stim, watch);
     }();
     faultsim::SerialCampaign serial = faultsim::runSerialWatch(
-        cd_, stim, golden, faults, watch, latent, retire);
+        cd_, stim, trace, faults, watch, latent, retire);
     run.observations = std::move(serial.observations);
     run.cyclesSimulated = serial.cycles;
     reg.add("inject.comb_evals", serial.perf.combEvals);
@@ -291,7 +296,7 @@ WatchRun InjectionManager::runWatch(const faultsim::StimulusTrace& stim,
     faultsim::FaultSimOptions fopt;
     fopt.threads = opt.threads;
     faultsim::BitslicedCampaign sliced = faultsim::runBitslicedWatch(
-        cd_, stim, faults, watch, latent, retire, fopt);
+        golden, faults, watch, latent, retire, fopt);
     run.observations = std::move(sliced.observations);
     run.cyclesSimulated = sliced.stats.laneCycles;
     run.convergedEarly = sliced.stats.convergedEarly;
@@ -304,9 +309,9 @@ WatchRun InjectionManager::runWatch(const faultsim::StimulusTrace& stim,
 }
 
 CampaignResult InjectionManager::runDistinct(
-    const faultsim::StimulusTrace& stim, const fault::FaultList& faults,
+    const faultsim::GoldenRun& golden, const fault::FaultList& faults,
     const CampaignOptions& opt) {
-  const WatchRun run = runWatch(stim, faults, watch(), opt.preexisting,
+  const WatchRun run = runWatch(golden, faults, watch(), opt.preexisting,
                                 opt.earlyAbort
                                     ? faultsim::RetireMode::Classify
                                     : faultsim::RetireMode::WashoutOnly,

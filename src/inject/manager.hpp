@@ -2,8 +2,9 @@
 // injection campaign based on automatically generated fault lists and
 // collects all the results."  A workload is its stimulus trace
 // (faultsim::StimulusTrace, written when the workload is built); a flow
-// hands it to every campaign it runs, and golden and faulty machines replay
-// it (inputs plus backdoor flips).  The SENS, OBSE and DIAG monitors are one
+// records its golden run once (faultsim::GoldenRun) and hands that to every
+// campaign it runs, and the faulty machines replay the trace (inputs plus
+// backdoor flips).  The SENS, OBSE and DIAG monitors are one
 // faultsim::Watch over the target zones, the observation points and the
 // alarms; runWatch runs it on either engine, and one mapping turns its
 // observations into classified injection records.
@@ -14,6 +15,7 @@
 #include <optional>
 
 #include "fault/fault.hpp"
+#include "faultsim/golden_run.hpp"
 #include "faultsim/serial.hpp"
 #include "inject/coverage.hpp"
 #include "netlist/compiled.hpp"
@@ -167,15 +169,15 @@ class InjectionManager {
     return env_;
   }
 
-  /// Runs the campaign over `stim`, a stimulus trace of this design;
-  /// `coverage`, when non-null, accumulates the completeness counters once
-  /// per list position.  Repeated faults are
+  /// Runs the campaign over `golden`, a golden run of this design's
+  /// compiled form; `coverage`, when non-null, accumulates the completeness
+  /// counters once per list position.  Repeated faults are
   /// folded: each distinct fault is simulated once and its record copied to
   /// every position that holds it.  The distinct faults run once through
   /// runWatch over watch(), on top of opt.preexisting, with the Classify
   /// stop rule under opt.earlyAbort (else WashoutOnly).  Records are in
   /// fault-list order and bit-identical across engines and thread counts.
-  [[nodiscard]] CampaignResult run(const faultsim::StimulusTrace& stim,
+  [[nodiscard]] CampaignResult run(const faultsim::GoldenRun& golden,
                                    const fault::FaultList& faults,
                                    CoverageCollector* coverage = nullptr,
                                    const CampaignOptions& opt = {});
@@ -187,17 +189,19 @@ class InjectionManager {
 
   /// The one switch between the engines, for the campaigns above and for
   /// fault simulation on the same design (validation step (c)).  Runs every
-  /// fault over the stimulus trace `stim` against `watch` on the engine
-  /// opt.engine resolves to, each machine on top of `latent` when it is set
-  /// and stopped under `retire`: the serial oracle (faultsim::runSerialWatch
-  /// against a golden trace recorded from the same stimulus) or the
-  /// bit-sliced engine (faultsim::runBitslicedWatch at opt.threads).
-  /// Serial and Bitsliced stand as requested; Auto is the bit-sliced engine
-  /// when the design's golden machine is two-state after reset
-  /// (faultsim::isTwoState), and otherwise the serial oracle, counted in the
-  /// inject.auto_serial_fallbacks telemetry counter.  Only opt.engine and
-  /// opt.threads are read.
-  [[nodiscard]] WatchRun runWatch(const faultsim::StimulusTrace& stim,
+  /// fault over the golden run's stimulus trace against `watch` on the
+  /// engine opt.engine resolves to, each machine on top of `latent` when it
+  /// is set and stopped under `retire`: the serial oracle
+  /// (faultsim::runSerialWatch against a golden trace it records from the
+  /// same stimulus) or the bit-sliced engine (faultsim::runBitslicedWatch
+  /// over `golden` at opt.threads).  Serial and Bitsliced stand as
+  /// requested; Auto is the bit-sliced engine when the golden machine was
+  /// two-state after reset (GoldenRun::isTwoState), and otherwise the serial
+  /// oracle, counted in the inject.auto_serial_fallbacks telemetry counter.
+  /// Only opt.engine and opt.threads are read.  Throws
+  /// std::invalid_argument when `golden` was recorded on another compiled
+  /// design than this manager's.
+  [[nodiscard]] WatchRun runWatch(const faultsim::GoldenRun& golden,
                                   const fault::FaultList& faults,
                                   const faultsim::Watch& watch,
                                   const std::optional<fault::Fault>& latent,
@@ -216,7 +220,7 @@ class InjectionManager {
   /// One campaign over a list of distinct faults: runs watch() through
   /// runWatch and maps the observations to InjectionRecords.
   [[nodiscard]] CampaignResult runDistinct(
-      const faultsim::StimulusTrace& stim, const fault::FaultList& faults,
+      const faultsim::GoldenRun& golden, const fault::FaultList& faults,
       const CampaignOptions& opt);
 
   /// Exports compiled-design shape and evaluation-economy telemetry into

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <span>
-
-#include "faultsim/serial.hpp"
+#include <stdexcept>
 
 namespace socfmea::inject {
 
@@ -16,51 +15,49 @@ constexpr std::size_t kMaxActiveCyclesPerZone = 512;
 }  // namespace
 
 OperationalProfile OperationalProfile::record(
-    const zones::ZoneDatabase& db, const faultsim::StimulusTrace& stim) {
+    const zones::ZoneDatabase& db, const faultsim::GoldenRun& golden) {
+  if (golden.compiled() != db.compiledShared()) {
+    throw std::invalid_argument(
+        "OperationalProfile::record: the golden run is of another design");
+  }
   OperationalProfile p;
   p.activity_.assign(db.size(), {});
-  const std::uint64_t cycles = stim.cycles();
+  const std::uint64_t cycles = golden.cycles();
   p.cycles_ = cycles;
 
-  // Previous settled value of every zone value net.
-  std::vector<std::vector<sim::Logic>> prev(db.size());
-  for (const zones::SensibleZone& z : db.zones()) {
-    prev[z.id].assign(z.valueNets.size(), sim::Logic::LX);
-  }
   std::vector<std::uint64_t> lastChange(db.size(), 0);
   std::vector<std::uint64_t> holdSum(db.size(), 0);
   std::vector<std::uint64_t> holdCount(db.size(), 0);
 
-  const auto observe = [&](const sim::Simulator& sim, std::uint64_t c) {
-    const std::span<const sim::Logic> now = sim.netValues();
+  // A net changes in cycle c when it was known in row c - 1 and reads
+  // differently in row c (X included).  Row 0 is initialization: the first
+  // transition out of X is not activity.
+  std::vector<std::uint64_t> change(golden.rowWords());
+  for (std::uint64_t c = 1; c < cycles; ++c) {
+    const std::span<const std::uint64_t> prev = golden.row(c - 1).words;
+    const std::span<const std::uint64_t> cur = golden.row(c).words;
+    for (std::size_t w = 0; w < change.size(); ++w) {
+      change[w] = golden.knownWord(c - 1, w) &
+                  (~golden.knownWord(c, w) | (prev[w] ^ cur[w]));
+    }
+    const faultsim::NetBits changed{change};
     for (const zones::SensibleZone& z : db.zones()) {
-      bool changed = false;
-      auto& pv = prev[z.id];
-      for (std::size_t i = 0; i < z.valueNets.size(); ++i) {
-        const sim::Logic v = now[z.valueNets[i]];
-        if (v != pv[i]) {
-          // The first transition out of X is initialization, not activity.
-          if (!sim::isUnknown(pv[i])) changed = true;
-          pv[i] = v;
-        }
+      if (std::none_of(z.valueNets.begin(), z.valueNets.end(),
+                       [&](netlist::NetId n) { return changed[n]; })) {
+        continue;
       }
-      if (changed) {
-        ZoneActivity& a = p.activity_[z.id];
-        if (a.writes != 0) {
-          holdSum[z.id] += c - lastChange[z.id];
-          ++holdCount[z.id];
-        }
-        lastChange[z.id] = c;
-        ++a.writes;
-        if (a.activeCycles.size() < kMaxActiveCyclesPerZone) {
-          a.activeCycles.push_back(static_cast<std::uint32_t>(c));
-        }
+      ZoneActivity& a = p.activity_[z.id];
+      if (a.writes != 0) {
+        holdSum[z.id] += c - lastChange[z.id];
+        ++holdCount[z.id];
+      }
+      lastChange[z.id] = c;
+      ++a.writes;
+      if (a.activeCycles.size() < kMaxActiveCyclesPerZone) {
+        a.activeCycles.push_back(static_cast<std::uint32_t>(c));
       }
     }
-    return false;
-  };
-  sim::Simulator sim(db.compiledShared());
-  (void)faultsim::runMachine(sim, stim, nullptr, nullptr, observe);
+  }
 
   for (zones::ZoneId z = 0; z < p.activity_.size(); ++z) {
     ZoneActivity& a = p.activity_[z];

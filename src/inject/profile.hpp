@@ -5,7 +5,7 @@
 // that only faults which will produce an error are selected during the
 // fault list generation process."
 //
-// The profiler replays the workload's trace on the fault-free machine and
+// The profiler reads the workload's golden run (faultsim::GoldenRun) and
 // records, per sensible zone, when its stored value changes (write
 // activity), how long values are held (the measured lifetime ζ) and which
 // cycles the zone is live — the data the Collapser and Randomiser use to
@@ -18,7 +18,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "faultsim/stimulus.hpp"
+#include "faultsim/golden_run.hpp"
 #include "fmea/sheet.hpp"
 #include "zones/zone.hpp"
 
@@ -35,10 +35,11 @@ struct ZoneActivity {
 
 class OperationalProfile {
  public:
-  /// Records the profile with one fault-free replay of the stimulus trace
-  /// (faultsim::runMachine).
+  /// Records the profile from the rows of `golden`; throws
+  /// std::invalid_argument unless it was recorded on the zone database's
+  /// compiled design (db.compiledShared()).
   static OperationalProfile record(const zones::ZoneDatabase& db,
-                                   const faultsim::StimulusTrace& stim);
+                                   const faultsim::GoldenRun& golden);
 
   [[nodiscard]] std::uint64_t totalCycles() const noexcept { return cycles_; }
   [[nodiscard]] const ZoneActivity& zone(zones::ZoneId z) const {

@@ -63,6 +63,19 @@ faultsim::Watch campaignWatch(const netlist::Netlist& nl) {
   return watch;
 }
 
+/// True when `run` reads what the serial oracle's golden trace reads on
+/// every traced net in every cycle.
+bool runMatchesTrace(const faultsim::GoldenRun& run,
+                     const faultsim::GoldenTrace& trace) {
+  if (trace.values.size() != run.cycles()) return false;
+  for (std::uint64_t c = 0; c < run.cycles(); ++c) {
+    for (std::size_t j = 0; j < trace.nets.size(); ++j) {
+      if (run.value(c, trace.nets[j]) != trace.values[c][j]) return false;
+    }
+  }
+  return true;
+}
+
 /// Records a mismatch for every fault whose observation differs from the
 /// reference.
 void compareObservations(const std::vector<Observation>& ref,
@@ -141,6 +154,24 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
         {"golden-trace", "event-driven and full-settle golden runs differ", {}});
   }
 
+  // The bit-sliced engine's golden runs (faultsim::GoldenRun), one per eval
+  // mode, must be equal and must read what the serial golden trace reads.
+  const faultsim::GoldenRun eventRun(cd, stim);
+  const faultsim::GoldenRun fullRun(cd, stim, sim::EvalMode::FullSettle);
+  if (!(eventRun == fullRun)) {
+    report.mismatches.push_back(
+        {"golden-run", "event-driven and full-settle GoldenRun records differ",
+         {}});
+  }
+  for (const faultsim::GoldenRun* run : {&eventRun, &fullRun}) {
+    if (!runMatchesTrace(*run, golden)) {
+      report.mismatches.push_back(
+          {"golden-run", "a golden run differs from the serial golden trace",
+           {}});
+      break;
+    }
+  }
+
   // Bit-sliced fault-parallel engine: full fault model, full plan list.
   if (!plan.faults.empty()) {
     const faultsim::Watch outputs =
@@ -148,11 +179,11 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
     for (const auto mode :
          {sim::EvalMode::EventDriven, sim::EvalMode::FullSettle}) {
       faultsim::FaultSimOptions o;
-      o.evalMode = mode;
       o.threads = mode == sim::EvalMode::EventDriven ? opt.threads : 1;
+      const faultsim::GoldenRun& run =
+          mode == sim::EvalMode::EventDriven ? eventRun : fullRun;
       std::vector<Observation> r =
-          faultsim::runBitslicedWatch(cd, stim, plan.faults, outputs,
-                                      std::nullopt,
+          faultsim::runBitslicedWatch(run, plan.faults, outputs, std::nullopt,
                                       faultsim::RetireMode::DetectOnly, o)
               .observations;
       applySabotage(opt.sabotage, Sabotage::Engine::Bitsliced, mode, r);
@@ -170,7 +201,7 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
     faultsim::FaultSimOptions o;
     o.threads = opt.threads;
     const faultsim::BitslicedCampaign sliced = faultsim::runBitslicedWatch(
-        cd, stim, plan.faults, watch, std::nullopt,
+        eventRun, plan.faults, watch, std::nullopt,
         faultsim::RetireMode::Classify, o);
     ++report.combosRun;
     compareObservations(serial.observations, sliced.observations, "campaign",

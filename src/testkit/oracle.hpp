@@ -16,9 +16,12 @@
 // (faultsim::runSerialWatch, runBitslicedWatch) with the Classify stop rule
 // over a watch built from the design alone — each flip-flop's Q net a
 // group, the primary outputs both points and alarms, detection window 4 —
-// and requires identical observations.  Two extra properties ride along:
-// the golden traces of both eval modes must be identical, and the design
-// must survive a text round-trip — parse(write(nl)) re-simulated under the
+// and requires identical observations.  Each bit-sliced arm reads a golden
+// run (faultsim::GoldenRun) recorded in its own eval mode.  Three extra
+// properties ride along: the serial golden traces of both eval modes must
+// be identical; the golden runs of both modes must be equal and read what
+// the serial golden trace reads on the watched nets; and the design must
+// survive a text round-trip — parse(write(nl)) re-simulated under the
 // rebound plan must reproduce the reference observations.
 #pragma once
 

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "cpu/workload.hpp"
@@ -212,14 +214,16 @@ struct MemDesign {
 };
 
 /// The bit-sliced side of tk::serialOutputs: every primary output of `cd`
-/// watched over the recorded `stim`, each lane stopped under `retire`.
+/// watched over the golden run of `stim` (recorded in opt.evalMode), each
+/// lane stopped under `retire`.
 fs::BitslicedCampaign slicedRun(const nl::CompiledDesignPtr& cd,
                                 const fs::StimulusTrace& stim,
                                 const ft::FaultList& faults,
                                 fs::RetireMode retire,
                                 const fs::FaultSimOptions& opt = {}) {
   const nl::Netlist& n = cd->design();
-  return fs::runBitslicedWatch(cd, stim, faults,
+  const fs::GoldenRun golden(cd, stim, opt.evalMode);
+  return fs::runBitslicedWatch(golden, faults,
                                fs::outputWatch(n, n.primaryOutputs()),
                                std::nullopt, retire, opt);
 }
@@ -630,9 +634,9 @@ struct MemsysBed {
   /// The bed's workload over `cycles`, recorded on its design.
   [[nodiscard]] fs::StimulusTrace stimulus(std::uint64_t cycles) const;
 
-  [[nodiscard]] ft::FaultList sampleFaults(const fs::StimulusTrace& stim,
+  [[nodiscard]] ft::FaultList sampleFaults(const fs::GoldenRun& golden,
                                            std::size_t count) const {
-    const auto profile = ij::OperationalProfile::record(db, stim);
+    const auto profile = ij::OperationalProfile::record(db, golden);
     ft::FaultList candidates = ft::allStuckAtFaults(design.nl);
     ft::append(candidates, ft::allSeuFaults(design.nl));
     ij::collapseAgainstProfile(db, profile, candidates);
@@ -681,7 +685,8 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
   SCOPED_TRACE(tk::seedMessage(kWorkloadSeed));
   MemsysBed bed;
   const fs::StimulusTrace stim = bed.stimulus(260);
-  const auto faults = bed.sampleFaults(stim, 48);
+  const fs::GoldenRun golden(bed.db.compiledShared(), stim);
+  const auto faults = bed.sampleFaults(golden, 48);
   ASSERT_GT(faults.size(), 10u);
 
   ij::InjectionManager mgr(bed.env);
@@ -689,14 +694,14 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;  // the reference oracle
   ij::CoverageCollector serialCov(mgr.environment());
-  const auto serial = mgr.run(stim, faults, &serialCov, serialOpt);
+  const auto serial = mgr.run(golden, faults, &serialCov, serialOpt);
 
   for (const unsigned threads : {1u, 4u}) {
     ij::CampaignOptions opt;
     opt.engine = fs::EngineKind::Bitsliced;
     opt.threads = threads;
     ij::CoverageCollector cov(mgr.environment());
-    const auto sliced = mgr.run(stim, faults, &cov, opt);
+    const auto sliced = mgr.run(golden, faults, &cov, opt);
     SCOPED_TRACE("threads=" + std::to_string(threads));
 
     expectRecordsEqual(serial, sliced);
@@ -727,7 +732,8 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
   SCOPED_TRACE(tk::seedMessage(kWorkloadSeed));
   MemsysBed bed;
   const fs::StimulusTrace stim = bed.stimulus(200);
-  ft::FaultList faults = bed.sampleFaults(stim, 96);
+  const fs::GoldenRun run(bed.db.compiledShared(), stim);
+  ft::FaultList faults = bed.sampleFaults(run, 96);
   const nl::NetId obsNet = bed.env.obsNets.front();
   const nl::NetId otherObsNet = bed.env.obsNets.back();
   for (const nl::NetId net : {obsNet, otherObsNet}) {
@@ -787,11 +793,48 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
       opt.laneWords = 1;
       expectObservationsEqual(
           bed.design.nl, faults, serial.observations,
-          fs::runBitslicedWatch(cd, stim, faults, watch, latent,
+          fs::runBitslicedWatch(run, faults, watch, latent,
                                 fs::RetireMode::Classify, opt)
               .observations);
     }
   }
+}
+
+// Every run records each of the five phase timers once, with the phase
+// times it returns; at one thread they tile the worker's time, which lies
+// inside the engine's own timer.
+TEST(BitslicedCampaignTest, PhaseTimersAddUpInsideTheEngineTimer) {
+  MemsysBed bed;
+  const fs::StimulusTrace stim = bed.stimulus(160);
+  const fs::GoldenRun golden(bed.db.compiledShared(), stim);
+  const auto faults = bed.sampleFaults(golden, 40);
+  ASSERT_FALSE(faults.empty());
+  const ij::InjectionManager mgr(bed.env);
+  const auto& reg = socfmea::obs::Registry::global();
+  const auto phaseTimer = [&](std::string_view name) {
+    return reg.timer("faultsim.bitsliced.phase." + std::string(name));
+  };
+  std::vector<socfmea::obs::TimerStat> before;
+  for (const std::string_view name : fs::kBitslicedPhases) {
+    before.push_back(phaseTimer(name));
+  }
+  const socfmea::obs::TimerStat engineBefore = reg.timer("faultsim.bitsliced");
+  const fs::BitslicedCampaign run = fs::runBitslicedWatch(
+      golden, faults, mgr.watch(), std::nullopt, fs::RetireMode::Classify);
+  const double engine = reg.timer("faultsim.bitsliced").wallSeconds -
+                        engineBefore.wallSeconds;
+  double sum = 0.0;
+  for (std::size_t p = 0; p < fs::kBitslicedPhases.size(); ++p) {
+    SCOPED_TRACE(std::string(fs::kBitslicedPhases[p]));
+    const socfmea::obs::TimerStat after = phaseTimer(fs::kBitslicedPhases[p]);
+    EXPECT_EQ(after.count - before[p].count, 1u);
+    EXPECT_GE(run.stats.phaseSeconds[p], 0.0);
+    EXPECT_NEAR(after.wallSeconds - before[p].wallSeconds,
+                run.stats.phaseSeconds[p], 1e-9);
+    sum += run.stats.phaseSeconds[p];
+  }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_LE(sum, engine);
 }
 
 // EngineKind::Auto resolves to the bit-sliced engine at every thread count,
@@ -799,12 +842,13 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
 TEST(BitslicedCampaignTest, AutoRunsBitslicedAtEveryThreadCount) {
   MemsysBed bed;
   const fs::StimulusTrace stim = bed.stimulus(80);
-  const auto faults = bed.sampleFaults(stim, 8);
+  const fs::GoldenRun golden(bed.db.compiledShared(), stim);
+  const auto faults = bed.sampleFaults(golden, 8);
   ASSERT_FALSE(faults.empty());
   ij::InjectionManager mgr(bed.env);
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
-  const auto serial = mgr.run(stim, faults, nullptr, serialOpt);
+  const auto serial = mgr.run(golden, faults, nullptr, serialOpt);
 
   const auto& reg = socfmea::obs::Registry::global();
   const auto slicedMachines = [&] {
@@ -819,7 +863,7 @@ TEST(BitslicedCampaignTest, AutoRunsBitslicedAtEveryThreadCount) {
     opt.threads = threads;
     const std::uint64_t machines = slicedMachines();
     const std::uint64_t campaigns = serialCampaigns();
-    const auto res = mgr.run(stim, faults, nullptr, opt);
+    const auto res = mgr.run(golden, faults, nullptr, opt);
     EXPECT_EQ(slicedMachines() - machines, faults.size());
     EXPECT_EQ(serialCampaigns(), campaigns);
     expectRecordsEqual(serial, res);
@@ -851,17 +895,18 @@ TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
                        .withDetectionWindow(4)
                        .build();
   const ij::RandomWorkload stim(n, 40, tk::testSeed(31), {{rst, false}});
+  const fs::GoldenRun golden(db.compiledShared(), stim);
   const ft::FaultList faults = ft::allStuckAtFaults(n);
   ASSERT_FALSE(faults.empty());
   ij::InjectionManager mgr(env);
 
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
-  const auto serial = mgr.run(stim, faults, nullptr, serialOpt);
+  const auto serial = mgr.run(golden, faults, nullptr, serialOpt);
 
   const auto& reg = socfmea::obs::Registry::global();
   const std::uint64_t fallbacks = reg.counter("inject.auto_serial_fallbacks");
-  const auto autoRun = mgr.run(stim, faults);  // engine Auto
+  const auto autoRun = mgr.run(golden, faults);  // engine Auto
   EXPECT_EQ(reg.counter("inject.auto_serial_fallbacks") - fallbacks, 1u);
   expectRecordsEqual(serial, autoRun);
 
@@ -870,7 +915,7 @@ TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
     ij::CampaignOptions slicedOpt;
     slicedOpt.engine = fs::EngineKind::Bitsliced;
     slicedOpt.threads = threads;
-    EXPECT_THROW((void)mgr.run(stim, faults, nullptr, slicedOpt),
+    EXPECT_THROW((void)mgr.run(golden, faults, nullptr, slicedOpt),
                  std::invalid_argument);
   }
 }
@@ -934,6 +979,7 @@ TEST(BitslicedPropertyTest, LatentFaultsOnRandomDesignsMatchSerial) {
     const nl::CompiledDesignPtr& cd = db.compiledShared();
     const fs::Watch watch = mgr.watch();
     const fs::GoldenTrace golden = fs::recordGolden(cd, stim, watch);
+    const fs::GoldenRun run(cd, stim);
     for (int k = 0; k < 3; ++k) {
       const ft::Fault latent = plan.faults[rng.below(plan.faults.size())];
       SCOPED_TRACE("latent " + latent.describe(n));
@@ -944,7 +990,7 @@ TEST(BitslicedPropertyTest, LatentFaultsOnRandomDesignsMatchSerial) {
       opt.laneWords = 1;
       expectObservationsEqual(
           n, plan.faults, serial.observations,
-          fs::runBitslicedWatch(cd, stim, plan.faults, watch, latent,
+          fs::runBitslicedWatch(run, plan.faults, watch, latent,
                                 fs::RetireMode::Classify, opt)
               .observations);
       recordsChecked += serial.observations.size();

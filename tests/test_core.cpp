@@ -11,6 +11,7 @@
 #include "core/frmem_config.hpp"
 #include "core/validation.hpp"
 #include "memsys/workloads.hpp"
+#include "obs/telemetry.hpp"
 
 namespace core = socfmea::core;
 namespace ms = socfmea::memsys;
@@ -147,7 +148,12 @@ TEST(ValidationFlowTest, AllFourStepsPassOnV2) {
   vopt.criticalZones = 8;
   vopt.localFaultsPerZone = 9;
   vopt.wideFaults = 32;
+  const socfmea::obs::Registry& reg = socfmea::obs::Registry::global();
+  const std::uint64_t goldenRuns = reg.timer("inject.record_golden").count;
   const auto rep = core::runValidationFlow(flows().flowV2, workload, vopt);
+  // One golden run for the whole flow: the profile, the toggle pass and the
+  // four bit-sliced campaigns read it.
+  EXPECT_EQ(reg.timer("inject.record_golden").count - goldenRuns, 1u);
 
   EXPECT_TRUE(rep.stepAPass) << "zone-failure injection vs FMEA";
   EXPECT_TRUE(rep.stepBPass) << "toggle " << rep.toggle.onceFraction();

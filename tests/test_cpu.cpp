@@ -219,6 +219,7 @@ TEST(CpuFmeaTest, InjectionConfirmsComparatorCoverage) {
   const auto lock = cp::buildTinyCpu(cp::CpuOptions::lockstepCpu());
   socfmea::core::FmeaFlow flow(lock.nl, cp::makeCpuFlowConfig(lock));
   const cp::CpuWorkload stim(lock, cp::selfTestProgram(), 400);
+  const fs::GoldenRun golden(flow.zones().compiledShared(), stim);
 
   const auto env = socfmea::inject::EnvironmentBuilder(flow.zones(),
                                                        flow.effects())
@@ -226,8 +227,8 @@ TEST(CpuFmeaTest, InjectionConfirmsComparatorCoverage) {
                        .build();
   socfmea::inject::InjectionManager mgr(env);
   const auto profile =
-      socfmea::inject::OperationalProfile::record(flow.zones(), stim);
-  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 2, 6));
+      socfmea::inject::OperationalProfile::record(flow.zones(), golden);
+  const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 2, 6));
   // Nearly every dangerous state flip must be annunciated by the comparator.
   EXPECT_GT(res.measuredDdf(), 0.90);
   EXPECT_GT(res.measuredSff(), 0.90);
@@ -237,14 +238,15 @@ TEST(CpuFmeaTest, PlainCpuInjectionShowsUndetectedFailures) {
   const auto plain = cp::buildTinyCpu(cp::CpuOptions::plain());
   socfmea::core::FmeaFlow flow(plain.nl, cp::makeCpuFlowConfig(plain));
   const cp::CpuWorkload stim(plain, cp::selfTestProgram(), 400);
+  const fs::GoldenRun golden(flow.zones().compiledShared(), stim);
 
   const auto env = socfmea::inject::EnvironmentBuilder(flow.zones(),
                                                        flow.effects())
                        .build();
   socfmea::inject::InjectionManager mgr(env);
   const auto profile =
-      socfmea::inject::OperationalProfile::record(flow.zones(), stim);
-  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 2, 6));
+      socfmea::inject::OperationalProfile::record(flow.zones(), golden);
+  const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 2, 6));
   EXPECT_GT(res.count(socfmea::inject::Outcome::DangerousUndetected), 0u);
 }
 

@@ -109,7 +109,8 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
   ij::CampaignOptions serialOpt;
   serialOpt.engine = fs::EngineKind::Serial;
   const ij::RandomWorkload stim(tb.n, 64, 5, {{tb.rst, false}});
-  const ij::CampaignResult serial = mgr.run(stim, faults, nullptr, serialOpt);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const ij::CampaignResult serial = mgr.run(golden, faults, nullptr, serialOpt);
   ASSERT_GT(serial.tally().count(ij::Outcome::DangerousUndetected), 0u);
 
   const auto critSerial =
@@ -119,7 +120,7 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
   // Bit-sliced engine: records are bit-identical, so the attribution is too.
   ij::CampaignOptions slicedOpt;
   slicedOpt.engine = fs::EngineKind::Bitsliced;
-  const ij::CampaignResult sliced = mgr.run(stim, faults, nullptr, slicedOpt);
+  const ij::CampaignResult sliced = mgr.run(golden, faults, nullptr, slicedOpt);
   const auto critSliced =
       sr::CriticalityMap::fromCampaign(tb.n, tb.db, sliced);
   expectCountInvariant(critSliced, sliced);
@@ -135,9 +136,10 @@ TEST(Criticality, UncheckedRegisterRanksAboveParityProtectedOne) {
   Testbed tb;
   ij::InjectionManager mgr(tb.env());
   const ij::RandomWorkload stim(tb.n, 64, 5, {{tb.rst, false}});
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   const ft::FaultList faults = mgr.zoneFailureFaults(profile, 2, 7);
-  const ij::CampaignResult result = mgr.run(stim, faults);
+  const ij::CampaignResult result = mgr.run(golden, faults);
   const auto crit = sr::CriticalityMap::fromCampaign(tb.n, tb.db, result);
 
   double bareShare = 0.0;
@@ -170,8 +172,9 @@ TEST_P(CriticalityFuzz, CountInvariantOnRandomDesign) {
                        .build();
   ij::InjectionManager mgr(env);
   const ij::RandomWorkload stim(n, 48, GetParam() ^ 0x9E3779B9u, {});
+  const fs::GoldenRun golden(db.compiledShared(), stim);
   ft::FaultList faults = ft::allSeuFaults(n);
-  const ij::CampaignResult result = mgr.run(stim, faults);
+  const ij::CampaignResult result = mgr.run(golden, faults);
   expectCountInvariant(
       sr::CriticalityMap::fromCampaign(n, db, result), result);
 }

@@ -174,9 +174,8 @@ TEST(WorkloadTraceTest, DigestsArePinned) {
 
 TEST(ToggleTest, RandomStimulusTogglesDataPath) {
   DataPath d;
-  const auto cd = nl::compile(d.n);
-  const auto tc = fs::measureToggle(
-      cd, ij::RandomWorkload(d.n, 200, 42, {{d.rst, false}}));
+  const ij::RandomWorkload stim(d.n, 200, 42, {{d.rst, false}});
+  const auto tc = fs::measureToggle(fs::GoldenRun(nl::compile(d.n), stim));
   EXPECT_GT(tc.nets, 0u);
   // Everything except the pinned reset (and its dependents, e.g. the final
   // carry-out chain) toggles under random stimulus.
@@ -194,8 +193,7 @@ TEST(ToggleTest, HeldInputsReportedUntoggled) {
       stim.values[c][stim.column(d.a[i])] = (((c * 37) >> i) & 1u) != 0;
     }
   }
-  const auto cd = nl::compile(d.n);
-  const auto tc = fs::measureToggle(cd, stim);
+  const auto tc = fs::measureToggle(fs::GoldenRun(nl::compile(d.n), stim));
   EXPECT_FALSE(tc.passes(0.99));
   EXPECT_GE(tc.untoggled.size(), 8u);  // at least the b inputs
 }
@@ -296,8 +294,9 @@ TEST_P(EngineAgreement, SerialAndBitslicedObservationsMatch) {
   const auto cd = nl::compile(d.n);
   const auto serial = tk::serialOutputs(cd, stim, faults);
   const auto sliced = fs::runBitslicedWatch(
-      cd, stim, faults, fs::outputWatch(d.n, d.n.primaryOutputs()),
-      std::nullopt, fs::RetireMode::DetectOnly);
+      fs::GoldenRun(cd, stim), faults,
+      fs::outputWatch(d.n, d.n.primaryOutputs()), std::nullopt,
+      fs::RetireMode::DetectOnly);
 
   ASSERT_EQ(serial.size(), sliced.observations.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {

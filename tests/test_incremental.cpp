@@ -40,6 +40,7 @@
 #include "netlist/hash.hpp"
 #include "netlist/text_format.hpp"
 #include "obs/json.hpp"
+#include "obs/telemetry.hpp"
 #include "testkit/netlist_gen.hpp"
 #include "testkit/oracle.hpp"
 #include "testkit/plan.hpp"
@@ -236,9 +237,11 @@ TEST(IncrementalDeterminismTest, FaultEnumerationIsStable) {
     inject::InjectionManager mgr(env);
     ms::ProtectionIpWorkload::Options wopt;
     wopt.cycles = 300;
+    const ms::ProtectionIpWorkload stim(d, wopt);
     const inject::OperationalProfile profile =
-        inject::OperationalProfile::record(flow.zones(),
-                                           ms::ProtectionIpWorkload(d, wopt));
+        inject::OperationalProfile::record(
+            flow.zones(),
+            faultsim::GoldenRun(flow.zones().compiledShared(), stim));
     const fault::FaultList faults = mgr.zoneFailureFaults(profile, 1, 7);
     out.reserve(faults.size());
     for (const fault::Fault& f : faults) {
@@ -609,6 +612,33 @@ TEST(IncrementalOracleTest, SecondIdenticalRunIsAFullStoreHit) {
   EXPECT_EQ(second.delta.simulated, 0u);
   expectSameRecords(first.result, second.result);
   EXPECT_EQ(sffA, sffB);
+}
+
+// Each run records its golden run once and every consumer reads it: the
+// profile on every path, the cold campaign, the delta's re-simulated faults.
+// A full hit still records it, because the fault list (and so the campaign
+// key) comes from the profile.
+TEST(IncrementalOracleTest, EveryPathRecordsTheGoldenRunOnce) {
+  const ms::GateLevelDesign v1 =
+      ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  const ms::GateLevelDesign dut =
+      ms::buildProtectionIp(editedOptions("wbuf-parity"));
+  core::ArtifactStore store(freshDir("golden_once"));
+  const socfmea::obs::Registry& reg = socfmea::obs::Registry::global();
+  const auto goldenRunsOf = [&](const ms::GateLevelDesign& d) {
+    const std::uint64_t before = reg.timer("inject.record_golden").count;
+    const core::IncrementalCampaign camp = runOracleFlow(d, &store, nullptr);
+    return std::pair{camp, reg.timer("inject.record_golden").count - before};
+  };
+  const auto [cold, coldRuns] = goldenRunsOf(v1);
+  EXPECT_FALSE(cold.fullHit || cold.deltaRun);
+  EXPECT_EQ(coldRuns, 1u);
+  const auto [delta, deltaRuns] = goldenRunsOf(dut);
+  EXPECT_TRUE(delta.deltaRun);
+  EXPECT_EQ(deltaRuns, 1u);
+  const auto [hit, hitRuns] = goldenRunsOf(dut);
+  EXPECT_TRUE(hit.fullHit);
+  EXPECT_EQ(hitRuns, 1u);
 }
 
 // A primed store whose one campaign file no longer parses: the rerun misses

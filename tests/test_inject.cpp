@@ -114,7 +114,8 @@ TEST(WorkloadTest, PinnedInputsHold) {
 TEST(ProfileTest, ActiveZonesRecorded) {
   Testbed tb;
   const auto stim = tb.stimulus(128);
-  const auto p = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto p = ij::OperationalProfile::record(tb.db, golden);
   const auto dreg = *tb.db.findZone("dreg");
   EXPECT_TRUE(p.zone(dreg).triggered());
   EXPECT_GT(p.zone(dreg).writes, 20u);  // random data changes most cycles
@@ -125,14 +126,17 @@ TEST(ProfileTest, ActiveZonesRecorded) {
 TEST(ProfileTest, CompletenessCountsTriggeredZones) {
   Testbed tb;
   const auto stim = tb.stimulus(128);
-  const auto p = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto p = ij::OperationalProfile::record(tb.db, golden);
   EXPECT_GT(p.completeness(), 0.5);
   EXPECT_LE(p.completeness(), 1.0);
 }
 
 TEST(ProfileTest, IdleWorkloadTriggersNothing) {
   Testbed tb;
-  const auto p = ij::OperationalProfile::record(tb.db, tb.idle());
+  const fs::StimulusTrace idle = tb.idle();
+  const auto p = ij::OperationalProfile::record(
+      tb.db, fs::GoldenRun(tb.db.compiledShared(), idle));
   const auto dreg = *tb.db.findZone("dreg");
   EXPECT_FALSE(p.zone(dreg).triggered());
   EXPECT_FALSE(p.untriggeredZones().empty());
@@ -141,7 +145,8 @@ TEST(ProfileTest, IdleWorkloadTriggersNothing) {
 TEST(ProfileTest, FreqClassTracksActivity) {
   Testbed tb;
   const auto stim = tb.stimulus(128);
-  const auto p = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto p = ij::OperationalProfile::record(tb.db, golden);
   const auto dreg = *tb.db.findZone("dreg");
   // Random 4-bit data changes nearly every cycle: continuous-ish.
   const auto f = p.freqClassOf(dreg);
@@ -177,7 +182,9 @@ TEST(EnvBuilderTest, OwnerZonesOfSeuIsTheFfZone) {
 TEST(EnvBuilderTest, CollapserDropsInactiveZoneFaults) {
   Testbed tb;
   // Idle workload: nothing triggers -> every zone-owned fault is dropped.
-  const auto p = ij::OperationalProfile::record(tb.db, tb.idle());
+  const fs::StimulusTrace idle = tb.idle();
+  const auto p = ij::OperationalProfile::record(
+      tb.db, fs::GoldenRun(tb.db.compiledShared(), idle));
   auto faults = ft::allSeuFaults(tb.n);
   const auto dropped = ij::collapseAgainstProfile(tb.db, p, faults);
   EXPECT_GT(dropped, 0u);
@@ -187,7 +194,8 @@ TEST(EnvBuilderTest, CollapserDropsInactiveZoneFaults) {
 TEST(EnvBuilderTest, RandomiserAssignsActiveCycles) {
   Testbed tb;
   const auto stim = tb.stimulus(128);
-  const auto p = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto p = ij::OperationalProfile::record(tb.db, golden);
   auto faults = ft::allSeuFaults(tb.n);
   const auto sampled = ij::randomizeFaultList(tb.db, p, faults, 64, 3);
   EXPECT_LE(sampled.size(), 64u);
@@ -206,7 +214,8 @@ TEST(EnvBuilderTest, RandomiserAssignsActiveCycles) {
 TEST(EnvBuilderTest, RandomiserCapsListSize) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto p = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto p = ij::OperationalProfile::record(tb.db, golden);
   const auto faults = ft::allStuckAtFaults(tb.n);
   const auto sampled = ij::randomizeFaultList(tb.db, p, faults, 5, 3);
   EXPECT_EQ(sampled.size(), 5u);
@@ -221,8 +230,9 @@ namespace {
 ij::CampaignResult runOne(Testbed& tb, const ft::Fault& f,
                           std::uint64_t window = 4) {
   const auto stim = tb.stimulus(64);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
   ij::InjectionManager mgr(tb.env(window));
-  return mgr.run(stim, {f});
+  return mgr.run(golden, {f});
 }
 
 }  // namespace
@@ -293,18 +303,20 @@ TEST(ManagerTest, StuckAlarmMakesDataFaultsUndetected) {
   const auto env = ij::EnvironmentBuilder(db, fx).build();
   ij::InjectionManager mgr(env);
   const ij::RandomWorkload stim(n, 64, 5, {{rst, false}});
+  const fs::GoldenRun golden(db.compiledShared(), stim);
   ft::Fault f;
   f.kind = ft::FaultKind::SeuFlip;
   f.cell = *n.findCell("dreg_2");
   f.cycle = 20;
-  const auto res = mgr.run(stim, {f});
+  const auto res = mgr.run(golden, {f});
   EXPECT_EQ(res.records[0].outcome, ij::Outcome::DangerousUndetected);
 }
 
 TEST(ManagerTest, ZoneFailureFaultsCoverEveryTargetBit) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
   const auto faults = mgr.zoneFailureFaults(profile, 2, 9);
   // dreg(4) + preg(1) + spare(1) flip-flops x 2 each.
@@ -314,10 +326,11 @@ TEST(ManagerTest, ZoneFailureFaultsCoverEveryTargetBit) {
 TEST(ManagerTest, MeasuredAggregatesConsistent) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
   const auto faults = mgr.zoneFailureFaults(profile, 2, 9);
-  const auto res = mgr.run(stim, faults);
+  const auto res = mgr.run(golden, faults);
   std::size_t sum = 0;
   for (const auto o :
        {ij::Outcome::NoEffect, ij::Outcome::SafeMasked,
@@ -337,11 +350,12 @@ TEST(ManagerTest, MeasuredAggregatesConsistent) {
 TEST(CoverageTest, CompletenessReachesOneOnFullCampaign) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
   ij::CoverageCollector cov(mgr.environment());
   const auto faults = mgr.zoneFailureFaults(profile, 3, 9);
-  (void)mgr.run(stim, faults, &cov);
+  (void)mgr.run(golden, faults, &cov);
   EXPECT_EQ(cov.injections(), faults.size());
   EXPECT_GT(cov.sensCoverage(), 0.99);
   EXPECT_GT(cov.diagCoverage(), 0.99);
@@ -364,9 +378,10 @@ TEST(CoverageTest, EmptyCampaignIsIncomplete) {
 TEST(AnalyzerTest, AggregateSplitsOutcomesPerZone) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 4, 9));
+  const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   const auto zones = analyzer.aggregate(res);
   for (const auto& m : zones) {
@@ -385,9 +400,10 @@ TEST(AnalyzerTest, AggregateSplitsOutcomesPerZone) {
 TEST(AnalyzerTest, EffectsTableMatchesStructuralPrediction) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 4, 9));
+  const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   const auto table = analyzer.effectsTable(res);
   for (const auto& e : table) {
@@ -403,9 +419,10 @@ TEST(AnalyzerTest, EffectsTableMatchesStructuralPrediction) {
 TEST(AnalyzerTest, ValidationOneSided) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 6, 9));
+  const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 6, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
 
   // Sheet that matches reality: dreg claims the parity checker.
@@ -472,13 +489,14 @@ TEST(ManagerTest, LatentAlarmFaultDefeatsDetection) {
   seu.cycle = 20;
 
   const auto stim = tb.stimulus(64);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
   ij::InjectionManager mgr(tb.env());
-  const auto clean = mgr.run(stim, {seu});
+  const auto clean = mgr.run(golden, {seu});
   EXPECT_EQ(clean.records[0].outcome, ij::Outcome::DangerousDetected);
 
   ij::CampaignOptions opt;
   opt.preexisting = latent;
-  const auto degraded = mgr.run(stim, {seu}, nullptr, opt);
+  const auto degraded = mgr.run(golden, {seu}, nullptr, opt);
   EXPECT_EQ(degraded.records[0].outcome, ij::Outcome::DangerousUndetected);
 }
 
@@ -497,10 +515,11 @@ TEST(ManagerTest, LatentFaultInPayloadStillDetected) {
   seu.cycle = 20;
 
   const auto stim = tb.stimulus(64);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
   ij::InjectionManager mgr(tb.env());
   ij::CampaignOptions opt;
   opt.preexisting = latent;
-  const auto res = mgr.run(stim, {seu}, nullptr, opt);
+  const auto res = mgr.run(golden, {seu}, nullptr, opt);
   EXPECT_EQ(res.records[0].outcome, ij::Outcome::DangerousDetected);
 }
 
@@ -520,6 +539,7 @@ TEST(ManagerTest, LatentSetPulseFiresInEveryEngine) {
   seu.cycle = 20;
 
   const auto stim = tb.stimulus(64);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
   ij::InjectionManager mgr(tb.env());
   for (const auto engine : {socfmea::faultsim::EngineKind::Serial,
                             socfmea::faultsim::EngineKind::Bitsliced}) {
@@ -527,7 +547,7 @@ TEST(ManagerTest, LatentSetPulseFiresInEveryEngine) {
     ij::CampaignOptions opt;
     opt.engine = engine;
     opt.preexisting = latent;
-    const auto res = mgr.run(stim, {seu}, nullptr, opt);
+    const auto res = mgr.run(golden, {seu}, nullptr, opt);
     ASSERT_EQ(res.records.size(), 1u);
     EXPECT_TRUE(res.records[0].obs.obs);
     EXPECT_EQ(res.records[0].obs.firstObsCycle, 30u);
@@ -553,6 +573,7 @@ TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
   const ft::FaultList faults{a, b, a, c, b};
 
   const auto stim = tb.stimulus(64);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
   ij::InjectionManager mgr(tb.env());
   socfmea::obs::Registry& reg = socfmea::obs::Registry::global();
   using socfmea::faultsim::EngineKind;
@@ -570,7 +591,7 @@ TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
     opt.threads = cfg.threads;
     ij::CoverageCollector cov(mgr.environment());
     const std::uint64_t before = reg.counter("inject.faults_simulated");
-    const auto res = mgr.run(stim, faults, &cov, opt);
+    const auto res = mgr.run(golden, faults, &cov, opt);
     EXPECT_EQ(reg.counter("inject.faults_simulated") - before, 3u);
     EXPECT_EQ(cov.injections(), 5u);
     ASSERT_EQ(res.records.size(), faults.size());
@@ -578,7 +599,7 @@ TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
       SCOPED_TRACE(i);
       const ij::InjectionRecord& got = res.records[i];
       const ij::InjectionRecord want =
-          mgr.run(stim, {faults[i]}, nullptr, opt).records.at(0);
+          mgr.run(golden, {faults[i]}, nullptr, opt).records.at(0);
       EXPECT_TRUE(got.fault == want.fault);
       EXPECT_EQ(got.zone, want.zone);
       EXPECT_EQ(got.outcome, want.outcome);
@@ -633,6 +654,7 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
   const auto env =
       ij::EnvironmentBuilder(db, fx).withDetectionWindow(4).build();
   const ij::RandomWorkload stim(n, 16, 7, {{rst, false}, {en, false}});
+  const fs::GoldenRun golden(db.compiledShared(), stim);
   const auto pointOf = [&](nl::NetId net) {
     const auto it = std::find(env.obsNets.begin(), env.obsNets.end(), net);
     return env.obsIds.at(static_cast<std::size_t>(it - env.obsNets.begin()));
@@ -650,7 +672,7 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
   ij::InjectionManager mgr(env);
   ij::CampaignOptions opt;
   opt.engine = socfmea::faultsim::EngineKind::Serial;
-  const auto res = mgr.run(stim, {u0Sa0, u1Sa1, enSa1}, nullptr, opt);
+  const auto res = mgr.run(golden, {u0Sa0, u1Sa1, enSa1}, nullptr, opt);
   ASSERT_EQ(res.records.size(), 3u);
 
   // X in golden, 0 in the faulty machine: zone and point deviate at cycle 1;
@@ -704,9 +726,10 @@ TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
 TEST(TallyTest, MatchesPerOutcomeCounts) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 4, 9));
+  const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 4, 9));
 
   const auto t = res.tally();
   std::size_t sum = 0;
@@ -731,9 +754,10 @@ TEST(TallyTest, MatchesPerOutcomeCounts) {
 TEST(AnalyzerTest, EffectsTablePrinterShowsClassification) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
-  const auto res = mgr.run(stim, mgr.zoneFailureFaults(profile, 4, 9));
+  const auto res = mgr.run(golden, mgr.zoneFailureFaults(profile, 4, 9));
   ij::ResultAnalyzer analyzer(tb.db, tb.fx);
   std::ostringstream out;
   ij::printEffectsTable(out, tb.db, tb.fx, analyzer.effectsTable(res));
@@ -749,11 +773,12 @@ TEST(AnalyzerTest, EffectsTablePrinterShowsClassification) {
 TEST(JsonExportTest, CampaignJsonMatchesInMemoryTally) {
   Testbed tb;
   const auto stim = tb.stimulus(64);
-  const auto profile = ij::OperationalProfile::record(tb.db, stim);
+  const fs::GoldenRun golden(tb.db.compiledShared(), stim);
+  const auto profile = ij::OperationalProfile::record(tb.db, golden);
   ij::InjectionManager mgr(tb.env());
   ij::CoverageCollector coverage(mgr.environment());
   const auto res =
-      mgr.run(stim, mgr.zoneFailureFaults(profile, 2, 9), &coverage);
+      mgr.run(golden, mgr.zoneFailureFaults(profile, 2, 9), &coverage);
   const ij::OutcomeTally tally = res.tally();
 
   // Round trip through the serializer + parser, then cross-check every

@@ -1,17 +1,21 @@
 // The obs layer: JSON document model (round trips, escaping, numeric
-// fidelity, strict parsing) and the telemetry registry (thread safety,
-// scoped timers).
+// fidelity, strict parsing, seeded mutants of a real report) and the
+// telemetry registry (thread safety, scoped timers).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "testkit/seed.hpp"
 
 using socfmea::obs::Json;
 using socfmea::obs::Registry;
@@ -110,6 +114,37 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse(nested(Json::kMaxDepth + 1)),
                std::runtime_error);
   EXPECT_NO_THROW((void)Json::parse(nested(Json::kMaxDepth)));
+}
+
+// Seeded mutants of the checked-in SIL3 report (testkit::mutateText: byte
+// flips, truncations, dropped and duplicated lines, extreme numbers): each
+// either throws the parser's std::runtime_error or parses to a document
+// that survives parse(dump()) unchanged.
+TEST(JsonTest, MutatedReportsThrowOrRoundTrip) {
+  std::ifstream in(SOCFMEA_GOLDEN_REPORT, std::ios::binary);
+  const std::string report(std::istreambuf_iterator<char>(in), {});
+  ASSERT_FALSE(report.empty()) << SOCFMEA_GOLDEN_REPORT;
+  const std::uint64_t base = socfmea::testkit::testSeed(0x15A7);
+  std::size_t parsed = 0;
+  std::size_t thrown = 0;
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    const std::uint64_t seed = socfmea::testkit::derivedSeed(base, k);
+    SCOPED_TRACE(socfmea::testkit::seedMessage(seed));
+    Json j;
+    try {
+      j = Json::parse(socfmea::testkit::mutateText(report, seed));
+    } catch (const std::runtime_error&) {
+      ++thrown;
+      continue;
+    }
+    ++parsed;
+    const std::string text = j.dump();
+    const Json again = Json::parse(text);
+    EXPECT_TRUE(again == j);
+    EXPECT_EQ(again.dump(), text);
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(thrown, 0u);
 }
 
 TEST(JsonTest, DeepEqualityComparesNumerically) {

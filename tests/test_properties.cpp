@@ -156,15 +156,16 @@ TEST(DeterminismTest, IdenticalSeedsGiveIdenticalCampaigns) {
   ms::ProtectionIpWorkload::Options wopt;
   wopt.cycles = 600;
   const ms::ProtectionIpWorkload stim(design, wopt);
+  const fs::GoldenRun golden(flow.zones().compiledShared(), stim);
 
   const auto runOnce = [&] {
     const auto env =
         ij::EnvironmentBuilder(flow.zones(), flow.effects()).build();
     ij::InjectionManager mgr(env);
-    const auto profile = ij::OperationalProfile::record(flow.zones(), stim);
+    const auto profile = ij::OperationalProfile::record(flow.zones(), golden);
     auto faults = mgr.zoneFailureFaults(profile, 1, seed);
     faults.resize(std::min<std::size_t>(faults.size(), 40));
-    const auto res = mgr.run(stim, faults);
+    const auto res = mgr.run(golden, faults);
     std::vector<int> outcomes;
     for (const auto& r : res.records) {
       outcomes.push_back(static_cast<int>(r.outcome));

@@ -41,7 +41,7 @@ struct Fixture {
     fs::StimulusTrace stim;
     stim.inputs = {in};
     stim.values = std::move(values);
-    return fs::measureToggle(nlx::compile(nl), stim);
+    return fs::measureToggle(fs::GoldenRun(nlx::compile(nl), stim));
   }
 };
 
