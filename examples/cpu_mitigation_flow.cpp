@@ -13,8 +13,8 @@
 // auto at one thread still runs the serial oracle here: a temporary
 // exception in cpu::scenarios::runScenario that waits on a benchmark-harness
 // fix; any other thread count runs the bit-sliced engine.  --records dumps
-// every injection record for cross-engine debugging.  A malformed numeric
-// value exits 2 with a one-line diagnostic.
+// every injection record for cross-engine debugging.  A malformed or
+// out-of-range numeric value exits 2 with a one-line diagnostic.
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -33,6 +33,11 @@ namespace sc = cpu::scenarios;
 
 namespace {
 
+/// Largest --per-bit value, like --threads' cli::kMaxThreads.  A larger
+/// count only draws repeat injection cycles, which the manager folds, and
+/// an unbounded one would size the fault list past any memory.
+constexpr std::uint64_t kMaxPerBit = 1024;
+
 struct Args {
   std::string scenario;  // empty = all
   std::string jsonPath;
@@ -48,6 +53,7 @@ struct Args {
                " [--threads <T>]\n"
                "                           [--per-bit <N>] [--seed <S>]\n"
                "  --threads T: 0 (all cores) to 1024, default 1\n"
+               "  --per-bit N: 1 to 1024, default 2\n"
                "scenarios:";
   for (const auto& s : sc::all()) std::cerr << " " << s.name;
   std::cerr << "\n";
@@ -84,8 +90,9 @@ Args parseArgs(int argc, char** argv) {
       }
     } else if (arg == "--per-bit") {
       std::uint64_t n = 0;
-      if (!cli::parseUnsigned(value(i).c_str(), n) || n == 0) {
-        badValue(arg, "a positive count");
+      if (!cli::parseUnsigned(value(i).c_str(), n) || n == 0 ||
+          n > kMaxPerBit) {
+        badValue(arg, "a positive count of at most 1024");
       }
       a.run.perBit = static_cast<std::size_t>(n);
     } else if (arg == "--seed") {

@@ -1,6 +1,7 @@
 #include "faultsim/bitsliced.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <exception>
@@ -36,6 +37,39 @@ constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
 /// scheduled cycle, permanent faults from reset.
 [[nodiscard]] std::uint64_t firstActiveCycle(const Fault& f) {
   return f.transient() ? f.cycle : 0;
+}
+
+// A lane word holds one bit per lane: bit `lane` of a net's word belongs to
+// the faulty machine in that lane.
+
+constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
+
+/// Every lane set to `v`.
+[[nodiscard]] constexpr std::uint64_t broadcast(bool v) {
+  return -static_cast<std::uint64_t>(v);
+}
+
+[[nodiscard]] constexpr std::uint64_t laneBit(unsigned lane) {
+  return std::uint64_t{1} << lane;
+}
+
+[[nodiscard]] constexpr bool hasLane(std::uint64_t w, unsigned lane) {
+  return ((w >> lane) & 1u) != 0;
+}
+
+/// Sets `lane` of `w` to `v`.
+constexpr void setLane(std::uint64_t& w, unsigned lane, bool v) {
+  w = (w & ~laneBit(lane)) | (static_cast<std::uint64_t>(v) << lane);
+}
+
+/// Calls fn(lane) for every lane set in `w`, ascending.
+template <typename Fn>
+void forEachLane(std::uint64_t w, Fn&& fn) {
+  while (w != 0) {
+    const unsigned lane = static_cast<unsigned>(std::countr_zero(w));
+    w &= w - 1;
+    fn(lane);
+  }
 }
 
 /// Everything the word-group workers share read-only (plus the scheduler and
@@ -81,15 +115,11 @@ class PhaseClock {
       spent_{};
 };
 
-/// One word group: NB*64 lanes evaluated in lockstep against the recorded
+/// One word group: kLanes lanes evaluated in lockstep against the recorded
 /// golden run, storing per-net divergence words.  An engine instance is
 /// owned by one worker thread and reused across groups.
-template <unsigned NB>
 class WordEngine {
  public:
-  using Word = BitWord<NB>;
-  static constexpr unsigned kLanes = Word::kLanes;
-
   explicit WordEngine(const RunShared& rs)
       : rs_(rs),
         run_(*rs.golden),
@@ -98,9 +128,9 @@ class WordEngine {
     const std::size_t nets = cd_.netCount();
     const std::size_t combs = cd_.combCount();
     const std::size_t nffs = cd_.ffs().size();
-    div_.assign(nets, Word::zero());
-    forceMask_.assign(nets, Word::zero());
-    forceVal_.assign(nets, Word::zero());
+    div_.assign(nets, 0);
+    forceMask_.assign(nets, 0);
+    forceVal_.assign(nets, 0);
     touched_.assign(nets, 0);
     zeroAge_.assign(nets, 0);
     faninTouched_.assign(combs, 0);
@@ -114,9 +144,9 @@ class WordEngine {
     for (std::size_t i = 0; i < nffs; ++i) {
       ffIndexOfCell_[cd_.ffs()[i]] = static_cast<std::uint32_t>(i);
     }
-    ffDiv_.assign(nffs, Word::zero());
-    ffStale_.assign(nffs, Word::zero());
-    prevDivD_.assign(nffs, Word::zero());
+    ffDiv_.assign(nffs, 0);
+    ffStale_.assign(nffs, 0);
+    prevDivD_.assign(nffs, 0);
     ffPin_.assign(nffs, 0);
     inFfList_.assign(nffs, 0);
     const std::size_t mems = nl_.memoryCount();
@@ -124,13 +154,13 @@ class WordEngine {
     goldenMem_.reserve(mems);
     for (MemoryId m = 0; m < mems; ++m) {
       const MemoryInst& mi = nl_.memory(m);
-      memRegDiv_[m].assign(mi.dataBits, Word::zero());
+      memRegDiv_[m].assign(mi.dataBits, 0);
       goldenMem_.emplace_back(mi.addrBits, mi.dataBits);
     }
     memPin_.assign(mems, 0);
     inMemList_.assign(mems, 0);
-    ownedMask_.assign(mems, Word::zero());
-    cloneFaulty_.assign(mems, Word::zero());
+    ownedMask_.assign(mems, 0);
+    cloneFaulty_.assign(mems, 0);
     clones_.resize(mems);
     for (auto& c : clones_) c.resize(kLanes);
     laneFault_.assign(kLanes, kNoFault);
@@ -162,8 +192,8 @@ class WordEngine {
 
   // ---- divergence bookkeeping ----------------------------------------------
 
-  [[nodiscard]] Word laneWordOf(NetId n, NetBits g) const {
-    return Word::broadcast(g[n]) ^ div_[n];
+  [[nodiscard]] std::uint64_t laneWordOf(NetId n, NetBits g) const {
+    return broadcast(g[n]) ^ div_[n];
   }
 
   void addActive(std::uint32_t pos) {
@@ -223,9 +253,9 @@ class WordEngine {
     for (const MemoryId m : cd_.memWriteSinks(n)) --memPin_[m];
   }
 
-  void setDiv(NetId n, const Word& w) {
+  void setDiv(NetId n, std::uint64_t w) {
     div_[n] = w;
-    if (w.any()) {
+    if (w != 0) {
       ensureTouched(n);
       zeroAge_[n] = 0;
     }
@@ -234,26 +264,23 @@ class WordEngine {
   /// Replaces the unforced lane bits of div[n] from `natural`, keeping
   /// forced bits as they are.  Forced bits are re-derived against the fresh
   /// golden value at the next seed phase before anything reads them.
-  void setDivKeepForced(NetId n, const Word& natural) {
-    setDiv(n, andnot(natural, forceMask_[n]) | (div_[n] & forceMask_[n]));
+  void setDivKeepForced(NetId n, std::uint64_t natural) {
+    setDiv(n, (natural & ~forceMask_[n]) | (div_[n] & forceMask_[n]));
   }
 
   /// Applies the per-lane force overlay to a natural divergence word, given
   /// this cycle's settled golden values.
-  [[nodiscard]] Word overlayDiv(NetId n, const Word& natural, NetBits g) const {
-    const Word& m = forceMask_[n];
-    if (m.none()) return natural;
-    const Word forcedDiv = forceVal_[n] ^ Word::broadcast(g[n]);
-    return andnot(natural, m) | (forcedDiv & m);
+  [[nodiscard]] std::uint64_t overlayDiv(NetId n, std::uint64_t natural,
+                                        NetBits g) const {
+    const std::uint64_t m = forceMask_[n];
+    if (m == 0) return natural;
+    const std::uint64_t forcedDiv = forceVal_[n] ^ broadcast(g[n]);
+    return (natural & ~m) | (forcedDiv & m);
   }
 
   void addForce(NetId n, unsigned lane, bool value) {
-    forceMask_[n].setBit(lane);
-    if (value) {
-      forceVal_[n].setBit(lane);
-    } else {
-      forceVal_[n].clearBit(lane);
-    }
+    forceMask_[n] |= laneBit(lane);
+    setLane(forceVal_[n], lane, value);
     ensureTouched(n);
     if (forcedLookup_[n] == 0) {
       forcedLookup_[n] = 1;
@@ -262,64 +289,65 @@ class WordEngine {
   }
 
   void clearForce(NetId n, unsigned lane) {
-    forceMask_[n].clearBit(lane);
-    forceVal_[n].clearBit(lane);
+    forceMask_[n] &= ~laneBit(lane);
+    forceVal_[n] &= ~laneBit(lane);
     // forcedList_ entries are dropped lazily at the seed phase.
   }
 
   // ---- word kernels --------------------------------------------------------
 
-  [[nodiscard]] Word evalCellWord(std::uint32_t pos, NetBits g) const {
+  [[nodiscard]] std::uint64_t evalCellWord(std::uint32_t pos,
+                                          NetBits g) const {
     const std::span<const NetId> ins = cd_.combInputs(pos);
     switch (cd_.combType(pos)) {
-      case CellType::Const0: return Word::zero();
-      case CellType::Const1: return Word::ones();
+      case CellType::Const0: return 0;
+      case CellType::Const1: return kAllLanes;
       case CellType::Buf: return laneWordOf(ins[0], g);
       case CellType::Not: return ~laneWordOf(ins[0], g);
       case CellType::And: {
-        Word w = Word::ones();
+        std::uint64_t w = kAllLanes;
         for (const NetId in : ins) w &= laneWordOf(in, g);
         return w;
       }
       case CellType::Nand: {
-        Word w = Word::ones();
+        std::uint64_t w = kAllLanes;
         for (const NetId in : ins) w &= laneWordOf(in, g);
         return ~w;
       }
       case CellType::Or: {
-        Word w = Word::zero();
+        std::uint64_t w = 0;
         for (const NetId in : ins) w |= laneWordOf(in, g);
         return w;
       }
       case CellType::Nor: {
-        Word w = Word::zero();
+        std::uint64_t w = 0;
         for (const NetId in : ins) w |= laneWordOf(in, g);
         return ~w;
       }
       case CellType::Xor: {
-        Word w = Word::zero();
+        std::uint64_t w = 0;
         for (const NetId in : ins) w ^= laneWordOf(in, g);
         return w;
       }
       case CellType::Xnor: {
-        Word w = Word::zero();
+        std::uint64_t w = 0;
         for (const NetId in : ins) w ^= laneWordOf(in, g);
         return ~w;
       }
       case CellType::Mux2: {
-        const Word s = laneWordOf(ins[0], g);
-        const Word a = laneWordOf(ins[1], g);
-        const Word b = laneWordOf(ins[2], g);
-        return (s & b) | andnot(a, s);
+        const std::uint64_t s = laneWordOf(ins[0], g);
+        const std::uint64_t a = laneWordOf(ins[1], g);
+        const std::uint64_t b = laneWordOf(ins[2], g);
+        return (s & b) | (a & ~s);
       }
       default:
-        return Word::broadcast(g[cd_.combOutput(pos)]);
+        return broadcast(g[cd_.combOutput(pos)]);
     }
   }
 
   void evalPass1(std::uint32_t pos, NetBits g) {
     const NetId out = cd_.combOutput(pos);
-    const Word natural = evalCellWord(pos, g) ^ Word::broadcast(g[out]);
+    const std::uint64_t natural = evalCellWord(pos, g) ^ broadcast(g[out]);
     setDiv(out, overlayDiv(out, natural, g));
   }
 
@@ -377,9 +405,9 @@ class WordEngine {
         const std::uint32_t pos = bucket[i];
         evDirty_[pos] = 0;
         const NetId out = cd_.combOutput(pos);
-        const Word natural = evalCellWord(pos, g) ^ Word::broadcast(g[out]);
-        const Word nd = overlayDiv(out, natural, g);
-        if (!(nd == div_[out])) {
+        const std::uint64_t natural = evalCellWord(pos, g) ^ broadcast(g[out]);
+        const std::uint64_t nd = overlayDiv(out, natural, g);
+        if (nd != div_[out]) {
           setDiv(out, nd);
           evSeed(out);
         }
@@ -391,9 +419,9 @@ class WordEngine {
   // ---- per-kind install / activation ---------------------------------------
 
   void ensureOwned(MemoryId m, unsigned lane) {
-    if (ownedMask_[m].bit(lane)) return;
+    if (hasLane(ownedMask_[m], lane)) return;
     clones_[m][lane] = std::make_unique<sim::MemoryModel>(goldenMem_[m]);
-    ownedMask_[m].setBit(lane);
+    ownedMask_[m] |= laneBit(lane);
     addMemList(m);
   }
 
@@ -401,7 +429,7 @@ class WordEngine {
   /// one (installed first, like the serial machine step).
   void installLane(unsigned lane, std::size_t fi) {
     laneFault_[lane] = fi;
-    live_.setBit(lane);
+    live_ |= laneBit(lane);
     obs_[lane] = Observation{};
     if (rs_.latent != nullptr) installFault(lane, *rs_.latent);
     installFault(lane, (*rs_.faults)[fi]);
@@ -425,32 +453,32 @@ class WordEngine {
         break;
       case FaultKind::DelayStale: {
         const std::uint32_t i = ffIndexOfCell_[f.cell];
-        ffStale_[i].setBit(lane);
+        ffStale_[i] |= laneBit(lane);
         addFfList(i);
         break;
       }
       case FaultKind::MemStuckBit:
         ensureOwned(f.mem, lane);
         clones_[f.mem][lane]->addStuckBit(f.addr, f.bit, f.stuckValue);
-        cloneFaulty_[f.mem].setBit(lane);
+        cloneFaulty_[f.mem] |= laneBit(lane);
         break;
       case FaultKind::MemAddrNone:
         ensureOwned(f.mem, lane);
         clones_[f.mem][lane]->setAddressFault(f.addr,
                                               sim::AddressFaultKind::NoAccess);
-        cloneFaulty_[f.mem].setBit(lane);
+        cloneFaulty_[f.mem] |= laneBit(lane);
         break;
       case FaultKind::MemAddrWrong:
         ensureOwned(f.mem, lane);
         clones_[f.mem][lane]->setAddressFault(
             f.addr, sim::AddressFaultKind::Wrong, f.addr2);
-        cloneFaulty_[f.mem].setBit(lane);
+        cloneFaulty_[f.mem] |= laneBit(lane);
         break;
       case FaultKind::MemAddrMulti:
         ensureOwned(f.mem, lane);
         clones_[f.mem][lane]->setAddressFault(
             f.addr, sim::AddressFaultKind::Multiple, f.addr2);
-        cloneFaulty_[f.mem].setBit(lane);
+        cloneFaulty_[f.mem] |= laneBit(lane);
         break;
       case FaultKind::MemCoupling: {
         ensureOwned(f.mem, lane);
@@ -461,7 +489,7 @@ class WordEngine {
         c.victimBit = f.bit;
         c.invert = true;
         clones_[f.mem][lane]->addCoupling(c);
-        cloneFaulty_[f.mem].setBit(lane);
+        cloneFaulty_[f.mem] |= laneBit(lane);
         break;
       }
       case FaultKind::SeuFlip:
@@ -486,13 +514,13 @@ class WordEngine {
     if (f.cycle != c) return;
     if (f.kind == FaultKind::SeuFlip) {
       const std::uint32_t i = ffIndexOfCell_[f.cell];
-      const Word mask = Word::laneMask(lane);
+      const std::uint64_t mask = laneBit(lane);
       ffDiv_[i] ^= mask;
       addFfList(i);
       const NetId q = cd_.cellOutput(f.cell);
       setDiv(q, div_[q] ^ mask);
     } else if (f.kind == FaultKind::MultiSeu) {
-      const Word mask = Word::laneMask(lane);
+      const std::uint64_t mask = laneBit(lane);
       for (const netlist::CellId cell : f.cells) {
         const std::uint32_t i = ffIndexOfCell_[cell];
         ffDiv_[i] ^= mask;
@@ -517,7 +545,7 @@ class WordEngine {
         kickCell(cd_.posOfCell(src.id));
         break;
       case netlist::NetSourceKind::Input:
-        setDivKeepForced(n, Word::zero());
+        setDivKeepForced(n, 0);
         break;
       case netlist::NetSourceKind::Ff:
         setDivKeepForced(n, ffDiv_[ffIndexOfCell_[src.id]]);
@@ -539,13 +567,13 @@ class WordEngine {
     // cycle's golden row.
     for (std::size_t i = 0; i < forcedList_.size();) {
       const NetId n = forcedList_[i];
-      if (forceMask_[n].none()) {
+      if (forceMask_[n] == 0) {
         forcedLookup_[n] = 0;
         forcedList_[i] = forcedList_.back();
         forcedList_.pop_back();
         continue;
       }
-      setDiv(n, overlayDiv(n, andnot(div_[n], forceMask_[n]), g));
+      setDiv(n, overlayDiv(n, div_[n] & ~forceMask_[n], g));
       ++i;
     }
   }
@@ -588,42 +616,32 @@ class WordEngine {
   /// settle: every bridge reads the same settled values, then forces both
   /// of its nets — except a net under an explicit force, or a net the
   /// latent bridge (installed first, so it wins) shares with the lane's own.
-  void resolveBridges(NetBits g, const Word& lanes) {
+  void resolveBridges(NetBits g, std::uint64_t lanes) {
     if (bridgeLanes_.empty()) return;
     bridgeValue_.clear();
     for (const BridgeLane& b : bridgeLanes_) {
-      const bool va = g[b.a] != div_[b.a].bit(b.lane);
-      const bool vb = g[b.b] != div_[b.b].bit(b.lane);
+      const bool va = g[b.a] != hasLane(div_[b.a], b.lane);
+      const bool vb = g[b.b] != hasLane(div_[b.b], b.lane);
       bridgeValue_.push_back(b.wiredAnd ? (va && vb) : (va || vb));
     }
     bool changed = false;
     for (std::size_t i = 0; i < bridgeLanes_.size(); ++i) {
       const BridgeLane& b = bridgeLanes_[i];
-      if (!lanes.bit(b.lane) || !live_.bit(b.lane)) continue;
+      if (!hasLane(lanes & live_, b.lane)) continue;
       const bool r = bridgeValue_[i] != 0;
       for (const NetId net : {b.a, b.b}) {
         if (userForced(b.lane, net) || (!b.latent && onLatentBridge(net))) {
           continue;
         }
-        forceMask_[net].setBit(b.lane);
-        if (r) {
-          forceVal_[net].setBit(b.lane);
-        } else {
-          forceVal_[net].clearBit(b.lane);
-        }
+        forceMask_[net] |= laneBit(b.lane);
+        setLane(forceVal_[net], b.lane, r);
         if (forcedLookup_[net] == 0) {
           forcedLookup_[net] = 1;
           forcedList_.push_back(net);
         }
         const bool newDiv = r != g[net];
-        if (div_[net].bit(b.lane) != newDiv) {
-          Word w = div_[net];
-          if (newDiv) {
-            w.setBit(b.lane);
-          } else {
-            w.clearBit(b.lane);
-          }
-          setDiv(net, w);
+        if (hasLane(div_[net], b.lane) != newDiv) {
+          setDiv(net, div_[net] ^ laneBit(b.lane));
           evSeed(net);
           changed = true;
         }
@@ -643,28 +661,28 @@ class WordEngine {
                   [&](unsigned lane) { pulseLane(lane, latent->net, g); });
       settlePulses(live_, g);
     }
-    Word pulsed = Word::zero();
+    std::uint64_t pulsed = 0;
     forEachLane(live_, [&](unsigned lane) {
       const Fault& f = (*rs_.faults)[laneFault_[lane]];
       if (f.kind != FaultKind::SetPulse || f.cycle != c) return;
       pulseLane(lane, f.net, g);
-      pulsed.setBit(lane);
+      pulsed |= laneBit(lane);
     });
-    if (pulsed.any()) settlePulses(pulsed, g);
+    if (pulsed != 0) settlePulses(pulsed, g);
   }
 
   /// Settles freshly pulsed lanes the way the scalar engine re-runs
   /// evalComb after a pulse: propagate the pulse, and in a pulsed lane that
   /// also carries a bridge, re-derive the natural values and re-resolve.
-  void settlePulses(const Word& pulsed, NetBits g) {
+  void settlePulses(std::uint64_t pulsed, NetBits g) {
     evSweep(g);
-    Word rebridge = Word::zero();
+    std::uint64_t rebridge = 0;
     for (const BridgeLane& b : bridgeLanes_) {
-      if (pulsed.bit(b.lane)) rebridge.setBit(b.lane);
+      rebridge |= pulsed & laneBit(b.lane);
     }
-    if (rebridge.none()) return;
+    if (rebridge == 0) return;
     for (const BridgeLane& b : bridgeLanes_) {
-      if (rebridge.bit(b.lane)) releaseBridge(b);
+      if (hasLane(rebridge, b.lane)) releaseBridge(b);
     }
     sweepPass1(g);
     resolveBridges(g, rebridge);
@@ -673,14 +691,10 @@ class WordEngine {
   /// Inverts the lane's own settled value of `net` until releasePulses(),
   /// like FaultHarness::applyPulse.
   void pulseLane(unsigned lane, NetId net, NetBits g) {
-    const bool settled = g[net] != div_[net].bit(lane);
+    const bool settled = g[net] != hasLane(div_[net], lane);
     addForce(net, lane, !settled);
-    Word w = div_[net];
-    if (!settled != g[net]) {
-      w.setBit(lane);
-    } else {
-      w.clearBit(lane);
-    }
+    std::uint64_t w = div_[net];
+    setLane(w, lane, !settled != g[net]);
     setDiv(net, w);
     evSeed(net);
     pulseActive_.push_back({lane, net});
@@ -696,29 +710,16 @@ class WordEngine {
 
   // ---- observation ---------------------------------------------------------
 
-  template <typename Fn>
-  void forEachLane(const Word& w, Fn&& fn) const {
-    for (unsigned limb = 0; limb < NB; ++limb) {
-      std::uint64_t bits = w.b[limb];
-      while (bits != 0) {
-        const unsigned lane =
-            limb * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        fn(lane);
-      }
-    }
-  }
-
   void observe(std::uint64_t c, NetBits g) {
     const Watch& w = *rs_.watch;
     // SENS groups, ascending index — the serial oracle's order.
     for (std::size_t t = 0; t < w.groups.size(); ++t) {
-      Word dev = Word::zero();
+      std::uint64_t dev = 0;
       for (const NetId n : w.groups[t]) {
         if (touched_[n] != 0) dev |= div_[n];
       }
-      const Word fresh = andnot(dev & live_, groupHit_[t]);
-      if (fresh.none()) continue;
+      const std::uint64_t fresh = dev & live_ & ~groupHit_[t];
+      if (fresh == 0) continue;
       groupHit_[t] |= fresh;
       forEachLane(fresh, [&](unsigned lane) {
         Observation& o = obs_[lane];
@@ -733,8 +734,8 @@ class WordEngine {
     for (std::size_t i = 0; i < w.points.size(); ++i) {
       const NetId n = w.points[i];
       if (touched_[n] == 0) continue;
-      const Word fresh = andnot(div_[n] & live_, pointHit_[i]);
-      if (fresh.none()) continue;
+      const std::uint64_t fresh = div_[n] & live_ & ~pointHit_[i];
+      if (fresh == 0) continue;
       pointHit_[i] |= fresh;
       forEachLane(fresh, [&](unsigned lane) {
         Observation& o = obs_[lane];
@@ -747,12 +748,12 @@ class WordEngine {
     }
     // DIAG: the lane reads 1 where the golden machine reads 0.
     if (!w.asserted.empty()) {
-      Word dw = Word::zero();
+      std::uint64_t dw = 0;
       for (const NetId n : w.asserted) {
         if (touched_[n] != 0 && !g[n]) dw |= div_[n];
       }
-      const Word fresh = andnot(dw & live_, diagDone_);
-      if (fresh.any()) {
+      const std::uint64_t fresh = dw & live_ & ~diagDone_;
+      if (fresh != 0) {
         diagDone_ |= fresh;
         forEachLane(fresh, [&](unsigned lane) {
           obs_[lane].diag = true;
@@ -777,7 +778,7 @@ class WordEngine {
                                         unsigned lane) const {
     std::uint64_t x = 0;
     for (std::size_t b = 0; b < nets.size(); ++b) {
-      if (touched_[nets[b]] != 0 && div_[nets[b]].bit(lane)) {
+      if (touched_[nets[b]] != 0 && hasLane(div_[nets[b]], lane)) {
         x |= std::uint64_t{1} << b;
       }
     }
@@ -802,7 +803,7 @@ class WordEngine {
       const std::uint64_t gData = packGolden(mi.wdata, g);
       const bool gWe = g[mi.writeEnable];
       const bool gRe = mi.readEnable == kNoNet || g[mi.readEnable];
-      Word portDiv = Word::zero();
+      std::uint64_t portDiv = 0;
       for (const NetId n : mi.addr) {
         if (touched_[n] != 0) portDiv |= div_[n];
       }
@@ -813,9 +814,10 @@ class WordEngine {
       if (mi.readEnable != kNoNet && touched_[mi.readEnable] != 0) {
         portDiv |= div_[mi.readEnable];
       }
-      Word regDivU = Word::zero();
-      for (const Word& w : memRegDiv_[m]) regDivU |= w;
-      const Word involved = live_ & (ownedMask_[m] | portDiv | regDivU);
+      std::uint64_t regDivU = 0;
+      for (const std::uint64_t w : memRegDiv_[m]) regDivU |= w;
+      const std::uint64_t involved =
+          live_ & (ownedMask_[m] | portDiv | regDivU);
 
       memScratchOffset_.push_back(memScratch_.size());
       forEachLane(involved, [&](unsigned lane) {
@@ -823,19 +825,19 @@ class WordEngine {
         const std::uint64_t laneData = gData ^ laneXorOf(mi.wdata, lane);
         const bool laneWe =
             gWe != (touched_[mi.writeEnable] != 0 &&
-                    div_[mi.writeEnable].bit(lane));
+                    hasLane(div_[mi.writeEnable], lane));
         const bool laneRe =
             mi.readEnable == kNoNet
                 ? true
                 : gRe != (touched_[mi.readEnable] != 0 &&
-                          div_[mi.readEnable].bit(lane));
+                          hasLane(div_[mi.readEnable], lane));
         // The lane's write differs in effect from the golden write: the
         // lane needs its own array from here on (cloned pre-write).
         if (laneWe != gWe ||
             (laneWe && gWe && (laneAddr != gAddr || laneData != gData))) {
           ensureOwned(m, lane);
         }
-        if (ownedMask_[m].bit(lane) && laneWe) {
+        if (hasLane(ownedMask_[m], lane) && laneWe) {
           clones_[m][lane]->write(laneAddr, laneData);
         }
         memScratch_.push_back({lane, laneRe, laneAddr});
@@ -850,21 +852,20 @@ class WordEngine {
       const NetId dNet = cd_.ffD(i);
       const NetId enNet = cd_.ffEn(i);
       const NetId rstNet = cd_.ffRst(i);
-      const Word laneD = laneWordOf(dNet, g);
-      Word sampled = laneD;
-      if (ffStale_[i].any()) {
+      const std::uint64_t laneD = laneWordOf(dNet, g);
+      std::uint64_t sampled = laneD;
+      if (ffStale_[i] != 0) {
         const bool gPrev = c > 0 ? run_.row(c - 1)[dNet] : cd_.ffInit(i);
-        const Word lanePrev = Word::broadcast(gPrev) ^ prevDivD_[i];
-        sampled = (ffStale_[i] & lanePrev) | andnot(laneD, ffStale_[i]);
+        const std::uint64_t lanePrev = broadcast(gPrev) ^ prevDivD_[i];
+        sampled = (ffStale_[i] & lanePrev) | (laneD & ~ffStale_[i]);
       }
-      const Word cur = Word::broadcast(g[cd_.ffOutput(i)]) ^ ffDiv_[i];
-      const Word enW =
-          enNet == kNoNet ? Word::ones() : laneWordOf(enNet, g);
-      const Word rstW =
-          rstNet == kNoNet ? Word::zero() : laneWordOf(rstNet, g);
-      const Word init = Word::broadcast(cd_.ffInit(i));
-      const Word next =
-          (rstW & init) | andnot((enW & sampled) | andnot(cur, enW), rstW);
+      const std::uint64_t cur = broadcast(g[cd_.ffOutput(i)]) ^ ffDiv_[i];
+      const std::uint64_t enW =
+          enNet == kNoNet ? kAllLanes : laneWordOf(enNet, g);
+      const std::uint64_t rstW = rstNet == kNoNet ? 0 : laneWordOf(rstNet, g);
+      const std::uint64_t init = broadcast(cd_.ffInit(i));
+      const std::uint64_t next =
+          (rstW & init) | (((enW & sampled) | (cur & ~enW)) & ~rstW);
       ffScratch_.push_back({i, next, div_[dNet]});
     }
 
@@ -885,21 +886,16 @@ class WordEngine {
         const MemLaneScratch& ls = memScratch_[s];
         std::uint64_t laneRead = 0;
         if (ls.re) {
-          laneRead = ownedMask_[m].bit(ls.lane)
+          laneRead = hasLane(ownedMask_[m], ls.lane)
                          ? clones_[m][ls.lane]->read(ls.addr)
                          : goldenMem_[m].read(ls.addr);
         }
         for (std::uint32_t b = 0; b < mi.dataBits; ++b) {
           const NetId rd = mi.rdata[b];
-          const bool laneBit =
+          const bool laneValue =
               ls.re ? ((laneRead >> b) & 1u) != 0
-                    : g[rd] != memRegDiv_[m][b].bit(ls.lane);
-          const bool gBit = next[rd];
-          if (laneBit != gBit) {
-            memRegDiv_[m][b].setBit(ls.lane);
-          } else {
-            memRegDiv_[m][b].clearBit(ls.lane);
-          }
+                    : g[rd] != hasLane(memRegDiv_[m][b], ls.lane);
+          setLane(memRegDiv_[m][b], ls.lane, laneValue != next[rd]);
         }
       }
       for (std::uint32_t b = 0; b < mi.dataBits; ++b) {
@@ -912,7 +908,7 @@ class WordEngine {
     // next cycle.
     for (const FfScratch& fs : ffScratch_) {
       const NetId q = cd_.ffOutput(fs.index);
-      const Word nd = fs.next ^ Word::broadcast(next[q]);
+      const std::uint64_t nd = fs.next ^ broadcast(next[q]);
       ffDiv_[fs.index] = nd;
       prevDivD_[fs.index] = fs.dDiv;
       setDivKeepForced(q, nd);
@@ -942,7 +938,7 @@ class WordEngine {
   void retireLane(unsigned lane, bool early, bool washed) {
     const std::size_t fi = laneFault_[lane];
     (*rs_.results)[fi] = obs_[lane];
-    const Word keep = ~Word::laneMask(lane);
+    const std::uint64_t keep = ~laneBit(lane);
     for (const NetId n : touchedList_) {
       div_[n] &= keep;
       forceMask_[n] &= keep;
@@ -954,21 +950,21 @@ class WordEngine {
       prevDivD_[i] &= keep;
     }
     for (const MemoryId m : memList_) {
-      for (Word& w : memRegDiv_[m]) w &= keep;
-      if (ownedMask_[m].bit(lane)) {
+      for (std::uint64_t& w : memRegDiv_[m]) w &= keep;
+      if (hasLane(ownedMask_[m], lane)) {
         clones_[m][lane].reset();
-        ownedMask_[m].clearBit(lane);
-        cloneFaulty_[m].clearBit(lane);
+        ownedMask_[m] &= keep;
+        cloneFaulty_[m] &= keep;
       }
     }
     std::erase_if(bridgeLanes_,
                   [lane](const BridgeLane& b) { return b.lane == lane; });
     std::erase_if(pulseActive_,
                   [lane](const auto& p) { return p.first == lane; });
-    for (Word& w : groupHit_) w &= keep;
-    for (Word& w : pointHit_) w &= keep;
+    for (std::uint64_t& w : groupHit_) w &= keep;
+    for (std::uint64_t& w : pointHit_) w &= keep;
     diagDone_ &= keep;
-    live_.clearBit(lane);
+    live_ &= keep;
     laneFault_[lane] = kNoFault;
     if (early) ++stats_.lanesRetiredEarly;
     if (washed) ++stats_.convergedEarly;
@@ -982,14 +978,13 @@ class WordEngine {
     if (latent != nullptr && !(latent->transient() && c > latent->cycle)) {
       return;
     }
-    Word candidates = Word::zero();
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      if (!live_.bit(lane)) continue;
+    std::uint64_t candidates = 0;
+    forEachLane(live_, [&](unsigned lane) {
       const Fault& f = (*rs_.faults)[laneFault_[lane]];
-      if (f.transient() && c > f.cycle) candidates.setBit(lane);
-    }
-    if (candidates.none()) return;
-    Word divUnion = Word::zero();
+      if (f.transient() && c > f.cycle) candidates |= laneBit(lane);
+    });
+    if (candidates == 0) return;
+    std::uint64_t divUnion = 0;
     for (const NetId n : touchedList_) {
       divUnion |= div_[n];
       divUnion |= forceMask_[n];
@@ -999,14 +994,14 @@ class WordEngine {
       divUnion |= ffStale_[i];
     }
     for (const MemoryId m : memList_) {
-      for (const Word& w : memRegDiv_[m]) divUnion |= w;
+      for (const std::uint64_t w : memRegDiv_[m]) divUnion |= w;
       divUnion |= cloneFaulty_[m];
     }
-    candidates = andnot(candidates, divUnion);
-    if (candidates.none()) return;
+    candidates &= ~divUnion;
+    if (candidates == 0) return;
     forEachLane(candidates, [&](unsigned lane) {
       for (const MemoryId m : memList_) {
-        if (ownedMask_[m].bit(lane) &&
+        if (hasLane(ownedMask_[m], lane) &&
             !clones_[m][lane]->stateEquals(goldenMem_[m])) {
           return;  // stored contents still deviate; keep simulating
         }
@@ -1018,7 +1013,7 @@ class WordEngine {
   void cleanup() {
     for (std::size_t i = 0; i < touchedList_.size();) {
       const NetId n = touchedList_[i];
-      if (div_[n].any() || forceMask_[n].any()) {
+      if (div_[n] != 0 || forceMask_[n] != 0) {
         zeroAge_[n] = 0;
         ++i;
       } else if (zeroAge_[n] == 0) {
@@ -1034,7 +1029,7 @@ class WordEngine {
     }
     for (std::size_t i = 0; i < ffList_.size();) {
       const std::uint32_t f = ffList_[i];
-      if (ffPin_[f] == 0 && ffDiv_[f].none() && ffStale_[f].none()) {
+      if (ffPin_[f] == 0 && ffDiv_[f] == 0 && ffStale_[f] == 0) {
         inFfList_[f] = 0;
         ffList_[i] = ffList_.back();
         ffList_.pop_back();
@@ -1045,8 +1040,10 @@ class WordEngine {
     for (std::size_t i = 0; i < memList_.size();) {
       const MemoryId m = memList_[i];
       bool liveRegs = false;
-      for (const Word& w : memRegDiv_[m]) liveRegs = liveRegs || w.any();
-      if (memPin_[m] == 0 && !liveRegs && ownedMask_[m].none()) {
+      for (const std::uint64_t w : memRegDiv_[m]) {
+        liveRegs = liveRegs || w != 0;
+      }
+      if (memPin_[m] == 0 && !liveRegs && ownedMask_[m] == 0) {
         inMemList_[m] = 0;
         memList_[i] = memList_.back();
         memList_.pop_back();
@@ -1064,15 +1061,14 @@ class WordEngine {
       refillExhausted_ = true;
       return;
     }
-    while (live_.popcount() < kLanes) {
+    while (live_ != kAllLanes) {
       const std::optional<std::size_t> fi = rs_.sched->takeRefill(c + 1);
       if (!fi.has_value()) {
         refillExhausted_ = true;
         return;
       }
-      unsigned lane = 0;
-      while (live_.bit(lane)) ++lane;
-      installLane(lane, *fi);
+      // The lowest free lane.
+      installLane(static_cast<unsigned>(std::countr_one(live_)), *fi);
       ++stats_.lanesRefilled;
     }
   }
@@ -1083,9 +1079,9 @@ class WordEngine {
     while (!touchedList_.empty()) {
       const NetId n = touchedList_.back();
       touchedList_.pop_back();
-      div_[n] = Word::zero();
-      forceMask_[n] = Word::zero();
-      forceVal_[n] = Word::zero();
+      div_[n] = 0;
+      forceMask_[n] = 0;
+      forceVal_[n] = 0;
       untouch(n);
     }
     for (const NetId n : forcedList_) forcedLookup_[n] = 0;
@@ -1100,23 +1096,23 @@ class WordEngine {
     }
     for (const std::uint32_t i : ffList_) {
       inFfList_[i] = 0;
-      ffDiv_[i] = Word::zero();
-      ffStale_[i] = Word::zero();
-      prevDivD_[i] = Word::zero();
+      ffDiv_[i] = 0;
+      ffStale_[i] = 0;
+      prevDivD_[i] = 0;
     }
     ffList_.clear();
     for (const MemoryId m : memList_) {
       inMemList_[m] = 0;
-      for (Word& w : memRegDiv_[m]) w = Word::zero();
-      ownedMask_[m] = Word::zero();
-      cloneFaulty_[m] = Word::zero();
+      for (std::uint64_t& w : memRegDiv_[m]) w = 0;
+      ownedMask_[m] = 0;
+      cloneFaulty_[m] = 0;
       for (auto& c : clones_[m]) c.reset();
     }
     memList_.clear();
     bridgeLanes_.clear();
     pulseActive_.clear();
-    live_ = Word::zero();
-    diagDone_ = Word::zero();
+    live_ = 0;
+    diagDone_ = 0;
     laneFault_.assign(kLanes, kNoFault);
     refillExhausted_ = false;
   }
@@ -1130,8 +1126,8 @@ class WordEngine {
     if (forcedLookup_.empty()) forcedLookup_.assign(cd_.netCount(), 0);
     for (sim::MemoryModel& m : goldenMem_) m.fillAll(0);
 
-    groupHit_.assign(rs_.watch->groups.size(), Word::zero());
-    pointHit_.assign(rs_.watch->points.size(), Word::zero());
+    groupHit_.assign(rs_.watch->groups.size(), 0);
+    pointHit_.assign(rs_.watch->points.size(), 0);
     for (std::size_t i = 0; i < group.size(); ++i) {
       installLane(static_cast<unsigned>(i), group[i]);
     }
@@ -1154,14 +1150,14 @@ class WordEngine {
       clock_.lap(kEdge);
 
       ++stats_.wordCycles;
-      stats_.laneCycles += live_.popcount();
+      stats_.laneCycles += static_cast<std::uint64_t>(std::popcount(live_));
 
       cleanup();
       retireFinalVerdicts(c);
       if ((c + 1) % rs_.washEvery == 0) washoutCheck(c);
       refill(c);
       clock_.lap(kTail);
-      if (live_.none() && refillExhausted_) break;
+      if (live_ == 0 && refillExhausted_) break;
     }
 
     // Lanes that ran the full workload: record and release.
@@ -1188,11 +1184,11 @@ class WordEngine {
 
   void retireFinalVerdicts(std::uint64_t c) {
     if (rs_.retire == RetireMode::WashoutOnly) return;
-    Word toRetire = Word::zero();
+    std::uint64_t toRetire = 0;
     forEachLane(live_, [&](unsigned lane) {
       if (verdictFinal(obs_[lane], c, rs_.retire,
                        rs_.watch->detectionWindow)) {
-        toRetire.setBit(lane);
+        toRetire |= laneBit(lane);
       }
     });
     forEachLane(toRetire,
@@ -1201,8 +1197,8 @@ class WordEngine {
 
   struct FfScratch {
     std::uint32_t index;
-    Word next;
-    Word dDiv;
+    std::uint64_t next;
+    std::uint64_t dDiv;
   };
 
   const RunShared& rs_;
@@ -1213,9 +1209,9 @@ class WordEngine {
   PhaseClock clock_;
 
   // Per-net divergence and force overlays.
-  std::vector<Word> div_;
-  std::vector<Word> forceMask_;
-  std::vector<Word> forceVal_;
+  std::vector<std::uint64_t> div_;
+  std::vector<std::uint64_t> forceMask_;
+  std::vector<std::uint64_t> forceVal_;
   std::vector<char> touched_;
   std::vector<char> zeroAge_;
   std::vector<NetId> touchedList_;
@@ -1233,21 +1229,21 @@ class WordEngine {
 
   // Flip-flop state.
   std::vector<std::uint32_t> ffIndexOfCell_;
-  std::vector<Word> ffDiv_;
-  std::vector<Word> ffStale_;
-  std::vector<Word> prevDivD_;
+  std::vector<std::uint64_t> ffDiv_;
+  std::vector<std::uint64_t> ffStale_;
+  std::vector<std::uint64_t> prevDivD_;
   std::vector<std::uint32_t> ffPin_;
   std::vector<char> inFfList_;
   std::vector<std::uint32_t> ffList_;
   std::vector<FfScratch> ffScratch_;
 
   // Memory state.
-  std::vector<std::vector<Word>> memRegDiv_;  ///< [mem][bit]
+  std::vector<std::vector<std::uint64_t>> memRegDiv_;  ///< [mem][bit]
   std::vector<std::uint32_t> memPin_;
   std::vector<char> inMemList_;
   std::vector<MemoryId> memList_;
-  std::vector<Word> ownedMask_;
-  std::vector<Word> cloneFaulty_;
+  std::vector<std::uint64_t> ownedMask_;
+  std::vector<std::uint64_t> cloneFaulty_;
   std::vector<std::vector<std::unique_ptr<sim::MemoryModel>>> clones_;
   std::vector<MemLaneScratch> memScratch_;
   std::vector<std::size_t> memScratchOffset_;
@@ -1256,58 +1252,17 @@ class WordEngine {
   std::vector<sim::MemoryModel> goldenMem_;
 
   // Lane bookkeeping.
-  Word live_ = Word::zero();
-  Word diagDone_ = Word::zero();
+  std::uint64_t live_ = 0;
+  std::uint64_t diagDone_ = 0;
   std::vector<std::size_t> laneFault_;
   std::vector<Observation> obs_;
   std::vector<BridgeLane> bridgeLanes_;
   std::vector<std::pair<unsigned, NetId>> pulseActive_;
   std::vector<char> bridgeValue_;  ///< resolve scratch, by bridgeLanes_ index
-  std::vector<Word> groupHit_;
-  std::vector<Word> pointHit_;
+  std::vector<std::uint64_t> groupHit_;
+  std::vector<std::uint64_t> pointHit_;
   bool refillExhausted_ = false;
 };
-
-/// Fork-join over `threads` workers (0 = hardware concurrency): the caller
-/// is worker 0 and threads - 1 jthreads are the rest; each runs one engine
-/// until the scheduler drains.  Adds the workers' counters into `stats`
-/// after the join, then rethrows the first worker's exception, if any.
-template <unsigned NB>
-void runWithWidth(const RunShared& rs, unsigned threads,
-                  BitslicedStats& stats) {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned workers = threads != 0 ? threads : hw;
-  std::vector<BitslicedStats> parts(workers);
-  std::vector<std::exception_ptr> errors(workers);
-  const auto work = [&](unsigned w) {
-    try {
-      parts[w] = WordEngine<NB>(rs).runAll();
-    } catch (...) {
-      errors[w] = std::current_exception();
-    }
-  };
-  {
-    std::vector<std::jthread> others;  // joined at the end of this block
-    others.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) others.emplace_back(work, w);
-    work(0);
-  }
-  for (const BitslicedStats& p : parts) {
-    stats.wordGroups += p.wordGroups;
-    stats.wordCycles += p.wordCycles;
-    stats.laneCycles += p.laneCycles;
-    stats.lanesRetiredEarly += p.lanesRetiredEarly;
-    stats.lanesRefilled += p.lanesRefilled;
-    stats.convergedEarly += p.convergedEarly;
-    for (std::size_t ph = 0; ph < p.phaseSeconds.size(); ++ph) {
-      stats.phaseSeconds[ph] += p.phaseSeconds[ph];
-    }
-  }
-  stats.workers = workers;
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
 
 }  // namespace
 
@@ -1315,8 +1270,7 @@ BitslicedCampaign runBitslicedWatch(const GoldenRun& golden,
                                     const fault::FaultList& faults,
                                     const Watch& watch,
                                     const std::optional<fault::Fault>& latent,
-                                    RetireMode retire,
-                                    const FaultSimOptions& opt) {
+                                    RetireMode retire, unsigned threads) {
   if (!golden.isTwoState()) {
     throw std::invalid_argument(
         "bit-sliced engine: golden machine is not two-state (an X/Z net "
@@ -1335,13 +1289,43 @@ BitslicedCampaign runBitslicedWatch(const GoldenRun& golden,
   rs.sched = &sched;
   std::vector<Observation> results(faults.size());
   rs.results = &results;
-  BitslicedStats stats;
-  stats.laneWords = resolveLaneWords(opt.laneWords);
 
-  switch (stats.laneWords) {
-    case 4: runWithWidth<4>(rs, opt.threads, stats); break;
-    case 2: runWithWidth<2>(rs, opt.threads, stats); break;
-    default: runWithWidth<1>(rs, opt.threads, stats); break;
+  // Fork-join over `threads` workers (0 = hardware concurrency): the caller
+  // is worker 0 and threads - 1 jthreads are the rest; each runs one engine
+  // until the scheduler drains.  The workers' counters are added up after
+  // the join, then the first worker's exception, if any, is rethrown.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned workers = threads != 0 ? threads : hw;
+  std::vector<BitslicedStats> parts(workers);
+  std::vector<std::exception_ptr> errors(workers);
+  const auto work = [&](unsigned w) {
+    try {
+      parts[w] = WordEngine(rs).runAll();
+    } catch (...) {
+      errors[w] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> others;  // joined at the end of this block
+    others.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) others.emplace_back(work, w);
+    work(0);
+  }
+  BitslicedStats stats;
+  for (const BitslicedStats& p : parts) {
+    stats.wordGroups += p.wordGroups;
+    stats.wordCycles += p.wordCycles;
+    stats.laneCycles += p.laneCycles;
+    stats.lanesRetiredEarly += p.lanesRetiredEarly;
+    stats.lanesRefilled += p.lanesRefilled;
+    stats.convergedEarly += p.convergedEarly;
+    for (std::size_t ph = 0; ph < p.phaseSeconds.size(); ++ph) {
+      stats.phaseSeconds[ph] += p.phaseSeconds[ph];
+    }
+  }
+  stats.workers = workers;
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 
   obs::Registry& reg = obs::Registry::global();
@@ -1353,8 +1337,7 @@ BitslicedCampaign runBitslicedWatch(const GoldenRun& golden,
   reg.add("faultsim.bitsliced.lanes_refilled", stats.lanesRefilled);
   reg.add("faultsim.bitsliced.converged_early", stats.convergedEarly);
   reg.set("faultsim.bitsliced.lane_occupancy", stats.laneOccupancy());
-  reg.set("faultsim.bitsliced.simd_width",
-          static_cast<double>(stats.laneWords) * 64.0);
+  reg.set("faultsim.bitsliced.simd_width", kLanes);
   reg.set("faultsim.bitsliced.workers", static_cast<double>(stats.workers));
   // Summed over the workers: at N threads about N times the wall time.
   for (std::size_t p = 0; p < kBitslicedPhases.size(); ++p) {

@@ -1,9 +1,9 @@
-// Bit-sliced fault-parallel simulation: up to 256 faulty machines packed
-// into the bit-lanes of a SIMD word, evaluated in lockstep over the
-// compiled design's level-bucketed order with word-wide two-state boolean
-// kernels.  It replays the workload's StimulusTrace, watches each lane
-// through the serial oracle's Watch and reports the same Observation per
-// fault (faultsim/serial.hpp); fault simulation is the outputs-only watch.
+// Bit-sliced fault-parallel simulation: 64 faulty machines packed into the
+// bit-lanes of one 64-bit word, evaluated in lockstep over the compiled
+// design's level-bucketed order with word-wide two-state boolean kernels.
+// It replays the workload's StimulusTrace, watches each lane through the
+// serial oracle's Watch and reports the same Observation per fault
+// (faultsim/serial.hpp); fault simulation is the outputs-only watch.
 //
 // Representation.  Every word group reads ONE recorded golden run
 // (faultsim/golden_run.hpp), cycle by cycle from reset, and stores, per
@@ -65,8 +65,8 @@
 // LaneScheduler until it drains.  Results land in a pre-sized vector by
 // fault index, and each worker returns its counters and phase times, which
 // the caller adds up after the join, so verdicts and observation records
-// are bit-identical to the serial oracle for any lane width, thread count
-// or refill order.
+// are bit-identical to the serial oracle for any thread count or refill
+// order.
 #pragma once
 
 #include <array>
@@ -93,6 +93,9 @@ namespace socfmea::faultsim {
 inline constexpr std::array<std::string_view, 5> kBitslicedPhases = {
     "golden", "sweep", "observe", "edge", "tail"};
 
+/// Lanes per word group: one bit of a std::uint64_t per faulty machine.
+inline constexpr unsigned kLanes = 64;
+
 /// Execution counters of one bit-sliced run (telemetry + bench reporting).
 struct BitslicedStats {
   std::uint64_t wordGroups = 0;         ///< word groups launched
@@ -101,15 +104,13 @@ struct BitslicedStats {
   std::uint64_t lanesRetiredEarly = 0;  ///< verdict final before workload end
   std::uint64_t lanesRefilled = 0;      ///< retired lanes re-armed with a fault
   std::uint64_t convergedEarly = 0;     ///< lanes retired by washout
-  unsigned laneWords = 1;               ///< limbs per word (64 lanes each)
   unsigned workers = 1;
   /// Seconds per phase (kBitslicedPhases order), summed over the workers.
   std::array<double, kBitslicedPhases.size()> phaseSeconds{};
 
   /// Mean live lanes per occupied word-cycle, over the word capacity.
   [[nodiscard]] double laneOccupancy() const noexcept {
-    const double cap = static_cast<double>(wordCycles) *
-                       static_cast<double>(laneWords) * 64.0;
+    const double cap = static_cast<double>(wordCycles) * kLanes;
     return cap > 0 ? static_cast<double>(laneCycles) / cap : 0.0;
   }
 };
@@ -124,13 +125,13 @@ struct BitslicedCampaign {
 /// (inject::CampaignOptions::preexisting), comparing with the recorded
 /// golden run every cycle.  A lane retires once verdictFinal holds under
 /// `retire`, or once it washed out; the observations equal runSerialWatch's
-/// for the same arguments.  Composes with opt.threads (word groups dealt
-/// out to the workers); opt.evalMode is not read (the record was settled in
-/// its own mode).  Throws std::invalid_argument when the golden machine was
-/// not two-state (X-free) after reset.
+/// for the same arguments.  The word groups are dealt out to `threads`
+/// workers (0 = hardware concurrency); the observations do not depend on
+/// the count.  Throws std::invalid_argument when the golden machine was not
+/// two-state (X-free) after reset.
 [[nodiscard]] BitslicedCampaign runBitslicedWatch(
     const GoldenRun& golden, const fault::FaultList& faults,
     const Watch& watch, const std::optional<fault::Fault>& latent,
-    RetireMode retire, const FaultSimOptions& opt = {});
+    RetireMode retire, unsigned threads = 1);
 
 }  // namespace socfmea::faultsim

@@ -4,36 +4,9 @@
 
 namespace socfmea::faultsim {
 
-namespace {
+unsigned resolveLaneWords(unsigned /*requested*/) noexcept { return 1; }
 
-[[nodiscard]] unsigned autoLaneWords() noexcept {
-#if defined(__AVX2__)
-  return 4;  // one 256-bit register per net word
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-  return 2;  // one 128-bit register per net word
-#else
-  return 1;  // portable scalar fallback
-#endif
-}
-
-}  // namespace
-
-unsigned resolveLaneWords(unsigned requested) noexcept {
-  const unsigned w = requested == 0 ? autoLaneWords() : requested;
-  if (w >= 4) return 4;
-  if (w >= 2) return 2;
-  return 1;
-}
-
-const char* simdTargetName() noexcept {
-#if defined(__AVX2__)
-  return "avx2";
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-  return "neon";
-#else
-  return "portable";
-#endif
-}
+const char* simdTargetName() noexcept { return "portable"; }
 
 LaneScheduler::LaneScheduler(const fault::FaultList& faults)
     : faults_(&faults) {

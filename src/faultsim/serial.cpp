@@ -62,7 +62,7 @@ SerialCampaign runSerialWatch(const netlist::CompiledDesignPtr& cd,
                               const fault::FaultList& faults,
                               const Watch& watch,
                               const std::optional<fault::Fault>& latent,
-                              RetireMode retire, const FaultSimOptions& opt) {
+                              RetireMode retire, sim::EvalMode evalMode) {
   // Golden row column of each group's first net, of the first point and of
   // the first asserted net.
   std::vector<std::size_t> groupColumn;
@@ -85,7 +85,7 @@ SerialCampaign runSerialWatch(const netlist::CompiledDesignPtr& cd,
   std::vector<char> groupHit(watch.groups.size());
   std::vector<char> pointHit(watch.points.size());
   sim::Simulator sim(cd);
-  sim.setEvalMode(opt.evalMode);
+  sim.setEvalMode(evalMode);
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     Observation& o = run.observations[fi];
     std::fill(groupHit.begin(), groupHit.end(), 0);

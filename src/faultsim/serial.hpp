@@ -43,23 +43,6 @@ enum class EngineKind : std::uint8_t {
 [[nodiscard]] std::optional<EngineKind> engineKindFromName(
     std::string_view n) noexcept;
 
-struct FaultSimOptions {
-  /// Bit-sliced lane width in 64-bit words per net (1/2/4 = 64/128/256
-  /// lanes); 0 picks the widest the build's SIMD target supports.  Ignored
-  /// by the serial engine.
-  unsigned laneWords = 0;
-  /// Bit-sliced parallelism: 0 = hardware concurrency, N = N workers that
-  /// share the word groups out.  Ignored by the serial engine.  Verdicts
-  /// are bit-identical regardless of the value.
-  unsigned threads = 1;
-  /// Combinational evaluation strategy of the serial oracle's machines.
-  /// Both settle to bit-identical values; FullSettle is the equivalence
-  /// oracle the tests and the testkit fuzz oracle run against EventDriven.
-  /// The bit-sliced engine reads a GoldenRun, settled in the mode it was
-  /// recorded in.
-  sim::EvalMode evalMode = sim::EvalMode::EventDriven;
-};
-
 /// How a machine's verdict becomes final before the workload ends: the stop
 /// rule both engines take.
 enum class RetireMode : std::uint8_t {
@@ -211,13 +194,16 @@ struct SerialCampaign {
 /// top of `latent` when it is set (inject::CampaignOptions::preexisting),
 /// and compares each cycle against `golden`, recorded by recordGolden for
 /// the same `stim` and `watch`.  A machine stops once verdictFinal holds
-/// under `retire`.  Only opt.evalMode is read.  Throws std::invalid_argument
-/// when `golden` does not match the watch or the stimulus.
+/// under `retire`.  Its machines settle in `evalMode`; both modes give
+/// bit-identical values, and FullSettle is the equivalence oracle the tests
+/// and the testkit fuzz oracle run against EventDriven.  Throws
+/// std::invalid_argument when `golden` does not match the watch or the
+/// stimulus.
 [[nodiscard]] SerialCampaign runSerialWatch(
     const netlist::CompiledDesignPtr& cd, const StimulusTrace& stim,
     const GoldenTrace& golden,
     const fault::FaultList& faults, const Watch& watch,
     const std::optional<fault::Fault>& latent, RetireMode retire,
-    const FaultSimOptions& opt = {});
+    sim::EvalMode evalMode = sim::EvalMode::EventDriven);
 
 }  // namespace socfmea::faultsim

@@ -293,10 +293,8 @@ WatchRun InjectionManager::runWatch(const faultsim::GoldenRun& golden,
     reg.add("inject.cell_evals", serial.perf.cellEvals);
     exportEvalTelemetry(serial.perf);
   } else {
-    faultsim::FaultSimOptions fopt;
-    fopt.threads = opt.threads;
     faultsim::BitslicedCampaign sliced = faultsim::runBitslicedWatch(
-        golden, faults, watch, latent, retire, fopt);
+        golden, faults, watch, latent, retire, opt.threads);
     run.observations = std::move(sliced.observations);
     run.cyclesSimulated = sliced.stats.laneCycles;
     run.convergedEarly = sliced.stats.convergedEarly;

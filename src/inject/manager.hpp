@@ -132,9 +132,9 @@ struct CampaignOptions {
   /// Campaign engine.  Auto runs the bit-sliced engine at every thread
   /// count, unless X survives reset, when it falls back to the serial
   /// oracle (InjectionManager::runWatch decides); Serial is the reference
-  /// oracle; Bitsliced packs as many faulty machines per SIMD word group as
-  /// the build's SIMD target allows (faultsim/bitsliced.hpp) and composes
-  /// with threads (the workers share the word groups out).  An explicit
+  /// oracle; Bitsliced packs 64 faulty machines into the lanes of one 64-bit
+  /// word per net (faultsim/bitsliced.hpp) and composes with threads (the
+  /// workers share the word groups out).  An explicit
   /// Bitsliced throws std::invalid_argument when X survives reset.  Records
   /// and every IEC metric are bit-identical across engines; only the
   /// "execution" counters differ.  `engine` and `threads` are deliberately

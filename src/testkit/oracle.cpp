@@ -110,11 +110,9 @@ std::vector<Observation> serialOutputs(const netlist::CompiledDesignPtr& cd,
                                        sim::EvalMode mode) {
   const faultsim::Watch watch =
       faultsim::outputWatch(cd->design(), cd->design().primaryOutputs());
-  faultsim::FaultSimOptions o;
-  o.evalMode = mode;
   return faultsim::runSerialWatch(
              cd, stim, faultsim::recordGolden(cd, stim, watch, mode), faults,
-             watch, std::nullopt, retire, o)
+             watch, std::nullopt, retire, mode)
       .observations;
 }
 
@@ -178,13 +176,12 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
         faultsim::outputWatch(nl, nl.primaryOutputs());
     for (const auto mode :
          {sim::EvalMode::EventDriven, sim::EvalMode::FullSettle}) {
-      faultsim::FaultSimOptions o;
-      o.threads = mode == sim::EvalMode::EventDriven ? opt.threads : 1;
-      const faultsim::GoldenRun& run =
-          mode == sim::EvalMode::EventDriven ? eventRun : fullRun;
+      const bool event = mode == sim::EvalMode::EventDriven;
       std::vector<Observation> r =
-          faultsim::runBitslicedWatch(run, plan.faults, outputs, std::nullopt,
-                                      faultsim::RetireMode::DetectOnly, o)
+          faultsim::runBitslicedWatch(event ? eventRun : fullRun, plan.faults,
+                                      outputs, std::nullopt,
+                                      faultsim::RetireMode::DetectOnly,
+                                      event ? opt.threads : 1)
               .observations;
       applySabotage(opt.sabotage, Sabotage::Engine::Bitsliced, mode, r);
       ++report.combosRun;
@@ -198,11 +195,9 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
     const faultsim::SerialCampaign serial = faultsim::runSerialWatch(
         cd, stim, golden, plan.faults, watch, std::nullopt,
         faultsim::RetireMode::Classify);
-    faultsim::FaultSimOptions o;
-    o.threads = opt.threads;
     const faultsim::BitslicedCampaign sliced = faultsim::runBitslicedWatch(
         eventRun, plan.faults, watch, std::nullopt,
-        faultsim::RetireMode::Classify, o);
+        faultsim::RetireMode::Classify, opt.threads);
     ++report.combosRun;
     compareObservations(serial.observations, sliced.observations, "campaign",
                         report);

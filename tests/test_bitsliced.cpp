@@ -1,13 +1,12 @@
 // Tests for the bit-sliced fault-parallel engine (faultsim/bitsliced.*,
-// faultsim/lanes.*) and the primitives it stands on: BitWord pack/unpack
-// algebra, the lane scheduler's permanents-first ordering and refill
-// contract, the worker threads that share word groups out, active-list-bounded
-// activity, per-fault-kind divergence agreement with the serial oracle on a
-// design with flip-flops and a behavioural memory, lane retirement / refill
-// invariants, campaign-record equality on the memsys protection IP (with
-// and without a latent fault), EngineKind::Auto resolution (with its serial
-// fallback when X survives reset), and a 200-design random-property sweep
-// over the full fault model.
+// faultsim/lanes.*): the lane scheduler's permanents-first ordering and
+// refill contract, the worker threads that share word groups out,
+// active-list-bounded activity, per-fault-kind divergence agreement with
+// the serial oracle on a design with flip-flops and a behavioural memory,
+// lane retirement / refill invariants, campaign-record equality on the
+// memsys protection IP (with and without a latent fault), EngineKind::Auto
+// resolution (with its serial fallback when X survives reset), and a
+// 200-design random-property sweep over the full fault model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,77 +45,6 @@ namespace sm = socfmea::sim;
 namespace ms = socfmea::memsys;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// BitWord
-// ---------------------------------------------------------------------------
-
-template <typename W>
-class BitWordTest : public ::testing::Test {};
-
-using Widths = ::testing::Types<fs::BitWord<1>, fs::BitWord<2>, fs::BitWord<4>>;
-TYPED_TEST_SUITE(BitWordTest, Widths);
-
-TYPED_TEST(BitWordTest, PackUnpackRoundTrip) {
-  using W = TypeParam;
-  sm::Rng rng(0xB17);
-  W w = W::zero();
-  std::vector<bool> ref(W::kLanes, false);
-  for (int step = 0; step < 400; ++step) {
-    const unsigned lane = static_cast<unsigned>(rng.below(W::kLanes));
-    if (rng.below(2) != 0) {
-      w.setBit(lane);
-      ref[lane] = true;
-    } else {
-      w.clearBit(lane);
-      ref[lane] = false;
-    }
-  }
-  unsigned expectPop = 0;
-  for (unsigned lane = 0; lane < W::kLanes; ++lane) {
-    EXPECT_EQ(w.bit(lane), ref[lane]) << "lane " << lane;
-    expectPop += ref[lane] ? 1u : 0u;
-  }
-  EXPECT_EQ(w.popcount(), expectPop);
-  EXPECT_EQ(w.any(), expectPop > 0);
-}
-
-TYPED_TEST(BitWordTest, Algebra) {
-  using W = TypeParam;
-  EXPECT_TRUE(W::zero().none());
-  EXPECT_EQ(W::ones().popcount(), W::kLanes);
-  EXPECT_EQ(W::broadcast(true), W::ones());
-  EXPECT_EQ(W::broadcast(false), W::zero());
-  EXPECT_EQ(~W::zero(), W::ones());
-  for (unsigned lane = 0; lane < W::kLanes; lane += 7) {
-    const W m = W::laneMask(lane);
-    EXPECT_EQ(m.popcount(), 1u);
-    EXPECT_TRUE(m.bit(lane));
-    EXPECT_EQ(andnot(W::ones(), m).popcount(), W::kLanes - 1);
-    EXPECT_EQ((m ^ m), W::zero());
-    EXPECT_EQ((m | m), m);
-    EXPECT_EQ((m & W::ones()), m);
-  }
-  // andnot(a, c) == a & ~c on a random pair.
-  sm::Rng rng(0xA11);
-  W a = W::zero(), c = W::zero();
-  for (int i = 0; i < 64; ++i) {
-    a.setBit(static_cast<unsigned>(rng.below(W::kLanes)));
-    c.setBit(static_cast<unsigned>(rng.below(W::kLanes)));
-  }
-  EXPECT_EQ(andnot(a, c), (a & ~c));
-}
-
-TEST(LaneWidthTest, ResolveRoundsDown) {
-  EXPECT_EQ(fs::resolveLaneWords(1), 1u);
-  EXPECT_EQ(fs::resolveLaneWords(2), 2u);
-  EXPECT_EQ(fs::resolveLaneWords(3), 2u);
-  EXPECT_EQ(fs::resolveLaneWords(4), 4u);
-  EXPECT_EQ(fs::resolveLaneWords(9), 4u);
-  const unsigned autoW = fs::resolveLaneWords(0);
-  EXPECT_TRUE(autoW == 1 || autoW == 2 || autoW == 4);
-  EXPECT_NE(fs::simdTargetName(), nullptr);
-}
 
 // ---------------------------------------------------------------------------
 // LaneScheduler
@@ -214,18 +142,17 @@ struct MemDesign {
 };
 
 /// The bit-sliced side of tk::serialOutputs: every primary output of `cd`
-/// watched over the golden run of `stim` (recorded in opt.evalMode), each
-/// lane stopped under `retire`.
+/// watched over the golden run of `stim`, each lane stopped under `retire`,
+/// the word groups shared out to `threads` workers.
 fs::BitslicedCampaign slicedRun(const nl::CompiledDesignPtr& cd,
                                 const fs::StimulusTrace& stim,
                                 const ft::FaultList& faults,
-                                fs::RetireMode retire,
-                                const fs::FaultSimOptions& opt = {}) {
+                                fs::RetireMode retire, unsigned threads = 1) {
   const nl::Netlist& n = cd->design();
-  const fs::GoldenRun golden(cd, stim, opt.evalMode);
+  const fs::GoldenRun golden(cd, stim);
   return fs::runBitslicedWatch(golden, faults,
                                fs::outputWatch(n, n.primaryOutputs()),
-                               std::nullopt, retire, opt);
+                               std::nullopt, retire, threads);
 }
 
 void expectObservationsEqual(const nl::Netlist& n, const ft::FaultList& faults,
@@ -251,8 +178,7 @@ std::size_t detected(const std::vector<fs::Observation>& observations) {
 // ---------------------------------------------------------------------------
 
 // Every fault kind of the model, handcrafted on the memory design, must get
-// the same verdict from the bit-sliced engine and the serial oracle — at
-// every lane width.
+// the same verdict from the bit-sliced engine and the serial oracle.
 TEST(BitslicedKindTest, EveryFaultKindMatchesSerial) {
   MemDesign d;
   const ij::RandomWorkload stim(d.n, 90, tk::testSeed(21), {{d.rst, false}});
@@ -327,16 +253,9 @@ TEST(BitslicedKindTest, EveryFaultKindMatchesSerial) {
   // is only meaningful if some faults really diverge.
   EXPECT_GT(detected(serial), 4u);
 
-  for (const unsigned laneWords : {1u, 2u, 4u}) {
-    fs::FaultSimOptions opt;
-    opt.laneWords = laneWords;
-    const auto sliced =
-        slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly, opt);
-    SCOPED_TRACE("laneWords=" + std::to_string(laneWords));
-    expectObservationsEqual(d.n, faults, serial, sliced.observations);
-    EXPECT_EQ(sliced.stats.laneWords, fs::resolveLaneWords(laneWords));
-    EXPECT_GT(sliced.stats.wordCycles, 0u);
-  }
+  const auto sliced = slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly);
+  expectObservationsEqual(d.n, faults, serial, sliced.observations);
+  EXPECT_GT(sliced.stats.wordCycles, 0u);
 }
 
 TEST(BitslicedKindTest, EarlyAbortOffStillMatches) {
@@ -386,7 +305,7 @@ TEST(BitslicedBackdoorTest, CycleZeroRomSoftErrorsMatchSerial) {
 // Random designs with a memory, replayed with random backdoor flips: on the
 // cycle and cell of a soft error, on a stuck cell, after a soft error gave
 // its lane a clone, and anywhere.  The observations of both engines must be
-// identical at every lane width.
+// identical.
 TEST(BitslicedBackdoorTest, RandomFlipsOnRandomDesignsMatchSerial) {
   const std::uint64_t base = tk::testSeed(0xF11B);
   std::size_t flipsMade = 0;
@@ -429,15 +348,10 @@ TEST(BitslicedBackdoorTest, RandomFlipsOnRandomDesignsMatchSerial) {
     const auto cd = nl::compile(n);
     const auto serial =
         tk::serialOutputs(cd, stim, plan.faults, fs::RetireMode::WashoutOnly);
-    for (const unsigned laneWords : {1u, 2u, 4u}) {
-      SCOPED_TRACE("laneWords=" + std::to_string(laneWords));
-      fs::FaultSimOptions o;
-      o.laneWords = laneWords;
-      expectObservationsEqual(
-          n, plan.faults, serial,
-          slicedRun(cd, stim, plan.faults, fs::RetireMode::WashoutOnly, o)
-              .observations);
-    }
+    expectObservationsEqual(
+        n, plan.faults, serial,
+        slicedRun(cd, stim, plan.faults, fs::RetireMode::WashoutOnly)
+            .observations);
   }
   // The sweep must have exercised the flip path on real memory faults.
   EXPECT_GT(memFaults, 200u);
@@ -469,10 +383,7 @@ TEST(BitslicedRetireTest, RetiresRefillsAndStaysWithinCapacity) {
   const auto cd = nl::compile(d.n);
   const auto serial = tk::serialOutputs(cd, stim, faults);
 
-  fs::FaultSimOptions opt;
-  opt.laneWords = 1;
-  const auto sliced =
-      slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly, opt);
+  const auto sliced = slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly);
   expectObservationsEqual(d.n, faults, serial, sliced.observations);
   const fs::BitslicedStats& stats = sliced.stats;
 
@@ -570,7 +481,7 @@ TEST(BitslicedActivityTest, DeepFaultInLongChainMatchesSerialVerdicts) {
 }
 
 // ---------------------------------------------------------------------------
-// threads / laneWords composition
+// threads
 // ---------------------------------------------------------------------------
 
 TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
@@ -587,15 +498,14 @@ TEST(BitslicedThreadsTest, VerdictsIdenticalAcrossThreadCounts) {
   }
   const auto cd = nl::compile(d.n);
   const auto serial = tk::serialOutputs(cd, stim, faults);
+  // More faults than one word group holds, so the workers share groups out.
+  ASSERT_GT(faults.size(), std::size_t{fs::kLanes});
   // 0 = one worker per hardware thread (at least one).
   const unsigned allCores = std::max(1u, std::thread::hardware_concurrency());
   for (const unsigned threads : {2u, 8u, 0u}) {
     if (threads == 0 && allCores > 8) continue;  // no test runs more than 8
-    fs::FaultSimOptions opt;
-    opt.threads = threads;
-    opt.laneWords = 1;  // several word groups -> real work sharing
     const auto sliced =
-        slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly, opt);
+        slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly, threads);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expectObservationsEqual(d.n, faults, serial, sliced.observations);
     EXPECT_EQ(sliced.stats.workers, threads == 0 ? allCores : threads);
@@ -788,13 +698,10 @@ TEST(BitslicedCampaignTest, LatentFaultRecordsIdenticalToSerialOracle) {
                                            latent, fs::RetireMode::Classify);
     for (const unsigned threads : {1u, 4u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      fs::FaultSimOptions opt;
-      opt.threads = threads;
-      opt.laneWords = 1;
       expectObservationsEqual(
           bed.design.nl, faults, serial.observations,
           fs::runBitslicedWatch(run, faults, watch, latent,
-                                fs::RetireMode::Classify, opt)
+                                fs::RetireMode::Classify, threads)
               .observations);
     }
   }
@@ -939,14 +846,18 @@ TEST(BitslicedPropertyTest, TwoHundredRandomDesignsBitIdenticalToSerial) {
     const fs::StimulusTrace& stim = plan.stim;
 
     const auto cd = nl::compile(n);
-    // Rotate the lane width with the case index so every width soaks.
-    fs::FaultSimOptions o;
-    o.laneWords = (i % 3 == 0) ? 1 : (i % 3 == 1) ? 2 : 4;
-    expectObservationsEqual(
-        n, plan.faults,
-        tk::serialOutputs(cd, stim, plan.faults),
-        slicedRun(cd, stim, plan.faults, fs::RetireMode::DetectOnly, o)
-            .observations);
+    // Every other case simulates the fault list reversed and maps the
+    // records back.  The scheduler's stable sort keeps list order among
+    // faults with equal activation keys, so the reversal changes which
+    // faults share a word group and in which order refills happen.
+    const bool reversed = i % 2 == 1;
+    ft::FaultList faults = plan.faults;
+    if (reversed) std::reverse(faults.begin(), faults.end());
+    std::vector<fs::Observation> sliced =
+        slicedRun(cd, stim, faults, fs::RetireMode::DetectOnly).observations;
+    if (reversed) std::reverse(sliced.begin(), sliced.end());
+    expectObservationsEqual(n, plan.faults,
+                            tk::serialOutputs(cd, stim, plan.faults), sliced);
     faultsChecked += plan.faults.size();
   }
   // The sweep must have exercised a real fault population.
@@ -986,12 +897,10 @@ TEST(BitslicedPropertyTest, LatentFaultsOnRandomDesignsMatchSerial) {
       const auto serial =
           fs::runSerialWatch(cd, stim, golden, plan.faults, watch, latent,
                              fs::RetireMode::Classify);
-      fs::FaultSimOptions opt;
-      opt.laneWords = 1;
       expectObservationsEqual(
           n, plan.faults, serial.observations,
           fs::runBitslicedWatch(run, plan.faults, watch, latent,
-                                fs::RetireMode::Classify, opt)
+                                fs::RetireMode::Classify)
               .observations);
       recordsChecked += serial.observations.size();
     }
