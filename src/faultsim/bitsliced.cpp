@@ -72,10 +72,64 @@ void forEachLane(std::uint64_t w, Fn&& fn) {
   }
 }
 
+/// A 64x64 bit matrix: word i is row i, bit j of it column j.
+using BitMatrix = std::array<std::uint64_t, kLanes>;
+
+/// Transposes `a` in place: bit j of row i trades places with bit i of row
+/// j.  Swaps the off-diagonal blocks of each halving, 32x32 down to 1x1.
+void transpose(BitMatrix& a) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned k = 0; k < kLanes; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & mask;
+      a[k] ^= t << j;
+      a[k + j] ^= t;
+    }
+  }
+}
+
+/// The pins of one flip-flop.
+struct FfPins {
+  NetId d;
+  NetId en;   ///< kNoNet: always enabled
+  NetId rst;  ///< kNoNet: no reset
+  NetId q;
+  bool init;
+};
+
+/// The design as the word kernels read it, flattened once per run and read
+/// by every worker.  Gate record `pos` (an order position) is
+/// gateWords[gateAt[pos], gateAt[pos + 1]) = [operation, output net, input
+/// nets...], so its length gives the gate's arity; ffs[i] holds flip-flop
+/// i's pins.
+struct FlatDesign {
+  explicit FlatDesign(const CompiledDesign& cd) {
+    gateAt.reserve(cd.combCount() + 1);
+    for (std::uint32_t pos = 0; pos < cd.combCount(); ++pos) {
+      gateAt.push_back(static_cast<std::uint32_t>(gateWords.size()));
+      gateWords.push_back(static_cast<std::uint32_t>(cd.combType(pos)));
+      gateWords.push_back(cd.combOutput(pos));
+      const std::span<const NetId> ins = cd.combInputs(pos);
+      gateWords.insert(gateWords.end(), ins.begin(), ins.end());
+    }
+    gateAt.push_back(static_cast<std::uint32_t>(gateWords.size()));
+    ffs.reserve(cd.ffs().size());
+    for (std::size_t i = 0; i < cd.ffs().size(); ++i) {
+      ffs.push_back({cd.ffD(i), cd.ffEn(i), cd.ffRst(i), cd.ffOutput(i),
+                     cd.ffInit(i)});
+    }
+  }
+
+  std::vector<std::uint32_t> gateAt;
+  std::vector<std::uint32_t> gateWords;
+  std::vector<FfPins> ffs;
+};
+
 /// Everything the word-group workers share read-only (plus the scheduler and
 /// the result vector, which are sharded by fault index / internally locked).
 struct RunShared {
   const GoldenRun* golden = nullptr;
+  const FlatDesign* flat = nullptr;
   const fault::FaultList* faults = nullptr;
   /// Campaign-wide latent fault carried by every lane (null = none).
   const Fault* latent = nullptr;
@@ -123,6 +177,7 @@ class WordEngine {
   explicit WordEngine(const RunShared& rs)
       : rs_(rs),
         run_(*rs.golden),
+        flat_(*rs.flat),
         cd_(*run_.compiled()),
         nl_(cd_.design()) {
     const std::size_t nets = cd_.netCount();
@@ -157,6 +212,7 @@ class WordEngine {
       memRegDiv_[m].assign(mi.dataBits, 0);
       goldenMem_.emplace_back(mi.addrBits, mi.dataBits);
     }
+    ports_.resize(mems);
     memPin_.assign(mems, 0);
     inMemList_.assign(mems, 0);
     ownedMask_.assign(mems, 0);
@@ -218,7 +274,11 @@ class WordEngine {
   }
 
   void ensureTouched(NetId n) {
-    if (touched_[n] != 0) return;
+    if (touched_[n] == 0) touch(n);
+  }
+
+  /// Marks an untouched net touched and lists its readers.
+  void touch(NetId n) {
     touched_[n] = 1;
     zeroAge_[n] = 0;
     touchedList_.push_back(n);
@@ -256,7 +316,7 @@ class WordEngine {
   void setDiv(NetId n, std::uint64_t w) {
     div_[n] = w;
     if (w != 0) {
-      ensureTouched(n);
+      if (touched_[n] == 0) touch(n);
       zeroAge_[n] = 0;
     }
   }
@@ -296,10 +356,22 @@ class WordEngine {
 
   // ---- word kernels --------------------------------------------------------
 
-  [[nodiscard]] std::uint64_t evalCellWord(std::uint32_t pos,
-                                          NetBits g) const {
-    const std::span<const NetId> ins = cd_.combInputs(pos);
-    switch (cd_.combType(pos)) {
+  /// A combinational gate as its record gives it.
+  struct Gate {
+    CellType type;
+    NetId out;
+    std::span<const NetId> ins;
+  };
+
+  [[nodiscard]] Gate gateOf(std::uint32_t pos) const {
+    const std::uint32_t* rec = flat_.gateWords.data() + flat_.gateAt[pos];
+    const std::uint32_t* end = flat_.gateWords.data() + flat_.gateAt[pos + 1];
+    return {static_cast<CellType>(rec[0]), rec[1], {rec + 2, end}};
+  }
+
+  [[nodiscard]] std::uint64_t evalCellWord(const Gate& gate, NetBits g) const {
+    const std::span<const NetId> ins = gate.ins;
+    switch (gate.type) {
       case CellType::Const0: return 0;
       case CellType::Const1: return kAllLanes;
       case CellType::Buf: return laneWordOf(ins[0], g);
@@ -341,14 +413,15 @@ class WordEngine {
         return (s & b) | (a & ~s);
       }
       default:
-        return broadcast(g[cd_.combOutput(pos)]);
+        return broadcast(g[gate.out]);
     }
   }
 
   void evalPass1(std::uint32_t pos, NetBits g) {
-    const NetId out = cd_.combOutput(pos);
-    const std::uint64_t natural = evalCellWord(pos, g) ^ broadcast(g[out]);
-    setDiv(out, overlayDiv(out, natural, g));
+    const Gate gate = gateOf(pos);
+    const std::uint64_t natural =
+        evalCellWord(gate, g) ^ broadcast(g[gate.out]);
+    setDiv(gate.out, overlayDiv(gate.out, natural, g));
   }
 
   void sweepPass1(NetBits g) {
@@ -370,9 +443,13 @@ class WordEngine {
         evalPass1(pos, g);
         ++i;
       }
+      stats_.gateEvals += act.size();
       for (const std::uint32_t pos : kicks) {
         kicked_[pos] = 0;
-        if (inActive_[pos] == 0 || faninTouched_[pos] == 0) evalPass1(pos, g);
+        if (inActive_[pos] == 0 || faninTouched_[pos] == 0) {
+          evalPass1(pos, g);
+          ++stats_.gateEvals;
+        }
       }
       kicks.clear();
     }
@@ -404,14 +481,16 @@ class WordEngine {
       for (std::size_t i = 0; i < bucket.size(); ++i) {
         const std::uint32_t pos = bucket[i];
         evDirty_[pos] = 0;
-        const NetId out = cd_.combOutput(pos);
-        const std::uint64_t natural = evalCellWord(pos, g) ^ broadcast(g[out]);
-        const std::uint64_t nd = overlayDiv(out, natural, g);
-        if (nd != div_[out]) {
-          setDiv(out, nd);
-          evSeed(out);
+        const Gate gate = gateOf(pos);
+        const std::uint64_t natural =
+            evalCellWord(gate, g) ^ broadcast(g[gate.out]);
+        const std::uint64_t nd = overlayDiv(gate.out, natural, g);
+        if (nd != div_[gate.out]) {
+          setDiv(gate.out, nd);
+          evSeed(gate.out);
         }
       }
+      stats_.gateEvals += bucket.size();
       bucket.clear();
     }
   }
@@ -774,73 +853,76 @@ class WordEngine {
     return v;
   }
 
-  [[nodiscard]] std::uint64_t laneXorOf(const std::vector<NetId>& nets,
-                                        unsigned lane) const {
-    std::uint64_t x = 0;
-    for (std::size_t b = 0; b < nets.size(); ++b) {
-      if (touched_[nets[b]] != 0 && hasLane(div_[nets[b]], lane)) {
-        x |= std::uint64_t{1} << b;
-      }
-    }
-    return x;
+  /// Lanes in which some of `nets` diverges.
+  [[nodiscard]] std::uint64_t divUnion(const std::vector<NetId>& nets) const {
+    std::uint64_t u = 0;
+    for (const NetId n : nets) u |= div_[n];
+    return u;
   }
 
-  struct MemLaneScratch {
-    unsigned lane = 0;
-    bool re = false;
-    std::uint64_t addr = 0;
+  /// Row b of `m` takes the divergence word of nets[b] (at most 64 nets),
+  /// the rest zero, and `m` is transposed: row `lane` then holds the XOR of
+  /// that lane's value of the nets with the golden value.
+  void laneXors(const std::vector<NetId>& nets, BitMatrix& m) const {
+    for (std::size_t b = 0; b < kLanes; ++b) {
+      m[b] = b < nets.size() ? div_[nets[b]] : 0;
+    }
+    transpose(m);
+  }
+
+  /// One memory port's lanes between the pre-edge writes and the post-edge
+  /// reads.
+  struct PortScratch {
+    std::uint64_t involved = 0;  ///< live lanes the port concerns
+    std::uint64_t reading = 0;   ///< involved lanes whose read enable is on
+    std::uint64_t addrDiv = 0;   ///< lanes whose address diverges
+    std::uint64_t gAddr = 0;     ///< the golden address
+    BitMatrix addrX{};  ///< by lane: address XOR gAddr (when addrDiv != 0)
+
+    [[nodiscard]] std::uint64_t laneAddr(unsigned lane) const {
+      return hasLane(addrDiv, lane) ? gAddr ^ addrX[lane] : gAddr;
+    }
   };
 
   /// Cycle c's clock edge; `g` is row c of the golden run.
   void clockEdge(std::uint64_t c, NetBits g) {
-    // --- memory ports, pre-edge: sample lane port values, clone on write
-    // divergence, replay lane-local writes into owned clones.
-    memScratch_.clear();
-    memScratchOffset_.clear();
-    for (const MemoryId m : memList_) {
+    // --- memory ports, pre-edge: which lanes the port concerns, clone on
+    // write divergence, replay lane-local writes into owned clones.  A lane
+    // whose port nets do not diverge takes the golden address and data.
+    for (std::size_t k = 0; k < memList_.size(); ++k) {
+      const MemoryId m = memList_[k];
       const MemoryInst& mi = nl_.memory(m);
-      const std::uint64_t gAddr = packGolden(mi.addr, g);
-      const std::uint64_t gData = packGolden(mi.wdata, g);
-      const bool gWe = g[mi.writeEnable];
+      PortScratch& p = ports_[k];
+      p.addrDiv = divUnion(mi.addr);
+      const std::uint64_t dataDiv = divUnion(mi.wdata);
+      const std::uint64_t weDiv = div_[mi.writeEnable];
+      const std::uint64_t reDiv =
+          mi.readEnable == kNoNet ? 0 : div_[mi.readEnable];
+      const std::uint64_t portDiv = p.addrDiv | dataDiv | weDiv | reDiv;
+      std::uint64_t regDiv = 0;
+      for (const std::uint64_t w : memRegDiv_[m]) regDiv |= w;
+      p.involved = live_ & (ownedMask_[m] | portDiv | regDiv);
+      if (p.involved == 0) continue;
+      const std::uint64_t gWe = broadcast(g[mi.writeEnable]);
+      const std::uint64_t weW = gWe ^ weDiv;
       const bool gRe = mi.readEnable == kNoNet || g[mi.readEnable];
-      std::uint64_t portDiv = 0;
-      for (const NetId n : mi.addr) {
-        if (touched_[n] != 0) portDiv |= div_[n];
-      }
-      for (const NetId n : mi.wdata) {
-        if (touched_[n] != 0) portDiv |= div_[n];
-      }
-      if (touched_[mi.writeEnable] != 0) portDiv |= div_[mi.writeEnable];
-      if (mi.readEnable != kNoNet && touched_[mi.readEnable] != 0) {
-        portDiv |= div_[mi.readEnable];
-      }
-      std::uint64_t regDivU = 0;
-      for (const std::uint64_t w : memRegDiv_[m]) regDivU |= w;
-      const std::uint64_t involved =
-          live_ & (ownedMask_[m] | portDiv | regDivU);
-
-      memScratchOffset_.push_back(memScratch_.size());
-      forEachLane(involved, [&](unsigned lane) {
-        const std::uint64_t laneAddr = gAddr ^ laneXorOf(mi.addr, lane);
-        const std::uint64_t laneData = gData ^ laneXorOf(mi.wdata, lane);
-        const bool laneWe =
-            gWe != (touched_[mi.writeEnable] != 0 &&
-                    hasLane(div_[mi.writeEnable], lane));
-        const bool laneRe =
-            mi.readEnable == kNoNet
-                ? true
-                : gRe != (touched_[mi.readEnable] != 0 &&
-                          hasLane(div_[mi.readEnable], lane));
-        // The lane's write differs in effect from the golden write: the
-        // lane needs its own array from here on (cloned pre-write).
-        if (laneWe != gWe ||
-            (laneWe && gWe && (laneAddr != gAddr || laneData != gData))) {
-          ensureOwned(m, lane);
-        }
-        if (hasLane(ownedMask_[m], lane) && laneWe) {
-          clones_[m][lane]->write(laneAddr, laneData);
-        }
-        memScratch_.push_back({lane, laneRe, laneAddr});
+      p.reading = p.involved & (broadcast(gRe) ^ reDiv);
+      p.gAddr = packGolden(mi.addr, g);
+      // A lane whose write differs in effect from the golden write needs
+      // its own array from here on (cloned pre-write).
+      const std::uint64_t divergentWrite =
+          weDiv | (weW & gWe & (p.addrDiv | dataDiv));
+      forEachLane(p.involved & divergentWrite & ~ownedMask_[m],
+                  [&](unsigned lane) { ensureOwned(m, lane); });
+      const std::uint64_t writers = p.involved & ownedMask_[m] & weW;
+      if ((p.addrDiv & (writers | p.reading)) != 0) laneXors(mi.addr, p.addrX);
+      if (writers == 0) continue;
+      const std::uint64_t gData = packGolden(mi.wdata, g);
+      if ((dataDiv & writers) != 0) laneXors(mi.wdata, portRows_);
+      forEachLane(writers, [&](unsigned lane) {
+        clones_[m][lane]->write(
+            p.laneAddr(lane),
+            hasLane(dataDiv, lane) ? gData ^ portRows_[lane] : gData);
       });
     }
 
@@ -849,24 +931,22 @@ class WordEngine {
     // golden previous D is the D net one row back (the init value at reset).
     ffScratch_.clear();
     for (const std::uint32_t i : ffList_) {
-      const NetId dNet = cd_.ffD(i);
-      const NetId enNet = cd_.ffEn(i);
-      const NetId rstNet = cd_.ffRst(i);
-      const std::uint64_t laneD = laneWordOf(dNet, g);
+      const FfPins& ff = flat_.ffs[i];
+      const std::uint64_t laneD = laneWordOf(ff.d, g);
       std::uint64_t sampled = laneD;
       if (ffStale_[i] != 0) {
-        const bool gPrev = c > 0 ? run_.row(c - 1)[dNet] : cd_.ffInit(i);
+        const bool gPrev = c > 0 ? run_.row(c - 1)[ff.d] : ff.init;
         const std::uint64_t lanePrev = broadcast(gPrev) ^ prevDivD_[i];
         sampled = (ffStale_[i] & lanePrev) | (laneD & ~ffStale_[i]);
       }
-      const std::uint64_t cur = broadcast(g[cd_.ffOutput(i)]) ^ ffDiv_[i];
+      const std::uint64_t cur = broadcast(g[ff.q]) ^ ffDiv_[i];
       const std::uint64_t enW =
-          enNet == kNoNet ? kAllLanes : laneWordOf(enNet, g);
-      const std::uint64_t rstW = rstNet == kNoNet ? 0 : laneWordOf(rstNet, g);
-      const std::uint64_t init = broadcast(cd_.ffInit(i));
+          ff.en == kNoNet ? kAllLanes : laneWordOf(ff.en, g);
+      const std::uint64_t rstW = ff.rst == kNoNet ? 0 : laneWordOf(ff.rst, g);
       const std::uint64_t next =
-          (rstW & init) | (((enW & sampled) | (cur & ~enW)) & ~rstW);
-      ffScratch_.push_back({i, next, div_[dNet]});
+          (rstW & broadcast(ff.init)) |
+          (((enW & sampled) | (cur & ~enW)) & ~rstW);
+      ffScratch_.push_back({i, next, div_[ff.d]});
     }
 
     writeGolden(g);
@@ -875,29 +955,10 @@ class WordEngine {
     // read-register divergence, rdata net seeding.  The golden read register
     // is the rdata nets: row c before the edge, row c + 1 after it.
     const NetBits next = run_.row(c + 1);
-    for (std::size_t mIdx = 0; mIdx < memList_.size(); ++mIdx) {
-      const MemoryId m = memList_[mIdx];
+    for (std::size_t k = 0; k < memList_.size(); ++k) {
+      const MemoryId m = memList_[k];
       const MemoryInst& mi = nl_.memory(m);
-      const std::size_t begin = memScratchOffset_[mIdx];
-      const std::size_t end = mIdx + 1 < memScratchOffset_.size()
-                                  ? memScratchOffset_[mIdx + 1]
-                                  : memScratch_.size();
-      for (std::size_t s = begin; s < end; ++s) {
-        const MemLaneScratch& ls = memScratch_[s];
-        std::uint64_t laneRead = 0;
-        if (ls.re) {
-          laneRead = hasLane(ownedMask_[m], ls.lane)
-                         ? clones_[m][ls.lane]->read(ls.addr)
-                         : goldenMem_[m].read(ls.addr);
-        }
-        for (std::uint32_t b = 0; b < mi.dataBits; ++b) {
-          const NetId rd = mi.rdata[b];
-          const bool laneValue =
-              ls.re ? ((laneRead >> b) & 1u) != 0
-                    : g[rd] != hasLane(memRegDiv_[m][b], ls.lane);
-          setLane(memRegDiv_[m][b], ls.lane, laneValue != next[rd]);
-        }
-      }
+      if (ports_[k].involved != 0) readPort(m, ports_[k], g, next);
       for (std::uint32_t b = 0; b < mi.dataBits; ++b) {
         setDivKeepForced(mi.rdata[b], memRegDiv_[m][b]);
       }
@@ -907,11 +968,44 @@ class WordEngine {
     // machine's new state (the Q net in row c + 1), Q-net seeding for the
     // next cycle.
     for (const FfScratch& fs : ffScratch_) {
-      const NetId q = cd_.ffOutput(fs.index);
+      const NetId q = flat_.ffs[fs.index].q;
       const std::uint64_t nd = fs.next ^ broadcast(next[q]);
       ffDiv_[fs.index] = nd;
       prevDivD_[fs.index] = fs.dDiv;
       setDivKeepForced(q, nd);
+    }
+  }
+
+  /// The read register of memory `m` after the edge, as divergence from the
+  /// golden register (the rdata nets of row `next`): a reading lane that
+  /// owns a clone or presents its own address reads on its own, the other
+  /// reading lanes share the golden array's word at the golden address, and
+  /// a lane that does not read keeps its register.
+  void readPort(MemoryId m, const PortScratch& p, NetBits g, NetBits next) {
+    const MemoryInst& mi = nl_.memory(m);
+    const std::uint64_t gNext = packGolden(mi.rdata, next);
+    const std::uint64_t own = p.reading & (ownedMask_[m] | p.addrDiv);
+    const std::uint64_t shared = p.reading & ~own;
+    const std::uint64_t held = p.involved & ~p.reading;
+    const std::uint64_t sharedDiv =
+        shared != 0 ? goldenMem_[m].read(p.gAddr) ^ gNext : 0;
+    const std::uint64_t heldDiv = packGolden(mi.rdata, g) ^ gNext;
+    // Row `lane` takes the lane's read divergence; transposed, row b holds
+    // data bit b of every lane.
+    if (own != 0) {
+      portRows_.fill(0);
+      forEachLane(own, [&](unsigned lane) {
+        const sim::MemoryModel& array =
+            hasLane(ownedMask_[m], lane) ? *clones_[m][lane] : goldenMem_[m];
+        portRows_[lane] = gNext ^ array.read(p.laneAddr(lane));
+      });
+      transpose(portRows_);
+    }
+    for (std::uint32_t b = 0; b < mi.dataBits; ++b) {
+      std::uint64_t& w = memRegDiv_[m][b];
+      w = (own != 0 ? portRows_[b] : 0) |
+          (shared & broadcast(hasLane(sharedDiv, b))) |
+          (held & (w ^ broadcast(hasLane(heldDiv, b)))) | (w & ~p.involved);
     }
   }
 
@@ -1203,6 +1297,7 @@ class WordEngine {
 
   const RunShared& rs_;
   const GoldenRun& run_;
+  const FlatDesign& flat_;
   const CompiledDesign& cd_;
   const netlist::Netlist& nl_;
   BitslicedStats stats_;
@@ -1245,8 +1340,8 @@ class WordEngine {
   std::vector<std::uint64_t> ownedMask_;
   std::vector<std::uint64_t> cloneFaulty_;
   std::vector<std::vector<std::unique_ptr<sim::MemoryModel>>> clones_;
-  std::vector<MemLaneScratch> memScratch_;
-  std::vector<std::size_t> memScratchOffset_;
+  std::vector<PortScratch> ports_;  ///< by memList_ position, per edge
+  BitMatrix portRows_{};             ///< write data / read transpose scratch
   /// The golden machine's arrays: zeroed per group, then the trace's flips
   /// and the golden writes (the lanes' clones start as copies of them).
   std::vector<sim::MemoryModel> goldenMem_;
@@ -1277,8 +1372,10 @@ BitslicedCampaign runBitslicedWatch(const GoldenRun& golden,
         "value, flip-flop state or memory read register survived reset)");
   }
   const obs::ScopedTimer timer("faultsim.bitsliced");
+  const FlatDesign flat(*golden.compiled());
   RunShared rs;
   rs.golden = &golden;
+  rs.flat = &flat;
   rs.faults = &faults;
   rs.latent = latent ? &*latent : nullptr;
   rs.watch = &watch;
@@ -1319,6 +1416,7 @@ BitslicedCampaign runBitslicedWatch(const GoldenRun& golden,
     stats.lanesRetiredEarly += p.lanesRetiredEarly;
     stats.lanesRefilled += p.lanesRefilled;
     stats.convergedEarly += p.convergedEarly;
+    stats.gateEvals += p.gateEvals;
     for (std::size_t ph = 0; ph < p.phaseSeconds.size(); ++ph) {
       stats.phaseSeconds[ph] += p.phaseSeconds[ph];
     }
@@ -1336,7 +1434,7 @@ BitslicedCampaign runBitslicedWatch(const GoldenRun& golden,
   reg.add("faultsim.bitsliced.lanes_retired_early", stats.lanesRetiredEarly);
   reg.add("faultsim.bitsliced.lanes_refilled", stats.lanesRefilled);
   reg.add("faultsim.bitsliced.converged_early", stats.convergedEarly);
-  reg.set("faultsim.bitsliced.lane_occupancy", stats.laneOccupancy());
+  reg.add("faultsim.bitsliced.gate_evals", stats.gateEvals);
   reg.set("faultsim.bitsliced.simd_width", kLanes);
   reg.set("faultsim.bitsliced.workers", static_cast<double>(stats.workers));
   // Summed over the workers: at N threads about N times the wall time.

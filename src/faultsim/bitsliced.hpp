@@ -58,11 +58,20 @@
 // or classified) or washed out (transient spent and all divergence zero) —
 // and is refilled from the pending transient queue so words stay dense.
 //
+// Flat kernels.  The sweep evaluates each combinational position from one
+// contiguous gate record (operation, output net, input nets; any arity),
+// built once per run.  A memory port is word-parallel at the clock edge:
+// a lane whose port nets do not diverge takes the golden address and data,
+// the diverging lanes' addresses and write data come from a 64x64 bit
+// transpose of the port nets' divergence words, and the lanes' read values
+// go back to the read register's divergence words through the inverse
+// transpose.
+//
 // Threads.  A run is one fork-join: the calling thread is worker 0 and
 // threads - 1 std::jthreads are the others (one thread starts none).  Every
 // worker owns its engine (golden memories, divergence words, lane clones),
-// reads the shared golden run and pulls groups from the shared
-// LaneScheduler until it drains.  Results land in a pre-sized vector by
+// reads the shared golden run and gate records, and pulls groups from the
+// shared LaneScheduler until it drains.  Results land in a pre-sized vector by
 // fault index, and each worker returns its counters and phase times, which
 // the caller adds up after the join, so verdicts and observation records
 // are bit-identical to the serial oracle for any thread count or refill
@@ -104,6 +113,8 @@ struct BitslicedStats {
   std::uint64_t lanesRetiredEarly = 0;  ///< verdict final before workload end
   std::uint64_t lanesRefilled = 0;      ///< retired lanes re-armed with a fault
   std::uint64_t convergedEarly = 0;     ///< lanes retired by washout
+  /// Gate-word evaluations of the pass-1 and event sweeps: the sweep's work.
+  std::uint64_t gateEvals = 0;
   unsigned workers = 1;
   /// Seconds per phase (kBitslicedPhases order), summed over the workers.
   std::array<double, kBitslicedPhases.size()> phaseSeconds{};

@@ -5,8 +5,9 @@
 // the serial oracle on a design with flip-flops and a behavioural memory,
 // lane retirement / refill invariants, campaign-record equality on the
 // memsys protection IP (with and without a latent fault), EngineKind::Auto
-// resolution (with its serial fallback when X survives reset), and a
-// 200-design random-property sweep over the full fault model.
+// resolution (with its serial fallback when X survives reset), a
+// 200-design random-property sweep over the full fault model, and a sweep
+// of random designs with memories 33 to 64 bits wide.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -862,6 +863,119 @@ TEST(BitslicedPropertyTest, TwoHundredRandomDesignsBitIdenticalToSerial) {
   }
   // The sweep must have exercised a real fault population.
   EXPECT_GT(faultsChecked, 500u);
+}
+
+namespace {
+
+/// The nets of the combinational fan-in cones of `mem`'s port pins
+/// (address, write data, write and read enable), through to flip-flop Q
+/// nets and primary inputs.
+std::vector<nl::NetId> portCone(const nl::Netlist& n,
+                                const nl::MemoryInst& mem) {
+  std::vector<nl::NetId> todo = mem.addr;
+  todo.insert(todo.end(), mem.wdata.begin(), mem.wdata.end());
+  todo.push_back(mem.writeEnable);
+  if (mem.readEnable != nl::kNoNet) todo.push_back(mem.readEnable);
+  std::vector<char> seen(n.netCount(), 0);
+  std::vector<nl::NetId> cone;
+  while (!todo.empty()) {
+    const nl::NetId net = todo.back();
+    todo.pop_back();
+    if (seen[net] != 0) continue;
+    seen[net] = 1;
+    cone.push_back(net);
+    const nl::CellId drv = n.net(net).driver;
+    if (drv == nl::kNoCell || n.cell(drv).type == nl::CellType::Dff) continue;
+    for (const nl::NetId in : n.cell(drv).inputs) todo.push_back(in);
+  }
+  return cone;
+}
+
+}  // namespace
+
+// Memories 33 to 64 bits wide, with 32 to 256 words, under faults that make
+// many lanes diverge on the port in the same cycle: stuck-ats and SEUs on
+// the port's fan-in cones, and every memory fault kind, high data bits
+// included.  More faults than one word group holds, so the top lane takes
+// part too, and the word-parallel port's transposes see every row.
+TEST(BitslicedPropertyTest, WideMemoriesOnRandomDesignsMatchSerial) {
+  const std::uint64_t base = tk::testSeed(0x3E3);
+  std::size_t faultsChecked = 0;
+  std::size_t fullWidth = 0;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const std::uint64_t seed = tk::derivedSeed(base, i);
+    SCOPED_TRACE(tk::seedMessage(seed));
+    sm::Rng rng(seed);
+    tk::GeneratorOptions g = tk::randomOptions(rng);
+    g.memories = 1;
+    g.memDataBits =
+        i % 4 == 0 ? 64 : static_cast<std::uint32_t>(rng.range(33, 64));
+    g.memAddrBits = static_cast<std::uint32_t>(rng.range(5, 8));
+    const nl::Netlist n = tk::generateNetlist(g, rng);
+    const nl::MemoryInst& mem = n.memory(0);
+    if (mem.dataBits == 64) ++fullWidth;
+    tk::PlanOptions po = tk::randomPlanOptions(rng);
+    po.cycles = rng.range(48, 96);
+    po.memFaults = 0;
+    tk::TestPlan plan = tk::generatePlan(n, po, rng);
+
+    const std::vector<nl::NetId> cone = portCone(n, mem);
+    const std::vector<nl::CellId> ffs = n.flipFlops();
+    const auto add = [&](ft::Fault f) { plan.faults.push_back(f); };
+    for (int k = 0; k < 24; ++k) {
+      ft::Fault f;
+      f.kind = rng.coin() ? ft::FaultKind::StuckAt1 : ft::FaultKind::StuckAt0;
+      f.net = cone[rng.below(cone.size())];
+      add(f);
+    }
+    for (int k = 0; k < 12 && !ffs.empty(); ++k) {
+      ft::Fault f;
+      f.kind = ft::FaultKind::SeuFlip;
+      f.cell = ffs[rng.below(ffs.size())];
+      f.net = n.cell(f.cell).output;
+      f.cycle = rng.below(plan.cycles());
+      add(f);
+    }
+    const std::uint64_t words = std::uint64_t{1} << mem.addrBits;
+    const auto anyBit = [&] {
+      // Half the draws hit the top data bit.
+      return static_cast<std::uint32_t>(
+          rng.coin() ? mem.dataBits - 1 : rng.below(mem.dataBits));
+    };
+    const auto addMem = [&](ft::FaultKind kind) {
+      for (int k = 0; k < 8; ++k) {
+        ft::Fault f;
+        f.kind = kind;
+        f.mem = 0;
+        f.addr = rng.below(words);
+        f.addr2 = (f.addr + 1 + rng.below(words - 1)) % words;
+        f.bit = anyBit();
+        f.stuckValue = rng.coin();
+        if (kind == ft::FaultKind::MemSoftError) {
+          f.cycle = rng.below(plan.cycles());
+        }
+        add(f);
+      }
+    };
+    addMem(ft::FaultKind::MemStuckBit);
+    addMem(ft::FaultKind::MemAddrNone);
+    addMem(ft::FaultKind::MemAddrWrong);
+    addMem(ft::FaultKind::MemAddrMulti);
+    addMem(ft::FaultKind::MemCoupling);
+    addMem(ft::FaultKind::MemSoftError);
+    ASSERT_GT(plan.faults.size(), std::size_t{fs::kLanes});
+
+    const auto cd = nl::compile(n);
+    expectObservationsEqual(
+        n, plan.faults,
+        tk::serialOutputs(cd, plan.stim, plan.faults,
+                          fs::RetireMode::WashoutOnly),
+        slicedRun(cd, plan.stim, plan.faults, fs::RetireMode::WashoutOnly)
+            .observations);
+    faultsChecked += plan.faults.size();
+  }
+  EXPECT_GE(fullWidth, 10u);
+  EXPECT_GT(faultsChecked, 3000u);
 }
 
 // Latent faults over the full fault model: every pair of fault kinds can
