@@ -195,12 +195,16 @@ int main(int argc, char** argv) {
 
   std::cout << "\n==== step 5: release the SRS document ====\n";
   {
-    std::ofstream srs("frmem_v2_srs.md");
     core::SrsOptions sopt;
     sopt.author = "memsys_sil3_flow example";
-    core::writeSrs(srs, flowV2, sopt, &rep);
-    std::cout << "wrote frmem_v2_srs.md ("
-              << core::srsToString(flowV2, sopt, &rep).size()
+    const std::string srs = core::srsToString(flowV2, sopt, &rep);
+    std::ofstream out("frmem_v2_srs.md");
+    if (!out) {
+      std::cerr << "cannot open frmem_v2_srs.md for writing\n";
+      return 2;
+    }
+    out << srs;
+    std::cout << "wrote frmem_v2_srs.md (" << srs.size()
               << " bytes): the norm's Safety Requirements Specification\n";
   }
 

@@ -6,12 +6,15 @@
 #
 # Optional: ARGS, extra flow arguments in one space-separated string (e.g.
 # "--engine serial"), and NAME, the base name of the files this run writes
-# under WORK (default memsys_sil3), so variants can run in parallel.
+# under WORK (default memsys_sil3), so variants can run in parallel.  The
+# flow runs in WORK/NAME, where it writes its SRS (frmem_v2_srs.md).
 if(NOT DEFINED NAME)
   set(NAME memsys_sil3)
 endif()
 separate_arguments(extra_args UNIX_COMMAND "${ARGS}")
+file(MAKE_DIRECTORY ${WORK}/${NAME})
 execute_process(COMMAND ${FLOW} ${extra_args} --json ${WORK}/${NAME}.json
+                WORKING_DIRECTORY ${WORK}/${NAME}
                 RESULT_VARIABLE rc1 OUTPUT_QUIET)
 if(NOT rc1 EQUAL 0)
   message(FATAL_ERROR "memsys_sil3_flow ${ARGS} failed (rc ${rc1})")

@@ -48,10 +48,15 @@ int main(int argc, char** argv) {
     if (cmd == "emit") {
       if (argc != 4) return usage();
       const std::string version = argv[2];
+      if (version != "v1" && version != "v2") return usage();
       const auto opt = version == "v2" ? memsys::GateLevelOptions::v2()
                                        : memsys::GateLevelOptions::v1();
       const auto design = memsys::buildProtectionIp(opt);
       std::ofstream out(argv[3]);
+      if (!out) {
+        std::cerr << "error: cannot open " << argv[3] << " for writing\n";
+        return 2;
+      }
       netlist::writeNetlist(out, design.nl);
       std::cout << "wrote " << design.nl.name() << " ("
                 << design.nl.gateCount() << " gates) to " << argv[3] << "\n";
@@ -99,8 +104,10 @@ int main(int argc, char** argv) {
       return 0;
     }
   } catch (const std::exception& e) {
+    // A file that cannot be read or parsed, or a design the reader's
+    // design-rule check refuses: bad input.
     std::cerr << "error: " << e.what() << "\n";
-    return 1;
+    return 2;
   }
   return usage();
 }

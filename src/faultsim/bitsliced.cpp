@@ -8,7 +8,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -1366,11 +1365,6 @@ BitslicedCampaign runBitslicedWatch(const GoldenRun& golden,
                                     const Watch& watch,
                                     const std::optional<fault::Fault>& latent,
                                     RetireMode retire, unsigned threads) {
-  if (!golden.isTwoState()) {
-    throw std::invalid_argument(
-        "bit-sliced engine: golden machine is not two-state (an X/Z net "
-        "value, flip-flop state or memory read register survived reset)");
-  }
   const obs::ScopedTimer timer("faultsim.bitsliced");
   const FlatDesign flat(*golden.compiled());
   RunShared rs;

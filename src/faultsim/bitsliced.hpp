@@ -22,12 +22,10 @@
 // golden memory (with the fault overlay installed) that replays the lane's
 // own writes and the trace's backdoor flips.
 //
-// Soundness rests on a two-state argument: after reset every golden and
-// lane value is definite (0/1), and no engine operation can introduce X, so
-// Logic collapses to one bit per lane and XOR divergence is exact.  The
-// record says whether its machine was X-free after reset
-// (GoldenRun::isTwoState); the engine throws std::invalid_argument when it
-// was not.
+// Soundness rests on a two-state argument: netlist::compile runs
+// Netlist::check(), so every net of a compiled design has a driver, and
+// after reset every golden and lane value is 0 or 1 (sim/logic4.hpp).  So
+// one bit per lane holds a value and XOR divergence is exact.
 //
 // The golden machine's state comes from the rows: a flip-flop's state is its
 // Q net (row c before the edge, row c + 1 after it), its previous D value
@@ -138,8 +136,7 @@ struct BitslicedCampaign {
 /// `retire`, or once it washed out; the observations equal runSerialWatch's
 /// for the same arguments.  The word groups are dealt out to `threads`
 /// workers (0 = hardware concurrency); the observations do not depend on
-/// the count.  Throws std::invalid_argument when the golden machine was not
-/// two-state (X-free) after reset.
+/// the count.
 [[nodiscard]] BitslicedCampaign runBitslicedWatch(
     const GoldenRun& golden, const fault::FaultList& faults,
     const Watch& watch, const std::optional<fault::Fault>& latent,

@@ -14,8 +14,8 @@
 //
 // A flip-flop's state before edge c is its Q net in row c and after it the
 // Q net in row c + 1; a memory's read register is read the same way from its
-// rdata nets.  Only a run in which some net reads X keeps a second plane of
-// known bits; a two-state run stores nothing more.
+// rdata nets.  One bit per net is the whole value: every compiled design is
+// two-state (sim/logic4.hpp).
 //
 // The serial oracle does not read the record: runSerialWatch keeps its own
 // GoldenTrace (recordGolden), so a fault in the record cannot hide behind a
@@ -41,11 +41,6 @@ struct NetBits {
   }
 };
 
-/// The bit-sliced engine's two-state precondition: every net value,
-/// flip-flop state and memory read register of `sim` is definite (0/1).
-/// GoldenRun asks it of the machine fresh from reset.
-[[nodiscard]] bool isTwoState(const sim::Simulator& sim);
-
 class GoldenRun {
  public:
   /// Replays `stim` on the fault-free machine (runMachine on a Simulator
@@ -67,35 +62,21 @@ class GoldenRun {
   [[nodiscard]] std::uint64_t cycles() const noexcept {
     return stim_->cycles();
   }
-  /// True when the machine was two-state after reset (isTwoState): the
-  /// bit-sliced engine's precondition.
-  [[nodiscard]] bool isTwoState() const noexcept { return twoState_; }
-
   /// Words per row.
   [[nodiscard]] std::size_t rowWords() const noexcept { return words_; }
   /// Row `c`, 0 <= c <= cycles(): bit n reads 1 where net n is 1.
   [[nodiscard]] NetBits row(std::uint64_t c) const {
     return {std::span(bits_).subspan(c * words_, words_)};
   }
-  /// Word `w` of row `c`'s known plane: bit n reads 1 where net n is 0 or
-  /// 1.  All ones when no value of the run is X.
-  [[nodiscard]] std::uint64_t knownWord(std::uint64_t c,
-                                        std::size_t w) const {
-    return known_.empty() ? ~std::uint64_t{0} : known_[c * words_ + w];
-  }
-  /// Net `n`'s value in row `c`: L0, L1 or LX.
-  [[nodiscard]] sim::Logic value(std::uint64_t c, netlist::NetId n) const;
 
-  /// Equal two-state flags, rows and known planes.
+  /// Equal rows.
   [[nodiscard]] bool operator==(const GoldenRun& o) const;
 
  private:
   netlist::CompiledDesignPtr cd_;
   const StimulusTrace* stim_;
   std::size_t words_ = 0;
-  bool twoState_ = true;
-  std::vector<std::uint64_t> bits_;   ///< [row * words_ + word]
-  std::vector<std::uint64_t> known_;  ///< same layout; empty if all known
+  std::vector<std::uint64_t> bits_;  ///< [row * words_ + word]
 };
 
 }  // namespace socfmea::faultsim

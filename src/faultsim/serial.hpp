@@ -28,8 +28,8 @@ namespace socfmea::faultsim {
 /// produce bit-identical observations (CI-tested); they differ only in
 /// throughput and in which execution counters they fill.
 enum class EngineKind : std::uint8_t {
-  /// The bit-sliced engine at every thread count; the serial oracle when
-  /// X survives reset (inject::InjectionManager::runWatch).
+  /// The bit-sliced engine at every thread count
+  /// (inject::InjectionManager::runWatch).
   Auto,
   /// One faulty machine at a time — the reference oracle.
   Serial,
@@ -55,8 +55,7 @@ enum class RetireMode : std::uint8_t {
 };
 
 /// What both engines compare against the golden machine every cycle, after
-/// the settle and before the clock edge.  X compares as its own value: X
-/// equals X and differs from 0 and from 1.
+/// the settle and before the clock edge.
 struct Watch {
   /// Net groups (the campaign's sensible zones); a group deviates the first
   /// cycle any of its nets differs from golden.

@@ -174,16 +174,16 @@ std::vector<bool> structurallyConstantNets(const netlist::Netlist& nl) {
 ToggleCoverage measureToggle(const GoldenRun& golden) {
   const netlist::Netlist& nl = golden.compiled()->design();
   const std::size_t words = golden.rowWords();
-  // A rise is a known 0 followed by a 1, a fall a 1 followed by a known 0;
-  // row 0 follows nothing.
+  // A rise is a 0 followed by a 1, a fall a 1 followed by a 0; row 0
+  // follows nothing.
   std::vector<std::uint64_t> rise(words, 0);
   std::vector<std::uint64_t> fall(words, 0);
   for (std::uint64_t c = 1; c < golden.cycles(); ++c) {
     const std::span<const std::uint64_t> prev = golden.row(c - 1).words;
     const std::span<const std::uint64_t> cur = golden.row(c).words;
     for (std::size_t w = 0; w < words; ++w) {
-      rise[w] |= golden.knownWord(c - 1, w) & ~prev[w] & cur[w];
-      fall[w] |= prev[w] & golden.knownWord(c, w) & ~cur[w];
+      rise[w] |= ~prev[w] & cur[w];
+      fall[w] |= prev[w] & ~cur[w];
     }
   }
   const NetBits sawRise{rise};

@@ -41,10 +41,9 @@ struct ToggleCoverage {
 [[nodiscard]] std::vector<bool> structurallyConstantNets(
     const netlist::Netlist& nl);
 
-/// Measures net toggling over the golden run's rows (cycles 0 to cycles - 1;
-/// an X value neither rises nor falls).  Constant-driven and structurally
-/// constant nets are excluded from the denominator (they cannot toggle by
-/// design).
+/// Measures net toggling over the golden run's rows (cycles 0 to cycles - 1).
+/// Constant-driven and structurally constant nets are excluded from the
+/// denominator (they cannot toggle by design).
 [[nodiscard]] ToggleCoverage measureToggle(const GoldenRun& golden);
 
 void printToggle(std::ostream& out, const netlist::Netlist& nl,

@@ -269,12 +269,9 @@ WatchRun InjectionManager::runWatch(const faultsim::GoldenRun& golden,
         "InjectionManager::runWatch: the golden run is of another design");
   }
   obs::Registry& reg = obs::Registry::global();
-  const faultsim::EngineKind engine = [&] {
-    if (opt.engine != faultsim::EngineKind::Auto) return opt.engine;
-    if (golden.isTwoState()) return faultsim::EngineKind::Bitsliced;
-    reg.add("inject.auto_serial_fallbacks");
-    return faultsim::EngineKind::Serial;
-  }();
+  const faultsim::EngineKind engine =
+      opt.engine == faultsim::EngineKind::Auto ? faultsim::EngineKind::Bitsliced
+                                               : opt.engine;
   const obs::ScopedTimer campaignTimer(
       "inject.campaign." + std::string(faultsim::engineKindName(engine)));
   WatchRun run;

@@ -130,17 +130,15 @@ struct CampaignOptions {
   /// fault's, in install order.
   std::optional<fault::Fault> preexisting;
   /// Campaign engine.  Auto runs the bit-sliced engine at every thread
-  /// count, unless X survives reset, when it falls back to the serial
-  /// oracle (InjectionManager::runWatch decides); Serial is the reference
-  /// oracle; Bitsliced packs 64 faulty machines into the lanes of one 64-bit
-  /// word per net (faultsim/bitsliced.hpp) and composes with threads (the
-  /// workers share the word groups out).  An explicit
-  /// Bitsliced throws std::invalid_argument when X survives reset.  Records
-  /// and every IEC metric are bit-identical across engines; only the
-  /// "execution" counters differ.  `engine` and `threads` are deliberately
-  /// excluded from the incremental flow's campaign-options hash
-  /// (core/incremental.cpp) — switching engines must not invalidate cached
-  /// campaign records, precisely because the records are identical.
+  /// count; Serial is the reference oracle; Bitsliced packs 64 faulty
+  /// machines into the lanes of one 64-bit word per net
+  /// (faultsim/bitsliced.hpp) and composes with threads (the workers share
+  /// the word groups out).  Records and every IEC metric are bit-identical
+  /// across engines; only the "execution" counters differ.  `engine` and
+  /// `threads` are deliberately excluded from the incremental flow's
+  /// campaign-options hash (core/incremental.cpp) — switching engines must
+  /// not invalidate cached campaign records, precisely because the records
+  /// are identical.
   faultsim::EngineKind engine = faultsim::EngineKind::Auto;
   /// Campaign parallelism: 0 = hardware concurrency, N = N threads.  The
   /// bit-sliced engine spreads its word groups over this many threads; the
@@ -195,12 +193,9 @@ class InjectionManager {
   /// (faultsim::runSerialWatch against a golden trace it records from the
   /// same stimulus) or the bit-sliced engine (faultsim::runBitslicedWatch
   /// over `golden` at opt.threads).  Serial and Bitsliced stand as
-  /// requested; Auto is the bit-sliced engine when the golden machine was
-  /// two-state after reset (GoldenRun::isTwoState), and otherwise the serial
-  /// oracle, counted in the inject.auto_serial_fallbacks telemetry counter.
-  /// Only opt.engine and opt.threads are read.  Throws
-  /// std::invalid_argument when `golden` was recorded on another compiled
-  /// design than this manager's.
+  /// requested; Auto is the bit-sliced engine.  Only opt.engine and
+  /// opt.threads are read.  Throws std::invalid_argument when `golden` was
+  /// recorded on another compiled design than this manager's.
   [[nodiscard]] WatchRun runWatch(const faultsim::GoldenRun& golden,
                                   const fault::FaultList& faults,
                                   const faultsim::Watch& watch,

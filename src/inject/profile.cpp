@@ -29,16 +29,14 @@ OperationalProfile OperationalProfile::record(
   std::vector<std::uint64_t> holdSum(db.size(), 0);
   std::vector<std::uint64_t> holdCount(db.size(), 0);
 
-  // A net changes in cycle c when it was known in row c - 1 and reads
-  // differently in row c (X included).  Row 0 is initialization: the first
-  // transition out of X is not activity.
+  // A net changes in cycle c when row c reads differently from row c - 1.
+  // Row 0 is initialization: it follows nothing.
   std::vector<std::uint64_t> change(golden.rowWords());
   for (std::uint64_t c = 1; c < cycles; ++c) {
     const std::span<const std::uint64_t> prev = golden.row(c - 1).words;
     const std::span<const std::uint64_t> cur = golden.row(c).words;
     for (std::size_t w = 0; w < change.size(); ++w) {
-      change[w] = golden.knownWord(c - 1, w) &
-                  (~golden.knownWord(c, w) | (prev[w] ^ cur[w]));
+      change[w] = prev[w] ^ cur[w];
     }
     const faultsim::NetBits changed{change};
     for (const zones::SensibleZone& z : db.zones()) {

@@ -7,6 +7,7 @@
 namespace socfmea::netlist {
 
 CompiledDesign::CompiledDesign(const Netlist& nl) : nl_(&nl) {
+  nl.check();
   const std::size_t nNets = nl.netCount();
   const std::size_t nCells = nl.cellCount();
 

@@ -42,8 +42,9 @@ class CompiledDesign {
   /// Sentinel order position for cells outside the combinational core.
   static constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 
-  /// Compiles a checked netlist.  Throws NetlistError on combinational
-  /// cycles (compilation embeds levelization).
+  /// Runs Netlist::check() and compiles the netlist: throws NetlistError on
+  /// an undriven net, an unconnected required pin or a combinational cycle,
+  /// so every compiled design simulates two-state (sim/logic4.hpp).
   explicit CompiledDesign(const Netlist& nl);
 
   [[nodiscard]] const Netlist& design() const noexcept { return *nl_; }
@@ -199,7 +200,8 @@ class CompiledDesign {
 /// worker holds the same immutable compiled form.
 using CompiledDesignPtr = std::shared_ptr<const CompiledDesign>;
 
-/// Compiles `nl` into a shared immutable CompiledDesign.
+/// Checks and compiles `nl` into a shared immutable CompiledDesign; throws
+/// NetlistError where Netlist::check() does.
 [[nodiscard]] CompiledDesignPtr compile(const Netlist& nl);
 
 }  // namespace socfmea::netlist

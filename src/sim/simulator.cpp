@@ -24,9 +24,9 @@ Simulator::Simulator(netlist::CompiledDesignPtr cd)
 }
 
 void Simulator::initState() {
-  netVal_.assign(cd_->netCount(), Logic::LX);
-  ffState_.assign(cd_->cellCount(), Logic::LX);
-  ffPrevD_.assign(cd_->cellCount(), Logic::LX);
+  netVal_.assign(cd_->netCount(), Logic::L0);
+  ffState_.assign(cd_->cellCount(), Logic::L0);
+  ffPrevD_.assign(cd_->cellCount(), Logic::L0);
   inputVal_.assign(cd_->cellCount(), Logic::L0);
   stale_.assign(cd_->cellCount(), false);
   mems_.reserve(nl_.memoryCount());
@@ -176,7 +176,7 @@ void Simulator::settleFull() {
   for (NetId n : dirtyNets_) {
     netDirty_[n] = 0;
     const NetSource& src = cd_->netSource(n);
-    Logic v = Logic::LX;
+    Logic v = Logic::L0;
     switch (src.kind) {
       case NetSourceKind::Comb: {
         markCellDirty(cd_->posOfCell(src.id));
@@ -298,8 +298,6 @@ void Simulator::clockEdge() {
       next = fromBool(cd_->ffInit(i));
     } else if (enNet != kNoNet && netVal_[enNet] == Logic::L0) {
       next = ffState_[id];  // hold
-    } else if (enNet != kNoNet && isUnknown(netVal_[enNet])) {
-      next = Logic::LX;  // unknown enable poisons state
     } else {
       next = sampled;
     }

@@ -6,6 +6,11 @@
 // clockEdge() captures flip-flops and services memory ports.  step() does
 // both and advances the cycle counter.
 //
+// Values are two-state (sim/logic4.hpp): the design was checked when it was
+// compiled, so every net has a driver, and reset() settles every net from
+// the flip-flops' init bits, zeroed read registers and the inputs (0 until
+// set).
+//
 // evalComb() is event-driven by default: a per-level dirty worklist seeded
 // from changed inputs, forced/released nets, flipped flip-flops and changed
 // memory read registers re-evaluates only the disturbed cone, falling back
@@ -41,8 +46,10 @@ enum class EvalMode : std::uint8_t { EventDriven, FullSettle };
 
 class Simulator {
  public:
-  /// Compiles the netlist privately.  Campaign layers that fan a design out
-  /// over many machines should compile once and use the shared-form ctor.
+  /// Compiles the netlist privately (netlist::compile, which throws
+  /// NetlistError on a design that fails Netlist::check()).  Campaign layers
+  /// that fan a design out over many machines should compile once and use
+  /// the shared-form ctor.
   explicit Simulator(const netlist::Netlist& nl);
   /// Shares a pre-compiled design (no per-machine re-levelization).
   explicit Simulator(netlist::CompiledDesignPtr cd);
@@ -108,7 +115,7 @@ class Simulator {
     return netVal_[net];
   }
   [[nodiscard]] Logic value(std::string_view netName) const;
-  /// Packs a bus into an integer; unknown bits read 0.
+  /// Packs a bus into an integer (LSB first).
   [[nodiscard]] std::uint64_t busValue(const netlist::Bus& bus) const;
   /// Current stored state of a flip-flop.
   [[nodiscard]] Logic ffState(netlist::CellId ff) const { return ffState_.at(ff); }

@@ -70,7 +70,8 @@ bool runMatchesTrace(const faultsim::GoldenRun& run,
   if (trace.values.size() != run.cycles()) return false;
   for (std::uint64_t c = 0; c < run.cycles(); ++c) {
     for (std::size_t j = 0; j < trace.nets.size(); ++j) {
-      if (run.value(c, trace.nets[j]) != trace.values[c][j]) return false;
+      const bool one = trace.values[c][j] == sim::Logic::L1;
+      if (run.row(c)[trace.nets[j]] != one) return false;
     }
   }
   return true;

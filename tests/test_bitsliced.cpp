@@ -5,13 +5,11 @@
 // the serial oracle on a design with flip-flops and a behavioural memory,
 // lane retirement / refill invariants, campaign-record equality on the
 // memsys protection IP (with and without a latent fault), EngineKind::Auto
-// resolution (with its serial fallback when X survives reset), a
-// 200-design random-property sweep over the full fault model, and a sweep
-// of random designs with memories 33 to 64 bits wide.
+// resolution, a 200-design random-property sweep over the full fault model,
+// and a sweep of random designs with memories 33 to 64 bits wide.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -775,56 +773,6 @@ TEST(BitslicedCampaignTest, AutoRunsBitslicedAtEveryThreadCount) {
     EXPECT_EQ(slicedMachines() - machines, faults.size());
     EXPECT_EQ(serialCampaigns(), campaigns);
     expectRecordsEqual(serial, res);
-  }
-}
-
-// X after reset: one flip-flop has no reset and samples an undriven net, so
-// the golden machine is not two-state.  Auto falls back to the serial
-// oracle, counted once per campaign; an explicit Bitsliced still throws, at
-// one thread and at four (a worker's exception reaches the caller).
-TEST(BitslicedCampaignTest, AutoFallsBackToSerialWhenXSurvivesReset) {
-  nl::Netlist n{"xreset"};
-  nl::NetId rst;
-  {
-    nl::Builder bl(n);
-    rst = bl.input("rst");
-    const nl::Bus a = bl.inputBus("a", 4);
-    const auto q = bl.registerBus("r", a, nl::kNoNet, rst, 0);
-    const nl::NetId undriven = n.addNet("undriven");
-    const nl::NetId u = n.addNet("u_q");
-    n.addDff("u", undriven, u, nl::kNoNet, nl::kNoNet, false);
-    bl.outputBus("q", q);
-    bl.output("par", bl.bxor(bl.reduceXor(q), u));
-  }
-  EXPECT_FALSE(fs::isTwoState(sm::Simulator(n)));
-  const zn::ZoneDatabase db = zn::extractZones(n);
-  const zn::EffectsModel fx(db, {});
-  const auto env = ij::EnvironmentBuilder(db, fx)
-                       .withDetectionWindow(4)
-                       .build();
-  const ij::RandomWorkload stim(n, 40, tk::testSeed(31), {{rst, false}});
-  const fs::GoldenRun golden(db.compiledShared(), stim);
-  const ft::FaultList faults = ft::allStuckAtFaults(n);
-  ASSERT_FALSE(faults.empty());
-  ij::InjectionManager mgr(env);
-
-  ij::CampaignOptions serialOpt;
-  serialOpt.engine = fs::EngineKind::Serial;
-  const auto serial = mgr.run(golden, faults, nullptr, serialOpt);
-
-  const auto& reg = socfmea::obs::Registry::global();
-  const std::uint64_t fallbacks = reg.counter("inject.auto_serial_fallbacks");
-  const auto autoRun = mgr.run(golden, faults);  // engine Auto
-  EXPECT_EQ(reg.counter("inject.auto_serial_fallbacks") - fallbacks, 1u);
-  expectRecordsEqual(serial, autoRun);
-
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ij::CampaignOptions slicedOpt;
-    slicedOpt.engine = fs::EngineKind::Bitsliced;
-    slicedOpt.threads = threads;
-    EXPECT_THROW((void)mgr.run(golden, faults, nullptr, slicedOpt),
-                 std::invalid_argument);
   }
 }
 

@@ -1,10 +1,9 @@
 // faultsim::GoldenRun: the fault-free record the bit-sliced word groups, the
 // operational profile and the toggle pass read.  Every row is checked
 // against a Simulator replayed with faultsim::runMachine over the same
-// trace, on random designs (some leaving X after reset), in both eval
-// modes, the row after the final clock edge included; the profile and the
-// toggle pass are checked against the per-cycle Simulator passes they
-// replaced.
+// trace, on random designs, in both eval modes, the row after the final
+// clock edge included; the profile and the toggle pass are checked against
+// the per-cycle Simulator passes they replaced.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -39,25 +38,10 @@ static_assert(!std::is_constructible_v<fs::GoldenRun, nl::CompiledDesignPtr,
 
 namespace {
 
-/// A random testkit design.  With `leaveX`, an undriven net feeds a
-/// flip-flop whose Q is ANDed with the first primary input onto an output:
-/// X survives reset and comes and goes with that input.
-nl::Netlist randomDesign(sm::Rng& rng, bool leaveX) {
-  nl::Netlist n = tk::generateNetlist(tk::randomOptions(rng), rng);
-  if (leaveX) {
-    const nl::NetId undriven = n.addNet("x_undriven");
-    const nl::NetId q = n.addNet("x_q");
-    n.addDff("x_ff", undriven, q, nl::kNoNet, nl::kNoNet, false);
-    const nl::NetId mix = n.addNet("x_mix");
-    n.addCell(nl::CellType::And, "x_and",
-              {q, n.cell(n.primaryInputs().front()).output}, mix);
-    n.addOutput("x_out", mix);
-  }
-  return n;
+/// A random testkit design.
+nl::Netlist randomDesign(sm::Rng& rng) {
+  return tk::generateNetlist(tk::randomOptions(rng), rng);
 }
-
-/// The value a record keeps for a simulated one: Z reads as X.
-sm::Logic kept(sm::Logic v) { return sm::isUnknown(v) ? sm::Logic::LX : v; }
 
 /// Checks every row of `run` (recorded in `mode`) against a Simulator
 /// replayed over its trace in the same mode.
@@ -67,8 +51,7 @@ void expectRowsMatchSimulator(const fs::GoldenRun& run, sm::EvalMode mode) {
   std::size_t badRows = 0;
   const auto check = [&](std::span<const sm::Logic> now, std::uint64_t c) {
     for (nl::NetId n = 0; n < now.size(); ++n) {
-      if (run.value(c, n) != kept(now[n]) ||
-          run.row(c)[n] != (now[n] == sm::Logic::L1)) {
+      if (run.row(c)[n] != (now[n] == sm::Logic::L1)) {
         ++badRows;
         ADD_FAILURE() << "row " << c << " net #" << n;
         return;
@@ -91,7 +74,6 @@ void expectRowsMatchSimulator(const fs::GoldenRun& run, sm::EvalMode mode) {
   const fs::NetBits last = run.row(run.cycles());
   for (std::size_t i = 0; i < cd.ffs().size(); ++i) {
     const sm::Logic state = sim.ffStates()[cd.ffs()[i]];
-    if (sm::isUnknown(state)) continue;
     EXPECT_EQ(last[cd.ffOutput(i)], state == sm::Logic::L1) << "ff " << i;
   }
   for (nl::MemoryId m = 0; m < cd.design().memoryCount(); ++m) {
@@ -105,24 +87,23 @@ void expectRowsMatchSimulator(const fs::GoldenRun& run, sm::EvalMode mode) {
 }
 
 /// The operational profile's zone activity the way it was measured before
-/// the record: one Simulator pass, the first transition out of X not
-/// counted.
+/// the record: one Simulator pass, counting changes from cycle 1 on.
 std::vector<std::uint64_t> simulatedZoneWrites(const zn::ZoneDatabase& db,
                                                const fs::StimulusTrace& stim) {
   std::vector<std::uint64_t> writes(db.size(), 0);
   std::vector<std::vector<sm::Logic>> prev(db.size());
   for (const zn::SensibleZone& z : db.zones()) {
-    prev[z.id].assign(z.valueNets.size(), sm::Logic::LX);
+    prev[z.id].assign(z.valueNets.size(), sm::Logic::L0);
   }
   sm::Simulator sim(db.compiledShared());
   (void)fs::runMachine(
-      sim, stim, nullptr, nullptr, [&](const sm::Simulator& s, std::uint64_t) {
+      sim, stim, nullptr, nullptr,
+      [&](const sm::Simulator& s, std::uint64_t c) {
         for (const zn::SensibleZone& z : db.zones()) {
           bool changed = false;
           for (std::size_t i = 0; i < z.valueNets.size(); ++i) {
             const sm::Logic v = s.netValues()[z.valueNets[i]];
-            if (v == prev[z.id][i]) continue;
-            if (!sm::isUnknown(prev[z.id][i])) changed = true;
+            if (c > 0 && v != prev[z.id][i]) changed = true;
             prev[z.id][i] = v;
           }
           if (changed) ++writes[z.id];
@@ -133,20 +114,22 @@ std::vector<std::uint64_t> simulatedZoneWrites(const zn::ZoneDatabase& db,
 }
 
 /// Nets seen rising and falling, the way the toggle pass measured them
-/// before the record: one Simulator pass from an X start.
+/// before the record: one Simulator pass, counting edges from cycle 1 on.
 std::pair<std::vector<bool>, std::vector<bool>> simulatedToggles(
     const nl::CompiledDesignPtr& cd, const fs::StimulusTrace& stim) {
   const std::size_t nets = cd->netCount();
   std::vector<bool> rise(nets, false);
   std::vector<bool> fall(nets, false);
-  std::vector<sm::Logic> prev(nets, sm::Logic::LX);
+  std::vector<sm::Logic> prev(nets, sm::Logic::L0);
   sm::Simulator sim(cd);
   (void)fs::runMachine(
-      sim, stim, nullptr, nullptr, [&](const sm::Simulator& s, std::uint64_t) {
+      sim, stim, nullptr, nullptr,
+      [&](const sm::Simulator& s, std::uint64_t c) {
         for (nl::NetId n = 0; n < nets; ++n) {
           const sm::Logic v = s.netValues()[n];
-          if (prev[n] == sm::Logic::L0 && v == sm::Logic::L1) rise[n] = true;
-          if (prev[n] == sm::Logic::L1 && v == sm::Logic::L0) fall[n] = true;
+          if (c > 0 && prev[n] != v) {
+            (v == sm::Logic::L1 ? rise : fall)[n] = true;
+          }
           prev[n] = v;
         }
         return false;
@@ -162,32 +145,28 @@ TEST(GoldenRunTest, RowsMatchTheSimulatorOnRandomDesigns) {
     const std::uint64_t seed = tk::derivedSeed(base, i);
     SCOPED_TRACE(tk::seedMessage(seed));
     sm::Rng rng(seed);
-    const bool leaveX = i % 3 == 0;
-    const nl::Netlist n = randomDesign(rng, leaveX);
+    const nl::Netlist n = randomDesign(rng);
     const tk::TestPlan plan =
         tk::generatePlan(n, tk::randomPlanOptions(rng), rng);
     const nl::CompiledDesignPtr cd = nl::compile(n);
     const fs::GoldenRun event(cd, plan.stim);
     const fs::GoldenRun full(cd, plan.stim, sm::EvalMode::FullSettle);
-    EXPECT_EQ(event.isTwoState(), !leaveX);
-    EXPECT_EQ(event.isTwoState(), fs::isTwoState(sm::Simulator(cd)));
     EXPECT_TRUE(event == full);
     expectRowsMatchSimulator(event, sm::EvalMode::EventDriven);
     expectRowsMatchSimulator(full, sm::EvalMode::FullSettle);
   }
 }
 
-// The profile and the toggle pass read the rows with the X semantics of
-// the Simulator passes they replaced: the first transition out of X is not
-// activity, a known value turning X is, and X neither rises nor falls.
-TEST(GoldenRunTest, ProfileAndToggleKeepTheirXSemantics) {
+// The profile and the toggle pass read the rows the way the Simulator
+// passes they replaced read the machine: a change or an edge in cycle c
+// compares it with cycle c - 1, so cycle 0 counts nothing.
+TEST(GoldenRunTest, ProfileAndToggleMatchTheSimulatorPasses) {
   const std::uint64_t base = tk::testSeed(0x7065);
-  std::size_t xZonesSeen = 0;
   for (std::uint64_t i = 0; i < 40; ++i) {
     const std::uint64_t seed = tk::derivedSeed(base, i);
     SCOPED_TRACE(tk::seedMessage(seed));
     sm::Rng rng(seed);
-    const nl::Netlist n = randomDesign(rng, i % 2 == 0);
+    const nl::Netlist n = randomDesign(rng);
     const zn::ZoneDatabase db = zn::extractZones(n);
     const tk::TestPlan plan =
         tk::generatePlan(n, tk::randomPlanOptions(rng), rng);
@@ -199,7 +178,6 @@ TEST(GoldenRunTest, ProfileAndToggleKeepTheirXSemantics) {
         simulatedZoneWrites(db, plan.stim);
     for (const zn::SensibleZone& z : db.zones()) {
       EXPECT_EQ(profile.zone(z.id).writes, writes[z.id]) << z.name;
-      if (z.name.starts_with("x_") && writes[z.id] > 0) ++xZonesSeen;
     }
 
     const fs::ToggleCoverage tc = fs::measureToggle(golden);
@@ -215,13 +193,11 @@ TEST(GoldenRunTest, ProfileAndToggleKeepTheirXSemantics) {
     EXPECT_EQ(tc.toggledOnce, once);
     EXPECT_EQ(tc.toggledBoth, both);
   }
-  // The X flip-flop's zone goes from its init value to X: one write.
-  EXPECT_GT(xZonesSeen, 0u);
 }
 
 TEST(GoldenRunTest, RecordOfAnotherDesignIsRefused) {
   sm::Rng rng(tk::testSeed(0x0DD));
-  const nl::Netlist n = randomDesign(rng, false);
+  const nl::Netlist n = randomDesign(rng);
   const zn::ZoneDatabase db = zn::extractZones(n);
   const tk::TestPlan plan =
       tk::generatePlan(n, tk::randomPlanOptions(rng), rng);

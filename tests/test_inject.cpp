@@ -15,7 +15,6 @@
 #include "inject/workload.hpp"
 #include "netlist/builder.hpp"
 #include "obs/telemetry.hpp"
-#include "testkit/oracle.hpp"
 #include "zones/extract.hpp"
 
 namespace nl = socfmea::netlist;
@@ -24,7 +23,6 @@ namespace ft = socfmea::fault;
 namespace fs = socfmea::faultsim;
 namespace ij = socfmea::inject;
 namespace sm = socfmea::sim;
-namespace tk = socfmea::testkit;
 
 namespace {
 
@@ -613,110 +611,6 @@ TEST(ManagerTest, RepeatedFaultsSimulateOnce) {
       EXPECT_EQ(got.obs.diagCycle, want.obs.diagCycle);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// X semantics of the serial oracle
-// ---------------------------------------------------------------------------
-
-// The serial oracle is the only engine that runs designs with X after reset
-// (Auto falls back to it for them), so its compare rules are pinned here: X
-// compares as its own value, and DIAG fires only where the faulty alarm
-// reads 1 and the golden alarm does not.  u0 and u1 have no reset and sample
-// an undriven net: their Q reads the init value (0 and 1) at cycle 0 and X
-// from cycle 1 on.
-TEST(ManagerTest, SerialOracleComparesXAsItsOwnValue) {
-  nl::Netlist n{"xwatch"};
-  nl::NetId rst;
-  nl::NetId en;
-  nl::NetId u0q;
-  nl::NetId u1q;
-  nl::CellId u0;
-  nl::CellId u1;
-  {
-    nl::Builder b(n);
-    rst = b.input("rst");
-    en = b.input("en");
-    const nl::Bus a = b.inputBus("a", 2);
-    b.outputBus("dout", b.registerBus("r", a, nl::kNoNet, rst, 0));
-    const nl::NetId undriven = n.addNet("undriven");
-    u0q = n.addNet("u0_q");
-    u1q = n.addNet("u1_q");
-    u0 = n.addDff("u0", undriven, u0q, nl::kNoNet, nl::kNoNet, false);
-    u1 = n.addDff("u1", undriven, u1q, nl::kNoNet, nl::kNoNet, true);
-    b.output("q0", u0q);
-    b.output("q1", u1q);
-    b.output("alarm_hi", u1q);               // 1 at cycle 0, then X
-    b.output("alarm_and", b.band(en, u0q));  // en holds 0: always 0
-  }
-  const zn::ZoneDatabase db = zn::extractZones(n);
-  const zn::EffectsModel fx(db, {"alarm_"});
-  const auto env =
-      ij::EnvironmentBuilder(db, fx).withDetectionWindow(4).build();
-  const ij::RandomWorkload stim(n, 16, 7, {{rst, false}, {en, false}});
-  const fs::GoldenRun golden(db.compiledShared(), stim);
-  const auto pointOf = [&](nl::NetId net) {
-    const auto it = std::find(env.obsNets.begin(), env.obsNets.end(), net);
-    return env.obsIds.at(static_cast<std::size_t>(it - env.obsNets.begin()));
-  };
-  const auto stuck = [](ft::FaultKind kind, nl::NetId net) {
-    ft::Fault f;
-    f.kind = kind;
-    f.net = net;
-    return f;
-  };
-  const ft::Fault u0Sa0 = stuck(ft::FaultKind::StuckAt0, u0q);
-  const ft::Fault u1Sa1 = stuck(ft::FaultKind::StuckAt1, u1q);
-  const ft::Fault enSa1 = stuck(ft::FaultKind::StuckAt1, en);
-
-  ij::InjectionManager mgr(env);
-  ij::CampaignOptions opt;
-  opt.engine = socfmea::faultsim::EngineKind::Serial;
-  const auto res = mgr.run(golden, {u0Sa0, u1Sa1, enSa1}, nullptr, opt);
-  ASSERT_EQ(res.records.size(), 3u);
-
-  // X in golden, 0 in the faulty machine: zone and point deviate at cycle 1;
-  // no alarm reads 1.
-  const ij::InjectionObservation& lo = res.records[0].obs;
-  EXPECT_TRUE(lo.sens);
-  EXPECT_EQ(lo.sensCycle, 1u);
-  EXPECT_EQ(lo.zonesDeviated, std::vector<zn::ZoneId>{db.zoneOfFf(u0)});
-  EXPECT_TRUE(lo.obs);
-  EXPECT_EQ(lo.firstObsCycle, 1u);
-  EXPECT_EQ(lo.obsDeviated, std::vector<zn::ObsId>{pointOf(u0q)});
-  EXPECT_FALSE(lo.diag);
-  EXPECT_EQ(res.records[0].outcome, ij::Outcome::DangerousUndetected);
-
-  // X in golden, 1 in the faulty machine: deviates at cycle 1 too, and
-  // alarm_hi reading 1 where golden reads X fires DIAG then (at cycle 0 both
-  // read 1).
-  const ij::InjectionObservation& hi = res.records[1].obs;
-  EXPECT_TRUE(hi.sens);
-  EXPECT_EQ(hi.sensCycle, 1u);
-  EXPECT_EQ(hi.zonesDeviated, std::vector<zn::ZoneId>{db.zoneOfFf(u1)});
-  EXPECT_TRUE(hi.obs);
-  EXPECT_EQ(hi.firstObsCycle, 1u);
-  EXPECT_EQ(hi.obsDeviated, std::vector<zn::ObsId>{pointOf(u1q)});
-  EXPECT_TRUE(hi.diag);
-  EXPECT_EQ(hi.diagCycle, 1u);
-  EXPECT_EQ(res.records[1].outcome, ij::Outcome::DangerousDetected);
-
-  // en stuck at 1 turns alarm_and X where golden reads 0: no DIAG.  u0_q and
-  // u1_q are X in both machines, so no zone or point deviates.
-  const ij::InjectionObservation& en1 = res.records[2].obs;
-  EXPECT_FALSE(en1.sens);
-  EXPECT_TRUE(en1.zonesDeviated.empty());
-  EXPECT_FALSE(en1.obs);
-  EXPECT_FALSE(en1.diag);
-  EXPECT_EQ(res.records[2].outcome, ij::Outcome::NoEffect);
-
-  // Fault simulation detects q0 reading 0 where golden reads X, and
-  // alarm_and reading X where golden reads 0.
-  const auto fsim =
-      tk::serialOutputs(db.compiledShared(), stim, {u0Sa0, enSa1});
-  ASSERT_EQ(fsim.size(), 2u);
-  EXPECT_TRUE(fsim[0].obs);
-  EXPECT_TRUE(fsim[1].obs);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "netlist/traversal.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "zones/extract.hpp"
 
 namespace nl = socfmea::netlist;
 
@@ -126,14 +127,51 @@ TEST(NetlistTest, ArityValidated) {
                nl::NetlistError);
 }
 
-TEST(NetlistTest, UndrivenNetFailsCheck) {
-  nl::Netlist n;
-  const auto a = n.addInput("a");
-  const auto w = n.addNet("floating");
-  const auto y = n.addNet("y");
-  n.addCell(nl::CellType::And, "g", {a, w}, y);
-  n.addOutput("o", y);
-  EXPECT_THROW(n.check(), nl::NetlistError);
+// Every design that fails the design-rule check is refused by everything
+// that compiles it: netlist::compile, the simulator and the zone extractor.
+// A Mux2 or Not short of an input would otherwise read past its fan-in.
+TEST(NetlistTest, DesignRuleViolationsDoNotCompile) {
+  const auto undriven = [] {
+    nl::Netlist n{"undriven"};
+    const auto a = n.addInput("a");
+    const auto y = n.addNet("y");
+    n.addCell(nl::CellType::And, "g", {a, n.addNet("floating")}, y);
+    n.addOutput("o", y);
+    return n;
+  };
+  const auto muxPin = [] {
+    nl::Netlist n{"mux_pin"};
+    const auto s = n.addInput("s");
+    const auto a = n.addInput("a");
+    const auto y = n.addNet("y");
+    n.addCell(nl::CellType::Mux2, "m", {s, a, nl::kNoNet}, y);
+    n.addOutput("o", y);
+    return n;
+  };
+  const auto notPin = [] {
+    nl::Netlist n{"not_pin"};
+    const auto y = n.addNet("y");
+    n.addCell(nl::CellType::Not, "inv", {nl::kNoNet}, y);
+    n.addOutput("o", y);
+    return n;
+  };
+  const auto loop = [] {
+    nl::Netlist n{"loop"};
+    const auto a = n.addInput("a");
+    const auto w1 = n.addNet("w1");
+    const auto w2 = n.addNet("w2");
+    n.addCell(nl::CellType::And, "g1", {a, w2}, w1);
+    n.addCell(nl::CellType::Not, "g2", {w1}, w2);
+    n.addOutput("o", w1);
+    return n;
+  };
+  for (const nl::Netlist& n : {undriven(), muxPin(), notPin(), loop()}) {
+    SCOPED_TRACE(n.name());
+    EXPECT_THROW(n.check(), nl::NetlistError);
+    EXPECT_THROW((void)nl::compile(n), nl::NetlistError);
+    EXPECT_THROW(socfmea::sim::Simulator{n}, nl::NetlistError);
+    EXPECT_THROW((void)socfmea::zones::extractZones(n), nl::NetlistError);
+  }
 }
 
 TEST(NetlistTest, FindByName) {

@@ -1,4 +1,4 @@
-// Tests for the simulator: multi-valued logic, cycle semantics, flip-flop
+// Tests for the simulator: two-valued logic, cycle semantics, flip-flop
 // enable/reset behaviour, memory ports, fault hooks, evaluation modes and
 // the RNG.
 #include <gtest/gtest.h>
@@ -21,38 +21,11 @@ using sm::Logic;
 TEST(Logic4Test, NotTable) {
   EXPECT_EQ(sm::logicNot(Logic::L0), Logic::L1);
   EXPECT_EQ(sm::logicNot(Logic::L1), Logic::L0);
-  EXPECT_EQ(sm::logicNot(Logic::LX), Logic::LX);
-  EXPECT_EQ(sm::logicNot(Logic::LZ), Logic::LX);
 }
 
-TEST(Logic4Test, DominantValuesBeatUnknown) {
-  // 0 dominates AND; 1 dominates OR — X must not poison those.
-  EXPECT_EQ(sm::logicAnd(Logic::L0, Logic::LX), Logic::L0);
-  EXPECT_EQ(sm::logicOr(Logic::L1, Logic::LX), Logic::L1);
-  EXPECT_EQ(sm::logicAnd(Logic::L1, Logic::LX), Logic::LX);
-  EXPECT_EQ(sm::logicOr(Logic::L0, Logic::LX), Logic::LX);
-  EXPECT_EQ(sm::logicXor(Logic::L1, Logic::LX), Logic::LX);
-}
-
-TEST(Logic4Test, MuxUnknownSelectAgreeingLegs) {
-  const Logic in1[] = {Logic::LX, Logic::L1, Logic::L1};
-  EXPECT_EQ(sm::evalCell(nl::CellType::Mux2, in1), Logic::L1);
-  const Logic in2[] = {Logic::LX, Logic::L0, Logic::L1};
-  EXPECT_EQ(sm::evalCell(nl::CellType::Mux2, in2), Logic::LX);
-}
-
-TEST(Logic4Test, PackUnpackRoundTrip) {
-  const auto bits = sm::unpackBits(0xA5, 8);
-  std::uint64_t unknown = 0;
-  EXPECT_EQ(sm::packBits(bits, &unknown), 0xA5u);
-  EXPECT_EQ(unknown, 0u);
-  std::vector<Logic> withX = bits;
-  withX[3] = Logic::LX;
-  (void)sm::packBits(withX, &unknown);
-  EXPECT_EQ(unknown, 0x08u);
-}
-
-// Exhaustive two-input truth tables for the basic gates.
+// Exhaustive truth tables for every combinational cell type against plain
+// bool logic: the n-input gates at two and three inputs, the others at their
+// own arity (Mux2: {sel, a, b}).
 class GateTruthTable
     : public ::testing::TestWithParam<std::tuple<nl::CellType, int>> {};
 
@@ -60,26 +33,51 @@ TEST_P(GateTruthTable, MatchesBoolean) {
   const auto [type, combo] = GetParam();
   const bool a = combo & 1;
   const bool b = combo & 2;
-  const Logic in[] = {sm::fromBool(a), sm::fromBool(b)};
-  bool expect = false;
+  const bool c = combo & 4;
+  const Logic in[] = {sm::fromBool(a), sm::fromBool(b), sm::fromBool(c)};
+  const auto eval = [&](std::size_t arity) {
+    return sm::evalCell(type, std::span<const Logic>(in, arity));
+  };
+  const auto expectGate = [&](bool two, bool three) {
+    EXPECT_EQ(eval(2), sm::fromBool(two));
+    EXPECT_EQ(eval(3), sm::fromBool(three));
+  };
   switch (type) {
-    case nl::CellType::And: expect = a && b; break;
-    case nl::CellType::Or: expect = a || b; break;
-    case nl::CellType::Nand: expect = !(a && b); break;
-    case nl::CellType::Nor: expect = !(a || b); break;
-    case nl::CellType::Xor: expect = a != b; break;
-    case nl::CellType::Xnor: expect = a == b; break;
+    case nl::CellType::Const0:
+      EXPECT_EQ(eval(0), Logic::L0);
+      break;
+    case nl::CellType::Const1:
+      EXPECT_EQ(eval(0), Logic::L1);
+      break;
+    case nl::CellType::Buf:
+      EXPECT_EQ(eval(1), sm::fromBool(a));
+      break;
+    case nl::CellType::Not:
+      EXPECT_EQ(eval(1), sm::fromBool(!a));
+      break;
+    case nl::CellType::Mux2:
+      EXPECT_EQ(eval(3), sm::fromBool(a ? c : b));
+      break;
+    case nl::CellType::And: expectGate(a && b, a && b && c); break;
+    case nl::CellType::Or: expectGate(a || b, a || b || c); break;
+    case nl::CellType::Nand: expectGate(!(a && b), !(a && b && c)); break;
+    case nl::CellType::Nor: expectGate(!(a || b), !(a || b || c)); break;
+    case nl::CellType::Xor: expectGate(a != b, (a != b) != c); break;
+    case nl::CellType::Xnor: expectGate(a == b, (a != b) == c); break;
     default: FAIL();
   }
-  EXPECT_EQ(sm::evalCell(type, in), sm::fromBool(expect));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllGatesAllInputs, GateTruthTable,
-    ::testing::Combine(::testing::Values(nl::CellType::And, nl::CellType::Or,
-                                         nl::CellType::Nand, nl::CellType::Nor,
-                                         nl::CellType::Xor, nl::CellType::Xnor),
-                       ::testing::Range(0, 4)));
+    ::testing::Combine(
+        ::testing::Values(nl::CellType::And, nl::CellType::Or,
+                          nl::CellType::Nand, nl::CellType::Nor,
+                          nl::CellType::Xor, nl::CellType::Xnor,
+                          nl::CellType::Buf, nl::CellType::Not,
+                          nl::CellType::Mux2, nl::CellType::Const0,
+                          nl::CellType::Const1),
+        ::testing::Range(0, 8)));
 
 // ---------------------------------------------------------------------------
 // simulator
@@ -357,21 +355,6 @@ TEST(SimulatorTest, MemorySynchronousReadWrite) {
   sim.step();  // read @2
   EXPECT_EQ(sim.busValue(r), 0x5Au);
   EXPECT_EQ(sim.memory(0).peek(2), 0x5Au);
-}
-
-TEST(SimulatorTest, UnknownEnablePoisonsState) {
-  nl::Netlist n;
-  nl::Builder b(n);
-  const auto d = b.input("d");
-  const auto en = b.input("en");
-  const auto q = n.addNet("q");
-  const auto ff = n.addDff("r", d, q, en);
-  b.output("o", q);
-  sm::Simulator sim(n);
-  sim.setInput(d, Logic::L1);
-  sim.setInput(en, Logic::LX);
-  sim.step();
-  EXPECT_EQ(sim.ffState(ff), Logic::LX);
 }
 
 // ---------------------------------------------------------------------------

@@ -313,9 +313,8 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusTest,
 
 // Seeded mutations of every corpus pair, alternately in the .nl and in the
 // .plan: byte flips, truncations, dropped and duplicated lines and extreme
-// numbers.  A mutant either throws (a reader's error, or the engines'
-// std::invalid_argument when X survives reset) or replays clean through
-// every combo.
+// numbers.  A mutant either throws (a reader's error) or replays clean
+// through every combo.
 TEST(CorpusMutationTest, MutantsThrowOrReplayClean) {
   const auto readFile = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);

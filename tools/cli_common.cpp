@@ -76,8 +76,7 @@ const std::string& commonUsageDetails() {
       "  --threads    campaign threads (default 1, 0 = all cores, at most"
       " 1024)\n"
       "  --engine     campaign engine: serial | bitsliced | auto (default;"
-      " bit-sliced,\n"
-      "               or the serial oracle when X survives reset)\n";
+      " bit-sliced)\n";
   return s;
 }
 
